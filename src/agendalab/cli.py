@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .distributions import audit_dp_axioms, gen_distribution
@@ -23,14 +22,17 @@ from .errors import AgendaLabError, InternalInvariantError, ValidationError
 from .grids import BoxSpace, SimplexSpace, build_grid
 from .horizons import horizon_classify, horizon_payoffs, reachability, stable_set
 from .oracle import GameSpec, protocol_equivalence, solve_spe, verify_profile
-from .problems import TournamentSpec, is_manipulable, unimprovable_set
+from .problems import is_manipulable, unimprovable_set
 from .rationals import format_rational, parse_rational
 from .serialize import (
     load_problem,
     parse_rule,
     problem_to_dict,
     profile_from_dict,
+    read_json,
     save_problem,
+    spatial_profile_from_dict,
+    tournament_from_dict,
 )
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
 from .suites import SUITES, ExperimentDescriptor, run_suite
@@ -91,8 +93,7 @@ def _cmd_oracle(args) -> int:
         protocol = args.protocol
         if args.protocol_file:
             from .serialize import protocol_from_dict
-            protocol = protocol_from_dict(
-                json.loads(Path(args.protocol_file).read_text()), problem)
+            protocol = protocol_from_dict(read_json(args.protocol_file), problem)
         game = GameSpec(problem=problem, rule=rule, horizon=args.rounds,
                         initial_default=x0, protocol=protocol)
         report = solve_spe(game, budget=args.budget)
@@ -109,7 +110,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_command == "verify":
         game = GameSpec(problem=problem, rule=rule, horizon=args.rounds,
                         initial_default=x0)
-        profile = profile_from_dict(json.loads(Path(args.profile).read_text()), problem)
+        profile = profile_from_dict(read_json(args.profile), problem)
         report = verify_profile(game, profile, budget=args.budget)
         payload = {
             "profile_valid": report.profile_valid,
@@ -177,13 +178,7 @@ def _cmd_spatial(args) -> int:
         profile = gen_spatial(args.dim, args.voters, args.seed)
         _emit({"dim": args.dim, "ideal_points": _points_payload(profile)}, args.out)
         return 0
-    data = json.loads(Path(args.profile).read_text())
-    from .spatial import SpatialProfile
-    points = tuple(tuple(parse_rational(c) for c in p) for p in data["ideal_points"])
-    d = int(data["dim"])
-    profile = SpatialProfile(
-        dim=d, ideal_points=points,
-        box=tuple((Fraction(0), Fraction(1)) for _ in range(d)))
+    profile = spatial_profile_from_dict(read_json(args.profile))
     if args.spatial_command == "check":
         report = check_noncoplanarity(profile)
         payload = {"passes": report.passes}
@@ -253,11 +248,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    data = json.loads(Path(args.tournament).read_text())
-    labels = data["policies"]
-    index = {label: i for i, label in enumerate(labels)}
-    edges = [(index[w], index[l]) for w, l in data["edges"]]
-    tournament = TournamentSpec.from_edges(len(labels), edges)
+    labels, tournament = tournament_from_dict(read_json(args.tournament))
     setter = [parse_rational(u) for u in args.setter.split(",")]
     problem = mcgarvey_realize(tournament, setter)
     from .tournaments import relabel

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .engine import Allocation
 from .errors import BudgetExceededError, ValidationError
 from .problems import CollectiveChoiceProblem
@@ -244,30 +246,36 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     player more than their minimum, or be strictly Pareto dominated.
     Transferability: a policy above player i's minimum must admit an
     alternative strictly better for everyone else.
-    """
-    rows = list(problem.voter_utilities) + [problem.setter_utilities]
-    players = len(rows)
-    m = problem.num_policies
-    max_u = [max(row) for row in rows]
-    min_u = [min(row) for row in rows]
-    pareto_improvable = [
-        any(all(rows[p][y] > rows[p][x] for p in range(players)) for y in range(m))
-        for x in range(m)]
 
-    scarcity, transferability = [], []
-    for x in range(m):
-        for i in range(players):
-            if rows[i][x] < max_u[i]:
-                others_gain = any(rows[j][x] > min_u[j]
-                                  for j in range(players) if j != i)
-                if not others_gain and not pareto_improvable[x]:
-                    scarcity.append(AxiomViolation(policy=x, player=i, axiom="scarcity"))
-            if rows[i][x] > min_u[i]:
-                escape = any(
-                    all(rows[j][y] > rows[j][x] for j in range(players) if j != i)
-                    for y in range(m))
-                if not escape:
-                    transferability.append(
-                        AxiomViolation(policy=x, player=i, axiom="transferability"))
-    return AxiomAudit(scarcity_violations=tuple(scarcity),
-                      transferability_violations=tuple(transferability))
+    Both axioms only compare utilities within one player's row, so the
+    check runs on each row's dense ranks, one policy at a time.
+    """
+    ranks = np.array([_dense_ranks(row) for row in problem._ints.vectors], dtype=np.int64)
+    players = ranks.shape[0]
+    above_min = ranks > 0
+    below_max = ranks < ranks.max(axis=1, keepdims=True)
+    # [i, x]: some player other than i is above their minimum at x
+    others_gain = above_min.sum(axis=0) - above_min > 0
+    scarce = below_max & ~others_gain
+    transferable = np.empty_like(above_min)
+    for x in range(ranks.shape[1]):
+        better = ranks > ranks[:, x:x + 1]          # [j, y]: player j gains moving to y
+        gainers = better.sum(axis=0)
+        if (gainers == players).any():              # x is strictly Pareto dominated
+            scarce[:, x] = False
+        # [i]: some y is strictly better for every player other than i
+        transferable[:, x] = (gainers - better == players - 1).any(axis=1)
+    transfer_gap = above_min & ~transferable
+    return AxiomAudit(
+        scarcity_violations=tuple(
+            AxiomViolation(policy=int(x), player=int(i), axiom="scarcity")
+            for x, i in np.argwhere(scarce.T)),
+        transferability_violations=tuple(
+            AxiomViolation(policy=int(x), player=int(i), axiom="transferability")
+            for x, i in np.argwhere(transfer_gap.T)))
+
+
+def _dense_ranks(row) -> list[int]:
+    """Each entry's position among the row's distinct values, ascending."""
+    position = {v: k for k, v in enumerate(sorted(set(row)))}
+    return [position[v] for v in row]

@@ -223,14 +223,12 @@ class OutcomeBounds:
     T-fold composites of per-round selections whose values at every
     default agree in setter utility — a necessary condition on
     equilibrium outcomes, so this over-approximates.  Restricting the
-    agreement constraint to reachable defaults provably yields the same
-    set (choices at unvisited defaults are unconstrained), so
-    `upper_reachable_variant` always equals `upper`; both are reported.
+    agreement constraint to reachable defaults yields the same set
+    (choices at unvisited defaults are unconstrained).
     """
 
     lower: frozenset[int]
     upper: frozenset[int]
-    upper_reachable_variant: frozenset[int]
 
 
 def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
@@ -292,8 +290,7 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
             del chosen_value[state]
 
     walk_upper(x0, 0)
-    return OutcomeBounds(lower=frozenset(lower), upper=frozenset(upper),
-                         upper_reachable_variant=frozenset(upper))
+    return OutcomeBounds(lower=frozenset(lower), upper=frozenset(upper))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional
 
+from .distributions import _compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem
+from .rationals import scaled_numerators
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -101,6 +103,11 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
 
 # ---------------------------------------------------------------------------
 # box grids
+#
+# Every coordinate is held as an integer numerator over one grid-wide
+# scale: the box corners, the cell centres and every jitter offset are
+# multiples of it, and so are the ideal points and the anchor.  Each
+# node's utilities are then exact integers, computed once per draw.
 
 
 def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
@@ -117,7 +124,7 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
         corner_sq = _max_corner_distance_sq(anchor, space.bounds)
         if corner_sq < epsilon**2:
             points = (anchor,)
-            problem = _spatial_grid_problem(profile, points, clean=True)
+            problem = _grid_problem(profile.utility_rows(points))
             return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                                    covering_sq_bound=corner_sq, attempts=1)
 
@@ -136,44 +143,47 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
                                       required=total, budget=max_points)
 
     spacings = [(hi - lo) / k for (lo, hi), k in zip(space.bounds, cells)]
+    # a centre sits 10 * _JITTER_RANGE units past its cell's edge; a jitter step is 2 units
+    units = [h / (20 * _JITTER_RANGE) for h in spacings]
+    lows = [lo for lo, _hi in space.bounds]
+    scale = lcm(*(c.denominator for c in (*units, *lows, *(anchor or ()))),
+                *(c.denominator for p in profile.ideal_points for c in p))
+    units, lows = scaled_numerators(units, scale), scaled_numerators(lows, scale)
     centers = []
     for index in range(total):
         coords, rem = [], index
-        for (lo, _hi), k, h in zip(space.bounds, cells, spacings):
-            coords.append(lo + (2 * (rem % k) + 1) * h / 2)
+        for low, k, unit in zip(lows, cells, units):
+            coords.append(low + (2 * (rem % k) + 1) * 10 * _JITTER_RANGE * unit)
             rem //= k
         centers.append(tuple(coords))
 
     rng = random.Random(seed)
 
-    def jitter_node(center):
+    def draw(idx):
         if not jitter:
-            return center
-        out = []
-        for c, h in zip(center, spacings):
-            t = rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE)
-            out.append(c + t * h / (10 * _JITTER_RANGE))
-        return tuple(out)
+            return centers[idx]
+        return tuple(c + 2 * rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE) * unit
+                     for c, unit in zip(centers[idx], units))
 
-    points = [jitter_node(c) for c in centers]
+    nodes = [draw(idx) for idx in range(total)]
     frozen = set()
     if anchor is not None:
-        points.append(anchor)
-        frozen.add(len(points) - 1)
+        nodes.append(scaled_numerators(anchor, scale))
+        frozen.add(len(nodes) - 1)
+    values = profile.scaled_utilities(nodes, scale)
 
-    def utilities(point):
-        return tuple(profile.utility(i, point) for i in range(profile.n_voters + 1))
+    def redraw(idx):
+        nodes[idx] = draw(idx)
+        return profile.scaled_utilities([nodes[idx]], scale)[0]
 
-    attempts = _audit_and_rejitter(
-        points, frozen, utilities, max_attempts,
-        lambda idx: jitter_node(centers[idx]))
+    attempts = _audit_and_rejitter(values, frozen, max_attempts, redraw)
 
     bound = sum((Fraction(3, 5) * h)**2 for h in spacings)
     if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
         raise ValidationError("covering bound violated; epsilon too small for budget")
-    clean = True
-    problem = _spatial_grid_problem(profile, tuple(points), clean=clean)
-    return GridBuildResult(problem=problem, points=tuple(points), epsilon=epsilon,
+    points = tuple(tuple(Fraction(c, scale) for c in node) for node in nodes)
+    problem = _grid_problem(profile.rows_from_scaled(values, scale))
+    return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                            covering_sq_bound=bound, attempts=attempts)
 
 
@@ -184,15 +194,13 @@ def _max_corner_distance_sq(anchor, bounds) -> Fraction:
     return total
 
 
-def _spatial_grid_problem(profile, points, clean):
-    labels = tuple(f"n{i}" for i in range(len(points)))
-    voters = tuple(
-        tuple(profile.utility(i, p) for p in points)
-        for i in range(profile.n_voters))
-    setter = tuple(profile.utility(profile.n_voters, p) for p in points)
-    gfa = clean and profile.n_voters % 2 == 1
-    return CollectiveChoiceProblem(policies=labels, voter_utilities=voters,
-                                   setter_utilities=setter, gfa=gfa)
+def _grid_problem(rows) -> CollectiveChoiceProblem:
+    """The grid's problem from per-player utility rows (setter last)."""
+    *voters, setter = rows
+    return CollectiveChoiceProblem(
+        policies=tuple(f"n{i}" for i in range(len(setter))),
+        voter_utilities=tuple(voters), setter_utilities=setter,
+        gfa=len(voters) % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,82 +218,72 @@ def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitte
     if total > max_points:
         raise BudgetExceededError("simplex grid would exceed the point budget",
                                   required=total, budget=max_points)
+    if anchor is not None:
+        anchor = tuple(Fraction(c) for c in anchor)
+        if len(anchor) != n_players or any(c < 0 for c in anchor) or sum(anchor) != 1:
+            raise ValidationError("anchor is not a point of the simplex")
 
-    nodes = [tuple(Fraction(u, m) for u in units)
+    # shares are numerators over `scale`; one jitter step is `step`
+    jitter_denominator = 10 * m * _JITTER_RANGE * n_players
+    scale = lcm(jitter_denominator, *(c.denominator for c in anchor or ()))
+    step = scale // jitter_denominator
+    nodes = [tuple(u * (scale // m) for u in units)
              for units in _compositions(m, n_players)]
     rng = random.Random(seed)
-    scale = Fraction(1, 10 * m * _JITTER_RANGE * n_players)
 
-    def jitter_node(node):
+    def draw(idx):
+        node = nodes[idx]
         if not jitter:
             return node
         top = min(range(n_players), key=lambda i: (-node[i], i))
-        moved = Fraction(0)
+        moved = 0
         out = list(node)
         for i in range(n_players):
             if i == top:
                 continue
             t = rng.randrange(1, _JITTER_RANGE)
-            out[i] = node[i] + t * scale
-            moved += t * scale
+            out[i] = node[i] + t * step
+            moved += t * step
         out[top] = node[top] - moved
         if out[top] <= 0:   # pragma: no cover - top share always dominates the shift
             return node
         return tuple(out)
 
-    points = [jitter_node(p) for p in nodes]
+    # a player's utility is their own share, so a node's numerators are its values
+    values = [draw(idx) for idx in range(total)]
     frozen = set()
     if anchor is not None:
-        anchor = tuple(Fraction(c) for c in anchor)
-        if len(anchor) != n_players or any(c < 0 for c in anchor) or sum(anchor) != 1:
-            raise ValidationError("anchor is not a point of the simplex")
-        points.append(anchor)
-        frozen.add(len(points) - 1)
+        values.append(scaled_numerators(anchor, scale))
+        frozen.add(len(values) - 1)
 
-    def utilities(point):
-        return tuple(point)
+    attempts = _audit_and_rejitter(values, frozen, max_attempts, draw)
 
-    attempts = _audit_and_rejitter(
-        points, frozen, utilities, max_attempts,
-        lambda idx: jitter_node(nodes[idx]))
-
+    points = tuple(tuple(Fraction(c, scale) for c in node) for node in values)
     bound = Fraction(121 * n_players, (10 * m)**2)
-    labels = tuple(f"n{i}" for i in range(len(points)))
-    voters = tuple(tuple(p[i] for p in points) for i in range(space.n_voters))
-    setter = tuple(p[space.n_voters] for p in points)
-    problem = CollectiveChoiceProblem(
-        policies=labels, voter_utilities=voters, setter_utilities=setter,
-        gfa=space.n_voters % 2 == 1)
-    return GridBuildResult(problem=problem, points=tuple(points), epsilon=epsilon,
+    problem = _grid_problem(tuple(zip(*points)))
+    return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                            covering_sq_bound=bound, attempts=attempts)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
 # the tie audit
 
 
-def _audit_and_rejitter(points, frozen, utilities, max_attempts, redraw):
-    """Exact per-player tie audit; offenders are re-jittered in place."""
-    values = [utilities(p) for p in points]
-    n_players = len(values[0]) if values else 0
+def _audit_and_rejitter(values, frozen, max_attempts, redraw):
+    """Exact per-player tie audit; offenders are re-drawn in place.
+
+    values[i] holds node i's integer utility keys, one per player, on one
+    scale per player.  redraw(i) re-jitters node i and returns its new keys.
+    """
+    n_players = len(values[0])
     for attempt in range(1, max_attempts + 1):
         offender = None
         for player in range(n_players):
-            order = sorted(range(len(points)), key=lambda i: values[i][player])
-            for a, b in zip(order, order[1:]):
-                if values[a][player] == values[b][player]:
-                    offender = (player, a, b)
-                    break
-            if offender:
+            column = [v[player] for v in values]
+            if len(set(column)) < len(column):
+                order = sorted(range(len(column)), key=column.__getitem__)
+                offender = next((player, a, b) for a, b in zip(order, order[1:])
+                                if column[a] == column[b])
                 break
         if offender is None:
             return attempt
@@ -294,8 +292,7 @@ def _audit_and_rejitter(points, frozen, utilities, max_attempts, redraw):
         if victim in frozen:
             raise GridGenericityError(
                 f"anchor nodes tie for player {player + 1}", player=player, pair=(a, b))
-        points[victim] = redraw(victim)
-        values[victim] = utilities(points[victim])
+        values[victim] = redraw(victim)
     raise GridGenericityError(
         f"nodes {offender[1]} and {offender[2]} still tie for player "
         f"{offender[0] + 1} after {max_attempts} attempts",

@@ -46,6 +46,11 @@ def format_rational(value: Fraction) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def scaled_numerators(values, scale: int) -> tuple[int, ...]:
+    """Each rational times `scale`, exactly; every denominator must divide `scale`."""
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
 class ScaledInts:
     """A family of rationals rescaled onto one common integer grid.
 
@@ -58,10 +63,7 @@ class ScaledInts:
     def __init__(self, vectors):
         denoms = [f.denominator for row in vectors for f in row]
         self.scale = lcm(*denoms) if denoms else 1
-        self.vectors = [
-            [f.numerator * (self.scale // f.denominator) for f in row]
-            for row in vectors
-        ]
+        self.vectors = [scaled_numerators(row, self.scale) for row in vectors]
         peak = max((abs(v) for row in self.vectors for v in row), default=0)
         self.as_numpy = peak < _INT64_SAFE
         if self.as_numpy:

@@ -16,6 +16,7 @@ locations.  Writing uses canonical field order so files are diffable.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from .engine import StrategyProfile
@@ -23,6 +24,7 @@ from .errors import ValidationError
 from .oracle import CustomProtocol
 from .problems import CollectiveChoiceProblem, TournamentSpec, VotingRule
 from .rationals import format_rational, parse_rational
+from .spatial import SpatialProfile
 
 
 def problem_to_dict(problem: CollectiveChoiceProblem) -> dict:
@@ -40,15 +42,28 @@ def problem_to_dict(problem: CollectiveChoiceProblem) -> dict:
     return out
 
 
-def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
-    if not isinstance(data, dict):
-        raise ValidationError("problem document must be a JSON object")
+def read_json(path):
+    """Parse a JSON file; an unreadable or malformed file is a ValidationError."""
     try:
-        labels = list(data["policies"])
-        voter_rows = data["voters"]
-        setter_row = data["agenda_setter"]
-    except KeyError as exc:
-        raise ValidationError(f"missing required field {exc.args[0]!r}") from None
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _field(data, key: str, document: str):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{document} document must be a JSON object")
+    if key not in data:
+        raise ValidationError(f"{document} document: missing required field {key!r}")
+    return data[key]
+
+
+def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
+    labels = list(_field(data, "policies", "problem"))
+    voter_rows = _field(data, "voters", "problem")
+    setter_row = _field(data, "agenda_setter", "problem")
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise ValidationError(f"duplicate policy labels: {dupes}")
@@ -93,11 +108,38 @@ def save_problem(problem: CollectiveChoiceProblem, path) -> None:
 
 
 def load_problem(path) -> CollectiveChoiceProblem:
+    return problem_from_dict(read_json(path))
+
+
+def tournament_from_dict(data: dict) -> tuple[list, TournamentSpec]:
+    """Tournament document {"policies": [...], "edges": [[winner, loser], ...]}:
+    its labels and the relation over their indices."""
+    labels = list(_field(data, "policies", "tournament"))
+    index = {label: i for i, label in enumerate(labels)}
+    edges = []
+    for k, pair in enumerate(_field(data, "edges", "tournament")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"tournament edge {k + 1} is not a pair")
+        for label in pair:
+            if label not in index:
+                raise ValidationError(
+                    f"tournament edge {k + 1} names unknown policy {label!r}")
+        edges.append((index[pair[0]], index[pair[1]]))
+    return labels, TournamentSpec.from_edges(len(labels), edges)
+
+
+def spatial_profile_from_dict(data: dict) -> SpatialProfile:
+    """Profile document {"dim": d, "ideal_points": [[...], ...]}, setter last,
+    on the unit box."""
+    dim = _field(data, "dim", "profile")
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
-    return problem_from_dict(data)
+        dim = int(dim)
+    except (TypeError, ValueError):
+        raise ValidationError(f"profile dimension {dim!r} is not an integer") from None
+    points = tuple(tuple(parse_rational(c) for c in p)
+                   for p in _field(data, "ideal_points", "profile"))
+    return SpatialProfile(dim=dim, ideal_points=points,
+                          box=tuple((Fraction(0), Fraction(1)) for _ in range(dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +163,7 @@ def parse_rule(text: str, n: int) -> VotingRule:
         return VotingRule.quota_rule(n, q)
     path = Path(body)
     if path.exists():
-        data = json.loads(path.read_text())
-        return VotingRule.explicit(n, data["coalitions"])
+        return VotingRule.explicit(n, _field(read_json(path), "coalitions", "rule"))
     raise ValidationError(f"unrecognized rule descriptor {text!r}")
 
 

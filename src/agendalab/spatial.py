@@ -21,8 +21,9 @@ from itertools import combinations
 from math import lcm
 from typing import Optional
 
-from .errors import SpatialDegeneracyError, ValidationError
+from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem
+from .rationals import scaled_numerators
 
 COORD_DENOM = 2**20
 
@@ -59,7 +60,34 @@ class SpatialProfile:
     def utility(self, player: int, point: Point) -> Fraction:
         """-1/2 squared distance from the player's ideal point."""
         ideal = self.ideal_points[player]
-        return -sum((a - b) ** 2 for a, b in zip(point, ideal)) / 2
+        scale = lcm(*(c.denominator for c in point), *(c.denominator for c in ideal))
+        total = sum((a.numerator * (scale // a.denominator)
+                     - b.numerator * (scale // b.denominator)) ** 2
+                    for a, b in zip(point, ideal))
+        return Fraction(-total, 2 * scale * scale)
+
+    def utility_rows(self, points) -> tuple[tuple[Fraction, ...], ...]:
+        """Every player's utility at each point: one row per player, setter last."""
+        scale = lcm(*(c.denominator for p in (*points, *self.ideal_points) for c in p))
+        numerators = [scaled_numerators(p, scale) for p in points]
+        return self.rows_from_scaled(self.scaled_utilities(numerators, scale), scale)
+
+    def scaled_utilities(self, numerators, scale: int) -> list[tuple[int, ...]]:
+        """Per point, every player's utility times 2 * scale**2, as exact integers.
+
+        Points come as integer numerators over `scale`, which every ideal
+        coordinate's denominator must divide.  The integers order each
+        player's preferences exactly as the utilities do.
+        """
+        ideals = [scaled_numerators(p, scale) for p in self.ideal_points]
+        return [tuple(-sum((a - b) ** 2 for a, b in zip(point, ideal)) for ideal in ideals)
+                for point in numerators]
+
+    def rows_from_scaled(self, scaled, scale: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Per-player utility rows from the output of `scaled_utilities`."""
+        denominator = 2 * scale * scale
+        return tuple(tuple(Fraction(values[player], denominator) for values in scaled)
+                     for player in range(len(self.ideal_points)))
 
 
 def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
@@ -299,10 +327,14 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     witness = lift(witness3)
     normal = tuple(profile.setter_ideal[k] - x[k] for k in range(profile.dim))
     # exact final checks, independent of how the search got here
-    assert _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) == 0
-    assert profile.utility(setter_idx, witness) > profile.utility(setter_idx, x)
-    assert all(profile.utility(j, witness) > profile.utility(j, x) for j in coalition)
-    assert 2 * len(coalition) >= n + 1
+    if _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) != 0:
+        raise InternalInvariantError("witness midpoint left the setter's tangent plane")
+    if not profile.utility(setter_idx, witness) > profile.utility(setter_idx, x):
+        raise InternalInvariantError("witness does not improve the setter")
+    if not all(profile.utility(j, witness) > profile.utility(j, x) for j in coalition):
+        raise InternalInvariantError("witness does not improve every coalition member")
+    if 2 * len(coalition) < n + 1:
+        raise InternalInvariantError("witness coalition is not a strict majority")
 
     return ImprovementTrace(
         base=x, dims=dims, plane_normal=normal,
@@ -317,10 +349,7 @@ def spatial_problem(profile: SpatialProfile, points, labels=None,
     points = [tuple(Fraction(c) for c in p) for p in points]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(len(points)))
-    voters = tuple(
-        tuple(profile.utility(i, p) for p in points)
-        for i in range(profile.n_voters))
-    setter = tuple(profile.utility(profile.n_voters, p) for p in points)
+    *voters, setter = profile.utility_rows(points)
     return CollectiveChoiceProblem(
-        policies=tuple(labels), voter_utilities=voters,
+        policies=tuple(labels), voter_utilities=tuple(voters),
         setter_utilities=setter, gfa=gfa)

@@ -240,7 +240,6 @@ def thm3_bounds_suite(descriptor: ExperimentDescriptor):
         rounds = rng.randrange(1, 4)
         bounds = nc_outcome_bounds(problem, rule, x0, rounds)
         ok = bounds.lower <= bounds.upper
-        ok = ok and bounds.upper == bounds.upper_reachable_variant
         fixed = phi_or(problem, rule, x0) == frozenset({x0})
         if fixed:
             ok = ok and bounds.lower == bounds.upper == frozenset({x0})

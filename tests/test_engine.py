@@ -240,7 +240,6 @@ def test_bounds_nested_on_tied_instances():
         problem = gen_random_with_ties(4, 3, seed=seed)
         bounds = nc_outcome_bounds(problem, rule, seed % 4, 1 + seed % 3)
         assert bounds.lower <= bounds.upper
-        assert bounds.upper == bounds.upper_reachable_variant
 
 
 def test_bounds_fixed_point_default():

@@ -238,3 +238,35 @@ def test_protocol_round_trip(tmp_path):
     protocol = adjournment_trap_protocol(2)
     again = protocol_from_dict(protocol_to_dict(protocol, cycle), cycle)
     assert again.table == protocol.table
+
+
+def _bad_input_argv(case, cycle_file, tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_coalitions = tmp_path / "rule.json"
+    no_coalitions.write_text(json.dumps({"voters": [1, 2]}))
+    no_edges = tmp_path / "tournament.json"
+    no_edges.write_text(json.dumps({"policies": ["a", "b"]}))
+    at_z = ["--problem", cycle_file, "--default", "z", "--rounds", "2"]
+    return {
+        "missing_problem_file": ["analyze", "--problem", str(tmp_path / "missing.json")],
+        "rule_not_json": ["analyze", "--problem", cycle_file, "--rule", str(bad_json)],
+        "rule_without_coalitions": ["analyze", "--problem", cycle_file,
+                                    "--rule", str(no_coalitions)],
+        "protocol_not_json": ["oracle", "solve", *at_z, "--protocol-file", str(bad_json)],
+        "profile_not_json": ["oracle", "verify", *at_z, "--profile", str(bad_json)],
+        "spatial_profile_not_json": ["spatial", "check", "--profile", str(bad_json)],
+        "tournament_not_json": ["realize", "--tournament", str(bad_json),
+                                "--setter", "1,2"],
+        "tournament_without_edges": ["realize", "--tournament", str(no_edges),
+                                     "--setter", "1,2"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "missing_problem_file", "rule_not_json", "rule_without_coalitions",
+    "protocol_not_json", "profile_not_json", "spatial_profile_not_json",
+    "tournament_not_json", "tournament_without_edges"])
+def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
+    assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("validation error: ")

@@ -197,3 +197,13 @@ def test_spatial_problem_wraps_utilities():
     problem = spatial_problem(profile, pts, labels=("origin", "corner"))
     assert problem.num_policies == 2 and problem.n == 3
     assert problem.setter_utilities[0] == profile.utility(3, pts[0])
+
+
+def test_witness_certificate_checked_without_assert(monkeypatch):
+    # the final certificate must hold under `python -O` too, so it raises
+    # rather than asserts; an overlong step breaks the setter's gain
+    from agendalab import InternalInvariantError, spatial
+    profile = gen_spatial(3, 5, seed=4)
+    monkeypatch.setattr(spatial, "_halve_until", lambda start, ok, cap=128: F(10**6))
+    with pytest.raises(InternalInvariantError, match="witness does not improve"):
+        spatial_witness(profile, point("1/3", "1/4", "1/5"))
