@@ -250,7 +250,7 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     Both axioms only compare utilities within one player's row, so the
     check runs on each row's dense ranks, one policy at a time.
     """
-    ranks = np.array([_dense_ranks(row) for row in problem._ints.vectors], dtype=np.int64)
+    ranks = problem._ranks
     players = ranks.shape[0]
     above_min = ranks > 0
     below_max = ranks < ranks.max(axis=1, keepdims=True)
@@ -273,9 +273,3 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
         transferability_violations=tuple(
             AxiomViolation(policy=int(x), player=int(i), axiom="transferability")
             for x, i in np.argwhere(transfer_gap.T)))
-
-
-def _dense_ranks(row) -> list[int]:
-    """Each entry's position among the row's distinct values, ascending."""
-    position = {v: k for k, v in enumerate(sorted(set(row)))}
-    return [position[v] for v in row]

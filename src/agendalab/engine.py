@@ -23,7 +23,8 @@ from .errors import BudgetExceededError, ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
-    acceptance_set,
+    _phi_table,
+    _winners,
     is_improvable,
 )
 
@@ -40,45 +41,27 @@ def favorite_improvement(problem: CollectiveChoiceProblem, rule: VotingRule,
     argmax may be non-unique; the lowest-index maximizer is returned,
     and callers must opt in via `allow_ties`.
     """
+    problem.check_policy(x)
+    _require_single_valued(problem, allow_ties)
+    return _phi_table(problem, rule)[x]
+
+
+def _require_single_valued(problem: CollectiveChoiceProblem, allow_ties: bool) -> None:
     if not problem.gfa and not allow_ties:
         raise ValidationError(
             "favorite improvement is single-valued only under gfa; "
             "pass allow_ties=True to accept lowest-index tie-breaking")
-    fast = _phi_fast(problem, rule, x)
-    if fast is not None:
-        return fast
-    cert = is_improvable(problem, rule, x)
-    return x if cert is None else cert.witness
-
-
-def _phi_fast(problem, rule, x: int) -> Optional[int]:
-    """Vectorized argmax for quota rules on large override-free problems.
-
-    Matches the scalar path exactly: the default stands unless some
-    coalition-backed policy strictly improves the setter, in which case
-    the lowest-index utility maximizer among those wins.
-    """
-    if problem.majority_override is not None or rule.quota is None:
-        return None
-    voters, setter = problem._np_voters, problem._np_setter
-    if voters is None or problem.num_policies < 64:
-        return None
-    counts = (voters > voters[:, x:x + 1]).sum(axis=0)
-    better = (counts >= rule.quota) & (setter > setter[x])
-    better[x] = False
-    if not better.any():
-        return x
-    candidates = np.flatnonzero(better)
-    return int(candidates[np.argmax(setter[candidates])])
 
 
 def phi_iterates(problem: CollectiveChoiceProblem, rule: VotingRule,
                  x0: int, count: int, allow_ties: bool = False) -> list[int]:
     """[x0, phi(x0), ..., phi^count(x0)] with early fixed-point short-circuit."""
     problem.check_policy(x0)
+    _require_single_valued(problem, allow_ties)
+    table = _phi_table(problem, rule)
     out = [x0]
     for _ in range(count):
-        nxt = favorite_improvement(problem, rule, out[-1], allow_ties=allow_ties)
+        nxt = table[out[-1]]
         out.append(nxt)
         if nxt == out[-2]:
             out.extend([nxt] * (count - len(out) + 1))
@@ -208,10 +191,10 @@ def phi_or(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> frozen
     exactly when x is unimprovable.
     """
     problem.check_policy(x)
-    almost = acceptance_set(problem, rule, x, "almost_strict")
-    bar = max(problem.setter_utilities[y] for y in almost)
-    weak = acceptance_set(problem, rule, x, "weak")
-    return frozenset(y for y in weak if problem.setter_utilities[y] >= bar)
+    setter = problem._ranks[-1]
+    bar = setter[_winners(problem, rule, x)].max(initial=setter[x])
+    weak = _winners(problem, rule, x, weak=True)
+    return frozenset(np.flatnonzero(weak & (setter >= bar)).tolist())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ On top of the problem sit voting rules (quota or explicit families of
 winning coalitions), acceptance sets, improvability certificates,
 manipulability, and the uniform improvement margin used to bound how
 many proposal rounds the setter needs.
+
+Every ordinal query (who accepts y over x, which policy the setter
+picks) reads one compiled form of the problem: dense per-row ranks,
+small integers at any utility magnitude.  Only the uniform margin,
+which needs utility differences, reads the scaled integers themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ import numpy as np
 from .errors import UnsupportedCombinationError, ValidationError
 from .rationals import ScaledInts
 
+# Largest number of voter-by-policy comparisons one step of the
+# favorite-improvement table materializes, which keeps its transient
+# arrays well under a megabyte at any problem size.
+_CHUNK_COMPARISONS = 2**16
 
 # ---------------------------------------------------------------------------
 # tournaments
@@ -73,9 +82,9 @@ class VotingRule:
     """Family of winning voter coalitions.
 
     Quota rules store only the quota; explicit rules store the antichain
-    of minimal winning coalitions as voter bitmasks (n <= 63, so a
-    coalition is one machine word).  Monotone closure is implicit: any
-    superset of a winning coalition wins.
+    of minimal winning coalitions as voter bitmasks (Python ints, so any
+    voter count works).  Monotone closure is implicit: any superset of a
+    winning coalition wins.
     """
 
     n: int
@@ -83,8 +92,8 @@ class VotingRule:
     min_coalitions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (1 <= self.n <= 63):
-            raise ValidationError(f"voter count {self.n} outside supported range 1..63")
+        if self.n < 1:
+            raise ValidationError(f"voter count {self.n} must be positive")
         if self.quota is not None:
             if not (1 <= self.quota <= self.n):
                 raise ValidationError(f"quota {self.quota} outside 1..{self.n}")
@@ -134,6 +143,12 @@ class VotingRule:
     @property
     def is_simple_majority(self) -> bool:
         return self.quota is not None and self.n % 2 == 1 and self.quota == (self.n + 1) // 2
+
+    @cached_property
+    def coalition_members(self) -> tuple[tuple[int, ...], ...]:
+        """Voter indices of each minimal coalition of an explicit rule."""
+        return tuple(tuple(i for i in range(self.n) if (mask >> i) & 1)
+                     for mask in self.min_coalitions)
 
     def wins(self, mask: int) -> bool:
         if self.quota is not None:
@@ -243,7 +258,7 @@ class CollectiveChoiceProblem:
         top = self.setter_max
         return frozenset(i for i, u in enumerate(self.setter_utilities) if u == top)
 
-    # -- integer fast path ---------------------------------------------------
+    # -- compiled forms ------------------------------------------------------
 
     @cached_property
     def _ints(self) -> ScaledInts:
@@ -251,16 +266,34 @@ class CollectiveChoiceProblem:
         return ScaledInts(rows)
 
     @cached_property
-    def _np_voters(self):
-        if not self._ints.as_numpy:
-            return None
-        return np.stack(self._ints.rows[:-1])
+    def _ranks(self) -> np.ndarray:
+        """(n+1) x m dense per-row ranks, voters first, then the setter.
+
+        Rank k is the row's k-th smallest distinct utility, so comparing
+        ranks within a row is comparing utilities, exactly.
+        """
+        out = np.empty((self.n + 1, self.num_policies), dtype=np.int64)
+        for i, row in enumerate(self._ints.vectors):
+            position = {v: k for k, v in enumerate(sorted(set(row)))}
+            out[i] = [position[v] for v in row]
+        out.flags.writeable = False
+        return out
 
     @cached_property
-    def _np_setter(self):
-        if not self._ints.as_numpy:
-            return None
-        return self._ints.rows[-1]
+    def _beats(self) -> np.ndarray:
+        """[y, x]: y beats x in the majority override (all False without one)."""
+        m = self.num_policies
+        out = np.zeros((m, m), dtype=bool)
+        if self.majority_override is not None and self.majority_override.edges:
+            winners, losers = zip(*self.majority_override.edges)
+            out[list(winners), list(losers)] = True
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _phi_tables(self) -> dict:
+        """Favorite-improvement tables already computed, by voting rule."""
+        return {}
 
     # -- majority relation ---------------------------------------------------
 
@@ -363,6 +396,69 @@ def _require_simple_majority_for_override(problem, rule):
             "pair explicit or non-majority rules with utility-level problems")
 
 
+def _require_voter_count(problem, rule):
+    if rule.n != problem.n:
+        raise ValidationError(f"rule is for {rule.n} voters, problem has {problem.n}")
+
+
+def _coalition_holds(rule: VotingRule, prefer: np.ndarray) -> np.ndarray:
+    """Reduce a voters-first boolean array over its first axis: does the
+    set of voters marked True contain a winning coalition?"""
+    if rule.quota is not None:
+        return np.count_nonzero(prefer, axis=0) >= rule.quota
+    out = np.zeros(prefer.shape[1:], dtype=bool)
+    for members in rule.coalition_members:
+        out |= prefer[list(members)].all(axis=0)
+    return out
+
+
+def _winners(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
+             weak: bool = False) -> np.ndarray:
+    """[y]: some winning coalition strictly (weakly, if `weak`) prefers y to x."""
+    _require_voter_count(problem, rule)
+    _require_simple_majority_for_override(problem, rule)
+    if problem.majority_override is not None:
+        out = problem._beats[:, x].copy()
+        out[x] = weak            # a tournament resolves every pair of distinct policies
+        return out
+    voters = problem._ranks[:-1]
+    column = voters[:, x:x + 1]
+    return _coalition_holds(rule, voters >= column if weak else voters > column)
+
+
+def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int, ...]:
+    """Favorite improvement of every default, computed once per rule.
+
+    Entry x is the lowest-index setter maximizer among the policies that
+    a winning coalition and the setter both strictly prefer to x, or x
+    itself when there is none.  Columns (defaults) are processed in
+    chunks of at most `_CHUNK_COMPARISONS` voter comparisons.
+    """
+    _require_voter_count(problem, rule)
+    _require_simple_majority_for_override(problem, rule)
+    cached = problem._phi_tables.get(rule)
+    if cached is not None:
+        return cached
+    m = problem.num_policies
+    voters, setter = problem._ranks[:-1], problem._ranks[-1]
+    override = problem.majority_override is not None
+    width = max(1, _CHUNK_COMPARISONS // (m if override else m * problem.n))
+    table = []
+    for start in range(0, m, width):
+        cols = slice(start, start + width)
+        if override:
+            wins = problem._beats[:, cols]
+        else:
+            wins = _coalition_holds(rule, voters[:, :, None] > voters[:, None, cols])
+        better = wins & (setter[:, None] > setter[None, cols])
+        # argmax keeps the first of equal maxima: the lowest index
+        best = np.where(better, setter[:, None], -1).argmax(axis=0)
+        table.extend(np.where(better.any(axis=0), best, np.arange(start, start + best.size))
+                     .tolist())
+    problem._phi_tables[rule] = table = tuple(table)
+    return table
+
+
 def acceptance_set(problem: CollectiveChoiceProblem, rule: VotingRule,
                    x: int, mode: str) -> frozenset[int]:
     """Policies some winning coalition accepts over default x.
@@ -373,31 +469,12 @@ def acceptance_set(problem: CollectiveChoiceProblem, rule: VotingRule,
     the closure operation degenerates to exactly this.
     """
     problem.check_policy(x)
-    if rule.n != problem.n:
-        raise ValidationError(f"rule is for {rule.n} voters, problem has {problem.n}")
     if mode not in ("strict", "weak", "almost_strict"):
         raise ValidationError(f"unknown acceptance mode {mode!r}")
-    _require_simple_majority_for_override(problem, rule)
-
-    if problem.majority_override is not None:
-        strict = frozenset(
-            y for y in range(problem.num_policies)
-            if problem.majority_override.beats(y, x))
-        if mode == "strict":
-            return strict
-        return strict | {x}
-
-    members = []
-    for y in range(problem.num_policies):
-        if mode == "strict" and y == x:
-            continue
-        mask = problem.support_mask(y, x, weak=(mode == "weak"))
-        if rule.wins(mask):
-            members.append(y)
-    out = frozenset(members)
+    accepted = _winners(problem, rule, x, weak=(mode == "weak"))
     if mode == "almost_strict":
-        out |= {x}
-    return out
+        accepted[x] = True
+    return frozenset(np.flatnonzero(accepted).tolist())
 
 
 def is_improvable(problem: CollectiveChoiceProblem, rule: VotingRule,
@@ -409,21 +486,8 @@ def is_improvable(problem: CollectiveChoiceProblem, rule: VotingRule,
     certificate without a voter coalition (votes are relation-level).
     """
     problem.check_policy(x)
-    _require_simple_majority_for_override(problem, rule)
-    base_u = problem.setter_utilities[x]
-    best = None
-    for y in range(problem.num_policies):
-        if problem.setter_utilities[y] <= base_u:
-            continue
-        if best is not None and problem.setter_utilities[y] <= problem.setter_utilities[best]:
-            continue
-        if problem.majority_override is not None:
-            if problem.majority_override.beats(y, x):
-                best = y
-            continue
-        if rule.wins(problem.support_mask(y, x)):
-            best = y
-    if best is None:
+    best = _phi_table(problem, rule)[x]
+    if best == x:
         return None
     coalition = None
     if problem.majority_override is None:
@@ -431,7 +495,7 @@ def is_improvable(problem: CollectiveChoiceProblem, rule: VotingRule,
         coalition = _canonical_winning_subcoalition(rule, gainers)
     return ImprovementCertificate(
         base=x, witness=best, coalition=coalition,
-        setter_gain=problem.setter_utilities[best] - base_u)
+        setter_gain=problem.setter_utilities[best] - problem.setter_utilities[x])
 
 
 def _canonical_winning_subcoalition(rule: VotingRule, gainers: int) -> frozenset[int]:
@@ -450,26 +514,7 @@ def _canonical_winning_subcoalition(rule: VotingRule, gainers: int) -> frozenset
 
 def unimprovable_set(problem: CollectiveChoiceProblem, rule: VotingRule) -> frozenset[int]:
     """Fixed points of improvement: no coalition-backed setter gain exists."""
-    fast = _unimprovable_fast(problem, rule)
-    if fast is not None:
-        return fast
-    return frozenset(x for x in range(problem.num_policies)
-                     if is_improvable(problem, rule, x) is None)
-
-
-def _unimprovable_fast(problem, rule) -> Optional[frozenset[int]]:
-    """Vectorized scan; only for quota rules on override-free problems."""
-    if problem.majority_override is not None or rule.quota is None:
-        return None
-    voters, setter = problem._np_voters, problem._np_setter
-    if voters is None or problem.num_policies < 64:
-        return None
-    out = []
-    for x in range(problem.num_policies):
-        counts = (voters > voters[:, x:x + 1]).sum(axis=0)
-        if not np.any((counts >= rule.quota) & (setter > setter[x])):
-            out.append(x)
-    return frozenset(out)
+    return frozenset(x for x, y in enumerate(_phi_table(problem, rule)) if x == y)
 
 
 @dataclass(frozen=True)
@@ -493,7 +538,9 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     best over alternatives y of min(setter gain, coalition-min voter
     gain), where for a quota rule the coalition-min gain is the q-th
     largest voter gain and for explicit families it is maximized over
-    the minimal winning coalitions.
+    the minimal winning coalitions.  Gains are differences of the
+    problem's scaled integers: an int64 array when they fit, an array of
+    Python ints otherwise.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -502,8 +549,7 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         raise UnsupportedCombinationError(
             "uniform_margin needs utility-consistent majorities; "
             "relation overrides carry no gain information")
-    if rule.n != problem.n:
-        raise ValidationError(f"rule is for {rule.n} voters, problem has {problem.n}")
+    _require_voter_count(problem, rule)
 
     top = problem.setter_max
     gamma = tuple(x for x in range(problem.num_policies)
@@ -512,13 +558,19 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         return MarginReport(delta=delta, gamma_set=(), eta_star={},
                             eta_delta=None, t_bound=0)
 
+    ints = problem._ints
+    voters, setter = ints.array[:-1], ints.array[-1]
     eta_star: dict[int, Fraction] = {}
-    fast = _eta_star_fast(problem, rule, gamma)
-    if fast is not None:
-        eta_star = fast
-    else:
-        for x in gamma:
-            eta_star[x] = _eta_star_one(problem, rule, x)
+    for x in gamma:
+        gains = voters - voters[:, x:x + 1]
+        if rule.quota is not None:
+            kth = rule.n - rule.quota             # the q-th largest gain
+            coalition_gain = np.partition(gains, kth, axis=0)[kth]
+        else:
+            coalition_gain = np.array([gains[list(members)].min(axis=0)
+                                       for members in rule.coalition_members]).max(axis=0)
+        value = np.minimum(setter - setter[x], coalition_gain)
+        eta_star[x] = ints.to_fraction(value.max())
 
     eta_delta = min(eta_star.values())
     t_bound: Optional[int] = None
@@ -527,40 +579,3 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         t_bound = max(1, ceil(spread / eta_delta))
     return MarginReport(delta=delta, gamma_set=gamma, eta_star=eta_star,
                         eta_delta=eta_delta, t_bound=t_bound)
-
-
-def _eta_star_one(problem, rule, x: int) -> Fraction:
-    best = None
-    for y in range(problem.num_policies):
-        setter_gain = problem.setter_utilities[y] - problem.setter_utilities[x]
-        if best is not None and setter_gain <= best:
-            continue
-        gains = [row[y] - row[x] for row in problem.voter_utilities]
-        if rule.quota is not None:
-            coalition_gain = sorted(gains, reverse=True)[rule.quota - 1]
-        else:
-            coalition_gain = max(
-                min(gains[i] for i in range(rule.n) if (mask >> i) & 1)
-                for mask in rule.min_coalitions)
-        value = min(setter_gain, coalition_gain)
-        if best is None or value > best:
-            best = value
-    return best
-
-
-def _eta_star_fast(problem, rule, gamma) -> Optional[dict[int, Fraction]]:
-    """int64 kernel for quota rules on large problems."""
-    if rule.quota is None:
-        return None
-    voters, setter = problem._np_voters, problem._np_setter
-    if voters is None or problem.num_policies < 64:
-        return None
-    kth = voters.shape[0] - rule.quota    # q-th largest == this partition index
-    out = {}
-    for x in gamma:
-        setter_gain = setter - setter[x]
-        gains = voters - voters[:, x:x + 1]
-        coalition_gain = np.partition(gains, kth, axis=0)[kth]
-        value = np.minimum(setter_gain, coalition_gain)
-        out[x] = problem._ints.to_fraction(int(value.max()))
-    return out

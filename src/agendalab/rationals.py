@@ -2,15 +2,16 @@
 
 All utilities in this package are `fractions.Fraction`.  Serialized form
 is "p/q" (reduced) or a plain integer string; decimal strings such as
-"0.5" are accepted on input and normalized.  For large enumeration
-kernels we rescale a family of rationals to a shared integer grid so
-the hot loops can run on machine integers (numpy int64 when the values
-fit, arbitrary-precision Python ints otherwise).
+"0.5" are accepted on input and normalized.  Kernels that need
+magnitudes rescale a family of rationals to a shared integer grid so
+they can run on integer arrays (numpy int64 when the values fit,
+object-dtype arrays of Python ints otherwise).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -57,7 +58,7 @@ class ScaledInts:
     `scale` is the common denominator: each stored integer equals the
     original value times `scale`, exactly.  `vectors` mirrors the input
     nesting.  `as_numpy` is set when all magnitudes fit comfortably in
-    int64, in which case `rows` holds int64 arrays.
+    int64 (differences of two values still fit).
     """
 
     def __init__(self, vectors):
@@ -66,10 +67,11 @@ class ScaledInts:
         self.vectors = [scaled_numerators(row, self.scale) for row in vectors]
         peak = max((abs(v) for row in self.vectors for v in row), default=0)
         self.as_numpy = peak < _INT64_SAFE
-        if self.as_numpy:
-            self.rows = [np.array(row, dtype=np.int64) for row in self.vectors]
-        else:
-            self.rows = self.vectors
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The vectors as one 2-D array: int64 when `as_numpy`, else Python ints."""
+        return np.array(self.vectors, dtype=np.int64 if self.as_numpy else object)
 
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(int(scaled), self.scale)

@@ -29,7 +29,7 @@ from .engine import (
     phi_iterates,
     phi_or,
 )
-from .errors import RichnessError, ValidationError
+from .errors import RichnessError, SpatialDegeneracyError, ValidationError
 from .factories import gen_random_with_ties, gfa_corpus
 from .grids import BoxSpace, build_grid
 from .horizons import horizon_classify, stable_set
@@ -304,7 +304,7 @@ def thm4_witness_suite(descriptor: ExperimentDescriptor):
                 continue
             try:
                 trace = spatial_witness(profile, x)
-            except Exception:
+            except SpatialDegeneracyError:
                 failures += 1
                 continue
             gains = all(profile.utility(j, trace.witness) > profile.utility(j, x)

@@ -18,6 +18,7 @@ from agendalab import (
     DivideDollarGrid,
     GameSpec,
     RichnessError,
+    SpatialDegeneracyError,
     VotingRule,
     audit_dp_axioms,
     dtd_beta_power,
@@ -260,7 +261,7 @@ def test_criterion_09_witness_construction():
             points_checked += 1
             try:
                 trace = spatial_witness(profile, x)
-            except Exception:
+            except SpatialDegeneracyError:
                 failures += 1
                 continue
             n = profile.n_voters

@@ -66,13 +66,22 @@ def test_phi_fixed_point_iff_unimprovable(small_corpus):
             assert (favorite_improvement(problem, rule, x) == x) == (x in stuck)
 
 
+def _fraction_phi(problem, rule, x):
+    """Favorite improvement by a scan over `Fraction` utilities."""
+    setter, best = problem.setter_utilities, x
+    for y in range(problem.num_policies):
+        if setter[y] > setter[best] and rule.wins(problem.support_mask(y, x)):
+            best = y
+    return best
+
+
 def test_phi_fast_path_matches_scalar():
     problem = gen_random_gfa(80, 5, seed=23)
     rule = VotingRule.simple_majority(5)
     for x in random.Random(0).sample(range(80), 12):
         fast = favorite_improvement(problem, rule, x)
         cert = is_improvable(problem, rule, x)
-        assert fast == (x if cert is None else cert.witness)
+        assert fast == (x if cert is None else cert.witness) == _fraction_phi(problem, rule, x)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +408,10 @@ def test_bounds_upper_matches_constrained_composite_enumeration():
 
 def test_phi_fast_path_respects_fixed_points_on_ties():
     # with indifference, an equal-utility majority winner must not displace
-    # an unimprovable default; fast and scalar paths must agree on that
+    # an unimprovable default; the rank table and a Fraction scan agree on that
     problem = gen_random_with_ties(70, 5, seed=31, levels=4)
     rule = VotingRule.simple_majority(5)
     for x in range(0, 70, 7):
         fast = favorite_improvement(problem, rule, x, allow_ties=True)
         cert = is_improvable(problem, rule, x)
-        assert fast == (x if cert is None else cert.witness)
+        assert fast == (x if cert is None else cert.witness) == _fraction_phi(problem, rule, x)

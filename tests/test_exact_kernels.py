@@ -1,22 +1,26 @@
-"""The integer kernels of the spatial, grid and distribution layers against
-the `Fraction` code they replaced.
+"""The integer kernels against the `Fraction` code they replaced.
 
 `SpatialProfile.utility`, `build_grid` and `audit_dp_axioms` evaluate
-utilities once, as exact integers.  The reference implementations below
-are the earlier `Fraction` versions: every utility is a `Fraction`
-expression, the tie audit sorts `Fraction` keys and the axiom audit
-compares `Fraction` utilities pairwise.  Results must match exactly:
-points, utilities, attempt counts, genericity errors, and violations in
-the same order.
+utilities once, as exact integers.  Acceptance sets, the improvement
+correspondence, favorite improvements, improvability and the
+unimprovable set read a problem's dense per-row ranks, and the uniform
+margin its scaled integers.  The reference implementations below are
+the earlier `Fraction` versions: every utility is a `Fraction`
+expression, the tie audit sorts `Fraction` keys, the axiom audit
+compares `Fraction` utilities pairwise, and every improvement query
+scans voters and policies in Python loops.  Results must match exactly:
+points, utilities, attempt counts, genericity errors, violations in the
+same order, policy sets, witnesses, certificates and margins.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,15 +29,26 @@ from agendalab import (
     BoxSpace,
     CollectiveChoiceProblem,
     GridGenericityError,
+    ImprovementCertificate,
+    MarginReport,
     SimplexSpace,
     SpatialProfile,
+    TournamentSpec,
+    VotingRule,
+    acceptance_set,
     audit_dp_axioms,
     build_grid,
     divide_dollar_problem,
+    favorite_improvement,
+    gen_random_gfa,
     gen_random_with_ties,
+    is_improvable,
+    phi_or,
     pork_barrel_problem,
     spatial_problem,
     transfers_problem,
+    uniform_margin,
+    unimprovable_set,
 )
 from agendalab.distributions import AxiomViolation
 from agendalab.grids import GridBuildResult
@@ -404,3 +419,191 @@ def distribution_problems(draw):
 @given(distribution_problems())
 def test_axiom_audit_matches_fraction_reference(problem):
     assert audit_dp_axioms(problem) == ref_audit_dp_axioms(problem)
+
+
+# ---------------------------------------------------------------------------
+# improvement queries: references (Fraction scans over voters and policies)
+
+
+def ref_acceptance_set(problem, rule, x, mode):
+    if problem.majority_override is not None:
+        strict = frozenset(y for y in range(problem.num_policies)
+                           if problem.majority_override.beats(y, x))
+        return strict if mode == "strict" else strict | {x}
+    members = []
+    for y in range(problem.num_policies):
+        if mode == "strict" and y == x:
+            continue
+        if rule.wins(problem.support_mask(y, x, weak=(mode == "weak"))):
+            members.append(y)
+    out = frozenset(members)
+    return out | {x} if mode == "almost_strict" else out
+
+
+def ref_is_improvable(problem, rule, x):
+    setter = problem.setter_utilities
+    best = None
+    for y in range(problem.num_policies):
+        if setter[y] <= setter[x]:
+            continue
+        if best is not None and setter[y] <= setter[best]:
+            continue
+        if problem.majority_override is not None:
+            if problem.majority_override.beats(y, x):
+                best = y
+            continue
+        if rule.wins(problem.support_mask(y, x)):
+            best = y
+    if best is None:
+        return None
+    coalition = None
+    if problem.majority_override is None:
+        gainers = problem.support_mask(best, x)
+        if rule.quota is not None:
+            coalition = frozenset(sorted(i for i in range(rule.n)
+                                         if (gainers >> i) & 1)[:rule.quota])
+        else:
+            mask = next(c for c in rule.min_coalitions if c & gainers == c)
+            coalition = frozenset(i for i in range(rule.n) if (mask >> i) & 1)
+    return ImprovementCertificate(base=x, witness=best, coalition=coalition,
+                                  setter_gain=setter[best] - setter[x])
+
+
+def ref_favorite_improvement(problem, rule, x):
+    cert = ref_is_improvable(problem, rule, x)
+    return x if cert is None else cert.witness
+
+
+def ref_phi_or(problem, rule, x):
+    almost = ref_acceptance_set(problem, rule, x, "almost_strict")
+    bar = max(problem.setter_utilities[y] for y in almost)
+    weak = ref_acceptance_set(problem, rule, x, "weak")
+    return frozenset(y for y in weak if problem.setter_utilities[y] >= bar)
+
+
+def ref_eta_star_one(problem, rule, x):
+    best = None
+    for y in range(problem.num_policies):
+        setter_gain = problem.setter_utilities[y] - problem.setter_utilities[x]
+        if best is not None and setter_gain <= best:
+            continue
+        gains = [row[y] - row[x] for row in problem.voter_utilities]
+        if rule.quota is not None:
+            coalition_gain = sorted(gains, reverse=True)[rule.quota - 1]
+        else:
+            coalition_gain = max(
+                min(gains[i] for i in range(rule.n) if (mask >> i) & 1)
+                for mask in rule.min_coalitions)
+        value = min(setter_gain, coalition_gain)
+        if best is None or value > best:
+            best = value
+    return best
+
+
+def ref_uniform_margin(problem, rule, delta):
+    top = problem.setter_max
+    gamma = tuple(x for x in range(problem.num_policies)
+                  if top >= problem.setter_utilities[x] + delta)
+    if not gamma:
+        return MarginReport(delta=delta, gamma_set=(), eta_star={}, eta_delta=None, t_bound=0)
+    eta_star = {x: ref_eta_star_one(problem, rule, x) for x in gamma}
+    eta_delta = min(eta_star.values())
+    t_bound = None
+    if eta_delta > 0:
+        t_bound = max(1, ceil((top - min(problem.setter_utilities)) / eta_delta))
+    return MarginReport(delta=delta, gamma_set=gamma, eta_star=eta_star,
+                        eta_delta=eta_delta, t_bound=t_bound)
+
+
+def assert_queries_match_reference(problem, rule):
+    m = problem.num_policies
+    for x in range(m):
+        for mode in ("strict", "weak", "almost_strict"):
+            assert acceptance_set(problem, rule, x, mode) == ref_acceptance_set(
+                problem, rule, x, mode)
+        assert phi_or(problem, rule, x) == ref_phi_or(problem, rule, x)
+        assert (favorite_improvement(problem, rule, x, allow_ties=True)
+                == ref_favorite_improvement(problem, rule, x))
+        assert is_improvable(problem, rule, x) == ref_is_improvable(problem, rule, x)
+    assert unimprovable_set(problem, rule) == frozenset(
+        x for x in range(m) if ref_is_improvable(problem, rule, x) is None)
+    if problem.majority_override is None:
+        setter = problem.setter_utilities
+        spread = max(setter) - min(setter)
+        for delta in {spread, spread / 3, F(1, 7)} - {0}:
+            assert uniform_margin(problem, rule, delta) == ref_uniform_margin(
+                problem, rule, delta)
+
+
+# ---------------------------------------------------------------------------
+# improvement queries: strategies and properties
+
+small_levels = st.integers(-3, 3).map(F)
+big_levels = st.builds(F, st.integers(-2**90, 2**90), st.sampled_from((1, 3, 2**40)))
+
+
+@st.composite
+def choice_problems(draw):
+    """A problem and a rule valid for it: quota, explicit or override."""
+    m = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("quota", "explicit", "override")))
+    n = draw(st.sampled_from((1, 3, 5)) if kind == "override" else st.integers(1, 5))
+    # entries drawn from a few levels tie often; from many, rarely
+    levels = draw(st.lists(draw(st.sampled_from((small_levels, big_levels))),
+                           min_size=1, max_size=m + 2))
+    row = st.lists(st.sampled_from(levels), min_size=m, max_size=m).map(tuple)
+    voters = tuple(draw(row) for _ in range(n))
+    override = None
+    if kind == "override":
+        override = TournamentSpec.from_edges(
+            m, [(x, y) if draw(st.booleans()) else (y, x)
+                for x in range(m) for y in range(x + 1, m)])
+    problem = CollectiveChoiceProblem(policies=tuple(f"x{i}" for i in range(m)),
+                                      voter_utilities=voters, setter_utilities=draw(row),
+                                      majority_override=override)
+    if kind == "override":
+        rule = VotingRule.simple_majority(n)
+    elif kind == "quota":
+        rule = VotingRule.quota_rule(n, draw(st.integers(1, n)))
+    else:
+        coalitions = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+                                   min_size=1, max_size=3))
+        rule = VotingRule.explicit(n, coalitions)
+    return problem, rule
+
+
+@SETTINGS
+@given(choice_problems(), st.sampled_from((1, 5, 2**16)))
+def test_improvement_queries_match_fraction_reference(case, chunk):
+    # small chunks split the favorite-improvement table into many column blocks
+    problem, rule = case
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        assert_queries_match_reference(problem, rule)
+
+
+def _scaled(problem, factor, offset):
+    """The same preferences at another magnitude."""
+    def move(row):
+        return tuple(u * factor + offset for u in row)
+    return CollectiveChoiceProblem(
+        policies=problem.policies, voter_utilities=tuple(map(move, problem.voter_utilities)),
+        setter_utilities=move(problem.setter_utilities), gfa=problem.gfa)
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_improvement_queries_match_reference_around_64_policies(m):
+    strict = gen_random_gfa(m, 5, seed=m)
+    tied = gen_random_with_ties(m, 5, seed=m, levels=4)
+    huge = _scaled(tied, F(2**70, 3), F(2**65 + 1, 7))
+    assert not huge._ints.as_numpy              # margins run on Python ints
+    explicit = VotingRule.explicit(5, [[0, 1], [1, 2, 3], [4, 0, 2]])
+    for problem in (strict, tied, huge):
+        for rule in (VotingRule.simple_majority(5), VotingRule.quota_rule(5, 4), explicit):
+            assert_queries_match_reference(problem, rule)
+    cycle = TournamentSpec.from_edges(m, [(x, y) if (x + y) % 3 else (y, x)
+                                          for x in range(m) for y in range(x + 1, m)])
+    override = CollectiveChoiceProblem(policies=strict.policies,
+                                       voter_utilities=strict.voter_utilities,
+                                       setter_utilities=strict.setter_utilities,
+                                       majority_override=cycle)
+    assert_queries_match_reference(override, VotingRule.simple_majority(5))

@@ -14,9 +14,12 @@ from agendalab import (
     ValidationError,
     VotingRule,
     acceptance_set,
+    favorite_improvement,
     is_improvable,
     is_manipulable,
     majority_compare,
+    phi_iterates,
+    phi_or,
     uniform_margin,
     unimprovable_set,
 )
@@ -73,6 +76,15 @@ def test_veto_proof_flag():
     assert VotingRule.explicit(3, [[0, 1], [2]]).veto_proof
 
 
+def test_rule_voter_count_has_no_upper_cap():
+    assert VotingRule.simple_majority(133).quota == 67
+    wide = VotingRule.explicit(100, [[0, 99], [50]])
+    assert wide.coalition_members == ((50,), (0, 99))
+    assert wide.wins(1 << 99 | 1) and not wide.wins(1 << 99)
+    with pytest.raises(ValidationError, match="positive"):
+        VotingRule(n=0, quota=1)
+
+
 def test_problem_validation():
     with pytest.raises(ValidationError, match="duplicate"):
         CollectiveChoiceProblem(policies=("a", "a"),
@@ -100,6 +112,28 @@ def test_single_policy_problem_is_allowed():
         setter_utilities=(Fraction(0),))
     rule = VotingRule.simple_majority(1)
     assert is_manipulable(lone, rule).manipulable   # vacuously
+
+
+IMPROVEMENT_QUERIES = {
+    "favorite_improvement": lambda p, r: favorite_improvement(p, r, 0),
+    "is_improvable": lambda p, r: is_improvable(p, r, 0),
+    "unimprovable_set": unimprovable_set,
+    "is_manipulable": is_manipulable,
+    "phi_iterates": lambda p, r: phi_iterates(p, r, 0, 3),
+    "acceptance_set": lambda p, r: acceptance_set(p, r, 0, "strict"),
+    "phi_or": lambda p, r: phi_or(p, r, 0),
+    "uniform_margin": lambda p, r: uniform_margin(p, r, Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("query", IMPROVEMENT_QUERIES.values(), ids=IMPROVEMENT_QUERIES)
+@pytest.mark.parametrize("rule", [VotingRule.simple_majority(5), VotingRule.quota_rule(1, 1),
+                                  VotingRule.explicit(4, [[0, 3], [1, 2]])],
+                         ids=["majority-of-5", "quota-1-of-1", "explicit-4"])
+def test_queries_reject_a_rule_for_another_voter_count(query, rule):
+    problem = gen_random_gfa(5, 3, seed=1)
+    with pytest.raises(ValidationError, match="rule is for"):
+        query(problem, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +254,13 @@ def test_fast_paths_match_reference_scan():
     problem = gen_random_gfa(70, 5, seed=5)
     rule = VotingRule.simple_majority(5)
     fast = unimprovable_set(problem, rule)
+    setter = problem.setter_utilities
     slow = frozenset(x for x in range(70)
-                     if is_improvable(problem, rule, x) is None)
-    assert fast == slow
+                     if not any(setter[y] > setter[x]
+                                and rule.wins(problem.support_mask(y, x))
+                                for y in range(70)))
+    assert fast == slow == frozenset(x for x in range(70)
+                                     if is_improvable(problem, rule, x) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +313,18 @@ def test_uniform_margin_positive_on_manipulable_instances(small_corpus):
 
 
 def test_uniform_margin_fast_path_matches_reference():
-    from agendalab.problems import _eta_star_one
     problem = gen_random_gfa(70, 5, seed=17)
     rule = VotingRule.simple_majority(5)
     report = uniform_margin(problem, rule, Fraction(1))
     sampled = random.Random(0).sample(list(report.gamma_set), 8)
+    setter = problem.setter_utilities
     for x in sampled:
-        assert report.eta_star[x] == _eta_star_one(problem, rule, x)
+        # best over y of min(setter gain, q-th largest voter gain), in Fractions
+        want = max(min(setter[y] - setter[x],
+                       sorted((row[y] - row[x] for row in problem.voter_utilities),
+                              reverse=True)[rule.quota - 1])
+                   for y in range(70))
+        assert report.eta_star[x] == want
 
 
 def test_uniform_margin_explicit_rule_uses_coalition_minima():

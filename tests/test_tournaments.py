@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agendalab import (
+    CollectiveChoiceProblem,
     TournamentSpec,
     ValidationError,
     VotingRule,
     derive_tournament,
     mcgarvey_realize,
+    phi_iterates,
     unimprovable_set,
 )
 from agendalab.fixtures import blocked_tournament
+from agendalab.tournaments import REALIZE_LIMIT
 
 F = Fraction
 
@@ -75,3 +79,22 @@ def test_realize_derive_identity(size, rng):
     tournament = TournamentSpec.from_edges(size, edges)
     problem = mcgarvey_realize(tournament, [F(k + 1) for k in range(size)])
     assert derive_tournament(problem).edges == tournament.edges
+
+
+@pytest.mark.parametrize("m", [9, REALIZE_LIMIT])
+def test_large_realizations_pair_with_a_rule(m):
+    # 2 * C(m, 2) + 1 voters: 73 at m = 9, 133 at m = 12
+    rng = random.Random(m)
+    tournament = TournamentSpec.from_edges(
+        m, [(x, y) if rng.random() < 0.5 else (y, x)
+            for x in range(m) for y in range(x + 1, m)])
+    setter = tuple(F(v) for v in rng.sample(range(1, m + 1), m))
+    realized = mcgarvey_realize(tournament, setter)
+    assert realized.n == m * (m - 1) + 1 > 63
+    rule = VotingRule.simple_majority(realized.n)
+    twin = CollectiveChoiceProblem(policies=realized.policies, voter_utilities=(setter,),
+                                   setter_utilities=setter, majority_override=tournament,
+                                   gfa=True)
+    for x in range(m):
+        assert (phi_iterates(realized, rule, x, m)
+                == phi_iterates(twin, VotingRule.simple_majority(1), x, m))
