@@ -11,7 +11,6 @@ comparison then splits every problem into exactly one of two cases.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,11 +22,6 @@ from .problems import CollectiveChoiceProblem, VotingRule
 
 def _majority_rule(problem: CollectiveChoiceProblem) -> VotingRule:
     return VotingRule.simple_majority(problem.n)
-
-
-def _weak_step(problem, a: int, b: int) -> bool:
-    """One chain step from a to b: stay put or strict majority win."""
-    return a == b or problem.strictly_majority_preferred(b, a)
 
 
 @dataclass(frozen=True)
@@ -52,27 +46,14 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
     problem.check_policy(x0)
     if mode == "two_reachable":
         mode, k = "k_reachable", 2
-    if mode == "k_reachable":
-        if k is None or k < 0:
-            raise ValidationError("k_reachable needs k >= 0")
-        layers = {x0: 0}
-        frontier = {x0}
-        for depth in range(1, k + 1):
-            frontier = {
-                y for x in frontier for y in range(problem.num_policies)
-                if _weak_step(problem, x, y)}
-            for y in frontier:
-                layers.setdefault(y, depth)
-        members = frozenset(layers)
-        best = _best(problem, members)
-        chain = _bfs_chain(problem, x0, best)
-        return ReachabilityReport(mode=f"k_reachable({k})" if k != 2 else "two_reachable",
-                                  start=x0, members=members,
-                                  best_for_setter=best, witness_chain=chain)
-    if mode == "reachable":
-        members, parent = _bfs(problem, x0)
-        best = _best(problem, members)
-        return ReachabilityReport(mode=mode, start=x0, members=frozenset(members),
+    if mode == "k_reachable" and (k is None or k < 0):
+        raise ValidationError("k_reachable needs k >= 0")
+    if mode in ("k_reachable", "reachable"):
+        parent = _bfs(problem, x0, k if mode == "k_reachable" else None)
+        best = _best(problem, parent)
+        if mode == "k_reachable":
+            mode = f"k_reachable({k})" if k != 2 else "two_reachable"
+        return ReachabilityReport(mode=mode, start=x0, members=frozenset(parent),
                                   best_for_setter=best,
                                   witness_chain=_unwind(parent, x0, best))
     if mode == "credible":
@@ -94,16 +75,24 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
     raise ValidationError(f"unknown reachability mode {mode!r}")
 
 
-def _bfs(problem, x0):
+def _bfs(problem, x0, depth=None) -> dict:
+    """Breadth-first majority chains from x0, at most `depth` steps long.
+
+    Returns each reached policy's parent (None for x0); the keys are the
+    reachable set, and parents unwind to shortest chains.
+    """
     parent = {x0: None}
-    queue = deque([x0])
-    while queue:
-        x = queue.popleft()
-        for y in range(problem.num_policies):
-            if y not in parent and problem.strictly_majority_preferred(y, x):
-                parent[y] = x
-                queue.append(y)
-    return set(parent), parent
+    layer, steps = [x0], 0
+    while layer and (depth is None or steps < depth):
+        steps += 1
+        next_layer = []
+        for x in layer:
+            for y in range(problem.num_policies):
+                if y not in parent and problem.strictly_majority_preferred(y, x):
+                    parent[y] = x
+                    next_layer.append(y)
+        layer = next_layer
+    return parent
 
 
 def _unwind(parent, x0, target) -> tuple[int, ...]:
@@ -111,11 +100,6 @@ def _unwind(parent, x0, target) -> tuple[int, ...]:
     while chain[-1] != x0:
         chain.append(parent[chain[-1]])
     return tuple(reversed(chain))
-
-
-def _bfs_chain(problem, x0, target) -> tuple[int, ...]:
-    members, parent = _bfs(problem, x0)
-    return _unwind(parent, x0, target)
 
 
 def _best(problem, members) -> int:

@@ -219,14 +219,11 @@ class CollectiveChoiceProblem:
         if self.gfa:
             if len(self.voter_utilities) % 2 == 0:
                 raise ValidationError("gfa requires an odd number of voters")
-            for name, row in self._named_rows():
-                if len(set(row)) != m:
+            # a row without ties reaches dense rank m - 1
+            for i, top in enumerate(self._ranks.max(axis=1).tolist()):
+                if top != m - 1:
+                    name = f"voter {i + 1}" if i < self.n else "agenda setter"
                     raise ValidationError(f"gfa requires strict preferences; {name} has ties")
-
-    def _named_rows(self):
-        for i, row in enumerate(self.voter_utilities):
-            yield f"voter {i + 1}", row
-        yield "agenda setter", self.setter_utilities
 
     # -- basic views --------------------------------------------------------
 

@@ -8,8 +8,9 @@ backed by a strict voter majority.  `spatial_witness` builds one
 constructively: it works in the tangent plane of the setter's
 indifference surface, tilts toward a majority of projected voter
 gradients, then perturbs off the plane along the setter's gradient.
-All geometry is exact rational arithmetic; the step-size searches halve
-dyadically and the final inequalities are verified exactly.
+All geometry is exact: the witness is built on integer numerators over
+one common denominator, the step-size searches halve dyadically without
+evaluating a utility, and the final inequalities are verified exactly.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class ImprovementTrace:
     majority_coalition: frozenset[int]
 
 
-def _dot(a, b) -> Fraction:
+def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
@@ -201,14 +202,6 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
-
-
-def _scale(a, s: Fraction):
-    return tuple(x * s for x in a)
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _halve_until(start: Fraction, ok, cap: int = 128) -> Fraction:
@@ -229,6 +222,14 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     diagnostics naming the failed step).  For more than three dimensions
     the construction runs inside the first coordinate triple where x
     and the setter's ideal differ.
+
+    The construction runs on integer numerators over S, the common
+    denominator of x and the ideal points in that triple: gradients
+    h_i = (ideal_i - x) * S, the setter's row h_n = g being the plane
+    normal.  A step search moves to x + (p * D + q * g) / r for integers
+    p, q, r, where D is the direction's numerator, and player j gains
+    there iff S * |p*D + q*g|**2 < 2 * r * h_j.(p*D + q*g); the dot
+    products are taken once per witness.
     """
     if len(x) != profile.dim:
         raise ValidationError("query point dimension mismatch")
@@ -247,14 +248,18 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     n = profile.n_voters
     x3 = tuple(x[k] for k in dims)
     ideals3 = [tuple(p[k] for k in dims) for p in profile.ideal_points]
-    g_setter = tuple(ideals3[n][k] - x3[k] for k in range(3))
-    g_norm_sq = _dot(g_setter, g_setter)
+    scale = lcm(*(c.denominator for p in (x3, *ideals3) for c in p))
+    base = scaled_numerators(x3, scale)
+    grads = [tuple(a - b for a, b in zip(scaled_numerators(p, scale), base))
+             for p in ideals3]
+    g = grads[n]
+    g_norm_sq = _dot(g, g)
 
+    # projected gradient i, times scale * g_norm_sq
     projections = []
-    for i in range(n):
-        g_i = tuple(ideals3[i][k] - x3[k] for k in range(3))
-        coeff = _dot(g_i, g_setter) / g_norm_sq
-        projections.append(_add(g_i, _scale(g_setter, -coeff)))
+    for h in grads[:n]:
+        along = _dot(h, g)
+        projections.append(tuple(g_norm_sq * a - along * b for a, b in zip(h, g)))
 
     lead = next((i for i in range(n) if any(projections[i])), None)
     if lead is None:
@@ -265,13 +270,13 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     collinear = {j for j in range(n) if j != lead
                  and _cross(projections[j], p_lead) == (0, 0, 0)}
 
-    omega = _cross(g_setter, p_lead)
+    omega = _cross(g, p_lead)
     plus = [j for j in range(n)
             if j not in collinear and j != lead and _dot(projections[j], omega) > 0]
     minus = [j for j in range(n)
              if j not in collinear and j != lead and _dot(projections[j], omega) < 0]
     if len(minus) > len(plus):
-        omega = _scale(omega, Fraction(-1))
+        omega = tuple(-c for c in omega)
         plus, minus = minus, plus
     coalition = frozenset(plus) | {lead}
     if 2 * len(coalition) < n + 1:
@@ -279,52 +284,59 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
             "projected gradients split without a strict majority side",
             step="pigeonhole")
 
+    # blend k is scale * p_lead + (k - 1) * omega, the direction times
+    # k * scale**2 * g_norm_sq
+    blends = [(scale * _dot(projections[j], p_lead), _dot(projections[j], omega))
+              for j in coalition]
     k = 1
-    direction = p_lead
-    while True:
-        direction = _add(_scale(p_lead, Fraction(1, k)),
-                         _scale(omega, Fraction(k - 1, k)))
-        if all(_dot(projections[j], direction) > 0 for j in coalition):
-            break
+    while not all(a + (k - 1) * b > 0 for a, b in blends):
         k *= 2
         if k > 2**64:
             raise SpatialDegeneracyError(
                 "no blend of lead gradient and orthogonal direction works",
                 step="direction blend")
-
-    def lift(point3):
-        full = list(x)
-        for k3, axis in enumerate(dims):
-            full[axis] = point3[k3]
-        return tuple(full)
-
-    def gains_hold(point3, players) -> bool:
-        candidate = lift(point3)
-        return all(profile.utility(j, candidate) > profile.utility(j, x)
-                   for j in players)
-
-    epsilon = _halve_until(
-        Fraction(1),
-        lambda e: gains_hold(_add(x3, _scale(direction, e)), coalition))
-    midpoint3 = _add(x3, _scale(direction, epsilon))
-
-    eps_off = _halve_until(
-        epsilon,
-        lambda e: gains_hold(_add(midpoint3, _scale(g_setter, e)), coalition))
-    zeta3 = _add(midpoint3, _scale(g_setter, eps_off))
+    d = tuple(scale * pk + (k - 1) * wk for pk, wk in zip(p_lead, omega))
+    d_denom = k * scale * scale * g_norm_sq
 
     setter_idx = n
+    d_norm_sq, d_dot_g = _dot(d, d), _dot(d, g)
+    reach = {j: (_dot(grads[j], d), _dot(grads[j], g)) for j in (*coalition, setter_idx)}
 
-    def witness_ok(b: Fraction) -> bool:
-        point3 = _add(_scale(zeta3, b), _scale(x3, 1 - b))
-        return (gains_hold(point3, coalition)
-                and profile.utility(setter_idx, lift(point3)) > profile.utility(setter_idx, x))
+    def gains_hold(p: int, q: int, r: int, players) -> bool:
+        lhs = scale * (p * p * d_norm_sq + 2 * p * q * d_dot_g + q * q * g_norm_sq)
+        return all(lhs < 2 * r * (p * hd + q * hg) for hd, hg in map(reach.get, players))
 
-    beta = _halve_until(Fraction(1, 2), witness_ok)
-    witness3 = _add(_scale(zeta3, beta), _scale(x3, 1 - beta))
+    def on_plane(e: Fraction) -> tuple[int, int, int]:
+        # x + e * direction
+        return e.numerator, 0, e.denominator * d_denom
 
-    midpoint = lift(midpoint3)
-    witness = lift(witness3)
+    epsilon = _halve_until(Fraction(1), lambda e: gains_hold(*on_plane(e), coalition))
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
+
+    def off_plane(e: Fraction) -> tuple[int, int, int]:
+        # x + epsilon * direction + e * g / scale
+        return (eps_num * e.denominator * scale, e.numerator * eps_den * d_denom,
+                eps_den * e.denominator * d_denom * scale)
+
+    eps_off = _halve_until(epsilon, lambda e: gains_hold(*off_plane(e), coalition))
+    zeta_p, zeta_q, zeta_r = off_plane(eps_off)
+
+    def toward_zeta(e: Fraction) -> tuple[int, int, int]:
+        # x + e * (zeta - x)
+        return e.numerator * zeta_p, e.numerator * zeta_q, e.denominator * zeta_r
+
+    beta = _halve_until(
+        Fraction(1, 2),
+        lambda e: gains_hold(*toward_zeta(e), (*coalition, setter_idx)))
+
+    def lift(p: int, q: int, r: int):
+        full = list(x)
+        for xk, dk, gk, axis in zip(base, d, g, dims):
+            full[axis] = Fraction(xk * r + scale * (p * dk + q * gk), scale * r)
+        return tuple(full)
+
+    midpoint = lift(*on_plane(epsilon))
+    witness = lift(*toward_zeta(beta))
     normal = tuple(profile.setter_ideal[k] - x[k] for k in range(profile.dim))
     # exact final checks, independent of how the search got here
     if _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) != 0:
@@ -336,9 +348,12 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")
 
+    common = scale * g_norm_sq
     return ImprovementTrace(
         base=x, dims=dims, plane_normal=normal,
-        projected_gradients=tuple(projections), direction=direction,
+        projected_gradients=tuple(tuple(Fraction(c, common) for c in p)
+                                  for p in projections),
+        direction=tuple(Fraction(c, d_denom) for c in d),
         epsilon=epsilon, epsilon_off_plane=eps_off, beta=beta,
         midpoint=midpoint, witness=witness, majority_coalition=coalition)
 

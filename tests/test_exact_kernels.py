@@ -1,7 +1,8 @@
 """The integer kernels against the `Fraction` code they replaced.
 
 `SpatialProfile.utility`, `build_grid` and `audit_dp_axioms` evaluate
-utilities once, as exact integers.  Acceptance sets, the improvement
+utilities once, as exact integers, and `spatial_witness` builds its
+improvement on integer numerators.  Acceptance sets, the improvement
 correspondence, favorite improvements, improvability and the
 unimprovable set read a problem's dense per-row ranks, and the uniform
 margin its scaled integers.  The reference implementations below are
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, isqrt
 from unittest import mock
 
@@ -32,8 +34,10 @@ from agendalab import (
     ImprovementCertificate,
     MarginReport,
     SimplexSpace,
+    SpatialDegeneracyError,
     SpatialProfile,
     TournamentSpec,
+    ValidationError,
     VotingRule,
     acceptance_set,
     audit_dp_axioms,
@@ -46,12 +50,14 @@ from agendalab import (
     phi_or,
     pork_barrel_problem,
     spatial_problem,
+    spatial_witness,
     transfers_problem,
     uniform_margin,
     unimprovable_set,
 )
 from agendalab.distributions import AxiomViolation
 from agendalab.grids import GridBuildResult
+from agendalab.spatial import ImprovementTrace
 
 F = Fraction
 JITTER_RANGE = 2**16
@@ -231,12 +237,178 @@ def ref_audit_dp_axioms(problem):
                       transferability_violations=tuple(transferability))
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _scale(a, s):
+    return tuple(x * s for x in a)
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_halve_until(start, ok, cap=128):
+    value = F(start)
+    for _ in range(cap):
+        if ok(value):
+            return value
+        value /= 2
+    raise SpatialDegeneracyError(
+        "dyadic step search exhausted its halving budget", step="step-size search")
+
+
+def ref_spatial_witness(profile, x):
+    """The earlier `Fraction` construction, without its final certificate."""
+    if len(x) != profile.dim:
+        raise ValidationError("query point dimension mismatch")
+    x = tuple(F(c) for c in x)
+    if x == profile.setter_ideal:
+        raise ValidationError("the setter's ideal point admits no improvement")
+    if profile.dim < 3:
+        raise ValidationError("witness construction needs at least 3 dimensions")
+
+    dims = None
+    for cand in combinations(range(profile.dim), 3):
+        if any(x[k] != profile.setter_ideal[k] for k in cand):
+            dims = cand
+            break
+    n = profile.n_voters
+    x3 = tuple(x[k] for k in dims)
+    ideals3 = [tuple(p[k] for k in dims) for p in profile.ideal_points]
+    g_setter = tuple(ideals3[n][k] - x3[k] for k in range(3))
+    g_norm_sq = _dot(g_setter, g_setter)
+
+    projections = []
+    for i in range(n):
+        g_i = tuple(ideals3[i][k] - x3[k] for k in range(3))
+        coeff = _dot(g_i, g_setter) / g_norm_sq
+        projections.append(_add(g_i, _scale(g_setter, -coeff)))
+
+    lead = next((i for i in range(n) if any(projections[i])), None)
+    if lead is None:
+        raise SpatialDegeneracyError(
+            "all projected voter gradients vanish at the base point",
+            step="projected gradients")
+    p_lead = projections[lead]
+    collinear = {j for j in range(n) if j != lead
+                 and _cross(projections[j], p_lead) == (0, 0, 0)}
+
+    omega = _cross(g_setter, p_lead)
+    plus = [j for j in range(n)
+            if j not in collinear and j != lead and _dot(projections[j], omega) > 0]
+    minus = [j for j in range(n)
+             if j not in collinear and j != lead and _dot(projections[j], omega) < 0]
+    if len(minus) > len(plus):
+        omega = _scale(omega, F(-1))
+        plus, minus = minus, plus
+    coalition = frozenset(plus) | {lead}
+    if 2 * len(coalition) < n + 1:
+        raise SpatialDegeneracyError(
+            "projected gradients split without a strict majority side",
+            step="pigeonhole")
+
+    k = 1
+    direction = p_lead
+    while True:
+        direction = _add(_scale(p_lead, F(1, k)), _scale(omega, F(k - 1, k)))
+        if all(_dot(projections[j], direction) > 0 for j in coalition):
+            break
+        k *= 2
+        if k > 2**64:
+            raise SpatialDegeneracyError(
+                "no blend of lead gradient and orthogonal direction works",
+                step="direction blend")
+
+    def lift(point3):
+        full = list(x)
+        for k3, axis in enumerate(dims):
+            full[axis] = point3[k3]
+        return tuple(full)
+
+    def gains_hold(point3, players):
+        candidate = lift(point3)
+        return all(ref_utility(profile, j, candidate) > ref_utility(profile, j, x)
+                   for j in players)
+
+    epsilon = _ref_halve_until(
+        F(1), lambda e: gains_hold(_add(x3, _scale(direction, e)), coalition))
+    midpoint3 = _add(x3, _scale(direction, epsilon))
+    eps_off = _ref_halve_until(
+        epsilon, lambda e: gains_hold(_add(midpoint3, _scale(g_setter, e)), coalition))
+    zeta3 = _add(midpoint3, _scale(g_setter, eps_off))
+
+    def witness_ok(b):
+        point3 = _add(_scale(zeta3, b), _scale(x3, 1 - b))
+        return gains_hold(point3, (*coalition, n))
+
+    beta = _ref_halve_until(F(1, 2), witness_ok)
+    witness3 = _add(_scale(zeta3, beta), _scale(x3, 1 - beta))
+    normal = tuple(profile.setter_ideal[k] - x[k] for k in range(profile.dim))
+    return ImprovementTrace(
+        base=x, dims=dims, plane_normal=normal,
+        projected_gradients=tuple(projections), direction=direction,
+        epsilon=epsilon, epsilon_off_plane=eps_off, beta=beta,
+        midpoint=lift(midpoint3), witness=lift(witness3), majority_coalition=coalition)
+
+
 def outcome(build, *args, **kwargs):
     """The build's result, or its genericity error reduced to comparable fields."""
     try:
         return build(*args, **kwargs)
     except GridGenericityError as exc:
         return ("GridGenericityError", str(exc), exc.player, exc.pair)
+
+
+def witness_outcome(build, profile, x):
+    """The improvement trace, or the error reduced to class, failed step and message."""
+    try:
+        return build(profile, x)
+    except (SpatialDegeneracyError, ValidationError) as exc:
+        return (type(exc).__name__, getattr(exc, "step", None), str(exc))
+
+
+WITNESS_KINDS = ("quarters", "grid", "near voter", "axis 3")
+
+
+def witness_case(kind, seed):
+    """A profile and a base point of one kind.
+
+    "quarters": coordinates on quarters, where projected gradients vanish
+    or split without a majority side, half the time with x halfway between
+    a voter's ideal and the setter's; "grid": the 2**-20 grid of
+    `gen_spatial`; "near voter": within 2**-60..2**-200 of a voter's
+    ideal point, where the step searches can run out of halvings;
+    "axis 3": a 4-D point that differs from the setter's ideal only on
+    axis 3, so the construction runs in the triple (0, 1, 3).
+    """
+    rng = random.Random(seed)
+    dim = 4 if kind == "axis 3" else rng.choice((3, 4, 5))
+    n = rng.choice((1, 3, 5, 7))
+    denominator = 4 if kind == "quarters" else 2**20
+
+    def coords():
+        return tuple(F(rng.randint(0, denominator), denominator) for _ in range(dim))
+
+    ideals = [coords() for _ in range(n + 1)]
+    if kind == "near voter":
+        gap = F(1, 2**rng.randint(60, 200))
+        x = tuple(c + rng.choice((-3, -2, -1, 1, 2, 3)) * gap for c in rng.choice(ideals[:n]))
+    elif kind == "quarters" and rng.random() < 0.5:
+        # halfway to the setter's ideal: that voter's projected gradient vanishes
+        x = tuple((a + b) / 2 for a, b in zip(rng.choice(ideals[:n]), ideals[n]))
+    elif kind == "axis 3":
+        x = (*ideals[n][:3], F(rng.randint(0, denominator), denominator))
+    else:
+        x = coords()
+    return SpatialProfile(dim=dim, ideal_points=tuple(ideals), box=((F(0), F(1)),) * dim), x
 
 
 class CoarseRandom(random.Random):
@@ -381,6 +553,29 @@ def test_grid_references_cover_rejitter_and_genericity_errors():
             assert got[0] == "GridGenericityError"
         else:
             assert got.attempts > 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(WITNESS_KINDS), st.integers(0, 2**32))
+def test_spatial_witness_matches_fraction_reference(kind, seed):
+    profile, x = witness_case(kind, seed)
+    assert (witness_outcome(spatial_witness, profile, x)
+            == witness_outcome(ref_spatial_witness, profile, x))
+
+
+def test_witness_reference_cases_cover_every_ending():
+    """Fixed seeds on which each degeneracy step and a trace occur, checked
+    against the reference."""
+    endings = {}
+    for kind in WITNESS_KINDS:
+        for seed in range(40):
+            profile, x = witness_case(kind, seed)
+            got = witness_outcome(spatial_witness, profile, x)
+            assert got == witness_outcome(ref_spatial_witness, profile, x)
+            ending = "trace" if isinstance(got, ImprovementTrace) else got[1]
+            endings.setdefault(ending, set()).add(kind)
+    assert {"trace", "projected gradients", "pigeonhole", "step-size search"} <= set(endings)
+    assert endings["trace"] == set(WITNESS_KINDS)
 
 
 def _random_problem(rng, m, players, magnitude):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from agendalab import (
     CollectiveChoiceProblem,
+    TournamentSpec,
     ValidationError,
     VotingRule,
     horizon_classify,
@@ -15,7 +18,7 @@ from agendalab import (
     stable_set,
     unimprovable_set,
 )
-from agendalab.factories import gen_random_gfa
+from agendalab.factories import gen_random_gfa, gen_random_with_ties
 from agendalab.horizons import _enumerate_stable_subsets
 
 
@@ -29,6 +32,72 @@ def test_reachability_cycle_examples(cycle):
     assert [cycle.policies[i] for i in full.witness_chain] == ["z", "y", "x", "w"]
     zero = reachability(cycle, z, "k_reachable", k=0)
     assert zero.members == {z}
+
+
+def _ref_bfs_parents(problem, x0):
+    parent = {x0: None}
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        for y in range(problem.num_policies):
+            if y not in parent and problem.strictly_majority_preferred(y, x):
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
+def ref_reachability(problem, x0, k):
+    """(mode, members, best, chain) as the layered closure computed them:
+    k weak-step layers (stay put or a strict majority win), or every BFS
+    node when k is None, with the chain from a full breadth-first search."""
+    parent = _ref_bfs_parents(problem, x0)
+    if k is None:
+        mode, members = "reachable", frozenset(parent)
+    else:
+        mode = f"k_reachable({k})" if k != 2 else "two_reachable"
+        layers = {x0: 0}
+        frontier = {x0}
+        for depth in range(1, k + 1):
+            frontier = {y for x in frontier for y in range(problem.num_policies)
+                        if x == y or problem.strictly_majority_preferred(y, x)}
+            for y in frontier:
+                layers.setdefault(y, depth)
+        members = frozenset(layers)
+    best = min(members, key=lambda y: (-problem.setter_utilities[y], y))
+    chain = [best]
+    while chain[-1] != x0:
+        chain.append(parent[chain[-1]])
+    return mode, members, best, tuple(reversed(chain))
+
+
+def _random_override(seed):
+    rng = random.Random(seed)
+    base = gen_random_gfa(rng.randint(2, 8), rng.choice((1, 3, 5)), seed)
+    m = base.num_policies
+    edges = [(x, y) if rng.random() < 0.5 else (y, x)
+             for x in range(m) for y in range(x + 1, m)]
+    return CollectiveChoiceProblem(policies=base.policies,
+                                   voter_utilities=base.voter_utilities,
+                                   setter_utilities=base.setter_utilities,
+                                   majority_override=TournamentSpec.from_edges(m, edges))
+
+
+@pytest.mark.parametrize("kind", ["gfa", "tied", "override"])
+@pytest.mark.parametrize("seed", range(12))
+def test_k_reachable_matches_layered_reference(kind, seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 8), rng.choice((1, 3, 5))
+    problem = {"gfa": lambda: gen_random_gfa(m, n, seed),
+               "tied": lambda: gen_random_with_ties(m, n, seed, levels=rng.randint(2, 4)),
+               "override": lambda: _random_override(seed)}[kind]()
+    for x0 in range(problem.num_policies):
+        for k in (0, 1, 2, 3, None):
+            report = (reachability(problem, x0, "reachable") if k is None
+                      else reachability(problem, x0, "k_reachable", k=k))
+            assert ((report.mode, report.members, report.best_for_setter,
+                     report.witness_chain) == ref_reachability(problem, x0, k))
+        assert reachability(problem, x0, "two_reachable") == reachability(
+            problem, x0, "k_reachable", k=2)
 
 
 def test_reachability_credible_orbit(cycle):

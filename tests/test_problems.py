@@ -106,6 +106,35 @@ def test_problem_validation():
             setter_utilities=(Fraction(1), Fraction(2)), gfa=True)
 
 
+BIG = Fraction(2**70, 3)
+
+
+@pytest.mark.parametrize("voters, setter, named", [
+    # the first tied row is named: voters in order, then the setter
+    (((1, 2, 3), (5, 4, 5), (1, 1, 2)), (1, 2, 3), "voter 2"),
+    (((1, 2, 3), (3, 2, 1), (2, 3, 1)), (7, 8, 7), "agenda setter"),
+    (((BIG, BIG + 1, BIG + 2), (BIG + 2, BIG + Fraction(1, 2**40), BIG + 2), (1, 2, 3)),
+     (BIG, -BIG, BIG), "voter 2"),
+    (((1, 2, 3), (3, 2, 1), (2, 3, 1)), (BIG, BIG + Fraction(1, 7), BIG), "agenda setter"),
+    (((2**63, 2**63 + 1, 2**63 + 2), (2**64, 2**64, 1), (0, 1, 2)),
+     (0, 1, 2), "voter 2"),
+])
+def test_gfa_names_first_tied_row(voters, setter, named):
+    with pytest.raises(ValidationError) as err:
+        CollectiveChoiceProblem(policies=("a", "b", "c"), voter_utilities=voters,
+                                setter_utilities=setter, gfa=True)
+    assert str(err.value) == f"gfa requires strict preferences; {named} has ties"
+    # odd voter count is checked before ties
+    with pytest.raises(ValidationError, match="odd"):
+        CollectiveChoiceProblem(policies=("a", "b", "c"), voter_utilities=voters[:2],
+                                setter_utilities=setter, gfa=True)
+    # without a tie the same magnitudes construct
+    strict = CollectiveChoiceProblem(policies=("a", "b", "c"),
+                                     voter_utilities=((BIG, 2**64, 1),) * 3,
+                                     setter_utilities=(0, BIG, -BIG), gfa=True)
+    assert strict.gfa
+
+
 def test_single_policy_problem_is_allowed():
     lone = CollectiveChoiceProblem(
         policies=("only",), voter_utilities=((Fraction(0),),),
