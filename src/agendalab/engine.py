@@ -24,7 +24,8 @@ from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
     _phi_table,
-    _winners,
+    _require_rule,
+    _wins,
     is_improvable,
 )
 
@@ -191,9 +192,11 @@ def phi_or(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> frozen
     exactly when x is unimprovable.
     """
     problem.check_policy(x)
+    _require_rule(problem, rule)
     setter = problem._ranks[-1]
-    bar = setter[_winners(problem, rule, x)].max(initial=setter[x])
-    weak = _winners(problem, rule, x, weak=True)
+    column = slice(x, x + 1)
+    bar = setter[_wins(problem, rule, column)[:, 0]].max(initial=setter[x])
+    weak = _wins(problem, rule, column, weak=True)[:, 0]
     return frozenset(np.flatnonzero(weak & (setter >= bar)).tolist())
 
 

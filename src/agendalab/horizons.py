@@ -81,14 +81,15 @@ def _bfs(problem, x0, depth=None) -> dict:
     Returns each reached policy's parent (None for x0); the keys are the
     reachable set, and parents unwind to shortest chains.
     """
+    majority = problem._majority
     parent = {x0: None}
     layer, steps = [x0], 0
     while layer and (depth is None or steps < depth):
         steps += 1
         next_layer = []
         for x in layer:
-            for y in range(problem.num_policies):
-                if y not in parent and problem.strictly_majority_preferred(y, x):
+            for y in majority[:, x].nonzero()[0].tolist():
+                if y not in parent:
                     parent[y] = x
                     next_layer.append(y)
         layer = next_layer
@@ -117,9 +118,10 @@ class StableSetReport:
     uniqueness_certified: bool
 
 
-def _dominates(problem, y: int, x: int) -> bool:
-    return (problem.setter_utilities[y] > problem.setter_utilities[x]
-            and problem.strictly_majority_preferred(y, x))
+def _dominance(problem):
+    """[y, x]: y dominates x, a strict setter gain and a strict majority win."""
+    setter = problem._ranks[-1]
+    return problem._majority & (setter[:, None] > setter[None, :])
 
 
 def stable_set(problem: CollectiveChoiceProblem,
@@ -134,18 +136,18 @@ def stable_set(problem: CollectiveChoiceProblem,
     """
     if not problem.gfa:
         raise ValidationError("stable sets are guaranteed unique only under gfa")
+    dominates = _dominance(problem)
     order = sorted(range(problem.num_policies),
                    key=lambda x: -problem.setter_utilities[x])
     admitted: list[int] = []
     for x in order:
-        if not any(_dominates(problem, y, x) for y in admitted):
+        if not dominates[admitted, x].any():
             admitted.append(x)
     members = frozenset(admitted)
 
     psi = {}
     for x in range(problem.num_policies):
-        candidates = [y for y in members
-                      if y == x or problem.strictly_majority_preferred(y, x)]
+        candidates = [y for y in members if y == x or problem._majority[y, x]]
         psi[x] = min(candidates, key=lambda y: (-problem.setter_utilities[y], y))
 
     certified = False
@@ -161,7 +163,7 @@ def stable_set(problem: CollectiveChoiceProblem,
 
 def _enumerate_stable_subsets(problem) -> list[frozenset[int]]:
     m = problem.num_policies
-    dom = [[_dominates(problem, y, x) for x in range(m)] for y in range(m)]
+    dom = _dominance(problem).tolist()
     found = []
     for bits in range(1 << m):
         inside = [x for x in range(m) if (bits >> x) & 1]

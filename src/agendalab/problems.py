@@ -11,10 +11,14 @@ winning coalitions), acceptance sets, improvability certificates,
 manipulability, and the uniform improvement margin used to bound how
 many proposal rounds the setter needs.
 
-Every ordinal query (who accepts y over x, which policy the setter
-picks) reads one compiled form of the problem: dense per-row ranks,
-small integers at any utility magnitude.  Only the uniform margin,
-which needs utility differences, reads the scaled integers themselves.
+Every ordinal query reads dense per-row ranks, small integers at any
+utility magnitude.  `_wins` ("does a winning coalition prefer y to
+x?") alone turns ranks, or a majority override, into that relation;
+acceptance sets, the favorite-improvement table and the cached strict
+majority `_majority` are read from its blocks, and support masks and
+margins count rank columns.  The oracle still votes per voter through
+`support_mask` and never reads the favorite-improvement table.  Only
+the uniform margin reads the scaled integers themselves.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import numpy as np
 from .errors import UnsupportedCombinationError, ValidationError
 from .rationals import ScaledInts
 
-# Largest number of voter-by-policy comparisons one step of the
-# favorite-improvement table materializes, which keeps its transient
-# arrays well under a megabyte at any problem size.
+# Largest number of voter-by-policy comparisons one block of `_wins`
+# materializes when a whole table is built chunk by chunk, which keeps
+# the transient arrays well under a megabyte at any problem size.
 _CHUNK_COMPARISONS = 2**16
 
 # ---------------------------------------------------------------------------
@@ -163,18 +167,6 @@ class VotingRule:
         return all(any(not (c >> i) & 1 for c in self.min_coalitions)
                    for i in range(self.n))
 
-    def iter_min_coalitions(self):
-        """Minimal winning coalitions; materialized on demand for quota rules."""
-        if self.quota is None:
-            yield from self.min_coalitions
-            return
-        from itertools import combinations
-        for combo in combinations(range(self.n), self.quota):
-            mask = 0
-            for voter in combo:
-                mask |= 1 << voter
-            yield mask
-
 
 # ---------------------------------------------------------------------------
 # the problem itself
@@ -292,33 +284,37 @@ class CollectiveChoiceProblem:
         """Favorite-improvement tables already computed, by voting rule."""
         return {}
 
+    @cached_property
+    def _majority(self) -> np.ndarray:
+        """[y, x]: more than half of the voters strictly prefer y to x, or
+        the override says y beats x (at any voter count).  Built from
+        `_wins` in column chunks, O(n * m * chunk) transient memory; the
+        cache itself costs m**2 bytes."""
+        m = self.num_policies
+        rule = VotingRule.quota_rule(self.n, self.n // 2 + 1)
+        out = np.empty((m, m), dtype=bool)
+        for cols in _column_chunks(self):
+            out[:, cols] = _wins(self, rule, cols)
+        out.flags.writeable = False
+        return out
+
     # -- majority relation ---------------------------------------------------
 
     def support_mask(self, y: int, x: int, weak: bool = False) -> int:
         """Bitmask of voters preferring y to x (weakly if `weak`)."""
-        mask = 0
-        for i, row in enumerate(self.voter_utilities):
-            if row[y] > row[x] or (weak and row[y] == row[x]):
-                mask |= 1 << i
-        return mask
+        voters = self._ranks[:-1]
+        prefer = voters[:, y] >= voters[:, x] if weak else voters[:, y] > voters[:, x]
+        return int.from_bytes(np.packbits(prefer, bitorder="little").tobytes(), "little")
 
     def margin(self, x: int, y: int) -> int:
         """(# voters strictly preferring x) minus (# strictly preferring y)."""
-        ahead = behind = 0
-        for row in self.voter_utilities:
-            if row[x] > row[y]:
-                ahead += 1
-            elif row[y] > row[x]:
-                behind += 1
-        return ahead - behind
+        voters = self._ranks[:-1]
+        return int(np.count_nonzero(voters[:, x] > voters[:, y])
+                   - np.count_nonzero(voters[:, y] > voters[:, x]))
 
     def strictly_majority_preferred(self, y: int, x: int) -> bool:
         """True iff y beats x under the strict majority relation."""
-        if y == x:
-            return False
-        if self.majority_override is not None:
-            return self.majority_override.beats(y, x)
-        return 2 * self.support_mask(y, x).bit_count() > self.n
+        return bool(self._majority[y, x])
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +372,20 @@ def majority_compare(problem: CollectiveChoiceProblem, x: int, y: int) -> Majori
     """
     problem.check_policy(x)
     problem.check_policy(y)
-    margin = 0 if x == y else problem.margin(x, y)
     if x == y:
         return MajorityComparison("neither", 0)
-    if problem.strictly_majority_preferred(x, y):
-        return MajorityComparison("x_strict", margin)
-    if problem.strictly_majority_preferred(y, x):
-        return MajorityComparison("y_strict", margin)
-    return MajorityComparison("neither", margin)
+    majority = problem._majority
+    result = "x_strict" if majority[x, y] else "y_strict" if majority[y, x] else "neither"
+    return MajorityComparison(result, problem.margin(x, y))
 
 
-def _require_simple_majority_for_override(problem, rule):
+def _require_rule(problem, rule):
+    if rule.n != problem.n:
+        raise ValidationError(f"rule is for {rule.n} voters, problem has {problem.n}")
     if problem.majority_override is not None and not rule.is_simple_majority:
         raise UnsupportedCombinationError(
             "a majority override defines only the simple-majority relation; "
             "pair explicit or non-majority rules with utility-level problems")
-
-
-def _require_voter_count(problem, rule):
-    if rule.n != problem.n:
-        raise ValidationError(f"rule is for {rule.n} voters, problem has {problem.n}")
 
 
 def _coalition_holds(rule: VotingRule, prefer: np.ndarray) -> np.ndarray:
@@ -409,18 +399,30 @@ def _coalition_holds(rule: VotingRule, prefer: np.ndarray) -> np.ndarray:
     return out
 
 
-def _winners(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
-             weak: bool = False) -> np.ndarray:
-    """[y]: some winning coalition strictly (weakly, if `weak`) prefers y to x."""
-    _require_voter_count(problem, rule)
-    _require_simple_majority_for_override(problem, rule)
+def _wins(problem: CollectiveChoiceProblem, rule: VotingRule, cols: slice,
+          weak: bool = False) -> np.ndarray:
+    """[y, x] for x in `cols`: some winning coalition strictly (weakly, if
+    `weak`) prefers y to x.  Callers check the rule (`_require_rule`).
+
+    A majority override *is* the relation; a tournament resolves every
+    pair of distinct policies, so its diagonal is `weak`.  A block costs
+    n * m * |cols| transient bytes: wide reads go by `_column_chunks`,
+    and only `_majority` keeps a whole m x m table.
+    """
     if problem.majority_override is not None:
-        out = problem._beats[:, x].copy()
-        out[x] = weak            # a tournament resolves every pair of distinct policies
-        return out
+        policies = np.arange(problem.num_policies)
+        return problem._beats[:, cols] | (weak & (policies[:, None] == policies[None, cols]))
     voters = problem._ranks[:-1]
-    column = voters[:, x:x + 1]
-    return _coalition_holds(rule, voters >= column if weak else voters > column)
+    column = voters[:, None, cols]
+    return _coalition_holds(rule, voters[:, :, None] >= column if weak
+                            else voters[:, :, None] > column)
+
+
+def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
+    """Column slices of at most `_CHUNK_COMPARISONS` voter comparisons each."""
+    m = problem.num_policies
+    width = max(1, _CHUNK_COMPARISONS // (m * problem.n))
+    return [slice(start, start + width) for start in range(0, m, width)]
 
 
 def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int, ...]:
@@ -429,29 +431,21 @@ def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int,
     Entry x is the lowest-index setter maximizer among the policies that
     a winning coalition and the setter both strictly prefer to x, or x
     itself when there is none.  Columns (defaults) are processed in
-    chunks of at most `_CHUNK_COMPARISONS` voter comparisons.
+    `_column_chunks`, so the transient memory is O(n * m * chunk) and no
+    m x m table is ever built; only the m-entry result is cached.
     """
-    _require_voter_count(problem, rule)
-    _require_simple_majority_for_override(problem, rule)
+    _require_rule(problem, rule)
     cached = problem._phi_tables.get(rule)
     if cached is not None:
         return cached
-    m = problem.num_policies
-    voters, setter = problem._ranks[:-1], problem._ranks[-1]
-    override = problem.majority_override is not None
-    width = max(1, _CHUNK_COMPARISONS // (m if override else m * problem.n))
+    setter = problem._ranks[-1]
+    defaults = np.arange(problem.num_policies)
     table = []
-    for start in range(0, m, width):
-        cols = slice(start, start + width)
-        if override:
-            wins = problem._beats[:, cols]
-        else:
-            wins = _coalition_holds(rule, voters[:, :, None] > voters[:, None, cols])
-        better = wins & (setter[:, None] > setter[None, cols])
+    for cols in _column_chunks(problem):
+        better = _wins(problem, rule, cols) & (setter[:, None] > setter[None, cols])
         # argmax keeps the first of equal maxima: the lowest index
         best = np.where(better, setter[:, None], -1).argmax(axis=0)
-        table.extend(np.where(better.any(axis=0), best, np.arange(start, start + best.size))
-                     .tolist())
+        table.extend(np.where(better.any(axis=0), best, defaults[cols]).tolist())
     problem._phi_tables[rule] = table = tuple(table)
     return table
 
@@ -468,7 +462,8 @@ def acceptance_set(problem: CollectiveChoiceProblem, rule: VotingRule,
     problem.check_policy(x)
     if mode not in ("strict", "weak", "almost_strict"):
         raise ValidationError(f"unknown acceptance mode {mode!r}")
-    accepted = _winners(problem, rule, x, weak=(mode == "weak"))
+    _require_rule(problem, rule)
+    accepted = _wins(problem, rule, slice(x, x + 1), weak=(mode == "weak"))[:, 0]
     if mode == "almost_strict":
         accepted[x] = True
     return frozenset(np.flatnonzero(accepted).tolist())
@@ -546,7 +541,7 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         raise UnsupportedCombinationError(
             "uniform_margin needs utility-consistent majorities; "
             "relation overrides carry no gain information")
-    _require_voter_count(problem, rule)
+    _require_rule(problem, rule)
 
     top = problem.setter_max
     gamma = tuple(x for x in range(problem.num_policies)

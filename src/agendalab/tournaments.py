@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, TournamentSpec
 
@@ -23,19 +25,15 @@ def derive_tournament(problem: CollectiveChoiceProblem) -> TournamentSpec:
     Requires completeness: every pair must be strictly resolved, which
     holds under gfa (odd voters, strict preferences).
     """
-    m = problem.num_policies
-    edges = []
-    for x in range(m):
-        for y in range(x + 1, m):
-            if problem.strictly_majority_preferred(x, y):
-                edges.append((x, y))
-            elif problem.strictly_majority_preferred(y, x):
-                edges.append((y, x))
-            else:
-                raise ValidationError(
-                    f"majority ties on pair ({problem.policies[x]}, "
-                    f"{problem.policies[y]}); no tournament")
-    return TournamentSpec.from_edges(m, edges)
+    majority = problem._majority
+    # unresolved pairs x < y, in (x, y) order
+    tied = np.argwhere(np.triu(~(majority | majority.T), 1))
+    if tied.size:
+        x, y = tied[0].tolist()
+        raise ValidationError(
+            f"majority ties on pair ({problem.policies[x]}, "
+            f"{problem.policies[y]}); no tournament")
+    return TournamentSpec.from_edges(problem.num_policies, np.argwhere(majority).tolist())
 
 
 def _ranking_utilities(ranking, m: int) -> tuple[Fraction, ...]:

@@ -2,16 +2,18 @@
 
 `SpatialProfile.utility`, `build_grid` and `audit_dp_axioms` evaluate
 utilities once, as exact integers, and `spatial_witness` builds its
-improvement on integer numerators.  Acceptance sets, the improvement
-correspondence, favorite improvements, improvability and the
-unimprovable set read a problem's dense per-row ranks, and the uniform
-margin its scaled integers.  The reference implementations below are
-the earlier `Fraction` versions: every utility is a `Fraction`
-expression, the tie audit sorts `Fraction` keys, the axiom audit
-compares `Fraction` utilities pairwise, and every improvement query
-scans voters and policies in Python loops.  Results must match exactly:
-points, utilities, attempt counts, genericity errors, violations in the
-same order, policy sets, witnesses, certificates and margins.
+improvement on integer numerators.  The pairwise relation `_wins`, the
+strict majority relation, support masks, margins, acceptance sets, the
+improvement correspondence, favorite improvements, improvability and
+the unimprovable set read a problem's dense per-row ranks, and the
+uniform margin its scaled integers.  The reference implementations
+below are the earlier `Fraction` versions: every utility is a
+`Fraction` expression, the tie audit sorts `Fraction` keys, the axiom
+audit compares `Fraction` utilities pairwise, and every pairwise or
+improvement query scans voters and policies in Python loops.  Results
+must match exactly: points, utilities, attempt counts, genericity
+errors, violations in the same order, relations, voter masks, policy
+sets, witnesses, certificates and margins.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from agendalab import (
 )
 from agendalab.distributions import AxiomViolation
 from agendalab.grids import GridBuildResult
+from agendalab.problems import _wins
 from agendalab.spatial import ImprovementTrace
 
 F = Fraction
@@ -620,6 +623,36 @@ def test_axiom_audit_matches_fraction_reference(problem):
 # improvement queries: references (Fraction scans over voters and policies)
 
 
+def ref_support_mask(problem, y, x, weak=False):
+    mask = 0
+    for i, row in enumerate(problem.voter_utilities):
+        if row[y] > row[x] or (weak and row[y] == row[x]):
+            mask |= 1 << i
+    return mask
+
+
+def ref_margin(problem, x, y):
+    ahead = behind = 0
+    for row in problem.voter_utilities:
+        if row[x] > row[y]:
+            ahead += 1
+        elif row[y] > row[x]:
+            behind += 1
+    return ahead - behind
+
+
+def ref_wins(problem, rule, y, x, weak=False):
+    if problem.majority_override is not None:
+        return problem.majority_override.beats(y, x) or (weak and y == x)
+    return rule.wins(ref_support_mask(problem, y, x, weak))
+
+
+def ref_majority(problem, y, x):
+    if problem.majority_override is not None:
+        return problem.majority_override.beats(y, x)
+    return 2 * ref_support_mask(problem, y, x).bit_count() > problem.n
+
+
 def ref_acceptance_set(problem, rule, x, mode):
     if problem.majority_override is not None:
         strict = frozenset(y for y in range(problem.num_policies)
@@ -629,7 +662,7 @@ def ref_acceptance_set(problem, rule, x, mode):
     for y in range(problem.num_policies):
         if mode == "strict" and y == x:
             continue
-        if rule.wins(problem.support_mask(y, x, weak=(mode == "weak"))):
+        if rule.wins(ref_support_mask(problem, y, x, weak=(mode == "weak"))):
             members.append(y)
     out = frozenset(members)
     return out | {x} if mode == "almost_strict" else out
@@ -647,13 +680,13 @@ def ref_is_improvable(problem, rule, x):
             if problem.majority_override.beats(y, x):
                 best = y
             continue
-        if rule.wins(problem.support_mask(y, x)):
+        if rule.wins(ref_support_mask(problem, y, x)):
             best = y
     if best is None:
         return None
     coalition = None
     if problem.majority_override is None:
-        gainers = problem.support_mask(best, x)
+        gainers = ref_support_mask(problem, best, x)
         if rule.quota is not None:
             coalition = frozenset(sorted(i for i in range(rule.n)
                                          if (gainers >> i) & 1)[:rule.quota])
@@ -738,11 +771,15 @@ big_levels = st.builds(F, st.integers(-2**90, 2**90), st.sampled_from((1, 3, 2**
 
 
 @st.composite
-def choice_problems(draw):
-    """A problem and a rule valid for it: quota, explicit or override."""
+def choice_problems(draw, voters=st.integers(1, 5), override_voters=st.sampled_from((1, 3, 5))):
+    """A problem and a rule for it: quota, explicit or override.
+
+    An override problem gets the strict-majority quota rule; it is the
+    simple-majority rule unless `override_voters` draws an even count.
+    """
     m = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(("quota", "explicit", "override")))
-    n = draw(st.sampled_from((1, 3, 5)) if kind == "override" else st.integers(1, 5))
+    n = draw(override_voters if kind == "override" else voters)
     # entries drawn from a few levels tie often; from many, rarely
     levels = draw(st.lists(draw(st.sampled_from((small_levels, big_levels))),
                            min_size=1, max_size=m + 2))
@@ -757,7 +794,7 @@ def choice_problems(draw):
                                       voter_utilities=voters, setter_utilities=draw(row),
                                       majority_override=override)
     if kind == "override":
-        rule = VotingRule.simple_majority(n)
+        rule = VotingRule.quota_rule(n, n // 2 + 1)
     elif kind == "quota":
         rule = VotingRule.quota_rule(n, draw(st.integers(1, n)))
     else:
@@ -774,6 +811,33 @@ def test_improvement_queries_match_fraction_reference(case, chunk):
     problem, rule = case
     with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
         assert_queries_match_reference(problem, rule)
+
+
+@SETTINGS
+@given(choice_problems(voters=st.integers(1, 11), override_voters=st.integers(1, 6)),
+       st.sampled_from((1, 5, 2**16)), st.data())
+def test_pairwise_relation_matches_fraction_reference(case, chunk, data):
+    # `_wins` blocks on arbitrary column slices, and everything read from
+    # ranks: the cached strict majority, support masks (over more than
+    # eight voters, so past one byte of packed bits) and margins
+    problem, rule = case
+    m = problem.num_policies
+    start, stop = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    cols = slice(start, stop, data.draw(st.integers(1, 3)))
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        for weak in (False, True):
+            assert _wins(problem, rule, cols, weak).tolist() == [
+                [ref_wins(problem, rule, y, x, weak) for x in range(m)[cols]]
+                for y in range(m)]
+        assert problem._majority.tolist() == [[ref_majority(problem, y, x) for x in range(m)]
+                                             for y in range(m)]
+    for y in range(m):
+        for x in range(m):
+            assert problem.strictly_majority_preferred(y, x) == ref_majority(problem, y, x)
+            assert problem.margin(y, x) == ref_margin(problem, y, x)
+            for weak in (False, True):
+                assert problem.support_mask(y, x, weak) == ref_support_mask(
+                    problem, y, x, weak)
 
 
 def _scaled(problem, factor, offset):

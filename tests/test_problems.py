@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,14 @@ from agendalab import (
     majority_compare,
     phi_iterates,
     phi_or,
+    reachability,
     uniform_margin,
     unimprovable_set,
 )
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_realized
+from agendalab.problems import MajorityComparison
+from agendalab.tournaments import derive_tournament
 
 
 def idx(problem, label):
@@ -204,6 +208,66 @@ def test_override_relation_wins_but_margin_counts_utilities(blocked):
     assert report.margin == -1
 
 
+def _two_voter_problem(override=None):
+    # the two voters split 1-1 on every pair of policies
+    return CollectiveChoiceProblem(
+        policies=("a", "b", "c"),
+        voter_utilities=((Fraction(1), Fraction(2), Fraction(3)),
+                         (Fraction(3), Fraction(2), Fraction(1))),
+        setter_utilities=(Fraction(1), Fraction(2), Fraction(3)),
+        majority_override=override)
+
+
+def test_even_voter_override_relation_is_the_tournament():
+    # an override fixes the strict majority relation at any voter count;
+    # only rule-level queries insist on a simple-majority rule
+    cycle = TournamentSpec.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    problem = _two_voter_problem(cycle)
+    assert [[problem.strictly_majority_preferred(y, x) for x in range(3)]
+            for y in range(3)] == [[False, True, False],
+                                   [False, False, True],
+                                   [True, False, False]]
+    reports = [reachability(problem, x, "reachable") for x in range(3)]
+    assert [(r.members, r.best_for_setter, r.witness_chain) for r in reports] == [
+        ({0, 1, 2}, 2, (0, 2)), ({0, 1, 2}, 2, (1, 0, 2)), ({0, 1, 2}, 2, (2,))]
+    assert majority_compare(problem, 0, 1) == MajorityComparison("x_strict", 0)
+    assert majority_compare(problem, 0, 2) == MajorityComparison("y_strict", 0)
+    assert derive_tournament(problem) == cycle
+    with pytest.raises(UnsupportedCombinationError):
+        acceptance_set(problem, VotingRule.quota_rule(2, 2), 0, "strict")
+
+
+def test_even_voter_split_resolves_no_pair():
+    problem = _two_voter_problem()
+    assert not any(problem.strictly_majority_preferred(y, x)
+                   for x in range(3) for y in range(3))
+    for x in range(3):
+        for y in range(3):
+            assert majority_compare(problem, x, y) == MajorityComparison("neither", 0)
+        assert reachability(problem, x, "reachable").members == {x}
+    with pytest.raises(ValidationError) as err:
+        derive_tournament(problem)
+    assert str(err.value) == "majority ties on pair (a, b); no tournament"
+
+
+def test_derive_tournament_names_first_tied_pair():
+    # four voters: a strict majority needs three; only (a, d) and (b, c) tie,
+    # and (a, d) comes first in (x, y) order although (b, c) closes first
+    rows = ((3, 1, 2, 0), (2, 0, 1, 3), (3, 1, 0, 2), (0, 2, 1, 3))
+    problem = CollectiveChoiceProblem(
+        policies=("a", "b", "c", "d"),
+        voter_utilities=tuple(tuple(Fraction(u) for u in row) for row in rows),
+        setter_utilities=(Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
+    assert [[problem.strictly_majority_preferred(y, x) for x in range(4)]
+            for y in range(4)] == [[False, True, True, False],
+                                   [False, False, False, False],
+                                   [False, False, False, False],
+                                   [False, True, True, False]]
+    with pytest.raises(ValidationError) as err:
+        derive_tournament(problem)
+    assert str(err.value) == "majority ties on pair (a, d); no tournament"
+
+
 # ---------------------------------------------------------------------------
 # acceptance sets
 
@@ -290,6 +354,27 @@ def test_fast_paths_match_reference_scan():
                                 for y in range(70)))
     assert fast == slow == frozenset(x for x in range(70)
                                      if is_improvable(problem, rule, x) is None)
+
+
+def test_improvement_queries_never_build_a_policy_by_policy_table():
+    # phi and manipulability take the relation in column chunks: their
+    # transient memory is O(n * m * chunk), far below the m**2 bytes that
+    # only the cached strict majority relation may spend
+    m = 3001
+    problem = gen_random_gfa(m, 5, seed=3)
+    problem._ranks                              # compiled outside the trace
+    tracemalloc.start()
+    try:
+        report = is_manipulable(problem, VotingRule.simple_majority(5))
+        _, phi_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        problem._majority
+        _, majority_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.blocking                      # the whole table was scanned
+    assert phi_peak < m * m // 8
+    assert m * m <= majority_peak < m * m + m * m // 8
 
 
 # ---------------------------------------------------------------------------
