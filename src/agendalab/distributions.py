@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def pork_barrel_problem(projects, m: int, n: int,
                 (bs, cs)
                 for bs in _compositions(b_units, players)
                 for cs in _compositions(c_units, players)])
-        for combo in _product(split_lists):
+        for combo in product(*split_lists):
             util = [Fraction(0)] * players
             parts = []
             for k, (bs, cs) in zip(chosen, combo):
@@ -152,15 +153,6 @@ def pork_barrel_problem(projects, m: int, n: int,
     setter = tuple(row[n] for row in rows)
     return CollectiveChoiceProblem(policies=tuple(labels), voter_utilities=voters,
                                    setter_utilities=setter)
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -163,17 +163,18 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
     if rounds < 1:
         raise ValidationError("need at least one round")
 
+    table = _phi_table(problem, rule)
+    ranks = problem._ranks.tolist()
+
     @lru_cache(maxsize=None)
     def power(x: int, k: int) -> int:
-        if k == 0:
-            return x
-        return favorite_improvement(problem, rule, power(x, k - 1))
+        return problem.check_policy(x) if k == 0 else table[power(x, k - 1)]
 
     def propose(t, x):
         return (power(x, 1), False)
 
     def vote(i, t, x, a):
-        row = problem.voter_utilities[i]
+        row = ranks[i]
         return row[power(a, rounds - t)] >= row[power(x, rounds - t)]
 
     return StrategyProfile(horizon=rounds, propose=propose, vote=vote,

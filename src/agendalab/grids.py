@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional
 
-from .distributions import _compositions
+from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem
 from .rationals import scaled_numerators
@@ -212,9 +212,7 @@ def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitte
     # smallest m with (11/(10m))^2 * players < epsilon^2
     m = isqrt(_ceil_div(121 * n_players * epsilon.denominator**2,
                         100 * epsilon.numerator**2)) + 1
-    total = 1
-    for i in range(1, n_players):
-        total = total * (m + i) // i
+    total = _count_compositions(m, n_players)
     if total > max_points:
         raise BudgetExceededError("simplex grid would exceed the point budget",
                                   required=total, budget=max_points)

@@ -125,19 +125,6 @@ class DeviationReport:
     violations: tuple[Violation, ...]
 
 
-def _vote_mask(problem, accept_out: int, reject_out: int) -> int:
-    """Voters approving when acceptance leads to accept_out, rejection to reject_out.
-
-    With identical continuations everyone is indifferent and votes yes.
-    Otherwise each voter backs the strictly preferred continuation; the
-    problems this solver accepts have strict preferences, so that
-    covers every voter.
-    """
-    if accept_out == reject_out:
-        return (1 << problem.n) - 1
-    return problem.support_mask(accept_out, reject_out)
-
-
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     """Backward induction over (round, default) states.
 
@@ -145,7 +132,8 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     unique and vote profiles are pinned down; problems with indifference
     belong to `verify_profile`.  Proposal ties for the setter break to
     the lowest (policy, adjourn) pair, which cannot affect the outcome
-    under gfa.
+    under gfa.  Each voter backs the strictly preferred continuation;
+    identical continuations get a unanimous yes.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -161,31 +149,30 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
+    setter = problem._ranks[-1].tolist()
+    everyone = (1 << problem.n) - 1
     value: dict[tuple[int, int], int] = {}
-    chosen: dict[tuple[int, int], tuple[int, bool]] = {}
+    chosen: dict[tuple[int, int], tuple[int, bool, int]] = {}   # action, approvers
     for x in range(m):
         value[(game.horizon + 1, x)] = x
     for t in range(game.horizon, 0, -1):
         for x in range(m):
             reject_out = value[(t + 1, x)]
-            best = None   # (outcome, proposal, adjourn)
+            best = None   # (outcome, proposal, adjourn, approvers)
             for a, adjourn in sorted(game.feasible(t, x)):
                 accept_out = a if adjourn else value[(t + 1, a)]
-                mask = _vote_mask(problem, accept_out, reject_out)
+                mask = (everyone if accept_out == reject_out
+                        else problem.support_mask(accept_out, reject_out))
                 result = accept_out if game.rule.wins(mask) else reject_out
-                if best is None or (problem.setter_utilities[result]
-                                    > problem.setter_utilities[best[0]]):
-                    best = (result, a, adjourn)
+                if best is None or setter[result] > setter[best[0]]:
+                    best = (result, a, adjourn, mask)
             value[(t, x)] = best[0]
-            chosen[(t, x)] = (best[1], best[2])
+            chosen[(t, x)] = best[1:]
 
     trace = []
     t, x = 1, game.initial_default
     while t <= game.horizon:
-        a, adjourn = chosen[(t, x)]
-        reject_out = value[(t + 1, x)]
-        accept_out = a if adjourn else value[(t + 1, a)]
-        mask = _vote_mask(problem, accept_out, reject_out)
+        a, adjourn, mask = chosen[(t, x)]
         passed = game.rule.wins(mask)
         trace.append(TraceStep(
             round=t, default=x, proposal=a, adjourn=adjourn,
@@ -202,29 +189,36 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
 # profile verification
 
 
-def _profile_vote_actions(game, t, x):
-    """Feasible actions, requiring one flag per policy so votes are unambiguous."""
-    actions = game.feasible(t, x)
+def _approvers(vote, n: int, t: int, x: int, a: int) -> int:
+    """Bitmask of the voters whose `vote` approves proposal a at (t, x)."""
+    return sum(1 << i for i in range(n) if vote(i, t, x, a))
+
+
+def _single_flags(actions, t: int, x: int) -> dict[int, bool]:
+    """Adjournment flag of each offered policy, first offer first; a policy
+    offered with both flags would make its votes ambiguous."""
     flags: dict[int, bool] = {}
     for a, adjourn in actions:
-        if a in flags and flags[a] != adjourn:
+        if flags.setdefault(a, adjourn) != adjourn:
             raise ValidationError(
                 "verify_profile needs each policy offered with a single adjournment "
                 f"flag; policy {a} at (round {t}, default {x}) has both")
-        flags[a] = adjourn
-    return actions
+    return flags
 
 
 def verify_profile(game: GameSpec, profile: StrategyProfile,
                    budget: int = 5_000_000) -> DeviationReport:
     """One-shot deviation audit of a tabulated profile.
 
-    Walks every reachable (round, default) state, computes continuation
-    outcomes under the profile, then checks (a) every feasible proposal
+    Reads the profile once: one proposal per reachable (round, default)
+    state and one vote per voter and offered policy there.  Continuation
+    outcomes under the profile then give (a) every feasible proposal
     deviation for the setter and (b) the as-if-pivotal convention for
     every voter at every (state, proposal): a strict preference between
     the acceptance and rejection continuations must be voted.  Partial
-    profiles raise a validation error listing the missing states.
+    profiles raise a validation error listing the missing states, and so
+    does a proposal the protocol does not offer at its state (an
+    unoffered policy, or an offered one with the other adjournment flag).
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -234,97 +228,91 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
         raise ValidationError(
             f"profile horizon {profile.horizon} != game horizon {game.horizon}")
 
-    # reachable defaults per round: a failed vote keeps the default, a passed
-    # non-adjourning proposal installs it, a passed adjourning one ends play
-    reach: list[set[int]] = [set() for _ in range(game.horizon + 2)]
-    reach[1] = {game.initial_default}
+    # feasible actions of every reachable (round, default) state, round by
+    # round: a failed vote keeps the default, a passed non-adjourning
+    # proposal installs it, a passed adjourning one ends play
+    actions: dict[tuple[int, int], tuple] = {}
+    reach = {game.initial_default}
     for t in range(1, game.horizon + 1):
-        nxt = set()
-        for x in reach[t]:
-            nxt.add(x)
-            for a, adjourn in game.feasible(t, x):
-                if not adjourn:
-                    nxt.add(a)
-        reach[t + 1] = nxt
+        successors = set(reach)
+        for x in sorted(reach):
+            actions[(t, x)] = game.feasible(t, x)
+            successors.update(a for a, adjourn in actions[(t, x)] if not adjourn)
+        reach = successors
 
-    work = sum(len(reach[t]) for t in range(1, game.horizon + 1)) \
-        * problem.num_policies * (problem.n + 1)
+    work = len(actions) * problem.num_policies * (problem.n + 1)
     if work > budget:
         raise BudgetExceededError("profile verification too large",
                                   required=work, budget=budget)
 
     missing: list[tuple] = []
-    for t in range(1, game.horizon + 1):
-        for x in sorted(reach[t]):
-            try:
-                profile.propose(t, x)
-            except KeyError:
-                missing.append(("proposer", t, x))
-            for a, _ in _profile_vote_actions(game, t, x):
-                for i in range(problem.n):
-                    try:
-                        profile.vote(i, t, x, a)
-                    except KeyError:
-                        missing.append((f"voter {i + 1}", t, x, a))
+
+    def vote(i, t, x, a):
+        try:
+            return profile.vote(i, t, x, a)
+        except KeyError:
+            missing.append((f"voter {i + 1}", t, x, a))
+            return False
+
+    proposal: dict[tuple[int, int], tuple[int, bool]] = {}
+    offers: dict[tuple[int, int], dict[int, bool]] = {}
+    votes: dict[tuple[int, int, int], int] = {}
+    for (t, x), offered in actions.items():
+        try:
+            a, adjourn = profile.propose(t, x)
+        except KeyError:
+            missing.append(("proposer", t, x))
+        else:
+            if (a, adjourn) not in offered:
+                raise ValidationError(
+                    f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
+                    f"at (round {t}, default {x}), which protocol "
+                    f"{game.protocol_name!r} does not offer")
+            proposal[(t, x)] = a, adjourn
+        offers[(t, x)] = _single_flags(offered, t, x)
+        for a in offers[(t, x)]:
+            votes[(t, x, a)] = _approvers(vote, problem.n, t, x, a)
     if missing:
         raise ValidationError(f"profile not total on reachable states; missing: "
                               f"{missing[:20]}{'...' if len(missing) > 20 else ''}")
 
-    cont: dict[tuple[int, int], int] = {}
+    # outcome of play from each state; later rounds first
+    cont = {(game.horizon + 1, y): y for y in range(problem.num_policies)}
+    for t, x in reversed(actions):
+        a, adjourn = proposal[(t, x)]
+        passed = game.rule.wins(votes[(t, x, a)])
+        cont[(t, x)] = a if passed and adjourn else cont[(t + 1, a if passed else x)]
 
-    def play(t: int, x: int) -> int:
-        if t > game.horizon:
-            return x
-        key = (t, x)
-        if key in cont:
-            return cont[key]
-        a, adjourn = profile.propose(t, x)
-        mask = 0
-        for i in range(problem.n):
-            if profile.vote(i, t, x, a):
-                mask |= 1 << i
-        if game.rule.wins(mask):
-            out = a if adjourn else play(t + 1, a)
-        else:
-            out = play(t + 1, x)
-        cont[key] = out
-        return out
-
+    setter = problem._ranks[-1].tolist()
     violations: list[Violation] = []
-    for t in range(1, game.horizon + 1):
-        for x in sorted(reach[t]):
-            on_path_out = play(t, x)
-            reject_out = play(t + 1, x)
-            for a, adjourn in _profile_vote_actions(game, t, x):
-                accept_out = a if adjourn else play(t + 1, a)
-                mask = 0
-                for i in range(problem.n):
-                    if profile.vote(i, t, x, a):
-                        mask |= 1 << i
-                # setter: one-shot proposal deviation under fixed voting
-                dev_out = accept_out if game.rule.wins(mask) else reject_out
-                gain = problem.setter_utilities[dev_out] - problem.setter_utilities[on_path_out]
-                if gain > 0:
-                    violations.append(Violation(
-                        player="setter", round=t, default=x, proposal=a,
-                        deviation=f"propose {problem.policies[a]}"
-                                  f"{' with adjournment' if adjourn else ''}",
-                        gain=gain))
-                # voters: as-if-pivotal convention between the two continuations
-                for i in range(problem.n):
-                    row = problem.voter_utilities[i]
-                    stake = row[accept_out] - row[reject_out]
-                    votes_yes = bool((mask >> i) & 1)
-                    if stake > 0 and not votes_yes:
-                        violations.append(Violation(
-                            player=f"voter {i + 1}", round=t, default=x, proposal=a,
-                            deviation="must approve strictly preferred continuation",
-                            gain=stake))
-                    elif stake < 0 and votes_yes:
-                        violations.append(Violation(
-                            player=f"voter {i + 1}", round=t, default=x, proposal=a,
-                            deviation="must reject strictly dispreferred continuation",
-                            gain=-stake))
+    for (t, x), flags in offers.items():
+        on_path_out = cont[(t, x)]
+        reject_out = cont[(t + 1, x)]
+        for a, adjourn in flags.items():
+            accept_out = a if adjourn else cont[(t + 1, a)]
+            approvers = votes[(t, x, a)]
+            # setter: one-shot proposal deviation under fixed voting
+            dev_out = accept_out if game.rule.wins(approvers) else reject_out
+            if setter[dev_out] > setter[on_path_out]:
+                violations.append(Violation(
+                    player="setter", round=t, default=x, proposal=a,
+                    deviation=f"propose {problem.policies[a]}"
+                              f"{' with adjournment' if adjourn else ''}",
+                    gain=problem.setter_utilities[dev_out]
+                    - problem.setter_utilities[on_path_out]))
+            # voters: as-if-pivotal convention between the two continuations
+            wrong = ((problem.support_mask(accept_out, reject_out) & ~approvers)
+                     | (problem.support_mask(reject_out, accept_out) & approvers))
+            while wrong:
+                i = (wrong & -wrong).bit_length() - 1
+                wrong &= wrong - 1
+                row = problem.voter_utilities[i]
+                stake = row[accept_out] - row[reject_out]
+                violations.append(Violation(
+                    player=f"voter {i + 1}", round=t, default=x, proposal=a,
+                    deviation="must approve strictly preferred continuation" if stake > 0
+                    else "must reject strictly dispreferred continuation",
+                    gain=abs(stake)))
     return DeviationReport(profile_valid=not violations, violations=tuple(violations))
 
 
@@ -333,11 +321,7 @@ def play_out(game: GameSpec, profile: StrategyProfile) -> int:
     t, x = 1, game.initial_default
     while t <= game.horizon:
         a, adjourn = profile.propose(t, x)
-        mask = 0
-        for i in range(game.problem.n):
-            if profile.vote(i, t, x, a):
-                mask |= 1 << i
-        if game.rule.wins(mask):
+        if game.rule.wins(_approvers(profile.vote, game.problem.n, t, x, a)):
             if adjourn:
                 return a
             x = a

@@ -16,8 +16,8 @@ utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets, the favorite-improvement table and the cached strict
 majority `_majority` are read from its blocks, and support masks and
-margins count rank columns.  The oracle still votes per voter through
-`support_mask` and never reads the favorite-improvement table.  Only
+margins count rank columns.  The oracle votes through `support_mask`
+and never reads the favorite-improvement table.  Only
 the uniform margin reads the scaled integers themselves.
 """
 
@@ -285,16 +285,21 @@ class CollectiveChoiceProblem:
         return {}
 
     @cached_property
+    def _majority_rule(self) -> VotingRule:
+        """Quota n//2 + 1: more than half of the voters, at any voter count
+        (an override problem reads its tournament whatever the count)."""
+        return VotingRule.quota_rule(self.n, self.n // 2 + 1)
+
+    @cached_property
     def _majority(self) -> np.ndarray:
         """[y, x]: more than half of the voters strictly prefer y to x, or
         the override says y beats x (at any voter count).  Built from
         `_wins` in column chunks, O(n * m * chunk) transient memory; the
         cache itself costs m**2 bytes."""
         m = self.num_policies
-        rule = VotingRule.quota_rule(self.n, self.n // 2 + 1)
         out = np.empty((m, m), dtype=bool)
         for cols in _column_chunks(self):
-            out[:, cols] = _wins(self, rule, cols)
+            out[:, cols] = _wins(self, self._majority_rule, cols)
         out.flags.writeable = False
         return out
 
@@ -313,8 +318,9 @@ class CollectiveChoiceProblem:
                    - np.count_nonzero(voters[:, y] > voters[:, x]))
 
     def strictly_majority_preferred(self, y: int, x: int) -> bool:
-        """True iff y beats x under the strict majority relation."""
-        return bool(self._majority[y, x])
+        """True iff y beats x under the strict majority relation `_majority`;
+        reads one `_wins` column, O(n * m), and never builds the table."""
+        return bool(_wins(self, self._majority_rule, slice(x, x + 1))[y, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +380,8 @@ def majority_compare(problem: CollectiveChoiceProblem, x: int, y: int) -> Majori
     problem.check_policy(y)
     if x == y:
         return MajorityComparison("neither", 0)
-    majority = problem._majority
-    result = "x_strict" if majority[x, y] else "y_strict" if majority[y, x] else "neither"
+    result = ("x_strict" if problem.strictly_majority_preferred(x, y)
+              else "y_strict" if problem.strictly_majority_preferred(y, x) else "neither")
     return MajorityComparison(result, problem.margin(x, y))
 
 

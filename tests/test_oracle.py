@@ -206,3 +206,54 @@ def test_play_out_matches_iterates(cycle, rule3):
     profile = simple_equilibrium_profile(cycle, rule3, 3)
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
     assert play_out(game, profile) == phi_iterates(cycle, rule3, z, 3)[-1]
+
+
+def _stall_only_protocol(rounds, m):
+    return CustomProtocol(label="stall", table={
+        (t, x): ((x, False),) for t in range(1, rounds + 1) for x in range(m)})
+
+
+def test_verify_refuses_unoffered_proposal_from_tables(cycle, rule3):
+    # total on every reachable state, but round 1 proposes a policy the
+    # protocol does not offer there; play would leave the tabulated states
+    game = GameSpec(problem=cycle, rule=rule3, horizon=2, initial_default=0,
+                    protocol=_stall_only_protocol(2, 4))
+    profile = StrategyProfile.from_tables(
+        horizon=2, proposer_table={(1, 0): (2, False), (2, 0): (0, False)},
+        voter_tables=[{(1, 0, 0): True, (1, 0, 2): True, (2, 0, 0): True}] * 3)
+    with pytest.raises(ValidationError,
+                       match=r"policy 2 at \(round 1, default 0\), which protocol "
+                             r"'stall' does not offer"):
+        verify_profile(game, profile)
+
+
+def test_verify_refuses_unoffered_proposal_from_callables(cycle, rule3):
+    game = GameSpec(problem=cycle, rule=rule3, horizon=2, initial_default=0,
+                    protocol=_stall_only_protocol(2, 4))
+    profile = StrategyProfile(
+        horizon=2, propose=lambda t, x: (2, False) if (t, x) == (1, 0) else (x, False),
+        vote=lambda i, t, x, a: True)
+    with pytest.raises(ValidationError, match=r"policy 2 at \(round 1, default 0\)"):
+        verify_profile(game, profile)
+
+
+def test_verify_reads_each_profile_entry_once(cycle, rule3):
+    base = simple_equilibrium_profile(cycle, rule3, 3)
+    proposals, ballots = {}, {}
+
+    def propose(t, x):
+        proposals[(t, x)] = proposals.get((t, x), 0) + 1
+        return base.propose(t, x)
+
+    def vote(i, t, x, a):
+        ballots[(i, t, x, a)] = ballots.get((i, t, x, a), 0) + 1
+        return base.vote(i, t, x, a)
+
+    z = cycle.policy_index("z")
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
+    report = verify_profile(game, StrategyProfile(horizon=3, propose=propose, vote=vote))
+    assert report.profile_valid
+    # amendment offers every policy, so every default is reachable after round 1
+    states = [(1, z)] + [(t, x) for t in (2, 3) for x in range(4)]
+    assert proposals == {state: 1 for state in states}
+    assert ballots == {(i, t, x, a): 1 for t, x in states for a in range(4) for i in range(3)}

@@ -1,0 +1,397 @@
+"""The oracle against its per-voter references.
+
+`ref_solve_spe`, `ref_verify_profile` and `ref_play_out` are the
+straightforward forms of the oracle: every vote is a per-voter
+`Fraction` comparison, and `ref_verify_profile` queries the profile
+anew in its totality scan, its continuation play and its audit.  The
+seeded property below draws problems with up to eleven voters, quota
+and explicit rules, every preset and random custom protocols, and
+profiles with flipped votes, setter deviations and missing entries,
+and requires the library to give the same reports, or the same error
+class and message.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from agendalab import (
+    AgendaLabError,
+    CollectiveChoiceProblem,
+    CustomProtocol,
+    GameSpec,
+    StrategyProfile,
+    ValidationError,
+    VotingRule,
+    favorite_improvement,
+    play_out,
+    simple_equilibrium_profile,
+    solve_spe,
+    verify_profile,
+)
+from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
+from agendalab.oracle import DeviationReport, SolveReport, TraceStep, Violation
+
+
+def ref_support_mask(problem, y, x):
+    mask = 0
+    for i, row in enumerate(problem.voter_utilities):
+        if row[y] > row[x]:
+            mask |= 1 << i
+    return mask
+
+
+def ref_vote_mask(problem, accept_out, reject_out):
+    if accept_out == reject_out:
+        return (1 << problem.n) - 1
+    return ref_support_mask(problem, accept_out, reject_out)
+
+
+def ref_solve_spe(game, budget=5_000_000):
+    problem = game.problem
+    if problem.majority_override is not None:
+        raise UnsupportedCombinationError(
+            "the oracle votes per voter; realize the override as an explicit "
+            "profile (e.g. a tournament realization) first")
+    if not problem.gfa:
+        raise ValidationError(
+            "solve_spe requires gfa; use verify_profile for problems with indifference")
+    m = problem.num_policies
+    work = game.horizon * m * (m + 1)
+    if work > budget:
+        raise BudgetExceededError("state space too large for the oracle",
+                                  required=work, budget=budget)
+
+    value, chosen = {}, {}
+    for x in range(m):
+        value[(game.horizon + 1, x)] = x
+    for t in range(game.horizon, 0, -1):
+        for x in range(m):
+            reject_out = value[(t + 1, x)]
+            best = None
+            for a, adjourn in sorted(game.feasible(t, x)):
+                accept_out = a if adjourn else value[(t + 1, a)]
+                mask = ref_vote_mask(problem, accept_out, reject_out)
+                result = accept_out if game.rule.wins(mask) else reject_out
+                if best is None or (problem.setter_utilities[result]
+                                    > problem.setter_utilities[best[0]]):
+                    best = (result, a, adjourn)
+            value[(t, x)] = best[0]
+            chosen[(t, x)] = (best[1], best[2])
+
+    trace = []
+    t, x = 1, game.initial_default
+    while t <= game.horizon:
+        a, adjourn = chosen[(t, x)]
+        reject_out = value[(t + 1, x)]
+        accept_out = a if adjourn else value[(t + 1, a)]
+        mask = ref_vote_mask(problem, accept_out, reject_out)
+        passed = game.rule.wins(mask)
+        trace.append(TraceStep(
+            round=t, default=x, proposal=a, adjourn=adjourn,
+            approvers=frozenset(i for i in range(problem.n) if (mask >> i) & 1),
+            passed=passed))
+        if passed and adjourn:
+            return SolveReport(outcome=a, value_table=value, pivotal_trace=tuple(trace))
+        x = a if passed else x
+        t += 1
+    return SolveReport(outcome=x, value_table=value, pivotal_trace=tuple(trace))
+
+
+def ref_profile_vote_actions(game, t, x):
+    actions = game.feasible(t, x)
+    flags = {}
+    for a, adjourn in actions:
+        if a in flags and flags[a] != adjourn:
+            raise ValidationError(
+                "verify_profile needs each policy offered with a single adjournment "
+                f"flag; policy {a} at (round {t}, default {x}) has both")
+        flags[a] = adjourn
+    return actions
+
+
+def ref_verify_profile(game, profile, budget=5_000_000):
+    problem = game.problem
+    if problem.majority_override is not None:
+        raise UnsupportedCombinationError(
+            "profiles are voted per voter; relation-override problems unsupported")
+    if profile.horizon != game.horizon:
+        raise ValidationError(
+            f"profile horizon {profile.horizon} != game horizon {game.horizon}")
+
+    reach = [set() for _ in range(game.horizon + 2)]
+    reach[1] = {game.initial_default}
+    for t in range(1, game.horizon + 1):
+        nxt = set()
+        for x in reach[t]:
+            nxt.add(x)
+            for a, adjourn in game.feasible(t, x):
+                if not adjourn:
+                    nxt.add(a)
+        reach[t + 1] = nxt
+
+    work = sum(len(reach[t]) for t in range(1, game.horizon + 1)) \
+        * problem.num_policies * (problem.n + 1)
+    if work > budget:
+        raise BudgetExceededError("profile verification too large",
+                                  required=work, budget=budget)
+
+    missing = []
+    for t in range(1, game.horizon + 1):
+        for x in sorted(reach[t]):
+            try:
+                profile.propose(t, x)
+            except KeyError:
+                missing.append(("proposer", t, x))
+            for a, _ in ref_profile_vote_actions(game, t, x):
+                for i in range(problem.n):
+                    try:
+                        profile.vote(i, t, x, a)
+                    except KeyError:
+                        missing.append((f"voter {i + 1}", t, x, a))
+    if missing:
+        raise ValidationError(f"profile not total on reachable states; missing: "
+                              f"{missing[:20]}{'...' if len(missing) > 20 else ''}")
+
+    cont = {}
+
+    def play(t, x):
+        if t > game.horizon:
+            return x
+        key = (t, x)
+        if key in cont:
+            return cont[key]
+        a, adjourn = profile.propose(t, x)
+        mask = 0
+        for i in range(problem.n):
+            if profile.vote(i, t, x, a):
+                mask |= 1 << i
+        if game.rule.wins(mask):
+            out = a if adjourn else play(t + 1, a)
+        else:
+            out = play(t + 1, x)
+        cont[key] = out
+        return out
+
+    violations = []
+    for t in range(1, game.horizon + 1):
+        for x in sorted(reach[t]):
+            on_path_out = play(t, x)
+            reject_out = play(t + 1, x)
+            for a, adjourn in ref_profile_vote_actions(game, t, x):
+                accept_out = a if adjourn else play(t + 1, a)
+                mask = 0
+                for i in range(problem.n):
+                    if profile.vote(i, t, x, a):
+                        mask |= 1 << i
+                dev_out = accept_out if game.rule.wins(mask) else reject_out
+                gain = problem.setter_utilities[dev_out] - problem.setter_utilities[on_path_out]
+                if gain > 0:
+                    violations.append(Violation(
+                        player="setter", round=t, default=x, proposal=a,
+                        deviation=f"propose {problem.policies[a]}"
+                                  f"{' with adjournment' if adjourn else ''}",
+                        gain=gain))
+                for i in range(problem.n):
+                    row = problem.voter_utilities[i]
+                    stake = row[accept_out] - row[reject_out]
+                    votes_yes = bool((mask >> i) & 1)
+                    if stake > 0 and not votes_yes:
+                        violations.append(Violation(
+                            player=f"voter {i + 1}", round=t, default=x, proposal=a,
+                            deviation="must approve strictly preferred continuation",
+                            gain=stake))
+                    elif stake < 0 and votes_yes:
+                        violations.append(Violation(
+                            player=f"voter {i + 1}", round=t, default=x, proposal=a,
+                            deviation="must reject strictly dispreferred continuation",
+                            gain=-stake))
+    return DeviationReport(profile_valid=not violations, violations=tuple(violations))
+
+
+def ref_play_out(game, profile):
+    t, x = 1, game.initial_default
+    while t <= game.horizon:
+        a, adjourn = profile.propose(t, x)
+        mask = 0
+        for i in range(game.problem.n):
+            if profile.vote(i, t, x, a):
+                mask |= 1 << i
+        if game.rule.wins(mask):
+            if adjourn:
+                return a
+            x = a
+        t += 1
+    return x
+
+
+def ref_simple_equilibrium_profile(problem, rule, rounds):
+    @lru_cache(maxsize=None)
+    def power(x, k):
+        if k == 0:
+            return x
+        return favorite_improvement(problem, rule, power(x, k - 1))
+
+    def propose(t, x):
+        return (power(x, 1), False)
+
+    def vote(i, t, x, a):
+        row = problem.voter_utilities[i]
+        return row[power(a, rounds - t)] >= row[power(x, rounds - t)]
+
+    return StrategyProfile(horizon=rounds, propose=propose, vote=vote)
+
+
+# ---------------------------------------------------------------------------
+# random cases
+
+
+def _outcome(call, *args, **kwargs):
+    """A report, or the error class and message."""
+    try:
+        return call(*args, **kwargs)
+    except (AgendaLabError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _problem(rng, n, m, gfa):
+    def row():
+        if gfa:
+            return tuple(Fraction(v, 3) for v in rng.sample(range(-m, 2 * m), m))
+        return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
+
+    return CollectiveChoiceProblem(
+        policies=tuple(f"p{k}" for k in range(m)),
+        voter_utilities=tuple(row() for _ in range(n)),
+        setter_utilities=row(), gfa=gfa)
+
+
+def _rule(rng, n):
+    kind = rng.choice(("majority", "quota", "explicit"))
+    if kind == "majority":
+        return VotingRule.quota_rule(n, n // 2 + 1)
+    if kind == "quota":
+        return VotingRule.quota_rule(n, rng.randint(1, n))
+    return VotingRule.explicit(n, [rng.sample(range(n), rng.randint(1, n))
+                                   for _ in range(rng.randint(1, 3))])
+
+
+def _protocol(rng, rounds, m):
+    name = rng.choice(("amendment", "successive", "open_rule", "custom", "custom"))
+    if name != "custom":
+        return name
+    table = {}
+    for t in range(1, rounds + 1):
+        for x in range(m):
+            if rng.random() < 0.03:
+                continue                          # a state with no feasible set
+            offered = rng.sample(range(m), rng.randint(1, m))
+            actions = [(a, rng.random() < 0.4) for a in offered]
+            if rng.random() < 0.03:
+                a, adjourn = actions[0]
+                actions.append((a, not adjourn))  # one policy offered with both flags
+            table[(t, x)] = tuple(actions)
+    return CustomProtocol(label=f"custom{rng.randrange(100)}", table=table)
+
+
+def _feasible_or_none(game, t, x):
+    try:
+        return game.feasible(t, x)
+    except ValidationError:
+        return None
+
+
+def _profile(rng, game, rule):
+    """Tables over every state the protocol defines: the simple equilibrium
+    profile's entries where it has them and they are offered, random ones
+    elsewhere, then flipped votes, setter deviations and missing entries."""
+    problem, rounds, m = game.problem, game.horizon, game.problem.num_policies
+    simple = (simple_equilibrium_profile(problem, rule, rounds)
+              if problem.gfa and rng.random() < 0.7 else None)
+    proposer, voters = {}, [{} for _ in range(problem.n)]
+    for t in range(1, rounds + 1):
+        for x in range(m):
+            offered = _feasible_or_none(game, t, x)
+            if not offered:
+                continue
+            choice = simple.propose(t, x) if simple else None
+            proposer[(t, x)] = choice if choice in offered else rng.choice(offered)
+            for a in range(m):
+                for i in range(problem.n):
+                    voters[i][(t, x, a)] = (simple.vote(i, t, x, a) if simple
+                                            else rng.random() < 0.5)
+    states = sorted(proposer)
+    if states:
+        for _ in range(rng.choice((0, 0, 1, 3))):     # flipped votes
+            t, x = rng.choice(states)
+            key = (t, x, rng.randrange(m))
+            voter = voters[rng.randrange(problem.n)]
+            voter[key] = not voter[key]
+        for _ in range(rng.choice((0, 0, 1, 2))):     # feasible setter deviations
+            t, x = rng.choice(states)
+            proposer[(t, x)] = rng.choice(game.feasible(t, x))
+        if rng.random() < 0.15:                       # missing entries
+            for _ in range(rng.randint(1, 3)):
+                t, x = rng.choice(states)
+                if rng.random() < 0.5:
+                    proposer.pop((t, x), None)
+                else:
+                    voters[rng.randrange(problem.n)].pop((t, x, rng.randrange(m)), None)
+    tabulated = StrategyProfile.from_tables(rounds, proposer, voters, label="random")
+    if rng.random() < 0.5:
+        return tabulated
+    # the same entries behind plain callables
+    return StrategyProfile(horizon=rounds, propose=tabulated.propose,
+                           vote=tabulated.vote)
+
+
+def _case(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 11)
+    m = rng.randint(1, 5)
+    rounds = rng.randint(1, 3)
+    gfa = n % 2 == 1 and rng.random() < 0.6
+    problem = _problem(rng, n, m, gfa)
+    rule = _rule(rng, n)
+    game = GameSpec(problem=problem, rule=rule, horizon=rounds,
+                    initial_default=rng.randrange(m),
+                    protocol=_protocol(rng, rounds, m))
+    return rng, game, rule
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_oracle_matches_per_voter_references(block):
+    reports = []
+    for seed in range(block * 250, block * 250 + 250):
+        rng, game, rule = _case(seed)
+        profile = _profile(rng, game, rule)
+        budget = rng.choice((5_000_000, 5_000_000, 5_000_000, 60))
+        verified = _outcome(verify_profile, game, profile, budget=budget)
+        assert verified == _outcome(ref_verify_profile, game, profile, budget=budget)
+        assert _outcome(play_out, game, profile) == _outcome(ref_play_out, game, profile)
+        assert _outcome(solve_spe, game) == _outcome(ref_solve_spe, game)
+        reports.append(verified)
+    # the draws reach valid profiles, violations and errors alike
+    assert any(isinstance(r, DeviationReport) and r.profile_valid for r in reports)
+    assert any(isinstance(r, DeviationReport) and not r.profile_valid for r in reports)
+    assert any(isinstance(r, tuple) for r in reports)
+
+
+def test_simple_equilibrium_profile_matches_reference():
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, m, rounds = rng.choice((1, 3, 5, 9, 11)), rng.randint(1, 6), rng.randint(1, 4)
+        problem = _problem(rng, n, m, gfa=True)
+        rule = _rule(rng, n)
+        profile = simple_equilibrium_profile(problem, rule, rounds)
+        reference = ref_simple_equilibrium_profile(problem, rule, rounds)
+        for t in range(1, rounds + 1):
+            for x in range(m):
+                assert profile.propose(t, x) == reference.propose(t, x)
+                for a in range(m):
+                    for i in range(n):
+                        assert profile.vote(i, t, x, a) == reference.vote(i, t, x, a)

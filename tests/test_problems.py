@@ -357,15 +357,19 @@ def test_fast_paths_match_reference_scan():
 
 
 def test_improvement_queries_never_build_a_policy_by_policy_table():
-    # phi and manipulability take the relation in column chunks: their
-    # transient memory is O(n * m * chunk), far below the m**2 bytes that
-    # only the cached strict majority relation may spend
+    # phi and manipulability take the relation in column chunks, and a
+    # single-pair majority query reads one column: their transient memory
+    # is O(n * m * chunk), far below the m**2 bytes that only the cached
+    # strict majority relation may spend
     m = 3001
     problem = gen_random_gfa(m, 5, seed=3)
     problem._ranks                              # compiled outside the trace
     tracemalloc.start()
     try:
         report = is_manipulable(problem, VotingRule.simple_majority(5))
+        pair = majority_compare(problem, 0, m - 1)
+        preferred = problem.strictly_majority_preferred(m - 1, 0)
+        assert "_majority" not in vars(problem)
         _, phi_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         problem._majority
@@ -374,6 +378,9 @@ def test_improvement_queries_never_build_a_policy_by_policy_table():
         tracemalloc.stop()
     assert report.blocking                      # the whole table was scanned
     assert phi_peak < m * m // 8
+    assert pair.margin == problem.margin(0, m - 1)
+    assert pair.result == ("x_strict" if problem._majority[0, m - 1] else "y_strict")
+    assert preferred == problem._majority[m - 1, 0]
     assert m * m <= majority_peak < m * m + m * m // 8
 
 

@@ -270,3 +270,21 @@ def _bad_input_argv(case, cycle_file, tmp_path):
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+def test_cli_oracle_verify_refuses_adjourning_proposal_under_amendment(
+        cycle_file, tmp_path, capsys):
+    cycle = majority_cycle_problem()
+    doc = profile_to_dict(simple_equilibrium_profile(cycle, VotingRule.simple_majority(3), 2),
+                          cycle)
+    # amendment offers no adjournment; round 1 at default z claims one
+    doc["proposer"] = [[t, x, a, adj or (t, x) == (1, "z")]
+                       for t, x, a, adj in doc["proposer"]]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code = main(["oracle", "verify", "--problem", cycle_file, "--default", "z",
+                 "--rounds", "2", "--profile", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "with adjournment at (round 1, default 3)" in err
+    assert "'amendment' does not offer" in err
