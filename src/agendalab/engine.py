@@ -117,6 +117,12 @@ class StrategyProfile:
     `vote(voter, t, x, proposal) -> bool`.  Table-backed profiles raise
     KeyError on missing states, which the oracle's verifier converts
     into a located validation error.
+
+    A vote carries no adjournment flag: it is the voter's vote on every
+    offer of `proposal` at (t, x).  Where the standing default x is
+    offered both without and with adjournment (the `open_rule` preset),
+    both offers share the vote on x; only the adjourning offer can end
+    play differently from a rejection.
     """
 
     horizon: int

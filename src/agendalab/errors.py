@@ -25,9 +25,15 @@ class UnsupportedCombinationError(ValidationError):
 
 
 class BudgetExceededError(AgendaLabError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration would exceed its configured budget.
+
+    The message ends with the numbers when they are known, e.g.
+    "(required 6,120,000, budget 5,000,000)".
+    """
 
     def __init__(self, message: str, required: int | None = None, budget: int | None = None):
+        if required is not None and budget is not None:
+            message = f"{message} (required {required:,}, budget {budget:,})"
         super().__init__(message)
         self.required = required
         self.budget = budget

@@ -5,7 +5,10 @@ tested against.  The solver runs backward induction over (round,
 default) states of the full extensive form: at each state every
 feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
-result.  Nothing here consults the improvement operators.
+result.  It does so for every default of a round at once, on arrays:
+one weak winning-coalition table (`_wins`) settles every vote, and
+every protocol, preset or custom, is read as one action mask per
+round.  Nothing here consults the improvement operators.
 
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
@@ -17,7 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from numbers import Integral
+from typing import Iterator, Optional, Union
+
+import numpy as np
 
 from .engine import StrategyProfile, phi_iterates
 from .errors import (
@@ -26,7 +32,7 @@ from .errors import (
     UnsupportedCombinationError,
     ValidationError,
 )
-from .problems import CollectiveChoiceProblem, VotingRule
+from .problems import CollectiveChoiceProblem, VotingRule, _column_chunks, _wins
 
 PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
 
@@ -72,6 +78,18 @@ class GameSpec:
                 f"rule is for {self.rule.n} voters, problem has {self.problem.n}")
         if isinstance(self.protocol, str) and self.protocol not in PRESET_PROTOCOLS:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
+        if isinstance(self.protocol, CustomProtocol):
+            m = self.problem.num_policies
+            for (t, x), actions in self.protocol.table.items():
+                for action in actions:
+                    pair = isinstance(action, (tuple, list)) and len(action) == 2
+                    a, adjourn = action if pair else (None, None)
+                    if not (isinstance(a, Integral) and 0 <= a < m
+                            and isinstance(adjourn, bool)):
+                        raise ValidationError(
+                            f"custom protocol {self.protocol.label!r} offers {action!r} "
+                            f"at (round {t}, default {x}); an action is a policy "
+                            f"in 0..{m - 1} and a bool adjournment flag")
 
     @property
     def protocol_name(self) -> str:
@@ -125,15 +143,53 @@ class DeviationReport:
     violations: tuple[Violation, ...]
 
 
+def _action_masks(game: GameSpec, rounds: range) -> Iterator[np.ndarray]:
+    """The feasible actions of each round in `rounds`, in that order.
+
+    A round's mask is (2m x m) boolean: entry [2 * policy + adjourn,
+    default] is True when the protocol offers (policy, adjourn) at that
+    default, so row order is (policy, adjourn) order.  A preset yields one
+    constant mask; a custom table is read round by round, default by
+    default, so the first missing or empty feasible set in that order
+    raises.
+    """
+    m = game.problem.num_policies
+    if isinstance(game.protocol, str):
+        mask = np.zeros((2 * m, m), dtype=bool)
+        mask[game.protocol == "successive"::2] = True
+        if game.protocol == "open_rule":
+            mask[2 * np.arange(m) + 1, np.arange(m)] = True
+        for _ in rounds:
+            yield mask
+        return
+    for t in rounds:
+        mask = np.zeros((2 * m, m), dtype=bool)
+        for x in range(m):
+            for a, adjourn in game.feasible(t, x):
+                mask[2 * a + adjourn, x] = True
+        yield mask
+
+
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
-    """Backward induction over (round, default) states.
+    """Backward induction over (round, default) states, every default at once.
 
     Requires strict preferences (gfa) so the equilibrium outcome is
     unique and vote profiles are pinned down; problems with indifference
-    belong to `verify_profile`.  Proposal ties for the setter break to
-    the lowest (policy, adjourn) pair, which cannot affect the outcome
-    under gfa.  Each voter backs the strictly preferred continuation;
-    identical continuations get a unanimous yes.
+    belong to `verify_profile`.  Each voter backs the strictly preferred
+    continuation; identical continuations get a unanimous yes.  So a
+    proposal passes exactly when `passes[accept, reject]`, the weak
+    `_wins` relation (under gfa it differs from the strict one only on
+    its diagonal), built once per call.
+
+    Round t reads the continuation outcomes `val` of round t + 1.  Action
+    2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or a
+    (adjourn), so its result at default x is acc if passes[acc, val[x]]
+    else val[x], and the setter takes the best-ranked feasible result.
+    The argmax breaks ties to the lowest (policy, adjourn) pair, which
+    cannot affect the outcome under gfa.  Defaults are processed in
+    `_column_chunks`, so memory is O(m**2) for `passes` and the round's
+    action mask plus O(m * chunk) per block.  The trace recomputes the
+    approvers of each step on the equilibrium path only.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -149,40 +205,50 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
-    setter = problem._ranks[-1].tolist()
-    everyone = (1 << problem.n) - 1
-    value: dict[tuple[int, int], int] = {}
-    chosen: dict[tuple[int, int], tuple[int, bool, int]] = {}   # action, approvers
-    for x in range(m):
-        value[(game.horizon + 1, x)] = x
-    for t in range(game.horizon, 0, -1):
-        for x in range(m):
-            reject_out = value[(t + 1, x)]
-            best = None   # (outcome, proposal, adjourn, approvers)
-            for a, adjourn in sorted(game.feasible(t, x)):
-                accept_out = a if adjourn else value[(t + 1, a)]
-                mask = (everyone if accept_out == reject_out
-                        else problem.support_mask(accept_out, reject_out))
-                result = accept_out if game.rule.wins(mask) else reject_out
-                if best is None or setter[result] > setter[best[0]]:
-                    best = (result, a, adjourn, mask)
-            value[(t, x)] = best[0]
-            chosen[(t, x)] = best[1:]
+    chunks = _column_chunks(problem)
+    passes = np.empty((m, m), dtype=bool)
+    for cols in chunks:
+        passes[:, cols] = _wins(problem, game.rule, cols, weak=True)
+    setter = problem._ranks[-1]
+    acc = np.empty(2 * m, dtype=np.int64)
+    acc[1::2] = np.arange(m)
+    values = [np.arange(m)]      # continuation outcomes, round T + 1 first
+    choices = []                 # chosen action 2 * policy + adjourn, round T first
+    for mask in _action_masks(game, range(game.horizon, 0, -1)):
+        val = values[-1]
+        acc[0::2] = val
+        value = np.empty(m, dtype=np.int64)
+        choice = np.empty(m, dtype=np.int64)
+        for cols in chunks:
+            reject = val[None, cols]
+            res = np.where(passes[acc[:, None], reject], acc[:, None], reject)
+            best = np.where(mask[:, cols], setter[res], -1).argmax(axis=0)
+            choice[cols] = best
+            value[cols] = res[best, np.arange(res.shape[1])]
+        values.append(value)
+        choices.append(choice)
 
+    values = [row.tolist() for row in values]
+    value_table = {(game.horizon + 1 - k, x): out
+                   for k, row in enumerate(values) for x, out in enumerate(row)}
     trace = []
     t, x = 1, game.initial_default
     while t <= game.horizon:
-        a, adjourn, mask = chosen[(t, x)]
-        passed = game.rule.wins(mask)
+        a, adjourn = divmod(int(choices[-t][x]), 2)
+        later = values[-t - 1]
+        accept_out, reject_out = a if adjourn else later[a], later[x]
+        yes = problem.support_mask(accept_out, reject_out, weak=True)
+        passed = bool(passes[accept_out, reject_out])
         trace.append(TraceStep(
-            round=t, default=x, proposal=a, adjourn=adjourn,
-            approvers=frozenset(i for i in range(problem.n) if (mask >> i) & 1),
+            round=t, default=x, proposal=a, adjourn=bool(adjourn),
+            approvers=frozenset(i for i in range(problem.n) if (yes >> i) & 1),
             passed=passed))
         if passed and adjourn:
-            return SolveReport(outcome=a, value_table=value, pivotal_trace=tuple(trace))
+            return SolveReport(outcome=a, value_table=value_table,
+                               pivotal_trace=tuple(trace))
         x = a if passed else x
         t += 1
-    return SolveReport(outcome=x, value_table=value, pivotal_trace=tuple(trace))
+    return SolveReport(outcome=x, value_table=value_table, pivotal_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +260,19 @@ def _approvers(vote, n: int, t: int, x: int, a: int) -> int:
     return sum(1 << i for i in range(n) if vote(i, t, x, a))
 
 
-def _single_flags(actions, t: int, x: int) -> dict[int, bool]:
-    """Adjournment flag of each offered policy, first offer first; a policy
-    offered with both flags would make its votes ambiguous."""
+def _distinct_offers(actions, t: int, x: int) -> tuple[tuple[int, bool], ...]:
+    """The distinct offered actions, first offer first.  A vote carries no
+    adjournment flag, so a policy offered with both flags is refused,
+    except the standing default x: its amend offer has identical
+    continuations, so both of its offers can share one vote."""
     flags: dict[int, bool] = {}
     for a, adjourn in actions:
-        if flags.setdefault(a, adjourn) != adjourn:
+        if flags.setdefault(a, adjourn) != adjourn and a != x:
             raise ValidationError(
-                "verify_profile needs each policy offered with a single adjournment "
-                f"flag; policy {a} at (round {t}, default {x}) has both")
-    return flags
+                "verify_profile needs each policy other than the standing default "
+                "offered with a single adjournment flag; "
+                f"policy {a} at (round {t}, default {x}) has both")
+    return tuple(dict.fromkeys((a, adjourn) for a, adjourn in actions))
 
 
 def verify_profile(game: GameSpec, profile: StrategyProfile,
@@ -219,6 +288,12 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     profiles raise a validation error listing the missing states, and so
     does a proposal the protocol does not offer at its state (an
     unoffered policy, or an offered one with the other adjournment flag).
+
+    A vote names a policy, not an adjournment flag, so a policy offered
+    with both flags at one state is refused, with one exception: the
+    standing default.  Offering it without adjournment leaves identical
+    continuations, so both of its offers (the `open_rule` preset makes
+    them at every state) share the one vote, and both are audited.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -255,7 +330,7 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
             return False
 
     proposal: dict[tuple[int, int], tuple[int, bool]] = {}
-    offers: dict[tuple[int, int], dict[int, bool]] = {}
+    offers: dict[tuple[int, int], tuple[tuple[int, bool], ...]] = {}
     votes: dict[tuple[int, int, int], int] = {}
     for (t, x), offered in actions.items():
         try:
@@ -269,8 +344,8 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
                     f"at (round {t}, default {x}), which protocol "
                     f"{game.protocol_name!r} does not offer")
             proposal[(t, x)] = a, adjourn
-        offers[(t, x)] = _single_flags(offered, t, x)
-        for a in offers[(t, x)]:
+        offers[(t, x)] = _distinct_offers(offered, t, x)
+        for a in dict.fromkeys(a for a, _ in offers[(t, x)]):
             votes[(t, x, a)] = _approvers(vote, problem.n, t, x, a)
     if missing:
         raise ValidationError(f"profile not total on reachable states; missing: "
@@ -285,10 +360,10 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
 
     setter = problem._ranks[-1].tolist()
     violations: list[Violation] = []
-    for (t, x), flags in offers.items():
+    for (t, x), offered in offers.items():
         on_path_out = cont[(t, x)]
         reject_out = cont[(t + 1, x)]
-        for a, adjourn in flags.items():
+        for a, adjourn in offered:
             accept_out = a if adjourn else cont[(t + 1, a)]
             approvers = votes[(t, x, a)]
             # setter: one-shot proposal deviation under fixed voting
@@ -356,23 +431,31 @@ def check_richness(game: GameSpec) -> RichnessReport:
     without adjournment plus the standing default with one); the
     mixed-only-availability condition implemented here is the one the
     equivalence argument actually needs.
+
+    Each round is one scan of its action mask (the one `solve_spe`
+    reads); the first failing state in (round, default) order is the
+    witness, the subset test taking precedence at a state.  Improvement
+    iterates come from `phi_iterates`, one walk per default.
     """
-    problem = game.problem
-    for t in range(1, game.horizon + 1):
-        remaining = game.horizon - t + 1
-        for x in range(problem.num_policies):
-            actions = set(game.feasible(t, x))
-            amend = {a for a, adj in actions if not adj}
-            adjourn = {a for a, adj in actions if adj}
-            amend_only = sorted(amend - adjourn)
-            adjourn_only = sorted(adjourn - amend)
-            if amend_only and adjourn_only:
+    problem, m = game.problem, game.problem.num_policies
+    walks = np.array([phi_iterates(problem, game.rule, x, game.horizon, allow_ties=True)
+                      for x in range(m)])         # [x, k] = phi^k(x)
+    defaults = np.arange(m)
+    rounds = range(1, game.horizon + 1)
+    for t, mask in zip(rounds, _action_masks(game, rounds)):
+        amend, adjourn = mask[0::2], mask[1::2]   # [policy, default]
+        amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
+        mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
+        stuck = ~(amend[walks[:, 1], defaults]
+                  | adjourn[walks[:, game.horizon - t + 1], defaults])
+        failing = np.flatnonzero(mixed | stuck)
+        if failing.size:
+            x = int(failing[0])
+            if mixed[x]:
                 return RichnessReport(
-                    rich=False,
-                    subset_witness=(t, x, amend_only[0], adjourn_only[0]))
-            iterates = phi_iterates(problem, game.rule, x, remaining, allow_ties=True)
-            if (iterates[1], False) not in actions and (iterates[-1], True) not in actions:
-                return RichnessReport(rich=False, feasibility_witness=(t, x))
+                    rich=False, subset_witness=(t, x, int(amend_only[:, x].argmax()),
+                                                int(adjourn_only[:, x].argmax())))
+            return RichnessReport(rich=False, feasibility_witness=(t, x))
     return RichnessReport(rich=True)
 
 

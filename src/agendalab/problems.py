@@ -16,9 +16,10 @@ utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets, the favorite-improvement table and the cached strict
 majority `_majority` are read from its blocks, and support masks and
-margins count rank columns.  The oracle votes through `support_mask`
-and never reads the favorite-improvement table.  Only
-the uniform margin reads the scaled integers themselves.
+margins count rank columns.  The oracle settles votes with one weak
+`_wins` table, names approvers with `support_mask`, and never reads the
+favorite-improvement table.  Only the uniform margin reads the scaled
+integers themselves.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import random
+import re
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 
 from agendalab import (
     BudgetExceededError,
+    CollectiveChoiceProblem,
     CustomProtocol,
     DivideDollarGrid,
     GameSpec,
@@ -21,6 +27,8 @@ from agendalab import (
     verify_profile,
 )
 from agendalab.fixtures import adjournment_trap_protocol
+from agendalab.oracle import Violation
+from agendalab.problems import _column_chunks
 
 
 def test_solve_cycle_fixture(cycle, rule3):
@@ -55,8 +63,37 @@ def test_solve_refuses_override(blocked, rule3):
 
 def test_solve_budget(cycle, rule3):
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         solve_spe(game, budget=10)
+    # T * m * (m + 1) = 3 * 4 * 5
+    assert (info.value.required, info.value.budget) == (60, 10)
+    assert str(info.value) == "state space too large for the oracle (required 60, budget 10)"
+
+
+def test_solve_memory_is_m_squared_plus_one_chunk():
+    rng = random.Random(5)
+    m, n = 1000, 3
+    problem = CollectiveChoiceProblem(
+        policies=tuple(f"p{k}" for k in range(m)),
+        voter_utilities=tuple(tuple(Fraction(v) for v in rng.sample(range(m), m))
+                              for _ in range(n)),
+        setter_utilities=tuple(Fraction(v) for v in rng.sample(range(m), m)), gfa=True)
+    problem._ranks                                # compiled before the measurement
+    game = GameSpec(problem=problem, rule=VotingRule.simple_majority(n), horizon=1,
+                    initial_default=0)
+    width = _column_chunks(problem)[0].stop
+    tracemalloc.start()
+    try:
+        report = solve_spe(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.value_table) == 2 * m
+    # the vote table (m**2 bytes), the round's action mask (2 m**2 bytes), a
+    # few int64 (2m x chunk) blocks, and 1 MB for the value table and lists;
+    # one (2m x m) int64 array alone would be 16 MB
+    bound = 3 * m * m + 4 * (2 * m * width * 8) + 2**20
+    assert peak < bound, (peak, bound)
 
 
 def test_value_monotone_in_remaining_rounds(small_corpus):
@@ -136,6 +173,19 @@ def test_trap_protocol_forced_solve_adjourns_on_y(cycle, rule3):
         report = solve_spe(game)
         assert report.outcome == y
         assert report.pivotal_trace[-1].adjourn and report.pivotal_trace[-1].passed
+
+
+@pytest.mark.parametrize("action, shown", [
+    ((7, False), "(7, False)"), ((-1, True), "(-1, True)"), ((2, "yes"), "(2, 'yes')"),
+    ((1, 0), "(1, 0)"), ((1,), "(1,)")])
+def test_custom_protocol_refuses_bad_actions(cycle, rule3, action, shown):
+    table = {(t, x): ((x, False),) for t in (1, 2) for x in range(4)}
+    table[(2, 1)] = ((0, True), action)
+    protocol = CustomProtocol(label="bad", table=table)
+    with pytest.raises(ValidationError,
+                       match=rf"'bad' offers {re.escape(shown)} at \(round 2, default 1\)"):
+        GameSpec(problem=cycle, rule=rule3, horizon=2, initial_default=0,
+                 protocol=protocol)
 
 
 def test_custom_protocol_missing_state(cycle, rule3):
@@ -257,3 +307,42 @@ def test_verify_reads_each_profile_entry_once(cycle, rule3):
     states = [(1, z)] + [(t, x) for t in (2, 3) for x in range(4)]
     assert proposals == {state: 1 for state in states}
     assert ballots == {(i, t, x, a): 1 for t, x in states for a in range(4) for i in range(3)}
+
+
+def _open_rule_problem():
+    F = Fraction
+    return CollectiveChoiceProblem(
+        policies=("a", "b", "c"),
+        voter_utilities=((F(3), F(1), F(2)),      # a > c > b
+                         (F(1), F(2), F(3)),      # c > b > a
+                         (F(2), F(3), F(1))),     # b > a > c
+        setter_utilities=(F(1), F(2), F(3)), gfa=True)
+
+
+def test_verify_open_rule_audits_the_adjourning_default():
+    problem, rule = _open_rule_problem(), VotingRule.simple_majority(3)
+    a, c = 0, 2
+    game = GameSpec(problem=problem, rule=rule, horizon=2, initial_default=a,
+                    protocol="open_rule")
+    # the setter always proposes c and every voter approves everything, so c
+    # passes in round 2 from every default
+    proposer = {(t, x): (c, False) for t in (1, 2) for x in range(3)}
+    voters = [{(t, x, y): True for t in (1, 2) for x in range(3) for y in range(3)}] * 3
+    report = verify_profile(game, StrategyProfile.from_tables(2, proposer, voters))
+    # at (1, a) the amend offers all lead to c whether they pass or not; only
+    # the adjourning offer of a separates a (accept) from c (reject), and its
+    # vote is the one vote on a: voter 2 prefers c, so must reject
+    assert [v for v in report.violations if v.round == 1] == [Violation(
+        player="voter 2", round=1, default=a, proposal=a,
+        deviation="must reject strictly dispreferred continuation", gain=Fraction(2))]
+    assert not report.profile_valid
+
+
+def test_verify_refuses_other_doubly_flagged_policy(cycle, rule3):
+    table = {(t, x): ((x, False), (x, True), (1, False), (1, True))
+             for t in (1, 2) for x in range(4)}
+    game = GameSpec(problem=cycle, rule=rule3, horizon=2, initial_default=0,
+                    protocol=CustomProtocol(label="both", table=table))
+    profile = simple_equilibrium_profile(cycle, rule3, 2)
+    with pytest.raises(ValidationError, match=r"policy 1 at \(round 1, default 0\) has both"):
+        verify_profile(game, profile)

@@ -2,12 +2,14 @@
 
 `ref_solve_spe`, `ref_verify_profile` and `ref_play_out` are the
 straightforward forms of the oracle: every vote is a per-voter
-`Fraction` comparison, and `ref_verify_profile` queries the profile
-anew in its totality scan, its continuation play and its audit.  The
-seeded property below draws problems with up to eleven voters, quota
-and explicit rules, every preset and random custom protocols, and
+`Fraction` comparison, `ref_solve_spe` walks one (round, default) state
+and one action at a time, and `ref_verify_profile` queries the profile
+anew in its totality scan, its continuation play and its audit.
+`ref_check_richness` reads each state's feasible set as Python sets.
+The seeded properties below draw problems with up to eleven voters,
+quota and explicit rules, every preset and random custom protocols, and
 profiles with flipped votes, setter deviations and missing entries,
-and requires the library to give the same reports, or the same error
+and require the library to give the same reports, or the same error
 class and message.
 """
 
@@ -27,14 +29,23 @@ from agendalab import (
     StrategyProfile,
     ValidationError,
     VotingRule,
+    check_richness,
     favorite_improvement,
+    phi_iterates,
     play_out,
     simple_equilibrium_profile,
     solve_spe,
     verify_profile,
 )
 from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
-from agendalab.oracle import DeviationReport, SolveReport, TraceStep, Violation
+from agendalab import problems as problems_module
+from agendalab.oracle import (
+    DeviationReport,
+    RichnessReport,
+    SolveReport,
+    TraceStep,
+    Violation,
+)
 
 
 def ref_support_mask(problem, y, x):
@@ -102,14 +113,38 @@ def ref_solve_spe(game, budget=5_000_000):
     return SolveReport(outcome=x, value_table=value, pivotal_trace=tuple(trace))
 
 
+def ref_check_richness(game):
+    problem = game.problem
+    for t in range(1, game.horizon + 1):
+        remaining = game.horizon - t + 1
+        for x in range(problem.num_policies):
+            actions = set(game.feasible(t, x))
+            amend = {a for a, adj in actions if not adj}
+            adjourn = {a for a, adj in actions if adj}
+            amend_only = sorted(amend - adjourn)
+            adjourn_only = sorted(adjourn - amend)
+            if amend_only and adjourn_only:
+                return RichnessReport(
+                    rich=False,
+                    subset_witness=(t, x, amend_only[0], adjourn_only[0]))
+            iterates = phi_iterates(problem, game.rule, x, remaining, allow_ties=True)
+            if (iterates[1], False) not in actions and (iterates[-1], True) not in actions:
+                return RichnessReport(rich=False, feasibility_witness=(t, x))
+    return RichnessReport(rich=True)
+
+
 def ref_profile_vote_actions(game, t, x):
+    """The offered actions; a vote names no flag, so only the standing
+    default, whose amend offer has identical continuations, may be offered
+    with both flags (both offers then share its vote)."""
     actions = game.feasible(t, x)
     flags = {}
     for a, adjourn in actions:
-        if a in flags and flags[a] != adjourn:
+        if a in flags and flags[a] != adjourn and a != x:
             raise ValidationError(
-                "verify_profile needs each policy offered with a single adjournment "
-                f"flag; policy {a} at (round {t}, default {x}) has both")
+                "verify_profile needs each policy other than the standing default "
+                "offered with a single adjournment flag; "
+                f"policy {a} at (round {t}, default {x}) has both")
         flags[a] = adjourn
     return actions
 
@@ -147,7 +182,7 @@ def ref_verify_profile(game, profile, budget=5_000_000):
                 profile.propose(t, x)
             except KeyError:
                 missing.append(("proposer", t, x))
-            for a, _ in ref_profile_vote_actions(game, t, x):
+            for a in dict.fromkeys(a for a, _ in ref_profile_vote_actions(game, t, x)):
                 for i in range(problem.n):
                     try:
                         profile.vote(i, t, x, a)
@@ -280,14 +315,14 @@ def _rule(rng, n):
                                    for _ in range(rng.randint(1, 3))])
 
 
-def _protocol(rng, rounds, m):
+def _protocol(rng, rounds, m, gaps=0.03):
     name = rng.choice(("amendment", "successive", "open_rule", "custom", "custom"))
     if name != "custom":
         return name
     table = {}
     for t in range(1, rounds + 1):
         for x in range(m):
-            if rng.random() < 0.03:
+            if rng.random() < gaps:
                 continue                          # a state with no feasible set
             offered = rng.sample(range(m), rng.randint(1, m))
             actions = [(a, rng.random() < 0.4) for a in offered]
@@ -395,3 +430,47 @@ def test_simple_equilibrium_profile_matches_reference():
                 for a in range(m):
                     for i in range(n):
                         assert profile.vote(i, t, x, a) == reference.vote(i, t, x, a)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 100, 2**16])
+def test_solve_spe_matches_reference_in_column_chunks(chunk, monkeypatch):
+    # a small chunk splits the defaults into several column blocks
+    monkeypatch.setattr(problems_module, "_CHUNK_COMPARISONS", chunk)
+    solved = []
+    for seed in range(80):
+        rng = random.Random(10_000 + seed)
+        n, m, rounds = rng.choice((1, 3, 5, 7, 11)), rng.randint(1, 12), rng.randint(1, 5)
+        game = GameSpec(problem=_problem(rng, n, m, gfa=True), rule=_rule(rng, n),
+                        horizon=rounds, initial_default=rng.randrange(m),
+                        protocol=_protocol(rng, rounds, m, gaps=0.005))
+        report, reference = _outcome(solve_spe, game), _outcome(ref_solve_spe, game)
+        assert report == reference
+        solved.append(isinstance(report, SolveReport))
+        if solved[-1]:   # the same states in the same order, later rounds first
+            assert list(report.value_table) == list(reference.value_table)
+    assert any(solved) and not all(solved)   # reports and missing-state errors
+
+
+def test_check_richness_matches_reference():
+    reports = []
+    for seed in range(300):
+        rng = random.Random(20_000 + seed)
+        n, m, rounds = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
+        problem = _problem(rng, n, m, gfa=n % 2 == 1 and rng.random() < 0.6)
+        protocol = _protocol(rng, rounds, m, gaps=0)
+        if isinstance(protocol, CustomProtocol) and rng.random() < 0.5:
+            # tables built to pass the subset test: every policy offered with
+            # one flag per state, or both
+            table = {}
+            for (t, x), actions in protocol.table.items():
+                flags = rng.choice(((False,), (True,), (False, True)))
+                table[(t, x)] = tuple((a, f) for a, _ in actions for f in flags)
+            protocol = CustomProtocol(label=protocol.label, table=table)
+        game = GameSpec(problem=problem, rule=_rule(rng, n), horizon=rounds,
+                        initial_default=0, protocol=protocol)
+        report = check_richness(game)
+        assert report == ref_check_richness(game)
+        reports.append(report)
+    assert any(r.rich for r in reports)
+    assert any(r.subset_witness for r in reports)
+    assert any(r.feasibility_witness for r in reports)

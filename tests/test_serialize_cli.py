@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -288,3 +289,46 @@ def test_cli_oracle_verify_refuses_adjourning_proposal_under_amendment(
     err = capsys.readouterr().err
     assert "with adjournment at (round 1, default 3)" in err
     assert "'amendment' does not offer" in err
+
+
+# sha256 of the concatenated `oracle solve` stdout from every default of the
+# cycle fixture at 1, 2 and 3 rounds: outcomes, traces and their approvers
+ORACLE_SOLVE_DIGESTS = {
+    "amendment":
+        "7bb81a028cb0b8362c8ef731b29cb310a17409e1ecbe482e51d4a1766553b79a",
+    "successive":
+        "190bfae33e023e66b4fe0426210dfb7ddc0c070fa2ee15908094b397774d14c9",
+    "open_rule":
+        "7bb81a028cb0b8362c8ef731b29cb310a17409e1ecbe482e51d4a1766553b79a",
+    "adjournment-trap":
+        "69f1a1b5305928696de3f8cc14b295671f620f570be5138a5ad7316cede494b8",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(ORACLE_SOLVE_DIGESTS))
+def test_cli_oracle_solve_stdout_is_pinned(protocol, cycle_file, tmp_path, capsys):
+    from agendalab.fixtures import adjournment_trap_protocol
+    from agendalab.serialize import protocol_to_dict
+    out = hashlib.sha256()
+    for rounds in (1, 2, 3):
+        choice = ["--protocol", protocol]
+        if protocol == "adjournment-trap":
+            path = tmp_path / f"trap{rounds}.json"
+            path.write_text(json.dumps(protocol_to_dict(
+                adjournment_trap_protocol(rounds), majority_cycle_problem())))
+            choice = ["--protocol-file", str(path)]
+        for default in "wxyz":
+            assert main(["oracle", "solve", "--problem", cycle_file, "--default",
+                         default, "--rounds", str(rounds), *choice]) == 0
+            out.update(capsys.readouterr().out.encode())
+    assert out.hexdigest() == ORACLE_SOLVE_DIGESTS[protocol]
+
+
+def test_cli_oracle_solve_budget_names_its_numbers(cycle_file, capsys):
+    assert main(["oracle", "solve", "--problem", cycle_file, "--default", "z",
+                 "--rounds", "3", "--budget", "59"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # T * m * (m + 1) = 3 * 4 * 5 states and actions
+    assert captured.err == ("error: state space too large for the oracle "
+                            "(required 60, budget 59)\n")
