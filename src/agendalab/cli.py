@@ -226,11 +226,19 @@ def _cmd_dist(args) -> int:
     if args.kind == "dtd":
         problem = gen_distribution("dtd", n=args.voters, m=args.m)
     elif args.kind == "pork":
-        projects = [tuple(part.split(":")) for part in args.projects.split(";")]
-        projects = [(parse_rational(b), parse_rational(c)) for b, c in projects]
+        if args.projects is None:
+            raise ValidationError("dist pork needs --projects")
+        projects = []
+        for part in args.projects.split(";"):
+            benefit, colon, cost = part.partition(":")
+            if not colon:
+                raise ValidationError(f"project {part!r} is not B:C")
+            projects.append((parse_rational(benefit), parse_rational(cost)))
         problem = gen_distribution("pork", projects=projects, m=args.m,
                                    n=args.voters)
     else:
+        if args.base is None:
+            raise ValidationError("dist transfers needs --base")
         base = load_problem(args.base)
         problem = gen_distribution("transfers", base=base, m=args.m)
     payload = {"policies": problem.num_policies}
@@ -271,8 +279,16 @@ def _cmd_experiment(args) -> int:
     return 0 if record.summary["failed"] == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error (exit 1); exit 2 is reserved for
+    a failed assertion."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="agendalab",
         description="exact engine for sequential agenda-setting games")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,9 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except InternalInvariantError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")

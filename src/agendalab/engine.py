@@ -4,10 +4,12 @@ The favorite improvement of a default x is the setter's best policy
 among those some winning coalition strictly prefers to x, x itself
 included.  Under generic finite alternatives (gfa) the T-round game has
 a unique equilibrium outcome: the T-fold iterate of that map.  This
-module builds the iterates, the simple Markov equilibrium profile, the
-one-round improvement correspondence for problems with indifference,
-equilibrium outcome bounds obtained from its selections, and the
-divide-the-dollar share-grabbing machinery.
+module builds the iterates, the one-round improvement correspondence
+for problems with indifference, equilibrium outcome bounds obtained
+from its selections (one walker, `nc_outcome_bounds`), and the
+divide-the-dollar share-grabbing machinery.  One Markov-profile builder,
+`_markov_profile`, makes both the simple equilibrium profile and the
+divide-the-dollar share-grab profiles from a one-step map.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,6 +158,36 @@ class StrategyProfile:
                                label=f"{self.label}+perturbed")
 
 
+def _markov_profile(step: Callable[[int], int], rows, size: int, rounds: int,
+                    label: str, cap: Optional[int] = None,
+                    ties_from: int = 1) -> StrategyProfile:
+    """Markov profile driven by a one-step map on policy indices 0..size-1.
+
+    The setter proposes `step(x)` and never adjourns.  At round t of T
+    and default x, voter i approves a when `rows[i]` ranks step^k(a)
+    above step^k(x), where the continuation depth k is T - t, capped at
+    `cap` if given; on a tie the voter approves exactly when t >= `ties_from`.
+    """
+    @lru_cache(maxsize=None)
+    def power(x: int, k: int) -> int:
+        if k:
+            return step(power(x, k - 1))
+        if not 0 <= x < size:
+            raise ValidationError(f"policy index {x} out of range")
+        return x
+
+    def propose(t, x):
+        return (power(x, 1), False)
+
+    def vote(i, t, x, a):
+        k = rounds - t if cap is None else min(rounds - t, cap)
+        row = rows[i]
+        accept, reject = row[power(a, k)], row[power(x, k)]
+        return accept > reject or (accept == reject and t >= ties_from)
+
+    return StrategyProfile(horizon=rounds, propose=propose, vote=vote, label=label)
+
+
 def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRule,
                                rounds: int) -> StrategyProfile:
     """The greedy Markov equilibrium of the T-round amendment game.
@@ -168,23 +201,8 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
         raise ValidationError("the simple equilibrium profile requires gfa")
     if rounds < 1:
         raise ValidationError("need at least one round")
-
-    table = _phi_table(problem, rule)
-    ranks = problem._ranks.tolist()
-
-    @lru_cache(maxsize=None)
-    def power(x: int, k: int) -> int:
-        return problem.check_policy(x) if k == 0 else table[power(x, k - 1)]
-
-    def propose(t, x):
-        return (power(x, 1), False)
-
-    def vote(i, t, x, a):
-        row = ranks[i]
-        return row[power(a, rounds - t)] >= row[power(x, rounds - t)]
-
-    return StrategyProfile(horizon=rounds, propose=propose, vote=vote,
-                           label="simple-equilibrium")
+    return _markov_profile(_phi_table(problem, rule).__getitem__, problem._ranks.tolist(),
+                           problem.num_policies, rounds, label="simple-equilibrium")
 
 
 # ---------------------------------------------------------------------------
@@ -229,61 +247,42 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
     if rounds < 1:
         raise ValidationError("need at least one round")
     problem.check_policy(x0)
-    correspondence = [phi_or(problem, rule, x) for x in range(problem.num_policies)]
-    ticker = [0]
+    correspondence = [sorted(phi_or(problem, rule, x)) for x in range(problem.num_policies)]
+    setter = problem._ranks[-1].tolist()
+    ticks = count(1)
 
-    def spend():
-        ticker[0] += 1
-        if ticker[0] > budget:
-            raise BudgetExceededError(
-                "selection enumeration exceeded budget", required=ticker[0], budget=budget)
+    def walk(key) -> frozenset[int]:
+        """Endpoints of `rounds` steps from x0 when each visited default
+        fixes one class of its members, those alike under `key`, and
+        steps to any member of that class."""
+        reached: set[int] = set()
+        fixed: dict[int, list[int]] = {}
 
-    lower: set[int] = set()
-    assignment: dict[int, int] = {}
+        def visit(state: int, depth: int):
+            spent = next(ticks)
+            if spent > budget:
+                raise BudgetExceededError(
+                    "selection enumeration exceeded budget", required=spent, budget=budget)
+            if depth == rounds:
+                reached.add(state)
+            elif state in fixed:
+                for y in fixed[state]:
+                    visit(y, depth + 1)
+            else:
+                classes: dict[int, list[int]] = {}
+                for y in correspondence[state]:
+                    classes.setdefault(key(y), []).append(y)
+                for members in classes.values():
+                    fixed[state] = members
+                    for y in members:
+                        visit(y, depth + 1)
+                    del fixed[state]
 
-    def walk_lower(state: int, depth: int):
-        spend()
-        if depth == rounds:
-            lower.add(state)
-            return
-        if state in assignment:
-            walk_lower(assignment[state], depth + 1)
-            return
-        for y in sorted(correspondence[state]):
-            assignment[state] = y
-            walk_lower(y, depth + 1)
-            del assignment[state]
+        visit(x0, 0)
+        return frozenset(reached)
 
-    walk_lower(x0, 0)
-
-    # upper bound: per-state setter-utility classes, consistent across visits
-    classes: list[dict[Fraction, tuple[int, ...]]] = []
-    for members in correspondence:
-        by_value: dict[Fraction, list[int]] = {}
-        for y in sorted(members):
-            by_value.setdefault(problem.setter_utilities[y], []).append(y)
-        classes.append({v: tuple(ys) for v, ys in by_value.items()})
-
-    upper: set[int] = set()
-    chosen_value: dict[int, Fraction] = {}
-
-    def walk_upper(state: int, depth: int):
-        spend()
-        if depth == rounds:
-            upper.add(state)
-            return
-        if state in chosen_value:
-            for y in classes[state][chosen_value[state]]:
-                walk_upper(y, depth + 1)
-            return
-        for value, members in classes[state].items():
-            chosen_value[state] = value
-            for y in members:
-                walk_upper(y, depth + 1)
-            del chosen_value[state]
-
-    walk_upper(x0, 0)
-    return OutcomeBounds(lower=frozenset(lower), upper=frozenset(upper))
+    # lower: each member is its own class; upper: members of equal setter utility
+    return OutcomeBounds(lower=walk(lambda y: y), upper=walk(setter.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +363,10 @@ def dtd_profile(n: int, m: int, rounds: int, flavor: str) -> StrategyProfile:
     from .distributions import DivideDollarGrid
     grid = DivideDollarGrid(n=n, m=m)
 
-    @lru_cache(maxsize=None)
-    def power_idx(x: int, k: int) -> int:
-        if k == 0:
-            return x
-        return grid.index(dtd_beta(grid.allocation(power_idx(x, k - 1))))
+    def grab(x: int) -> int:
+        return grid.index(dtd_beta(grid.allocation(x)))
 
-    def propose(t, x):
-        return (power_idx(x, 1), False)
-
-    if flavor == "non_capricious":
-        def vote(i, t, x, a):
-            k = rounds - t
-            ca = grid.allocation(power_idx(a, k))
-            cr = grid.allocation(power_idx(x, k))
-            return ca.units[i] >= cr.units[i]
-    else:
-        def vote(i, t, x, a):
-            k = min(rounds - t, 2)
-            ca = grid.allocation(power_idx(a, k))
-            cr = grid.allocation(power_idx(x, k))
-            if ca.units[i] != cr.units[i]:
-                return ca.units[i] > cr.units[i]
-            return t >= rounds - 1
-
-    return StrategyProfile(horizon=rounds, propose=propose, vote=vote,
-                           label=f"dtd-{flavor}")
+    units = list(zip(*(a.units for a in grid.allocations)))
+    cap, ties_from = (2, rounds - 1) if flavor == "capricious" else (None, 1)
+    return _markov_profile(grab, units, len(grid.allocations), rounds,
+                           label=f"dtd-{flavor}", cap=cap, ties_from=ties_from)

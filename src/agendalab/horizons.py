@@ -17,11 +17,7 @@ from typing import Optional
 
 from .engine import phi_iterates
 from .errors import InternalInvariantError, ValidationError
-from .problems import CollectiveChoiceProblem, VotingRule
-
-
-def _majority_rule(problem: CollectiveChoiceProblem) -> VotingRule:
-    return VotingRule.simple_majority(problem.n)
+from .problems import CollectiveChoiceProblem, _phi_table
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,7 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         if not problem.gfa:
             raise ValidationError("credible reachability needs the single-valued "
                                   "improvement map, i.e. gfa")
-        rule = _majority_rule(problem)
-        orbit = phi_iterates(problem, rule, x0, problem.num_policies)
+        orbit = phi_iterates(problem, problem._majority_rule, x0, problem.num_policies)
         seen: list[int] = []
         for x in orbit:
             if seen and x == seen[-1]:
@@ -200,8 +195,8 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
     t_list = sorted(set(int(t) for t in t_list))
     if t_list and t_list[0] < 1:
         raise ValidationError("horizons start at one round")
-    rule = _majority_rule(problem)
-    iterates = phi_iterates(problem, rule, x0, max(t_list) if t_list else 1)
+    iterates = phi_iterates(problem, problem._majority_rule, x0,
+                            max(t_list) if t_list else 1)
     table = {t: problem.setter_utilities[iterates[t]] for t in t_list}
     psi = stable_set(problem).psi_table
     return HorizonRows(start=x0, u_table=table,
@@ -228,12 +223,9 @@ def horizon_classify(problem: CollectiveChoiceProblem) -> HorizonReport:
     """
     if not problem.gfa:
         raise ValidationError("horizon classification requires gfa")
-    rule = _majority_rule(problem)
-    report = stable_set(problem)
-    psi = report.psi_table
+    psi = stable_set(problem).psi_table
     m = problem.num_policies
-
-    phi1 = {x: phi_iterates(problem, rule, x, 1)[1] for x in range(m)}
+    phi1 = _phi_table(problem, problem._majority_rule)
     unimprovable = frozenset(x for x in range(m) if phi1[x] == x)
     r_via_phi = frozenset(x for x in range(m) if phi1[x] in unimprovable)
     r_via_psi = frozenset(

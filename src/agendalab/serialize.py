@@ -16,6 +16,7 @@ locations.  Writing uses canonical field order so files are diffable.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,16 +61,44 @@ def _field(data, key: str, document: str):
     return data[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def _policy_labels(data, document: str) -> list:
+    labels = _list(_field(data, "policies", document), f"{document} policies")
+    for label in labels:
+        if not isinstance(label, Hashable):
+            raise ValidationError(f"policy label {label!r} is not a string or number")
+    return labels
+
+
+def _label_pairs(pairs, labels: list, what: str) -> list[tuple[int, int]]:
+    """[[winner, loser], ...] over `labels` as index pairs; `what` names one entry."""
+    index = {label: i for i, label in enumerate(labels)}
+    edges = []
+    for k, pair in enumerate(_list(pairs, f"{what} list")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"{what} {k + 1} is not a pair")
+        for label in pair:
+            if not isinstance(label, Hashable) or label not in index:
+                raise ValidationError(f"{what} {k + 1} names unknown policy {label!r}")
+        edges.append((index[pair[0]], index[pair[1]]))
+    return edges
+
+
 def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
-    labels = list(_field(data, "policies", "problem"))
-    voter_rows = _field(data, "voters", "problem")
+    labels = _policy_labels(data, "problem")
+    voter_rows = _list(_field(data, "voters", "problem"), "problem voters")
     setter_row = _field(data, "agenda_setter", "problem")
     if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
+        dupes = sorted({x for x in labels if labels.count(x) > 1}, key=str)
         raise ValidationError(f"duplicate policy labels: {dupes}")
 
     def parse_row(row, where):
-        if len(row) != len(labels):
+        if len(_list(row, where)) != len(labels):
             raise ValidationError(
                 f"{where} has {len(row)} entries, expected {len(labels)}")
         out = []
@@ -86,17 +115,8 @@ def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
 
     override = None
     if data.get("majority_override") is not None:
-        index = {label: i for i, label in enumerate(labels)}
-        edges = []
-        for k, pair in enumerate(data["majority_override"]):
-            if len(pair) != 2:
-                raise ValidationError(f"override entry {k + 1} is not a pair")
-            for label in pair:
-                if label not in index:
-                    raise ValidationError(
-                        f"override entry {k + 1} names unknown policy {label!r}")
-            edges.append((index[pair[0]], index[pair[1]]))
-        override = TournamentSpec.from_edges(len(labels), edges)
+        override = TournamentSpec.from_edges(
+            len(labels), _label_pairs(data["majority_override"], labels, "override entry"))
 
     return CollectiveChoiceProblem(
         policies=tuple(labels), voter_utilities=voters, setter_utilities=setter,
@@ -114,17 +134,8 @@ def load_problem(path) -> CollectiveChoiceProblem:
 def tournament_from_dict(data: dict) -> tuple[list, TournamentSpec]:
     """Tournament document {"policies": [...], "edges": [[winner, loser], ...]}:
     its labels and the relation over their indices."""
-    labels = list(_field(data, "policies", "tournament"))
-    index = {label: i for i, label in enumerate(labels)}
-    edges = []
-    for k, pair in enumerate(_field(data, "edges", "tournament")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"tournament edge {k + 1} is not a pair")
-        for label in pair:
-            if label not in index:
-                raise ValidationError(
-                    f"tournament edge {k + 1} names unknown policy {label!r}")
-        edges.append((index[pair[0]], index[pair[1]]))
+    labels = _policy_labels(data, "tournament")
+    edges = _label_pairs(_field(data, "edges", "tournament"), labels, "tournament edge")
     return labels, TournamentSpec.from_edges(len(labels), edges)
 
 
@@ -136,8 +147,9 @@ def spatial_profile_from_dict(data: dict) -> SpatialProfile:
         dim = int(dim)
     except (TypeError, ValueError):
         raise ValidationError(f"profile dimension {dim!r} is not an integer") from None
-    points = tuple(tuple(parse_rational(c) for c in p)
-                   for p in _field(data, "ideal_points", "profile"))
+    rows = _list(_field(data, "ideal_points", "profile"), "profile ideal_points")
+    points = tuple(tuple(parse_rational(c) for c in _list(p, f"ideal point {k + 1}"))
+                   for k, p in enumerate(rows))
     return SpatialProfile(dim=dim, ideal_points=points,
                           box=tuple((Fraction(0), Fraction(1)) for _ in range(dim)))
 
@@ -163,7 +175,11 @@ def parse_rule(text: str, n: int) -> VotingRule:
         return VotingRule.quota_rule(n, q)
     path = Path(body)
     if path.exists():
-        return VotingRule.explicit(n, _field(read_json(path), "coalitions", "rule"))
+        coalitions = _list(_field(read_json(path), "coalitions", "rule"), "rule coalitions")
+        for k, coalition in enumerate(coalitions):
+            if not all(type(voter) is int for voter in _list(coalition, f"coalition {k + 1}")):
+                raise ValidationError(f"coalition {k + 1} must list integer voter indices")
+        return VotingRule.explicit(n, coalitions)
     raise ValidationError(f"unrecognized rule descriptor {text!r}")
 
 

@@ -42,7 +42,7 @@ from .problems import (
     uniform_margin,
     unimprovable_set,
 )
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
 
 SUITES = ("fixtures", "lemma1", "thm1", "thm2_trend", "thm3_bounds", "thm4_mc",
@@ -66,6 +66,13 @@ class ExperimentDescriptor:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValidationError(f"unknown suite {self.suite!r}; choose from {SUITES}")
+        if self.samples is not None and self.samples < 0:
+            raise ValidationError(f"samples {self.samples} must be nonnegative")
+        for name in ("epsilon", "delta"):
+            try:
+                parse_rational(getattr(self, name))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -178,8 +185,8 @@ def thm1_suite(descriptor: ExperimentDescriptor):
 
 
 def thm2_trend_suite(descriptor: ExperimentDescriptor):
-    epsilon = Fraction(descriptor.epsilon)
-    delta_share = Fraction(descriptor.delta)
+    epsilon = parse_rational(descriptor.epsilon)
+    delta_share = parse_rational(descriptor.delta)
     samples = 12 if descriptor.samples is None else descriptor.samples
     # ideal points sit in a box offset above the policy space: everyone wants
     # more than any feasible policy delivers, which keeps the discretized

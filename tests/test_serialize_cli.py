@@ -249,6 +249,29 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     no_edges = tmp_path / "tournament.json"
     no_edges.write_text(json.dumps({"policies": ["a", "b"]}))
     at_z = ["--problem", cycle_file, "--default", "z", "--rounds", "2"]
+    # cases that read one malformed document: the argv before its path, its body
+    two = {"policies": ["a", "b"], "voters": [["1", "0"]], "agenda_setter": ["0", "1"]}
+    analyze, rule = ["analyze", "--problem"], ["analyze", "--problem", cycle_file, "--rule"]
+    documents = {
+        # a two-letter string is not a [winner, loser] pair
+        "override_pair_as_string": (analyze, {**two, "majority_override": ["ab"]}),
+        "voters_not_rows": (analyze, {**two, "voters": [5]}),
+        "policies_not_list": (analyze, {**two, "policies": 5}),
+        "override_entry_not_pair": (analyze, {**two, "majority_override": [5]}),
+        "unhashable_label": (analyze, {**two, "policies": [["a"], "b"]}),
+        "unhashable_override_label": (analyze, {**two, "majority_override": [[["a"], "b"]]}),
+        "tournament_unhashable_label": (["realize", "--setter", "1,2", "--tournament"],
+                                        {"policies": [{"a": 1}, "b"], "edges": []}),
+        "spatial_points_not_list": (["spatial", "check", "--profile"],
+                                    {"dim": 2, "ideal_points": 5}),
+        "rule_coalitions_not_list": (rule, {"coalitions": 5}),
+        "rule_coalition_not_voters": (rule, {"coalitions": [["a"]]}),
+    }
+    if case in documents:
+        argv, body = documents[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(body))
+        return [*argv, str(path)]
     return {
         "missing_problem_file": ["analyze", "--problem", str(tmp_path / "missing.json")],
         "rule_not_json": ["analyze", "--problem", cycle_file, "--rule", str(bad_json)],
@@ -267,10 +290,36 @@ def _bad_input_argv(case, cycle_file, tmp_path):
 @pytest.mark.parametrize("case", [
     "missing_problem_file", "rule_not_json", "rule_without_coalitions",
     "protocol_not_json", "profile_not_json", "spatial_profile_not_json",
-    "tournament_not_json", "tournament_without_edges"])
+    "tournament_not_json", "tournament_without_edges", "override_pair_as_string",
+    "voters_not_rows", "policies_not_list", "override_entry_not_pair",
+    "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
+    "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],                                          # no --problem
+    ["solve", "--problem", "p.json", "--default", "z", "--rounds", "abc"],
+    ["experiment", "fixtures", "--epsilon", "abc"],
+    ["experiment", "fixtures", "--delta", "1/0"],
+    ["experiment", "lemma1", "--samples", "-1"],
+    ["dist", "pork", "--m", "2"],                         # no --projects
+    ["dist", "pork", "--m", "2", "--projects", "1:2:3"],
+    ["dist", "transfers", "--m", "2"],                    # no --base
+    ["nonsense"],
+])
+def test_cli_bad_arguments_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ")
+    assert captured.out == ""
+
+
+def test_experiment_samples_zero_stays_vacuous(capsys):
+    assert main(["experiment", "lemma1", "--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 0
 
 
 def test_cli_oracle_verify_refuses_adjourning_proposal_under_amendment(
