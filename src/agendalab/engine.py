@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +116,15 @@ class StrategyProfile:
     """Tabulated or callable-backed behavior on (round, default) states.
 
     `propose(t, x) -> (proposal, adjourn_flag)`;
-    `vote(voter, t, x, proposal) -> bool`.  Table-backed profiles raise
-    KeyError on missing states, which the oracle's verifier converts
-    into a located validation error.
+    `vote(voter, t, x, proposal) -> bool`;
+    `ballots(t, x, policies, n) -> bool array`, shape (n, len(policies)):
+    entry [i, k] is voter i's vote on `policies[k]` at (t, x).  The
+    plain constructor derives `ballots` from `vote`, one call per policy
+    and then per voter ascending (a plain profile's callables do not
+    know the voter count, hence `n`); Markov profiles answer a block
+    from their orbit table.  Table-backed profiles raise KeyError on
+    missing states, which the oracle's verifier converts into a located
+    validation error.
 
     A vote carries no adjournment flag: it is the voter's vote on every
     offer of `proposal` at (t, x).  Where the standing default x is
@@ -132,6 +137,17 @@ class StrategyProfile:
     propose: Callable[[int, int], tuple[int, bool]]
     vote: Callable[[int, int, int, int], bool]
     label: str = ""
+    ballots: Optional[Callable[[int, int, Sequence[int], int], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.ballots is None:
+            vote = self.vote
+
+            def ballots(t, x, policies, n):
+                block = [[bool(vote(i, t, x, a)) for i in range(n)] for a in policies]
+                return np.array(block, dtype=bool).reshape(-1, n).T
+
+            object.__setattr__(self, "ballots", ballots)
 
     @staticmethod
     def from_tables(horizon: int, proposer_table: dict, voter_tables: list[dict],
@@ -155,37 +171,70 @@ class StrategyProfile:
             return base(tt, xx)
 
         return StrategyProfile(horizon=self.horizon, propose=propose, vote=self.vote,
-                               label=f"{self.label}+perturbed")
+                               label=f"{self.label}+perturbed", ballots=self.ballots)
 
 
-def _markov_profile(step: Callable[[int], int], rows, size: int, rounds: int,
-                    label: str, cap: Optional[int] = None,
-                    ties_from: int = 1) -> StrategyProfile:
-    """Markov profile driven by a one-step map on policy indices 0..size-1.
+def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: str,
+                    cap: Optional[int] = None, ties_from: int = 1) -> StrategyProfile:
+    """Markov profile driven by a one-step map on policy indices.
 
-    The setter proposes `step(x)` and never adjourns.  At round t of T
-    and default x, voter i approves a when `rows[i]` ranks step^k(a)
-    above step^k(x), where the continuation depth k is T - t, capped at
-    `cap` if given; on a tie the voter approves exactly when t >= `ties_from`.
+    `step[x]` is the one-step image of policy x; `rows` holds one row
+    per voter over the policies.  The setter proposes `step[x]` and never
+    adjourns.  At round t of T and default x, voter i approves a when
+    `rows[i]` ranks step^k(a) above step^k(x), where the continuation
+    depth k is T - t, capped at `cap` if given; on a tie the voter
+    approves exactly when t >= `ties_from`.
+
+    The orbit table `powers[k] = step^k` over every policy is built once,
+    iteratively, up to the deepest depth any round reads, and stops early
+    once `step` fixes every entry (all later powers are equal).  A ballot
+    block is then one rank comparison of two gathered column sets, and
+    `propose` and `vote` read the same table.  Rounds outside 1..T and
+    policy indices outside the table raise `ValidationError`.
     """
-    @lru_cache(maxsize=None)
-    def power(x: int, k: int) -> int:
-        if k:
-            return step(power(x, k - 1))
+    rows = np.asarray(rows, dtype=np.int64)
+    step = np.asarray(step, dtype=np.int64)
+    size = len(step)
+    powers = [np.arange(size, dtype=np.int64)]
+    for _ in range(rounds if cap is None else min(rounds, cap)):
+        image = step[powers[-1]]
+        if np.array_equal(image, powers[-1]):
+            break
+        powers.append(image)
+
+    def at(t: int, depth: int) -> np.ndarray:
+        """step^depth over every policy (the table ends at the cap or where
+        it stops changing), once t is checked to be a round."""
+        if not 1 <= t <= rounds:
+            raise ValidationError(f"round {t} out of range 1..{rounds}")
+        return powers[min(depth, len(powers) - 1)]
+
+    def check(x: int) -> int:
         if not 0 <= x < size:
             raise ValidationError(f"policy index {x} out of range")
         return x
 
     def propose(t, x):
-        return (power(x, 1), False)
+        return (int(at(t, 1)[check(x)]), False)
 
     def vote(i, t, x, a):
-        k = rounds - t if cap is None else min(rounds - t, cap)
-        row = rows[i]
-        accept, reject = row[power(a, k)], row[power(x, k)]
-        return accept > reject or (accept == reject and t >= ties_from)
+        power, row = at(t, rounds - t), rows[i]
+        accept, reject = row[power[check(a)]], row[power[check(x)]]
+        return bool(accept > reject or (accept == reject and t >= ties_from))
 
-    return StrategyProfile(horizon=rounds, propose=propose, vote=vote, label=label)
+    def ballots(t, x, policies, n):
+        power = at(t, rounds - t)
+        if n != len(rows):
+            raise ValidationError(f"profile {label!r} is for {len(rows)} voters, not {n}")
+        if len(policies) and not (0 <= min(policies) and max(policies) < size):
+            for a in policies:
+                check(a)                          # raises at the first outside
+        accept = rows.take(power.take(policies), axis=1)
+        reject = rows[:, power[check(x)], None]
+        return accept >= reject if t >= ties_from else accept > reject
+
+    return StrategyProfile(horizon=rounds, propose=propose, vote=vote, label=label,
+                           ballots=ballots)
 
 
 def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRule,
@@ -201,8 +250,8 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
         raise ValidationError("the simple equilibrium profile requires gfa")
     if rounds < 1:
         raise ValidationError("need at least one round")
-    return _markov_profile(_phi_table(problem, rule).__getitem__, problem._ranks.tolist(),
-                           problem.num_policies, rounds, label="simple-equilibrium")
+    return _markov_profile(_phi_table(problem, rule), problem._ranks[:-1], rounds,
+                           label="simple-equilibrium")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +303,24 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
     def walk(key) -> frozenset[int]:
         """Endpoints of `rounds` steps from x0 when each visited default
         fixes one class of its members, those alike under `key`, and
-        steps to any member of that class."""
+        steps to any member of that class.  Depth first on an explicit
+        stack, one tick per visit."""
         reached: set[int] = set()
         fixed: dict[int, list[int]] = {}
+
+        def successors(state: int):
+            if state in fixed:
+                yield from fixed[state]
+                return
+            classes: dict[int, list[int]] = {}
+            for y in correspondence[state]:
+                classes.setdefault(key(y), []).append(y)
+            for members in classes.values():
+                fixed[state] = members
+                yield from members        # resumed only once a subtree is done
+                del fixed[state]
+
+        stack: list = []
 
         def visit(state: int, depth: int):
             spent = next(ticks)
@@ -265,20 +329,17 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
                     "selection enumeration exceeded budget", required=spent, budget=budget)
             if depth == rounds:
                 reached.add(state)
-            elif state in fixed:
-                for y in fixed[state]:
-                    visit(y, depth + 1)
             else:
-                classes: dict[int, list[int]] = {}
-                for y in correspondence[state]:
-                    classes.setdefault(key(y), []).append(y)
-                for members in classes.values():
-                    fixed[state] = members
-                    for y in members:
-                        visit(y, depth + 1)
-                    del fixed[state]
+                stack.append((depth + 1, successors(state)))
 
         visit(x0, 0)
+        while stack:
+            depth, pending = stack[-1]
+            y = next(pending, None)
+            if y is None:
+                stack.pop()
+            else:
+                visit(y, depth)
         return frozenset(reached)
 
     # lower: each member is its own class; upper: members of equal setter utility
@@ -363,10 +424,8 @@ def dtd_profile(n: int, m: int, rounds: int, flavor: str) -> StrategyProfile:
     from .distributions import DivideDollarGrid
     grid = DivideDollarGrid(n=n, m=m)
 
-    def grab(x: int) -> int:
-        return grid.index(dtd_beta(grid.allocation(x)))
-
-    units = list(zip(*(a.units for a in grid.allocations)))
+    grab = [grid.index(dtd_beta(a)) for a in grid.allocations]
+    units = [a.units[:-1] for a in grid.allocations]     # voters' shares
     cap, ties_from = (2, rounds - 1) if flavor == "capricious" else (None, 1)
-    return _markov_profile(grab, units, len(grid.allocations), rounds,
+    return _markov_profile(grab, np.array(units).T, rounds,
                            label=f"dtd-{flavor}", cap=cap, ties_from=ties_from)

@@ -19,6 +19,7 @@ outcome-equivalent from trap protocols that are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Integral
 from typing import Iterator, Optional, Union
@@ -32,7 +33,13 @@ from .errors import (
     UnsupportedCombinationError,
     ValidationError,
 )
-from .problems import CollectiveChoiceProblem, VotingRule, _column_chunks, _wins
+from .problems import (
+    CollectiveChoiceProblem,
+    VotingRule,
+    _coalition_holds,
+    _column_chunks,
+    _wins,
+)
 
 PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
 
@@ -95,14 +102,17 @@ class GameSpec:
     def protocol_name(self) -> str:
         return self.protocol if isinstance(self.protocol, str) else self.protocol.label
 
+    @cached_property
+    def _every_policy(self) -> tuple[tuple[int, bool], ...]:
+        """A preset's offer of every policy, with adjournment under `successive`."""
+        adjourn = self.protocol == "successive"
+        return tuple((y, adjourn) for y in range(self.problem.num_policies))
+
     def feasible(self, t: int, x: int) -> tuple[tuple[int, bool], ...]:
-        m = self.problem.num_policies
-        if self.protocol == "amendment":
-            return tuple((y, False) for y in range(m))
-        if self.protocol == "successive":
-            return tuple((y, True) for y in range(m))
+        if self.protocol in ("amendment", "successive"):
+            return self._every_policy
         if self.protocol == "open_rule":
-            return tuple((y, False) for y in range(m)) + ((x, True),)
+            return self._every_policy + ((x, True),)
         actions = self.protocol.actions(t, x)
         if not actions:
             raise ValidationError(
@@ -255,39 +265,49 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
 # profile verification
 
 
-def _approvers(vote, n: int, t: int, x: int, a: int) -> int:
-    """Bitmask of the voters whose `vote` approves proposal a at (t, x)."""
-    return sum(1 << i for i in range(n) if vote(i, t, x, a))
-
-
-def _distinct_offers(actions, t: int, x: int) -> tuple[tuple[int, bool], ...]:
-    """The distinct offered actions, first offer first.  A vote carries no
-    adjournment flag, so a policy offered with both flags is refused,
-    except the standing default x: its amend offer has identical
-    continuations, so both of its offers can share one vote."""
-    flags: dict[int, bool] = {}
-    for a, adjourn in actions:
-        if flags.setdefault(a, adjourn) != adjourn and a != x:
-            raise ValidationError(
-                "verify_profile needs each policy other than the standing default "
-                "offered with a single adjournment flag; "
-                f"policy {a} at (round {t}, default {x}) has both")
-    return tuple(dict.fromkeys((a, adjourn) for a, adjourn in actions))
+def _distinct_offers(actions, t: int, x: int) -> tuple[tuple[tuple[int, bool], ...], list[int]]:
+    """The distinct offered actions, first offer first, and their distinct
+    policies.  A vote carries no adjournment flag, so a policy offered
+    with both flags is refused, except the standing default x: its amend
+    offer has identical continuations, so both of its offers can share
+    one vote."""
+    offers = tuple(dict.fromkeys(map(tuple, actions)))
+    policies = list(dict.fromkeys(a for a, _ in offers))
+    if len(policies) < len(offers):
+        flags: dict[int, bool] = {}
+        for a, adjourn in offers:
+            if flags.setdefault(a, adjourn) != adjourn and a != x:
+                raise ValidationError(
+                    "verify_profile needs each policy other than the standing default "
+                    "offered with a single adjournment flag; "
+                    f"policy {a} at (round {t}, default {x}) has both")
+    return offers, policies
 
 
 def verify_profile(game: GameSpec, profile: StrategyProfile,
                    budget: int = 5_000_000) -> DeviationReport:
     """One-shot deviation audit of a tabulated profile.
 
-    Reads the profile once: one proposal per reachable (round, default)
-    state and one vote per voter and offered policy there.  Continuation
-    outcomes under the profile then give (a) every feasible proposal
-    deviation for the setter and (b) the as-if-pivotal convention for
-    every voter at every (state, proposal): a strict preference between
-    the acceptance and rejection continuations must be voted.  Partial
-    profiles raise a validation error listing the missing states, and so
-    does a proposal the protocol does not offer at its state (an
-    unoffered policy, or an offered one with the other adjournment flag).
+    Reads the profile once per reachable (round, default) state, rounds
+    ascending and defaults ascending: its proposal, then one `ballots`
+    block with every voter's vote on each distinct offered policy.  A
+    block that raises KeyError is read again one vote at a time, so that
+    partial profiles raise a validation error listing every missing
+    entry; so does a proposal the protocol does not offer at its state
+    (an unoffered policy, or an offered one with the other adjournment
+    flag).
+
+    The rest runs on arrays.  Continuation outcomes under the profile are
+    filled backward, one round of reachable defaults at a time: round t
+    reads round t + 1 through each proposal's ballot.  Then every offer
+    of every state is audited in one block: its accept and reject
+    outcomes give (a) every feasible proposal deviation for the setter,
+    flagged where it reaches a better-ranked outcome under fixed voting,
+    and (b) the as-if-pivotal convention for every voter: a strict
+    preference between the two continuations must be voted.  Violations
+    are reported by state, then offer, the setter before the voters
+    ascending; `Fraction`s appear only in the reported gains.  Memory is
+    O(n) words per offer read.
 
     A vote names a policy, not an adjournment flag, so a policy offered
     with both flags at one state is refused, with one exception: the
@@ -305,7 +325,8 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
 
     # feasible actions of every reachable (round, default) state, round by
     # round: a failed vote keeps the default, a passed non-adjourning
-    # proposal installs it, a passed adjourning one ends play
+    # proposal installs it, a passed adjourning one ends play.  Only these
+    # states are read: a custom table may omit the others.
     actions: dict[tuple[int, int], tuple] = {}
     reach = {game.initial_default}
     for t in range(1, game.horizon + 1):
@@ -315,88 +336,114 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
             successors.update(a for a, adjourn in actions[(t, x)] if not adjourn)
         reach = successors
 
-    work = len(actions) * problem.num_policies * (problem.n + 1)
+    n, m = problem.n, problem.num_policies
+    work = len(actions) * m * (n + 1)
     if work > budget:
         raise BudgetExceededError("profile verification too large",
                                   required=work, budget=budget)
 
     missing: list[tuple] = []
-
-    def vote(i, t, x, a):
-        try:
-            return profile.vote(i, t, x, a)
-        except KeyError:
-            missing.append((f"voter {i + 1}", t, x, a))
-            return False
-
-    proposal: dict[tuple[int, int], tuple[int, bool]] = {}
-    offers: dict[tuple[int, int], tuple[tuple[int, bool], ...]] = {}
-    votes: dict[tuple[int, int, int], int] = {}
+    offers: list[tuple[int, bool]] = []     # distinct offers of every state, in state order
+    sizes: list[int] = []                   # offers per state
+    on: list[int] = []                      # index into `offers` of each state's proposal
+    blocks: list[np.ndarray] = []           # (n, offers) ballots of each state
     for (t, x), offered in actions.items():
         try:
             a, adjourn = profile.propose(t, x)
         except KeyError:
             missing.append(("proposer", t, x))
+            a = adjourn = None
         else:
             if (a, adjourn) not in offered:
                 raise ValidationError(
                     f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
                     f"at (round {t}, default {x}), which protocol "
                     f"{game.protocol_name!r} does not offer")
-            proposal[(t, x)] = a, adjourn
-        offers[(t, x)] = _distinct_offers(offered, t, x)
-        for a in dict.fromkeys(a for a, _ in offers[(t, x)]):
-            votes[(t, x, a)] = _approvers(vote, problem.n, t, x, a)
+        distinct, policies = _distinct_offers(offered, t, x)
+        if a is not None:
+            on.append(len(offers) + distinct.index((a, adjourn)))
+        offers.extend(distinct)
+        sizes.append(len(distinct))
+        try:
+            block = profile.ballots(t, x, policies, n)
+        except KeyError:
+            block = np.zeros((n, len(policies)), dtype=bool)
+            for k, a in enumerate(policies):
+                for i in range(n):
+                    try:
+                        block[i, k] = bool(profile.vote(i, t, x, a))
+                    except KeyError:
+                        missing.append((f"voter {i + 1}", t, x, a))
+        if len(policies) < len(distinct):    # the standing default's two offers
+            block = block[:, [policies.index(a) for a, _ in distinct]]
+        blocks.append(block)
     if missing:
         raise ValidationError(f"profile not total on reachable states; missing: "
                               f"{missing[:20]}{'...' if len(missing) > 20 else ''}")
 
-    # outcome of play from each state; later rounds first
-    cont = {(game.horizon + 1, y): y for y in range(problem.num_policies)}
-    for t, x in reversed(actions):
-        a, adjourn = proposal[(t, x)]
-        passed = game.rule.wins(votes[(t, x, a)])
-        cont[(t, x)] = a if passed and adjourn else cont[(t + 1, a if passed else x)]
+    # one entry per state, rounds ascending, and one per offer
+    rounds, defaults = np.array(list(actions), dtype=np.int64).T
+    state = np.repeat(np.arange(len(sizes)), sizes)
+    policy = np.array([a for a, _ in offers], dtype=np.int64)
+    adjourns = np.array([adjourn for _, adjourn in offers], dtype=bool)
+    yes = np.concatenate(blocks, axis=1)
+    passed = _coalition_holds(game.rule, yes)
 
-    setter = problem._ranks[-1].tolist()
+    # continuation outcome of each state, later rounds first: its proposal
+    # ends play (passed with adjournment) or moves to round t + 1 at the
+    # passed proposal or the kept default; unreachable entries stay unread
+    cont = np.zeros((game.horizon + 2, m), dtype=np.int64)
+    cont[game.horizon + 1] = np.arange(m)
+    on_policy, on_passed = policy[on], passed[on]
+    ends = on_passed & adjourns[on]
+    moves = np.where(on_passed, on_policy, defaults)
+    first = np.searchsorted(rounds, np.arange(1, game.horizon + 2))
+    for t in range(game.horizon, 0, -1):
+        now = slice(first[t - 1], first[t])
+        cont[t, defaults[now]] = np.where(ends[now], on_policy[now], cont[t + 1, moves[now]])
+
+    # every offer at once: accept, reject, on-path and deviation outcomes;
+    # a vote is wrong where the voter strictly prefers one continuation
+    # and votes for the other
+    t_of, x_of = rounds[state], defaults[state]
+    accept = np.where(adjourns, policy, cont[t_of + 1, policy])
+    reject = cont[t_of + 1, x_of]
+    on_path = cont[t_of, x_of]
+    deviation = np.where(passed, accept, reject)
+    setter = problem._ranks[-1]
+    setter_gains = setter[deviation] > setter[on_path]
+    accept_ranks, reject_ranks = problem._ranks[:-1, accept], problem._ranks[:-1, reject]
+    wrong = (accept_ranks != reject_ranks) & ((accept_ranks > reject_ranks) != yes)
+
+    flagged = np.flatnonzero(setter_gains | wrong.any(axis=0))
+    columns = (t_of, x_of, policy, adjourns, accept, reject, deviation, on_path, setter_gains)
     violations: list[Violation] = []
-    for (t, x), offered in offers.items():
-        on_path_out = cont[(t, x)]
-        reject_out = cont[(t + 1, x)]
-        for a, adjourn in offered:
-            accept_out = a if adjourn else cont[(t + 1, a)]
-            approvers = votes[(t, x, a)]
-            # setter: one-shot proposal deviation under fixed voting
-            dev_out = accept_out if game.rule.wins(approvers) else reject_out
-            if setter[dev_out] > setter[on_path_out]:
-                violations.append(Violation(
-                    player="setter", round=t, default=x, proposal=a,
-                    deviation=f"propose {problem.policies[a]}"
-                              f"{' with adjournment' if adjourn else ''}",
-                    gain=problem.setter_utilities[dev_out]
-                    - problem.setter_utilities[on_path_out]))
-            # voters: as-if-pivotal convention between the two continuations
-            wrong = ((problem.support_mask(accept_out, reject_out) & ~approvers)
-                     | (problem.support_mask(reject_out, accept_out) & approvers))
-            while wrong:
-                i = (wrong & -wrong).bit_length() - 1
-                wrong &= wrong - 1
-                row = problem.voter_utilities[i]
-                stake = row[accept_out] - row[reject_out]
-                violations.append(Violation(
-                    player=f"voter {i + 1}", round=t, default=x, proposal=a,
-                    deviation="must approve strictly preferred continuation" if stake > 0
-                    else "must reject strictly dispreferred continuation",
-                    gain=abs(stake)))
+    for t, x, a, adjourn, accept_out, reject_out, dev_out, on_out, gains, bad in zip(
+            *(column[flagged].tolist() for column in columns), wrong[:, flagged].T.tolist()):
+        if gains:
+            violations.append(Violation(
+                player="setter", round=t, default=x, proposal=a,
+                deviation=f"propose {problem.policies[a]}"
+                          f"{' with adjournment' if adjourn else ''}",
+                gain=problem.setter_utilities[dev_out] - problem.setter_utilities[on_out]))
+        for i in [i for i, flag in enumerate(bad) if flag]:
+            row = problem.voter_utilities[i]
+            stake = row[accept_out] - row[reject_out]
+            violations.append(Violation(
+                player=f"voter {i + 1}", round=t, default=x, proposal=a,
+                deviation="must approve strictly preferred continuation" if stake > 0
+                else "must reject strictly dispreferred continuation",
+                gain=abs(stake)))
     return DeviationReport(profile_valid=not violations, violations=tuple(violations))
 
 
 def play_out(game: GameSpec, profile: StrategyProfile) -> int:
-    """Policy implemented when everyone follows the profile."""
+    """Policy implemented when everyone follows the profile: each round
+    reads the proposal and its one-column `ballots` block."""
     t, x = 1, game.initial_default
     while t <= game.horizon:
         a, adjourn = profile.propose(t, x)
-        if game.rule.wins(_approvers(profile.vote, game.problem.n, t, x, a)):
+        if _coalition_holds(game.rule, profile.ballots(t, x, [a], game.problem.n))[0]:
             if adjourn:
                 return a
             x = a

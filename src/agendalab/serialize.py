@@ -189,7 +189,8 @@ def parse_rule(text: str, n: int) -> VotingRule:
 
 def profile_to_dict(profile: StrategyProfile,
                     problem: CollectiveChoiceProblem) -> dict:
-    """Tabulate a profile over all (round, default) states of its horizon."""
+    """Tabulate a profile over all (round, default) states of its horizon,
+    each state's votes from one `ballots` block."""
     proposer = []
     votes = []
     m = problem.num_policies
@@ -197,11 +198,11 @@ def profile_to_dict(profile: StrategyProfile,
         for x in range(m):
             a, adjourn = profile.propose(t, x)
             proposer.append([t, problem.policies[x], problem.policies[a], adjourn])
-            for cand in range(m):
-                for i in range(problem.n):
+            block = profile.ballots(t, x, range(m), problem.n)
+            for cand, column in enumerate(block.T.tolist()):
+                for i, vote in enumerate(column):
                     votes.append([i + 1, t, problem.policies[x],
-                                  problem.policies[cand],
-                                  bool(profile.vote(i, t, x, cand))])
+                                  problem.policies[cand], vote])
     return {"horizon": profile.horizon, "label": profile.label,
             "proposer": proposer, "votes": votes}
 

@@ -12,6 +12,7 @@ from agendalab import (
     BudgetExceededError,
     DivideDollarGrid,
     GameSpec,
+    StrategyProfile,
     ValidationError,
     VotingRule,
     dtd_beta,
@@ -195,6 +196,69 @@ def test_simple_profile_passes_verification(cycle, rule3, small_corpus):
         assert play_out(game, profile) == phi_iterates(problem, rule, 0, 3)[-1]
 
 
+def test_simple_profile_long_horizon(cycle, rule3):
+    # the orbit table is built iteratively, so a deep continuation is a lookup
+    rounds = 1500
+    profile = simple_equilibrium_profile(cycle, rule3, rounds)
+    orbit = [phi_iterates(cycle, rule3, x, rounds - 1)[-1] for x in range(4)]
+    for i in range(3):
+        row = cycle.voter_utilities[i]
+        assert profile.vote(i, 1, 0, 1) == (row[orbit[1]] >= row[orbit[0]])
+    assert profile.ballots(1, 0, [1], 3)[:, 0].tolist() == [
+        profile.vote(i, 1, 0, 1) for i in range(3)]
+    assert profile.propose(rounds, 0) == (favorite_improvement(cycle, rule3, 0), False)
+
+
+@pytest.mark.parametrize("t", [0, 4, 9, -1])
+def test_markov_profiles_refuse_rounds_outside_the_horizon(cycle, rule3, t):
+    profiles = (simple_equilibrium_profile(cycle, rule3, 3),
+                dtd_profile(3, 4, 3, "non_capricious"), dtd_profile(3, 4, 3, "capricious"))
+    for profile in profiles:
+        with pytest.raises(ValidationError, match=f"round {t} out of range 1..3"):
+            profile.propose(t, 0)
+        with pytest.raises(ValidationError, match=f"round {t} out of range 1..3"):
+            profile.vote(0, t, 0, 1)
+        with pytest.raises(ValidationError, match=f"round {t} out of range 1..3"):
+            profile.ballots(t, 0, [1], 3)
+
+
+def test_markov_ballots_match_votes_and_check_their_arguments(cycle, rule3):
+    profiles = [simple_equilibrium_profile(cycle, rule3, 3)]
+    profiles += [dtd_profile(3, 3, 4, flavor) for flavor in ("non_capricious", "capricious")]
+    for profile in profiles:
+        size = 4 if profile.label == "simple-equilibrium" else 20
+        policies = [size - 1, 0, 2, 0]
+        for t in range(1, profile.horizon + 1):
+            for x in range(size):
+                block = profile.ballots(t, x, policies, 3)
+                assert block.dtype == bool and block.shape == (3, 4)
+                assert block.tolist() == [[profile.vote(i, t, x, a) for a in policies]
+                                          for i in range(3)]
+        assert profile.ballots(1, 0, [], 3).shape == (3, 0)
+        with pytest.raises(ValidationError, match=f"policy index {size} out of range"):
+            profile.ballots(1, 0, [0, size, -1], 3)
+        with pytest.raises(ValidationError, match="policy index -1 out of range"):
+            profile.ballots(1, -1, [0], 3)
+        with pytest.raises(ValidationError, match="is for 3 voters, not 5"):
+            profile.ballots(1, 0, [0], 5)
+
+
+def test_plain_profile_ballots_read_votes_policy_first(cycle, rule3):
+    base = simple_equilibrium_profile(cycle, rule3, 2)
+    calls = []
+
+    def vote(i, t, x, a):
+        calls.append((i, t, x, a))
+        return base.vote(i, t, x, a)
+
+    profile = StrategyProfile(horizon=2, propose=base.propose, vote=vote)
+    block = profile.ballots(1, 0, [2, 1], 3)
+    assert calls == [(i, 1, 0, a) for a in (2, 1) for i in range(3)]
+    assert block.tolist() == base.ballots(1, 0, [2, 1], 3).tolist()
+    # a perturbed copy keeps the block reader of its base
+    assert base.with_proposal(1, 0, 0).ballots is base.ballots
+
+
 # ---------------------------------------------------------------------------
 # one-round improvement correspondence
 
@@ -265,6 +329,18 @@ def test_bounds_fixed_point_default():
 def test_bounds_budget_error(cycle, rule3):
     with pytest.raises(BudgetExceededError):
         nc_outcome_bounds(cycle, rule3, 0, 3, budget=1)
+
+
+def test_bounds_long_horizon(cycle, rule3):
+    # the walker keeps its own stack, so the depth is not limited by recursion
+    x0, rounds = cycle.policy_index("z"), 1500
+    bounds = nc_outcome_bounds(cycle, rule3, x0, rounds)
+    assert bounds.lower == bounds.upper == frozenset(
+        {phi_iterates(cycle, rule3, x0, rounds)[-1]})
+    with pytest.raises(BudgetExceededError) as caught:
+        nc_outcome_bounds(cycle, rule3, x0, rounds, budget=rounds + 5)
+    # the lower walk spends rounds + 1 ticks, the upper one runs out four later
+    assert caught.value.required == rounds + 6
 
 
 def test_bounds_lower_members_are_selection_orbits():

@@ -15,6 +15,7 @@ class and message.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,7 @@ from agendalab import (
     ValidationError,
     VotingRule,
     check_richness,
+    dtd_profile,
     favorite_improvement,
     phi_iterates,
     play_out,
@@ -38,7 +40,9 @@ from agendalab import (
     verify_profile,
 )
 from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
+from agendalab.fixtures import majority_cycle_problem
 from agendalab import problems as problems_module
+from agendalab.distributions import DivideDollarGrid
 from agendalab.oracle import (
     DeviationReport,
     RichnessReport,
@@ -474,3 +478,81 @@ def test_check_richness_matches_reference():
     assert any(r.rich for r in reports)
     assert any(r.subset_witness for r in reports)
     assert any(r.feasibility_witness for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Markov profiles, which answer a state's votes from one block
+
+
+@pytest.mark.parametrize("flavor", ["non_capricious", "capricious"])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_verify_dtd_profiles_matches_reference(flavor, m):
+    grid = DivideDollarGrid(n=3, m=m)
+    rule = VotingRule.simple_majority(3)
+    # an interior default where the grid has one (m >= 4), else the first
+    x0 = next((k for k, a in enumerate(grid.allocations) if all(a.units)), 0)
+    for rounds in range(2, 6):
+        profile = dtd_profile(3, m, rounds, flavor)
+        game = GameSpec(problem=grid.problem, rule=rule, horizon=rounds, initial_default=x0)
+        assert verify_profile(game, profile) == ref_verify_profile(game, profile)
+        assert play_out(game, profile) == ref_play_out(game, profile)
+
+
+def test_verify_simple_profile_under_open_rule_matches_reference():
+    flagged = 0
+    for seed in range(40):
+        rng = random.Random(40_000 + seed)
+        n, m, rounds = rng.choice((1, 3, 5, 7)), rng.randint(2, 6), rng.randint(1, 4)
+        problem, rule = _problem(rng, n, m, gfa=True), _rule(rng, n)
+        game = GameSpec(problem=problem, rule=rule, horizon=rounds,
+                        initial_default=rng.randrange(m), protocol="open_rule")
+        profile = simple_equilibrium_profile(problem, rule, rounds)
+        report = verify_profile(game, profile)
+        assert report == ref_verify_profile(game, profile)
+        flagged += not report.profile_valid
+    # the simple profile never adjourns, which open_rule can punish
+    assert flagged
+
+
+def test_verify_markov_profile_reads_no_single_votes():
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    profiles = [simple_equilibrium_profile(problem, rule, 3)]
+    profiles += [dtd_profile(3, 4, 3, flavor) for flavor in ("non_capricious", "capricious")]
+    for profile in profiles:
+        calls = []
+
+        def vote(i, t, x, a, single=profile.vote):
+            calls.append((i, t, x, a))
+            return single(i, t, x, a)
+
+        counted = dataclasses.replace(profile, vote=vote)
+        if profile.label == "simple-equilibrium":
+            game = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=0)
+        else:
+            game = GameSpec(problem=DivideDollarGrid(n=3, m=4).problem, rule=rule,
+                            horizon=3, initial_default=7)
+        assert verify_profile(game, counted) == verify_profile(game, profile)
+        assert play_out(game, counted) == play_out(game, profile)
+        assert calls == []
+
+
+def test_verify_custom_table_without_unreachable_states():
+    # the table defines only the states play can reach from default 0;
+    # rounds 2 and 3 offer staying or moving to 1, and 2, 3 are never reached
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    table = {(1, 0): ((0, False), (1, False))}
+    table.update({(t, x): ((x, False), (1, False), (x, True))
+                  for t in (2, 3) for x in (0, 1)})
+    game = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=0,
+                    protocol=CustomProtocol(label="sparse", table=table))
+    simple = simple_equilibrium_profile(problem, rule, 3)
+    proposer = {(t, x): actions[-1] for (t, x), actions in table.items()}
+    voters = [{(t, x, a): simple.vote(i, t, x, a)
+               for (t, x), actions in table.items() for a, _ in actions}
+              for i in range(3)]
+    profile = StrategyProfile.from_tables(3, proposer, voters, label="sparse")
+    report = verify_profile(game, profile)
+    assert report == ref_verify_profile(game, profile)
+    assert isinstance(report, DeviationReport)
+    with pytest.raises(ValidationError, match=r"no feasible set at \(round 3, default 2\)"):
+        solve_spe(game)    # backward induction reads every default, last round first
