@@ -7,13 +7,9 @@ and generators for spatial, grid, and distribution instances.
 """
 
 from .engine import (
-    Allocation,
     OutcomeBounds,
     StrategyProfile,
     Trajectory,
-    dtd_beta,
-    dtd_beta_power,
-    dtd_profile,
     equilibrium_outcome,
     favorite_improvement,
     nc_outcome_bounds,
@@ -32,10 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .distributions import (
+    Allocation,
     AxiomAudit,
     DivideDollarGrid,
     audit_dp_axioms,
     divide_dollar_problem,
+    dtd_beta,
+    dtd_beta_power,
+    dtd_profile,
     gen_distribution,
     pork_barrel_problem,
     transfers_problem,

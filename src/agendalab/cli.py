@@ -21,7 +21,7 @@ from .engine import equilibrium_outcome, phi_or
 from .errors import AgendaLabError, InternalInvariantError, ValidationError
 from .grids import BoxSpace, SimplexSpace, build_grid
 from .horizons import horizon_classify, horizon_payoffs, reachability, stable_set
-from .oracle import GameSpec, protocol_equivalence, solve_spe, verify_profile
+from .oracle import PRESET_PROTOCOLS, GameSpec, protocol_equivalence, solve_spe, verify_profile
 from .problems import is_manipulable, unimprovable_set
 from .rationals import format_rational, parse_rational
 from .serialize import (
@@ -29,6 +29,7 @@ from .serialize import (
     parse_rule,
     problem_to_dict,
     profile_from_dict,
+    protocol_from_dict,
     read_json,
     save_problem,
     spatial_profile_from_dict,
@@ -36,7 +37,7 @@ from .serialize import (
 )
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
 from .suites import SUITES, ExperimentDescriptor, run_suite
-from .tournaments import mcgarvey_realize
+from .tournaments import mcgarvey_realize, relabel
 
 
 def _emit(payload, out: str | None) -> None:
@@ -92,7 +93,6 @@ def _cmd_oracle(args) -> int:
     if args.oracle_command == "solve":
         protocol = args.protocol
         if args.protocol_file:
-            from .serialize import protocol_from_dict
             protocol = protocol_from_dict(read_json(args.protocol_file), problem)
         game = GameSpec(problem=problem, rule=rule, horizon=args.rounds,
                         initial_default=x0, protocol=protocol)
@@ -259,7 +259,6 @@ def _cmd_realize(args) -> int:
     labels, tournament = tournament_from_dict(read_json(args.tournament))
     setter = [parse_rational(u) for u in args.setter.split(",")]
     problem = mcgarvey_realize(tournament, setter)
-    from .tournaments import relabel
     problem = relabel(problem, labels)
     if args.out:
         save_problem(problem, args.out)
@@ -327,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_oracle)
     q = oracle_sub.add_parser("equivalence")
     common(q, default=True, rounds=True)
-    q.add_argument("--protocols", nargs="+",
-                   default=["amendment", "successive", "open_rule"])
+    q.add_argument("--protocols", nargs="+", default=list(PRESET_PROTOCOLS))
     q.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("horizon", help="finite vs infinite horizon payoffs")

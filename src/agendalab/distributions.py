@@ -1,11 +1,13 @@
-"""Distribution-problem generators and the scarcity/transferability audit.
+"""Distribution problems, the share grab, and the scarcity/transferability audit.
 
-Divide-the-dollar grids, pork-barrel project menus, and transfer
-augmentations of arbitrary base problems all share the same simplex
-enumeration.  Coarse grids violate the distribution axioms near their
-boundaries; the audit makes those violations explicit per (policy,
-player) pair so theorem checks can restrict themselves to the clean
-region instead of silently failing.
+Divide-the-dollar allocations and grids, pork-barrel project menus, and
+transfer augmentations of arbitrary base problems all share the same
+simplex enumeration.  The share-grab operator `dtd_beta` and its
+equilibrium profiles (`dtd_profile`, from the engine's Markov-profile
+builder) live with the divide-the-dollar grid.  Coarse grids violate
+the distribution axioms near their boundaries; the audit makes those
+violations explicit per (policy, player) pair so theorem checks can
+restrict themselves to the clean region instead of silently failing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import Allocation
+from .engine import StrategyProfile, _markov_profile
 from .errors import BudgetExceededError, ValidationError
 from .problems import CollectiveChoiceProblem
 
@@ -40,6 +42,33 @@ def _count_compositions(total: int, parts: int) -> int:
 
 def _allocation_label(units, m: int) -> str:
     return f"({','.join(str(u) for u in units)})/{m}"
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """Division of the dollar on the 1/denom grid, setter share last."""
+
+    units: tuple[int, ...]
+    denom: int
+
+    def __post_init__(self):
+        if self.denom < 1:
+            raise ValidationError("denominator must be positive")
+        if any(u < 0 for u in self.units):
+            raise ValidationError("shares must be nonnegative")
+        if sum(self.units) != self.denom:
+            raise ValidationError(
+                f"shares sum to {sum(self.units)}/{self.denom}, expected exactly 1")
+        if len(self.units) < 2:
+            raise ValidationError("need at least one voter plus the setter")
+
+    @property
+    def n_voters(self) -> int:
+        return len(self.units) - 1
+
+    @property
+    def shares(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, self.denom) for u in self.units)
 
 
 @dataclass(frozen=True)
@@ -88,6 +117,58 @@ class DivideDollarGrid:
 
 def divide_dollar_problem(n: int, m: int) -> CollectiveChoiceProblem:
     return DivideDollarGrid(n=n, m=m).problem
+
+
+def dtd_beta(allocation: Allocation) -> Allocation:
+    """Zero out the (n-1)/2 largest voter shares into the setter's share.
+
+    Ties select the lower-indexed voters.  The third iterate is the
+    dictator allocation when n = 3.
+    """
+    n = allocation.n_voters
+    if n % 2 == 0:
+        raise ValidationError("the share-grab operator needs an odd number of voters")
+    take = (n - 1) // 2
+    order = sorted(range(n), key=lambda i: (-allocation.units[i], i))
+    grabbed = set(order[:take])
+    units = list(allocation.units)
+    moved = sum(units[i] for i in grabbed)
+    for i in grabbed:
+        units[i] = 0
+    units[n] += moved
+    return Allocation(units=tuple(units), denom=allocation.denom)
+
+
+def dtd_beta_power(allocation: Allocation, k: int) -> Allocation:
+    for _ in range(k):
+        allocation = dtd_beta(allocation)
+    return allocation
+
+
+def dtd_profile(n: int, m: int, rounds: int, flavor: str) -> StrategyProfile:
+    """Share-grabbing equilibrium profiles over the denominator-m grid.
+
+    `non_capricious`: the setter proposes the grab of the default and
+    voters compare grab-iterate continuations, ties going to the
+    proposal.  `capricious` (three voters only): identical except ties
+    favor the proposal only in the last two rounds, which caps the
+    setter at the two-fold grab of the initial default for every
+    horizon of at least two rounds.
+    """
+    if flavor not in ("non_capricious", "capricious"):
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    if flavor == "capricious" and n != 3:
+        raise ValidationError("the capricious construction is specific to three voters")
+    if n % 2 == 0:
+        raise ValidationError("odd voter count required")
+    if rounds < 2:
+        raise ValidationError("need at least two rounds")
+    grid = DivideDollarGrid(n=n, m=m)
+    grab = [grid.index(dtd_beta(a)) for a in grid.allocations]
+    units = [a.units[:-1] for a in grid.allocations]     # voters' shares
+    cap, ties_from = (2, rounds - 1) if flavor == "capricious" else (None, 1)
+    return _markov_profile(grab, np.array(units).T, rounds,
+                           label=f"dtd-{flavor}", cap=cap, ties_from=ties_from)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ included.  Under generic finite alternatives (gfa) the T-round game has
 a unique equilibrium outcome: the T-fold iterate of that map.  This
 module builds the iterates, the one-round improvement correspondence
 for problems with indifference, equilibrium outcome bounds obtained
-from its selections (one walker, `nc_outcome_bounds`), and the
-divide-the-dollar share-grabbing machinery.  One Markov-profile builder,
-`_markov_profile`, makes both the simple equilibrium profile and the
-divide-the-dollar share-grab profiles from a one-step map.
+from its selections (one walker, `nc_outcome_bounds`), and strategy
+profiles.  One Markov-profile builder, `_markov_profile`, makes the
+simple equilibrium profile here and the divide-the-dollar share-grab
+profiles in `distributions` from a one-step map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from typing import Callable, Optional, Sequence
 
@@ -344,88 +343,3 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
 
     # lower: each member is its own class; upper: members of equal setter utility
     return OutcomeBounds(lower=walk(lambda y: y), upper=walk(setter.__getitem__))
-
-
-# ---------------------------------------------------------------------------
-# divide-the-dollar machinery
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Division of the dollar on the 1/denom grid, setter share last."""
-
-    units: tuple[int, ...]
-    denom: int
-
-    def __post_init__(self):
-        if self.denom < 1:
-            raise ValidationError("denominator must be positive")
-        if any(u < 0 for u in self.units):
-            raise ValidationError("shares must be nonnegative")
-        if sum(self.units) != self.denom:
-            raise ValidationError(
-                f"shares sum to {sum(self.units)}/{self.denom}, expected exactly 1")
-        if len(self.units) < 2:
-            raise ValidationError("need at least one voter plus the setter")
-
-    @property
-    def n_voters(self) -> int:
-        return len(self.units) - 1
-
-    @property
-    def shares(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(u, self.denom) for u in self.units)
-
-
-def dtd_beta(allocation: Allocation) -> Allocation:
-    """Zero out the (n-1)/2 largest voter shares into the setter's share.
-
-    Ties select the lower-indexed voters.  The third iterate is the
-    dictator allocation when n = 3.
-    """
-    n = allocation.n_voters
-    if n % 2 == 0:
-        raise ValidationError("the share-grab operator needs an odd number of voters")
-    take = (n - 1) // 2
-    order = sorted(range(n), key=lambda i: (-allocation.units[i], i))
-    grabbed = set(order[:take])
-    units = list(allocation.units)
-    moved = sum(units[i] for i in grabbed)
-    for i in grabbed:
-        units[i] = 0
-    units[n] += moved
-    return Allocation(units=tuple(units), denom=allocation.denom)
-
-
-def dtd_beta_power(allocation: Allocation, k: int) -> Allocation:
-    for _ in range(k):
-        allocation = dtd_beta(allocation)
-    return allocation
-
-
-def dtd_profile(n: int, m: int, rounds: int, flavor: str) -> StrategyProfile:
-    """Share-grabbing equilibrium profiles over the denominator-m grid.
-
-    `non_capricious`: the setter proposes the grab of the default and
-    voters compare grab-iterate continuations, ties going to the
-    proposal.  `capricious` (three voters only): identical except ties
-    favor the proposal only in the last two rounds, which caps the
-    setter at the two-fold grab of the initial default for every
-    horizon of at least two rounds.
-    """
-    if flavor not in ("non_capricious", "capricious"):
-        raise ValidationError(f"unknown flavor {flavor!r}")
-    if flavor == "capricious" and n != 3:
-        raise ValidationError("the capricious construction is specific to three voters")
-    if n % 2 == 0:
-        raise ValidationError("odd voter count required")
-    if rounds < 2:
-        raise ValidationError("need at least two rounds")
-    from .distributions import DivideDollarGrid
-    grid = DivideDollarGrid(n=n, m=m)
-
-    grab = [grid.index(dtd_beta(a)) for a in grid.allocations]
-    units = [a.units[:-1] for a in grid.allocations]     # voters' shares
-    cap, ties_from = (2, rounds - 1) if flavor == "capricious" else (None, 1)
-    return _markov_profile(grab, np.array(units).T, rounds,
-                           label=f"dtd-{flavor}", cap=cap, ties_from=ties_from)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .engine import phi_iterates
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, _phi_table
@@ -99,7 +101,7 @@ def _unwind(parent, x0, target) -> tuple[int, ...]:
 
 
 def _best(problem, members) -> int:
-    return min(members, key=lambda y: (-problem.setter_utilities[y], y))
+    return min(members, key=lambda y: (-problem._ranks[-1][y], y))
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +133,20 @@ def stable_set(problem: CollectiveChoiceProblem,
     """
     if not problem.gfa:
         raise ValidationError("stable sets are guaranteed unique only under gfa")
+    setter = problem._ranks[-1]
     dominates = _dominance(problem)
-    order = sorted(range(problem.num_policies),
-                   key=lambda x: -problem.setter_utilities[x])
     admitted: list[int] = []
-    for x in order:
+    for x in np.argsort(-setter, kind="stable").tolist():
         if not dominates[admitted, x].any():
             admitted.append(x)
     members = frozenset(admitted)
 
-    psi = {}
-    for x in range(problem.num_policies):
-        candidates = [y for y in members if y == x or problem._majority[y, x]]
-        psi[x] = min(candidates, key=lambda y: (-problem.setter_utilities[y], y))
+    # psi(x): the setter's best member that is x or beats x, lowest index on
+    # ties; [k, x] below is "member k is x or beats x", true for some k
+    rows = np.array(sorted(members))
+    candidate = (problem._majority | np.eye(problem.num_policies, dtype=bool))[rows]
+    best = np.where(candidate, setter[rows, None], -1).argmax(axis=0)
+    psi = dict(enumerate(rows[best].tolist()))
 
     certified = False
     if problem.num_policies <= certify_limit:
@@ -247,7 +250,7 @@ def horizon_classify(problem: CollectiveChoiceProblem) -> HorizonReport:
         return HorizonReport(u_table=u_table, u_inf=u_inf, r_set=r_via_phi,
                              case="b", witness=None)
     y = min(x for x in range(m) if x not in r_via_phi)
-    if problem.setter_utilities[phi1[y]] > problem.setter_utilities[psi[y]]:
+    if problem._ranks[-1][phi1[y]] > problem._ranks[-1][psi[y]]:
         witness = y
     else:
         witness = phi1[y]

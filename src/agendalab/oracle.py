@@ -48,21 +48,14 @@ PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
 class CustomProtocol:
     """Feasible proposal sets given as an explicit table.
 
-    `table[(round, default)]` lists the available (policy, adjourn)
-    actions.  Tables keep the game spec serializable and make the
-    richness check a plain scan.
+    `table[(round, default)]` lists the available (policy, adjourn) actions,
+    kept as given; `GameSpec` reads them as distinct `(int, bool)` offers.
+    Tables keep the game spec serializable and make the richness check a
+    plain scan.
     """
 
     label: str
     table: dict
-
-    def actions(self, t: int, x: int):
-        try:
-            return tuple(self.table[(t, x)])
-        except KeyError:
-            raise ValidationError(
-                f"custom protocol {self.label!r} has no feasible set at "
-                f"(round {t}, default {x})") from None
 
 
 Protocol = Union[str, CustomProtocol]
@@ -70,6 +63,10 @@ Protocol = Union[str, CustomProtocol]
 
 @dataclass(frozen=True)
 class GameSpec:
+    """A finite agenda game.  A custom protocol's table is validated once,
+    here, and each state's offers kept as distinct `(int, bool)` pairs,
+    first offer first; `feasible` reports a missing or empty set lazily."""
+
     problem: CollectiveChoiceProblem
     rule: VotingRule
     horizon: int
@@ -87,6 +84,7 @@ class GameSpec:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if isinstance(self.protocol, CustomProtocol):
             m = self.problem.num_policies
+            offers = {}
             for (t, x), actions in self.protocol.table.items():
                 for action in actions:
                     pair = isinstance(action, (tuple, list)) and len(action) == 2
@@ -97,6 +95,8 @@ class GameSpec:
                             f"custom protocol {self.protocol.label!r} offers {action!r} "
                             f"at (round {t}, default {x}); an action is a policy "
                             f"in 0..{m - 1} and a bool adjournment flag")
+                offers[(t, x)] = tuple(dict.fromkeys((int(a), f) for a, f in actions))
+            object.__setattr__(self, "_offers", offers)
 
     @property
     def protocol_name(self) -> str:
@@ -109,15 +109,21 @@ class GameSpec:
         return tuple((y, adjourn) for y in range(self.problem.num_policies))
 
     def feasible(self, t: int, x: int) -> tuple[tuple[int, bool], ...]:
+        """The distinct `(int, bool)` offers at (round t, default x), first
+        offer first; a custom table's missing or empty set raises here."""
         if self.protocol in ("amendment", "successive"):
             return self._every_policy
         if self.protocol == "open_rule":
             return self._every_policy + ((x, True),)
-        actions = self.protocol.actions(t, x)
-        if not actions:
+        offers = self._offers.get((t, x))
+        if offers is None:
+            raise ValidationError(
+                f"custom protocol {self.protocol.label!r} has no feasible set at "
+                f"(round {t}, default {x})")
+        if not offers:
             raise ValidationError(
                 f"empty feasible set at (round {t}, default {x})")
-        return actions
+        return offers
 
 
 @dataclass(frozen=True)
@@ -265,13 +271,12 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
 # profile verification
 
 
-def _distinct_offers(actions, t: int, x: int) -> tuple[tuple[tuple[int, bool], ...], list[int]]:
-    """The distinct offered actions, first offer first, and their distinct
-    policies.  A vote carries no adjournment flag, so a policy offered
-    with both flags is refused, except the standing default x: its amend
-    offer has identical continuations, so both of its offers can share
-    one vote."""
-    offers = tuple(dict.fromkeys(map(tuple, actions)))
+def _voted_policies(offers, t: int, x: int) -> list[int]:
+    """The distinct policies of a state's distinct offers, first offer
+    first.  A vote carries no adjournment flag, so a policy offered with
+    both flags is refused, except the standing default x: its amend offer
+    has identical continuations, so both of its offers can share one
+    vote."""
     policies = list(dict.fromkeys(a for a, _ in offers))
     if len(policies) < len(offers):
         flags: dict[int, bool] = {}
@@ -281,7 +286,7 @@ def _distinct_offers(actions, t: int, x: int) -> tuple[tuple[tuple[int, bool], .
                     "verify_profile needs each policy other than the standing default "
                     "offered with a single adjournment flag; "
                     f"policy {a} at (round {t}, default {x}) has both")
-    return offers, policies
+    return policies
 
 
 def verify_profile(game: GameSpec, profile: StrategyProfile,
@@ -359,11 +364,11 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
                     f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
                     f"at (round {t}, default {x}), which protocol "
                     f"{game.protocol_name!r} does not offer")
-        distinct, policies = _distinct_offers(offered, t, x)
+        policies = _voted_policies(offered, t, x)
         if a is not None:
-            on.append(len(offers) + distinct.index((a, adjourn)))
-        offers.extend(distinct)
-        sizes.append(len(distinct))
+            on.append(len(offers) + offered.index((a, adjourn)))
+        offers.extend(offered)
+        sizes.append(len(offered))
         try:
             block = profile.ballots(t, x, policies, n)
         except KeyError:
@@ -374,8 +379,8 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
                         block[i, k] = bool(profile.vote(i, t, x, a))
                     except KeyError:
                         missing.append((f"voter {i + 1}", t, x, a))
-        if len(policies) < len(distinct):    # the standing default's two offers
-            block = block[:, [policies.index(a) for a, _ in distinct]]
+        if len(policies) < len(offered):     # the standing default's two offers
+            block = block[:, [policies.index(a) for a, _ in offered]]
         blocks.append(block)
     if missing:
         raise ValidationError(f"profile not total on reachable states; missing: "

@@ -67,6 +67,13 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if its type is exactly `kind`, so no bool passes as an int."""
+    if type(value) is not kind:
+        raise ValidationError(f"{what} {value!r} is not of type {kind.__name__}")
+    return value
+
+
 def _policy_labels(data, document: str) -> list:
     labels = _list(_field(data, "policies", document), f"{document} policies")
     for label in labels:
@@ -142,11 +149,7 @@ def tournament_from_dict(data: dict) -> tuple[list, TournamentSpec]:
 def spatial_profile_from_dict(data: dict) -> SpatialProfile:
     """Profile document {"dim": d, "ideal_points": [[...], ...]}, setter last,
     on the unit box."""
-    dim = _field(data, "dim", "profile")
-    try:
-        dim = int(dim)
-    except (TypeError, ValueError):
-        raise ValidationError(f"profile dimension {dim!r} is not an integer") from None
+    dim = _typed(_field(data, "dim", "profile"), int, "profile dimension")
     rows = _list(_field(data, "ideal_points", "profile"), "profile ideal_points")
     points = tuple(tuple(parse_rational(c) for c in _list(p, f"ideal point {k + 1}"))
                    for k, p in enumerate(rows))
@@ -208,15 +211,24 @@ def profile_to_dict(profile: StrategyProfile,
 
 
 def profile_from_dict(data: dict, problem: CollectiveChoiceProblem) -> StrategyProfile:
+    """Profile document as `profile_to_dict` writes it: policy labels,
+    integer rounds, voters 1..n, and bool adjournment flags and votes."""
     index = {label: i for i, label in enumerate(problem.policies)}
+    horizon = _typed(_field(data, "horizon", "profile"), int, "profile horizon")
+    proposer = _list(_field(data, "proposer", "profile"), "profile proposer")
+    votes = _list(_field(data, "votes", "profile"), "profile votes")
+    proposer_table, voter_tables = {}, [dict() for _ in range(problem.n)]
     try:
-        horizon = int(data["horizon"])
-        proposer_table = {
-            (int(t), index[x]): (index[a], bool(adjourn))
-            for t, x, a, adjourn in data["proposer"]}
-        voter_tables: list[dict] = [dict() for _ in range(problem.n)]
-        for voter, t, x, a, vote in data["votes"]:
-            voter_tables[int(voter) - 1][(int(t), index[x], index[a])] = bool(vote)
+        for k, (t, x, a, adjourn) in enumerate(proposer):
+            at = f"profile proposer entry {k + 1}:"
+            state = (_typed(t, int, f"{at} round"), index[x])
+            proposer_table[state] = (index[a], _typed(adjourn, bool, f"{at} adjournment flag"))
+        for k, (voter, t, x, a, vote) in enumerate(votes):
+            at = f"profile votes entry {k + 1}:"
+            if not 1 <= _typed(voter, int, f"{at} voter") <= problem.n:
+                raise ValidationError(f"{at} voter {voter} is outside 1..{problem.n}")
+            key = (_typed(t, int, f"{at} round"), index[x], index[a])
+            voter_tables[voter - 1][key] = _typed(vote, bool, f"{at} vote")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc!r}") from None
     return StrategyProfile.from_tables(horizon, proposer_table, voter_tables,
@@ -229,13 +241,13 @@ def profile_from_dict(data: dict, problem: CollectiveChoiceProblem) -> StrategyP
 
 def protocol_from_dict(data: dict, problem: CollectiveChoiceProblem) -> CustomProtocol:
     """Custom protocol document: {"label": ..., "table": [[t, default,
-    [[policy, adjourn], ...]], ...]} with policy labels."""
+    [[policy, adjourn], ...]], ...]} with policy labels; `GameSpec` judges flags."""
     index = {label: i for i, label in enumerate(problem.policies)}
     try:
         table = {}
         for t, default, actions in data["table"]:
             table[(int(t), index[default])] = tuple(
-                (index[a], bool(adjourn)) for a, adjourn in actions)
+                (index[a], adjourn) for a, adjourn in actions)
         return CustomProtocol(label=str(data.get("label", "custom")), table=table)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed protocol document: {exc!r}") from None

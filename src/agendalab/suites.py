@@ -20,20 +20,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import fixtures
-from .distributions import DivideDollarGrid, audit_dp_axioms
-from .engine import (
-    dtd_beta_power,
-    dtd_profile,
-    equilibrium_outcome,
-    nc_outcome_bounds,
-    phi_iterates,
-    phi_or,
-)
+from .distributions import DivideDollarGrid, audit_dp_axioms, dtd_beta_power, dtd_profile
+from .engine import equilibrium_outcome, nc_outcome_bounds, phi_iterates, phi_or
 from .errors import RichnessError, SpatialDegeneracyError, ValidationError
 from .factories import gen_random_with_ties, gfa_corpus
 from .grids import BoxSpace, build_grid
 from .horizons import horizon_classify, stable_set
-from .oracle import GameSpec, play_out, protocol_equivalence, solve_spe, verify_profile
+from .oracle import (PRESET_PROTOCOLS, GameSpec, play_out, protocol_equivalence, solve_spe,
+                     verify_profile)
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
@@ -43,10 +37,8 @@ from .problems import (
     unimprovable_set,
 )
 from .rationals import format_rational, parse_rational
-from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
-
-SUITES = ("fixtures", "lemma1", "thm1", "thm2_trend", "thm3_bounds", "thm4_mc",
-          "thm4_witness", "thm5", "thm6_7_dtd", "thm8")
+from .serialize import problem_to_dict
+from .spatial import SpatialProfile, check_noncoplanarity, gen_spatial, spatial_witness
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,6 @@ def _rule(problem: CollectiveChoiceProblem) -> VotingRule:
 
 
 def _digest(problem: CollectiveChoiceProblem) -> str:
-    from .serialize import problem_to_dict
     body = json.dumps(problem_to_dict(problem), sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()[:12]
 
@@ -131,13 +122,22 @@ def fixtures_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def lemma1_suite(descriptor: ExperimentDescriptor):
+def _per_problem(descriptor: ExperimentDescriptor, check):
+    """Rows and summary with one row per problem of the descriptor's gfa
+    corpus (200 problems by default): its index and digest, then the
+    fields `check(problem, rule)` returns under simple majority."""
     samples = 200 if descriptor.samples is None else descriptor.samples
     rows = []
     for idx, problem in enumerate(gfa_corpus(samples, descriptor.seed,
                                              descriptor.max_policies,
                                              descriptor.voters)):
-        rule = _rule(problem)
+        fields = check(problem, _rule(problem))
+        rows.append({"instance": idx, "digest": _digest(problem), **fields})
+    return rows, _summary(rows)
+
+
+def lemma1_suite(descriptor: ExperimentDescriptor):
+    def check(problem, rule):
         checks = mismatches = 0
         for x0 in range(problem.num_policies):
             iterates = phi_iterates(problem, rule, x0, descriptor.max_rounds)
@@ -147,20 +147,14 @@ def lemma1_suite(descriptor: ExperimentDescriptor):
                 checks += 1
                 if solve_spe(game).outcome != iterates[rounds]:
                     mismatches += 1
-        rows.append({"instance": idx, "digest": _digest(problem),
-                     "policies": problem.num_policies,
-                     "voters": problem.n, "checks": checks,
-                     "mismatches": mismatches, "pass": mismatches == 0})
-    return rows, _summary(rows)
+        return {"policies": problem.num_policies, "voters": problem.n,
+                "checks": checks, "mismatches": mismatches, "pass": mismatches == 0}
+
+    return _per_problem(descriptor, check)
 
 
 def thm1_suite(descriptor: ExperimentDescriptor):
-    samples = 200 if descriptor.samples is None else descriptor.samples
-    rows = []
-    for idx, problem in enumerate(gfa_corpus(samples, descriptor.seed,
-                                             descriptor.max_policies,
-                                             descriptor.voters)):
-        rule = _rule(problem)
+    def check(problem, rule):
         manip = is_manipulable(problem, rule).manipulable
         horizon = problem.num_policies - 1
         absorbed = [phi_iterates(problem, rule, x0, max(horizon, 1))[-1]
@@ -177,11 +171,10 @@ def thm1_suite(descriptor: ExperimentDescriptor):
                                phi_iterates(problem, rule, x0, max(horizon, 1)))
                 ok = ok and constant
                 stuck = problem.policies[x0]
-        rows.append({"instance": idx, "digest": _digest(problem),
-                     "manipulable": manip,
-                     "dictatorial": dictatorial, "stuck_default": stuck,
-                     "pass": ok})
-    return rows, _summary(rows)
+        return {"manipulable": manip, "dictatorial": dictatorial,
+                "stuck_default": stuck, "pass": ok}
+
+    return _per_problem(descriptor, check)
 
 
 def thm2_trend_suite(descriptor: ExperimentDescriptor):
@@ -281,7 +274,6 @@ def thm4_mc_suite(descriptor: ExperimentDescriptor):
     pts[3] = (pts[0][0] + pts[1][0] - pts[2][0],
               pts[0][1] + pts[1][1] - pts[2][1],
               pts[0][2] + pts[1][2] - pts[2][2])   # completes a parallelogram
-    from .spatial import SpatialProfile
     planar = SpatialProfile(dim=3, ideal_points=tuple(pts), box=square.box)
     report = check_noncoplanarity(planar)
     rows.append({"check": "constructed-coplanar", "samples": 1,
@@ -327,20 +319,13 @@ def thm4_witness_suite(descriptor: ExperimentDescriptor):
 
 
 def thm5_suite(descriptor: ExperimentDescriptor):
-    samples = 200 if descriptor.samples is None else descriptor.samples
-    rows = []
-    protocols = ["amendment", "successive", "open_rule"]
-    for idx, problem in enumerate(gfa_corpus(samples, descriptor.seed,
-                                             descriptor.max_policies,
-                                             descriptor.voters)):
-        rule = _rule(problem)
-        ok = True
-        for x0 in range(problem.num_policies):
-            for rounds in (1, 2, descriptor.max_rounds):
-                report = protocol_equivalence(problem, rule, rounds, x0, protocols)
-                ok = ok and report.all_agree
-        rows.append({"instance": idx, "digest": _digest(problem),
-                     "protocols": len(protocols), "pass": ok})
+    def check(problem, rule):
+        agree = [protocol_equivalence(problem, rule, rounds, x0, PRESET_PROTOCOLS).all_agree
+                 for x0 in range(problem.num_policies)
+                 for rounds in (1, 2, descriptor.max_rounds)]
+        return {"protocols": len(PRESET_PROTOCOLS), "pass": all(agree)}
+
+    rows, _ = _per_problem(descriptor, check)
 
     cycle = fixtures.majority_cycle_problem()
     rule = _rule(cycle)
@@ -439,13 +424,9 @@ def thm6_7_dtd_suite(descriptor: ExperimentDescriptor):
 
 
 def thm8_suite(descriptor: ExperimentDescriptor):
-    samples = 200 if descriptor.samples is None else descriptor.samples
-    rows = []
     horizon_cap = 10
-    for idx, problem in enumerate(gfa_corpus(samples, descriptor.seed,
-                                             descriptor.max_policies,
-                                             descriptor.voters)):
-        rule = _rule(problem)
+
+    def check(problem, rule):
         report = horizon_classify(problem)
         psi = stable_set(problem).psi_table
         ok = True
@@ -461,10 +442,9 @@ def thm8_suite(descriptor: ExperimentDescriptor):
         else:
             ok = ok and all(report.u_table[(x, 2)] == report.u_table[(x, 1)]
                             == report.u_inf[x] for x in range(problem.num_policies))
-        rows.append({"instance": idx, "digest": _digest(problem),
-                     "case": report.case,
-                     "r_size": len(report.r_set), "pass": ok})
-    return rows, _summary(rows)
+        return {"case": report.case, "r_size": len(report.r_set), "pass": ok}
+
+    return _per_problem(descriptor, check)
 
 
 _SUITE_FNS = {
@@ -479,6 +459,7 @@ _SUITE_FNS = {
     "thm6_7_dtd": thm6_7_dtd_suite,
     "thm8": thm8_suite,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(descriptor: ExperimentDescriptor) -> RunRecord:

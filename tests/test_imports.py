@@ -1,0 +1,37 @@
+"""The package's module graph: relative imports form no cycle."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agendalab"
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Modules of the package that `path` imports relatively, at any nesting
+    level (function-level imports included)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {path.stem: _relative_imports(path) for path in PACKAGE.glob("*.py")}
+    assert set().union(*graph.values()) <= set(graph)
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]):
+        assert module not in path, "import cycle: " + " -> ".join(path + (module,))
+        if module not in done:
+            for target in sorted(graph[module]):
+                visit(target, path + (module,))
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, ())

@@ -556,3 +556,23 @@ def test_verify_custom_table_without_unreachable_states():
     assert isinstance(report, DeviationReport)
     with pytest.raises(ValidationError, match=r"no feasible set at \(round 3, default 2\)"):
         solve_spe(game)    # backward induction reads every default, last round first
+
+
+def test_custom_table_of_lists_with_a_repeated_offer():
+    # actions written as [policy, adjourn] lists, as a JSON reader leaves
+    # them, and policy 3 offered twice; the game reads distinct pairs
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    table = {(t, x): [[3, False], [0, False], [1, False], [3, False], [2, False]]
+             for t in (1, 2) for x in range(4)}
+    protocol = CustomProtocol(label="lists", table=table)
+    game = GameSpec(problem=problem, rule=rule, horizon=2, initial_default=0,
+                    protocol=protocol)
+    assert protocol.table is table and table[(1, 0)][3] == [3, False]
+    offers = game.feasible(1, 0)
+    assert offers == ((3, False), (0, False), (1, False), (2, False))
+    assert all(type(a) is int and type(adjourn) is bool for a, adjourn in offers)
+    assert solve_spe(game).outcome == 0
+    profile = simple_equilibrium_profile(problem, rule, 2)
+    report = verify_profile(game, profile)
+    assert report.profile_valid
+    assert report == ref_verify_profile(game, profile)

@@ -381,3 +381,82 @@ def test_cli_oracle_solve_budget_names_its_numbers(cycle_file, capsys):
     # T * m * (m + 1) = 3 * 4 * 5 states and actions
     assert captured.err == ("error: state space too large for the oracle "
                             "(required 60, budget 59)\n")
+
+
+# ---------------------------------------------------------------------------
+# profile documents with wrong-typed fields
+
+
+# case: (section, field of its first entry, value, message); each of these
+# used to be read silently: as True, as voter n, or truncated to 1
+_BAD_PROFILE_FIELDS = {
+    "proposer_flag_string": ("proposer", 3, "false",
+                             r"proposer entry 1: adjournment flag 'false' is not of type bool"),
+    "proposer_flag_int": ("proposer", 3, 0, r"adjournment flag 0 is not of type bool"),
+    "proposer_round_string": ("proposer", 0, "1", r"round '1' is not of type int"),
+    "vote_string": ("votes", 4, "no", r"votes entry 1: vote 'no' is not of type bool"),
+    "voter_zero": ("votes", 0, 0, r"voter 0 is outside 1\.\.3"),
+    "voter_past_n": ("votes", 0, 4, r"voter 4 is outside 1\.\.3"),
+    "voter_string": ("votes", 0, "1", r"voter '1' is not of type int"),
+    "vote_round_float": ("votes", 1, 1.0, r"round 1\.0 is not of type int"),
+    "horizon_string": ("horizon", None, "1", r"profile horizon '1' is not of type int"),
+    "horizon_float": ("horizon", None, 1.9, r"profile horizon 1\.9 is not of type int"),
+    "horizon_bool": ("horizon", None, True, r"profile horizon True is not of type int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROFILE_FIELDS))
+def test_profile_from_dict_refuses_wrong_typed_fields(case, cycle, rule3):
+    section, field, value, message = _BAD_PROFILE_FIELDS[case]
+    doc = profile_to_dict(simple_equilibrium_profile(cycle, rule3, 2), cycle)
+    if section == "horizon":
+        doc["horizon"] = value
+    else:
+        doc[section][0][field] = value
+    with pytest.raises(ValidationError, match=message):
+        profile_from_dict(doc, cycle)
+
+
+@pytest.mark.parametrize("doc", [
+    {"horizon": 2, "proposer": [[1, "w", "x"]], "votes": []},
+    {"horizon": 2, "proposer": [], "votes": [[1, 1, "w", "q", True]]},
+    {"horizon": 2, "proposer": [], "votes": 5},
+    {"horizon": 2, "proposer": []},
+    [],
+])
+def test_profile_from_dict_refuses_malformed_entries(doc, cycle):
+    with pytest.raises(ValidationError, match="profile"):
+        profile_from_dict(doc, cycle)
+
+
+def test_cli_oracle_verify_wrong_typed_profile_exits_1(cycle_file, tmp_path, capsys):
+    cycle = majority_cycle_problem()
+    doc = profile_to_dict(
+        simple_equilibrium_profile(cycle, VotingRule.simple_majority(3), 2), cycle)
+    doc["votes"][0][4] = "no"
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code = main(["oracle", "verify", "--problem", cycle_file, "--default", "z",
+                 "--rounds", "2", "--profile", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: profile votes entry 1: vote 'no' is not of type bool")
+
+
+@pytest.mark.parametrize("flag", ["false", 0])
+def test_protocol_document_flag_is_judged_by_game_spec(flag, cycle, rule3):
+    from agendalab import GameSpec
+    from agendalab.serialize import protocol_from_dict
+    doc = {"label": "flags", "table": [[1, "w", [["x", False], ["y", flag]]]]}
+    protocol = protocol_from_dict(doc, cycle)
+    assert protocol.table[(1, 0)] == ((1, False), (2, flag))
+    with pytest.raises(ValidationError, match="bool adjournment flag"):
+        GameSpec(problem=cycle, rule=rule3, horizon=1, initial_default=0, protocol=protocol)
+
+
+@pytest.mark.parametrize("dim", ["2", 2.9, True])
+def test_spatial_profile_dimension_must_be_an_int(dim):
+    from agendalab.serialize import spatial_profile_from_dict
+    doc = {"dim": dim, "ideal_points": [["0", "1"], ["1", "0"], ["1/2", "1/2"]]}
+    with pytest.raises(ValidationError, match="profile dimension .* is not of type int"):
+        spatial_profile_from_dict(doc)

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from agendalab import ValidationError
-from agendalab.suites import ExperimentDescriptor, run_suite
+from agendalab.suites import SUITES, ExperimentDescriptor, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -93,3 +93,7 @@ def test_suite_bodies_match_golden_digests(suite, tmp_path):
     run_suite(ExperimentDescriptor(suite=suite, out_dir=str(tmp_path), **kwargs))
     bodies = [(tmp_path / f"{suite}.{ext}").read_bytes() for ext in ("csv", "json")]
     assert [hashlib.sha256(b).hexdigest() for b in bodies] == [csv_digest, json_digest]
+
+
+def test_every_suite_is_pinned():
+    assert sorted(_BODY_DIGESTS) == sorted(SUITES)
