@@ -11,7 +11,7 @@ comparison then splits every problem into exactly one of two cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -130,9 +130,19 @@ def stable_set(problem: CollectiveChoiceProblem,
     acyclic, so a greedy scan in decreasing setter utility builds the
     stable set.  For small policy sets the full subset enumeration
     certifies that this is the only stable set.
+
+    The report is built once per (problem, certify limit) and kept in
+    `problem._stable_sets`; each call gets its own copy of `psi_table`.
     """
     if not problem.gfa:
         raise ValidationError("stable sets are guaranteed unique only under gfa")
+    report = problem._stable_sets.get(certify_limit)
+    if report is None:
+        report = problem._stable_sets[certify_limit] = _stable_set(problem, certify_limit)
+    return replace(report, psi_table=dict(report.psi_table))
+
+
+def _stable_set(problem: CollectiveChoiceProblem, certify_limit: int) -> StableSetReport:
     setter = problem._ranks[-1]
     dominates = _dominance(problem)
     admitted: list[int] = []

@@ -7,8 +7,17 @@ feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
 result.  It does so for every default of a round at once, on arrays:
 one weak winning-coalition table (`_wins`) settles every vote, and
-every protocol, preset or custom, is read as one action mask per
-round.  Nothing here consults the improvement operators.
+every protocol, preset or custom, is read as an action mask per round,
+one column chunk at a time.  Nothing here consults the improvement
+operators.
+
+A preset game is stationary: the setter cannot commit, so round t of a
+T-round game is the first round of the (T - t + 1)-round game.  The
+problem's `_oracle_store` therefore keeps, per rule, the weak table and,
+per (rule, preset), the backward rows of every horizon solved so far;
+a longer horizon extends them and a shorter one reads their prefix, so
+every default and horizon of a preset costs one backward step per
+round.  Custom tables are not stationary and are solved per call.
 
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -159,31 +168,110 @@ class DeviationReport:
     violations: tuple[Violation, ...]
 
 
-def _action_masks(game: GameSpec, rounds: range) -> Iterator[np.ndarray]:
-    """The feasible actions of each round in `rounds`, in that order.
+def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], np.ndarray]]:
+    """The feasible actions of each round in `rounds`, in that order, as a
+    reader `mask_of(cols)` of the round's (2m x |cols|) boolean mask: entry
+    [2 * policy + adjourn, j] is True when the protocol offers (policy,
+    adjourn) at default cols[j], so row order is (policy, adjourn) order.
 
-    A round's mask is (2m x m) boolean: entry [2 * policy + adjourn,
-    default] is True when the protocol offers (policy, adjourn) at that
-    default, so row order is (policy, adjourn) order.  A preset yields one
-    constant mask; a custom table is read round by round, default by
-    default, so the first missing or empty feasible set in that order
-    raises.
+    A preset offers the same actions every round: every policy without
+    adjournment (with it, under `successive`), and under `open_rule` also
+    the standing default with adjournment.  Its one reader builds only the
+    chunk asked for, and builds it again only when another chunk was asked
+    for in between (with one chunk, once per call).  A custom table is
+    read round by round, default by default, into one dense mask, so the
+    first missing or empty feasible set in that order raises.
     """
     m = game.problem.num_policies
     if isinstance(game.protocol, str):
-        mask = np.zeros((2 * m, m), dtype=bool)
-        mask[game.protocol == "successive"::2] = True
-        if game.protocol == "open_rule":
-            mask[2 * np.arange(m) + 1, np.arange(m)] = True
+        built = {}
+
+        def mask_of(cols):
+            key = (cols.start, cols.stop)
+            if key not in built:
+                built.clear()
+                defaults = np.arange(m)[cols]
+                mask = np.zeros((2 * m, len(defaults)), dtype=bool)
+                mask[game.protocol == "successive"::2] = True
+                if game.protocol == "open_rule":
+                    mask[2 * defaults + 1, np.arange(len(defaults))] = True
+                built[key] = mask
+            return built[key]
+
         for _ in rounds:
-            yield mask
+            yield mask_of
         return
     for t in rounds:
         mask = np.zeros((2 * m, m), dtype=bool)
         for x in range(m):
             for a, adjourn in game.feasible(t, x):
                 mask[2 * a + adjourn, x] = True
-        yield mask
+        yield lambda cols, mask=mask: mask[:, cols]
+
+
+def _weak_passes(problem: CollectiveChoiceProblem, rule: VotingRule) -> np.ndarray:
+    """[accept, reject]: a proposal passes, the weak `_wins` relation, built
+    in `_column_chunks` and read-only."""
+    m = problem.num_policies
+    passes = np.empty((m, m), dtype=bool)
+    for cols in _column_chunks(problem):
+        passes[:, cols] = _wins(problem, rule, cols, weak=True)
+    passes.flags.writeable = False
+    return passes
+
+
+def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: list,
+                 choices: list, masks: Iterator) -> None:
+    """Backward induction at every default, one round per action-mask
+    reader in `masks`: append the round's continuation outcomes to
+    `values` and its chosen actions (2 * policy + adjourn) to `choices`,
+    reading the next round's outcomes `val` = values[-1].
+
+    Action 2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or
+    a (adjourn), so its result at default x is acc if passes[acc, val[x]]
+    else val[x], and the setter takes the best-ranked feasible result.
+    The argmax breaks ties to the lowest (policy, adjourn) pair, which
+    cannot affect the outcome under gfa.  Defaults go by `_column_chunks`.
+    """
+    m = problem.num_policies
+    setter = problem._ranks[-1]
+    chunks = _column_chunks(problem)
+    acc = np.empty(2 * m, dtype=np.int64)
+    acc[1::2] = np.arange(m)
+    for mask_of in masks:
+        val = values[-1]
+        acc[0::2] = val
+        value = np.empty(m, dtype=np.int64)
+        choice = np.empty(m, dtype=np.int64)
+        for cols in chunks:
+            reject = val[None, cols]
+            res = np.where(passes[acc[:, None], reject], acc[:, None], reject)
+            best = np.where(mask_of(cols), setter[res], -1).argmax(axis=0)
+            choice[cols] = best
+            value[cols] = res[best, np.arange(res.shape[1])]
+        values.append(value)
+        choices.append(choice)
+
+
+def _preset_rows(game: GameSpec) -> tuple[np.ndarray, list, list]:
+    """The stored weak table and backward rows of a preset game, extended
+    to its horizon: `values[k]` is the outcome of the k-round game from
+    each default (`values[0]` is every default itself) and `choices[k - 1]`
+    the action chosen with k rounds left."""
+    problem, rule = game.problem, game.rule
+    store = problem._oracle_store
+    passes = store.get(rule)
+    if passes is None:
+        passes = store[rule] = _weak_passes(problem, rule)
+    rows = store.get((rule, game.protocol))
+    if rows is None:
+        rows = store[(rule, game.protocol)] = ([np.arange(problem.num_policies)], [])
+    values, choices = rows
+    # a preset's mask is the same every round, so the steps still missing
+    # stand in for rounds
+    _extend_rows(problem, passes, values, choices,
+                 _action_masks(game, range(len(choices), game.horizon)))
+    return passes, values, choices
 
 
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
@@ -195,17 +283,18 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     continuation; identical continuations get a unanimous yes.  So a
     proposal passes exactly when `passes[accept, reject]`, the weak
     `_wins` relation (under gfa it differs from the strict one only on
-    its diagonal), built once per call.
+    its diagonal).  Each round is one step of `_extend_rows`.
 
-    Round t reads the continuation outcomes `val` of round t + 1.  Action
-    2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or a
-    (adjourn), so its result at default x is acc if passes[acc, val[x]]
-    else val[x], and the setter takes the best-ranked feasible result.
-    The argmax breaks ties to the lowest (policy, adjourn) pair, which
-    cannot affect the outcome under gfa.  Defaults are processed in
-    `_column_chunks`, so memory is O(m**2) for `passes` and the round's
-    action mask plus O(m * chunk) per block.  The trace recomputes the
-    approvers of each step on the equilibrium path only.
+    A preset game is stationary, so round t of a T-round game is step
+    T + 1 - t of backward induction whatever T is.  Its `passes` (one per
+    rule, shared by the three presets) and its rows (per rule and preset)
+    are built once per problem, kept in `problem._oracle_store`, extended
+    when a longer horizon is asked for and read as a prefix for a shorter
+    one; they cost m**2 bytes plus O(T * m) words and live as long as the
+    problem.  A custom protocol is solved per call, with its own `passes`.
+    Either way each call checks its budget, builds a fresh `value_table`
+    and recomputes the approvers of each step on the equilibrium path
+    only; solving costs O(m * chunk) transient memory per block.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -215,43 +304,29 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     if not problem.gfa:
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
-    m = problem.num_policies
-    work = game.horizon * m * (m + 1)
+    m, horizon = problem.num_policies, game.horizon
+    work = horizon * m * (m + 1)
     if work > budget:
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
-    chunks = _column_chunks(problem)
-    passes = np.empty((m, m), dtype=bool)
-    for cols in chunks:
-        passes[:, cols] = _wins(problem, game.rule, cols, weak=True)
-    setter = problem._ranks[-1]
-    acc = np.empty(2 * m, dtype=np.int64)
-    acc[1::2] = np.arange(m)
-    values = [np.arange(m)]      # continuation outcomes, round T + 1 first
-    choices = []                 # chosen action 2 * policy + adjourn, round T first
-    for mask in _action_masks(game, range(game.horizon, 0, -1)):
-        val = values[-1]
-        acc[0::2] = val
-        value = np.empty(m, dtype=np.int64)
-        choice = np.empty(m, dtype=np.int64)
-        for cols in chunks:
-            reject = val[None, cols]
-            res = np.where(passes[acc[:, None], reject], acc[:, None], reject)
-            best = np.where(mask[:, cols], setter[res], -1).argmax(axis=0)
-            choice[cols] = best
-            value[cols] = res[best, np.arange(res.shape[1])]
-        values.append(value)
-        choices.append(choice)
+    if isinstance(game.protocol, str):
+        passes, values, choices = _preset_rows(game)
+    else:
+        passes = _weak_passes(problem, game.rule)
+        values, choices = [np.arange(m)], []
+        _extend_rows(problem, passes, values, choices,
+                     _action_masks(game, range(horizon, 0, -1)))
 
-    values = [row.tolist() for row in values]
-    value_table = {(game.horizon + 1 - k, x): out
+    # values[k] and choices[k - 1] belong to round T + 1 - k
+    values = [row.tolist() for row in values[:horizon + 1]]
+    value_table = {(horizon + 1 - k, x): out
                    for k, row in enumerate(values) for x, out in enumerate(row)}
     trace = []
     t, x = 1, game.initial_default
-    while t <= game.horizon:
-        a, adjourn = divmod(int(choices[-t][x]), 2)
-        later = values[-t - 1]
+    while t <= horizon:
+        a, adjourn = divmod(int(choices[horizon - t][x]), 2)
+        later = values[horizon - t]
         accept_out, reject_out = a if adjourn else later[a], later[x]
         yes = problem.support_mask(accept_out, reject_out, weak=True)
         passed = bool(passes[accept_out, reject_out])
@@ -484,30 +559,46 @@ def check_richness(game: GameSpec) -> RichnessReport:
     mixed-only-availability condition implemented here is the one the
     equivalence argument actually needs.
 
-    Each round is one scan of its action mask (the one `solve_spe`
-    reads); the first failing state in (round, default) order is the
-    witness, the subset test taking precedence at a state.  Improvement
-    iterates come from `phi_iterates`, one walk per default.
+    Each round is scanned one column chunk of its action mask at a time
+    (the masks `solve_spe` reads); the first failing state in (round,
+    default) order is the witness, the subset test taking precedence at
+    a state.  Improvement iterates come from `phi_iterates`, one walk per
+    default.  The scan never reads `initial_default`, so a preset's
+    report is kept in `problem._oracle_store` per (rule, preset,
+    horizon); a custom table is scanned per call.
     """
+    if isinstance(game.protocol, str):
+        store, key = game.problem._oracle_store, (game.rule, game.protocol, game.horizon)
+        report = store.get(key)
+        if report is None:
+            report = store[key] = _scan_richness(game)
+        return report
+    return _scan_richness(game)
+
+
+def _scan_richness(game: GameSpec) -> RichnessReport:
     problem, m = game.problem, game.problem.num_policies
     walks = np.array([phi_iterates(problem, game.rule, x, game.horizon, allow_ties=True)
                       for x in range(m)])         # [x, k] = phi^k(x)
-    defaults = np.arange(m)
-    rounds = range(1, game.horizon + 1)
-    for t, mask in zip(rounds, _action_masks(game, rounds)):
-        amend, adjourn = mask[0::2], mask[1::2]   # [policy, default]
-        amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
-        mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
-        stuck = ~(amend[walks[:, 1], defaults]
-                  | adjourn[walks[:, game.horizon - t + 1], defaults])
-        failing = np.flatnonzero(mixed | stuck)
-        if failing.size:
-            x = int(failing[0])
-            if mixed[x]:
-                return RichnessReport(
-                    rich=False, subset_witness=(t, x, int(amend_only[:, x].argmax()),
-                                                int(adjourn_only[:, x].argmax())))
-            return RichnessReport(rich=False, feasibility_witness=(t, x))
+    rounds, chunks = range(1, game.horizon + 1), _column_chunks(problem)
+    for t, mask_of in zip(rounds, _action_masks(game, rounds)):
+        for cols in chunks:
+            mask = mask_of(cols)
+            amend, adjourn = mask[0::2], mask[1::2]   # [policy, default in cols]
+            amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
+            mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
+            local = np.arange(mask.shape[1])
+            stuck = ~(amend[walks[cols, 1], local]
+                      | adjourn[walks[cols, game.horizon - t + 1], local])
+            failing = np.flatnonzero(mixed | stuck)
+            if failing.size:
+                j = int(failing[0])
+                x = cols.start + j
+                if mixed[j]:
+                    return RichnessReport(
+                        rich=False, subset_witness=(t, x, int(amend_only[:, j].argmax()),
+                                                    int(adjourn_only[:, j].argmax())))
+                return RichnessReport(rich=False, feasibility_witness=(t, x))
     return RichnessReport(rich=True)
 
 

@@ -17,7 +17,8 @@ x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets, the favorite-improvement table and the cached strict
 majority `_majority` are read from its blocks, and support masks and
 margins count rank columns.  The oracle settles votes with one weak
-`_wins` table, names approvers with `support_mask`, and never reads the
+`_wins` table per rule, kept with its backward rows in the problem's
+`_oracle_store`, names approvers with `support_mask`, and never reads the
 favorite-improvement table.  Only the uniform margin reads the scaled
 integers themselves.
 """
@@ -283,6 +284,18 @@ class CollectiveChoiceProblem:
     @cached_property
     def _phi_tables(self) -> dict:
         """Favorite-improvement tables already computed, by voting rule."""
+        return {}
+
+    @cached_property
+    def _oracle_store(self) -> dict:
+        """Backward-induction results already computed (`oracle`): by rule,
+        the read-only weak `_wins` table; by (rule, preset), the backward
+        rows; by (rule, preset, horizon), the richness report.  Never φ."""
+        return {}
+
+    @cached_property
+    def _stable_sets(self) -> dict:
+        """Stable-set reports already computed (`horizons`), by certify limit."""
         return {}
 
     @cached_property

@@ -241,12 +241,14 @@ def profile_from_dict(data: dict, problem: CollectiveChoiceProblem) -> StrategyP
 
 def protocol_from_dict(data: dict, problem: CollectiveChoiceProblem) -> CustomProtocol:
     """Custom protocol document: {"label": ..., "table": [[t, default,
-    [[policy, adjourn], ...]], ...]} with policy labels; `GameSpec` judges flags."""
+    [[policy, adjourn], ...]], ...]} with integer rounds and policy labels;
+    `GameSpec` judges flags."""
     index = {label: i for i, label in enumerate(problem.policies)}
     try:
         table = {}
-        for t, default, actions in data["table"]:
-            table[(int(t), index[default])] = tuple(
+        for k, (t, default, actions) in enumerate(data["table"]):
+            at = f"protocol table entry {k + 1}:"
+            table[(_typed(t, int, f"{at} round"), index[default])] = tuple(
                 (index[a], adjourn) for a, adjourn in actions)
         return CustomProtocol(label=str(data.get("label", "custom")), table=table)
     except (KeyError, TypeError, ValueError) as exc:

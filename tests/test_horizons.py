@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
@@ -192,6 +193,16 @@ def test_stable_set_skips_certification_above_limit():
     problem = gen_random_gfa(6, 3, seed=4)
     report = stable_set(problem, certify_limit=4)
     assert not report.uniqueness_certified
+
+
+def test_stable_set_is_kept_per_certify_limit_with_a_fresh_psi_table():
+    problem = gen_random_gfa(6, 3, seed=4)
+    stable_set(problem).psi_table.clear()     # a caller's copy, not the kept one
+    again = stable_set(problem)
+    assert again == stable_set(dataclasses.replace(problem))
+    assert len(again.psi_table) == 6
+    assert not stable_set(problem, certify_limit=4).uniqueness_certified
+    assert stable_set(problem).uniqueness_certified
 
 
 # ---------------------------------------------------------------------------

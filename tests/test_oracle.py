@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 import tracemalloc
@@ -70,15 +71,20 @@ def test_solve_budget(cycle, rule3):
     assert str(info.value) == "state space too large for the oracle (required 60, budget 10)"
 
 
-def test_solve_memory_is_m_squared_plus_one_chunk():
+def _large_gfa_problem(m, n):
     rng = random.Random(5)
-    m, n = 1000, 3
     problem = CollectiveChoiceProblem(
         policies=tuple(f"p{k}" for k in range(m)),
         voter_utilities=tuple(tuple(Fraction(v) for v in rng.sample(range(m), m))
                               for _ in range(n)),
         setter_utilities=tuple(Fraction(v) for v in rng.sample(range(m), m)), gfa=True)
     problem._ranks                                # compiled before the measurement
+    return problem
+
+
+def test_solve_memory_is_m_squared_plus_one_chunk():
+    m, n = 1000, 3
+    problem = _large_gfa_problem(m, n)
     game = GameSpec(problem=problem, rule=VotingRule.simple_majority(n), horizon=1,
                     initial_default=0)
     width = _column_chunks(problem)[0].stop
@@ -89,11 +95,31 @@ def test_solve_memory_is_m_squared_plus_one_chunk():
     finally:
         tracemalloc.stop()
     assert len(report.value_table) == 2 * m
-    # the vote table (m**2 bytes), the round's action mask (2 m**2 bytes), a
-    # few int64 (2m x chunk) blocks, and 1 MB for the value table and lists;
-    # one (2m x m) int64 array alone would be 16 MB
-    bound = 3 * m * m + 4 * (2 * m * width * 8) + 2**20
+    # the vote table (m**2 bytes), a few int64 (2m x chunk) blocks, and 1 MB
+    # for the value table and lists; the action mask is built one chunk at a
+    # time, and one (2m x m) int64 array alone would be 16 MB
+    bound = m * m + 4 * (2 * m * width * 8) + 2**20
     assert peak < bound, (peak, bound)
+
+
+def test_presets_retain_one_vote_table_plus_their_rows():
+    m, n = 1000, 3
+    problem = _large_gfa_problem(m, n)
+    rule = VotingRule.simple_majority(n)
+    tracemalloc.start()
+    try:
+        for protocol in ("amendment", "successive", "open_rule"):
+            solve_spe(GameSpec(problem=problem, rule=rule, horizon=1, initial_default=0,
+                               protocol=protocol))
+        gc.collect()       # a full collection also empties the free lists
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the shared vote table (m**2 bytes) and, per preset, the int64 rows of
+    # one step (values[0], values[1], choices[0]), plus 16 KB for the store
+    rows = 3 * (3 * m * 8)
+    assert m * m + rows <= retained < m * m + rows + 2**14, (retained, m * m + rows)
+    assert len(problem._oracle_store) == 1 + 3
 
 
 def test_value_monotone_in_remaining_rounds(small_corpus):

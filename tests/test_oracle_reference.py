@@ -10,7 +10,10 @@ The seeded properties below draw problems with up to eleven voters,
 quota and explicit rules, every preset and random custom protocols, and
 profiles with flipped votes, setter deviations and missing entries,
 and require the library to give the same reports, or the same error
-class and message.
+class and message.  The last group solves the presets of one problem
+object in shuffled (default, horizon) order, so that its store of
+backward rows is extended and read as a prefix, and requires the
+reference's reports on a fresh copy of the problem.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ from agendalab import (
     verify_profile,
 )
 from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
-from agendalab.fixtures import majority_cycle_problem
+from agendalab.fixtures import adjournment_trap_protocol, majority_cycle_problem
+from agendalab import oracle as oracle_module
 from agendalab import problems as problems_module
 from agendalab.distributions import DivideDollarGrid
 from agendalab.oracle import (
+    PRESET_PROTOCOLS,
     DeviationReport,
     RichnessReport,
     SolveReport,
@@ -455,11 +460,13 @@ def test_solve_spe_matches_reference_in_column_chunks(chunk, monkeypatch):
     assert any(solved) and not all(solved)   # reports and missing-state errors
 
 
-def test_check_richness_matches_reference():
+def test_check_richness_matches_reference(monkeypatch):
     reports = []
     for seed in range(300):
         rng = random.Random(20_000 + seed)
         n, m, rounds = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
+        # a small chunk scans each round's defaults in several column blocks
+        monkeypatch.setattr(problems_module, "_CHUNK_COMPARISONS", (1, 5, 2**16)[seed % 3])
         problem = _problem(rng, n, m, gfa=n % 2 == 1 and rng.random() < 0.6)
         protocol = _protocol(rng, rounds, m, gaps=0)
         if isinstance(protocol, CustomProtocol) and rng.random() < 0.5:
@@ -478,6 +485,112 @@ def test_check_richness_matches_reference():
     assert any(r.rich for r in reports)
     assert any(r.subset_witness for r in reports)
     assert any(r.feasibility_witness for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the per-problem store of preset backward rows
+
+
+def _fresh(game):
+    """The same game on a copy of its problem, with nothing computed yet."""
+    return dataclasses.replace(game, problem=dataclasses.replace(game.problem))
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_preset_store_answers_any_order_like_the_reference(block):
+    for seed in range(block * 12, block * 12 + 12):
+        rng = random.Random(50_000 + seed)
+        n, m = rng.choice((1, 3, 5, 7)), rng.randint(1, 10)
+        problem, rule = _problem(rng, n, m, gfa=True), _rule(rng, n)
+        # every (preset, default, horizon) once on one problem, shuffled, so
+        # horizons rise and fall, then a few repeated
+        order = [(protocol, x, t) for protocol in PRESET_PROTOCOLS
+                 for x in range(m) for t in range(1, 5)]
+        rng.shuffle(order)
+        order += rng.sample(order, 5)
+        references = {}
+        for protocol, x, t in order:
+            game = GameSpec(problem=problem, rule=rule, horizon=t, initial_default=x,
+                            protocol=protocol)
+            report = solve_spe(game)
+            if game not in references:
+                references[game] = ref_solve_spe(_fresh(game))
+            reference = references[game]
+            assert report == reference
+            assert list(report.value_table) == list(reference.value_table)
+            assert check_richness(game) == ref_check_richness(_fresh(game))
+
+
+def test_preset_solves_build_the_vote_table_once(monkeypatch):
+    weak_builds = []
+
+    def counted(problem, rule, cols, weak=False):
+        if weak and cols.start == 0:
+            weak_builds.append(rule)
+        return problems_module._wins(problem, rule, cols, weak)
+
+    monkeypatch.setattr(problems_module, "_CHUNK_COMPARISONS", 40)
+    monkeypatch.setattr(oracle_module, "_wins", counted)
+    rng = random.Random(7)
+    problem = _problem(rng, 5, 8, gfa=True)
+    rule = _rule(rng, 5)
+    assert len(problems_module._column_chunks(problem)) > 1
+    for protocol in PRESET_PROTOCOLS:
+        for x in range(8):
+            for t in (3, 1, 4, 2):
+                solve_spe(GameSpec(problem=problem, rule=rule, horizon=t,
+                                   initial_default=x, protocol=protocol))
+    assert weak_builds == [rule]
+    # a custom protocol is solved per call, with its own table
+    table = {(t, x): ((0, False), (x, True)) for t in (1, 2) for x in range(8)}
+    custom = GameSpec(problem=problem, rule=rule, horizon=2, initial_default=0,
+                      protocol=CustomProtocol(label="small", table=table))
+    assert solve_spe(custom) == solve_spe(custom) == ref_solve_spe(custom)
+    assert weak_builds == [rule] * 3
+
+
+def test_adjournment_trap_is_solved_per_call_after_a_warm_store():
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    z = problem.policy_index("z")
+    for protocol in PRESET_PROTOCOLS:
+        solve_spe(GameSpec(problem=problem, rule=rule, horizon=4, initial_default=z,
+                           protocol=protocol))
+    kept = dict(problem._oracle_store)
+    for rounds in range(1, 5):
+        game = GameSpec(problem=problem, rule=rule, horizon=rounds, initial_default=z,
+                        protocol=adjournment_trap_protocol(rounds))
+        report = solve_spe(game)
+        assert problem.policies[report.outcome] == "y"
+        assert report == ref_solve_spe(game)
+        assert check_richness(game) == ref_check_richness(game)
+        assert not check_richness(game).rich
+    assert problem._oracle_store.keys() == kept.keys()
+
+
+def test_warm_store_keeps_the_budget_check():
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    warm = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=0)
+    solve_spe(warm)
+    for horizon in (3, 2, 5):
+        game = dataclasses.replace(warm, horizon=horizon)
+        with pytest.raises(BudgetExceededError) as info:
+            solve_spe(game, budget=10)
+        assert str(info.value) == str(_outcome(ref_solve_spe, game, budget=10)[1])
+        assert (info.value.required, info.value.budget) == (horizon * 4 * 5, 10)
+
+
+def test_mutating_a_report_leaves_the_next_one_unchanged():
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    game = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=2,
+                    protocol="open_rule")
+    report = solve_spe(game)
+    keys = list(report.value_table)
+    report.value_table[(1, 2)] = -1
+    report.value_table[(9, 9)] = 0
+    del report.value_table[(4, 0)]
+    again = solve_spe(game)
+    assert again == ref_solve_spe(_fresh(game))
+    assert list(again.value_table) == keys
 
 
 # ---------------------------------------------------------------------------

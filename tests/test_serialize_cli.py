@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -452,6 +453,44 @@ def test_protocol_document_flag_is_judged_by_game_spec(flag, cycle, rule3):
     assert protocol.table[(1, 0)] == ((1, False), (2, flag))
     with pytest.raises(ValidationError, match="bool adjournment flag"):
         GameSpec(problem=cycle, rule=rule3, horizon=1, initial_default=0, protocol=protocol)
+
+
+@pytest.mark.parametrize("round_", ["1", 1.9, True])
+def test_protocol_from_dict_refuses_non_integer_rounds(round_, cycle):
+    from agendalab.serialize import protocol_from_dict
+    doc = {"table": [[1, "w", [["x", False]]], [round_, "x", [["x", False]]]]}
+    with pytest.raises(ValidationError,
+                       match=rf"protocol table entry 2: round {re.escape(repr(round_))} "
+                             r"is not of type int"):
+        protocol_from_dict(doc, cycle)
+
+
+def test_cli_oracle_solve_non_integer_protocol_round_exits_1(cycle_file, tmp_path, capsys):
+    from agendalab.fixtures import adjournment_trap_protocol
+    from agendalab.serialize import protocol_to_dict
+    doc = protocol_to_dict(adjournment_trap_protocol(2), majority_cycle_problem())
+    doc["table"][0][0] = "1"
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "solve", "--problem", cycle_file, "--default", "z",
+                 "--rounds", "2", "--protocol-file", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: protocol table entry 1: round '1' is not of type int")
+
+
+def test_cli_horizon_enumerates_stable_subsets_once(cycle_file, capsys, monkeypatch):
+    from agendalab import horizons
+    calls = []
+    enumerate_subsets = horizons._enumerate_stable_subsets
+
+    def counted(problem):
+        calls.append(problem)
+        return enumerate_subsets(problem)
+
+    monkeypatch.setattr(horizons, "_enumerate_stable_subsets", counted)
+    assert main(["horizon", "--problem", cycle_file, "--default", "y"]) == 0
+    assert json.loads(capsys.readouterr().out)["uniqueness_certified"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dim", ["2", 2.9, True])
