@@ -32,6 +32,8 @@ def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProb
 def gfa_corpus(count: int, seed: int, max_policies: int = 6,
                voter_choices=(3, 5)) -> list[CollectiveChoiceProblem]:
     """Deterministic corpus of random gfa instances for the theorem suites."""
+    if max_policies < 2:
+        raise ValidationError(f"max_policies {max_policies} must be at least 2")
     rng = random.Random(seed)
     out = []
     for k in range(count):

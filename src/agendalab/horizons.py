@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import phi_iterates
 from .errors import InternalInvariantError, ValidationError
-from .problems import CollectiveChoiceProblem, _phi_table
+from .problems import CollectiveChoiceProblem, _memoized, _phi_table
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,13 @@ def stable_set(problem: CollectiveChoiceProblem,
     stable set.  For small policy sets the full subset enumeration
     certifies that this is the only stable set.
 
-    The report is built once per (problem, certify limit) and kept in
-    `problem._stable_sets`; each call gets its own copy of `psi_table`.
+    The report is built once per (problem, certify limit) and memoized
+    with the problem; each call gets its own copy of `psi_table`.
     """
     if not problem.gfa:
         raise ValidationError("stable sets are guaranteed unique only under gfa")
-    report = problem._stable_sets.get(certify_limit)
-    if report is None:
-        report = problem._stable_sets[certify_limit] = _stable_set(problem, certify_limit)
+    report = _memoized(problem, ("stable_set", certify_limit),
+                       lambda: _stable_set(problem, certify_limit))
     return replace(report, psi_table=dict(report.psi_table))
 
 

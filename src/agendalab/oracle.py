@@ -6,23 +6,24 @@ default) states of the full extensive form: at each state every
 feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
 result.  It does so for every default of a round at once, on arrays:
-one weak winning-coalition table (`_wins`) settles every vote, and
-every protocol, preset or custom, is read as an action mask per round,
-one column chunk at a time.  Nothing here consults the improvement
-operators.
+one weak winning-coalition table (`_wins_table`, one per rule, shared
+by every protocol) settles every vote, and every protocol, preset or
+custom, is read as an action mask per round, one column chunk at a
+time.  Nothing here consults the improvement operators.
 
 A preset game is stationary: the setter cannot commit, so round t of a
-T-round game is the first round of the (T - t + 1)-round game.  The
-problem's `_oracle_store` therefore keeps, per rule, the weak table and,
-per (rule, preset), the backward rows of every horizon solved so far;
-a longer horizon extends them and a shorter one reads their prefix, so
-every default and horizon of a preset costs one backward step per
-round.  Custom tables are not stationary and are solved per call.
+T-round game is the first round of the (T - t + 1)-round game.  So the
+backward rows of every horizon solved so far are memoized with the
+problem per (rule, preset); a longer horizon extends them and a shorter
+one reads their prefix, so every default and horizon of a preset costs
+one backward step per round.  Custom tables are not stationary and are
+solved per call.
 
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
 The richness validator separates protocols for which all of this is
-outcome-equivalent from trap protocols that are not.
+outcome-equivalent from trap protocols that are not.  The presets are
+rich by construction; only custom tables are scanned.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from .problems import (
     VotingRule,
     _coalition_holds,
     _column_chunks,
-    _wins,
+    _memoized,
+    _require_rule,
+    _wins_table,
 )
 
 PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
@@ -177,26 +180,19 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
     A preset offers the same actions every round: every policy without
     adjournment (with it, under `successive`), and under `open_rule` also
     the standing default with adjournment.  Its one reader builds only the
-    chunk asked for, and builds it again only when another chunk was asked
-    for in between (with one chunk, once per call).  A custom table is
-    read round by round, default by default, into one dense mask, so the
-    first missing or empty feasible set in that order raises.
+    chunk asked for.  A custom table is read round by round, default by
+    default, into one dense mask, so the first missing or empty feasible
+    set in that order raises.
     """
     m = game.problem.num_policies
     if isinstance(game.protocol, str):
-        built = {}
-
         def mask_of(cols):
-            key = (cols.start, cols.stop)
-            if key not in built:
-                built.clear()
-                defaults = np.arange(m)[cols]
-                mask = np.zeros((2 * m, len(defaults)), dtype=bool)
-                mask[game.protocol == "successive"::2] = True
-                if game.protocol == "open_rule":
-                    mask[2 * defaults + 1, np.arange(len(defaults))] = True
-                built[key] = mask
-            return built[key]
+            defaults = np.arange(m)[cols]
+            mask = np.zeros((2 * m, len(defaults)), dtype=bool)
+            mask[game.protocol == "successive"::2] = True
+            if game.protocol == "open_rule":
+                mask[2 * defaults + 1, np.arange(len(defaults))] = True
+            return mask
 
         for _ in rounds:
             yield mask_of
@@ -207,17 +203,6 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
             for a, adjourn in game.feasible(t, x):
                 mask[2 * a + adjourn, x] = True
         yield lambda cols, mask=mask: mask[:, cols]
-
-
-def _weak_passes(problem: CollectiveChoiceProblem, rule: VotingRule) -> np.ndarray:
-    """[accept, reject]: a proposal passes, the weak `_wins` relation, built
-    in `_column_chunks` and read-only."""
-    m = problem.num_policies
-    passes = np.empty((m, m), dtype=bool)
-    for cols in _column_chunks(problem):
-        passes[:, cols] = _wins(problem, rule, cols, weak=True)
-    passes.flags.writeable = False
-    return passes
 
 
 def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: list,
@@ -253,27 +238,6 @@ def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: l
         choices.append(choice)
 
 
-def _preset_rows(game: GameSpec) -> tuple[np.ndarray, list, list]:
-    """The stored weak table and backward rows of a preset game, extended
-    to its horizon: `values[k]` is the outcome of the k-round game from
-    each default (`values[0]` is every default itself) and `choices[k - 1]`
-    the action chosen with k rounds left."""
-    problem, rule = game.problem, game.rule
-    store = problem._oracle_store
-    passes = store.get(rule)
-    if passes is None:
-        passes = store[rule] = _weak_passes(problem, rule)
-    rows = store.get((rule, game.protocol))
-    if rows is None:
-        rows = store[(rule, game.protocol)] = ([np.arange(problem.num_policies)], [])
-    values, choices = rows
-    # a preset's mask is the same every round, so the steps still missing
-    # stand in for rounds
-    _extend_rows(problem, passes, values, choices,
-                 _action_masks(game, range(len(choices), game.horizon)))
-    return passes, values, choices
-
-
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     """Backward induction over (round, default) states, every default at once.
 
@@ -285,16 +249,16 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     `_wins` relation (under gfa it differs from the strict one only on
     its diagonal).  Each round is one step of `_extend_rows`.
 
-    A preset game is stationary, so round t of a T-round game is step
-    T + 1 - t of backward induction whatever T is.  Its `passes` (one per
-    rule, shared by the three presets) and its rows (per rule and preset)
-    are built once per problem, kept in `problem._oracle_store`, extended
-    when a longer horizon is asked for and read as a prefix for a shorter
-    one; they cost m**2 bytes plus O(T * m) words and live as long as the
-    problem.  A custom protocol is solved per call, with its own `passes`.
-    Either way each call checks its budget, builds a fresh `value_table`
-    and recomputes the approvers of each step on the equilibrium path
-    only; solving costs O(m * chunk) transient memory per block.
+    `passes` is the rule's memoized weak `_wins_table`, shared by every
+    protocol.  A preset game is stationary, so round t of a T-round game
+    is step T + 1 - t of backward induction whatever T is: its rows (per
+    rule and preset) are memoized with the problem, extended when a
+    longer horizon is asked for and read as a prefix for a shorter one.
+    Table and rows cost m**2 bytes plus O(T * m) words.  A custom
+    protocol's rows are solved per call.  Either way each call checks its
+    budget, builds a fresh `value_table` and recomputes the approvers of
+    each step on the equilibrium path only; solving costs O(m * chunk)
+    transient memory per block.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -310,13 +274,18 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
+    passes = _wins_table(problem, game.rule, weak=True)
     if isinstance(game.protocol, str):
-        passes, values, choices = _preset_rows(game)
+        # values[k] is the k-round outcome from each default and choices[k - 1]
+        # the action with k rounds left; a preset's mask is the same every
+        # round, so the steps still missing stand in for rounds
+        values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
+                                    lambda: ([np.arange(m)], []))
+        rounds = range(len(choices), horizon)
     else:
-        passes = _weak_passes(problem, game.rule)
         values, choices = [np.arange(m)], []
-        _extend_rows(problem, passes, values, choices,
-                     _action_masks(game, range(horizon, 0, -1)))
+        rounds = range(horizon, 0, -1)
+    _extend_rows(problem, passes, values, choices, _action_masks(game, rounds))
 
     # values[k] and choices[k - 1] belong to round T + 1 - k
     values = [row.tolist() for row in values[:horizon + 1]]
@@ -551,7 +520,10 @@ def check_richness(game: GameSpec) -> RichnessReport:
     while another is offered only with one, or if neither the one-step
     favorite improvement (without adjournment) nor the remaining-rounds
     improvement iterate (with adjournment) is available.  The named
-    presets pass for every problem.
+    presets are rich by construction and only check the rule: `amendment`
+    and `open_rule` offer every policy without adjournment, `successive`
+    every policy with it, and none mixes amend-only and adjourn-only
+    policies.
 
     Note: a literal "all actions share one adjournment flag" reading
     would wrongly reject the open-rule preset (it offers every policy
@@ -559,46 +531,34 @@ def check_richness(game: GameSpec) -> RichnessReport:
     mixed-only-availability condition implemented here is the one the
     equivalence argument actually needs.
 
-    Each round is scanned one column chunk of its action mask at a time
-    (the masks `solve_spe` reads); the first failing state in (round,
-    default) order is the witness, the subset test taking precedence at
-    a state.  Improvement iterates come from `phi_iterates`, one walk per
-    default.  The scan never reads `initial_default`, so a preset's
-    report is kept in `problem._oracle_store` per (rule, preset,
-    horizon); a custom table is scanned per call.
+    A custom table is scanned per call, one round's dense action mask
+    (the one `solve_spe` reads) at a time; the first failing state in
+    (round, default) order is the witness, the subset test taking
+    precedence at a state.  Improvement iterates come from
+    `phi_iterates`, one walk per default.
     """
-    if isinstance(game.protocol, str):
-        store, key = game.problem._oracle_store, (game.rule, game.protocol, game.horizon)
-        report = store.get(key)
-        if report is None:
-            report = store[key] = _scan_richness(game)
-        return report
-    return _scan_richness(game)
-
-
-def _scan_richness(game: GameSpec) -> RichnessReport:
     problem, m = game.problem, game.problem.num_policies
+    if isinstance(game.protocol, str):
+        _require_rule(problem, game.rule)
+        return RichnessReport(rich=True)
     walks = np.array([phi_iterates(problem, game.rule, x, game.horizon, allow_ties=True)
                       for x in range(m)])         # [x, k] = phi^k(x)
-    rounds, chunks = range(1, game.horizon + 1), _column_chunks(problem)
+    defaults, rounds = np.arange(m), range(1, game.horizon + 1)
     for t, mask_of in zip(rounds, _action_masks(game, rounds)):
-        for cols in chunks:
-            mask = mask_of(cols)
-            amend, adjourn = mask[0::2], mask[1::2]   # [policy, default in cols]
-            amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
-            mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
-            local = np.arange(mask.shape[1])
-            stuck = ~(amend[walks[cols, 1], local]
-                      | adjourn[walks[cols, game.horizon - t + 1], local])
-            failing = np.flatnonzero(mixed | stuck)
-            if failing.size:
-                j = int(failing[0])
-                x = cols.start + j
-                if mixed[j]:
-                    return RichnessReport(
-                        rich=False, subset_witness=(t, x, int(amend_only[:, j].argmax()),
-                                                    int(adjourn_only[:, j].argmax())))
-                return RichnessReport(rich=False, feasibility_witness=(t, x))
+        mask = mask_of(slice(None))
+        amend, adjourn = mask[0::2], mask[1::2]   # [policy, default]
+        amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
+        mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
+        stuck = ~(amend[walks[:, 1], defaults]
+                  | adjourn[walks[:, game.horizon - t + 1], defaults])
+        failing = np.flatnonzero(mixed | stuck)
+        if failing.size:
+            x = int(failing[0])
+            if mixed[x]:
+                return RichnessReport(
+                    rich=False, subset_witness=(t, x, int(amend_only[:, x].argmax()),
+                                                int(adjourn_only[:, x].argmax())))
+            return RichnessReport(rich=False, feasibility_witness=(t, x))
     return RichnessReport(rich=True)
 
 

@@ -14,13 +14,12 @@ many proposal rounds the setter needs.
 Every ordinal query reads dense per-row ranks, small integers at any
 utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
-acceptance sets, the favorite-improvement table and the cached strict
-majority `_majority` are read from its blocks, and support masks and
-margins count rank columns.  The oracle settles votes with one weak
-`_wins` table per rule, kept with its backward rows in the problem's
-`_oracle_store`, names approvers with `support_mask`, and never reads the
-favorite-improvement table.  Only the uniform margin reads the scaled
-integers themselves.
+acceptance sets and the favorite-improvement table are read from its
+blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
+come only from `_wins_table`, and support masks and margins count rank
+columns.  The oracle never reads the favorite-improvement table.  Only
+the uniform margin reads the scaled integers themselves.  What is
+derived once per problem lives in its one `_memo`, through `_memoized`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -282,20 +281,12 @@ class CollectiveChoiceProblem:
         return out
 
     @cached_property
-    def _phi_tables(self) -> dict:
-        """Favorite-improvement tables already computed, by voting rule."""
-        return {}
-
-    @cached_property
-    def _oracle_store(self) -> dict:
-        """Backward-induction results already computed (`oracle`): by rule,
-        the read-only weak `_wins` table; by (rule, preset), the backward
-        rows; by (rule, preset, horizon), the richness report.  Never φ."""
-        return {}
-
-    @cached_property
-    def _stable_sets(self) -> dict:
-        """Stable-set reports already computed (`horizons`), by certify limit."""
+    def _memo(self) -> dict:
+        """Results already derived from this problem, read only through
+        `_memoized`: by ("phi", rule) the favorite-improvement table, by
+        ("wins", rule, weak) a whole `_wins` table, by ("rows", rule,
+        preset) the oracle's backward rows and by ("stable_set", certify
+        limit) the stable-set report."""
         return {}
 
     @cached_property
@@ -304,18 +295,12 @@ class CollectiveChoiceProblem:
         (an override problem reads its tournament whatever the count)."""
         return VotingRule.quota_rule(self.n, self.n // 2 + 1)
 
-    @cached_property
+    @property
     def _majority(self) -> np.ndarray:
         """[y, x]: more than half of the voters strictly prefer y to x, or
-        the override says y beats x (at any voter count).  Built from
-        `_wins` in column chunks, O(n * m * chunk) transient memory; the
-        cache itself costs m**2 bytes."""
-        m = self.num_policies
-        out = np.empty((m, m), dtype=bool)
-        for cols in _column_chunks(self):
-            out[:, cols] = _wins(self, self._majority_rule, cols)
-        out.flags.writeable = False
-        return out
+        the override says y beats x (at any voter count): the strict
+        `_wins_table` of `_majority_rule`."""
+        return _wins_table(self, self._majority_rule)
 
     # -- majority relation ---------------------------------------------------
 
@@ -427,7 +412,7 @@ def _wins(problem: CollectiveChoiceProblem, rule: VotingRule, cols: slice,
     A majority override *is* the relation; a tournament resolves every
     pair of distinct policies, so its diagonal is `weak`.  A block costs
     n * m * |cols| transient bytes: wide reads go by `_column_chunks`,
-    and only `_majority` keeps a whole m x m table.
+    and only `_wins_table` keeps a whole m x m table.
     """
     if problem.majority_override is not None:
         policies = np.arange(problem.num_policies)
@@ -445,6 +430,30 @@ def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
     return [slice(start, start + width) for start in range(0, m, width)]
 
 
+def _memoized(problem: CollectiveChoiceProblem, key: tuple, build: Callable[[], Any]):
+    """`problem._memo[key]`, made by `build()` on first use."""
+    memo = problem._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _wins_table(problem: CollectiveChoiceProblem, rule: VotingRule,
+                weak: bool = False) -> np.ndarray:
+    """The whole read-only m x m `_wins` table, built once per (rule, weak)
+    in `_column_chunks`: O(n * m * chunk) transient memory, m**2 bytes
+    kept.  Callers check the rule (`_require_rule`)."""
+    def build():
+        m = problem.num_policies
+        out = np.empty((m, m), dtype=bool)
+        for cols in _column_chunks(problem):
+            out[:, cols] = _wins(problem, rule, cols, weak)
+        out.flags.writeable = False
+        return out
+
+    return _memoized(problem, ("wins", rule, weak), build)
+
+
 def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int, ...]:
     """Favorite improvement of every default, computed once per rule.
 
@@ -452,22 +461,22 @@ def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int,
     a winning coalition and the setter both strictly prefer to x, or x
     itself when there is none.  Columns (defaults) are processed in
     `_column_chunks`, so the transient memory is O(n * m * chunk) and no
-    m x m table is ever built; only the m-entry result is cached.
+    m x m table is ever built; only the m-entry result is kept.
     """
     _require_rule(problem, rule)
-    cached = problem._phi_tables.get(rule)
-    if cached is not None:
-        return cached
-    setter = problem._ranks[-1]
-    defaults = np.arange(problem.num_policies)
-    table = []
-    for cols in _column_chunks(problem):
-        better = _wins(problem, rule, cols) & (setter[:, None] > setter[None, cols])
-        # argmax keeps the first of equal maxima: the lowest index
-        best = np.where(better, setter[:, None], -1).argmax(axis=0)
-        table.extend(np.where(better.any(axis=0), best, defaults[cols]).tolist())
-    problem._phi_tables[rule] = table = tuple(table)
-    return table
+
+    def build():
+        setter = problem._ranks[-1]
+        defaults = np.arange(problem.num_policies)
+        table = []
+        for cols in _column_chunks(problem):
+            better = _wins(problem, rule, cols) & (setter[:, None] > setter[None, cols])
+            # argmax keeps the first of equal maxima: the lowest index
+            best = np.where(better, setter[:, None], -1).argmax(axis=0)
+            table.extend(np.where(better.any(axis=0), best, defaults[cols]).tolist())
+        return tuple(table)
+
+    return _memoized(problem, ("phi", rule), build)
 
 
 def acceptance_set(problem: CollectiveChoiceProblem, rule: VotingRule,

@@ -1,4 +1,6 @@
-"""The package's module graph: relative imports form no cycle."""
+"""Static checks of the package source: relative imports form no cycle,
+certificates do not rest on `assert`, and only `problems` touches the
+per-problem memo."""
 
 from __future__ import annotations
 
@@ -35,3 +37,19 @@ def test_package_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module, ())
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, and with them any check they make
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_memo_is_read_only_through_memoized():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "problems.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+    assert found == []

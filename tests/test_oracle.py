@@ -27,6 +27,7 @@ from agendalab import (
     solve_spe,
     verify_profile,
 )
+from agendalab.factories import gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol
 from agendalab.oracle import Violation
 from agendalab.problems import _column_chunks
@@ -116,10 +117,10 @@ def test_presets_retain_one_vote_table_plus_their_rows():
     finally:
         tracemalloc.stop()
     # the shared vote table (m**2 bytes) and, per preset, the int64 rows of
-    # one step (values[0], values[1], choices[0]), plus 16 KB for the store
+    # one step (values[0], values[1], choices[0]), plus 16 KB for the memo
     rows = 3 * (3 * m * 8)
     assert m * m + rows <= retained < m * m + rows + 2**14, (retained, m * m + rows)
-    assert len(problem._oracle_store) == 1 + 3
+    assert len(problem._memo) == 1 + 3
 
 
 def test_value_monotone_in_remaining_rounds(small_corpus):
@@ -372,3 +373,50 @@ def test_verify_refuses_other_doubly_flagged_policy(cycle, rule3):
     profile = simple_equilibrium_profile(cycle, rule3, 2)
     with pytest.raises(ValidationError, match=r"policy 1 at \(round 1, default 0\) has both"):
         verify_profile(game, profile)
+
+
+# ---------------------------------------------------------------------------
+# the presets are rich by construction, and the oracle never reads phi
+
+
+def test_preset_richness_still_refuses_an_unsupported_rule(blocked):
+    # an override defines only the simple-majority relation
+    for protocol in ("amendment", "successive", "open_rule"):
+        game = GameSpec(problem=blocked, rule=VotingRule.quota_rule(3, 3), horizon=2,
+                        initial_default=0, protocol=protocol)
+        with pytest.raises(UnsupportedCombinationError, match="override defines only"):
+            check_richness(game)
+
+
+def test_oracle_answers_with_phi_unavailable(monkeypatch):
+    from agendalab import engine as engine_module
+    from agendalab import problems as problems_module
+
+    rounds = 3
+    cases = []
+    for problem in gfa_corpus(4, seed=5):
+        rule = VotingRule.simple_majority(problem.n)
+        m = problem.num_policies
+        table = {(t, x): tuple((y, False) for y in range(m)) + ((x, True),)
+                 for t in range(1, rounds + 1) for x in range(m)}
+        games = [GameSpec(problem=problem, rule=rule, horizon=rounds, initial_default=0,
+                          protocol=protocol)
+                 for protocol in ("amendment", "successive", "open_rule",
+                                  CustomProtocol(label="every-offer", table=table))]
+        cases.append((games, simple_equilibrium_profile(problem, rule, rounds)))
+
+    def no_phi(problem, rule):
+        raise AssertionError("the oracle read the favorite-improvement table")
+
+    monkeypatch.setattr(problems_module, "_phi_table", no_phi)
+    monkeypatch.setattr(engine_module, "_phi_table", no_phi)
+    for games, profile in cases:
+        for game in games:
+            solve_spe(game)
+            if game.protocol != "successive":     # the profile never adjourns
+                verify_profile(game, profile)
+                play_out(game, profile)
+        for game in games[:3]:
+            assert check_richness(game).rich
+    with pytest.raises(AssertionError, match="favorite-improvement"):
+        check_richness(games[3])      # a custom table is scanned with phi

@@ -44,7 +44,6 @@ from agendalab import (
 )
 from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
 from agendalab.fixtures import adjournment_trap_protocol, majority_cycle_problem
-from agendalab import oracle as oracle_module
 from agendalab import problems as problems_module
 from agendalab.distributions import DivideDollarGrid
 from agendalab.oracle import (
@@ -523,14 +522,15 @@ def test_preset_store_answers_any_order_like_the_reference(block):
 
 def test_preset_solves_build_the_vote_table_once(monkeypatch):
     weak_builds = []
+    wins = problems_module._wins
 
     def counted(problem, rule, cols, weak=False):
         if weak and cols.start == 0:
             weak_builds.append(rule)
-        return problems_module._wins(problem, rule, cols, weak)
+        return wins(problem, rule, cols, weak)
 
     monkeypatch.setattr(problems_module, "_CHUNK_COMPARISONS", 40)
-    monkeypatch.setattr(oracle_module, "_wins", counted)
+    monkeypatch.setattr(problems_module, "_wins", counted)
     rng = random.Random(7)
     problem = _problem(rng, 5, 8, gfa=True)
     rule = _rule(rng, 5)
@@ -541,12 +541,12 @@ def test_preset_solves_build_the_vote_table_once(monkeypatch):
                 solve_spe(GameSpec(problem=problem, rule=rule, horizon=t,
                                    initial_default=x, protocol=protocol))
     assert weak_builds == [rule]
-    # a custom protocol is solved per call, with its own table
+    # a custom protocol is solved per call, on the same table
     table = {(t, x): ((0, False), (x, True)) for t in (1, 2) for x in range(8)}
     custom = GameSpec(problem=problem, rule=rule, horizon=2, initial_default=0,
                       protocol=CustomProtocol(label="small", table=table))
     assert solve_spe(custom) == solve_spe(custom) == ref_solve_spe(custom)
-    assert weak_builds == [rule] * 3
+    assert weak_builds == [rule]
 
 
 def test_adjournment_trap_is_solved_per_call_after_a_warm_store():
@@ -555,7 +555,7 @@ def test_adjournment_trap_is_solved_per_call_after_a_warm_store():
     for protocol in PRESET_PROTOCOLS:
         solve_spe(GameSpec(problem=problem, rule=rule, horizon=4, initial_default=z,
                            protocol=protocol))
-    kept = dict(problem._oracle_store)
+    kept = dict(problem._memo)
     for rounds in range(1, 5):
         game = GameSpec(problem=problem, rule=rule, horizon=rounds, initial_default=z,
                         protocol=adjournment_trap_protocol(rounds))
@@ -564,7 +564,8 @@ def test_adjournment_trap_is_solved_per_call_after_a_warm_store():
         assert report == ref_solve_spe(game)
         assert check_richness(game) == ref_check_richness(game)
         assert not check_richness(game).rich
-    assert problem._oracle_store.keys() == kept.keys()
+    # custom rows are never kept; only the richness scan's phi table is new
+    assert problem._memo.keys() - kept.keys() <= {("phi", rule)}
 
 
 def test_warm_store_keeps_the_budget_check():

@@ -212,6 +212,31 @@ def test_cli_experiment_deterministic(tmp_path, capsys):
     assert (out1 / "fixtures.meta.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--max-policies", "1"],
+    ["thm1", "--max-policies", "1"],
+    ["thm3_bounds", "--max-policies", "0"],
+    ["thm5", "--max-policies", "1"],
+    ["thm8", "--max-policies", "1"],
+    ["lemma1", "--rounds", "0"],
+    ["thm5", "--rounds", "0"],
+])
+def test_cli_experiment_refuses_a_degenerate_corpus(argv, tmp_path, capsys):
+    # refused before any suite runs, so nothing is written
+    assert main(["experiment", *argv, "--samples", "2", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ")
+    assert "must be at least" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_experiment_dtd_empty_clean_region_passes_vacuously(tmp_path, capsys):
+    assert main(["experiment", "thm6_7_dtd", "--m", "2", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
+    rows = (tmp_path / "thm6_7_dtd.csv").read_text().splitlines()
+    assert "three-step-floor-m2,0,,True" in rows
+
+
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"policies": ["a"], "voters": [["1", "2"]],

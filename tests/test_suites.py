@@ -5,12 +5,19 @@ import hashlib
 import pytest
 
 from agendalab import ValidationError
+from agendalab.factories import gfa_corpus
 from agendalab.suites import SUITES, ExperimentDescriptor, run_suite
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError):
         ExperimentDescriptor(suite="thm99")
+
+
+def test_degenerate_corpus_refused():
+    # a corpus draws 2..max_policies policies per problem
+    with pytest.raises(ValidationError, match="max_policies 1"):
+        gfa_corpus(3, seed=1, max_policies=1)
 
 
 def test_fixture_suite_passes():
