@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import StrategyProfile, _markov_profile
 from .errors import BudgetExceededError, ValidationError
-from .problems import CollectiveChoiceProblem
+from .problems import CollectiveChoiceProblem, _column_chunks, _scaled_problem
 
 
 def _compositions(total: int, parts: int):
@@ -106,13 +106,9 @@ class DivideDollarGrid:
 
     @cached_property
     def problem(self) -> CollectiveChoiceProblem:
-        labels = tuple(_allocation_label(a.units, self.m) for a in self.allocations)
-        voters = tuple(
-            tuple(Fraction(a.units[i], self.m) for a in self.allocations)
-            for i in range(self.n))
-        setter = tuple(Fraction(a.units[self.n], self.m) for a in self.allocations)
-        return CollectiveChoiceProblem(policies=labels, voter_utilities=voters,
-                                       setter_utilities=setter)
+        units = [a.units for a in self.allocations]
+        return _scaled_problem([_allocation_label(u, self.m) for u in units],
+                               list(zip(*units)), self.m)
 
 
 def divide_dollar_problem(n: int, m: int) -> CollectiveChoiceProblem:
@@ -220,20 +216,17 @@ def pork_barrel_problem(projects, m: int, n: int,
                 for bs in _compositions(b_units, players)
                 for cs in _compositions(c_units, players)])
         for combo in product(*split_lists):
-            util = [Fraction(0)] * players
+            util = [0] * players                  # in units of 1/m
             parts = []
             for k, (bs, cs) in zip(chosen, combo):
                 for i in range(players):
-                    util[i] += Fraction(bs[i] - cs[i], m)
+                    util[i] += bs[i] - cs[i]
                 parts.append(f"{k}:b{_allocation_label(bs, m)}c{_allocation_label(cs, m)}")
             label = "skip" if not chosen else ";".join(parts)
             labels.append(label)
             rows.append(tuple(util))
 
-    voters = tuple(tuple(row[i] for row in rows) for i in range(n))
-    setter = tuple(row[n] for row in rows)
-    return CollectiveChoiceProblem(policies=tuple(labels), voter_utilities=voters,
-                                   setter_utilities=setter)
+    return _scaled_problem(labels, list(zip(*rows)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +256,8 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
         for units in _compositions(int(scaled), players):
             seen.setdefault(units, None)
     allocations = sorted(seen)
-    labels = tuple(_allocation_label(u, m) for u in allocations)
-    voters = tuple(
-        tuple(Fraction(u[i], m) for u in allocations) for i in range(base.n))
-    setter = tuple(Fraction(u[base.n], m) for u in allocations)
-    return CollectiveChoiceProblem(policies=labels, voter_utilities=voters,
-                                   setter_utilities=setter)
+    return _scaled_problem([_allocation_label(u, m) for u in allocations],
+                           list(zip(*allocations)), m)
 
 
 def gen_distribution(kind: str, **params) -> CollectiveChoiceProblem:
@@ -321,7 +310,8 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     alternative strictly better for everyone else.
 
     Both axioms only compare utilities within one player's row, so the
-    check runs on each row's dense ranks, one policy at a time.
+    check runs on each row's dense ranks, for one block of policies x
+    at a time (`_column_chunks`): O(players * m * chunk) transient memory.
     """
     ranks = problem._ranks
     players = ranks.shape[0]
@@ -331,13 +321,13 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     others_gain = above_min.sum(axis=0) - above_min > 0
     scarce = below_max & ~others_gain
     transferable = np.empty_like(above_min)
-    for x in range(ranks.shape[1]):
-        better = ranks > ranks[:, x:x + 1]          # [j, y]: player j gains moving to y
+    for cols in _column_chunks(problem):
+        better = ranks[:, :, None] > ranks[:, None, cols]   # [j, y, x]: j gains moving to y
         gainers = better.sum(axis=0)
-        if (gainers == players).any():              # x is strictly Pareto dominated
-            scarce[:, x] = False
-        # [i]: some y is strictly better for every player other than i
-        transferable[:, x] = (gainers - better == players - 1).any(axis=1)
+        # x is strictly Pareto dominated
+        scarce[:, cols] &= ~(gainers == players).any(axis=0)
+        # [i, x]: some y is strictly better for every player other than i
+        transferable[:, cols] = (gainers - better == players - 1).any(axis=1)
     transfer_gap = above_min & ~transferable
     return AxiomAudit(
         scarcity_violations=tuple(

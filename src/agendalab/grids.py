@@ -18,8 +18,8 @@ from typing import Optional
 
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
-from .problems import CollectiveChoiceProblem
-from .rationals import scaled_numerators
+from .problems import CollectiveChoiceProblem, _scaled_problem
+from .rationals import parse_rational, scaled_numerators
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -83,7 +83,7 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     node.  Failing the tie audit after the allowed re-jitters raises a
     genericity error naming the tied pair and player.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     if isinstance(space, BoxSpace):
@@ -124,7 +124,7 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
         corner_sq = _max_corner_distance_sq(anchor, space.bounds)
         if corner_sq < epsilon**2:
             points = (anchor,)
-            problem = _grid_problem(profile.utility_rows(points))
+            problem = _grid_problem(*profile.scaled_rows(points))
             return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                                    covering_sq_bound=corner_sq, attempts=1)
 
@@ -182,7 +182,7 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
     if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
         raise ValidationError("covering bound violated; epsilon too small for budget")
     points = tuple(tuple(Fraction(c, scale) for c in node) for node in nodes)
-    problem = _grid_problem(profile.rows_from_scaled(values, scale))
+    problem = _grid_problem(list(zip(*values)), 2 * scale * scale)
     return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                            covering_sq_bound=bound, attempts=attempts)
 
@@ -194,13 +194,12 @@ def _max_corner_distance_sq(anchor, bounds) -> Fraction:
     return total
 
 
-def _grid_problem(rows) -> CollectiveChoiceProblem:
-    """The grid's problem from per-player utility rows (setter last)."""
-    *voters, setter = rows
-    return CollectiveChoiceProblem(
-        policies=tuple(f"n{i}" for i in range(len(setter))),
-        voter_utilities=tuple(voters), setter_utilities=setter,
-        gfa=len(voters) % 2 == 1)
+def _grid_problem(rows, denominator: int) -> CollectiveChoiceProblem:
+    """The grid's problem from per-player integer utility rows over one
+    denominator (setter last)."""
+    odd_voters = len(rows) % 2 == 0
+    return _scaled_problem([f"n{i}" for i in range(len(rows[0]))], rows, denominator,
+                           gfa=odd_voters)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitte
 
     points = tuple(tuple(Fraction(c, scale) for c in node) for node in values)
     bound = Fraction(121 * n_players, (10 * m)**2)
-    problem = _grid_problem(tuple(zip(*points)))
+    problem = _grid_problem(list(zip(*values)), scale)
     return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
                            covering_sq_bound=bound, attempts=attempts)
 

@@ -285,24 +285,25 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     else:
         values, choices = [np.arange(m)], []
         rounds = range(horizon, 0, -1)
-    _extend_rows(problem, passes, values, choices, _action_masks(game, rounds))
+    if rounds:
+        _extend_rows(problem, passes, values, choices, _action_masks(game, rounds))
 
     # values[k] and choices[k - 1] belong to round T + 1 - k
     values = [row.tolist() for row in values[:horizon + 1]]
     value_table = {(horizon + 1 - k, x): out
                    for k, row in enumerate(values) for x, out in enumerate(row)}
+    voters = problem._ranks[:-1]
     trace = []
     t, x = 1, game.initial_default
     while t <= horizon:
         a, adjourn = divmod(int(choices[horizon - t][x]), 2)
         later = values[horizon - t]
         accept_out, reject_out = a if adjourn else later[a], later[x]
-        yes = problem.support_mask(accept_out, reject_out, weak=True)
+        yes = np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out])
         passed = bool(passes[accept_out, reject_out])
         trace.append(TraceStep(
             round=t, default=x, proposal=a, adjourn=bool(adjourn),
-            approvers=frozenset(i for i in range(problem.n) if (yes >> i) & 1),
-            passed=passed))
+            approvers=frozenset(yes.tolist()), passed=passed))
         if passed and adjourn:
             return SolveReport(outcome=a, value_table=value_table,
                                pivotal_trace=tuple(trace))

@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import UnsupportedCombinationError, ValidationError
-from .rationals import ScaledInts
+from .rationals import ScaledInts, fraction_rows, parse_rational
 
 # Largest number of voter-by-policy comparisons one block of `_wins`
 # materializes when a whole table is built chunk by chunk, which keeps
@@ -252,6 +251,8 @@ class CollectiveChoiceProblem:
 
     @cached_property
     def _ints(self) -> ScaledInts:
+        """Voter rows, then the setter's, on one integer scale; seeded
+        from the builder's own integers by `_scaled_problem`."""
         rows = [list(r) for r in self.voter_utilities] + [list(self.setter_utilities)]
         return ScaledInts(rows)
 
@@ -320,6 +321,20 @@ class CollectiveChoiceProblem:
         """True iff y beats x under the strict majority relation `_majority`;
         reads one `_wins` column, O(n * m), and never builds the table."""
         return bool(_wins(self, self._majority_rule, slice(x, x + 1))[y, 0])
+
+
+def _scaled_problem(policies, rows, denominator: int,
+                    gfa: bool = False) -> CollectiveChoiceProblem:
+    """The problem whose player p values policy x at rows[p][x] / denominator
+    (integer rows, voters first, the setter last).  Its compiled `_ints`
+    is taken from those integers, before the gfa check reads it, and is
+    the same as the one its `Fraction` rows would rebuild."""
+    *voters, setter = fraction_rows(rows, denominator)
+    problem = object.__new__(CollectiveChoiceProblem)
+    problem.__dict__["_ints"] = ScaledInts.from_scaled(rows, denominator)
+    problem.__init__(policies=tuple(policies), voter_utilities=tuple(voters),
+                     setter_utilities=setter, gfa=gfa)
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +567,23 @@ def is_manipulable(problem: CollectiveChoiceProblem, rule: VotingRule) -> Manipu
 
 
 def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
-                   delta: Fraction) -> MarginReport:
+                   delta) -> MarginReport:
     """Uniform improvement margin for the delta-suboptimal policies.
 
     For each x with setter shortfall at least delta, eta_star(x) is the
     best over alternatives y of min(setter gain, coalition-min voter
     gain), where for a quota rule the coalition-min gain is the q-th
     largest voter gain and for explicit families it is maximized over
-    the minimal winning coalitions.  Gains are differences of the
-    problem's scaled integers: an int64 array when they fit, an array of
-    Python ints otherwise.
+    the minimal winning coalitions.  y = x scores 0 and any y the setter
+    does not strictly prefer scores at most 0, so only the alternatives
+    the setter strictly prefers to x are scanned: sorted once by setter
+    value, they are one suffix, and eta_star(x) is the larger of 0 and
+    their best score.  That is O(n * k) for k such alternatives, at most
+    m * (m - 1) / 2 (y, x) pairs in all.  Everything runs on the
+    problem's scaled integers (an int64 array when they fit, Python ints
+    otherwise), and one `Fraction` is built per distinct reported value.
     """
-    delta = Fraction(delta)
+    delta = parse_rational(delta)
     if delta <= 0:
         raise ValidationError("delta must be positive")
     if problem.majority_override is not None:
@@ -572,31 +592,39 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
             "relation overrides carry no gain information")
     _require_rule(problem, rule)
 
-    top = problem.setter_max
-    gamma = tuple(x for x in range(problem.num_policies)
-                  if top >= problem.setter_utilities[x] + delta)
+    ints = problem._ints
+    setter_row = ints.vectors[-1]
+    top = max(setter_row)
+    # top - s_x >= delta, on the scale of the integers
+    bar = delta.numerator * ints.scale
+    gamma = tuple(x for x, s in enumerate(setter_row)
+                  if (top - s) * delta.denominator >= bar)
     if not gamma:
         return MarginReport(delta=delta, gamma_set=(), eta_star={},
                             eta_delta=None, t_bound=0)
 
-    ints = problem._ints
     voters, setter = ints.array[:-1], ints.array[-1]
-    eta_star: dict[int, Fraction] = {}
-    for x in gamma:
-        gains = voters - voters[:, x:x + 1]
+    order = np.argsort(setter, kind="stable")
+    ranked_setter, ranked_voters = setter[order], voters[:, order]
+    # x falls short of the top, so its suffix is never empty
+    starts = np.searchsorted(ranked_setter, setter[list(gamma)], side="right").tolist()
+    best: dict[int, int] = {}
+    for x, start in zip(gamma, starts):
+        gains = ranked_voters[:, start:] - voters[:, x:x + 1]
         if rule.quota is not None:
             kth = rule.n - rule.quota             # the q-th largest gain
             coalition_gain = np.partition(gains, kth, axis=0)[kth]
         else:
             coalition_gain = np.array([gains[list(members)].min(axis=0)
                                        for members in rule.coalition_members]).max(axis=0)
-        value = np.minimum(setter - setter[x], coalition_gain)
-        eta_star[x] = ints.to_fraction(value.max())
+        value = np.minimum(ranked_setter[start:] - setter[x], coalition_gain)
+        best[x] = max(int(value.max()), 0)
 
-    eta_delta = min(eta_star.values())
+    fractions = {v: Fraction(v, ints.scale) for v in set(best.values())}
+    low = min(best.values())
     t_bound: Optional[int] = None
-    if eta_delta > 0:
-        spread = top - min(problem.setter_utilities)
-        t_bound = max(1, ceil(spread / eta_delta))
-    return MarginReport(delta=delta, gamma_set=gamma, eta_star=eta_star,
-                        eta_delta=eta_delta, t_bound=t_bound)
+    if low > 0:
+        t_bound = max(1, -(-(top - min(setter_row)) // low))
+    return MarginReport(delta=delta, gamma_set=gamma,
+                        eta_star={x: fractions[v] for x, v in best.items()},
+                        eta_delta=fractions[low], t_bound=t_bound)

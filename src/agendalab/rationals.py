@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -63,9 +63,24 @@ class ScaledInts:
 
     def __init__(self, vectors):
         denoms = [f.denominator for row in vectors for f in row]
-        self.scale = lcm(*denoms) if denoms else 1
-        self.vectors = [scaled_numerators(row, self.scale) for row in vectors]
-        peak = max((abs(v) for row in self.vectors for v in row), default=0)
+        scale = lcm(*denoms) if denoms else 1
+        self._fill(scale, [scaled_numerators(row, scale) for row in vectors])
+
+    @classmethod
+    def from_scaled(cls, vectors, denominator: int) -> "ScaledInts":
+        """The family `v / denominator` for the integers v of `vectors`,
+        without a `Fraction`: equal, field for field, to `ScaledInts` of
+        those rationals.  The lcm of their reduced denominators is
+        denominator / g for g = gcd(denominator, every v), so one division
+        by g puts every integer on that scale."""
+        g = gcd(denominator, *(v for row in vectors for v in row))
+        out = cls.__new__(cls)
+        out._fill(denominator // g, [tuple(v // g for v in row) for row in vectors])
+        return out
+
+    def _fill(self, scale: int, vectors: list) -> None:
+        self.scale, self.vectors = scale, vectors
+        peak = max((abs(v) for row in vectors for v in row), default=0)
         self.as_numpy = peak < _INT64_SAFE
 
     @cached_property
@@ -73,5 +88,7 @@ class ScaledInts:
         """The vectors as one 2-D array: int64 when `as_numpy`, else Python ints."""
         return np.array(self.vectors, dtype=np.int64 if self.as_numpy else object)
 
-    def to_fraction(self, scaled: int) -> Fraction:
-        return Fraction(int(scaled), self.scale)
+
+def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of rationals `v / denominator` for the integers v of `vectors`."""
+    return tuple(tuple(Fraction(v, denominator) for v in row) for row in vectors)

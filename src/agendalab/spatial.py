@@ -23,8 +23,8 @@ from math import lcm
 from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
-from .problems import CollectiveChoiceProblem
-from .rationals import scaled_numerators
+from .problems import CollectiveChoiceProblem, _scaled_problem
+from .rationals import fraction_rows, scaled_numerators
 
 COORD_DENOM = 2**20
 
@@ -69,9 +69,13 @@ class SpatialProfile:
 
     def utility_rows(self, points) -> tuple[tuple[Fraction, ...], ...]:
         """Every player's utility at each point: one row per player, setter last."""
+        return fraction_rows(*self.scaled_rows(points))
+
+    def scaled_rows(self, points) -> tuple[list[tuple[int, ...]], int]:
+        """`utility_rows` as integer rows over one denominator: (rows, D)."""
         scale = lcm(*(c.denominator for p in (*points, *self.ideal_points) for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
-        return self.rows_from_scaled(self.scaled_utilities(numerators, scale), scale)
+        return list(zip(*self.scaled_utilities(numerators, scale))), 2 * scale * scale
 
     def scaled_utilities(self, numerators, scale: int) -> list[tuple[int, ...]]:
         """Per point, every player's utility times 2 * scale**2, as exact integers.
@@ -80,15 +84,14 @@ class SpatialProfile:
         coordinate's denominator must divide.  The integers order each
         player's preferences exactly as the utilities do.
         """
-        ideals = [scaled_numerators(p, scale) for p in self.ideal_points]
-        return [tuple(-sum((a - b) ** 2 for a, b in zip(point, ideal)) for ideal in ideals)
-                for point in numerators]
-
-    def rows_from_scaled(self, scaled, scale: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Per-player utility rows from the output of `scaled_utilities`."""
-        denominator = 2 * scale * scale
-        return tuple(tuple(Fraction(values[player], denominator) for values in scaled)
-                     for player in range(len(self.ideal_points)))
+        axes = list(zip(*numerators))
+        rows = []
+        for ideal in self.ideal_points:
+            row = [0] * len(numerators)
+            for axis, c in zip(axes, scaled_numerators(ideal, scale)):
+                row = [u - (a - c) ** 2 for u, a in zip(row, axis)]
+            rows.append(row)
+        return list(zip(*rows))
 
 
 def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
@@ -364,7 +367,4 @@ def spatial_problem(profile: SpatialProfile, points, labels=None,
     points = [tuple(Fraction(c) for c in p) for p in points]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(len(points)))
-    *voters, setter = profile.utility_rows(points)
-    return CollectiveChoiceProblem(
-        policies=tuple(labels), voter_utilities=tuple(voters),
-        setter_utilities=setter, gfa=gfa)
+    return _scaled_problem(labels, *profile.scaled_rows(points), gfa=gfa)

@@ -48,6 +48,7 @@ from agendalab import (
     favorite_improvement,
     gen_random_gfa,
     gen_random_with_ties,
+    gen_spatial,
     is_improvable,
     phi_or,
     pork_barrel_problem,
@@ -59,7 +60,8 @@ from agendalab import (
 )
 from agendalab.distributions import AxiomViolation
 from agendalab.grids import GridBuildResult
-from agendalab.problems import _wins
+from agendalab.problems import _column_chunks, _wins
+from agendalab.rationals import ScaledInts
 from agendalab.spatial import ImprovementTrace
 
 F = Fraction
@@ -523,6 +525,8 @@ def test_box_grid_matches_fraction_reference(case, coarse):
         want = outcome(ref_build_box, **case)
         got = outcome(build_grid, **case)
     assert got == want
+    if isinstance(got, GridBuildResult):
+        assert_compiled_from_fractions(got.problem)
 
 
 @SETTINGS
@@ -532,6 +536,8 @@ def test_simplex_grid_matches_fraction_reference(case, coarse):
         want = outcome(ref_build_simplex, **case)
         got = outcome(build_grid, **case)
     assert got == want
+    if isinstance(got, GridBuildResult):
+        assert_compiled_from_fractions(got.problem)
 
 
 def test_grid_references_cover_rejitter_and_genericity_errors():
@@ -614,9 +620,96 @@ def distribution_problems(draw):
 
 
 @SETTINGS
-@given(distribution_problems())
-def test_axiom_audit_matches_fraction_reference(problem):
-    assert audit_dp_axioms(problem) == ref_audit_dp_axioms(problem)
+@given(distribution_problems(), st.sampled_from((1, 5, 2**16)))
+def test_axiom_audit_matches_fraction_reference(problem, chunk):
+    # small chunks split the defaults into many blocks
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        assert audit_dp_axioms(problem) == ref_audit_dp_axioms(problem)
+
+
+def test_axiom_audit_reference_cases_cover_the_edges():
+    """One policy, one voter, and tie-heavy problems wider than one column
+    chunk at the default chunk size, against the reference."""
+    single = CollectiveChoiceProblem(policies=("x",), voter_utilities=((F(1),), (F(2),)),
+                                     setter_utilities=(F(0),))
+    wide_dollar = divide_dollar_problem(3, 9)
+    wide_ties = gen_random_with_ties(180, 3, seed=5)
+    assert min(len(_column_chunks(p)) for p in (wide_dollar, wide_ties)) > 1
+    for problem in (single, divide_dollar_problem(1, 6), wide_dollar, wide_ties,
+                    pork_barrel_problem([(F(1), F(1, 2)), (F(3, 2), F(0))], 2, 1),
+                    transfers_problem(gen_random_with_ties(4, 2, seed=3), 2)):
+        assert audit_dp_axioms(problem) == ref_audit_dp_axioms(problem)
+
+
+# ---------------------------------------------------------------------------
+# compiled forms: builders hand their integers to the problem
+
+
+def assert_compiled_from_fractions(problem):
+    """The problem's `_ints` was seeded at construction and equals, field
+    for field, what `ScaledInts` rebuilds from its `Fraction` rows."""
+    assert "_ints" in vars(problem)
+    seeded = problem._ints
+    rebuilt = ScaledInts([list(r) for r in problem.voter_utilities]
+                         + [list(problem.setter_utilities)])
+    assert (seeded.scale, seeded.vectors, seeded.as_numpy) == (
+        rebuilt.scale, rebuilt.vectors, rebuilt.as_numpy)
+    assert all(type(v) is int for row in seeded.vectors for v in row)
+    assert seeded.array.dtype == rebuilt.array.dtype
+    assert seeded.array.tolist() == rebuilt.array.tolist()
+
+
+_GRID_PROFILE = gen_spatial(3, 5, seed=21)
+_OFF_LATTICE = (F(1, 3), F(2, 7), F(5, 11))
+_BIG_PROFILE = SpatialProfile(dim=2, ideal_points=((F(1, 3), F(2**70, 3**40)),
+                                                   (F(-5, 7), F(1, 2**65)), (F(0), F(9, 4))),
+                              box=((F(0), F(1)),) * 2)
+COMPILED_BUILDERS = {
+    "box": lambda: build_grid(BoxSpace.unit(3), F(1, 2), seed=4,
+                              profile=_GRID_PROFILE).problem,
+    "box-off-lattice-anchor": lambda: build_grid(
+        BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE, anchor=_OFF_LATTICE).problem,
+    "box-single-anchor": lambda: build_grid(
+        BoxSpace.unit(3), F(5), seed=4, profile=_GRID_PROFILE, anchor=_OFF_LATTICE).problem,
+    "simplex": lambda: build_grid(SimplexSpace(3), F(3, 10), seed=2,
+                                  anchor=(F(1, 7), F(2, 7), F(3, 7), F(1, 7))).problem,
+    "divide-the-dollar": lambda: divide_dollar_problem(3, 6),
+    "pork-barrel": lambda: pork_barrel_problem([(F(1), F(1, 2))], 2, 2),
+    "transfers": lambda: transfers_problem(gen_random_with_ties(4, 2, seed=3), 3),
+    "spatial": lambda: spatial_problem(_GRID_PROFILE, [(F(1, 5), F(3, 4), F(1, 9)),
+                                                       (0, 1, F(1, 2))]),
+    # utilities over D = 8 that reduce to quarters: the scale is D / gcd = 4
+    "spatial-coarse-lattice": lambda: spatial_problem(
+        SpatialProfile(dim=2, ideal_points=((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
+                       box=((F(0), F(1)),) * 2), [(F(1, 2), F(1, 2)), (1, 1), (0, 0)]),
+    "spatial-past-int64": lambda: spatial_problem(
+        _BIG_PROFILE, [(F(1, 5), F(3)), (F(-2**80, 11), F(0)), (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("builder", COMPILED_BUILDERS)
+def test_builders_compile_their_problems_from_their_integers(builder):
+    problem = COMPILED_BUILDERS[builder]()
+    assert_compiled_from_fractions(problem)
+    if builder == "box-single-anchor":
+        assert problem.num_policies == 1
+    if builder == "spatial-coarse-lattice":
+        assert problem._ints.scale == 4
+    assert problem._ints.as_numpy == (builder != "spatial-past-int64")
+
+
+@pytest.mark.parametrize("quota", (26, 50))
+def test_uniform_margin_matches_reference_at_many_voters(quota):
+    # past the strategies' five voters: majority and near-unanimity quotas
+    # over 51 voters, on strict problems and on ones with setter ties
+    rule = VotingRule.quota_rule(51, quota)
+    for seed in range(2):
+        for problem in (gen_random_gfa(40, 51, seed), gen_random_with_ties(40, 51, seed)):
+            setter = problem.setter_utilities
+            spread = max(setter) - min(setter)
+            for delta in (spread, spread / 3, F(1, 7)):
+                assert uniform_margin(problem, rule, delta) == ref_uniform_margin(
+                    problem, rule, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ def test_box_needs_profile():
 def test_epsilon_must_be_positive():
     with pytest.raises(ValidationError):
         build_grid(SimplexSpace(3), F(0), seed=1)
+    # a float is not an exact rational: 0.1 is not 1/10, and NaN is none
+    for inexact in (0.1, float("nan")):
+        with pytest.raises(ValidationError):
+            build_grid(SimplexSpace(3), inexact, seed=1)
 
 
 def test_budget_guard():

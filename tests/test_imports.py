@@ -48,8 +48,11 @@ def test_package_has_no_assert_statements():
 
 
 def test_memo_is_read_only_through_memoized():
+    # a problem's memo, and its compiled forms seeded through `__dict__`,
+    # are written only by `problems`' own constructor and `_memoized`
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "problems.py"
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+             if (isinstance(node, ast.Attribute) and node.attr in ("_memo", "__dict__"))
+             or (isinstance(node, ast.Name) and node.id == "__dict__")]
     assert found == []

@@ -406,6 +406,10 @@ def test_uniform_margin_rejects_nonpositive_delta(cycle, rule3):
         uniform_margin(cycle, rule3, Fraction(-1))
     with pytest.raises(ValidationError):
         uniform_margin(cycle, rule3, Fraction(0))
+    # a float is not an exact rational: 0.1 is not 1/10, and NaN is none
+    for inexact in (0.1, float("nan")):
+        with pytest.raises(ValidationError):
+            uniform_margin(cycle, rule3, inexact)
 
 
 def test_uniform_margin_rejects_override(blocked, rule3):
