@@ -25,6 +25,7 @@ from .oracle import PRESET_PROTOCOLS, GameSpec, protocol_equivalence, solve_spe,
 from .problems import is_manipulable, unimprovable_set
 from .rationals import format_rational, parse_rational
 from .serialize import (
+    _writing,
     load_problem,
     parse_rule,
     problem_to_dict,
@@ -43,7 +44,8 @@ from .tournaments import mcgarvey_realize, relabel
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2, default=str) + "\n"
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -135,7 +137,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_horizon(args) -> int:
-    problem, _ = _load(args)
+    problem = load_problem(args.problem)
     report = horizon_classify(problem)
     payload = {
         "case": report.case,
@@ -156,7 +158,7 @@ def _cmd_horizon(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    problem, _ = _load(args)
+    problem = load_problem(args.problem)
     report = reachability(problem, problem.policy_index(args.default),
                           args.mode, k=args.k)
     payload = {
@@ -218,7 +220,7 @@ def _cmd_grid(args) -> int:
         "attempts": result.attempts,
         "written_to": args.out,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload, None)
     return 0
 
 
@@ -251,7 +253,7 @@ def _cmd_dist(args) -> int:
     if args.out:
         save_problem(problem, args.out)
         payload["written_to"] = args.out
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload, None)
     return 0
 
 
@@ -262,19 +264,16 @@ def _cmd_realize(args) -> int:
     problem = relabel(problem, labels)
     if args.out:
         save_problem(problem, args.out)
-    sys.stdout.write(json.dumps({"voters": problem.n,
-                                 "written_to": args.out}, indent=2) + "\n")
+    _emit({"voters": problem.n, "written_to": args.out}, None)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    descriptor = ExperimentDescriptor(
-        suite=args.suite, seed=args.seed, samples=args.samples,
-        max_policies=args.max_policies, max_rounds=args.rounds,
-        m=args.m, d=args.dim, epsilon=args.epsilon, delta=args.delta,
-        out_dir=args.out)
-    record = run_suite(descriptor)
-    sys.stdout.write(json.dumps(record.summary, indent=2) + "\n")
+    # the parser sets only the options given; the descriptor holds the defaults
+    given = {name: value for name, value in vars(args).items()
+             if name in ExperimentDescriptor.__dataclass_fields__}
+    record = run_suite(ExperimentDescriptor(**given))
+    _emit(record.summary, None)
     return 0 if record.summary["failed"] == 0 else 2
 
 
@@ -292,10 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact engine for sequential agenda-setting games")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default=False, rounds=False):
+    def common(p, default=False, rounds=False, rule=True):
         p.add_argument("--problem", required=True, help="problem JSON file")
-        p.add_argument("--rule", default="majority",
-                       help='"majority", "quota:K/N", or a coalition JSON file')
+        if rule:
+            p.add_argument("--rule", default="majority",
+                           help='"majority", "quota:K/N", or a coalition JSON file')
         p.add_argument("--out", default=None)
         if default:
             p.add_argument("--default", required=True, help="initial default label")
@@ -330,13 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("horizon", help="finite vs infinite horizon payoffs")
-    common(p)
+    common(p, rule=False)
     p.add_argument("--default", default=None)
     p.add_argument("--t-list", type=int, nargs="*", default=None)
     p.set_defaults(fn=_cmd_horizon)
 
     p = sub.add_parser("reach", help="reachability closures")
-    common(p, default=True)
+    common(p, default=True, rule=False)
     p.add_argument("--mode", default="reachable",
                    choices=["reachable", "two_reachable", "k_reachable", "credible"])
     p.add_argument("--k", type=int, default=None)
@@ -388,17 +388,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_realize)
 
-    p = sub.add_parser("experiment", help="seeded verification suites")
+    p = sub.add_parser("experiment", help="seeded verification suites",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--max-policies", type=int, default=6)
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--delta", default="1/20")
-    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--max-policies", type=int)
+    p.add_argument("--rounds", type=int, dest="max_rounds")
+    p.add_argument("--m", type=int)
+    p.add_argument("--dim", type=int, dest="d")
+    p.add_argument("--epsilon")
+    p.add_argument("--delta")
+    p.add_argument("--out", dest="out_dir")
     p.set_defaults(fn=_cmd_experiment)
 
     return parser

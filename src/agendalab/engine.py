@@ -27,7 +27,6 @@ from .problems import (
     _phi_table,
     _require_rule,
     _wins,
-    is_improvable,
 )
 
 
@@ -96,13 +95,8 @@ def equilibrium_outcome(problem: CollectiveChoiceProblem, rule: VotingRule,
     if not problem.gfa:
         raise ValidationError("equilibrium outcomes are only unique under gfa")
     iterates = phi_iterates(problem, rule, x0, rounds)
-    reached = None
-    for t in range(len(iterates) - 1):
-        if iterates[t + 1] == iterates[t]:
-            reached = t
-            break
-    if reached is None and is_improvable(problem, rule, iterates[-1]) is None:
-        reached = rounds
+    table = _phi_table(problem, rule)
+    reached = next((t for t, x in enumerate(iterates) if table[x] == x), None)
     return Trajectory(start=x0, steps=tuple(iterates[1:]), fixed_point_reached_at=reached)
 
 
@@ -187,9 +181,10 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
     The orbit table `powers[k] = step^k` over every policy is built once,
     iteratively, up to the deepest depth any round reads, and stops early
     once `step` fixes every entry (all later powers are equal).  A ballot
-    block is then one rank comparison of two gathered column sets, and
-    `propose` and `vote` read the same table.  Rounds outside 1..T and
-    policy indices outside the table raise `ValidationError`.
+    block is then one rank comparison of two gathered column sets,
+    `propose` reads the same table, and a vote is one entry of a
+    one-policy block.  Rounds outside 1..T and policy indices outside the
+    table raise `ValidationError`.
     """
     rows = np.asarray(rows, dtype=np.int64)
     step = np.asarray(step, dtype=np.int64)
@@ -216,11 +211,6 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
     def propose(t, x):
         return (int(at(t, 1)[check(x)]), False)
 
-    def vote(i, t, x, a):
-        power, row = at(t, rounds - t), rows[i]
-        accept, reject = row[power[check(a)]], row[power[check(x)]]
-        return bool(accept > reject or (accept == reject and t >= ties_from))
-
     def ballots(t, x, policies, n):
         power = at(t, rounds - t)
         if n != len(rows):
@@ -231,6 +221,9 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
         accept = rows.take(power.take(policies), axis=1)
         reject = rows[:, power[check(x)], None]
         return accept >= reject if t >= ties_from else accept > reject
+
+    def vote(i, t, x, a):
+        return bool(ballots(t, x, [a], len(rows))[i, 0])
 
     return StrategyProfile(horizon=rounds, propose=propose, vote=vote, label=label,
                            ballots=ballots)

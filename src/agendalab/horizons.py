@@ -48,7 +48,7 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         raise ValidationError("k_reachable needs k >= 0")
     if mode in ("k_reachable", "reachable"):
         parent = _bfs(problem, x0, k if mode == "k_reachable" else None)
-        best = _best(problem, parent)
+        best = min(parent, key=lambda y: (-problem._ranks[-1][y], y))
         if mode == "k_reachable":
             mode = f"k_reachable({k})" if k != 2 else "two_reachable"
         return ReachabilityReport(mode=mode, start=x0, members=frozenset(parent),
@@ -58,17 +58,12 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         if not problem.gfa:
             raise ValidationError("credible reachability needs the single-valued "
                                   "improvement map, i.e. gfa")
-        orbit = phi_iterates(problem, problem._majority_rule, x0, problem.num_policies)
-        seen: list[int] = []
-        for x in orbit:
-            if seen and x == seen[-1]:
-                break
-            seen.append(x)
-        members = frozenset(seen)
-        best = _best(problem, members)
-        return ReachabilityReport(mode=mode, start=x0, members=members,
-                                  best_for_setter=best,
-                                  witness_chain=tuple(seen[:seen.index(best) + 1]))
+        # phi strictly raises the setter's rank until it fixes a policy, so
+        # the orbit's distinct prefix is the chain and it ends at the best
+        chain = tuple(dict.fromkeys(
+            phi_iterates(problem, problem._majority_rule, x0, problem.num_policies)))
+        return ReachabilityReport(mode=mode, start=x0, members=frozenset(chain),
+                                  best_for_setter=chain[-1], witness_chain=chain)
     raise ValidationError(f"unknown reachability mode {mode!r}")
 
 
@@ -98,10 +93,6 @@ def _unwind(parent, x0, target) -> tuple[int, ...]:
     while chain[-1] != x0:
         chain.append(parent[chain[-1]])
     return tuple(reversed(chain))
-
-
-def _best(problem, members) -> int:
-    return min(members, key=lambda y: (-problem._ranks[-1][y], y))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ result.  It does so for every default of a round at once, on arrays:
 one weak winning-coalition table (`_wins_table`, one per rule, shared
 by every protocol) settles every vote, and every protocol, preset or
 custom, is read as an action mask per round, one column chunk at a
-time.  Nothing here consults the improvement operators.
+time.  The solver, the verifier and `play_out` never read the
+improvement operators; only `check_richness` on a custom table and
+`protocol_equivalence` compare against favorite-improvement iterates.
 
 A preset game is stationary: the setter cannot commit, so round t of a
 T-round game is the first round of the (T - t + 1)-round game.  So the

@@ -16,10 +16,12 @@ utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets and the favorite-improvement table are read from its
 blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
-come only from `_wins_table`, and support masks and margins count rank
-columns.  The oracle never reads the favorite-improvement table.  Only
-the uniform margin reads the scaled integers themselves.  What is
-derived once per problem lives in its one `_memo`, through `_memoized`.
+come only from `_wins_table`, and the setter's optimum, support masks,
+margins and certificate coalitions read rank columns.  The oracle never
+reads the favorite-improvement table.  The ranks are built from the
+scaled integers `_ints`; only the uniform margin reads those directly.
+What is derived once per problem lives in its one `_memo`, through
+`_memoized`.
 """
 
 from __future__ import annotations
@@ -240,12 +242,13 @@ class CollectiveChoiceProblem:
 
     @cached_property
     def setter_max(self) -> Fraction:
-        return max(self.setter_utilities)
+        return self.setter_utilities[int(self._ranks[-1].argmax())]
 
     @cached_property
     def setter_optima(self) -> frozenset[int]:
-        top = self.setter_max
-        return frozenset(i for i, u in enumerate(self.setter_utilities) if u == top)
+        """The policies of the setter's top rank."""
+        setter = self._ranks[-1]
+        return frozenset(np.flatnonzero(setter == setter.max()).tolist())
 
     # -- compiled forms ------------------------------------------------------
 
@@ -527,24 +530,20 @@ def is_improvable(problem: CollectiveChoiceProblem, rule: VotingRule,
         return None
     coalition = None
     if problem.majority_override is None:
-        gainers = problem.support_mask(best, x)
-        coalition = _canonical_winning_subcoalition(rule, gainers)
+        voters = problem._ranks[:-1]
+        coalition = _canonical_winning_subcoalition(rule, voters[:, best] > voters[:, x])
     return ImprovementCertificate(
         base=x, witness=best, coalition=coalition,
         setter_gain=problem.setter_utilities[best] - problem.setter_utilities[x])
 
 
-def _canonical_winning_subcoalition(rule: VotingRule, gainers: int) -> frozenset[int]:
+def _canonical_winning_subcoalition(rule: VotingRule, gainers: np.ndarray) -> frozenset[int]:
+    """The lowest `quota` gainers, or the first minimal coalition that all gain."""
     if rule.quota is not None:
-        picked, mask = [], gainers
-        while mask and len(picked) < rule.quota:
-            low = (mask & -mask).bit_length() - 1
-            picked.append(low)
-            mask &= mask - 1
-        return frozenset(picked)
-    for coalition in rule.min_coalitions:
-        if coalition & gainers == coalition:
-            return frozenset(i for i in range(rule.n) if (coalition >> i) & 1)
+        return frozenset(np.flatnonzero(gainers)[:rule.quota].tolist())
+    for members in rule.coalition_members:
+        if gainers[list(members)].all():
+            return frozenset(members)
     raise ValidationError("gainer set contains no winning coalition")  # pragma: no cover
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,15 @@ def read_json(path):
         raise ValidationError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+
+
+@contextmanager
+def _writing(path):
+    """Write to `path` inside the block; an OSError there is a ValidationError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _field(data, key: str, document: str):
@@ -131,7 +141,8 @@ def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
 
 
 def save_problem(problem: CollectiveChoiceProblem, path) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(problem), indent=2) + "\n")
+    with _writing(path):
+        Path(path).write_text(json.dumps(problem_to_dict(problem), indent=2) + "\n")
 
 
 def load_problem(path) -> CollectiveChoiceProblem:

@@ -59,13 +59,9 @@ class SpatialProfile:
         return self.ideal_points[-1]
 
     def utility(self, player: int, point: Point) -> Fraction:
-        """-1/2 squared distance from the player's ideal point."""
-        ideal = self.ideal_points[player]
-        scale = lcm(*(c.denominator for c in point), *(c.denominator for c in ideal))
-        total = sum((a.numerator * (scale // a.denominator)
-                     - b.numerator * (scale // b.denominator)) ** 2
-                    for a, b in zip(point, ideal))
-        return Fraction(-total, 2 * scale * scale)
+        """-1/2 squared distance from the player's ideal point: one entry
+        of `utility_rows([point])`, read from `scaled_rows`."""
+        return self.utility_rows([point])[player][0]
 
     def utility_rows(self, points) -> tuple[tuple[Fraction, ...], ...]:
         """Every player's utility at each point: one row per player, setter last."""
@@ -344,9 +340,10 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     # exact final checks, independent of how the search got here
     if _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")
-    if not profile.utility(setter_idx, witness) > profile.utility(setter_idx, x):
+    at_x, at_witness = zip(*profile.scaled_rows([x, witness])[0])
+    if not at_witness[setter_idx] > at_x[setter_idx]:
         raise InternalInvariantError("witness does not improve the setter")
-    if not all(profile.utility(j, witness) > profile.utility(j, x) for j in coalition):
+    if not all(at_witness[j] > at_x[j] for j in coalition):
         raise InternalInvariantError("witness does not improve every coalition member")
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")

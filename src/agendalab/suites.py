@@ -37,7 +37,7 @@ from .problems import (
     unimprovable_set,
 )
 from .rationals import format_rational, parse_rational
-from .serialize import problem_to_dict
+from .serialize import _writing, problem_to_dict
 from .spatial import SpatialProfile, check_noncoplanarity, gen_spatial, spatial_witness
 
 
@@ -69,6 +69,9 @@ class ExperimentDescriptor:
                 parse_rational(getattr(self, name))
             except ValidationError as exc:
                 raise ValidationError(f"{name}: {exc}") from None
+        # a share of the setter's spread: above 1, no policy falls that far
+        if not 0 < parse_rational(self.delta) <= 1:
+            raise ValidationError(f"delta: share {self.delta} outside (0, 1]")
 
 
 @dataclass
@@ -310,10 +313,9 @@ def thm4_witness_suite(descriptor: ExperimentDescriptor):
             except SpatialDegeneracyError:
                 failures += 1
                 continue
-            gains = all(profile.utility(j, trace.witness) > profile.utility(j, x)
-                        for j in trace.majority_coalition)
-            setter_gain = (profile.utility(profile.n_voters, trace.witness)
-                           > profile.utility(profile.n_voters, x))
+            at_x, at_witness = zip(*profile.scaled_rows([x, trace.witness])[0])
+            gains = all(at_witness[j] > at_x[j] for j in trace.majority_coalition)
+            setter_gain = at_witness[-1] > at_x[-1]
             majority = 2 * len(trace.majority_coalition) >= profile.n_voters + 1
             if not (gains and setter_gain and majority):
                 failures += 1
@@ -478,7 +480,6 @@ def run_suite(descriptor: ExperimentDescriptor) -> RunRecord:
 
 
 def _write_record(record: RunRecord, out_dir: Path, runtime: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = record.descriptor.suite
     body = io.StringIO()
     if record.rows:
@@ -486,12 +487,15 @@ def _write_record(record: RunRecord, out_dir: Path, runtime: float) -> None:
         writer.writeheader()
         for row in record.rows:
             writer.writerow({k: str(v) for k, v in row.items()})
-    (out_dir / f"{stem}.csv").write_text(body.getvalue())
     descriptor = asdict(record.descriptor)
     descriptor.pop("out_dir")        # output location is not experiment identity
     payload = {"descriptor": descriptor, "rows": record.rows,
                "summary": record.summary}
-    (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, default=str) + "\n")
     meta = {"suite": stem, "runtime_seconds": round(runtime, 3),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    (out_dir / f"{stem}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.csv").write_text(body.getvalue())
+        (out_dir / f"{stem}.json").write_text(
+            json.dumps(payload, indent=2, default=str) + "\n")
+        (out_dir / f"{stem}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")

@@ -98,6 +98,20 @@ def test_equilibrium_outcome_cycle(cycle, rule3):
     assert equilibrium_outcome(cycle, rule3, z, 2).fixed_point_reached_at is None
 
 
+def test_fixed_point_round_matches_a_scan_of_the_iterates(small_corpus):
+    # the first t whose iterate the next one repeats, at most T
+    for problem in small_corpus:
+        rule = VotingRule.simple_majority(problem.n)
+        for x0 in range(problem.num_policies):
+            for rounds in range(1, 6):
+                iterates = phi_iterates(problem, rule, x0, rounds + 1)
+                want = next((t for t in range(rounds + 1)
+                             if iterates[t + 1] == iterates[t]), None)
+                trajectory = equilibrium_outcome(problem, rule, x0, rounds)
+                assert trajectory.fixed_point_reached_at == want
+                assert list(trajectory.steps) == iterates[1:-1]
+
+
 def test_equilibrium_outcome_validation(cycle, rule3):
     with pytest.raises(ValidationError):
         equilibrium_outcome(cycle, rule3, 0, 0)

@@ -822,7 +822,7 @@ def ref_eta_star_one(problem, rule, x):
 
 
 def ref_uniform_margin(problem, rule, delta):
-    top = problem.setter_max
+    top = max(problem.setter_utilities)
     gamma = tuple(x for x in range(problem.num_policies)
                   if top >= problem.setter_utilities[x] + delta)
     if not gamma:
@@ -838,6 +838,10 @@ def ref_uniform_margin(problem, rule, delta):
 
 def assert_queries_match_reference(problem, rule):
     m = problem.num_policies
+    top = max(problem.setter_utilities)
+    assert problem.setter_max == top
+    assert problem.setter_optima == frozenset(
+        x for x in range(m) if problem.setter_utilities[x] == top)
     for x in range(m):
         for mode in ("strict", "weak", "almost_strict"):
             assert acceptance_set(problem, rule, x, mode) == ref_acceptance_set(

@@ -128,6 +128,22 @@ def test_reachability_nesting(small_corpus):
             assert u[best["reachable"]] >= u[best["credible"]]
 
 
+def test_credible_chain_walks_the_orbit_until_it_repeats(small_corpus):
+    for problem in small_corpus:
+        rule = VotingRule.simple_majority(problem.n)
+        for x0 in range(problem.num_policies):
+            seen = []
+            for x in phi_iterates(problem, rule, x0, problem.num_policies):
+                if seen and x == seen[-1]:
+                    break
+                seen.append(x)
+            best = min(seen, key=lambda y: (-problem.setter_utilities[y], y))
+            report = reachability(problem, x0, "credible")
+            assert report.members == frozenset(seen)
+            assert report.best_for_setter == best
+            assert report.witness_chain == tuple(seen[:seen.index(best) + 1])
+
+
 def test_chain_steps_are_majority_wins(small_corpus):
     for problem in small_corpus[:10]:
         for x0 in range(problem.num_policies):

@@ -1,6 +1,6 @@
 """Static checks of the package source: relative imports form no cycle,
-certificates do not rest on `assert`, and only `problems` touches the
-per-problem memo."""
+certificates do not rest on `assert`, only `problems` touches the
+per-problem memo, and kernels do not call the public per-pair views."""
 
 from __future__ import annotations
 
@@ -55,4 +55,14 @@ def test_memo_is_read_only_through_memoized():
              for node in ast.walk(ast.parse(path.read_text()))
              if (isinstance(node, ast.Attribute) and node.attr in ("_memo", "__dict__"))
              or (isinstance(node, ast.Name) and node.id == "__dict__")]
+    assert found == []
+
+
+def test_package_does_not_call_the_public_views():
+    # `utility` and `support_mask` answer callers; kernels read the ranks
+    # and scaled integers those views are built from
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("utility", "support_mask")]
     assert found == []

@@ -203,12 +203,17 @@ def test_cli_realize(tmp_path, capsys):
 
 
 def test_cli_experiment_deterministic(tmp_path, capsys):
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    # the JSON body names every descriptor field, so a run of the library's
+    # default descriptor also pins that the CLI adds no default of its own
+    from agendalab.suites import ExperimentDescriptor, run_suite
+    out1, out2, out3 = tmp_path / "run1", tmp_path / "run2", tmp_path / "run3"
     assert main(["experiment", "fixtures", "--out", str(out1)]) == 0
     assert main(["experiment", "fixtures", "--out", str(out2)]) == 0
+    run_suite(ExperimentDescriptor(suite="fixtures", out_dir=str(out3)))
     capsys.readouterr()
-    assert (out1 / "fixtures.csv").read_bytes() == (out2 / "fixtures.csv").read_bytes()
-    assert (out1 / "fixtures.json").read_bytes() == (out2 / "fixtures.json").read_bytes()
+    for name in ("fixtures.csv", "fixtures.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes() == (
+            out3 / name).read_bytes()
     assert (out1 / "fixtures.meta.json").exists()
 
 
@@ -274,6 +279,7 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     no_coalitions.write_text(json.dumps({"voters": [1, 2]}))
     no_edges = tmp_path / "tournament.json"
     no_edges.write_text(json.dumps({"policies": ["a", "b"]}))
+    missing_dir = str(tmp_path / "missing" / "out.json")
     at_z = ["--problem", cycle_file, "--default", "z", "--rounds", "2"]
     # cases that read one malformed document: the argv before its path, its body
     two = {"policies": ["a", "b"], "voters": [["1", "0"]], "agenda_setter": ["0", "1"]}
@@ -310,6 +316,11 @@ def _bad_input_argv(case, cycle_file, tmp_path):
                                 "--setter", "1,2"],
         "tournament_without_edges": ["realize", "--tournament", str(no_edges),
                                      "--setter", "1,2"],
+        # output paths that cannot be written
+        "grid_out_in_missing_dir": ["grid", "--space", "simplex", "--voters", "3",
+                                    "--epsilon", "3/10", "--out", missing_dir],
+        "profile_out_in_missing_dir": ["spatial", "generate", "--out", missing_dir],
+        "experiment_out_is_a_file": ["experiment", "fixtures", "--out", str(bad_json)],
     }[case]
 
 
@@ -319,7 +330,8 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     "tournament_not_json", "tournament_without_edges", "override_pair_as_string",
     "voters_not_rows", "policies_not_list", "override_entry_not_pair",
     "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
-    "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters"])
+    "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
+    "grid_out_in_missing_dir", "profile_out_in_missing_dir", "experiment_out_is_a_file"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("validation error: ")
@@ -335,6 +347,11 @@ def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     ["dist", "pork", "--m", "2", "--projects", "1:2:3"],
     ["dist", "transfers", "--m", "2"],                    # no --base
     ["nonsense"],
+    ["experiment", "thm2_trend", "--delta", "3/2"],       # a share above 1
+    ["experiment", "thm2_trend", "--delta=-1/20"],
+    # horizon and reach read only the majority relation, so take no --rule
+    ["horizon", "--problem", "p.json", "--rule", "majority"],
+    ["reach", "--problem", "p.json", "--default", "z", "--rule", "majority"],
 ])
 def test_cli_bad_arguments_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -524,3 +541,20 @@ def test_spatial_profile_dimension_must_be_an_int(dim):
     doc = {"dim": dim, "ideal_points": [["0", "1"], ["1", "0"], ["1/2", "1/2"]]}
     with pytest.raises(ValidationError, match="profile dimension .* is not of type int"):
         spatial_profile_from_dict(doc)
+
+
+def test_cli_summary_stdout_is_pinned(tmp_path, capsys):
+    # grid, dist, realize and experiment print a summary of what they made
+    tournament = tmp_path / "tournament.json"
+    tournament.write_text(json.dumps({
+        "policies": ["w", "x", "y", "z"],
+        "edges": [["x", "w"], ["w", "y"], ["z", "w"], ["x", "y"], ["x", "z"], ["y", "z"]]}))
+    out = hashlib.sha256()
+    for argv in (["grid", "--space", "simplex", "--voters", "3", "--epsilon", "3/10"],
+                 ["dist", "dtd", "--voters", "3", "--m", "4", "--audit"],
+                 ["realize", "--tournament", str(tournament), "--setter", "4,3,2,1"],
+                 ["experiment", "fixtures"]):
+        assert main(argv) == 0
+        out.update(capsys.readouterr().out.encode())
+    assert out.hexdigest() == (
+        "181e415f93e6727070c011831884d82b02abaf8a046166efc1830e1961fe1b6e")

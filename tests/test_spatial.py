@@ -199,6 +199,31 @@ def test_spatial_problem_wraps_utilities():
     assert problem.setter_utilities[0] == profile.utility(3, pts[0])
 
 
+def test_utility_is_half_the_squared_distance():
+    profile = gen_spatial(4, 3, seed=5)
+    rng = random.Random(5)
+    for _ in range(10):
+        x = tuple(F(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(4))
+        for j, ideal in enumerate(profile.ideal_points):
+            assert profile.utility(j, x) == -sum((a - b) ** 2 for a, b in zip(x, ideal)) / 2
+
+
+def test_witness_certificates_read_scaled_rows_not_utility(monkeypatch):
+    # `utility` is a view for callers; the exact rechecks read integer rows
+    from agendalab.suites import ExperimentDescriptor, run_suite
+
+    def refuse(self, player, point):
+        raise AssertionError("utility called")
+
+    profile = gen_spatial(3, 5, seed=4)
+    x = point("1/3", "1/4", "1/5")
+    want = spatial_witness(profile, x)
+    monkeypatch.setattr(SpatialProfile, "utility", refuse)
+    assert spatial_witness(profile, x) == want
+    record = run_suite(ExperimentDescriptor(suite="thm4_witness", samples=2))
+    assert record.summary["failed"] == 0
+
+
 def test_witness_certificate_checked_without_assert(monkeypatch):
     # the final certificate must hold under `python -O` too, so it raises
     # rather than asserts; an overlong step breaks the setter's gain

@@ -14,6 +14,18 @@ def test_unknown_suite_rejected():
         ExperimentDescriptor(suite="thm99")
 
 
+@pytest.mark.parametrize("delta", ["3/2", "0", "-1/20"])
+def test_delta_share_outside_the_unit_interval_rejected(delta):
+    # a share of the setter's spread: above 1, no policy falls that far short
+    with pytest.raises(ValidationError, match="^delta: "):
+        ExperimentDescriptor(suite="thm2_trend", delta=delta)
+
+
+def test_delta_share_one_runs():
+    record = run_suite(ExperimentDescriptor(suite="thm2_trend", delta="1", samples=2))
+    assert record.summary["failed"] == 0
+
+
 def test_degenerate_corpus_refused():
     # a corpus draws 2..max_policies policies per problem
     with pytest.raises(ValidationError, match="max_policies 1"):
