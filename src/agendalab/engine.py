@@ -24,6 +24,8 @@ from .errors import BudgetExceededError, ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
+    _column_chunks,
+    _memoized,
     _phi_table,
     _require_rule,
     _wins,
@@ -255,15 +257,33 @@ def phi_or(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> frozen
 
     Weakly acceptable alternatives whose setter utility is at least the
     best over the almost-strict acceptance set.  Nonempty; contains x
-    exactly when x is unimprovable.
+    exactly when x is unimprovable.  Reads `_phi_or_table`.
     """
     problem.check_policy(x)
+    return _phi_or_table(problem, rule)[x]
+
+
+def _phi_or_table(problem: CollectiveChoiceProblem,
+                  rule: VotingRule) -> tuple[frozenset[int], ...]:
+    """`phi_or` at every default, built once per rule from the strict and
+    the weak `_wins` blocks of each of `_column_chunks`."""
     _require_rule(problem, rule)
-    setter = problem._ranks[-1]
-    column = slice(x, x + 1)
-    bar = setter[_wins(problem, rule, column)[:, 0]].max(initial=setter[x])
-    weak = _wins(problem, rule, column, weak=True)[:, 0]
-    return frozenset(np.flatnonzero(weak & (setter >= bar)).tolist())
+
+    def build():
+        setter = problem._ranks[-1]
+        table: list[frozenset[int]] = []
+        for cols in _column_chunks(problem):
+            strict = _wins(problem, rule, cols)
+            bar = np.maximum(np.where(strict, setter[:, None], -1).max(axis=0), setter[cols])
+            members = _wins(problem, rule, cols, weak=True) & (setter[:, None] >= bar)
+            # the member rows of each column, column by column
+            rows = np.nonzero(members.T)[1].tolist()
+            ends = np.cumsum(np.count_nonzero(members, axis=0)).tolist()
+            table.extend(frozenset(rows[start:end])
+                         for start, end in zip([0] + ends, ends))
+        return tuple(table)
+
+    return _memoized(problem, ("phi_or", rule), build)
 
 
 @dataclass(frozen=True)
@@ -288,7 +308,7 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
     if rounds < 1:
         raise ValidationError("need at least one round")
     problem.check_policy(x0)
-    correspondence = [sorted(phi_or(problem, rule, x)) for x in range(problem.num_policies)]
+    correspondence = [sorted(members) for members in _phi_or_table(problem, rule)]
     setter = problem._ranks[-1].tolist()
     ticks = count(1)
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import parse_rational, scaled_numerators
+from .rationals import _FractionView, parse_rational, scaled_numerators
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -61,11 +61,30 @@ class SimplexSpace:
 
 @dataclass(frozen=True)
 class GridBuildResult:
+    """A generic grid: its problem, one point per policy, and its certificate.
+
+    `build_grid` keeps each node as integer numerators over one grid
+    scale; `points` is made from them on first read.
+    """
+
     problem: CollectiveChoiceProblem
-    points: tuple[tuple[Fraction, ...], ...]
+    points: tuple[tuple[Fraction, ...], ...] = _FractionView(
+        lambda result: tuple(tuple(Fraction(c, result._scale) for c in node)
+                             for node in result._nodes))
     epsilon: Fraction
     covering_sq_bound: Fraction      # certified: strictly below epsilon**2
     attempts: int
+
+
+def _grid_result(problem, nodes, scale: int, epsilon, bound, attempts) -> GridBuildResult:
+    """The result whose points are the integer `nodes` over `scale`,
+    left to `GridBuildResult.points` to make on first read."""
+    result = object.__new__(GridBuildResult)
+    for name, value in (("problem", problem), ("epsilon", epsilon),
+                        ("covering_sq_bound", bound), ("attempts", attempts),
+                        ("_nodes", tuple(nodes)), ("_scale", scale)):
+        object.__setattr__(result, name, value)
+    return result
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -147,7 +166,7 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
     units = [h / (20 * _JITTER_RANGE) for h in spacings]
     lows = [lo for lo, _hi in space.bounds]
     scale = lcm(*(c.denominator for c in (*units, *lows, *(anchor or ()))),
-                *(c.denominator for p in profile.ideal_points for c in p))
+                profile._ints.scale)
     units, lows = scaled_numerators(units, scale), scaled_numerators(lows, scale)
     centers = []
     for index in range(total):
@@ -181,10 +200,8 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
     bound = sum((Fraction(3, 5) * h)**2 for h in spacings)
     if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
         raise ValidationError("covering bound violated; epsilon too small for budget")
-    points = tuple(tuple(Fraction(c, scale) for c in node) for node in nodes)
     problem = _grid_problem(list(zip(*values)), 2 * scale * scale)
-    return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
-                           covering_sq_bound=bound, attempts=attempts)
+    return _grid_result(problem, nodes, scale, epsilon, bound, attempts)
 
 
 def _max_corner_distance_sq(anchor, bounds) -> Fraction:
@@ -255,11 +272,9 @@ def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitte
 
     attempts = _audit_and_rejitter(values, frozen, max_attempts, draw)
 
-    points = tuple(tuple(Fraction(c, scale) for c in node) for node in values)
     bound = Fraction(121 * n_players, (10 * m)**2)
     problem = _grid_problem(list(zip(*values)), scale)
-    return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
-                           covering_sq_bound=bound, attempts=attempts)
+    return _grid_result(problem, values, scale, epsilon, bound, attempts)
 
 
 # ---------------------------------------------------------------------------

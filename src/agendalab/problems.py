@@ -22,6 +22,11 @@ reads the favorite-improvement table.  The ranks are built from the
 scaled integers `_ints`; only the uniform margin reads those directly.
 What is derived once per problem lives in its one `_memo`, through
 `_memoized`.
+
+A problem built from integer rows (`_scaled_problem`, used by every
+grid, distribution, spatial and realization builder) keeps those
+integers as its data: its `Fraction` utility fields are views, each
+made on first read, and no kernel reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import UnsupportedCombinationError, ValidationError
-from .rationals import ScaledInts, fraction_rows, parse_rational
+from .rationals import ScaledInts, _FractionView, fraction_rows, parse_rational
 
 # Largest number of voter-by-policy comparisons one block of `_wins`
 # materializes when a whole table is built chunk by chunk, which keeps
@@ -185,33 +190,47 @@ class CollectiveChoiceProblem:
 
     `gfa` asserts the generic-finite-alternatives regime: odd voter
     count and no within-row utility ties for any player.
+
+    The constructor keeps the `Fraction` rows it is given and compiles
+    `_ints` from them when first needed.  A problem built from integer
+    rows (`_scaled_problem`) keeps those integers instead, and its two
+    utility fields are `Fraction` views of them, each made on first
+    read; equality, hashing and repr read the fields, so the two kinds
+    of problem are interchangeable.
     """
 
     policies: tuple[str, ...]
-    voter_utilities: tuple[tuple[Fraction, ...], ...]
-    setter_utilities: tuple[Fraction, ...]
+    voter_utilities: tuple[tuple[Fraction, ...], ...] = _FractionView(
+        lambda problem: fraction_rows(problem._ints.vectors[:-1], problem._ints.scale))
+    setter_utilities: tuple[Fraction, ...] = _FractionView(
+        lambda problem: fraction_rows(problem._ints.vectors[-1:], problem._ints.scale)[0])
     majority_override: Optional[TournamentSpec] = None
     gfa: bool = False
 
     def __post_init__(self):
+        self._check_rows((*self.voter_utilities, self.setter_utilities))
+
+    def _check_rows(self, rows) -> None:
+        """Shape and gfa checks on the utility rows, voters first, setter last
+        (either kind: `Fraction` fields or the integers of `_ints`)."""
         m = len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
         if len(set(self.policies)) != m:
             raise ValidationError("duplicate policy labels")
-        if len(self.setter_utilities) != m:
+        if len(rows[-1]) != m:
             raise ValidationError(
-                f"setter utility row has {len(self.setter_utilities)} entries, expected {m}")
-        if not self.voter_utilities:
+                f"setter utility row has {len(rows[-1])} entries, expected {m}")
+        if len(rows) < 2:
             raise ValidationError("need at least one voter")
-        for i, row in enumerate(self.voter_utilities):
+        for i, row in enumerate(rows[:-1]):
             if len(row) != m:
                 raise ValidationError(
                     f"voter {i + 1} utility row has {len(row)} entries, expected {m}")
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
         if self.gfa:
-            if len(self.voter_utilities) % 2 == 0:
+            if self.n % 2 == 0:
                 raise ValidationError("gfa requires an odd number of voters")
             # a row without ties reaches dense rank m - 1
             for i, top in enumerate(self._ranks.max(axis=1).tolist()):
@@ -225,8 +244,9 @@ class CollectiveChoiceProblem:
     def num_policies(self) -> int:
         return len(self.policies)
 
-    @property
+    @cached_property
     def n(self) -> int:
+        """The voter count; `_scaled_problem` seeds it from its integer rows."""
         return len(self.voter_utilities)
 
     def policy_index(self, label: str) -> int:
@@ -254,8 +274,9 @@ class CollectiveChoiceProblem:
 
     @cached_property
     def _ints(self) -> ScaledInts:
-        """Voter rows, then the setter's, on one integer scale; seeded
-        from the builder's own integers by `_scaled_problem`."""
+        """Voter rows, then the setter's, on one integer scale: compiled
+        from the `Fraction` fields of a constructed problem, and the
+        stored data itself of one built by `_scaled_problem`."""
         rows = [list(r) for r in self.voter_utilities] + [list(self.setter_utilities)]
         return ScaledInts(rows)
 
@@ -288,9 +309,10 @@ class CollectiveChoiceProblem:
     def _memo(self) -> dict:
         """Results already derived from this problem, read only through
         `_memoized`: by ("phi", rule) the favorite-improvement table, by
-        ("wins", rule, weak) a whole `_wins` table, by ("rows", rule,
-        preset) the oracle's backward rows and by ("stable_set", certify
-        limit) the stable-set report."""
+        ("phi_or", rule) the one-round improvement correspondence at every
+        default, by ("wins", rule, weak) a whole `_wins` table, by ("rows",
+        rule, preset) the oracle's backward rows and by ("stable_set",
+        certify limit) the stable-set report."""
         return {}
 
     @cached_property
@@ -329,14 +351,15 @@ class CollectiveChoiceProblem:
 def _scaled_problem(policies, rows, denominator: int,
                     gfa: bool = False) -> CollectiveChoiceProblem:
     """The problem whose player p values policy x at rows[p][x] / denominator
-    (integer rows, voters first, the setter last).  Its compiled `_ints`
-    is taken from those integers, before the gfa check reads it, and is
-    the same as the one its `Fraction` rows would rebuild."""
-    *voters, setter = fraction_rows(rows, denominator)
+    (integer rows, voters first, the setter last).  It keeps those
+    integers as its `_ints` and builds no `Fraction`: its utility fields
+    are views made on first read, and it equals the problem the public
+    constructor makes from them."""
+    ints = ScaledInts.from_scaled(rows, denominator)
     problem = object.__new__(CollectiveChoiceProblem)
-    problem.__dict__["_ints"] = ScaledInts.from_scaled(rows, denominator)
-    problem.__init__(policies=tuple(policies), voter_utilities=tuple(voters),
-                     setter_utilities=setter, gfa=gfa)
+    problem.__dict__.update(policies=tuple(policies), majority_override=None, gfa=gfa,
+                            _ints=ints, n=len(ints.vectors) - 1)
+    problem._check_rows(ints.vectors)
     return problem
 
 

@@ -1,11 +1,13 @@
 """Parsing, formatting, and integer-scaling helpers for exact rationals.
 
-All utilities in this package are `fractions.Fraction`.  Serialized form
-is "p/q" (reduced) or a plain integer string; decimal strings such as
-"0.5" are accepted on input and normalized.  Kernels that need
-magnitudes rescale a family of rationals to a shared integer grid so
-they can run on integer arrays (numpy int64 when the values fit,
-object-dtype arrays of Python ints otherwise).
+Every utility and coordinate in this package is an exact rational, held
+as integers over one common denominator (`ScaledInts`) and read as
+`fractions.Fraction` views: a problem, grid or profile built from
+integers makes its public `Fraction` fields only when they are first
+read (`_FractionView`), and kernels run on the integers themselves
+(numpy int64 arrays when the values fit, Python ints otherwise).
+Serialized form is "p/q" (reduced) or a plain integer string; decimal
+strings such as "0.5" are accepted on input and normalized.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from typing import Any, Callable
 
 import numpy as np
 
@@ -92,3 +95,26 @@ class ScaledInts:
 def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of rationals `v / denominator` for the integers v of `vectors`."""
     return tuple(tuple(Fraction(v, denominator) for v in row) for row in vectors)
+
+
+class _FractionView:
+    """A frozen dataclass field that a builder holding integers leaves
+    unset: `make(instance)` reads it from those integers on first access
+    and the instance keeps it, as with a `cached_property`.  An instance
+    made by the public constructor holds the field itself and never
+    reaches the view.  Class access raises AttributeError, so the
+    dataclass sees a field without a default and its signature, `==`,
+    `hash` and `repr` are unchanged."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        self.make = make
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)
+        value = self.make(instance)
+        object.__setattr__(instance, self.name, value)
+        return value

@@ -18,13 +18,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import fraction_rows, scaled_numerators
+from .rationals import ScaledInts, fraction_rows, scaled_numerators
 
 COORD_DENOM = 2**20
 
@@ -58,6 +59,12 @@ class SpatialProfile:
     def setter_ideal(self) -> Point:
         return self.ideal_points[-1]
 
+    @cached_property
+    def _ints(self) -> ScaledInts:
+        """The ideal points as integer numerators over one denominator,
+        compiled once: the spatial kernels and the box grid read these."""
+        return ScaledInts(self.ideal_points)
+
     def utility(self, player: int, point: Point) -> Fraction:
         """-1/2 squared distance from the player's ideal point: one entry
         of `utility_rows([point])`, read from `scaled_rows`."""
@@ -69,7 +76,7 @@ class SpatialProfile:
 
     def scaled_rows(self, points) -> tuple[list[tuple[int, ...]], int]:
         """`utility_rows` as integer rows over one denominator: (rows, D)."""
-        scale = lcm(*(c.denominator for p in (*points, *self.ideal_points) for c in p))
+        scale = lcm(self._ints.scale, *(c.denominator for p in points for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
         return list(zip(*self.scaled_utilities(numerators, scale))), 2 * scale * scale
 
@@ -81,10 +88,12 @@ class SpatialProfile:
         player's preferences exactly as the utilities do.
         """
         axes = list(zip(*numerators))
+        factor = scale // self._ints.scale
         rows = []
-        for ideal in self.ideal_points:
+        for ideal in self._ints.vectors:
             row = [0] * len(numerators)
-            for axis, c in zip(axes, scaled_numerators(ideal, scale)):
+            for axis, c in zip(axes, ideal):
+                c *= factor
                 row = [u - (a - c) ** 2 for u, a in zip(row, axis)]
             rows.append(row)
         return list(zip(*rows))
@@ -107,22 +116,30 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
     for lo, hi in box:
         if hi <= lo:
             raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
+    ranges = []
+    for lo, hi in box:
+        lo_k = -((-lo.numerator * COORD_DENOM) // lo.denominator)   # ceil
+        hi_k = (hi.numerator * COORD_DENOM) // hi.denominator       # floor
+        if hi_k < lo_k:
+            raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
+        ranges.append((lo_k, hi_k + 1))
     rng = random.Random(seed)
-    points = []
-    for _ in range(n + 1):
-        coords = []
-        for lo, hi in box:
-            lo_k = -((-lo.numerator * COORD_DENOM) // lo.denominator)   # ceil
-            hi_k = (hi.numerator * COORD_DENOM) // hi.denominator       # floor
-            if hi_k < lo_k:
-                raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
-            coords.append(Fraction(rng.randrange(lo_k, hi_k + 1), COORD_DENOM))
-        points.append(tuple(coords))
-    return SpatialProfile(dim=d, ideal_points=tuple(points), box=box)
+    points = tuple(tuple(Fraction(rng.randrange(*bounds), COORD_DENOM) for bounds in ranges)
+                   for _ in range(n + 1))
+    return SpatialProfile(dim=d, ideal_points=points, box=box)
 
 
 # ---------------------------------------------------------------------------
 # coplanarity
+
+
+def _volume(p1, p2, p3, p4) -> int:
+    """The determinant of (p2 - p1, p3 - p1, p4 - p1) for integer points in R^3."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = p1, p2, p3, p4
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+    w0, w1, w2 = d0 - a0, d1 - a1, d2 - a2
+    return u0 * (v1 * w2 - v2 * w1) - u1 * (v0 * w2 - v2 * w0) + u2 * (v0 * w1 - v1 * w0)
 
 
 def coplanarity_form(p1: Point, p2: Point, p3: Point, p4: Point) -> Fraction:
@@ -133,16 +150,8 @@ def coplanarity_form(p1: Point, p2: Point, p3: Point, p4: Point) -> Fraction:
     """
     if not len(p1) == len(p2) == len(p3) == len(p4) == 3:
         raise ValidationError("the coplanarity form takes points in R^3")
-    scale = lcm(*(c.denominator for p in (p1, p2, p3, p4) for c in p))
-    ints = [[c.numerator * (scale // c.denominator) for c in p]
-            for p in (p1, p2, p3, p4)]
-    u = [ints[1][k] - ints[0][k] for k in range(3)]
-    v = [ints[2][k] - ints[0][k] for k in range(3)]
-    w = [ints[3][k] - ints[0][k] for k in range(3)]
-    det = (u[0] * (v[1] * w[2] - v[2] * w[1])
-           - u[1] * (v[0] * w[2] - v[2] * w[0])
-           + u[2] * (v[0] * w[1] - v[1] * w[0]))
-    return Fraction(det, scale**3)
+    ints = ScaledInts((p1, p2, p3, p4))
+    return Fraction(_volume(*ints.vectors), ints.scale**3)
 
 
 @dataclass(frozen=True)
@@ -157,18 +166,23 @@ def check_noncoplanarity(profile: SpatialProfile) -> CoplanarityReport:
     """Exact determinant test over every projection and player 4-subset.
 
     Scans dimension triples and player subsets in lexicographic order
-    and reports the first violation found.
+    and reports the first violation found.  The determinants are taken
+    on the profile's integer numerators, each the `coplanarity_form` of
+    its four points times the cube of the common denominator; only a
+    violation's value is made a `Fraction`.
     """
     if profile.dim < 3:
         raise ValidationError("the non-coplanarity condition needs at least 3 dimensions")
-    players = range(len(profile.ideal_points))
+    ints = profile._ints
+    players = range(len(ints.vectors))
     for dims in combinations(range(profile.dim), 3):
-        projected = [tuple(p[k] for k in dims) for p in profile.ideal_points]
-        for subset in combinations(players, 4):
-            value = coplanarity_form(*(projected[i] for i in subset))
-            if value == 0:
-                return CoplanarityReport(passes=False,
-                                         violating_tuple=(dims, subset, value))
+        projected = [tuple(p[k] for k in dims) for p in ints.vectors]
+        for subset, quad in zip(combinations(players, 4), combinations(projected, 4)):
+            volume = _volume(*quad)
+            if volume == 0:
+                return CoplanarityReport(
+                    passes=False,
+                    violating_tuple=(dims, subset, Fraction(volume, ints.scale**3)))
     return CoplanarityReport(passes=True)
 
 
@@ -223,7 +237,7 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     and the setter's ideal differ.
 
     The construction runs on integer numerators over S, the common
-    denominator of x and the ideal points in that triple: gradients
+    denominator of x and the profile's compiled ideal points: gradients
     h_i = (ideal_i - x) * S, the setter's row h_n = g being the plane
     normal.  A step search moves to x + (p * D + q * g) / r for integers
     p, q, r, where D is the direction's numerator, and player j gains
@@ -233,24 +247,21 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     if len(x) != profile.dim:
         raise ValidationError("query point dimension mismatch")
     x = tuple(Fraction(c) for c in x)
-    if x == profile.setter_ideal:
+    ints = profile._ints
+    scale = lcm(ints.scale, *(c.denominator for c in x))
+    at_x = scaled_numerators(x, scale)
+    ideals = [tuple(c * (scale // ints.scale) for c in p) for p in ints.vectors]
+    if at_x == ideals[-1]:
         raise ValidationError("the setter's ideal point admits no improvement")
     if profile.dim < 3:
         raise ValidationError("witness construction needs at least 3 dimensions")
 
-    dims = None
-    for cand in combinations(range(profile.dim), 3):
-        if any(x[k] != profile.setter_ideal[k] for k in cand):
-            dims = cand
-            break
-    # x != ideal guarantees some differing coordinate, so dims is set
+    # x != ideal guarantees some differing coordinate, so a triple is found
+    dims = next(cand for cand in combinations(range(profile.dim), 3)
+                if any(at_x[k] != ideals[-1][k] for k in cand))
     n = profile.n_voters
-    x3 = tuple(x[k] for k in dims)
-    ideals3 = [tuple(p[k] for k in dims) for p in profile.ideal_points]
-    scale = lcm(*(c.denominator for p in (x3, *ideals3) for c in p))
-    base = scaled_numerators(x3, scale)
-    grads = [tuple(a - b for a, b in zip(scaled_numerators(p, scale), base))
-             for p in ideals3]
+    base = tuple(at_x[k] for k in dims)
+    grads = [tuple(p[k] - b for k, b in zip(dims, base)) for p in ideals]
     g = grads[n]
     g_norm_sq = _dot(g, g)
 
@@ -336,7 +347,7 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
 
     midpoint = lift(*on_plane(epsilon))
     witness = lift(*toward_zeta(beta))
-    normal = tuple(profile.setter_ideal[k] - x[k] for k in range(profile.dim))
+    normal = tuple(Fraction(c - a, scale) for c, a in zip(ideals[-1], at_x))
     # exact final checks, independent of how the search got here
     if _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")

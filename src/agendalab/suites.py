@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import fixtures
 from .distributions import DivideDollarGrid, audit_dp_axioms, dtd_beta_power, dtd_profile
-from .engine import equilibrium_outcome, nc_outcome_bounds, phi_iterates, phi_or
+from .engine import _phi_or_table, equilibrium_outcome, nc_outcome_bounds, phi_iterates, phi_or
 from .errors import RichnessError, SpatialDegeneracyError, ValidationError
 from .factories import gen_random_with_ties, gfa_corpus
 from .grids import BoxSpace, build_grid
@@ -296,7 +296,7 @@ def thm4_witness_suite(descriptor: ExperimentDescriptor):
     made = 0
     attempt = 0
     while made < profiles:
-        d = (3, 4)[made % 2]
+        d = (descriptor.d, descriptor.d + 1)[made % 2]
         profile = gen_spatial(d, 5, descriptor.seed + 1000 + attempt)
         attempt += 1
         if not check_noncoplanarity(profile).passes:
@@ -382,7 +382,7 @@ def thm6_7_dtd_suite(descriptor: ExperimentDescriptor):
     rows.append({"check": f"boundary-artifact-m{m}", "count": len(stuck - clean),
                  "value": len(artifact), "pass": True})
 
-    correspondence = [phi_or(problem, rule, x) for x in range(problem.num_policies)]
+    correspondence = _phi_or_table(problem, rule)
     worst = None
     for x0 in sorted(clean):
         layer = {x0}

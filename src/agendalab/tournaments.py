@@ -10,11 +10,13 @@ relation reproduces the input tournament exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .problems import CollectiveChoiceProblem, TournamentSpec
+from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem
+from .rationals import scaled_numerators
 
 REALIZE_LIMIT = 12   # voter count grows as 2*C(|X|,2)+1
 
@@ -36,11 +38,12 @@ def derive_tournament(problem: CollectiveChoiceProblem) -> TournamentSpec:
     return TournamentSpec.from_edges(problem.num_policies, np.argwhere(majority).tolist())
 
 
-def _ranking_utilities(ranking, m: int) -> tuple[Fraction, ...]:
-    utilities = [Fraction(0)] * m
+def _ranking_row(ranking, m: int, unit: int) -> list[int]:
+    """(m - k) * unit for the policy at position k of `ranking`."""
+    row = [0] * m
     for position, policy in enumerate(ranking):
-        utilities[policy] = Fraction(m - position)
-    return tuple(utilities)
+        row[policy] = (m - position) * unit
+    return row
 
 
 def mcgarvey_realize(tournament: TournamentSpec,
@@ -50,7 +53,8 @@ def mcgarvey_realize(tournament: TournamentSpec,
     Per directed edge, one voter pair nets +2 on that pair and zero on
     every other; the extra voter ranks policies by index.  Setter
     utilities come from the caller and must be strict so the result is
-    a gfa problem.
+    a gfa problem.  The problem is built from integer rows over the
+    setter's common denominator.
     """
     m = tournament.size
     if m > REALIZE_LIMIT:
@@ -63,17 +67,16 @@ def mcgarvey_realize(tournament: TournamentSpec,
     if len(set(setter)) != m:
         raise ValidationError("setter utilities must be strict for a gfa realization")
 
+    scale = lcm(*(u.denominator for u in setter))
     rows = []
     for winner, loser in sorted(tournament.edges):
         others = [p for p in range(m) if p not in (winner, loser)]
-        rows.append(_ranking_utilities([winner, loser] + others, m))
-        rows.append(_ranking_utilities(list(reversed(others)) + [winner, loser], m))
-    rows.append(_ranking_utilities(list(range(m)), m))
+        rows.append(_ranking_row([winner, loser] + others, m, scale))
+        rows.append(_ranking_row(list(reversed(others)) + [winner, loser], m, scale))
+    rows.append(_ranking_row(list(range(m)), m, scale))
+    rows.append(scaled_numerators(setter, scale))
 
-    labels = tuple(f"x{i}" for i in range(m))
-    problem = CollectiveChoiceProblem(
-        policies=labels, voter_utilities=tuple(rows),
-        setter_utilities=setter, gfa=True)
+    problem = _scaled_problem([f"x{i}" for i in range(m)], rows, scale, gfa=True)
     if derive_tournament(problem).edges != tournament.edges:
         raise InternalInvariantError("realized majority relation differs from input")
     return problem

@@ -14,10 +14,16 @@ improvement query scans voters and policies in Python loops.  Results
 must match exactly: points, utilities, attempt counts, genericity
 errors, violations in the same order, relations, voter masks, policy
 sets, witnesses, certificates and margins.
+
+Problems built from integer rows, grid points and the coplanarity scan
+keep integers and make `Fraction`s only when read: the views must equal
+the `Fraction` objects the public constructors build, and the kernels
+must not build them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -44,12 +50,15 @@ from agendalab import (
     acceptance_set,
     audit_dp_axioms,
     build_grid,
+    check_noncoplanarity,
+    coplanarity_form,
     divide_dollar_problem,
     favorite_improvement,
     gen_random_gfa,
     gen_random_with_ties,
     gen_spatial,
     is_improvable,
+    is_manipulable,
     phi_or,
     pork_barrel_problem,
     spatial_problem,
@@ -59,10 +68,11 @@ from agendalab import (
     unimprovable_set,
 )
 from agendalab.distributions import AxiomViolation
+from agendalab.engine import _phi_or_table
 from agendalab.grids import GridBuildResult
-from agendalab.problems import _column_chunks, _wins
-from agendalab.rationals import ScaledInts
-from agendalab.spatial import ImprovementTrace
+from agendalab.problems import _column_chunks, _scaled_problem, _wins
+from agendalab.rationals import ScaledInts, fraction_rows
+from agendalab.spatial import CoplanarityReport, ImprovementTrace
 
 F = Fraction
 JITTER_RANGE = 2**16
@@ -963,3 +973,149 @@ def test_improvement_queries_match_reference_around_64_policies(m):
                                        setter_utilities=strict.setter_utilities,
                                        majority_override=cycle)
     assert_queries_match_reference(override, VotingRule.simple_majority(5))
+
+
+def ref_phi_or_column(problem, rule, x):
+    """The correspondence at x from its own strict and weak `_wins` columns."""
+    setter = problem._ranks[-1]
+    column = slice(x, x + 1)
+    bar = setter[_wins(problem, rule, column)[:, 0]].max(initial=setter[x])
+    weak = _wins(problem, rule, column, weak=True)[:, 0]
+    return frozenset(y for y in range(problem.num_policies) if weak[y] and setter[y] >= bar)
+
+
+@SETTINGS
+@given(choice_problems(), st.sampled_from((1, 5, 2**16)))
+def test_phi_or_table_matches_the_per_default_formula(case, chunk):
+    problem, rule = case
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        table = _phi_or_table(problem, rule)
+    assert table == tuple(ref_phi_or_column(problem, rule, x)
+                          for x in range(problem.num_policies))
+    assert _phi_or_table(problem, rule) is table        # one table per rule
+
+
+# ---------------------------------------------------------------------------
+# views: integers kept, `Fraction`s made on first read
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer utility rows (voters, then the setter) over a denominator:
+    a few levels, so rows tie, or magnitudes past int64."""
+    m = draw(st.integers(1, 6))
+    values = draw(st.sampled_from((st.integers(-2, 2), st.integers(-2**90, 2**90))))
+    rows = [draw(st.lists(values, min_size=m, max_size=m))
+            for _ in range(draw(st.integers(2, 6)))]
+    return rows, draw(st.sampled_from((1, 6, 2**40, 3**50))), draw(st.booleans())
+
+
+def validation_outcome(build):
+    """The build's result, or its validation error's message."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(integer_rows(), st.booleans())
+def test_scaled_problem_equals_the_constructed_problem(case, read_first):
+    rows, denominator, gfa = case
+    labels = [f"x{i}" for i in range(len(rows[0]))]
+    *voters, setter = fraction_rows(rows, denominator)
+    want = validation_outcome(lambda: CollectiveChoiceProblem(
+        policies=tuple(labels), voter_utilities=tuple(voters), setter_utilities=setter,
+        gfa=gfa))
+    got = validation_outcome(lambda: _scaled_problem(labels, rows, denominator, gfa=gfa))
+    if isinstance(want, str):                   # the same refusal (gfa with ties)
+        assert got == want
+        return
+    assert got.n == want.n == len(voters)
+    assert "voter_utilities" not in vars(got) and "setter_utilities" not in vars(got)
+    if read_first:
+        assert got.setter_utilities == setter and "voter_utilities" not in vars(got)
+        assert got.voter_utilities == tuple(voters)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert (got.voter_utilities, got.setter_utilities) == (tuple(voters), setter)
+    assert dataclasses.replace(got, policies=tuple(reversed(labels))) == dataclasses.replace(
+        want, policies=tuple(reversed(labels)))
+
+
+def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):
+    # the grid task of the benchmark: build, is_manipulable, uniform_margin,
+    # then read the setter row; only that row becomes `Fraction`s
+    made = []
+    real = fraction_rows
+    monkeypatch.setattr("agendalab.problems.fraction_rows",
+                        lambda rows, d: made.append(len(rows)) or real(rows, d))
+    grid = build_grid(BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE)
+    rule = VotingRule.simple_majority(5)
+    is_manipulable(grid.problem, rule)
+    uniform_margin(grid.problem, rule, F(1, 100))
+    assert made == []
+    setter = grid.problem.setter_utilities
+    assert made == [1]
+    assert "voter_utilities" not in vars(grid.problem) and "points" not in vars(grid)
+    want = ref_build_box(BoxSpace.unit(3), F(1, 2), 4, _GRID_PROFILE)
+    assert setter == want.problem.setter_utilities
+    assert grid == want and grid.points == want.points
+
+
+def ref_coplanarity_form(p1, p2, p3, p4):
+    u, v, w = ([b - a for a, b in zip(p1, q)] for q in (p2, p3, p4))
+    return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def ref_check_noncoplanarity(profile):
+    for dims in combinations(range(profile.dim), 3):
+        projected = [tuple(p[k] for k in dims) for p in profile.ideal_points]
+        for subset in combinations(range(len(projected)), 4):
+            quad = [projected[i] for i in subset]
+            value = coplanarity_form(*quad)
+            assert value == ref_coplanarity_form(*quad)
+            if value == 0:
+                return CoplanarityReport(passes=False, violating_tuple=(dims, subset, value))
+    return CoplanarityReport(passes=True)
+
+
+@st.composite
+def coplanarity_profiles(draw):
+    """Profiles in d = 3..5 over denominators up to 2**200, where a drawn
+    player may sit in the plane of three others in one drawn projection."""
+    d = draw(st.sampled_from((3, 4, 5)))
+    players = draw(st.integers(4, 7))
+    denominators = st.sampled_from((1, 3, 2**20, 3**60, 2**200))
+    coordinate = st.builds(F, st.integers(-2**64, 2**64), denominators)
+    points = [draw(st.lists(coordinate, min_size=d, max_size=d)) for _ in range(players)]
+    for _ in range(draw(st.integers(0, 2))):
+        dims = draw(st.sampled_from(list(combinations(range(d), 3))))
+        a, b, c, moved = draw(st.permutations(range(players)))[:4]
+        s, t = draw(coordinate), draw(coordinate)
+        for k in dims:
+            points[moved][k] = points[a][k] + s * (points[b][k] - points[a][k]) + t * (
+                points[c][k] - points[a][k])
+    return SpatialProfile(dim=d, ideal_points=tuple(map(tuple, points)),
+                          box=((F(0), F(1)),) * d)
+
+
+@SETTINGS
+@given(coplanarity_profiles())
+def test_coplanarity_scan_matches_the_form(profile):
+    assert check_noncoplanarity(profile) == ref_check_noncoplanarity(profile)
+
+
+def test_coplanarity_scan_reports_the_first_violation_in_order():
+    # two coplanar quadruples: (0, 1, 2, 4) in projection (1, 2, 3) and
+    # (0, 1, 2, 3) in the later projection (1, 3, 4); the scan names the first
+    base = gen_spatial(5, 5, seed=3)
+    points = [list(p) for p in base.ideal_points]
+    for moved, dims in ((4, (1, 2, 3)), (3, (1, 3, 4))):
+        for k in dims:
+            points[moved][k] = 2 * points[1][k] - points[0][k] + F(1, 3) * (
+                points[2][k] - points[0][k])
+    profile = SpatialProfile(dim=5, ideal_points=tuple(map(tuple, points)), box=base.box)
+    report = check_noncoplanarity(profile)
+    assert report == ref_check_noncoplanarity(profile)
+    assert report.violating_tuple == ((1, 2, 3), (0, 1, 2, 4), 0)

@@ -1,6 +1,7 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
-per-problem memo, and kernels do not call the public per-pair views."""
+per-problem memo, kernels do not call the public per-pair views, and
+only the `Fraction` views build `Fraction` rows."""
 
 from __future__ import annotations
 
@@ -65,4 +66,31 @@ def test_package_does_not_call_the_public_views():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("utility", "support_mask")]
+    assert found == []
+
+
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_fraction_rows_are_built_only_by_the_views():
+    # kernels read scaled integers; `Fraction` rows are made only where a
+    # public field or method hands them out: a problem's utility views and
+    # `SpatialProfile.utility_rows`
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "spatial.py":
+            profile = next(node for node in tree.body
+                           if isinstance(node, ast.ClassDef) and node.name == "SpatialProfile")
+            view = next(node for node in profile.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "utility_rows")
+            allowed = {id(node) for node in _calls_to(view, "fraction_rows")}
+            assert allowed
+        found += [f"{path.name}:{node.lineno}" for node in _calls_to(tree, "fraction_rows")
+                  if id(node) not in allowed]
     assert found == []

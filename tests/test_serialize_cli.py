@@ -235,6 +235,17 @@ def test_cli_experiment_refuses_a_degenerate_corpus(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("suite", ["thm4_mc", "thm4_witness"])
+def test_cli_experiment_spatial_suites_refuse_two_dimensions(suite, tmp_path, capsys):
+    # both suites run at --dim; the coplanarity scan needs three axes
+    assert main(["experiment", suite, "--dim", "2", "--samples", "1",
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ")
+    assert "at least 3 dimensions" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_experiment_dtd_empty_clean_region_passes_vacuously(tmp_path, capsys):
     assert main(["experiment", "thm6_7_dtd", "--m", "2", "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["failed"] == 0

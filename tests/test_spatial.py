@@ -224,6 +224,15 @@ def test_witness_certificates_read_scaled_rows_not_utility(monkeypatch):
     assert record.summary["failed"] == 0
 
 
+def test_thm4_witness_suite_alternates_the_descriptor_dimension():
+    from agendalab.suites import ExperimentDescriptor, run_suite
+    record = run_suite(ExperimentDescriptor(suite="thm4_witness", samples=2, d=4))
+    assert [row["dim"] for row in record.rows] == [4, 5]
+    assert record.summary["failed"] == 0
+    with pytest.raises(ValidationError, match="at least 3 dimensions"):
+        run_suite(ExperimentDescriptor(suite="thm4_witness", samples=1, d=2))
+
+
 def test_witness_certificate_checked_without_assert(monkeypatch):
     # the final certificate must hold under `python -O` too, so it raises
     # rather than asserts; an overlong step breaks the setter's gain
