@@ -137,6 +137,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_horizon(args) -> int:
+    if args.t_list is not None and args.default is None:
+        raise ValidationError("--t-list needs --default: payoffs are reported from one default")
     problem = load_problem(args.problem)
     report = horizon_classify(problem)
     payload = {

@@ -40,8 +40,11 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
     mode "two_reachable": the k=2 case, the policies not covered by x0.
     mode "credible": the favorite-improvement orbit (gfa only) — chains
     the setter can walk without commitment.
+    Only "k_reachable" reads `k`; any other mode refuses one.
     """
     problem.check_policy(x0)
+    if k is not None and mode != "k_reachable":
+        raise ValidationError(f"k is read only by mode 'k_reachable', not {mode!r}")
     if mode == "two_reachable":
         mode, k = "k_reachable", 2
     if mode == "k_reachable" and (k is None or k < 0):
@@ -112,33 +115,35 @@ def _dominance(problem):
     return problem._majority & (setter[:, None] > setter[None, :])
 
 
-def stable_set(problem: CollectiveChoiceProblem,
-               certify_limit: int = 12) -> StableSetReport:
-    """The unique internally and externally stable set under gfa.
+def stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
+    """The unique internally and externally stable set under dominance.
 
-    Dominance pairs a strict setter gain with a strict majority win;
-    under gfa it refines the setter's strict order and is therefore
-    acyclic, so a greedy scan in decreasing setter utility builds the
-    stable set.  For small policy sets the full subset enumeration
-    certifies that this is the only stable set.
+    Dominance pairs a strict setter gain with a strict majority win, so it
+    refines the setter's strict order and is acyclic; a finite acyclic
+    relation has exactly one stable set (von Neumann & Morgenstern 1944;
+    Richardson, Annals of Math. 58, 1953).  A greedy scan in decreasing
+    setter utility builds it, and two O(m^2) checks certify it at every m.
 
-    The report is built once per (problem, certify limit) and memoized
-    with the problem; each call gets its own copy of `psi_table`.
+    Problems outside gfa are refused: their stable set is unique too, but
+    ψ's lowest-index tie-break and the horizon identities that read it
+    assume gfa.  The report is built once per problem and memoized with
+    it; each call gets its own copy of `psi_table`.
     """
     if not problem.gfa:
-        raise ValidationError("stable sets are guaranteed unique only under gfa")
-    report = _memoized(problem, ("stable_set", certify_limit),
-                       lambda: _stable_set(problem, certify_limit))
+        raise ValidationError("the favorite stable improvement and the horizon "
+                              "identities assume gfa")
+    report = _memoized(problem, ("stable_set",), lambda: _stable_set(problem))
     return replace(report, psi_table=dict(report.psi_table))
 
 
-def _stable_set(problem: CollectiveChoiceProblem, certify_limit: int) -> StableSetReport:
+def _stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
     setter = problem._ranks[-1]
     dominates = _dominance(problem)
     admitted: list[int] = []
     for x in np.argsort(-setter, kind="stable").tolist():
         if not dominates[admitted, x].any():
             admitted.append(x)
+    _certify_stable(dominates, admitted)
     members = frozenset(admitted)
 
     # psi(x): the setter's best member that is x or beats x, lowest index on
@@ -147,30 +152,26 @@ def _stable_set(problem: CollectiveChoiceProblem, certify_limit: int) -> StableS
     candidate = (problem._majority | np.eye(problem.num_policies, dtype=bool))[rows]
     best = np.where(candidate, setter[rows, None], -1).argmax(axis=0)
     psi = dict(enumerate(rows[best].tolist()))
-
-    certified = False
-    if problem.num_policies <= certify_limit:
-        stable_subsets = _enumerate_stable_subsets(problem)
-        if stable_subsets != [members]:
-            raise InternalInvariantError(
-                f"greedy stable set {sorted(members)} but enumeration found "
-                f"{[sorted(s) for s in stable_subsets]}")
-        certified = True
-    return StableSetReport(members=members, psi_table=psi, uniqueness_certified=certified)
+    return StableSetReport(members=members, psi_table=psi, uniqueness_certified=True)
 
 
-def _enumerate_stable_subsets(problem) -> list[frozenset[int]]:
-    m = problem.num_policies
-    dom = _dominance(problem).tolist()
-    found = []
-    for bits in range(1 << m):
-        inside = [x for x in range(m) if (bits >> x) & 1]
-        inside_set = set(inside)
-        if any(dom[y][x] for y in inside for x in inside):
-            continue
-        if all(any(dom[y][x] for y in inside) for x in range(m) if x not in inside_set):
-            found.append(frozenset(inside))
-    return found
+def _certify_stable(dominates: np.ndarray, members) -> None:
+    """Raise unless `members` is internally stable (no member dominates a
+    member) and externally stable (a member dominates every non-member)
+    under the acyclic `dominates`, which then has no other stable set."""
+    inside = np.zeros(len(dominates), dtype=bool)
+    inside[list(members)] = True
+    dominated = dominates[inside].any(axis=0)
+    if (dominated & inside).any():
+        x = int(np.flatnonzero(dominated & inside)[0])
+        y = int(np.flatnonzero(dominates[:, x] & inside)[0])
+        raise InternalInvariantError(
+            f"stable set {sorted(members)} is not internally stable: {y} dominates {x}")
+    if not (dominated | inside).all():
+        x = int(np.flatnonzero(~(dominated | inside))[0])
+        raise InternalInvariantError(
+            f"stable set {sorted(members)} is not externally stable: "
+            f"no member dominates {x}")
 
 
 # ---------------------------------------------------------------------------

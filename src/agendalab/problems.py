@@ -16,8 +16,8 @@ utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets and the favorite-improvement table are read from its
 blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
-come only from `_wins_table`, and the setter's optimum, support masks,
-margins and certificate coalitions read rank columns.  The oracle never
+come only from `_wins_table`, and the setter's optimum, margins and
+certificate coalitions read rank columns.  The oracle never
 reads the favorite-improvement table.  The ranks are built from the
 scaled integers `_ints`; only the uniform margin reads those directly.
 What is derived once per problem lives in its one `_memo`, through
@@ -311,8 +311,8 @@ class CollectiveChoiceProblem:
         `_memoized`: by ("phi", rule) the favorite-improvement table, by
         ("phi_or", rule) the one-round improvement correspondence at every
         default, by ("wins", rule, weak) a whole `_wins` table, by ("rows",
-        rule, preset) the oracle's backward rows and by ("stable_set",
-        certify limit) the stable-set report."""
+        rule, preset) the oracle's backward rows and by ("stable_set",) the
+        stable-set report."""
         return {}
 
     @cached_property
@@ -329,12 +329,6 @@ class CollectiveChoiceProblem:
         return _wins_table(self, self._majority_rule)
 
     # -- majority relation ---------------------------------------------------
-
-    def support_mask(self, y: int, x: int, weak: bool = False) -> int:
-        """Bitmask of voters preferring y to x (weakly if `weak`)."""
-        voters = self._ranks[:-1]
-        prefer = voters[:, y] >= voters[:, x] if weak else voters[:, y] > voters[:, x]
-        return int.from_bytes(np.packbits(prefer, bitorder="little").tobytes(), "little")
 
     def margin(self, x: int, y: int) -> int:
         """(# voters strictly preferring x) minus (# strictly preferring y)."""

@@ -44,9 +44,10 @@ from agendalab.fixtures import (
     blocked_default_realized,
     majority_cycle_problem,
 )
-from agendalab.horizons import _enumerate_stable_subsets
 from agendalab.spatial import check_noncoplanarity, gen_spatial, spatial_witness
 from agendalab.suites import ExperimentDescriptor, thm2_trend_suite
+
+from references import enumerate_stable_subsets
 
 F = Fraction
 
@@ -192,7 +193,7 @@ def test_criterion_06_stable_sets():
         problem = gen_random_gfa(rng.randrange(2, 9), 3, seed=rng.randrange(2**31))
         greedy = stable_set(problem)
         ok = ok and greedy.uniqueness_certified
-        ok = ok and _enumerate_stable_subsets(problem) == [greedy.members]
+        ok = ok and enumerate_stable_subsets(problem) == [greedy.members]
     ok = ok and budget.elapsed < budget.limit
     report(6, ok, f"stable set + infinite-horizon outcomes exact; greedy equals "
                   f"enumeration on 100 instances in {budget.elapsed:.1f}s")

@@ -32,6 +32,8 @@ from agendalab import (
 )
 from agendalab.factories import gen_random_gfa, gen_random_with_ties
 
+from references import ref_support_mask
+
 
 def chain(problem, rule, start_label, count):
     start = problem.policy_index(start_label)
@@ -71,7 +73,7 @@ def _fraction_phi(problem, rule, x):
     """Favorite improvement by a scan over `Fraction` utilities."""
     setter, best = problem.setter_utilities, x
     for y in range(problem.num_policies):
-        if setter[y] > setter[best] and rule.wins(problem.support_mask(y, x)):
+        if setter[y] > setter[best] and rule.wins(ref_support_mask(problem, y, x)):
             best = y
     return best
 

@@ -3,17 +3,17 @@
 `SpatialProfile.utility`, `build_grid` and `audit_dp_axioms` evaluate
 utilities once, as exact integers, and `spatial_witness` builds its
 improvement on integer numerators.  The pairwise relation `_wins`, the
-strict majority relation, support masks, margins, acceptance sets, the
-improvement correspondence, favorite improvements, improvability and
-the unimprovable set read a problem's dense per-row ranks, and the
+strict majority relation, margins, acceptance sets, the improvement
+correspondence, favorite improvements, improvability and the
+unimprovable set read a problem's dense per-row ranks, and the
 uniform margin its scaled integers.  The reference implementations
 below are the earlier `Fraction` versions: every utility is a
 `Fraction` expression, the tie audit sorts `Fraction` keys, the axiom
 audit compares `Fraction` utilities pairwise, and every pairwise or
 improvement query scans voters and policies in Python loops.  Results
 must match exactly: points, utilities, attempt counts, genericity
-errors, violations in the same order, relations, voter masks, policy
-sets, witnesses, certificates and margins.
+errors, violations in the same order, relations, policy sets,
+witnesses, certificates and margins.
 
 Problems built from integer rows, grid points and the coplanarity scan
 keep integers and make `Fraction`s only when read: the views must equal
@@ -73,6 +73,8 @@ from agendalab.grids import GridBuildResult
 from agendalab.problems import _column_chunks, _scaled_problem, _wins
 from agendalab.rationals import ScaledInts, fraction_rows
 from agendalab.spatial import CoplanarityReport, ImprovementTrace
+
+from references import ref_majority, ref_support_mask
 
 F = Fraction
 JITTER_RANGE = 2**16
@@ -723,15 +725,8 @@ def test_uniform_margin_matches_reference_at_many_voters(quota):
 
 
 # ---------------------------------------------------------------------------
-# improvement queries: references (Fraction scans over voters and policies)
-
-
-def ref_support_mask(problem, y, x, weak=False):
-    mask = 0
-    for i, row in enumerate(problem.voter_utilities):
-        if row[y] > row[x] or (weak and row[y] == row[x]):
-            mask |= 1 << i
-    return mask
+# improvement queries: references (Fraction scans over voters and policies;
+# the support mask and strict majority are in `references`)
 
 
 def ref_margin(problem, x, y):
@@ -748,12 +743,6 @@ def ref_wins(problem, rule, y, x, weak=False):
     if problem.majority_override is not None:
         return problem.majority_override.beats(y, x) or (weak and y == x)
     return rule.wins(ref_support_mask(problem, y, x, weak))
-
-
-def ref_majority(problem, y, x):
-    if problem.majority_override is not None:
-        return problem.majority_override.beats(y, x)
-    return 2 * ref_support_mask(problem, y, x).bit_count() > problem.n
 
 
 def ref_acceptance_set(problem, rule, x, mode):
@@ -925,8 +914,7 @@ def test_improvement_queries_match_fraction_reference(case, chunk):
        st.sampled_from((1, 5, 2**16)), st.data())
 def test_pairwise_relation_matches_fraction_reference(case, chunk, data):
     # `_wins` blocks on arbitrary column slices, and everything read from
-    # ranks: the cached strict majority, support masks (over more than
-    # eight voters, so past one byte of packed bits) and margins
+    # ranks: the cached strict majority and margins, over up to eleven voters
     problem, rule = case
     m = problem.num_policies
     start, stop = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
@@ -942,9 +930,6 @@ def test_pairwise_relation_matches_fraction_reference(case, chunk, data):
         for x in range(m):
             assert problem.strictly_majority_preferred(y, x) == ref_majority(problem, y, x)
             assert problem.margin(y, x) == ref_margin(problem, y, x)
-            for weak in (False, True):
-                assert problem.support_mask(y, x, weak) == ref_support_mask(
-                    problem, y, x, weak)
 
 
 def _scaled(problem, factor, offset):

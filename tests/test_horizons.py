@@ -6,21 +6,32 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agendalab import (
+    BoxSpace,
     CollectiveChoiceProblem,
+    InternalInvariantError,
     TournamentSpec,
     ValidationError,
     VotingRule,
+    build_grid,
+    gen_spatial,
     horizon_classify,
     horizon_payoffs,
+    horizons,
+    mcgarvey_realize,
     phi_iterates,
     reachability,
     stable_set,
     unimprovable_set,
 )
 from agendalab.factories import gen_random_gfa, gen_random_with_ties
-from agendalab.horizons import _enumerate_stable_subsets
+from agendalab.fixtures import blocked_default_problem
+from agendalab.horizons import _certify_stable, _dominance
+
+from references import enumerate_stable_subsets
 
 
 def test_reachability_cycle_examples(cycle):
@@ -112,6 +123,10 @@ def test_reachability_validation(cycle):
         reachability(cycle, 0, "k_reachable", k=-1)
     with pytest.raises(ValidationError):
         reachability(cycle, 0, "sideways")
+    # only k_reachable reads k
+    for mode in ("reachable", "two_reachable", "credible"):
+        with pytest.raises(ValidationError, match="k is read only by mode 'k_reachable'"):
+            reachability(cycle, 0, mode, k=5)
 
 
 def test_reachability_nesting(small_corpus):
@@ -165,6 +180,19 @@ def test_stable_set_cycle(cycle):
     assert report.uniqueness_certified
 
 
+def assert_stable(problem, members):
+    """Internal and external stability, by plain loops over the policies."""
+    setter = problem.setter_utilities
+
+    def dominates(y, x):
+        return setter[y] > setter[x] and problem.strictly_majority_preferred(y, x)
+
+    for x in members:
+        assert not any(dominates(y, x) for y in members)
+    for x in range(problem.num_policies):
+        assert x in members or any(dominates(y, x) for y in members)
+
+
 def test_stable_set_laws(small_corpus):
     for problem in small_corpus[:30]:
         report = stable_set(problem)
@@ -175,20 +203,20 @@ def test_stable_set_laws(small_corpus):
             psi = report.psi_table[x]
             assert psi in members
             assert (psi == x) == (x in members)
-        # internal stability
-        for x in members:
-            for y in members:
-                if y == x:
-                    continue
-                assert not (problem.setter_utilities[y] > problem.setter_utilities[x]
-                            and problem.strictly_majority_preferred(y, x))
-        # external stability
-        for x in range(problem.num_policies):
-            if x in members:
-                continue
-            assert any(problem.setter_utilities[y] > problem.setter_utilities[x]
-                       and problem.strictly_majority_preferred(y, x)
-                       for y in members)
+        assert_stable(problem, members)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_random_gfa(16, 5, seed=4),
+    lambda: build_grid(BoxSpace.unit(3), Fraction(1, 4), seed=1,
+                       profile=gen_spatial(3, 5, seed=1)).problem,
+], ids=["16-policies", "343-node-grid"])
+def test_stable_set_is_certified_at_any_size(build):
+    problem = build()
+    assert problem.num_policies in (16, 343) and problem.gfa
+    report = stable_set(problem)
+    assert report.uniqueness_certified
+    assert_stable(problem, report.members)
 
 
 def test_stable_set_matches_enumeration():
@@ -196,29 +224,77 @@ def test_stable_set_matches_enumeration():
         problem = gen_random_gfa(5, 3, seed=seed)
         report = stable_set(problem)
         assert report.uniqueness_certified
-        assert _enumerate_stable_subsets(problem) == [report.members]
+        assert enumerate_stable_subsets(problem) == [report.members]
+
+
+@st.composite
+def stable_set_problems(draw):
+    """gfa problems up to ten policies: random rank profiles, the
+    override fixture, and McGarvey realizations of random tournaments."""
+    kind = draw(st.sampled_from(("random", "override", "realized")))
+    if kind == "override":
+        return blocked_default_problem()
+    m = draw(st.integers(2, 10))
+    if kind == "random":
+        return gen_random_gfa(m, draw(st.sampled_from((1, 3, 5, 7))),
+                              seed=draw(st.integers(0, 2**31)))
+    edges = [(x, y) if draw(st.booleans()) else (y, x)
+             for x in range(m) for y in range(x + 1, m)]
+    setter = draw(st.permutations(range(m)))
+    return mcgarvey_realize(TournamentSpec.from_edges(m, edges),
+                            [Fraction(u) for u in setter])
+
+
+@settings(max_examples=80, deadline=None)
+@given(stable_set_problems(), st.data())
+def test_stable_set_certificate_matches_enumeration(problem, data):
+    found = enumerate_stable_subsets(problem)
+    report = stable_set(problem)
+    assert found == [report.members] and report.uniqueness_certified
+    # the certificate accepts a subset exactly when the enumeration lists it
+    subset = data.draw(st.frozensets(st.integers(0, problem.num_policies - 1)))
+    try:
+        _certify_stable(_dominance(problem), subset)
+        accepted = True
+    except InternalInvariantError:
+        accepted = False
+    assert accepted == (subset in found)
+
+
+def test_certificate_refuses_a_set_that_is_not_stable(cycle):
+    w, x, y = (cycle.policy_index(name) for name in "wxy")
+    dominates = _dominance(cycle)
+    _certify_stable(dominates, [w, y])
+    with pytest.raises(InternalInvariantError,
+                       match=rf"not internally stable: {w} dominates {x}"):
+        _certify_stable(dominates, [w, x, y])
+    with pytest.raises(InternalInvariantError, match="not externally stable"):
+        _certify_stable(dominates, [w])
 
 
 def test_stable_set_requires_gfa():
-    from agendalab.factories import gen_random_with_ties
-    with pytest.raises(ValidationError):
-        stable_set(gen_random_with_ties(4, 3, seed=0))
+    # the set is unique without gfa too: psi's tie-break and the horizon
+    # identities are what need it
+    tied = gen_random_with_ties(4, 3, seed=0)
+    assert len(enumerate_stable_subsets(tied)) == 1
+    with pytest.raises(ValidationError, match="assume gfa"):
+        stable_set(tied)
 
 
-def test_stable_set_skips_certification_above_limit():
-    problem = gen_random_gfa(6, 3, seed=4)
-    report = stable_set(problem, certify_limit=4)
-    assert not report.uniqueness_certified
-
-
-def test_stable_set_is_kept_per_certify_limit_with_a_fresh_psi_table():
+def test_stable_set_is_built_once_per_problem_with_a_fresh_psi_table(monkeypatch):
+    built = []
+    build = horizons._stable_set
+    monkeypatch.setattr(horizons, "_stable_set",
+                        lambda problem: built.append(problem) or build(problem))
     problem = gen_random_gfa(6, 3, seed=4)
     stable_set(problem).psi_table.clear()     # a caller's copy, not the kept one
     again = stable_set(problem)
-    assert again == stable_set(dataclasses.replace(problem))
+    horizon_classify(problem)
+    horizon_payoffs(problem, 0, [1, 2])
+    assert built == [problem]
     assert len(again.psi_table) == 6
-    assert not stable_set(problem, certify_limit=4).uniqueness_certified
-    assert stable_set(problem).uniqueness_certified
+    assert again == stable_set(dataclasses.replace(problem))   # a fresh memo
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

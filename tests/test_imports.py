@@ -60,12 +60,12 @@ def test_memo_is_read_only_through_memoized():
 
 
 def test_package_does_not_call_the_public_views():
-    # `utility` and `support_mask` answer callers; kernels read the ranks
-    # and scaled integers those views are built from
+    # `utility` answers callers; kernels read the ranks and scaled
+    # integers that view is built from
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in ("utility", "support_mask")]
+             and node.func.attr == "utility"]
     assert found == []
 
 

@@ -55,13 +55,7 @@ from agendalab.oracle import (
     Violation,
 )
 
-
-def ref_support_mask(problem, y, x):
-    mask = 0
-    for i, row in enumerate(problem.voter_utilities):
-        if row[y] > row[x]:
-            mask |= 1 << i
-    return mask
+from references import ref_support_mask
 
 
 def ref_vote_mask(problem, accept_out, reject_out):

@@ -30,6 +30,8 @@ from agendalab.fixtures import blocked_default_realized
 from agendalab.problems import MajorityComparison
 from agendalab.tournaments import derive_tournament
 
+from references import ref_support_mask
+
 
 def idx(problem, label):
     return problem.policy_index(label)
@@ -350,7 +352,7 @@ def test_fast_paths_match_reference_scan():
     setter = problem.setter_utilities
     slow = frozenset(x for x in range(70)
                      if not any(setter[y] > setter[x]
-                                and rule.wins(problem.support_mask(y, x))
+                                and rule.wins(ref_support_mask(problem, y, x))
                                 for y in range(70)))
     assert fast == slow == frozenset(x for x in range(70)
                                      if is_improvable(problem, rule, x) is None)

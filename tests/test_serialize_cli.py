@@ -9,6 +9,7 @@ import pytest
 
 from agendalab import ValidationError, VotingRule, simple_equilibrium_profile
 from agendalab.cli import main
+from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_problem, majority_cycle_problem
 from agendalab.serialize import (
     load_problem,
@@ -19,6 +20,8 @@ from agendalab.serialize import (
     profile_to_dict,
     save_problem,
 )
+
+from references import enumerate_stable_subsets
 
 F = Fraction
 
@@ -531,19 +534,41 @@ def test_cli_oracle_solve_non_integer_protocol_round_exits_1(cycle_file, tmp_pat
         "validation error: protocol table entry 1: round '1' is not of type int")
 
 
-def test_cli_horizon_enumerates_stable_subsets_once(cycle_file, capsys, monkeypatch):
+def test_cli_horizon_builds_the_stable_set_once(cycle_file, capsys, monkeypatch):
     from agendalab import horizons
-    calls = []
-    enumerate_subsets = horizons._enumerate_stable_subsets
-
-    def counted(problem):
-        calls.append(problem)
-        return enumerate_subsets(problem)
-
-    monkeypatch.setattr(horizons, "_enumerate_stable_subsets", counted)
+    built = []
+    build = horizons._stable_set
+    monkeypatch.setattr(horizons, "_stable_set",
+                        lambda problem: built.append(problem) or build(problem))
     assert main(["horizon", "--problem", cycle_file, "--default", "y"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["uniqueness_certified"] is True
+    assert len(built) == 1
+    cycle = majority_cycle_problem()
+    [members] = enumerate_stable_subsets(cycle)
+    assert payload["stable_set"] == sorted(cycle.policies[x] for x in members)
+
+
+def test_cli_horizon_certifies_past_twelve_policies(tmp_path, capsys):
+    path = tmp_path / "p16.json"
+    path.write_text(json.dumps(problem_to_dict(gen_random_gfa(16, 5, seed=3))))
+    assert main(["horizon", "--problem", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["uniqueness_certified"] is True
-    assert len(calls) == 1
+
+
+def test_cli_options_that_would_do_nothing_exit_1(cycle_file, capsys):
+    # reach reads --k only in k_reachable mode; horizon reads --t-list only
+    # for the payoffs from --default
+    for argv in (["reach", "--problem", cycle_file, "--default", "z",
+                  "--mode", "two_reachable", "--k", "5"],
+                 ["reach", "--problem", cycle_file, "--default", "z", "--k", "1"],
+                 ["horizon", "--problem", cycle_file, "--t-list", "5", "7"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: ")
+        assert captured.out == ""
+    assert main(["reach", "--problem", cycle_file, "--default", "z",
+                 "--mode", "k_reachable", "--k", "5"]) == 0
 
 
 @pytest.mark.parametrize("dim", ["2", 2.9, True])
