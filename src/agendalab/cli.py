@@ -205,11 +205,15 @@ def _cmd_spatial(args) -> int:
 
 def _cmd_grid(args) -> int:
     if args.space == "box":
-        profile = gen_spatial(args.dim, args.voters, args.seed)
-        result = build_grid(BoxSpace.unit(args.dim), parse_rational(args.epsilon),
+        dim = 3 if args.dim is None else args.dim
+        profile = gen_spatial(dim, args.voters, args.seed)
+        result = build_grid(BoxSpace.unit(dim), parse_rational(args.epsilon),
                             seed=args.seed + 1, profile=profile,
                             max_points=args.budget)
     else:
+        if args.dim is not None:
+            raise ValidationError("grid --space simplex takes no --dim: "
+                                  "its dimension is the number of players")
         result = build_grid(SimplexSpace(args.voters), parse_rational(args.epsilon),
                             seed=args.seed, max_points=args.budget)
     if args.out:
@@ -227,8 +231,15 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    # each kind reads only its own options; transfers takes its voters from --base
+    unused = {"dtd": ("projects", "base"), "pork": ("base",),
+              "transfers": ("projects", "voters")}[args.kind]
+    for name in unused:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"dist {args.kind} takes no --{name}")
+    voters = 3 if args.voters is None else args.voters
     if args.kind == "dtd":
-        problem = gen_distribution("dtd", n=args.voters, m=args.m)
+        problem = gen_distribution("dtd", n=voters, m=args.m)
     elif args.kind == "pork":
         if args.projects is None:
             raise ValidationError("dist pork needs --projects")
@@ -238,8 +249,7 @@ def _cmd_dist(args) -> int:
             if not colon:
                 raise ValidationError(f"project {part!r} is not B:C")
             projects.append((parse_rational(benefit), parse_rational(cost)))
-        problem = gen_distribution("pork", projects=projects, m=args.m,
-                                   n=args.voters)
+        problem = gen_distribution("pork", projects=projects, m=args.m, n=voters)
     else:
         if args.base is None:
             raise ValidationError("dist transfers needs --base")
@@ -334,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("horizon", help="finite vs infinite horizon payoffs")
     common(p, rule=False)
     p.add_argument("--default", default=None)
-    p.add_argument("--t-list", type=int, nargs="*", default=None)
+    p.add_argument("--t-list", type=int, nargs="+", default=None)
     p.set_defaults(fn=_cmd_horizon)
 
     p = sub.add_parser("reach", help="reachability closures")
@@ -364,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="generic epsilon-grids")
     p.add_argument("--space", choices=["box", "simplex"], required=True)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=None, help="box only (default 3)")
     p.add_argument("--voters", type=int, default=5)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--seed", type=int, default=1)
@@ -375,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="distribution problems and the axiom audit")
     p.add_argument("kind", choices=["dtd", "pork", "transfers"])
-    p.add_argument("--voters", type=int, default=3)
+    p.add_argument("--voters", type=int, default=None, help="dtd, pork (default 3)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--projects", default=None, help='pork: "B:C;B:C;..."')
     p.add_argument("--base", default=None, help="transfers: base problem JSON")

@@ -5,7 +5,9 @@ nodes and every point of the continuum space lies within epsilon of
 some node.  Construction: a lattice fine enough that the covering bound
 holds with room for jitter, a seeded rational jitter on every node, and
 an exact pairwise tie audit that re-jitters offenders.  The audit is
-the certificate; the jitter scheme is reproducible from the seed.
+the certificate; the jitter scheme is reproducible from the seed.  Box,
+simplex and single-anchor grids share one pipeline on integer nodes
+over one scale (`build_grid`); each space supplies only its lattice.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, pairwise
 from math import isqrt, lcm
 from typing import Optional
 
@@ -99,8 +102,13 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     Box grids take utilities from a spatial profile; simplex grids are
     divide-the-dollar style, each player's utility being their own
     share.  An anchor point, when given, is included verbatim as a grid
-    node.  Failing the tie audit after the allowed re-jitters raises a
-    genericity error naming the tied pair and player.
+    node; a box anchor within epsilon of every corner is the whole grid
+    (a lattice with no centres).  Each space supplies its integer centres
+    over one scale, how a centre is jittered, how nodes become utility
+    numerators, the denominator and the covering bound; one path then
+    draws every centre in index order, appends the anchor, runs the tie
+    audit and builds the problem.  Failing the audit after the allowed
+    re-jitters raises a genericity error naming the tied pair and player.
     """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:
@@ -110,14 +118,43 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
             raise ValidationError("box grids need a spatial profile for utilities")
         if profile.dim != space.dim:
             raise ValidationError("profile dimension does not match the box")
-        return _build_box(space, epsilon, seed, profile, anchor, max_attempts,
-                          max_points, jitter)
-    if isinstance(space, SimplexSpace):
+        lattice = _box_lattice(space, epsilon, profile, anchor, max_points)
+    elif isinstance(space, SimplexSpace):
         if profile is not None:
             raise ValidationError("simplex grids carry their own share utilities")
-        return _build_simplex(space, epsilon, seed, anchor, max_attempts,
-                              max_points, jitter)
-    raise ValidationError(f"unknown space {type(space).__name__}")
+        lattice = _simplex_lattice(space, epsilon, anchor, max_points)
+    else:
+        raise ValidationError(f"unknown space {type(space).__name__}")
+    centers, scale, anchor, shift, utilities, denominator, bound = lattice
+
+    rng = random.Random(seed)
+
+    def draw(idx):
+        return shift(rng, centers[idx]) if jitter else centers[idx]
+
+    nodes = [draw(idx) for idx in range(len(centers))]
+    if anchor is not None:
+        nodes.append(scaled_numerators(anchor, scale))
+    values = utilities(nodes)
+
+    def redraw(idx):
+        nodes[idx] = draw(idx)
+        return utilities([nodes[idx]])[0]
+
+    attempts = _audit_and_rejitter(values, None if anchor is None else len(centers),
+                                   max_attempts, redraw)
+    rows = list(zip(*values))
+    # the players are the voters and the setter: an even count means odd voters
+    problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator,
+                              gfa=len(rows) % 2 == 0)
+    return _grid_result(problem, nodes, scale, epsilon, bound, attempts)
+
+
+def _within_budget(kind: str, total: int, max_points: int) -> int:
+    if total > max_points:
+        raise BudgetExceededError(f"{kind} grid would exceed the point budget",
+                                  required=total, budget=max_points)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +166,9 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
 # node's utilities are then exact integers, computed once per draw.
 
 
-def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
-               jitter):
+def _box_lattice(space, epsilon, profile, anchor, max_points):
     d = space.dim
+    corner_sq = None
     if anchor is not None:
         anchor = tuple(Fraction(c) for c in anchor)
         if len(anchor) != d:
@@ -139,31 +176,27 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
         for c, (lo, hi) in zip(anchor, space.bounds):
             if not lo <= c <= hi:
                 raise ValidationError("anchor lies outside the box")
-        # a single anchor may already cover the whole box within epsilon
-        corner_sq = _max_corner_distance_sq(anchor, space.bounds)
-        if corner_sq < epsilon**2:
-            points = (anchor,)
-            problem = _grid_problem(*profile.scaled_rows(points))
-            return GridBuildResult(problem=problem, points=points, epsilon=epsilon,
-                                   covering_sq_bound=corner_sq, attempts=1)
+        corner_sq = sum(max((c - lo)**2, (hi - c)**2)
+                        for c, (lo, hi) in zip(anchor, space.bounds))
 
-    cells = []
-    for lo, hi in space.bounds:
-        length = hi - lo
-        # smallest k with (length/k)^2 * d < epsilon^2, i.e. spacing < eps/sqrt(d)
-        k = isqrt(_ceil_div(length.numerator**2 * d * epsilon.denominator**2,
-                            length.denominator**2 * epsilon.numerator**2)) + 1
-        cells.append(k)
-    total = 1
-    for k in cells:
-        total *= k
-        if total > max_points:
-            raise BudgetExceededError("box grid would exceed the point budget",
-                                      required=total, budget=max_points)
+    # an anchor within epsilon of every corner covers the box alone: no centres
+    cells, total, bound = [], 0, corner_sq
+    if corner_sq is None or corner_sq >= epsilon**2:
+        for lo, hi in space.bounds:
+            length = hi - lo
+            # smallest k with (length/k)^2 * d < epsilon^2, i.e. spacing < eps/sqrt(d)
+            cells.append(isqrt(_ceil_div(length.numerator**2 * d * epsilon.denominator**2,
+                                         length.denominator**2 * epsilon.numerator**2)) + 1)
+        total = 1
+        for k in cells:
+            total = _within_budget("box", total * k, max_points)
+        bound = sum((Fraction(3, 5) * (hi - lo) / k)**2
+                    for (lo, hi), k in zip(space.bounds, cells))
+        if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
+            raise ValidationError("covering bound violated; epsilon too small for budget")
 
-    spacings = [(hi - lo) / k for (lo, hi), k in zip(space.bounds, cells)]
     # a centre sits 10 * _JITTER_RANGE units past its cell's edge; a jitter step is 2 units
-    units = [h / (20 * _JITTER_RANGE) for h in spacings]
+    units = [(hi - lo) / (20 * _JITTER_RANGE * k) for (lo, hi), k in zip(space.bounds, cells)]
     lows = [lo for lo, _hi in space.bounds]
     scale = lcm(*(c.denominator for c in (*units, *lows, *(anchor or ()))),
                 profile._ints.scale)
@@ -176,62 +209,24 @@ def _build_box(space, epsilon, seed, profile, anchor, max_attempts, max_points,
             rem //= k
         centers.append(tuple(coords))
 
-    rng = random.Random(seed)
-
-    def draw(idx):
-        if not jitter:
-            return centers[idx]
+    def shift(rng, center):
         return tuple(c + 2 * rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE) * unit
-                     for c, unit in zip(centers[idx], units))
+                     for c, unit in zip(center, units))
 
-    nodes = [draw(idx) for idx in range(total)]
-    frozen = set()
-    if anchor is not None:
-        nodes.append(scaled_numerators(anchor, scale))
-        frozen.add(len(nodes) - 1)
-    values = profile.scaled_utilities(nodes, scale)
-
-    def redraw(idx):
-        nodes[idx] = draw(idx)
-        return profile.scaled_utilities([nodes[idx]], scale)[0]
-
-    attempts = _audit_and_rejitter(values, frozen, max_attempts, redraw)
-
-    bound = sum((Fraction(3, 5) * h)**2 for h in spacings)
-    if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
-        raise ValidationError("covering bound violated; epsilon too small for budget")
-    problem = _grid_problem(list(zip(*values)), 2 * scale * scale)
-    return _grid_result(problem, nodes, scale, epsilon, bound, attempts)
-
-
-def _max_corner_distance_sq(anchor, bounds) -> Fraction:
-    total = Fraction(0)
-    for c, (lo, hi) in zip(anchor, bounds):
-        total += max((c - lo)**2, (hi - c)**2)
-    return total
-
-
-def _grid_problem(rows, denominator: int) -> CollectiveChoiceProblem:
-    """The grid's problem from per-player integer utility rows over one
-    denominator (setter last)."""
-    odd_voters = len(rows) % 2 == 0
-    return _scaled_problem([f"n{i}" for i in range(len(rows[0]))], rows, denominator,
-                           gfa=odd_voters)
+    return (centers, scale, anchor, shift,
+            lambda nodes: profile.scaled_utilities(nodes, scale), 2 * scale * scale, bound)
 
 
 # ---------------------------------------------------------------------------
 # simplex grids
 
 
-def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitter):
+def _simplex_lattice(space, epsilon, anchor, max_points):
     n_players = space.dim
     # smallest m with (11/(10m))^2 * players < epsilon^2
     m = isqrt(_ceil_div(121 * n_players * epsilon.denominator**2,
                         100 * epsilon.numerator**2)) + 1
-    total = _count_compositions(m, n_players)
-    if total > max_points:
-        raise BudgetExceededError("simplex grid would exceed the point budget",
-                                  required=total, budget=max_points)
+    _within_budget("simplex", _count_compositions(m, n_players), max_points)
     if anchor is not None:
         anchor = tuple(Fraction(c) for c in anchor)
         if len(anchor) != n_players or any(c < 0 for c in anchor) or sum(anchor) != 1:
@@ -241,71 +236,47 @@ def _build_simplex(space, epsilon, seed, anchor, max_attempts, max_points, jitte
     jitter_denominator = 10 * m * _JITTER_RANGE * n_players
     scale = lcm(jitter_denominator, *(c.denominator for c in anchor or ()))
     step = scale // jitter_denominator
-    nodes = [tuple(u * (scale // m) for u in units)
-             for units in _compositions(m, n_players)]
-    rng = random.Random(seed)
+    centers = [tuple(u * (scale // m) for u in units)
+               for units in _compositions(m, n_players)]
 
-    def draw(idx):
-        node = nodes[idx]
-        if not jitter:
-            return node
+    def shift(rng, node):
+        # every share but the top one moves up; the top share pays for it all
         top = min(range(n_players), key=lambda i: (-node[i], i))
-        moved = 0
-        out = list(node)
-        for i in range(n_players):
-            if i == top:
-                continue
-            t = rng.randrange(1, _JITTER_RANGE)
-            out[i] = node[i] + t * step
-            moved += t * step
-        out[top] = node[top] - moved
-        if out[top] <= 0:   # pragma: no cover - top share always dominates the shift
-            return node
-        return tuple(out)
+        out = [c if i == top else c + rng.randrange(1, _JITTER_RANGE) * step
+               for i, c in enumerate(node)]
+        out[top] -= sum(out) - sum(node)
+        return tuple(out) if out[top] > 0 else node   # the top share always stays positive
 
     # a player's utility is their own share, so a node's numerators are its values
-    values = [draw(idx) for idx in range(total)]
-    frozen = set()
-    if anchor is not None:
-        values.append(scaled_numerators(anchor, scale))
-        frozen.add(len(values) - 1)
-
-    attempts = _audit_and_rejitter(values, frozen, max_attempts, draw)
-
-    bound = Fraction(121 * n_players, (10 * m)**2)
-    problem = _grid_problem(list(zip(*values)), scale)
-    return _grid_result(problem, values, scale, epsilon, bound, attempts)
+    return (centers, scale, anchor, shift, list, scale,
+            Fraction(121 * n_players, (10 * m)**2))
 
 
 # ---------------------------------------------------------------------------
 # the tie audit
 
 
-def _audit_and_rejitter(values, frozen, max_attempts, redraw):
+def _audit_and_rejitter(values, anchor, max_attempts, redraw):
     """Exact per-player tie audit; offenders are re-drawn in place.
 
     values[i] holds node i's integer utility keys, one per player, on one
     scale per player.  redraw(i) re-jitters node i and returns its new keys.
+    `anchor` is the index of the one node never re-drawn, or None: a tied
+    pair holds two nodes, so at most one of them is the anchor.
     """
-    n_players = len(values[0])
-    for attempt in range(1, max_attempts + 1):
-        offender = None
-        for player in range(n_players):
-            column = [v[player] for v in values]
-            if len(set(column)) < len(column):
-                order = sorted(range(len(column)), key=column.__getitem__)
-                offender = next((player, a, b) for a, b in zip(order, order[1:])
-                                if column[a] == column[b])
-                break
+    for attempt in count(1):
+        # the first tie of the first player whose column has one, in sorted order
+        offender = next(((player, a, b) for player, column in enumerate(zip(*values))
+                         if len(set(column)) < len(column)
+                         for a, b in pairwise(sorted(range(len(column)),
+                                                     key=column.__getitem__))
+                         if column[a] == column[b]), None)
         if offender is None:
             return attempt
         player, a, b = offender
-        victim = b if b not in frozen else a
-        if victim in frozen:
+        if attempt >= max_attempts:
             raise GridGenericityError(
-                f"anchor nodes tie for player {player + 1}", player=player, pair=(a, b))
+                f"nodes {a} and {b} still tie for player {player + 1} after "
+                f"{max_attempts} attempts", player=player, pair=(a, b))
+        victim = a if b == anchor else b
         values[victim] = redraw(victim)
-    raise GridGenericityError(
-        f"nodes {offender[1]} and {offender[2]} still tie for player "
-        f"{offender[0] + 1} after {max_attempts} attempts",
-        player=offender[0], pair=(offender[1], offender[2]))

@@ -217,9 +217,8 @@ def thm2_trend_suite(descriptor: ExperimentDescriptor):
     slack = delta
     max_absorb = 0
     for x0 in defaults:
-        path = [x0]
-        while path[-1] not in stuck and len(path) <= problem.num_policies:
-            path.append(phi_iterates(problem, rule, path[-1], 1)[1])
+        # the orbit up to its first repeat: phi_iterates pads a fixed point
+        path = list(dict.fromkeys(phi_iterates(problem, rule, x0, problem.num_policies)))
         absorb = len(path) - 1
         max_absorb = max(max_absorb, absorb)
         monotone = all(problem.setter_utilities[b] >= problem.setter_utilities[a]

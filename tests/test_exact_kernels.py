@@ -1045,6 +1045,16 @@ def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):
     want = ref_build_box(BoxSpace.unit(3), F(1, 2), 4, _GRID_PROFILE)
     assert setter == want.problem.setter_utilities
     assert grid == want and grid.points == want.points
+    # an anchor that covers the box alone, and an anchored simplex, take the same path
+    for reference, case, size in (
+            (ref_build_box, dict(space=BoxSpace.unit(3), epsilon=F(5), seed=4,
+                                 profile=_GRID_PROFILE, anchor=_OFF_LATTICE), 1),
+            (ref_build_simplex, dict(space=SimplexSpace(2), epsilon=F(1, 2), seed=4,
+                                     anchor=(F(1, 3), F(1, 6), F(1, 2))), 16)):
+        result = build_grid(**case)
+        assert "points" not in vars(result)
+        assert result == reference(**case)
+        assert len(result.points) == size and result.points[-1] == case["anchor"]
 
 
 def ref_coplanarity_form(p1, p2, p3, p4):

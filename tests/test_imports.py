@@ -1,7 +1,8 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
-per-problem memo, kernels do not call the public per-pair views, and
-only the `Fraction` views build `Fraction` rows."""
+per-problem memo, kernels do not call the public per-pair views, only
+the `Fraction` views build `Fraction` rows, and grid results have one
+construction path."""
 
 from __future__ import annotations
 
@@ -93,4 +94,12 @@ def test_fraction_rows_are_built_only_by_the_views():
             assert allowed
         found += [f"{path.name}:{node.lineno}" for node in _calls_to(tree, "fraction_rows")
                   if id(node) not in allowed]
+    assert found == []
+
+
+def test_grid_results_are_built_only_by_grid_result():
+    # every `GridBuildResult` the package returns holds integer nodes and
+    # comes from `grids._grid_result`; the public constructor is for callers
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in _calls_to(ast.parse(path.read_text()), "GridBuildResult")]
     assert found == []

@@ -558,17 +558,35 @@ def test_cli_horizon_certifies_past_twelve_policies(tmp_path, capsys):
 
 def test_cli_options_that_would_do_nothing_exit_1(cycle_file, capsys):
     # reach reads --k only in k_reachable mode; horizon reads --t-list only
-    # for the payoffs from --default
+    # for the payoffs from --default, and only with at least one horizon;
+    # a simplex grid's dimension is its player count; each dist kind reads
+    # only its own options, and transfers takes its voters from --base
     for argv in (["reach", "--problem", cycle_file, "--default", "z",
                   "--mode", "two_reachable", "--k", "5"],
                  ["reach", "--problem", cycle_file, "--default", "z", "--k", "1"],
-                 ["horizon", "--problem", cycle_file, "--t-list", "5", "7"]):
+                 ["horizon", "--problem", cycle_file, "--t-list", "5", "7"],
+                 ["horizon", "--problem", cycle_file, "--default", "y", "--t-list"],
+                 ["grid", "--space", "simplex", "--dim", "7", "--epsilon", "1/2"],
+                 ["dist", "dtd", "--m", "4", "--projects", "3:1"],
+                 ["dist", "dtd", "--m", "4", "--base", cycle_file],
+                 ["dist", "pork", "--m", "2", "--projects", "3:1", "--base", cycle_file],
+                 ["dist", "transfers", "--m", "2", "--base", cycle_file,
+                  "--projects", "3:1"],
+                 ["dist", "transfers", "--m", "2", "--base", cycle_file,
+                  "--voters", "7"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("validation error: ")
         assert captured.out == ""
     assert main(["reach", "--problem", cycle_file, "--default", "z",
                  "--mode", "k_reachable", "--k", "5"]) == 0
+    capsys.readouterr()
+    # where an option is read, leaving it out still means its old default
+    for argv, default in ((["grid", "--space", "box", "--epsilon", "1/2"], ["--dim", "3"]),
+                          (["dist", "dtd", "--m", "4"], ["--voters", "3"])):
+        assert main(argv) == 0
+        absent = capsys.readouterr().out
+        assert main(argv + default) == 0 and capsys.readouterr().out == absent
 
 
 @pytest.mark.parametrize("dim", ["2", 2.9, True])
