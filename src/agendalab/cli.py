@@ -34,6 +34,7 @@ from .serialize import (
     read_json,
     save_problem,
     spatial_profile_from_dict,
+    spatial_profile_to_dict,
     tournament_from_dict,
 )
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
@@ -173,14 +174,9 @@ def _cmd_reach(args) -> int:
     return 0
 
 
-def _points_payload(profile):
-    return [[format_rational(c) for c in p] for p in profile.ideal_points]
-
-
 def _cmd_spatial(args) -> int:
     if args.spatial_command == "generate":
-        profile = gen_spatial(args.dim, args.voters, args.seed)
-        _emit({"dim": args.dim, "ideal_points": _points_payload(profile)}, args.out)
+        _emit(spatial_profile_to_dict(gen_spatial(args.dim, args.voters, args.seed)), args.out)
         return 0
     profile = spatial_profile_from_dict(read_json(args.profile))
     if args.spatial_command == "check":

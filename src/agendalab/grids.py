@@ -22,7 +22,7 @@ from typing import Optional
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import _FractionView, parse_rational, scaled_numerators
+from .rationals import _assemble, _FractionView, parse_rational, scaled_numerators
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -77,17 +77,6 @@ class GridBuildResult:
     epsilon: Fraction
     covering_sq_bound: Fraction      # certified: strictly below epsilon**2
     attempts: int
-
-
-def _grid_result(problem, nodes, scale: int, epsilon, bound, attempts) -> GridBuildResult:
-    """The result whose points are the integer `nodes` over `scale`,
-    left to `GridBuildResult.points` to make on first read."""
-    result = object.__new__(GridBuildResult)
-    for name, value in (("problem", problem), ("epsilon", epsilon),
-                        ("covering_sq_bound", bound), ("attempts", attempts),
-                        ("_nodes", tuple(nodes)), ("_scale", scale)):
-        object.__setattr__(result, name, value)
-    return result
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -147,7 +136,9 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     # the players are the voters and the setter: an even count means odd voters
     problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator,
                               gfa=len(rows) % 2 == 0)
-    return _grid_result(problem, nodes, scale, epsilon, bound, attempts)
+    return _assemble(GridBuildResult, problem=problem, epsilon=epsilon,
+                     covering_sq_bound=bound, attempts=attempts, _nodes=tuple(nodes),
+                     _scale=scale)
 
 
 def _within_budget(kind: str, total: int, max_points: int) -> int:

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import UnsupportedCombinationError, ValidationError
-from .rationals import ScaledInts, _FractionView, fraction_rows, parse_rational
+from .rationals import ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational
 
 # Largest number of voter-by-policy comparisons one block of `_wins`
 # materializes when a whole table is built chunk by chunk, which keeps
@@ -350,9 +350,8 @@ def _scaled_problem(policies, rows, denominator: int,
     are views made on first read, and it equals the problem the public
     constructor makes from them."""
     ints = ScaledInts.from_scaled(rows, denominator)
-    problem = object.__new__(CollectiveChoiceProblem)
-    problem.__dict__.update(policies=tuple(policies), majority_override=None, gfa=gfa,
-                            _ints=ints, n=len(ints.vectors) - 1)
+    problem = _assemble(CollectiveChoiceProblem, policies=tuple(policies),
+                        majority_override=None, gfa=gfa, _ints=ints, n=len(ints.vectors) - 1)
     problem._check_rows(ints.vectors)
     return problem
 

@@ -28,6 +28,8 @@ def parse_rational(text) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValidationError(f"refusing boolean {text!r}: pass a string or integer")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -118,3 +120,12 @@ class _FractionView:
         value = self.make(instance)
         object.__setattr__(instance, self.name, value)
         return value
+
+
+def _assemble(cls, **fields):
+    """An instance of `cls` holding `fields`, made without `__init__`: a builder
+    holding integers leaves the `_FractionView` fields unset, then runs the checks."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out

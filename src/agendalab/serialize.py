@@ -137,7 +137,7 @@ def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
 
     return CollectiveChoiceProblem(
         policies=tuple(labels), voter_utilities=voters, setter_utilities=setter,
-        majority_override=override, gfa=bool(data.get("gfa", False)))
+        majority_override=override, gfa=_typed(data.get("gfa", False), bool, "problem gfa"))
 
 
 def save_problem(problem: CollectiveChoiceProblem, path) -> None:
@@ -155,6 +155,12 @@ def tournament_from_dict(data: dict) -> tuple[list, TournamentSpec]:
     labels = _policy_labels(data, "tournament")
     edges = _label_pairs(_field(data, "edges", "tournament"), labels, "tournament edge")
     return labels, TournamentSpec.from_edges(len(labels), edges)
+
+
+def spatial_profile_to_dict(profile: SpatialProfile) -> dict:
+    """The profile document `spatial_profile_from_dict` reads: dim and ideal points."""
+    return {"dim": profile.dim,
+            "ideal_points": [[format_rational(c) for c in p] for p in profile.ideal_points]}
 
 
 def spatial_profile_from_dict(data: dict) -> SpatialProfile:

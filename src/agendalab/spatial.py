@@ -9,8 +9,9 @@ constructively: it works in the tangent plane of the setter's
 indifference surface, tilts toward a majority of projected voter
 gradients, then perturbs off the plane along the setter's gradient.
 All geometry is exact: the witness is built on integer numerators over
-one common denominator, the step-size searches halve dyadically without
-evaluating a utility, and the final inequalities are verified exactly.
+one common denominator, each step-size search runs on the exponent k of
+a dyadic step 2**-k without evaluating a utility, and the final
+inequalities are verified on the players' integer utilities.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import ScaledInts, fraction_rows, scaled_numerators
+from .rationals import ScaledInts, _assemble, _FractionView, fraction_rows, scaled_numerators
 
 COORD_DENOM = 2**20
 
@@ -34,26 +35,32 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """Ideal points for n voters (first) and the agenda setter (last)."""
+    """Ideal points for n voters (first) and the agenda setter (last).  A
+    profile drawn by `gen_spatial` keeps its integers as `_ints`, and its
+    `ideal_points` is a view of them, equal to what the constructor keeps."""
 
     dim: int
-    ideal_points: tuple[Point, ...]
+    ideal_points: tuple[Point, ...] = _FractionView(
+        lambda profile: fraction_rows(profile._ints.vectors, profile._ints.scale))
     box: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
+        self._check(self.ideal_points)
+
+    def _check(self, points) -> None:
+        """Shape checks on the ideal points (`Fraction`s or `_ints` rows) and the box."""
         if self.dim < 1:
             raise ValidationError("dimension must be at least 1")
-        if len(self.ideal_points) < 2:
+        if len(points) < 2:
             raise ValidationError("need at least one voter plus the setter")
-        for p in self.ideal_points:
-            if len(p) != self.dim:
-                raise ValidationError("ideal point dimension mismatch")
+        if any(len(p) != self.dim for p in points):
+            raise ValidationError("ideal point dimension mismatch")
         if len(self.box) != self.dim:
             raise ValidationError("box bounds dimension mismatch")
 
     @property
     def n_voters(self) -> int:
-        return len(self.ideal_points) - 1
+        return len(self._ints.vectors) - 1
 
     @property
     def setter_ideal(self) -> Point:
@@ -61,21 +68,18 @@ class SpatialProfile:
 
     @cached_property
     def _ints(self) -> ScaledInts:
-        """The ideal points as integer numerators over one denominator,
-        compiled once: the spatial kernels and the box grid read these."""
+        """The ideal points as integer numerators over one denominator, compiled
+        once unless drawn by `gen_spatial`: every spatial kernel reads these."""
         return ScaledInts(self.ideal_points)
 
     def utility(self, player: int, point: Point) -> Fraction:
-        """-1/2 squared distance from the player's ideal point: one entry
-        of `utility_rows([point])`, read from `scaled_rows`."""
-        return self.utility_rows([point])[player][0]
-
-    def utility_rows(self, points) -> tuple[tuple[Fraction, ...], ...]:
-        """Every player's utility at each point: one row per player, setter last."""
-        return fraction_rows(*self.scaled_rows(points))
+        """-1/2 squared distance from the player's ideal point: one `scaled_rows` entry."""
+        rows, denominator = self.scaled_rows([point])
+        return Fraction(rows[player][0], denominator)
 
     def scaled_rows(self, points) -> tuple[list[tuple[int, ...]], int]:
-        """`utility_rows` as integer rows over one denominator: (rows, D)."""
+        """Every player's utility at each point as integer rows over one
+        denominator: (rows, D), one row per player, setter last."""
         scale = lcm(self._ints.scale, *(c.denominator for p in points for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
         return list(zip(*self.scaled_utilities(numerators, scale))), 2 * scale * scale
@@ -124,9 +128,11 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
             raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
         ranges.append((lo_k, hi_k + 1))
     rng = random.Random(seed)
-    points = tuple(tuple(Fraction(rng.randrange(*bounds), COORD_DENOM) for bounds in ranges)
-                   for _ in range(n + 1))
-    return SpatialProfile(dim=d, ideal_points=points, box=box)
+    rows = [tuple(rng.randrange(*bounds) for bounds in ranges) for _ in range(n + 1)]
+    profile = _assemble(SpatialProfile, dim=d, box=box,
+                        _ints=ScaledInts.from_scaled(rows, COORD_DENOM))
+    profile._check(rows)
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +223,11 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
-def _halve_until(start: Fraction, ok, cap: int = 128) -> Fraction:
-    value = Fraction(start)
-    for _ in range(cap):
-        if ok(value):
-            return value
-        value /= 2
+def _halve_until(start: int, ok, cap: int = 128) -> int:
+    """The first of `cap` exponents k from `start` with ok(k): a search over steps 2**-k."""
+    for k in range(start, start + cap):
+        if ok(k):
+            return k
     raise SpatialDegeneracyError(
         "dyadic step search exhausted its halving budget", step="step-size search")
 
@@ -241,8 +246,8 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     h_i = (ideal_i - x) * S, the setter's row h_n = g being the plane
     normal.  A step search moves to x + (p * D + q * g) / r for integers
     p, q, r, where D is the direction's numerator, and player j gains
-    there iff S * |p*D + q*g|**2 < 2 * r * h_j.(p*D + q*g); the dot
-    products are taken once per witness.
+    there iff S * |p*D + q*g|**2 < 2 * r * h_j.(p*D + q*g), dot products
+    taken once per witness; a search runs on the exponent k of its step 2**-k.
     """
     if len(x) != profile.dim:
         raise ValidationError("query point dimension mismatch")
@@ -260,8 +265,7 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     dims = next(cand for cand in combinations(range(profile.dim), 3)
                 if any(at_x[k] != ideals[-1][k] for k in cand))
     n = profile.n_voters
-    base = tuple(at_x[k] for k in dims)
-    grads = [tuple(p[k] - b for k, b in zip(dims, base)) for p in ideals]
+    grads = [tuple(p[k] - at_x[k] for k in dims) for p in ideals]
     g = grads[n]
     g_norm_sq = _dot(g, g)
 
@@ -316,57 +320,48 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
         lhs = scale * (p * p * d_norm_sq + 2 * p * q * d_dot_g + q * q * g_norm_sq)
         return all(lhs < 2 * r * (p * hd + q * hg) for hd, hg in map(reach.get, players))
 
-    def on_plane(e: Fraction) -> tuple[int, int, int]:
-        # x + e * direction
-        return e.numerator, 0, e.denominator * d_denom
+    # x + 2**-k * direction
+    k_on = _halve_until(0, lambda k: gains_hold(1, 0, d_denom << k, coalition))
+    # x + 2**-k_on * direction + 2**-k * g / scale
+    k_off = _halve_until(k_on, lambda k: gains_hold(
+        scale << k, d_denom << k_on, (d_denom * scale) << (k_on + k), coalition))
+    zeta_p, zeta_q = scale << k_off, d_denom << k_on
+    zeta_r = (d_denom * scale) << (k_on + k_off)
+    # x + 2**-k * (zeta - x)
+    k_beta = _halve_until(
+        1, lambda k: gains_hold(zeta_p, zeta_q, zeta_r << k, (*coalition, setter_idx)))
 
-    epsilon = _halve_until(Fraction(1), lambda e: gains_hold(*on_plane(e), coalition))
-    eps_num, eps_den = epsilon.numerator, epsilon.denominator
+    def lift(p: int, q: int, r: int) -> list[int]:
+        # x + (p * D + q * g) / r, as numerators over scale * r
+        full = [a * r for a in at_x]
+        for axis, dk, gk in zip(dims, d, g):
+            full[axis] += scale * (p * dk + q * gk)
+        return full
 
-    def off_plane(e: Fraction) -> tuple[int, int, int]:
-        # x + epsilon * direction + e * g / scale
-        return (eps_num * e.denominator * scale, e.numerator * eps_den * d_denom,
-                eps_den * e.denominator * d_denom * scale)
-
-    eps_off = _halve_until(epsilon, lambda e: gains_hold(*off_plane(e), coalition))
-    zeta_p, zeta_q, zeta_r = off_plane(eps_off)
-
-    def toward_zeta(e: Fraction) -> tuple[int, int, int]:
-        # x + e * (zeta - x)
-        return e.numerator * zeta_p, e.numerator * zeta_q, e.denominator * zeta_r
-
-    beta = _halve_until(
-        Fraction(1, 2),
-        lambda e: gains_hold(*toward_zeta(e), (*coalition, setter_idx)))
-
-    def lift(p: int, q: int, r: int):
-        full = list(x)
-        for xk, dk, gk, axis in zip(base, d, g, dims):
-            full[axis] = Fraction(xk * r + scale * (p * dk + q * gk), scale * r)
-        return tuple(full)
-
-    midpoint = lift(*on_plane(epsilon))
-    witness = lift(*toward_zeta(beta))
-    normal = tuple(Fraction(c - a, scale) for c, a in zip(ideals[-1], at_x))
+    mid_r, wit_r = d_denom << k_on, zeta_r << k_beta
+    midpoint, witness = lift(1, 0, mid_r), lift(zeta_p, zeta_q, wit_r)
+    normal = [c - a for c, a in zip(ideals[-1], at_x)]
     # exact final checks, independent of how the search got here
-    if _dot(tuple(m - b for m, b in zip(midpoint, x)), normal) != 0:
+    if _dot([c - a for c, a in zip(midpoint, lift(0, 0, mid_r))], normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")
-    at_x, at_witness = zip(*profile.scaled_rows([x, witness])[0])
-    if not at_witness[setter_idx] > at_x[setter_idx]:
+    before, after = profile.scaled_utilities([lift(0, 0, wit_r), witness], scale * wit_r)
+    if not after[setter_idx] > before[setter_idx]:
         raise InternalInvariantError("witness does not improve the setter")
-    if not all(at_witness[j] > at_x[j] for j in coalition):
+    if not all(after[j] > before[j] for j in coalition):
         raise InternalInvariantError("witness does not improve every coalition member")
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")
 
     common = scale * g_norm_sq
     return ImprovementTrace(
-        base=x, dims=dims, plane_normal=normal,
+        base=x, dims=dims, plane_normal=tuple(Fraction(c, scale) for c in normal),
         projected_gradients=tuple(tuple(Fraction(c, common) for c in p)
                                   for p in projections),
         direction=tuple(Fraction(c, d_denom) for c in d),
-        epsilon=epsilon, epsilon_off_plane=eps_off, beta=beta,
-        midpoint=midpoint, witness=witness, majority_coalition=coalition)
+        epsilon=Fraction(1, 1 << k_on), epsilon_off_plane=Fraction(1, 1 << k_off),
+        beta=Fraction(1, 1 << k_beta), majority_coalition=coalition,
+        midpoint=tuple(Fraction(c, scale * mid_r) for c in midpoint),
+        witness=tuple(Fraction(c, scale * wit_r) for c in witness))
 
 
 def spatial_problem(profile: SpatialProfile, points, labels=None,

@@ -511,7 +511,7 @@ def simplex_cases(draw):
 def test_spatial_utility_matches_fraction_reference(case):
     profile, points = case
     want = _ref_spatial_rows(profile, points)
-    assert profile.utility_rows(points) == want
+    assert fraction_rows(*profile.scaled_rows(points)) == want
     for player, row in enumerate(want):
         for p, value in zip(points, row):
             got = profile.utility(player, p)

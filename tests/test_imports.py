@@ -1,8 +1,8 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, kernels do not call the public per-pair views, only
-the `Fraction` views build `Fraction` rows, and grid results have one
-construction path."""
+the `Fraction` views build `Fraction` rows, and only one helper makes
+an instance without `__init__`."""
 
 from __future__ import annotations
 
@@ -75,31 +75,39 @@ def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def _view_arguments(tree: ast.AST) -> set[int]:
+    """The ids of every node inside the arguments of a `_FractionView(...)` call."""
+    return {id(inner) for call in _calls_to(tree, "_FractionView")
+            for arg in call.args for inner in ast.walk(arg)}
+
+
 def test_fraction_rows_are_built_only_by_the_views():
-    # kernels read scaled integers; `Fraction` rows are made only where a
-    # public field or method hands them out: a problem's utility views and
-    # `SpatialProfile.utility_rows`
+    # kernels read scaled integers; `Fraction` rows are made only by the
+    # `_FractionView` fields of a problem and of a spatial profile
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "problems.py":
-            continue
         tree = ast.parse(path.read_text())
-        allowed = set()
-        if path.name == "spatial.py":
-            profile = next(node for node in tree.body
-                           if isinstance(node, ast.ClassDef) and node.name == "SpatialProfile")
-            view = next(node for node in profile.body
-                        if isinstance(node, ast.FunctionDef) and node.name == "utility_rows")
-            allowed = {id(node) for node in _calls_to(view, "fraction_rows")}
-            assert allowed
+        allowed = _view_arguments(tree) if path.name in ("problems.py", "spatial.py") else set()
         found += [f"{path.name}:{node.lineno}" for node in _calls_to(tree, "fraction_rows")
                   if id(node) not in allowed]
     assert found == []
 
 
-def test_grid_results_are_built_only_by_grid_result():
-    # every `GridBuildResult` the package returns holds integer nodes and
-    # comes from `grids._grid_result`; the public constructor is for callers
-    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-             for node in _calls_to(ast.parse(path.read_text()), "GridBuildResult")]
+def test_instances_skip_init_only_through_assemble():
+    # an instance made without `__init__` comes from `rationals._assemble`,
+    # whose callers run the class's checks; every `GridBuildResult` the
+    # package returns holds integer nodes, so none comes from its constructor
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "rationals.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_assemble")
+            allowed = {id(node) for node in ast.walk(helper)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and getattr(node.value, "id", None) == "object" and id(node) not in allowed]
+        found += [f"{path.name}:{node.lineno}"
+                  for node in _calls_to(tree, "GridBuildResult")]
     assert found == []

@@ -19,7 +19,10 @@ from agendalab.serialize import (
     profile_from_dict,
     profile_to_dict,
     save_problem,
+    spatial_profile_from_dict,
+    spatial_profile_to_dict,
 )
+from agendalab.spatial import gen_spatial
 
 from references import enumerate_stable_subsets
 
@@ -179,6 +182,15 @@ def test_cli_spatial_pipeline(tmp_path, capsys):
     assert len(payload["witness"]) == 3 and payload["coalition"]
 
 
+def test_spatial_profile_round_trip(capsys):
+    # `spatial generate` writes the document `spatial_profile_to_dict` makes
+    profile = gen_spatial(4, 5, seed=6)
+    doc = json.loads(json.dumps(spatial_profile_to_dict(profile)))
+    assert spatial_profile_from_dict(doc) == profile
+    assert main(["spatial", "generate", "--dim", "4", "--voters", "5", "--seed", "6"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
 def test_cli_grid_and_dist(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     assert main(["grid", "--space", "simplex", "--voters", "3",
@@ -312,6 +324,12 @@ def _bad_input_argv(case, cycle_file, tmp_path):
                                     {"dim": 2, "ideal_points": 5}),
         "rule_coalitions_not_list": (rule, {"coalitions": 5}),
         "rule_coalition_not_voters": (rule, {"coalitions": [["a"]]}),
+        "gfa_not_bool": (analyze, {**two, "gfa": "no"}),
+        # JSON booleans are not the integers 1 and 0
+        "utility_bool": (analyze, {**two, "voters": [[True, "0"]]}),
+        "spatial_coordinate_bool": (["spatial", "check", "--profile"], {
+            "dim": 3, "ideal_points": [[True, "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                                       ["0", "0", "0"]]}),
     }
     if case in documents:
         argv, body = documents[case]
@@ -345,6 +363,7 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     "voters_not_rows", "policies_not_list", "override_entry_not_pair",
     "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
     "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
+    "gfa_not_bool", "utility_bool", "spatial_coordinate_bool",
     "grid_out_in_missing_dir", "profile_out_in_missing_dir", "experiment_out_is_a_file"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1

@@ -42,6 +42,19 @@ def test_gen_spatial_validation():
         gen_spatial(0, 3, seed=1)
     with pytest.raises(ValidationError):
         gen_spatial(1, 3, seed=1, box=((F(1), F(1)),))   # degenerate axis
+    with pytest.raises(ValidationError, match="ideal point dimension mismatch"):
+        gen_spatial(3, 5, 1, box=((0, 1), (0, 1)))        # a box of the wrong length
+
+
+def test_drawn_profile_keeps_its_integers():
+    # the kernels read the drawn integers; `ideal_points` is made only
+    # when it is read, and equals what the public constructor keeps
+    profile = gen_spatial(3, 5, seed=4)
+    assert check_noncoplanarity(profile).passes and profile.n_voters == 5
+    spatial_witness(profile, point("1/3", "1/4", "1/5"))
+    assert "ideal_points" not in vars(profile)
+    built = SpatialProfile(profile.dim, profile.ideal_points, profile.box)
+    assert profile == built and hash(profile) == hash(built) and repr(profile) == repr(built)
 
 
 def test_coplanarity_form_tetrahedron():
@@ -235,9 +248,9 @@ def test_thm4_witness_suite_alternates_the_descriptor_dimension():
 
 def test_witness_certificate_checked_without_assert(monkeypatch):
     # the final certificate must hold under `python -O` too, so it raises
-    # rather than asserts; an overlong step breaks the setter's gain
+    # rather than asserts; the first, unchecked step of each search is too long
     from agendalab import InternalInvariantError, spatial
     profile = gen_spatial(3, 5, seed=4)
-    monkeypatch.setattr(spatial, "_halve_until", lambda start, ok, cap=128: F(10**6))
+    monkeypatch.setattr(spatial, "_halve_until", lambda start, ok, cap=128: start)
     with pytest.raises(InternalInvariantError, match="witness does not improve"):
         spatial_witness(profile, point("1/3", "1/4", "1/5"))
