@@ -36,7 +36,6 @@ from .distributions import (
     dtd_beta,
     dtd_beta_power,
     dtd_profile,
-    gen_distribution,
     pork_barrel_problem,
     transfers_problem,
 )

@@ -12,11 +12,13 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
-from .distributions import audit_dp_axioms, gen_distribution
+from .distributions import (audit_dp_axioms, divide_dollar_problem, pork_barrel_problem,
+                            transfers_problem)
 from .engine import equilibrium_outcome, phi_or
 from .errors import AgendaLabError, InternalInvariantError, ValidationError
 from .grids import BoxSpace, SimplexSpace, build_grid
@@ -38,7 +40,7 @@ from .serialize import (
     tournament_from_dict,
 )
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
-from .suites import SUITES, ExperimentDescriptor, run_suite
+from .suites import SUITES, run_suite
 from .tournaments import mcgarvey_realize, relabel
 
 
@@ -94,9 +96,10 @@ def _cmd_oracle(args) -> int:
     problem, rule = _load(args)
     x0 = problem.policy_index(args.default)
     if args.oracle_command == "solve":
-        protocol = args.protocol
         if args.protocol_file:
             protocol = protocol_from_dict(read_json(args.protocol_file), problem)
+        else:
+            protocol = "amendment" if args.protocol is None else args.protocol
         game = GameSpec(problem=problem, rule=rule, horizon=args.rounds,
                         initial_default=x0, protocol=protocol)
         report = solve_spe(game, budget=args.budget)
@@ -227,30 +230,18 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    # each kind reads only its own options; transfers takes its voters from --base
-    unused = {"dtd": ("projects", "base"), "pork": ("base",),
-              "transfers": ("projects", "voters")}[args.kind]
-    for name in unused:
-        if getattr(args, name) is not None:
-            raise ValidationError(f"dist {args.kind} takes no --{name}")
-    voters = 3 if args.voters is None else args.voters
     if args.kind == "dtd":
-        problem = gen_distribution("dtd", n=voters, m=args.m)
+        problem = divide_dollar_problem(args.voters, args.m)
     elif args.kind == "pork":
-        if args.projects is None:
-            raise ValidationError("dist pork needs --projects")
         projects = []
         for part in args.projects.split(";"):
             benefit, colon, cost = part.partition(":")
             if not colon:
                 raise ValidationError(f"project {part!r} is not B:C")
             projects.append((parse_rational(benefit), parse_rational(cost)))
-        problem = gen_distribution("pork", projects=projects, m=args.m, n=voters)
+        problem = pork_barrel_problem(projects, args.m, args.voters)
     else:
-        if args.base is None:
-            raise ValidationError("dist transfers needs --base")
-        base = load_problem(args.base)
-        problem = gen_distribution("transfers", base=base, m=args.m)
+        problem = transfers_problem(load_problem(args.base), args.m)
     payload = {"policies": problem.num_policies}
     if args.audit:
         audit = audit_dp_axioms(problem)
@@ -277,10 +268,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # the parser sets only the options given; the descriptor holds the defaults
-    given = {name: value for name, value in vars(args).items()
-             if name in ExperimentDescriptor.__dataclass_fields__}
-    record = run_suite(ExperimentDescriptor(**given))
+    params = inspect.signature(SUITES[args.suite]).parameters
+    record = run_suite(args.suite, args.out, **{name: getattr(args, name) for name in params})
     _emit(record.summary, None)
     return 0 if record.summary["failed"] == 0 else 2
 
@@ -291,6 +280,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+
+# the experiment option of each suite parameter: (flag, type)
+EXPERIMENT_FLAGS = {
+    "seed": ("--seed", int),
+    "samples": ("--samples", int),
+    "max_policies": ("--max-policies", int),
+    "max_rounds": ("--rounds", int),
+    "m": ("--m", int),
+    "d": ("--dim", int),
+    "epsilon": ("--epsilon", str),
+    "delta": ("--delta", str),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,9 +324,11 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     q = oracle_sub.add_parser("solve")
     common(q, default=True, rounds=True)
-    q.add_argument("--protocol", default="amendment")
-    q.add_argument("--protocol-file", default=None,
-                   help="custom protocol table JSON")
+    choice = q.add_mutually_exclusive_group()
+    # no "amendment" default: argparse lets a given value that is the
+    # default string itself through the group
+    choice.add_argument("--protocol", default=None, help="preset protocol (default amendment)")
+    choice.add_argument("--protocol-file", default=None, help="custom protocol table JSON")
     q.add_argument("--budget", type=int, default=5_000_000)
     q.set_defaults(fn=_cmd_oracle)
     q = oracle_sub.add_parser("verify")
@@ -380,14 +384,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("dist", help="distribution problems and the axiom audit")
-    p.add_argument("kind", choices=["dtd", "pork", "transfers"])
-    p.add_argument("--voters", type=int, default=None, help="dtd, pork (default 3)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--projects", default=None, help='pork: "B:C;B:C;..."')
-    p.add_argument("--base", default=None, help="transfers: base problem JSON")
-    p.add_argument("--audit", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_dist)
+    dist_sub = p.add_subparsers(dest="kind", required=True)
+    for kind in ("dtd", "pork", "transfers"):
+        q = dist_sub.add_parser(kind)
+        q.add_argument("--m", type=int, required=True)
+        if kind == "pork":
+            q.add_argument("--projects", required=True, help='"B:C;B:C;..."')
+        if kind == "transfers":
+            # its voters are the base problem's
+            q.add_argument("--base", required=True, help="base problem JSON")
+        else:
+            q.add_argument("--voters", type=int, default=3)
+        q.add_argument("--audit", action="store_true")
+        q.add_argument("--out", default=None)
+        q.set_defaults(fn=_cmd_dist)
 
     p = sub.add_parser("realize", help="tournament realization")
     p.add_argument("--tournament", required=True,
@@ -396,19 +406,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_realize)
 
-    p = sub.add_parser("experiment", help="seeded verification suites",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-policies", type=int)
-    p.add_argument("--rounds", type=int, dest="max_rounds")
-    p.add_argument("--m", type=int)
-    p.add_argument("--dim", type=int, dest="d")
-    p.add_argument("--epsilon")
-    p.add_argument("--delta")
-    p.add_argument("--out", dest="out_dir")
-    p.set_defaults(fn=_cmd_experiment)
+    p = sub.add_parser("experiment", help="seeded verification suites")
+    suite_sub = p.add_subparsers(dest="suite", required=True)
+    for suite, fn in SUITES.items():
+        # no abbreviations: `--m` must not stand for a suite's `--max-policies`
+        q = suite_sub.add_parser(suite, allow_abbrev=False)
+        for name, parameter in inspect.signature(fn).parameters.items():
+            flag, kind = EXPERIMENT_FLAGS[name]
+            q.add_argument(flag, type=kind, dest=name, default=parameter.default,
+                           help="default %(default)s")
+        q.add_argument("--out", default=None)
+        q.set_defaults(fn=_cmd_experiment)
 
     return parser
 

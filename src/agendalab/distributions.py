@@ -260,18 +260,6 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
                            list(zip(*allocations)), m)
 
 
-def gen_distribution(kind: str, **params) -> CollectiveChoiceProblem:
-    """Dispatcher over the distribution-problem generators."""
-    if kind == "dtd":
-        return divide_dollar_problem(params["n"], params["m"])
-    if kind == "pork":
-        return pork_barrel_problem(params["projects"], params["m"], params["n"],
-                                   budget=params.get("budget", 200_000))
-    if kind == "transfers":
-        return transfers_problem(params["base"], params["m"])
-    raise ValidationError(f"unknown distribution kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # axiom audit
 

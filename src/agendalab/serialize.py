@@ -30,12 +30,10 @@ from .spatial import SpatialProfile
 
 
 def problem_to_dict(problem: CollectiveChoiceProblem) -> dict:
-    out = {
-        "policies": list(problem.policies),
-        "voters": [[format_rational(u) for u in row]
-                   for row in problem.voter_utilities],
-        "agenda_setter": [format_rational(u) for u in problem.setter_utilities],
-    }
+    # from the problem's integers, so an integer-built problem makes no `Fraction` view
+    ints = problem._ints
+    rows = [[format_rational(Fraction(v, ints.scale)) for v in row] for row in ints.vectors]
+    out = {"policies": list(problem.policies), "voters": rows[:-1], "agenda_setter": rows[-1]}
     if problem.majority_override is not None:
         out["majority_override"] = sorted(
             [problem.policies[w], problem.policies[l]]
@@ -84,6 +82,18 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _rationals(row, where: str, entry: str) -> tuple[Fraction, ...]:
+    """The rationals of the JSON list `row`; a bad one is located as
+    "`where`, `entry` k" (1-based)."""
+    out = []
+    for k, cell in enumerate(_list(row, where)):
+        try:
+            out.append(parse_rational(cell))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}, {entry} {k + 1}: {exc}") from None
+    return tuple(out)
+
+
 def _policy_labels(data, document: str) -> list:
     labels = _list(_field(data, "policies", document), f"{document} policies")
     for label in labels:
@@ -118,13 +128,7 @@ def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
         if len(_list(row, where)) != len(labels):
             raise ValidationError(
                 f"{where} has {len(row)} entries, expected {len(labels)}")
-        out = []
-        for col, cell in enumerate(row):
-            try:
-                out.append(parse_rational(cell))
-            except ValidationError as exc:
-                raise ValidationError(f"{where}, column {col + 1}: {exc}") from None
-        return tuple(out)
+        return _rationals(row, where, "column")
 
     voters = tuple(parse_row(row, f"voter row {i + 1}")
                    for i, row in enumerate(voter_rows))
@@ -168,7 +172,7 @@ def spatial_profile_from_dict(data: dict) -> SpatialProfile:
     on the unit box."""
     dim = _typed(_field(data, "dim", "profile"), int, "profile dimension")
     rows = _list(_field(data, "ideal_points", "profile"), "profile ideal_points")
-    points = tuple(tuple(parse_rational(c) for c in _list(p, f"ideal point {k + 1}"))
+    points = tuple(_rationals(p, f"ideal point {k + 1}", "coordinate")
                    for k, p in enumerate(rows))
     return SpatialProfile(dim=dim, ideal_points=points,
                           box=tuple((Fraction(0), Fraction(1)) for _ in range(dim)))

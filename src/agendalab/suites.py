@@ -1,23 +1,25 @@
 """Seeded verification suites with persisted tabular results.
 
-Every suite is deterministic in its descriptor: identical descriptors
-produce byte-identical CSV and JSON bodies (wall-clock metadata goes to
-a sidecar file).  A suite returns one row per checked instance plus a
-pass/fail summary; the CLI maps summaries to exit codes.
+Each suite takes the parameters it reads as keyword arguments, with its
+defaults in its own signature.  Every suite is deterministic in its
+parameters: identical parameters produce byte-identical CSV and JSON
+bodies (wall-clock metadata goes to a sidecar file).  A suite returns
+one row per checked instance plus a pass/fail summary; the CLI maps
+summaries to exit codes.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import fixtures
 from .distributions import DivideDollarGrid, audit_dp_axioms, dtd_beta_power, dtd_profile
@@ -41,42 +43,9 @@ from .serialize import _writing, problem_to_dict
 from .spatial import SpatialProfile, check_noncoplanarity, gen_spatial, spatial_witness
 
 
-@dataclass(frozen=True)
-class ExperimentDescriptor:
-    suite: str
-    seed: int = 1
-    samples: Optional[int] = None   # None picks the suite's documented default
-    max_policies: int = 6
-    voters: tuple[int, ...] = (3, 5)
-    max_rounds: int = 4
-    m: int = 4                    # grid denominator for distribution suites
-    d: int = 3
-    epsilon: str = "1/4"
-    delta: str = "1/20"
-    out_dir: Optional[str] = None
-
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ValidationError(f"unknown suite {self.suite!r}; choose from {SUITES}")
-        if self.samples is not None and self.samples < 0:
-            raise ValidationError(f"samples {self.samples} must be nonnegative")
-        if self.max_policies < 2:
-            raise ValidationError(f"max_policies {self.max_policies} must be at least 2")
-        if self.max_rounds < 1:
-            raise ValidationError(f"max_rounds {self.max_rounds} must be at least 1")
-        for name in ("epsilon", "delta"):
-            try:
-                parse_rational(getattr(self, name))
-            except ValidationError as exc:
-                raise ValidationError(f"{name}: {exc}") from None
-        # a share of the setter's spread: above 1, no policy falls that far
-        if not 0 < parse_rational(self.delta) <= 1:
-            raise ValidationError(f"delta: share {self.delta} outside (0, 1]")
-
-
 @dataclass
 class RunRecord:
-    descriptor: ExperimentDescriptor
+    descriptor: dict         # {"suite": name, **every parameter the suite read}
     rows: list
     summary: dict
 
@@ -99,7 +68,7 @@ def _summary(rows) -> dict:
 # individual suites
 
 
-def fixtures_suite(descriptor: ExperimentDescriptor):
+def fixtures_suite():
     rows = []
     cycle = fixtures.majority_cycle_problem()
     rule = _rule(cycle)
@@ -129,26 +98,23 @@ def fixtures_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def _per_problem(descriptor: ExperimentDescriptor, check):
-    """Rows and summary with one row per problem of the descriptor's gfa
-    corpus (200 problems by default): its index and digest, then the
-    fields `check(problem, rule)` returns under simple majority."""
-    samples = 200 if descriptor.samples is None else descriptor.samples
+def _per_problem(seed, samples, max_policies, check):
+    """Rows and summary with one row per problem of the gfa corpus of
+    `samples` problems (3 or 5 voters each): its index and digest, then
+    the fields `check(problem, rule)` returns under simple majority."""
     rows = []
-    for idx, problem in enumerate(gfa_corpus(samples, descriptor.seed,
-                                             descriptor.max_policies,
-                                             descriptor.voters)):
+    for idx, problem in enumerate(gfa_corpus(samples, seed, max_policies)):
         fields = check(problem, _rule(problem))
         rows.append({"instance": idx, "digest": _digest(problem), **fields})
     return rows, _summary(rows)
 
 
-def lemma1_suite(descriptor: ExperimentDescriptor):
+def lemma1_suite(seed=1, samples=200, max_policies=6, max_rounds=4):
     def check(problem, rule):
         checks = mismatches = 0
         for x0 in range(problem.num_policies):
-            iterates = phi_iterates(problem, rule, x0, descriptor.max_rounds)
-            for rounds in range(1, descriptor.max_rounds + 1):
+            iterates = phi_iterates(problem, rule, x0, max_rounds)
+            for rounds in range(1, max_rounds + 1):
                 game = GameSpec(problem=problem, rule=rule, horizon=rounds,
                                 initial_default=x0)
                 checks += 1
@@ -157,10 +123,10 @@ def lemma1_suite(descriptor: ExperimentDescriptor):
         return {"policies": problem.num_policies, "voters": problem.n,
                 "checks": checks, "mismatches": mismatches, "pass": mismatches == 0}
 
-    return _per_problem(descriptor, check)
+    return _per_problem(seed, samples, max_policies, check)
 
 
-def thm1_suite(descriptor: ExperimentDescriptor):
+def thm1_suite(seed=1, samples=200, max_policies=6):
     def check(problem, rule):
         manip = is_manipulable(problem, rule).manipulable
         horizon = problem.num_policies - 1
@@ -181,21 +147,18 @@ def thm1_suite(descriptor: ExperimentDescriptor):
         return {"manipulable": manip, "dictatorial": dictatorial,
                 "stuck_default": stuck, "pass": ok}
 
-    return _per_problem(descriptor, check)
+    return _per_problem(seed, samples, max_policies, check)
 
 
-def thm2_trend_suite(descriptor: ExperimentDescriptor):
-    epsilon = parse_rational(descriptor.epsilon)
-    delta_share = parse_rational(descriptor.delta)
-    samples = 12 if descriptor.samples is None else descriptor.samples
+def thm2_trend_suite(seed=1, samples=12, d=3, epsilon="1/4", delta="1/20"):
     # ideal points sit in a box offset above the policy space: everyone wants
     # more than any feasible policy delivers, which keeps the discretized
     # problem manipulable (interior ideal-point draws strand near-optimal
     # grid points as unimprovable and the trend assertions would be vacuous)
-    ideal_box = tuple((Fraction(9, 8), Fraction(2)) for _ in range(descriptor.d))
-    profile = gen_spatial(descriptor.d, 5, descriptor.seed, box=ideal_box)
-    result = build_grid(BoxSpace.unit(descriptor.d), epsilon,
-                        seed=descriptor.seed + 1, profile=profile)
+    ideal_box = tuple((Fraction(9, 8), Fraction(2)) for _ in range(d))
+    profile = gen_spatial(d, 5, seed, box=ideal_box)
+    result = build_grid(BoxSpace.unit(d), parse_rational(epsilon),
+                        seed=seed + 1, profile=profile)
     problem = result.problem
     rule = _rule(problem)
     report = is_manipulable(problem, rule)
@@ -203,18 +166,17 @@ def thm2_trend_suite(descriptor: ExperimentDescriptor):
              "value": str(report.manipulable), "bound": "", "pass": report.manipulable}]
 
     spread = problem.setter_max - min(problem.setter_utilities)
-    delta = delta_share * spread
-    margin = uniform_margin(problem, rule, delta)
+    slack = parse_rational(delta) * spread
+    margin = uniform_margin(problem, rule, slack)
     rows.append({"check": "margin-positive", "defaults": len(margin.gamma_set),
                  "value": format_rational(margin.eta_delta), "bound": "",
                  "pass": margin.lemma_holds})
 
-    rng = random.Random(descriptor.seed + 2)
+    rng = random.Random(seed + 2)
     worst = min(range(problem.num_policies), key=lambda x: problem.setter_utilities[x])
     defaults = sorted({worst, *(rng.randrange(problem.num_policies)
                                 for _ in range(samples))})
     stuck = unimprovable_set(problem, rule)
-    slack = delta
     max_absorb = 0
     for x0 in defaults:
         # the orbit up to its first repeat: phi_iterates pads a fixed point
@@ -234,10 +196,9 @@ def thm2_trend_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def thm3_bounds_suite(descriptor: ExperimentDescriptor):
-    samples = 40 if descriptor.samples is None else descriptor.samples
+def thm3_bounds_suite(seed=1, samples=40, max_policies=6):
     rows = []
-    rng = random.Random(descriptor.seed)
+    rng = random.Random(seed)
     for idx in range(samples):
         problem = gen_random_with_ties(rng.randrange(3, 5), 3,
                                        seed=rng.randrange(2**31))
@@ -252,9 +213,7 @@ def thm3_bounds_suite(descriptor: ExperimentDescriptor):
         rows.append({"instance": idx, "default": x0, "rounds": rounds,
                      "lower": len(bounds.lower), "upper": len(bounds.upper),
                      "pass": ok})
-    for idx, problem in enumerate(gfa_corpus(10, descriptor.seed + 1,
-                                             descriptor.max_policies,
-                                             descriptor.voters)):
+    for idx, problem in enumerate(gfa_corpus(10, seed + 1, max_policies)):
         rule = _rule(problem)
         x0 = idx % problem.num_policies
         rounds = 1 + idx % 3
@@ -266,16 +225,15 @@ def thm3_bounds_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def thm4_mc_suite(descriptor: ExperimentDescriptor):
-    samples = 10_000 if descriptor.samples is None else descriptor.samples
+def thm4_mc_suite(seed=1, samples=10_000, d=3):
     failures = 0
     for k in range(samples):
-        profile = gen_spatial(descriptor.d, 5, descriptor.seed + k)
+        profile = gen_spatial(d, 5, seed + k)
         if not check_noncoplanarity(profile).passes:
             failures += 1
     rows = [{"check": "random-profiles", "samples": samples,
              "failures": failures, "pass": failures == 0}]
-    square = gen_spatial(3, 3, descriptor.seed)
+    square = gen_spatial(3, 3, seed)
     pts = list(square.ideal_points)
     pts[3] = (pts[0][0] + pts[1][0] - pts[2][0],
               pts[0][1] + pts[1][1] - pts[2][1],
@@ -288,23 +246,22 @@ def thm4_mc_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def thm4_witness_suite(descriptor: ExperimentDescriptor):
-    profiles = 20 if descriptor.samples is None else descriptor.samples
+def thm4_witness_suite(seed=1, samples=20, d=3):
     points_per = 100
     rows = []
     made = 0
     attempt = 0
-    while made < profiles:
-        d = (descriptor.d, descriptor.d + 1)[made % 2]
-        profile = gen_spatial(d, 5, descriptor.seed + 1000 + attempt)
+    while made < samples:
+        dim = (d, d + 1)[made % 2]
+        profile = gen_spatial(dim, 5, seed + 1000 + attempt)
         attempt += 1
         if not check_noncoplanarity(profile).passes:
             continue
         made += 1
-        rng = random.Random(descriptor.seed + made)
+        rng = random.Random(seed + made)
         failures = 0
         for _ in range(points_per):
-            x = tuple(Fraction(rng.randrange(0, 2**20 + 1), 2**20) for _ in range(d))
+            x = tuple(Fraction(rng.randrange(0, 2**20 + 1), 2**20) for _ in range(dim))
             if x == profile.setter_ideal:
                 continue
             try:
@@ -318,19 +275,19 @@ def thm4_witness_suite(descriptor: ExperimentDescriptor):
             majority = 2 * len(trace.majority_coalition) >= profile.n_voters + 1
             if not (gains and setter_gain and majority):
                 failures += 1
-        rows.append({"profile": made, "dim": d, "points": points_per,
+        rows.append({"profile": made, "dim": dim, "points": points_per,
                      "failures": failures, "pass": failures == 0})
     return rows, _summary(rows)
 
 
-def thm5_suite(descriptor: ExperimentDescriptor):
+def thm5_suite(seed=1, samples=200, max_policies=6, max_rounds=4):
     def check(problem, rule):
         agree = [protocol_equivalence(problem, rule, rounds, x0, PRESET_PROTOCOLS).all_agree
                  for x0 in range(problem.num_policies)
-                 for rounds in (1, 2, descriptor.max_rounds)]
+                 for rounds in (1, 2, max_rounds)]
         return {"protocols": len(PRESET_PROTOCOLS), "pass": all(agree)}
 
-    rows, _ = _per_problem(descriptor, check)
+    rows, _ = _per_problem(seed, samples, max_policies, check)
 
     cycle = fixtures.majority_cycle_problem()
     rule = _rule(cycle)
@@ -352,9 +309,8 @@ def thm5_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def thm6_7_dtd_suite(descriptor: ExperimentDescriptor):
+def thm6_7_dtd_suite(m=4):
     rows = []
-    m = descriptor.m
     grid = DivideDollarGrid(n=3, m=m)
     problem = grid.problem
     rule = VotingRule.quota_rule(3, 2)
@@ -429,7 +385,7 @@ def thm6_7_dtd_suite(descriptor: ExperimentDescriptor):
     return rows, _summary(rows)
 
 
-def thm8_suite(descriptor: ExperimentDescriptor):
+def thm8_suite(seed=1, samples=200, max_policies=6):
     horizon_cap = 10
 
     def check(problem, rule):
@@ -450,10 +406,10 @@ def thm8_suite(descriptor: ExperimentDescriptor):
                             == report.u_inf[x] for x in range(problem.num_policies))
         return {"case": report.case, "r_size": len(report.r_set), "pass": ok}
 
-    return _per_problem(descriptor, check)
+    return _per_problem(seed, samples, max_policies, check)
 
 
-_SUITE_FNS = {
+SUITES = {
     "fixtures": fixtures_suite,
     "lemma1": lemma1_suite,
     "thm1": thm1_suite,
@@ -465,30 +421,55 @@ _SUITE_FNS = {
     "thm6_7_dtd": thm6_7_dtd_suite,
     "thm8": thm8_suite,
 }
-SUITES = tuple(_SUITE_FNS)
 
 
-def run_suite(descriptor: ExperimentDescriptor) -> RunRecord:
+def _check_params(params: dict) -> None:
+    """Range checks on the parameters a suite reads."""
+    if params.get("samples", 0) < 0:
+        raise ValidationError(f"samples {params['samples']} must be nonnegative")
+    for name, least in (("max_policies", 2), ("max_rounds", 1)):
+        if params.get(name, least) < least:
+            raise ValidationError(f"{name} {params[name]} must be at least {least}")
+    for name in ("epsilon", "delta"):
+        if name in params:
+            try:
+                parse_rational(params[name])
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from None
+    # a share of the setter's spread: above 1, no policy falls that far
+    if "delta" in params and not 0 < parse_rational(params["delta"]) <= 1:
+        raise ValidationError(f"delta: share {params['delta']} outside (0, 1]")
+
+
+def run_suite(suite: str, out_dir=None, **params) -> RunRecord:
+    """Run `suite` on `params`, every one a parameter it reads (the rest
+    keep the defaults in its signature); with `out_dir`, write the record."""
+    if suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; choose from {tuple(SUITES)}")
+    parameters = inspect.signature(SUITES[suite]).parameters
+    unread = [name for name in params if name not in parameters]
+    if unread:
+        raise ValidationError(f"suite {suite} reads no {', '.join(unread)}; "
+                              f"it reads {', '.join(parameters) or 'no parameter'}")
+    params = {name: params.get(name, p.default) for name, p in parameters.items()}
+    _check_params(params)
     started = time.monotonic()
-    rows, summary = _SUITE_FNS[descriptor.suite](descriptor)
-    record = RunRecord(descriptor=descriptor, rows=rows, summary=summary)
-    if descriptor.out_dir:
-        _write_record(record, Path(descriptor.out_dir),
-                      runtime=time.monotonic() - started)
+    rows, summary = SUITES[suite](**params)
+    record = RunRecord(descriptor={"suite": suite, **params}, rows=rows, summary=summary)
+    if out_dir:
+        _write_record(record, Path(out_dir), runtime=time.monotonic() - started)
     return record
 
 
 def _write_record(record: RunRecord, out_dir: Path, runtime: float) -> None:
-    stem = record.descriptor.suite
+    stem = record.descriptor["suite"]
     body = io.StringIO()
     if record.rows:
         writer = csv.DictWriter(body, fieldnames=list(record.rows[0].keys()))
         writer.writeheader()
         for row in record.rows:
             writer.writerow({k: str(v) for k, v in row.items()})
-    descriptor = asdict(record.descriptor)
-    descriptor.pop("out_dir")        # output location is not experiment identity
-    payload = {"descriptor": descriptor, "rows": record.rows,
+    payload = {"descriptor": record.descriptor, "rows": record.rows,
                "summary": record.summary}
     meta = {"suite": stem, "runtime_seconds": round(runtime, 3),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}

@@ -45,7 +45,7 @@ from agendalab.fixtures import (
     majority_cycle_problem,
 )
 from agendalab.spatial import check_noncoplanarity, gen_spatial, spatial_witness
-from agendalab.suites import ExperimentDescriptor, thm2_trend_suite
+from agendalab.suites import thm2_trend_suite
 
 from references import enumerate_stable_subsets
 
@@ -279,8 +279,7 @@ def test_criterion_09_witness_construction():
 
 def test_criterion_10_grid_trend():
     budget = Budget(300.0)
-    rows, summary = thm2_trend_suite(ExperimentDescriptor(
-        suite="thm2_trend", seed=3, epsilon="1/10", delta="1/20"))
+    rows, summary = thm2_trend_suite(seed=3, epsilon="1/10", delta="1/20")
     ok = summary["failed"] == 0
     by_check = {}
     for row in rows:

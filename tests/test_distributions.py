@@ -11,7 +11,6 @@ from agendalab import (
     VotingRule,
     audit_dp_axioms,
     divide_dollar_problem,
-    gen_distribution,
     is_improvable,
     pork_barrel_problem,
     transfers_problem,
@@ -93,12 +92,6 @@ def test_transfers_validation():
         setter_utilities=(F(0), F(0)))
     with pytest.raises(ValidationError, match="negative"):
         transfers_problem(base, m=2)
-
-
-def test_gen_distribution_dispatch():
-    assert gen_distribution("dtd", n=3, m=2).num_policies == 10
-    with pytest.raises(ValidationError):
-        gen_distribution("lottery", n=3, m=2)
 
 
 # ---------------------------------------------------------------------------

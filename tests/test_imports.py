@@ -1,8 +1,9 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, kernels do not call the public per-pair views, only
-the `Fraction` views build `Fraction` rows, and only one helper makes
-an instance without `__init__`."""
+the `Fraction` views build `Fraction` rows, only one helper makes
+an instance without `__init__`, and every experiment option is read by
+some suite."""
 
 from __future__ import annotations
 
@@ -111,3 +112,14 @@ def test_instances_skip_init_only_through_assemble():
         found += [f"{path.name}:{node.lineno}"
                   for node in _calls_to(tree, "GridBuildResult")]
     assert found == []
+
+
+def test_every_experiment_option_is_read_by_a_suite():
+    # the CLI offers each suite only the flags of its own parameters, so a
+    # flag no suite reads could never be given
+    import inspect
+
+    from agendalab.cli import EXPERIMENT_FLAGS
+    from agendalab.suites import SUITES
+    read = {name for fn in SUITES.values() for name in inspect.signature(fn).parameters}
+    assert sorted(EXPERIMENT_FLAGS) == sorted(read)

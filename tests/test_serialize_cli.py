@@ -56,6 +56,17 @@ def test_decimal_strings_normalize(tmp_path):
     assert out["voters"][0][0] == "1/2" and out["agenda_setter"][1] == "1/4"
 
 
+def test_problem_to_dict_reads_the_integers():
+    # saving or digesting an integer-built problem makes no `Fraction` view
+    from agendalab.distributions import DivideDollarGrid
+    from agendalab.rationals import format_rational
+    p = DivideDollarGrid(3, 4).problem
+    doc = problem_to_dict(p)
+    assert "voter_utilities" not in vars(p) and "setter_utilities" not in vars(p)
+    assert doc["voters"] == [[format_rational(u) for u in row] for row in p.voter_utilities]
+    assert doc["agenda_setter"] == [format_rational(u) for u in p.setter_utilities]
+
+
 def test_ragged_matrix_located_error():
     doc = {"policies": ["a", "b"], "voters": [["1", "2"], ["3"]],
            "agenda_setter": ["1", "2"]}
@@ -218,18 +229,19 @@ def test_cli_realize(tmp_path, capsys):
 
 
 def test_cli_experiment_deterministic(tmp_path, capsys):
-    # the JSON body names every descriptor field, so a run of the library's
-    # default descriptor also pins that the CLI adds no default of its own
-    from agendalab.suites import ExperimentDescriptor, run_suite
-    out1, out2, out3 = tmp_path / "run1", tmp_path / "run2", tmp_path / "run3"
-    assert main(["experiment", "fixtures", "--out", str(out1)]) == 0
-    assert main(["experiment", "fixtures", "--out", str(out2)]) == 0
-    run_suite(ExperimentDescriptor(suite="fixtures", out_dir=str(out3)))
-    capsys.readouterr()
-    for name in ("fixtures.csv", "fixtures.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes() == (
-            out3 / name).read_bytes()
-    assert (out1 / "fixtures.meta.json").exists()
+    # the JSON body names every parameter the suite reads, so a run of the
+    # library's defaults also pins that the CLI adds no default of its own
+    from agendalab.suites import run_suite
+    for suite in ("fixtures", "thm6_7_dtd"):
+        out1, out2, out3 = (tmp_path / suite / run for run in ("run1", "run2", "run3"))
+        assert main(["experiment", suite, "--out", str(out1)]) == 0
+        assert main(["experiment", suite, "--out", str(out2)]) == 0
+        run_suite(suite, out_dir=str(out3))
+        capsys.readouterr()
+        for name in (f"{suite}.csv", f"{suite}.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes() == (
+                out3 / name).read_bytes()
+        assert (out1 / f"{suite}.meta.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,6 +342,9 @@ def _bad_input_argv(case, cycle_file, tmp_path):
         "spatial_coordinate_bool": (["spatial", "check", "--profile"], {
             "dim": 3, "ideal_points": [[True, "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
                                        ["0", "0", "0"]]}),
+        "spatial_coordinate_abc": (["spatial", "check", "--profile"], {
+            "dim": 3, "ideal_points": [["1", "0", "0"], ["0", "1", "abc"], ["0", "0", "1"],
+                                       ["0", "0", "0"]]}),
     }
     if case in documents:
         argv, body = documents[case]
@@ -363,18 +378,26 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     "voters_not_rows", "policies_not_list", "override_entry_not_pair",
     "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
     "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
-    "gfa_not_bool", "utility_bool", "spatial_coordinate_bool",
+    "gfa_not_bool", "utility_bool", "spatial_coordinate_bool", "spatial_coordinate_abc",
     "grid_out_in_missing_dir", "profile_out_in_missing_dir", "experiment_out_is_a_file"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
     assert main(_bad_input_argv(case, cycle_file, tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("validation error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: " + _BAD_INPUT_LOCATIONS.get(case, ""))
+
+
+# the located start of the message, where a case's document locates its error
+_BAD_INPUT_LOCATIONS = {
+    "spatial_coordinate_bool": "ideal point 1, coordinate 1: refusing boolean True",
+    "spatial_coordinate_abc": "ideal point 2, coordinate 3: malformed rational 'abc'",
+}
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze"],                                          # no --problem
     ["solve", "--problem", "p.json", "--default", "z", "--rounds", "abc"],
-    ["experiment", "fixtures", "--epsilon", "abc"],
-    ["experiment", "fixtures", "--delta", "1/0"],
+    ["experiment", "thm2_trend", "--epsilon", "abc"],
+    ["experiment", "thm2_trend", "--delta", "1/0"],
     ["experiment", "lemma1", "--samples", "-1"],
     ["dist", "pork", "--m", "2"],                         # no --projects
     ["dist", "pork", "--m", "2", "--projects", "1:2:3"],
@@ -575,12 +598,50 @@ def test_cli_horizon_certifies_past_twelve_policies(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["uniqueness_certified"] is True
 
 
-def test_cli_options_that_would_do_nothing_exit_1(cycle_file, capsys):
+# the experiment options each suite reads, from the suite bodies
+_SUITE_OPTIONS = {
+    "fixtures": [],
+    "lemma1": ["--seed", "--samples", "--max-policies", "--rounds"],
+    "thm1": ["--seed", "--samples", "--max-policies"],
+    "thm2_trend": ["--seed", "--samples", "--dim", "--epsilon", "--delta"],
+    "thm3_bounds": ["--seed", "--samples", "--max-policies"],
+    "thm4_mc": ["--seed", "--samples", "--dim"],
+    "thm4_witness": ["--seed", "--samples", "--dim"],
+    "thm5": ["--seed", "--samples", "--max-policies", "--rounds"],
+    "thm6_7_dtd": ["--m"],
+    "thm8": ["--seed", "--samples", "--max-policies"],
+}
+# each experiment option: the descriptor field it sets, and a value that runs
+_EXPERIMENT_OPTIONS = {
+    "--seed": ("seed", "2"), "--samples": ("samples", "1"),
+    "--max-policies": ("max_policies", "3"), "--rounds": ("max_rounds", "2"),
+    "--m": ("m", "2"), "--dim": ("d", "3"), "--epsilon": ("epsilon", "1/2"),
+    "--delta": ("delta", "1/10"),
+}
+
+
+def test_cli_options_that_would_do_nothing_exit_1(cycle_file, tmp_path, capsys):
+    from agendalab.fixtures import adjournment_trap_protocol
+    from agendalab.serialize import protocol_to_dict
+    trap = tmp_path / "trap.json"
+    trap.write_text(json.dumps(protocol_to_dict(adjournment_trap_protocol(3),
+                                                majority_cycle_problem())))
+    out = tmp_path / "out"
+    # a suite reads only the options in its row of `_SUITE_OPTIONS`
+    unread = [["experiment", suite, option, _EXPERIMENT_OPTIONS[option][1], "--out", str(out)]
+              for suite, options in _SUITE_OPTIONS.items()
+              for option in _EXPERIMENT_OPTIONS if option not in options]
+    assert len(unread) == 51
     # reach reads --k only in k_reachable mode; horizon reads --t-list only
     # for the payoffs from --default, and only with at least one horizon;
     # a simplex grid's dimension is its player count; each dist kind reads
-    # only its own options, and transfers takes its voters from --base
-    for argv in (["reach", "--problem", cycle_file, "--default", "z",
+    # only its own options, and transfers takes its voters from --base;
+    # oracle solve plays one protocol: a preset or a table
+    for argv in (*unread,
+                 *(["oracle", "solve", "--problem", cycle_file, "--default", "z", "--rounds", "3",
+                    "--protocol", preset, "--protocol-file", str(trap)]
+                   for preset in ("successive", "amendment")),
+                 ["reach", "--problem", cycle_file, "--default", "z",
                   "--mode", "two_reachable", "--k", "5"],
                  ["reach", "--problem", cycle_file, "--default", "z", "--k", "1"],
                  ["horizon", "--problem", cycle_file, "--t-list", "5", "7"],
@@ -597,9 +658,24 @@ def test_cli_options_that_would_do_nothing_exit_1(cycle_file, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("validation error: ")
         assert captured.out == ""
+        assert not out.exists()
     assert main(["reach", "--problem", cycle_file, "--default", "z",
                  "--mode", "k_reachable", "--k", "5"]) == 0
     capsys.readouterr()
+    # every option a suite reads runs, at the smallest --samples that checks
+    # anything, and reaches the suite: the descriptor records its value
+    for suite, options in _SUITE_OPTIONS.items():
+        for option in options:
+            argv = ["experiment", suite, option, _EXPERIMENT_OPTIONS[option][1]]
+            if "--samples" in options and option != "--samples":
+                argv += ["--samples", "1"]
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            capsys.readouterr()
+            descriptor = json.loads((out / f"{suite}.json").read_text())["descriptor"]
+            field, value = _EXPERIMENT_OPTIONS[option]
+            assert sorted(descriptor) == sorted(
+                ["suite", *(_EXPERIMENT_OPTIONS[o][0] for o in options)])
+            assert str(descriptor[field]) == value
     # where an option is read, leaving it out still means its old default
     for argv, default in ((["grid", "--space", "box", "--epsilon", "1/2"], ["--dim", "3"]),
                           (["dist", "dtd", "--m", "4"], ["--voters", "3"])):

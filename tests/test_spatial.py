@@ -223,7 +223,7 @@ def test_utility_is_half_the_squared_distance():
 
 def test_witness_certificates_read_scaled_rows_not_utility(monkeypatch):
     # `utility` is a view for callers; the exact rechecks read integer rows
-    from agendalab.suites import ExperimentDescriptor, run_suite
+    from agendalab.suites import run_suite
 
     def refuse(self, player, point):
         raise AssertionError("utility called")
@@ -233,17 +233,17 @@ def test_witness_certificates_read_scaled_rows_not_utility(monkeypatch):
     want = spatial_witness(profile, x)
     monkeypatch.setattr(SpatialProfile, "utility", refuse)
     assert spatial_witness(profile, x) == want
-    record = run_suite(ExperimentDescriptor(suite="thm4_witness", samples=2))
+    record = run_suite("thm4_witness", samples=2)
     assert record.summary["failed"] == 0
 
 
 def test_thm4_witness_suite_alternates_the_descriptor_dimension():
-    from agendalab.suites import ExperimentDescriptor, run_suite
-    record = run_suite(ExperimentDescriptor(suite="thm4_witness", samples=2, d=4))
+    from agendalab.suites import run_suite
+    record = run_suite("thm4_witness", samples=2, d=4)
     assert [row["dim"] for row in record.rows] == [4, 5]
     assert record.summary["failed"] == 0
     with pytest.raises(ValidationError, match="at least 3 dimensions"):
-        run_suite(ExperimentDescriptor(suite="thm4_witness", samples=1, d=2))
+        run_suite("thm4_witness", samples=1, d=2)
 
 
 def test_witness_certificate_checked_without_assert(monkeypatch):
