@@ -1,8 +1,9 @@
 """Commitment benchmarks and the value of a deadline.
 
-Three nested closures bound what the setter achieves: all majority
-chains (full commitment), length-two chains (fixed agendas), and
-chains following the favorite improvement (no commitment).  Against
+Three closures bound what the setter achieves: all majority chains
+(full commitment), length-two chains (fixed agendas), and chains
+following the favorite improvement (no commitment).  The first contains
+the other two, which are not nested.  Against
 these finite benchmarks, the no-deadline game is characterized by the
 unique stable set: the setter's payoff is non-monotone in the horizon,
 and the cycle fixture exhibits the strict pattern U_2 > U_1 > U_inf.

@@ -70,7 +70,6 @@ from .problems import (
     acceptance_set,
     is_improvable,
     is_manipulable,
-    majority_compare,
     uniform_margin,
     unimprovable_set,
 )

@@ -30,7 +30,6 @@ from .serialize import (
     _writing,
     load_problem,
     parse_rule,
-    problem_to_dict,
     profile_from_dict,
     protocol_from_dict,
     read_json,

@@ -66,10 +66,6 @@ class Allocation:
     def n_voters(self) -> int:
         return len(self.units) - 1
 
-    @property
-    def shares(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(u, self.denom) for u in self.units)
-
 
 @dataclass(frozen=True)
 class DivideDollarGrid:

@@ -155,19 +155,6 @@ class StrategyProfile:
 
         return StrategyProfile(horizon=horizon, propose=propose, vote=vote, label=label)
 
-    def with_proposal(self, t: int, x: int, proposal: int,
-                      adjourn: bool = False) -> "StrategyProfile":
-        """Copy of this profile with one proposer entry overridden."""
-        base = self.propose
-
-        def propose(tt, xx):
-            if (tt, xx) == (t, x):
-                return (proposal, adjourn)
-            return base(tt, xx)
-
-        return StrategyProfile(horizon=self.horizon, propose=propose, vote=self.vote,
-                               label=f"{self.label}+perturbed", ballots=self.ballots)
-
 
 def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: str,
                     cap: Optional[int] = None, ties_from: int = 1) -> StrategyProfile:

@@ -8,6 +8,9 @@ from fractions import Fraction
 from .errors import ValidationError
 from .problems import CollectiveChoiceProblem
 
+# The voter counts a corpus problem draws from.
+CORPUS_VOTERS = (3, 5)
+
 
 def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProblem:
     """Random problem with strict rows: shuffled rank utilities per player."""
@@ -29,16 +32,16 @@ def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProb
                                    setter_utilities=setter, gfa=True)
 
 
-def gfa_corpus(count: int, seed: int, max_policies: int = 6,
-               voter_choices=(3, 5)) -> list[CollectiveChoiceProblem]:
-    """Deterministic corpus of random gfa instances for the theorem suites."""
+def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveChoiceProblem]:
+    """Deterministic corpus of random gfa instances for the theorem suites,
+    each with a voter count drawn from `CORPUS_VOTERS`."""
     if max_policies < 2:
         raise ValidationError(f"max_policies {max_policies} must be at least 2")
     rng = random.Random(seed)
     out = []
     for k in range(count):
         m = rng.randrange(2, max_policies + 1)
-        n = voter_choices[rng.randrange(len(voter_choices))]
+        n = CORPUS_VOTERS[rng.randrange(len(CORPUS_VOTERS))]
         out.append(gen_random_gfa(m, n, seed=rng.randrange(2**31)))
     return out
 

@@ -1,12 +1,15 @@
 """Commitment benchmarks and horizon comparison.
 
-Three nested reachability notions bound what different commitment
+Three reachability notions bound what different commitment
 technologies deliver: arbitrary majority chains (full commitment),
 length-two chains (fixed agendas), and chains that follow the favorite
-improvement step by step (no commitment).  The infinite-horizon
-benchmark comes through the unique stable set under the joint
-setter-and-majority dominance relation; the finite/infinite payoff
-comparison then splits every problem into exactly one of two cases.
+improvement step by step (no commitment).  The first contains the other
+two, which are not nested: from z in the majority-cycle fixture the
+credible chains reach w, which no length-two chain reaches.  The
+infinite-horizon benchmark comes through the unique stable set under
+the joint setter-and-majority dominance relation; the finite/infinite
+payoff comparison then splits every problem into exactly one of two
+cases.
 """
 
 from __future__ import annotations
@@ -199,9 +202,11 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
     t_list = sorted(set(int(t) for t in t_list))
     if t_list and t_list[0] < 1:
         raise ValidationError("horizons start at one round")
+    # phi raises the setter's utility until it absorbs, so within m - 1 steps
+    m = problem.num_policies
     iterates = phi_iterates(problem, problem._majority_rule, x0,
-                            max(t_list) if t_list else 1)
-    table = {t: problem.setter_utilities[iterates[t]] for t in t_list}
+                            min(max(t_list, default=1), m))
+    table = {t: problem.setter_utilities[iterates[min(t, m)]] for t in t_list}
     psi = stable_set(problem).psi_table
     return HorizonRows(start=x0, u_table=table,
                        u_inf=problem.setter_utilities[psi[x0]])

@@ -16,7 +16,7 @@ utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets and the favorite-improvement table are read from its
 blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
-come only from `_wins_table`, and the setter's optimum, margins and
+come only from `_wins_table`, and the setter's optimum and
 certificate coalitions read rank columns.  The oracle never
 reads the favorite-improvement table.  The ranks are built from the
 scaled integers `_ints`; only the uniform margin reads those directly.
@@ -328,19 +328,6 @@ class CollectiveChoiceProblem:
         `_wins_table` of `_majority_rule`."""
         return _wins_table(self, self._majority_rule)
 
-    # -- majority relation ---------------------------------------------------
-
-    def margin(self, x: int, y: int) -> int:
-        """(# voters strictly preferring x) minus (# strictly preferring y)."""
-        voters = self._ranks[:-1]
-        return int(np.count_nonzero(voters[:, x] > voters[:, y])
-                   - np.count_nonzero(voters[:, y] > voters[:, x]))
-
-    def strictly_majority_preferred(self, y: int, x: int) -> bool:
-        """True iff y beats x under the strict majority relation `_majority`;
-        reads one `_wins` column, O(n * m), and never builds the table."""
-        return bool(_wins(self, self._majority_rule, slice(x, x + 1))[y, 0])
-
 
 def _scaled_problem(policies, rows, denominator: int,
                     gfa: bool = False) -> CollectiveChoiceProblem:
@@ -358,12 +345,6 @@ def _scaled_problem(policies, rows, denominator: int,
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-@dataclass(frozen=True)
-class MajorityComparison:
-    result: str                       # "x_strict" | "y_strict" | "neither"
-    margin: int
 
 
 @dataclass(frozen=True)
@@ -400,22 +381,6 @@ class MarginReport:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def majority_compare(problem: CollectiveChoiceProblem, x: int, y: int) -> MajorityComparison:
-    """Compare two policies under the strict majority relation.
-
-    The margin is always the utility-level vote count difference; with a
-    majority override in place the relation verdict comes from the
-    override while the margin still reports the raw profile count.
-    """
-    problem.check_policy(x)
-    problem.check_policy(y)
-    if x == y:
-        return MajorityComparison("neither", 0)
-    result = ("x_strict" if problem.strictly_majority_preferred(x, y)
-              else "y_strict" if problem.strictly_majority_preferred(y, x) else "neither")
-    return MajorityComparison(result, problem.margin(x, y))
 
 
 def _require_rule(problem, rule):

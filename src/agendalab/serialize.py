@@ -8,6 +8,7 @@ The problem schema:
      "majority_override": [["winner", "loser"], ...],   # optional
      "gfa": true}
 
+Policy labels, here and in tournament documents, are JSON strings.
 Rationals serialize as reduced "p/q" or integer strings; decimal input
 such as "0.5" is accepted and normalized.  Diagnostics carry row/column
 locations.  Writing uses canonical field order so files are diffable.
@@ -16,7 +17,6 @@ locations.  Writing uses canonical field order so files are diffable.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -94,12 +94,15 @@ def _rationals(row, where: str, entry: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _policy_labels(data, document: str) -> list:
-    labels = _list(_field(data, "policies", document), f"{document} policies")
-    for label in labels:
-        if not isinstance(label, Hashable):
-            raise ValidationError(f"policy label {label!r} is not a string or number")
-    return labels
+def _label(label) -> str:
+    if not isinstance(label, str):
+        raise ValidationError(f"policy label {label!r} is not a string")
+    return label
+
+
+def _policy_labels(data, document: str) -> list[str]:
+    return [_label(label) for label in
+            _list(_field(data, "policies", document), f"{document} policies")]
 
 
 def _label_pairs(pairs, labels: list, what: str) -> list[tuple[int, int]]:
@@ -110,7 +113,7 @@ def _label_pairs(pairs, labels: list, what: str) -> list[tuple[int, int]]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{what} {k + 1} is not a pair")
         for label in pair:
-            if not isinstance(label, Hashable) or label not in index:
+            if _label(label) not in index:
                 raise ValidationError(f"{what} {k + 1} names unknown policy {label!r}")
         edges.append((index[pair[0]], index[pair[1]]))
     return edges
@@ -121,7 +124,7 @@ def problem_from_dict(data: dict) -> CollectiveChoiceProblem:
     voter_rows = _list(_field(data, "voters", "problem"), "problem voters")
     setter_row = _field(data, "agenda_setter", "problem")
     if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1}, key=str)
+        dupes = sorted({x for x in labels if labels.count(x) > 1})
         raise ValidationError(f"duplicate policy labels: {dupes}")
 
     def parse_row(row, where):
@@ -163,8 +166,11 @@ def tournament_from_dict(data: dict) -> tuple[list, TournamentSpec]:
 
 def spatial_profile_to_dict(profile: SpatialProfile) -> dict:
     """The profile document `spatial_profile_from_dict` reads: dim and ideal points."""
+    # from the profile's integers, so a drawn profile makes no `Fraction` view
+    ints = profile._ints
     return {"dim": profile.dim,
-            "ideal_points": [[format_rational(c) for c in p] for p in profile.ideal_points]}
+            "ideal_points": [[format_rational(Fraction(c, ints.scale)) for c in p]
+                             for p in ints.vectors]}
 
 
 def spatial_profile_from_dict(data: dict) -> SpatialProfile:

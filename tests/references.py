@@ -25,6 +25,17 @@ def ref_majority(problem, y, x):
     return 2 * ref_support_mask(problem, y, x).bit_count() > problem.n
 
 
+def ref_margin(problem, x, y):
+    """(# voters strictly preferring x) minus (# strictly preferring y)."""
+    ahead = behind = 0
+    for row in problem.voter_utilities:
+        if row[x] > row[y]:
+            ahead += 1
+        elif row[y] > row[x]:
+            behind += 1
+    return ahead - behind
+
+
 def ref_dominators(problem):
     """Per policy x, the bitmask of the policies y that dominate it: the
     setter strictly gains from x to y and a strict majority prefers y."""

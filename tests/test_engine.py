@@ -271,8 +271,6 @@ def test_plain_profile_ballots_read_votes_policy_first(cycle, rule3):
     block = profile.ballots(1, 0, [2, 1], 3)
     assert calls == [(i, 1, 0, a) for a in (2, 1) for i in range(3)]
     assert block.tolist() == base.ballots(1, 0, [2, 1], 3).tolist()
-    # a perturbed copy keeps the block reader of its base
-    assert base.with_proposal(1, 0, 0).ballots is base.ballots
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def _ref_bfs_parents(problem, x0):
     while queue:
         x = queue.popleft()
         for y in range(problem.num_policies):
-            if y not in parent and problem.strictly_majority_preferred(y, x):
+            if y not in parent and problem._majority[y, x]:
                 parent[y] = x
                 queue.append(y)
     return parent
@@ -71,7 +71,7 @@ def ref_reachability(problem, x0, k):
         frontier = {x0}
         for depth in range(1, k + 1):
             frontier = {y for x in frontier for y in range(problem.num_policies)
-                        if x == y or problem.strictly_majority_preferred(y, x)}
+                        if x == y or problem._majority[y, x]}
             for y in frontier:
                 layers.setdefault(y, depth)
         members = frozenset(layers)
@@ -143,6 +143,15 @@ def test_reachability_nesting(small_corpus):
             assert u[best["reachable"]] >= u[best["credible"]]
 
 
+def test_credible_and_two_reachable_are_not_nested(cycle):
+    # from z the setter walks z -> y -> x -> w without commitment, but no
+    # length-two chain reaches w
+    z = cycle.policy_index("z")
+    names = {mode: {cycle.policies[i] for i in reachability(cycle, z, mode).members}
+             for mode in ("two_reachable", "credible")}
+    assert names == {"two_reachable": {"x", "y", "z"}, "credible": {"w", "x", "y", "z"}}
+
+
 def test_credible_chain_walks_the_orbit_until_it_repeats(small_corpus):
     for problem in small_corpus:
         rule = VotingRule.simple_majority(problem.n)
@@ -164,7 +173,7 @@ def test_chain_steps_are_majority_wins(small_corpus):
         for x0 in range(problem.num_policies):
             chain = reachability(problem, x0, "reachable").witness_chain
             for a, b in zip(chain, chain[1:]):
-                assert problem.strictly_majority_preferred(b, a)
+                assert problem._majority[b, a]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def assert_stable(problem, members):
     setter = problem.setter_utilities
 
     def dominates(y, x):
-        return setter[y] > setter[x] and problem.strictly_majority_preferred(y, x)
+        return setter[y] > setter[x] and problem._majority[y, x]
 
     for x in members:
         assert not any(dominates(y, x) for y in members)
@@ -316,6 +325,14 @@ def test_horizon_payoffs_cycle(cycle):
     z = cycle.policy_index("z")
     rows_z = horizon_payoffs(cycle, z, [1])
     assert rows_z.u_table[1] == rows_z.u_inf == Fraction(2)
+
+
+def test_horizon_payoffs_read_at_most_m_iterates(cycle):
+    # phi absorbs within m - 1 steps, so an astronomically long horizon
+    # is read at t = m and builds no iterate list of its length
+    y = cycle.policy_index("y")
+    far = horizon_payoffs(cycle, y, [2**62]).u_table[2**62]
+    assert far == horizon_payoffs(cycle, y, [3]).u_table[3] == Fraction(4)
 
 
 def test_horizon_classify_cycle(cycle):

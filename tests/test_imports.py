@@ -2,8 +2,8 @@
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, kernels do not call the public per-pair views, only
 the `Fraction` views build `Fraction` rows, only one helper makes
-an instance without `__init__`, and every experiment option is read by
-some suite."""
+an instance without `__init__`, every experiment option is read by
+some suite, and every library name the benchmark imports exists."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agendalab"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def _relative_imports(path: Path) -> set[str]:
@@ -123,3 +124,23 @@ def test_every_experiment_option_is_read_by_a_suite():
     from agendalab.suites import SUITES
     read = {name for fn in SUITES.values() for name in inspect.signature(fn).parameters}
     assert sorted(EXPERIMENT_FLAGS) == sorted(read)
+
+
+def test_benchmark_imports_only_names_the_package_has():
+    # the benchmark's own tests run outside the tier-1 suite, so a deleted
+    # public name would otherwise first surface there; its files are only read
+    import importlib
+
+    missing = []
+    for name in ("workloads.py", "harness.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "agendalab"):
+                module, attrs = node.module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "agendalab":
+                module, attrs = "agendalab", [node.attr]
+            else:
+                continue
+            missing += [f"{name}:{node.lineno} {module}.{attr}" for attr in attrs
+                        if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -237,7 +237,12 @@ def test_verify_simple_profile_valid(cycle, rule3):
 def test_verify_flags_setter_deviation(cycle, rule3):
     z = cycle.policy_index("z")
     # stalling on the default in round one forfeits one improvement step
-    profile = simple_equilibrium_profile(cycle, rule3, 3).with_proposal(1, z, z)
+    base = simple_equilibrium_profile(cycle, rule3, 3)
+
+    def propose(t, x):
+        return (z, False) if (t, x) == (1, z) else base.propose(t, x)
+
+    profile = StrategyProfile(horizon=3, propose=propose, vote=base.vote)
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
     report = verify_profile(game, profile)
     assert not report.profile_valid

@@ -18,7 +18,6 @@ from agendalab import (
     favorite_improvement,
     is_improvable,
     is_manipulable,
-    majority_compare,
     phi_iterates,
     phi_or,
     reachability,
@@ -27,10 +26,9 @@ from agendalab import (
 )
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_realized
-from agendalab.problems import MajorityComparison
 from agendalab.tournaments import derive_tournament
 
-from references import ref_support_mask
+from references import ref_margin, ref_support_mask
 
 
 def idx(problem, label):
@@ -172,42 +170,21 @@ def test_queries_reject_a_rule_for_another_voter_count(query, rule):
 
 
 # ---------------------------------------------------------------------------
-# majority comparison
+# majority relation
 
 
-def test_majority_compare_cycle_fixture(cycle):
-    report = majority_compare(cycle, idx(cycle, "y"), idx(cycle, "w"))
-    assert report.result == "x_strict"       # policy y beats w, two voters to one
-    assert report.margin == 1
-    same = majority_compare(cycle, idx(cycle, "x"), idx(cycle, "x"))
-    assert same.result == "neither" and same.margin == 0
-
-
-def test_majority_compare_out_of_range(cycle):
-    with pytest.raises(ValidationError):
-        majority_compare(cycle, 0, 9)
-
-
-def test_majority_compare_matches_recount_oracle():
-    problem = gen_random_gfa(5, 5, seed=99)
-    for x in range(5):
-        for y in range(5):
-            if x == y:
-                continue
-            ahead = sum(1 for row in problem.voter_utilities if row[x] > row[y])
-            behind = sum(1 for row in problem.voter_utilities if row[y] > row[x])
-            report = majority_compare(problem, x, y)
-            assert report.margin == ahead - behind
-            expected = ("x_strict" if ahead > 5 / 2
-                        else "y_strict" if behind > 5 / 2 else "neither")
-            assert report.result == expected
+def test_majority_relation_cycle_fixture(cycle):
+    y, w, x = idx(cycle, "y"), idx(cycle, "w"), idx(cycle, "x")
+    assert cycle._majority[y, w] and not cycle._majority[w, y]
+    assert ref_margin(cycle, y, w) == 1      # policy y beats w, two voters to one
+    assert not cycle._majority[x, x]
 
 
 def test_override_relation_wins_but_margin_counts_utilities(blocked):
     # the override says x beats w although the raw profile count disagrees
-    report = majority_compare(blocked, idx(blocked, "x"), idx(blocked, "w"))
-    assert report.result == "x_strict"
-    assert report.margin == -1
+    x, w = idx(blocked, "x"), idx(blocked, "w")
+    assert blocked._majority[x, w] and not blocked._majority[w, x]
+    assert ref_margin(blocked, x, w) == -1
 
 
 def _two_voter_problem(override=None):
@@ -225,15 +202,12 @@ def test_even_voter_override_relation_is_the_tournament():
     # only rule-level queries insist on a simple-majority rule
     cycle = TournamentSpec.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     problem = _two_voter_problem(cycle)
-    assert [[problem.strictly_majority_preferred(y, x) for x in range(3)]
-            for y in range(3)] == [[False, True, False],
-                                   [False, False, True],
-                                   [True, False, False]]
+    assert problem._majority.tolist() == [[False, True, False],
+                                          [False, False, True],
+                                          [True, False, False]]
     reports = [reachability(problem, x, "reachable") for x in range(3)]
     assert [(r.members, r.best_for_setter, r.witness_chain) for r in reports] == [
         ({0, 1, 2}, 2, (0, 2)), ({0, 1, 2}, 2, (1, 0, 2)), ({0, 1, 2}, 2, (2,))]
-    assert majority_compare(problem, 0, 1) == MajorityComparison("x_strict", 0)
-    assert majority_compare(problem, 0, 2) == MajorityComparison("y_strict", 0)
     assert derive_tournament(problem) == cycle
     with pytest.raises(UnsupportedCombinationError):
         acceptance_set(problem, VotingRule.quota_rule(2, 2), 0, "strict")
@@ -241,11 +215,8 @@ def test_even_voter_override_relation_is_the_tournament():
 
 def test_even_voter_split_resolves_no_pair():
     problem = _two_voter_problem()
-    assert not any(problem.strictly_majority_preferred(y, x)
-                   for x in range(3) for y in range(3))
+    assert not problem._majority.any()
     for x in range(3):
-        for y in range(3):
-            assert majority_compare(problem, x, y) == MajorityComparison("neither", 0)
         assert reachability(problem, x, "reachable").members == {x}
     with pytest.raises(ValidationError) as err:
         derive_tournament(problem)
@@ -260,11 +231,10 @@ def test_derive_tournament_names_first_tied_pair():
         policies=("a", "b", "c", "d"),
         voter_utilities=tuple(tuple(Fraction(u) for u in row) for row in rows),
         setter_utilities=(Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
-    assert [[problem.strictly_majority_preferred(y, x) for x in range(4)]
-            for y in range(4)] == [[False, True, True, False],
-                                   [False, False, False, False],
-                                   [False, False, False, False],
-                                   [False, True, True, False]]
+    assert problem._majority.tolist() == [[False, True, True, False],
+                                          [False, False, False, False],
+                                          [False, False, False, False],
+                                          [False, True, True, False]]
     with pytest.raises(ValidationError) as err:
         derive_tournament(problem)
     assert str(err.value) == "majority ties on pair (a, d); no tournament"
@@ -359,18 +329,15 @@ def test_fast_paths_match_reference_scan():
 
 
 def test_improvement_queries_never_build_a_policy_by_policy_table():
-    # phi and manipulability take the relation in column chunks, and a
-    # single-pair majority query reads one column: their transient memory
-    # is O(n * m * chunk), far below the m**2 bytes that only the cached
-    # strict majority relation may spend
+    # phi and manipulability take the relation in column chunks: their
+    # transient memory is O(n * m * chunk), far below the m**2 bytes that
+    # only the cached strict majority relation may spend
     m = 3001
     problem = gen_random_gfa(m, 5, seed=3)
     problem._ranks                              # compiled outside the trace
     tracemalloc.start()
     try:
         report = is_manipulable(problem, VotingRule.simple_majority(5))
-        pair = majority_compare(problem, 0, m - 1)
-        preferred = problem.strictly_majority_preferred(m - 1, 0)
         assert not any(key[0] == "wins" for key in problem._memo)
         _, phi_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -380,9 +347,6 @@ def test_improvement_queries_never_build_a_policy_by_policy_table():
         tracemalloc.stop()
     assert report.blocking                      # the whole table was scanned
     assert phi_peak < m * m // 8
-    assert pair.margin == problem.margin(0, m - 1)
-    assert pair.result == ("x_strict" if problem._majority[0, m - 1] else "y_strict")
-    assert preferred == problem._majority[m - 1, 0]
     assert m * m <= majority_peak < m * m + m * m // 8
 
 
@@ -473,6 +437,6 @@ def test_gfa_relation_complete_and_antisymmetric(seed):
     problem = gen_random_gfa(5, 3, seed=seed)
     for x in range(5):
         for y in range(x + 1, 5):
-            forward = problem.strictly_majority_preferred(x, y)
-            backward = problem.strictly_majority_preferred(y, x)
+            forward = problem._majority[x, y]
+            backward = problem._majority[y, x]
             assert forward != backward

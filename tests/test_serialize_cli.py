@@ -67,6 +67,16 @@ def test_problem_to_dict_reads_the_integers():
     assert doc["agenda_setter"] == [format_rational(u) for u in p.setter_utilities]
 
 
+def test_spatial_profile_to_dict_reads_the_integers():
+    # `spatial generate` writes a drawn profile without making its `Fraction` view
+    from agendalab.rationals import format_rational
+    profile = gen_spatial(3, 5, 1)
+    doc = spatial_profile_to_dict(profile)
+    assert "ideal_points" not in vars(profile)
+    assert doc == {"dim": 3, "ideal_points": [[format_rational(c) for c in p]
+                                              for p in profile.ideal_points]}
+
+
 def test_ragged_matrix_located_error():
     doc = {"policies": ["a", "b"], "voters": [["1", "2"], ["3"]],
            "agenda_setter": ["1", "2"]}
@@ -321,6 +331,10 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     at_z = ["--problem", cycle_file, "--default", "z", "--rounds", "2"]
     # cases that read one malformed document: the argv before its path, its body
     two = {"policies": ["a", "b"], "voters": [["1", "0"]], "agenda_setter": ["0", "1"]}
+    # a gfa three-cycle whose labels mix a number with strings
+    mixed = {"policies": [1, "a", "b"], "voters": [["1", "0", "2"], ["0", "2", "1"],
+                                                   ["2", "1", "0"]],
+             "agenda_setter": ["0", "1", "2"], "gfa": True}
     analyze, rule = ["analyze", "--problem"], ["analyze", "--problem", cycle_file, "--rule"]
     documents = {
         # a two-letter string is not a [winner, loser] pair
@@ -332,6 +346,13 @@ def _bad_input_argv(case, cycle_file, tmp_path):
         "unhashable_override_label": (analyze, {**two, "majority_override": [[["a"], "b"]]}),
         "tournament_unhashable_label": (["realize", "--setter", "1,2", "--tournament"],
                                         {"policies": [{"a": 1}, "b"], "edges": []}),
+        # policy labels are strings: no number names a policy
+        "number_labels": (analyze, {**two, "policies": [1, 2]}),
+        "mixed_labels": (analyze, mixed),
+        "horizon_mixed_labels": (["horizon", "--problem"], mixed),
+        "number_override_label": (analyze, {**two, "majority_override": [[1, "b"]]}),
+        "tournament_number_label": (["realize", "--setter", "1,2", "--tournament"],
+                                    {"policies": [1, 2], "edges": [[1, 2]]}),
         "spatial_points_not_list": (["spatial", "check", "--profile"],
                                     {"dim": 2, "ideal_points": 5}),
         "rule_coalitions_not_list": (rule, {"coalitions": 5}),
@@ -377,7 +398,8 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     "tournament_not_json", "tournament_without_edges", "override_pair_as_string",
     "voters_not_rows", "policies_not_list", "override_entry_not_pair",
     "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
-    "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
+    "number_labels", "mixed_labels", "horizon_mixed_labels", "number_override_label",
+    "tournament_number_label", "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
     "gfa_not_bool", "utility_bool", "spatial_coordinate_bool", "spatial_coordinate_abc",
     "grid_out_in_missing_dir", "profile_out_in_missing_dir", "experiment_out_is_a_file"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
@@ -388,6 +410,9 @@ def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
 
 # the located start of the message, where a case's document locates its error
 _BAD_INPUT_LOCATIONS = {
+    **dict.fromkeys(["number_labels", "mixed_labels", "horizon_mixed_labels",
+                     "number_override_label", "tournament_number_label"],
+                    "policy label 1 is not a string"),
     "spatial_coordinate_bool": "ideal point 1, coordinate 1: refusing boolean True",
     "spatial_coordinate_abc": "ideal point 2, coordinate 3: malformed rational 'abc'",
 }
