@@ -5,9 +5,9 @@ nodes and every point of the continuum space lies within epsilon of
 some node.  Construction: a lattice fine enough that the covering bound
 holds with room for jitter, a seeded rational jitter on every node, and
 an exact pairwise tie audit that re-jitters offenders.  The audit is
-the certificate; the jitter scheme is reproducible from the seed.  Box,
-simplex and single-anchor grids share one pipeline on integer nodes
-over one scale (`build_grid`); each space supplies only its lattice.
+the certificate; the jitter scheme is reproducible from the seed.  Box
+and simplex grids share one pipeline on integer nodes over one scale
+(`build_grid`); each space supplies only its lattice.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
 _JITTER_RANGE = 2**_JITTER_BITS
+_MAX_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class BoxSpace:
     def __post_init__(self):
         if not self.bounds:
             raise ValidationError("box needs at least one axis")
+        object.__setattr__(self, "bounds", tuple((parse_rational(lo), parse_rational(hi))
+                                                 for lo, hi in self.bounds))
         for lo, hi in self.bounds:
             if hi <= lo:
                 raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
@@ -84,20 +87,17 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = None,
-               anchor=None, max_attempts: int = 32, max_points: int = 500_000,
-               jitter: bool = True) -> GridBuildResult:
+               max_points: int = 500_000) -> GridBuildResult:
     """Build a generic epsilon-grid problem over a box or simplex.
 
     Box grids take utilities from a spatial profile; simplex grids are
     divide-the-dollar style, each player's utility being their own
-    share.  An anchor point, when given, is included verbatim as a grid
-    node; a box anchor within epsilon of every corner is the whole grid
-    (a lattice with no centres).  Each space supplies its integer centres
-    over one scale, how a centre is jittered, how nodes become utility
-    numerators, the denominator and the covering bound; one path then
-    draws every centre in index order, appends the anchor, runs the tie
-    audit and builds the problem.  Failing the audit after the allowed
-    re-jitters raises a genericity error naming the tied pair and player.
+    share.  Each space supplies its integer centres over one scale, how
+    a centre is jittered, how nodes become utility numerators, the
+    denominator and the covering bound; one path then jitters every
+    centre in index order, runs the tie audit and builds the problem.
+    Failing the audit after the allowed re-jitters raises a genericity
+    error naming the tied pair and player.
     """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:
@@ -107,31 +107,24 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
             raise ValidationError("box grids need a spatial profile for utilities")
         if profile.dim != space.dim:
             raise ValidationError("profile dimension does not match the box")
-        lattice = _box_lattice(space, epsilon, profile, anchor, max_points)
+        lattice = _box_lattice(space, epsilon, profile, max_points)
     elif isinstance(space, SimplexSpace):
         if profile is not None:
             raise ValidationError("simplex grids carry their own share utilities")
-        lattice = _simplex_lattice(space, epsilon, anchor, max_points)
+        lattice = _simplex_lattice(space, epsilon, max_points)
     else:
         raise ValidationError(f"unknown space {type(space).__name__}")
-    centers, scale, anchor, shift, utilities, denominator, bound = lattice
+    centers, scale, shift, utilities, denominator, bound = lattice
 
     rng = random.Random(seed)
-
-    def draw(idx):
-        return shift(rng, centers[idx]) if jitter else centers[idx]
-
-    nodes = [draw(idx) for idx in range(len(centers))]
-    if anchor is not None:
-        nodes.append(scaled_numerators(anchor, scale))
+    nodes = [shift(rng, center) for center in centers]
     values = utilities(nodes)
 
     def redraw(idx):
-        nodes[idx] = draw(idx)
+        nodes[idx] = shift(rng, centers[idx])
         return utilities([nodes[idx]])[0]
 
-    attempts = _audit_and_rejitter(values, None if anchor is None else len(centers),
-                                   max_attempts, redraw)
+    attempts = _audit_and_rejitter(values, _MAX_ATTEMPTS, redraw)
     rows = list(zip(*values))
     # the players are the voters and the setter: an even count means odd voters
     problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator,
@@ -153,44 +146,30 @@ def _within_budget(kind: str, total: int, max_points: int) -> int:
 #
 # Every coordinate is held as an integer numerator over one grid-wide
 # scale: the box corners, the cell centres and every jitter offset are
-# multiples of it, and so are the ideal points and the anchor.  Each
-# node's utilities are then exact integers, computed once per draw.
+# multiples of it, and so are the ideal points.  Each node's utilities
+# are then exact integers, computed once per draw.
 
 
-def _box_lattice(space, epsilon, profile, anchor, max_points):
+def _box_lattice(space, epsilon, profile, max_points):
     d = space.dim
-    corner_sq = None
-    if anchor is not None:
-        anchor = tuple(Fraction(c) for c in anchor)
-        if len(anchor) != d:
-            raise ValidationError("anchor dimension mismatch")
-        for c, (lo, hi) in zip(anchor, space.bounds):
-            if not lo <= c <= hi:
-                raise ValidationError("anchor lies outside the box")
-        corner_sq = sum(max((c - lo)**2, (hi - c)**2)
-                        for c, (lo, hi) in zip(anchor, space.bounds))
-
-    # an anchor within epsilon of every corner covers the box alone: no centres
-    cells, total, bound = [], 0, corner_sq
-    if corner_sq is None or corner_sq >= epsilon**2:
-        for lo, hi in space.bounds:
-            length = hi - lo
-            # smallest k with (length/k)^2 * d < epsilon^2, i.e. spacing < eps/sqrt(d)
-            cells.append(isqrt(_ceil_div(length.numerator**2 * d * epsilon.denominator**2,
-                                         length.denominator**2 * epsilon.numerator**2)) + 1)
-        total = 1
-        for k in cells:
-            total = _within_budget("box", total * k, max_points)
-        bound = sum((Fraction(3, 5) * (hi - lo) / k)**2
-                    for (lo, hi), k in zip(space.bounds, cells))
-        if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
-            raise ValidationError("covering bound violated; epsilon too small for budget")
+    cells = []
+    for lo, hi in space.bounds:
+        length = hi - lo
+        # smallest k with (length/k)^2 * d < epsilon^2, i.e. spacing < eps/sqrt(d)
+        cells.append(isqrt(_ceil_div(length.numerator**2 * d * epsilon.denominator**2,
+                                     length.denominator**2 * epsilon.numerator**2)) + 1)
+    total = 1
+    for k in cells:
+        total = _within_budget("box", total * k, max_points)
+    bound = sum((Fraction(3, 5) * (hi - lo) / k)**2
+                for (lo, hi), k in zip(space.bounds, cells))
+    if bound >= epsilon**2:   # pragma: no cover - excluded by cell sizing
+        raise ValidationError("covering bound violated; epsilon too small for budget")
 
     # a centre sits 10 * _JITTER_RANGE units past its cell's edge; a jitter step is 2 units
     units = [(hi - lo) / (20 * _JITTER_RANGE * k) for (lo, hi), k in zip(space.bounds, cells)]
     lows = [lo for lo, _hi in space.bounds]
-    scale = lcm(*(c.denominator for c in (*units, *lows, *(anchor or ()))),
-                profile._ints.scale)
+    scale = lcm(*(c.denominator for c in (*units, *lows)), profile._ints.scale)
     units, lows = scaled_numerators(units, scale), scaled_numerators(lows, scale)
     centers = []
     for index in range(total):
@@ -204,7 +183,7 @@ def _box_lattice(space, epsilon, profile, anchor, max_points):
         return tuple(c + 2 * rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE) * unit
                      for c, unit in zip(center, units))
 
-    return (centers, scale, anchor, shift,
+    return (centers, scale, shift,
             lambda nodes: profile.scaled_utilities(nodes, scale), 2 * scale * scale, bound)
 
 
@@ -212,34 +191,28 @@ def _box_lattice(space, epsilon, profile, anchor, max_points):
 # simplex grids
 
 
-def _simplex_lattice(space, epsilon, anchor, max_points):
+def _simplex_lattice(space, epsilon, max_points):
     n_players = space.dim
     # smallest m with (11/(10m))^2 * players < epsilon^2
     m = isqrt(_ceil_div(121 * n_players * epsilon.denominator**2,
                         100 * epsilon.numerator**2)) + 1
     _within_budget("simplex", _count_compositions(m, n_players), max_points)
-    if anchor is not None:
-        anchor = tuple(Fraction(c) for c in anchor)
-        if len(anchor) != n_players or any(c < 0 for c in anchor) or sum(anchor) != 1:
-            raise ValidationError("anchor is not a point of the simplex")
 
-    # shares are numerators over `scale`; one jitter step is `step`
-    jitter_denominator = 10 * m * _JITTER_RANGE * n_players
-    scale = lcm(jitter_denominator, *(c.denominator for c in anchor or ()))
-    step = scale // jitter_denominator
+    # shares are numerators over `scale`; one jitter step is one unit
+    scale = 10 * m * _JITTER_RANGE * n_players
     centers = [tuple(u * (scale // m) for u in units)
                for units in _compositions(m, n_players)]
 
     def shift(rng, node):
         # every share but the top one moves up; the top share pays for it all
         top = min(range(n_players), key=lambda i: (-node[i], i))
-        out = [c if i == top else c + rng.randrange(1, _JITTER_RANGE) * step
+        out = [c if i == top else c + rng.randrange(1, _JITTER_RANGE)
                for i, c in enumerate(node)]
         out[top] -= sum(out) - sum(node)
         return tuple(out) if out[top] > 0 else node   # the top share always stays positive
 
     # a player's utility is their own share, so a node's numerators are its values
-    return (centers, scale, anchor, shift, list, scale,
+    return (centers, scale, shift, list, scale,
             Fraction(121 * n_players, (10 * m)**2))
 
 
@@ -247,13 +220,12 @@ def _simplex_lattice(space, epsilon, anchor, max_points):
 # the tie audit
 
 
-def _audit_and_rejitter(values, anchor, max_attempts, redraw):
+def _audit_and_rejitter(values, max_attempts, redraw):
     """Exact per-player tie audit; offenders are re-drawn in place.
 
     values[i] holds node i's integer utility keys, one per player, on one
-    scale per player.  redraw(i) re-jitters node i and returns its new keys.
-    `anchor` is the index of the one node never re-drawn, or None: a tied
-    pair holds two nodes, so at most one of them is the anchor.
+    scale per player.  redraw(i) re-jitters node i and returns its new keys;
+    of a tied pair, the later node in that player's sorted order is re-drawn.
     """
     for attempt in count(1):
         # the first tie of the first player whose column has one, in sorted order
@@ -269,5 +241,4 @@ def _audit_and_rejitter(values, anchor, max_attempts, redraw):
             raise GridGenericityError(
                 f"nodes {a} and {b} still tie for player {player + 1} after "
                 f"{max_attempts} attempts", player=player, pair=(a, b))
-        victim = a if b == anchor else b
-        values[victim] = redraw(victim)
+        values[b] = redraw(b)

@@ -67,8 +67,12 @@ class ScaledInts:
     """
 
     def __init__(self, vectors):
-        denoms = [f.denominator for row in vectors for f in row]
-        scale = lcm(*denoms) if denoms else 1
+        values = [f for row in vectors for f in row]
+        inexact = [f for f in values if not isinstance(f, (int, Fraction))]
+        if inexact:
+            raise ValidationError(
+                f"refusing {inexact[0]!r}: exact values are ints or Fractions")
+        scale = lcm(*(f.denominator for f in values)) if values else 1
         self._fill(scale, [scaled_numerators(row, scale) for row in vectors])
 
     @classmethod

@@ -26,7 +26,8 @@ from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import ScaledInts, _assemble, _FractionView, fraction_rows, scaled_numerators
+from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational,
+                        scaled_numerators)
 
 COORD_DENOM = 2**20
 
@@ -79,7 +80,13 @@ class SpatialProfile:
 
     def scaled_rows(self, points) -> tuple[list[tuple[int, ...]], int]:
         """Every player's utility at each point as integer rows over one
-        denominator: (rows, D), one row per player, setter last."""
+        denominator: (rows, D), one row per player, setter last.  Each point
+        has `dim` coordinates, each an int, a `Fraction` or rational text."""
+        for i, p in enumerate(points):
+            if len(p) != self.dim:
+                raise ValidationError(
+                    f"point {i} has {len(p)} coordinates, expected {self.dim}")
+        points = [tuple(map(parse_rational, p)) for p in points]
         scale = lcm(self._ints.scale, *(c.denominator for p in points for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
         return list(zip(*self.scaled_utilities(numerators, scale))), 2 * scale * scale
@@ -251,7 +258,7 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     """
     if len(x) != profile.dim:
         raise ValidationError("query point dimension mismatch")
-    x = tuple(Fraction(c) for c in x)
+    x = tuple(map(parse_rational, x))
     ints = profile._ints
     scale = lcm(ints.scale, *(c.denominator for c in x))
     at_x = scaled_numerators(x, scale)
@@ -367,7 +374,6 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
 def spatial_problem(profile: SpatialProfile, points, labels=None,
                     gfa: bool = False) -> CollectiveChoiceProblem:
     """Collective choice problem induced by a finite set of policy points."""
-    points = [tuple(Fraction(c) for c in p) for p in points]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(len(points)))
     return _scaled_problem(labels, *profile.scaled_rows(points), gfa=gfa)

@@ -78,6 +78,7 @@ from references import ref_majority, ref_support_mask
 
 F = Fraction
 JITTER_RANGE = 2**16
+MAX_ATTEMPTS = 32
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -101,7 +102,7 @@ def _ref_spatial_rows(profile, points):
                  for i in range(profile.n_voters + 1))
 
 
-def _ref_audit_and_rejitter(points, frozen, utilities, max_attempts, redraw):
+def _ref_audit_and_rejitter(points, utilities, max_attempts, redraw):
     values = [utilities(p) for p in points]
     n_players = len(values[0]) if values else 0
     for attempt in range(1, max_attempts + 1):
@@ -117,29 +118,16 @@ def _ref_audit_and_rejitter(points, frozen, utilities, max_attempts, redraw):
         if offender is None:
             return attempt
         player, a, b = offender
-        victim = b if b not in frozen else a
-        if victim in frozen:
-            raise GridGenericityError(
-                f"anchor nodes tie for player {player + 1}", player=player, pair=(a, b))
-        points[victim] = redraw(victim)
-        values[victim] = utilities(points[victim])
+        points[b] = redraw(b)
+        values[b] = utilities(points[b])
     raise GridGenericityError(
         f"nodes {offender[1]} and {offender[2]} still tie for player "
         f"{offender[0] + 1} after {max_attempts} attempts",
         player=offender[0], pair=(offender[1], offender[2]))
 
 
-def ref_build_box(space, epsilon, seed, profile, anchor=None, max_attempts=32,
-                  jitter=True):
+def ref_build_box(space, epsilon, seed, profile):
     d = space.dim
-    if anchor is not None:
-        corner_sq = sum(max((c - lo)**2, (hi - c)**2)
-                        for c, (lo, hi) in zip(anchor, space.bounds))
-        if corner_sq < epsilon**2:
-            points = (anchor,)
-            return GridBuildResult(
-                problem=_ref_problem(_ref_spatial_rows(profile, points), profile.n_voters),
-                points=points, epsilon=epsilon, covering_sq_bound=corner_sq, attempts=1)
     cells = []
     for lo, hi in space.bounds:
         length = hi - lo
@@ -160,20 +148,14 @@ def ref_build_box(space, epsilon, seed, profile, anchor=None, max_attempts=32,
     rng = random.Random(seed)
 
     def jitter_node(center):
-        if not jitter:
-            return center
         return tuple(c + rng.randrange(-(JITTER_RANGE - 1), JITTER_RANGE) * h
                      / (10 * JITTER_RANGE) for c, h in zip(center, spacings))
 
     points = [jitter_node(c) for c in centers]
-    frozen = set()
-    if anchor is not None:
-        points.append(anchor)
-        frozen.add(len(points) - 1)
     attempts = _ref_audit_and_rejitter(
-        points, frozen,
+        points,
         lambda p: tuple(ref_utility(profile, i, p) for i in range(profile.n_voters + 1)),
-        max_attempts, lambda idx: jitter_node(centers[idx]))
+        MAX_ATTEMPTS, lambda idx: jitter_node(centers[idx]))
     points = tuple(points)
     return GridBuildResult(
         problem=_ref_problem(_ref_spatial_rows(profile, points), profile.n_voters),
@@ -190,7 +172,7 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def ref_build_simplex(space, epsilon, seed, anchor=None, max_attempts=32, jitter=True):
+def ref_build_simplex(space, epsilon, seed):
     n_players = space.dim
     m = isqrt(-(-(121 * n_players * epsilon.denominator**2)
                 // (100 * epsilon.numerator**2))) + 1
@@ -199,8 +181,6 @@ def ref_build_simplex(space, epsilon, seed, anchor=None, max_attempts=32, jitter
     scale = F(1, 10 * m * JITTER_RANGE * n_players)
 
     def jitter_node(node):
-        if not jitter:
-            return node
         top = min(range(n_players), key=lambda i: (-node[i], i))
         moved = F(0)
         out = list(node)
@@ -214,11 +194,7 @@ def ref_build_simplex(space, epsilon, seed, anchor=None, max_attempts=32, jitter
         return node if out[top] <= 0 else tuple(out)
 
     points = [jitter_node(p) for p in nodes]
-    frozen = set()
-    if anchor is not None:
-        points.append(anchor)
-        frozen.add(len(points) - 1)
-    attempts = _ref_audit_and_rejitter(points, frozen, tuple, max_attempts,
+    attempts = _ref_audit_and_rejitter(points, tuple, MAX_ATTEMPTS,
                                        lambda idx: jitter_node(nodes[idx]))
     points = tuple(points)
     rows = tuple(tuple(p[i] for p in points) for i in range(n_players))
@@ -455,7 +431,7 @@ def profiles_and_points(draw):
 
 
 # ideal points as fractions of each box side: coarse ones sit on lattice
-# symmetries, so unjittered grids tie; fine ones are the generic case
+# symmetries, so coarsely jittered grids tie; fine ones are the generic case
 box_fractions = st.one_of(st.just(F(1, 2)), st.integers(0, 4).map(lambda k: F(k, 4)),
                           st.integers(0, 2**20).map(lambda k: F(k, 2**20)),
                           small_rationals)
@@ -477,29 +453,15 @@ def box_cases(draw):
     if draw(st.booleans()):         # one shared ideal point: ties for every player
         ideals = ideals[:1] * (n_voters + 1)
     profile = SpatialProfile(dim=dim, ideal_points=tuple(ideals), box=space.bounds)
-    anchor = None
-    if draw(st.booleans()):
-        inside = box_fractions.filter(lambda f: 0 <= f <= 1)
-        anchor = tuple(lo + draw(inside) * (hi - lo) for lo, hi in space.bounds)
     return dict(space=space, epsilon=draw(st.sampled_from(BOX_EPSILONS[dim])),
-                seed=draw(st.integers(0, 2**31)), profile=profile, anchor=anchor,
-                max_attempts=draw(st.sampled_from((1, 3, 64))), jitter=draw(st.booleans()))
+                seed=draw(st.integers(0, 2**31)), profile=profile)
 
 
 @st.composite
 def simplex_cases(draw):
-    n_voters = draw(st.integers(1, 3))
-    anchor = None
-    if draw(st.booleans()):
-        denominator = draw(st.sampled_from((1, 3, 7, 2**30)))
-        cuts = sorted(draw(st.lists(st.integers(0, denominator),
-                                    min_size=n_voters, max_size=n_voters)))
-        bounds = [0, *cuts, denominator]
-        anchor = tuple(F(b - a, denominator) for a, b in zip(bounds, bounds[1:]))
-    return dict(space=SimplexSpace(n_voters),
+    return dict(space=SimplexSpace(draw(st.integers(1, 3))),
                 epsilon=draw(st.sampled_from((F(1, 2), F(3, 5), F(1)))),
-                seed=draw(st.integers(0, 2**31)), anchor=anchor,
-                max_attempts=draw(st.sampled_from((1, 3, 64))), jitter=draw(st.booleans()))
+                seed=draw(st.integers(0, 2**31)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +518,14 @@ def test_grid_references_cover_rejitter_and_genericity_errors():
     """Fixed cases for each way the tie audit ends, checked against the reference."""
     shared = SpatialProfile(dim=3, ideal_points=((F(1, 2),) * 3,) * 4,
                             box=((F(0), F(1)),) * 3)
-    box = dict(space=BoxSpace.unit(3), epsilon=F(1, 2), seed=0, profile=shared)
-    simplex = dict(space=SimplexSpace(2), epsilon=F(1, 2), seed=0)
+    box = dict(space=BoxSpace.unit(3), seed=0, profile=shared)
+    simplex = dict(space=SimplexSpace(2), seed=0)
+    # finer grids hold more ties than the attempts can re-draw
     cases = [
-        (ref_build_box, dict(box, jitter=False, max_attempts=3), "error"),
-        (ref_build_box, dict(box, max_attempts=64), "rejittered"),
-        (ref_build_box, dict(box, anchor=(F(1, 2),) * 3, max_attempts=64), "rejittered"),
-        (ref_build_simplex, dict(simplex, jitter=False, max_attempts=3), "error"),
-        (ref_build_simplex, dict(simplex, max_attempts=64), "rejittered"),
+        (ref_build_box, dict(box, epsilon=F(1, 6)), "error"),
+        (ref_build_box, dict(box, epsilon=F(1, 2)), "rejittered"),
+        (ref_build_simplex, dict(simplex, epsilon=F(1, 3)), "error"),
+        (ref_build_simplex, dict(simplex, epsilon=F(1, 2)), "rejittered"),
     ]
     for reference, kwargs, ending in cases:
         with mock.patch.object(random, "Random", CoarseRandom):
@@ -672,19 +634,19 @@ def assert_compiled_from_fractions(problem):
 
 
 _GRID_PROFILE = gen_spatial(3, 5, seed=21)
-_OFF_LATTICE = (F(1, 3), F(2, 7), F(5, 11))
+# corners off the profile's 2**-20 lattice: the grid scale takes their denominators
+_OFF_LATTICE = BoxSpace(((F(1, 3), F(4, 3)), (F(2, 7), F(9, 7)), (F(5, 11), F(16, 11))))
 _BIG_PROFILE = SpatialProfile(dim=2, ideal_points=((F(1, 3), F(2**70, 3**40)),
                                                    (F(-5, 7), F(1, 2**65)), (F(0), F(9, 4))),
                               box=((F(0), F(1)),) * 2)
 COMPILED_BUILDERS = {
     "box": lambda: build_grid(BoxSpace.unit(3), F(1, 2), seed=4,
                               profile=_GRID_PROFILE).problem,
-    "box-off-lattice-anchor": lambda: build_grid(
-        BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE, anchor=_OFF_LATTICE).problem,
-    "box-single-anchor": lambda: build_grid(
-        BoxSpace.unit(3), F(5), seed=4, profile=_GRID_PROFILE, anchor=_OFF_LATTICE).problem,
-    "simplex": lambda: build_grid(SimplexSpace(3), F(3, 10), seed=2,
-                                  anchor=(F(1, 7), F(2, 7), F(3, 7), F(1, 7))).problem,
+    "box-off-lattice-axes": lambda: build_grid(
+        _OFF_LATTICE, F(1, 2), seed=4, profile=_GRID_PROFILE).problem,
+    "box-coarse": lambda: build_grid(
+        BoxSpace.unit(3), F(5), seed=4, profile=_GRID_PROFILE).problem,
+    "simplex": lambda: build_grid(SimplexSpace(3), F(3, 10), seed=2).problem,
     "divide-the-dollar": lambda: divide_dollar_problem(3, 6),
     "pork-barrel": lambda: pork_barrel_problem([(F(1), F(1, 2))], 2, 2),
     "transfers": lambda: transfers_problem(gen_random_with_ties(4, 2, seed=3), 3),
@@ -703,8 +665,8 @@ COMPILED_BUILDERS = {
 def test_builders_compile_their_problems_from_their_integers(builder):
     problem = COMPILED_BUILDERS[builder]()
     assert_compiled_from_fractions(problem)
-    if builder == "box-single-anchor":
-        assert problem.num_policies == 1
+    if builder == "box-coarse":
+        assert problem.num_policies == 8   # two cells per axis, the fewest a box grid has
     if builder == "spatial-coarse-lattice":
         assert problem._ints.scale == 4
     assert problem._ints.as_numpy == (builder != "spatial-past-int64")
@@ -1031,16 +993,15 @@ def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):
     want = ref_build_box(BoxSpace.unit(3), F(1, 2), 4, _GRID_PROFILE)
     assert setter == want.problem.setter_utilities
     assert grid == want and grid.points == want.points
-    # an anchor that covers the box alone, and an anchored simplex, take the same path
+    # an off-lattice box and a simplex take the same path
     for reference, case, size in (
-            (ref_build_box, dict(space=BoxSpace.unit(3), epsilon=F(5), seed=4,
-                                 profile=_GRID_PROFILE, anchor=_OFF_LATTICE), 1),
-            (ref_build_simplex, dict(space=SimplexSpace(2), epsilon=F(1, 2), seed=4,
-                                     anchor=(F(1, 3), F(1, 6), F(1, 2))), 16)):
+            (ref_build_box, dict(space=_OFF_LATTICE, epsilon=F(5), seed=4,
+                                 profile=_GRID_PROFILE), 8),
+            (ref_build_simplex, dict(space=SimplexSpace(2), epsilon=F(1, 2), seed=4), 15)):
         result = build_grid(**case)
         assert "points" not in vars(result)
         assert result == reference(**case)
-        assert len(result.points) == size and result.points[-1] == case["anchor"]
+        assert len(result.points) == size
 
 
 def ref_coplanarity_form(p1, p2, p3, p4):

@@ -8,13 +8,13 @@ import pytest
 from agendalab import (
     BoxSpace,
     BudgetExceededError,
-    GridGenericityError,
     SimplexSpace,
-    SpatialProfile,
     ValidationError,
     build_grid,
     gen_spatial,
+    grids,
 )
+from test_exact_kernels import _ref_audit_and_rejitter, outcome
 
 F = Fraction
 
@@ -38,23 +38,6 @@ def test_no_ties_after_audit():
         assert len(set(row)) == len(row)
 
 
-def test_anchor_is_kept_verbatim():
-    profile = gen_spatial(3, 3, seed=5)
-    anchor = (F(1, 3), F(1, 3), F(1, 3))
-    result = build_grid(BoxSpace.unit(3), F(1, 2), seed=6, profile=profile,
-                        anchor=anchor)
-    assert anchor in result.points
-
-
-def test_huge_epsilon_single_anchor_grid():
-    profile = gen_spatial(3, 3, seed=5)
-    anchor = (F(1, 2), F(1, 2), F(1, 2))
-    result = build_grid(BoxSpace.unit(3), F(5), seed=6, profile=profile,
-                        anchor=anchor)
-    assert result.points == (anchor,)
-    assert result.covering_sq_bound < F(25)
-
-
 def test_simplex_grid_denominator_bound():
     result = build_grid(SimplexSpace(3), F(3, 10), seed=2)
     floor = ceil(sqrt(3) / 0.3)
@@ -65,12 +48,6 @@ def test_simplex_grid_denominator_bound():
     assert result.problem.gfa
     for p in result.points:
         assert sum(p) == 1 and all(c >= 0 for c in p)
-
-
-def test_simplex_anchor_validation():
-    with pytest.raises(ValidationError, match="simplex"):
-        build_grid(SimplexSpace(3), F(1, 2), seed=1,
-                   anchor=(F(1, 2), F(1, 2), F(1, 2), F(1, 2)))
 
 
 def test_box_needs_profile():
@@ -95,15 +72,28 @@ def test_budget_guard():
 
 
 def test_tie_audit_failure_without_jitter():
-    # a perfectly symmetric profile on an unjittered lattice must tie
-    profile = SpatialProfile(
-        dim=3,
-        ideal_points=((F(1, 2), F(1, 2), F(1, 2)),) * 4,
-        box=((F(0), F(1)),) * 3)
-    with pytest.raises(GridGenericityError) as info:
-        build_grid(BoxSpace.unit(3), F(1, 2), seed=1, profile=profile,
-                   jitter=False, max_attempts=3)
-    assert info.value.pair is not None and info.value.player is not None
+    # a re-draw that never breaks the tie: the audit gives up after
+    # max_attempts, naming the first tied pair and player as the
+    # `Fraction` reference does
+    values = [(3, 1), (2, 1), (3, 0), (2, 5)]
+
+    def redraw(idx):
+        return values[idx]
+
+    got = outcome(grids._audit_and_rejitter, list(values), 3, redraw)
+    assert got == outcome(_ref_audit_and_rejitter, list(values), tuple, 3, redraw)
+    assert got[1:] == ("nodes 1 and 3 still tie for player 1 after 3 attempts", 0, (1, 3))
+
+
+def test_int_bounds_build_the_unit_grid():
+    # bounds are read as exact rationals: ints give the unit cube's grid
+    profile = gen_spatial(3, 3, 1)
+    ints = build_grid(BoxSpace(((0, 1),) * 3), F(1, 2), seed=1, profile=profile)
+    assert ints == build_grid(BoxSpace.unit(3), F(1, 2), seed=1, profile=profile)
+    assert BoxSpace((("0", "1/2"),)).bounds == ((F(0), F(1, 2)),)
+    for inexact in (0.5, True):
+        with pytest.raises(ValidationError):
+            BoxSpace(((0, inexact),))
 
 
 def test_grid_problem_round_trips_epsilon():

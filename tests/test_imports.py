@@ -126,21 +126,54 @@ def test_every_experiment_option_is_read_by_a_suite():
     assert sorted(EXPERIMENT_FLAGS) == sorted(read)
 
 
+def _package_callable(node: ast.expr, names: dict):
+    """The package object that a name, or an attribute chain on one, denotes."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _package_callable(node.value, names)
+        return None if owner is None else getattr(owner, node.attr, None)
+    return None
+
+
 def test_benchmark_imports_only_names_the_package_has():
     # the benchmark's own tests run outside the tier-1 suite, so a deleted
-    # public name would otherwise first surface there; its files are only read
+    # public name or keyword parameter would otherwise first surface
+    # there; its files are only read
     import importlib
+    import inspect
+
+    import agendalab
 
     missing = []
     for name in ("workloads.py", "harness.py"):
-        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        names = {"agendalab": agendalab}
+        for node in ast.walk(tree):
             if (isinstance(node, ast.ImportFrom) and node.level == 0
                     and node.module.split(".")[0] == "agendalab"):
                 module, attrs = node.module, [alias.name for alias in node.names]
+                names.update((alias.asname or alias.name,
+                              getattr(importlib.import_module(module), alias.name, None))
+                             for alias in node.names)
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "agendalab":
                 module, attrs = "agendalab", [node.attr]
             else:
                 continue
             missing += [f"{name}:{node.lineno} {module}.{attr}" for attr in attrs
                         if not hasattr(importlib.import_module(module), attr)]
+        # keywords of a direct call, and of `tr.call(label, fn, ...)`, which calls fn
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = _package_callable(node.func, names)
+            if fn is None and getattr(node.func, "attr", None) == "call" and len(node.args) > 1:
+                fn = _package_callable(node.args[1], names)
+            if fn is None or not callable(fn):
+                continue
+            params = inspect.signature(fn).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            missing += [f"{name}:{node.lineno} {fn.__name__}({kw.arg}=)" for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in params]
     assert missing == []

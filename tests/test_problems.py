@@ -110,6 +110,15 @@ def test_problem_validation():
             setter_utilities=(Fraction(1), Fraction(2)), gfa=True)
 
 
+def test_float_utilities_are_refused():
+    # 0.5 is exact, but a float utility is refused by name at the first kernel call
+    problem = CollectiveChoiceProblem(policies=("a", "b"),
+                                      voter_utilities=((Fraction(1), 0.5),),
+                                      setter_utilities=(Fraction(1), Fraction(2)))
+    with pytest.raises(ValidationError, match="0.5"):
+        is_manipulable(problem, VotingRule.simple_majority(1))
+
+
 BIG = Fraction(2**70, 3)
 
 

@@ -212,6 +212,30 @@ def test_spatial_problem_wraps_utilities():
     assert problem.setter_utilities[0] == profile.utility(3, pts[0])
 
 
+def test_points_must_be_exact_with_one_coordinate_per_axis():
+    profile = gen_spatial(3, 3, seed=1)
+    half = F(1, 2)
+    with pytest.raises(ValidationError, match="point 0 has 2 coordinates, expected 3"):
+        profile.utility(0, (half, half))
+    with pytest.raises(ValidationError, match="point 1 has 1 coordinates, expected 3"):
+        spatial_problem(profile, [(half,) * 3, (half,)])
+    for call in (lambda: profile.utility(0, (half, 0.5, half)),
+                 lambda: spatial_problem(profile, [(half, half, 0.5)]),
+                 lambda: spatial_witness(profile, (0.5, half, half))):
+        with pytest.raises(ValidationError, match="float"):
+            call()
+    assert profile.utility(0, ("1/2", 0, half)) == profile.utility(0, (half, F(0), half))
+
+
+def test_float_ideal_and_coplanarity_points_are_refused():
+    quad = ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    profile = SpatialProfile(dim=3, ideal_points=quad, box=((F(0), F(1)),) * 3)
+    with pytest.raises(ValidationError, match="0.5"):
+        check_noncoplanarity(profile)
+    with pytest.raises(ValidationError, match="0.5"):
+        coplanarity_form(*quad)
+
+
 def test_utility_is_half_the_squared_distance():
     profile = gen_spatial(4, 3, seed=5)
     rng = random.Random(5)
