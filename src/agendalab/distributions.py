@@ -13,7 +13,6 @@ restrict themselves to the clean region instead of silently failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -22,6 +21,7 @@ import numpy as np
 from .engine import StrategyProfile, _markov_profile
 from .errors import BudgetExceededError, ValidationError
 from .problems import CollectiveChoiceProblem, _column_chunks, _scaled_problem
+from .rationals import parse_rational
 
 
 def _compositions(total: int, parts: int):
@@ -180,7 +180,7 @@ def pork_barrel_problem(projects, m: int, n: int,
         raise ValidationError("need m >= 1 and n >= 1")
     parsed = []
     for b, c in projects:
-        b, c = Fraction(b), Fraction(c)
+        b, c = parse_rational(b), parse_rational(c)
         if b <= 0 or c < 0:
             raise ValidationError("projects need positive benefit and nonnegative cost")
         if (b * m).denominator != 1 or (c * m).denominator != 1:

@@ -3,8 +3,9 @@
 The favorite improvement of a default x is the setter's best policy
 among those some winning coalition strictly prefers to x, x itself
 included.  Under generic finite alternatives (gfa) the T-round game has
-a unique equilibrium outcome: the T-fold iterate of that map.  This
-module builds the iterates, the one-round improvement correspondence
+a unique equilibrium outcome: the T-fold iterate of that map.  Every
+iterate comes from one walker, `_orbit`, which stops at the first fixed
+point.  This module also builds the one-round improvement correspondence
 for problems with indifference, equilibrium outcome bounds obtained
 from its selections (one walker, `nc_outcome_bounds`), and strategy
 profiles.  One Markov-profile builder, `_markov_profile`, makes the
@@ -33,43 +34,41 @@ from .problems import (
 
 
 # ---------------------------------------------------------------------------
-# favorite improvement
+# favorite improvement and its orbit
 
 
-def favorite_improvement(problem: CollectiveChoiceProblem, rule: VotingRule,
-                         x: int, allow_ties: bool = False) -> int:
-    """Setter's best policy among {x} plus the strict acceptance set of x.
-
-    Returns x itself exactly when x is unimprovable.  Without gfa the
-    argmax may be non-unique; the lowest-index maximizer is returned,
-    and callers must opt in via `allow_ties`.
-    """
+def _orbit(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
+           limit: int) -> list[int]:
+    """[x, phi(x), ..., phi^k(x)] up to the first fixed point or k = `limit`.
+    phi raises the setter's rank until it fixes a policy, so the entries
+    are distinct.  No gfa gate: ties go to the lowest index (`_phi_table`)."""
     problem.check_policy(x)
-    _require_single_valued(problem, allow_ties)
-    return _phi_table(problem, rule)[x]
+    if limit < 0:
+        raise ValidationError(f"an orbit needs a step count >= 0, not {limit}")
+    table = _phi_table(problem, rule)
+    orbit = [x]
+    while len(orbit) <= limit and table[orbit[-1]] != orbit[-1]:
+        orbit.append(table[orbit[-1]])
+    return orbit
 
 
-def _require_single_valued(problem: CollectiveChoiceProblem, allow_ties: bool) -> None:
-    if not problem.gfa and not allow_ties:
-        raise ValidationError(
-            "favorite improvement is single-valued only under gfa; "
-            "pass allow_ties=True to accept lowest-index tie-breaking")
+def favorite_improvement(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> int:
+    """Setter's best policy among {x} plus the strict acceptance set of x:
+    x itself exactly when x is unimprovable.  Refused without gfa, where
+    `is_improvable(...).witness` names the lowest-index maximizer."""
+    if not problem.gfa:
+        raise ValidationError("favorite improvement is single-valued only under gfa")
+    return _orbit(problem, rule, x, 1)[-1]
 
 
 def phi_iterates(problem: CollectiveChoiceProblem, rule: VotingRule,
-                 x0: int, count: int, allow_ties: bool = False) -> list[int]:
-    """[x0, phi(x0), ..., phi^count(x0)] with early fixed-point short-circuit."""
-    problem.check_policy(x0)
-    _require_single_valued(problem, allow_ties)
-    table = _phi_table(problem, rule)
-    out = [x0]
-    for _ in range(count):
-        nxt = table[out[-1]]
-        out.append(nxt)
-        if nxt == out[-2]:
-            out.extend([nxt] * (count - len(out) + 1))
-            break
-    return out
+                 x0: int, count: int) -> list[int]:
+    """[x0, phi(x0), ..., phi^count(x0)] (gfa): the orbit, its fixed point
+    repeated up to `count` + 1 entries."""
+    if not problem.gfa:
+        raise ValidationError("improvement iterates are single-valued only under gfa")
+    orbit = _orbit(problem, rule, x0, count)
+    return orbit + orbit[-1:] * (count + 1 - len(orbit))
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class Trajectory:
     """Iterates of the favorite-improvement map from a starting default."""
 
     start: int
-    steps: tuple[int, ...]                  # phi^1 .. phi^T
+    steps: tuple[int, ...]                  # phi^1 .. phi^T, cut at the first fixed point
     fixed_point_reached_at: Optional[int]   # smallest t with phi^t unimprovable
 
     @property
@@ -89,17 +88,17 @@ def equilibrium_outcome(problem: CollectiveChoiceProblem, rule: VotingRule,
                         x0: int, rounds: int) -> Trajectory:
     """Unique equilibrium outcome trajectory of the T-round game (gfa).
 
-    The final entry is the outcome; setter utility is nondecreasing
-    along the steps and a fixed point, once hit, absorbs.
+    The steps are the orbit after x0, cut at phi^T.  Every later round
+    repeats the fixed point, so the outcome is the last step, or x0.
     """
     if rounds < 1:
         raise ValidationError("need at least one round")
     if not problem.gfa:
         raise ValidationError("equilibrium outcomes are only unique under gfa")
-    iterates = phi_iterates(problem, rule, x0, rounds)
-    table = _phi_table(problem, rule)
-    reached = next((t for t, x in enumerate(iterates) if table[x] == x), None)
-    return Trajectory(start=x0, steps=tuple(iterates[1:]), fixed_point_reached_at=reached)
+    orbit = _orbit(problem, rule, x0, rounds + 1)     # one past T: is phi^T fixed?
+    reached = len(orbit) - 1 if len(orbit) <= rounds + 1 else None
+    return Trajectory(start=x0, steps=tuple(orbit[1:rounds + 1]),
+                      fixed_point_reached_at=reached)
 
 
 # ---------------------------------------------------------------------------

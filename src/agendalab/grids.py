@@ -22,7 +22,7 @@ from typing import Optional
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import _assemble, _FractionView, parse_rational, scaled_numerators
+from .rationals import _assemble, _FractionView, parse_box, parse_rational, scaled_numerators
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -37,11 +37,7 @@ class BoxSpace:
     def __post_init__(self):
         if not self.bounds:
             raise ValidationError("box needs at least one axis")
-        object.__setattr__(self, "bounds", tuple((parse_rational(lo), parse_rational(hi))
-                                                 for lo, hi in self.bounds))
-        for lo, hi in self.bounds:
-            if hi <= lo:
-                raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
+        object.__setattr__(self, "bounds", parse_box(self.bounds))
 
     @staticmethod
     def unit(d: int) -> "BoxSpace":

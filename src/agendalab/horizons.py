@@ -2,14 +2,14 @@
 
 Three reachability notions bound what different commitment
 technologies deliver: arbitrary majority chains (full commitment),
-length-two chains (fixed agendas), and chains that follow the favorite
-improvement step by step (no commitment).  The first contains the other
-two, which are not nested: from z in the majority-cycle fixture the
-credible chains reach w, which no length-two chain reaches.  The
-infinite-horizon benchmark comes through the unique stable set under
-the joint setter-and-majority dominance relation; the finite/infinite
-payoff comparison then splits every problem into exactly one of two
-cases.
+length-two chains (fixed agendas), and the favorite-improvement orbit
+(no commitment), which the finite-horizon payoffs read too.  The first
+contains the other two, which are not nested: from z in the
+majority-cycle fixture the credible chains reach w, which no length-two
+chain reaches.  The infinite-horizon benchmark comes through the unique
+stable set under the joint setter-and-majority dominance relation; the
+finite/infinite payoff comparison then splits every problem into
+exactly one of two cases.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import phi_iterates
+from .engine import _orbit
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, _memoized, _phi_table
 
@@ -64,10 +64,8 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         if not problem.gfa:
             raise ValidationError("credible reachability needs the single-valued "
                                   "improvement map, i.e. gfa")
-        # phi strictly raises the setter's rank until it fixes a policy, so
-        # the orbit's distinct prefix is the chain and it ends at the best
-        chain = tuple(dict.fromkeys(
-            phi_iterates(problem, problem._majority_rule, x0, problem.num_policies)))
+        # phi raises the setter's rank until it fixes a policy: the orbit ends at the best
+        chain = tuple(_orbit(problem, problem._majority_rule, x0, problem.num_policies))
         return ReachabilityReport(mode=mode, start=x0, members=frozenset(chain),
                                   best_for_setter=chain[-1], witness_chain=chain)
     raise ValidationError(f"unknown reachability mode {mode!r}")
@@ -192,21 +190,18 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
                     t_list) -> HorizonRows:
     """Setter payoffs for finite horizons plus the infinite-horizon value.
 
-    Finite payoffs are utilities of improvement iterates; the
-    infinite-horizon value is the utility of the favorite stable
-    improvement — a characterization import, not a simulated game.
+    Finite payoffs read the orbit of x0; the infinite-horizon value is the
+    utility of the favorite stable improvement — a characterization
+    import, not a simulated game.
     """
     if not problem.gfa:
         raise ValidationError("horizon payoffs require gfa")
-    problem.check_policy(x0)
     t_list = sorted(set(int(t) for t in t_list))
     if t_list and t_list[0] < 1:
         raise ValidationError("horizons start at one round")
-    # phi raises the setter's utility until it absorbs, so within m - 1 steps
-    m = problem.num_policies
-    iterates = phi_iterates(problem, problem._majority_rule, x0,
-                            min(max(t_list, default=1), m))
-    table = {t: problem.setter_utilities[iterates[min(t, m)]] for t in t_list}
+    # every round past the orbit's end repeats its fixed point
+    orbit = _orbit(problem, problem._majority_rule, x0, max(t_list, default=0))
+    table = {t: problem.setter_utilities[orbit[min(t, len(orbit) - 1)]] for t in t_list}
     psi = stable_set(problem).psi_table
     return HorizonRows(start=x0, u_table=table,
                        u_inf=problem.setter_utilities[psi[x0]])

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .engine import StrategyProfile, phi_iterates
+from .engine import StrategyProfile, _orbit, phi_iterates
 from .errors import (
     BudgetExceededError,
     RichnessError,
@@ -538,22 +538,22 @@ def check_richness(game: GameSpec) -> RichnessReport:
     (the one `solve_spe` reads) at a time; the first failing state in
     (round, default) order is the witness, the subset test taking
     precedence at a state.  Improvement iterates come from
-    `phi_iterates`, one walk per default.
+    `engine._orbit`, one orbit per default, ties to the lowest index.
     """
     problem, m = game.problem, game.problem.num_policies
     if isinstance(game.protocol, str):
         _require_rule(problem, game.rule)
         return RichnessReport(rich=True)
-    walks = np.array([phi_iterates(problem, game.rule, x, game.horizon, allow_ties=True)
-                      for x in range(m)])         # [x, k] = phi^k(x)
+    orbits = [_orbit(problem, game.rule, x, game.horizon) for x in range(m)]
+    step = [orbit[:2][-1] for orbit in orbits]      # phi^k(x) is orbit[:k + 1][-1]
     defaults, rounds = np.arange(m), range(1, game.horizon + 1)
     for t, mask_of in zip(rounds, _action_masks(game, rounds)):
         mask = mask_of(slice(None))
         amend, adjourn = mask[0::2], mask[1::2]   # [policy, default]
         amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
         mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)
-        stuck = ~(amend[walks[:, 1], defaults]
-                  | adjourn[walks[:, game.horizon - t + 1], defaults])
+        deep = [orbit[:game.horizon - t + 2][-1] for orbit in orbits]
+        stuck = ~(amend[step, defaults] | adjourn[deep, defaults])
         failing = np.flatnonzero(mixed | stuck)
         if failing.size:
             x = int(failing[0])

@@ -80,9 +80,6 @@ class TournamentSpec:
     def from_edges(size: int, edges: Iterable[tuple[int, int]]) -> "TournamentSpec":
         return TournamentSpec(size, frozenset((int(w), int(l)) for w, l in edges))
 
-    def beats(self, x: int, y: int) -> bool:
-        return (x, y) in self.edges
-
 
 # ---------------------------------------------------------------------------
 # voting rules

@@ -44,6 +44,15 @@ def parse_rational(text) -> Fraction:
         raise ValidationError(f"malformed rational {text!r}: {exc}") from None
 
 
+def parse_box(bounds) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Each (lo, hi) axis of a box through `parse_rational`, with lo < hi."""
+    box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in bounds)
+    for lo, hi in box:
+        if hi <= lo:
+            raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
+    return box
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical serialized form: integer string or reduced "p/q"."""
     frac = Fraction(value)

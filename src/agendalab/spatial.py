@@ -26,8 +26,8 @@ from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational,
-                        scaled_numerators)
+from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_box,
+                        parse_rational, scaled_numerators)
 
 COORD_DENOM = 2**20
 
@@ -49,7 +49,8 @@ class SpatialProfile:
         self._check(self.ideal_points)
 
     def _check(self, points) -> None:
-        """Shape checks on the ideal points (`Fraction`s or `_ints` rows) and the box."""
+        """Shape checks on the ideal points (`Fraction`s or `_ints` rows), and
+        the box, which is kept parsed (`parse_box`)."""
         if self.dim < 1:
             raise ValidationError("dimension must be at least 1")
         if len(points) < 2:
@@ -58,6 +59,7 @@ class SpatialProfile:
             raise ValidationError("ideal point dimension mismatch")
         if len(self.box) != self.dim:
             raise ValidationError("box bounds dimension mismatch")
+        object.__setattr__(self, "box", parse_box(self.box))
 
     @property
     def n_voters(self) -> int:
@@ -121,12 +123,7 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
         raise ValidationError("voter count must be odd and positive")
     if d < 1:
         raise ValidationError("dimension must be at least 1")
-    if box is None:
-        box = tuple((Fraction(0), Fraction(1)) for _ in range(d))
-    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
-    for lo, hi in box:
-        if hi <= lo:
-            raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
+    box = parse_box(((0, 1),) * d if box is None else box)
     ranges = []
     for lo, hi in box:
         lo_k = -((-lo.numerator * COORD_DENOM) // lo.denominator)   # ceil

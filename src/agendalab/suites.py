@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import fixtures
 from .distributions import DivideDollarGrid, audit_dp_axioms, dtd_beta_power, dtd_profile
-from .engine import _phi_or_table, equilibrium_outcome, nc_outcome_bounds, phi_iterates, phi_or
+from .engine import (_orbit, _phi_or_table, equilibrium_outcome, nc_outcome_bounds,
+                     phi_iterates, phi_or)
 from .errors import RichnessError, SpatialDegeneracyError, ValidationError
 from .factories import gen_random_with_ties, gfa_corpus
 from .grids import BoxSpace, build_grid
@@ -129,10 +130,8 @@ def lemma1_suite(seed=1, samples=200, max_policies=6, max_rounds=4):
 def thm1_suite(seed=1, samples=200, max_policies=6):
     def check(problem, rule):
         manip = is_manipulable(problem, rule).manipulable
-        horizon = problem.num_policies - 1
-        absorbed = [phi_iterates(problem, rule, x0, max(horizon, 1))[-1]
-                    for x0 in range(problem.num_policies)]
-        dictatorial = all(out in problem.setter_optima for out in absorbed)
+        dictatorial = all(_orbit(problem, rule, x0, problem.num_policies)[-1]
+                          in problem.setter_optima for x0 in range(problem.num_policies))
         ok = manip == dictatorial
         stuck = ""
         if not manip:
@@ -140,9 +139,7 @@ def thm1_suite(seed=1, samples=200, max_policies=6):
             ok = ok and bool(blockers)
             if blockers:
                 x0 = blockers[0]
-                constant = all(step == x0 for step in
-                               phi_iterates(problem, rule, x0, max(horizon, 1)))
-                ok = ok and constant
+                ok = ok and _orbit(problem, rule, x0, 1) == [x0]
                 stuck = problem.policies[x0]
         return {"manipulable": manip, "dictatorial": dictatorial,
                 "stuck_default": stuck, "pass": ok}
@@ -179,8 +176,7 @@ def thm2_trend_suite(seed=1, samples=12, d=3, epsilon="1/4", delta="1/20"):
     stuck = unimprovable_set(problem, rule)
     max_absorb = 0
     for x0 in defaults:
-        # the orbit up to its first repeat: phi_iterates pads a fixed point
-        path = list(dict.fromkeys(phi_iterates(problem, rule, x0, problem.num_policies)))
+        path = _orbit(problem, rule, x0, problem.num_policies)
         absorb = len(path) - 1
         max_absorb = max(max_absorb, absorb)
         monotone = all(problem.setter_utilities[b] >= problem.setter_utilities[a]

@@ -9,14 +9,13 @@ relation reproduces the input tournament exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem
-from .rationals import scaled_numerators
+from .rationals import parse_rational, scaled_numerators
 
 REALIZE_LIMIT = 12   # voter count grows as 2*C(|X|,2)+1
 
@@ -61,7 +60,7 @@ def mcgarvey_realize(tournament: TournamentSpec,
         raise ValidationError(
             f"{m} policies would need {2 * m * (m - 1) // 2 + 1} voters; "
             f"limit is {REALIZE_LIMIT} policies")
-    setter = tuple(Fraction(u) for u in setter_utilities)
+    setter = tuple(map(parse_rational, setter_utilities))
     if len(setter) != m:
         raise ValidationError("setter utility vector length mismatch")
     if len(set(setter)) != m:

@@ -17,11 +17,22 @@ def ref_support_mask(problem, y, x, weak=False):
     return mask
 
 
+def ref_phi(problem, rule, x):
+    """Favorite improvement by a scan over `Fraction` utilities: the setter's
+    best policy that a winning coalition strictly prefers to x, lowest index
+    on ties, or x itself."""
+    setter, best = problem.setter_utilities, x
+    for y in range(problem.num_policies):
+        if setter[y] > setter[best] and rule.wins(ref_support_mask(problem, y, x)):
+            best = y
+    return best
+
+
 def ref_majority(problem, y, x):
     """More than half of the voters strictly prefer y to x, or the
     override says y beats x."""
     if problem.majority_override is not None:
-        return problem.majority_override.beats(y, x)
+        return (y, x) in problem.majority_override.edges
     return 2 * ref_support_mask(problem, y, x).bit_count() > problem.n
 
 

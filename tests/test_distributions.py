@@ -63,6 +63,13 @@ def test_pork_validation_and_budget():
     assert info.value.required > 100
 
 
+def test_pork_reads_exact_benefits_and_costs():
+    with pytest.raises(ValidationError, match="float"):
+        pork_barrel_problem([(0.5, 0.25)], m=4, n=3)
+    assert (pork_barrel_problem([("1/2", "1/4")], m=4, n=3)
+            == pork_barrel_problem([(F(1, 2), F(1, 4))], m=4, n=3))
+
+
 def test_transfers_two_policy_base():
     base = CollectiveChoiceProblem(
         policies=("lean", "rich"),

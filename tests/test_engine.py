@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,19 +21,23 @@ from agendalab import (
     dtd_profile,
     equilibrium_outcome,
     favorite_improvement,
+    horizon_payoffs,
     is_improvable,
     nc_outcome_bounds,
     phi_iterates,
     phi_or,
     play_out,
+    reachability,
     simple_equilibrium_profile,
     solve_spe,
     unimprovable_set,
     verify_profile,
 )
+from agendalab.engine import _orbit
 from agendalab.factories import gen_random_gfa, gen_random_with_ties
+from agendalab.problems import _phi_table
 
-from references import ref_support_mask
+from references import ref_phi
 
 
 def chain(problem, rule, start_label, count):
@@ -54,11 +59,21 @@ def test_phi_blocked_fixture(blocked, rule3):
 
 
 def test_phi_requires_gfa_or_acknowledged_ties():
+    # on ties the map is refused; is_improvable names the lowest-index maximizer
     problem = gen_random_with_ties(4, 3, seed=1)
     rule = VotingRule.simple_majority(3)
-    with pytest.raises(ValidationError, match="tie"):
+    with pytest.raises(ValidationError, match="gfa"):
         favorite_improvement(problem, rule, 0)
-    favorite_improvement(problem, rule, 0, allow_ties=True)
+    with pytest.raises(ValidationError, match="gfa"):
+        phi_iterates(problem, rule, 0, 2)
+    cert = is_improvable(problem, rule, 0)
+    assert ((0 if cert is None else cert.witness) == _orbit(problem, rule, 0, 1)[-1]
+            == ref_phi(problem, rule, 0))
+
+
+def test_phi_iterates_refuses_a_negative_count(cycle, rule3):
+    with pytest.raises(ValidationError, match="step count"):
+        phi_iterates(cycle, rule3, 0, -1)
 
 
 def test_phi_fixed_point_iff_unimprovable(small_corpus):
@@ -69,22 +84,13 @@ def test_phi_fixed_point_iff_unimprovable(small_corpus):
             assert (favorite_improvement(problem, rule, x) == x) == (x in stuck)
 
 
-def _fraction_phi(problem, rule, x):
-    """Favorite improvement by a scan over `Fraction` utilities."""
-    setter, best = problem.setter_utilities, x
-    for y in range(problem.num_policies):
-        if setter[y] > setter[best] and rule.wins(ref_support_mask(problem, y, x)):
-            best = y
-    return best
-
-
 def test_phi_fast_path_matches_scalar():
     problem = gen_random_gfa(80, 5, seed=23)
     rule = VotingRule.simple_majority(5)
     for x in random.Random(0).sample(range(80), 12):
         fast = favorite_improvement(problem, rule, x)
         cert = is_improvable(problem, rule, x)
-        assert fast == (x if cert is None else cert.witness) == _fraction_phi(problem, rule, x)
+        assert fast == (x if cert is None else cert.witness) == ref_phi(problem, rule, x)
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +107,41 @@ def test_equilibrium_outcome_cycle(cycle, rule3):
 
 
 def test_fixed_point_round_matches_a_scan_of_the_iterates(small_corpus):
-    # the first t whose iterate the next one repeats, at most T
+    # every phi^t reader against a plain loop over the table: the fixed point
+    # is the first t whose iterate the next one repeats, the steps stop there
+    # or at T, and the padded iterates repeat it
     for problem in small_corpus:
         rule = VotingRule.simple_majority(problem.n)
-        for x0 in range(problem.num_policies):
-            for rounds in range(1, 6):
-                iterates = phi_iterates(problem, rule, x0, rounds + 1)
-                want = next((t for t in range(rounds + 1)
-                             if iterates[t + 1] == iterates[t]), None)
+        table, m = _phi_table(problem, rule), problem.num_policies
+        for x0 in range(m):
+            walk = [x0]
+            for _ in range(m + 2):
+                walk.append(table[walk[-1]])
+            fixed = next(t for t in range(m + 2) if walk[t + 1] == walk[t])
+            assert (reachability(problem, x0, "credible").witness_chain
+                    == tuple(walk[:fixed + 1]))
+            assert horizon_payoffs(problem, x0, range(1, m + 2)).u_table == {
+                t: problem.setter_utilities[walk[t]] for t in range(1, m + 2)}
+            for rounds in range(1, m + 2):
+                assert phi_iterates(problem, rule, x0, rounds) == walk[:rounds + 1]
                 trajectory = equilibrium_outcome(problem, rule, x0, rounds)
-                assert trajectory.fixed_point_reached_at == want
-                assert list(trajectory.steps) == iterates[1:-1]
+                assert trajectory.outcome == walk[rounds]
+                assert trajectory.steps == tuple(walk[1:min(fixed, rounds) + 1])
+                assert trajectory.fixed_point_reached_at == (
+                    fixed if fixed <= rounds else None)
+
+
+def test_equilibrium_outcome_stops_at_the_fixed_point(cycle, rule3):
+    # the steps end where phi absorbs, so a huge horizon costs no memory
+    y, x, w = (cycle.policy_index(p) for p in "yxw")
+    tracemalloc.start()
+    try:
+        trajectory = equilibrium_outcome(cycle, rule3, y, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trajectory.steps == (x, w) and trajectory.fixed_point_reached_at == 2
+    assert peak < 2**20
 
 
 def test_equilibrium_outcome_validation(cycle, rule3):
@@ -502,6 +532,6 @@ def test_phi_fast_path_respects_fixed_points_on_ties():
     problem = gen_random_with_ties(70, 5, seed=31, levels=4)
     rule = VotingRule.simple_majority(5)
     for x in range(0, 70, 7):
-        fast = favorite_improvement(problem, rule, x, allow_ties=True)
+        fast = _orbit(problem, rule, x, 1)[-1]
         cert = is_improvable(problem, rule, x)
-        assert fast == (x if cert is None else cert.witness) == _fraction_phi(problem, rule, x)
+        assert fast == (x if cert is None else cert.witness) == ref_phi(problem, rule, x)

@@ -3,7 +3,8 @@ certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, kernels do not call the public per-pair views, only
 the `Fraction` views build `Fraction` rows, only one helper makes
 an instance without `__init__`, every experiment option is read by
-some suite, and every library name the benchmark imports exists."""
+some suite, and every library name the benchmark imports exists and
+takes the arguments the benchmark passes."""
 
 from __future__ import annotations
 
@@ -162,18 +163,20 @@ def test_benchmark_imports_only_names_the_package_has():
                 continue
             missing += [f"{name}:{node.lineno} {module}.{attr}" for attr in attrs
                         if not hasattr(importlib.import_module(module), attr)]
-        # keywords of a direct call, and of `tr.call(label, fn, ...)`, which calls fn
+        # a direct call, or `tr.call(label, fn, ...)`, which calls fn with the
+        # rest, binds to fn's signature: its positional count and its keywords
+        # (a call that unpacks `*` or `**` has no count to check)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            fn = _package_callable(node.func, names)
-            if fn is None and getattr(node.func, "attr", None) == "call" and len(node.args) > 1:
-                fn = _package_callable(node.args[1], names)
-            if fn is None or not callable(fn):
+            fn, args = _package_callable(node.func, names), node.args
+            if fn is None and getattr(node.func, "attr", None) == "call" and len(args) > 1:
+                fn, args = _package_callable(args[1], names), args[2:]
+            if (fn is None or not callable(fn) or any(isinstance(a, ast.Starred) for a in args)
+                    or any(kw.arg is None for kw in node.keywords)):
                 continue
-            params = inspect.signature(fn).parameters
-            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-                continue
-            missing += [f"{name}:{node.lineno} {fn.__name__}({kw.arg}=)" for kw in node.keywords
-                        if kw.arg is not None and kw.arg not in params]
+            try:
+                inspect.signature(fn).bind(*args, **{kw.arg: kw for kw in node.keywords})
+            except TypeError as exc:
+                missing.append(f"{name}:{node.lineno} {fn.__name__}: {exc}")
     assert missing == []

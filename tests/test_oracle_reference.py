@@ -36,7 +36,6 @@ from agendalab import (
     check_richness,
     dtd_profile,
     favorite_improvement,
-    phi_iterates,
     play_out,
     simple_equilibrium_profile,
     solve_spe,
@@ -55,7 +54,7 @@ from agendalab.oracle import (
     Violation,
 )
 
-from references import ref_support_mask
+from references import ref_phi, ref_support_mask
 
 
 def ref_vote_mask(problem, accept_out, reject_out):
@@ -129,7 +128,9 @@ def ref_check_richness(game):
                 return RichnessReport(
                     rich=False,
                     subset_witness=(t, x, amend_only[0], adjourn_only[0]))
-            iterates = phi_iterates(problem, game.rule, x, remaining, allow_ties=True)
+            iterates = [x]
+            for _ in range(remaining):
+                iterates.append(ref_phi(problem, game.rule, iterates[-1]))
             if (iterates[1], False) not in actions and (iterates[-1], True) not in actions:
                 return RichnessReport(rich=False, feasibility_witness=(t, x))
     return RichnessReport(rich=True)

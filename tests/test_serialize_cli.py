@@ -153,6 +153,14 @@ def test_cli_solve(cycle_file, capsys):
     assert payload["steps"] == ["y", "x", "w"]
 
 
+def test_cli_solve_lists_steps_up_to_the_fixed_point(cycle_file, capsys):
+    assert main(["solve", "--problem", cycle_file, "--default", "y",
+                 "--rounds", "1000000000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["steps"] == ["x", "w"]
+    assert payload["outcome"] == "w" and payload["fixed_point_reached_at"] == 2
+
+
 def test_cli_oracle_solve_and_equivalence(cycle_file, capsys):
     assert main(["oracle", "solve", "--problem", cycle_file, "--default", "z",
                  "--rounds", "3"]) == 0

@@ -236,6 +236,22 @@ def test_float_ideal_and_coplanarity_points_are_refused():
         coplanarity_form(*quad)
 
 
+def test_gen_spatial_reads_exact_box_bounds():
+    with pytest.raises(ValidationError, match="float"):
+        gen_spatial(3, 3, 1, box=((0.1, 1),) * 3)
+    assert gen_spatial(3, 3, 1, box=(("1/10", 1),) * 3).box[0] == (F(1, 10), F(1))
+
+
+def test_profile_box_is_parsed_and_checked():
+    quad = (point(0, 0, 0), point(0, 1, 0), point(0, 0, 1), point(1, 1, 1))
+    with pytest.raises(ValidationError, match="float"):
+        SpatialProfile(dim=3, ideal_points=quad, box=((0.5, "x"),) * 3)
+    with pytest.raises(ValidationError, match="degenerate box axis"):
+        SpatialProfile(dim=3, ideal_points=quad, box=((1, 0),) * 3)
+    profile = SpatialProfile(dim=3, ideal_points=quad, box=(("0", "1/2"),) * 3)
+    assert profile.box == ((F(0), F(1, 2)),) * 3
+
+
 def test_utility_is_half_the_squared_distance():
     profile = gen_spatial(4, 3, seed=5)
     rng = random.Random(5)

@@ -71,6 +71,14 @@ def test_setter_utilities_must_be_strict():
         mcgarvey_realize(tournament, [F(1), F(1)])
 
 
+def test_setter_utilities_are_read_exactly():
+    tournament = TournamentSpec.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValidationError, match="float"):
+        mcgarvey_realize(tournament, [0.1, 0.2, 0.3])
+    assert (mcgarvey_realize(tournament, ["1/10", "1/5", "3/10"]).setter_utilities
+            == (F(1, 10), F(1, 5), F(3, 10)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
 def test_realize_derive_identity(size, rng):
