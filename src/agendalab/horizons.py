@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -190,13 +191,20 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
                     t_list) -> HorizonRows:
     """Setter payoffs for finite horizons plus the infinite-horizon value.
 
-    Finite payoffs read the orbit of x0; the infinite-horizon value is the
+    Each horizon in `t_list` is an integer number of rounds, at least one
+    (a bool, float or text horizon is refused, not truncated).  Finite
+    payoffs read the orbit of x0; the infinite-horizon value is the
     utility of the favorite stable improvement — a characterization
     import, not a simulated game.
     """
     if not problem.gfa:
         raise ValidationError("horizon payoffs require gfa")
-    t_list = sorted(set(int(t) for t in t_list))
+    t_list = list(t_list)
+    for t in t_list:
+        if isinstance(t, bool) or not isinstance(t, Integral):
+            raise ValidationError(
+                f"refusing horizon {t!r}: a horizon is a whole number of rounds")
+    t_list = sorted({int(t) for t in t_list})
     if t_list and t_list[0] < 1:
         raise ValidationError("horizons start at one round")
     # every round past the orbit's end repeats its fixed point

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .engine import StrategyProfile, _orbit, phi_iterates
+from .engine import StrategyProfile, _orbit
 from .errors import (
     BudgetExceededError,
     RichnessError,
@@ -580,7 +580,9 @@ def protocol_equivalence(problem: CollectiveChoiceProblem, rule: VotingRule,
     Non-rich protocols are refused with the witness pair; solve their
     games directly with `solve_spe` to see what the trap yields.
     """
-    phi_out = phi_iterates(problem, rule, x0, rounds)[-1]
+    if not problem.gfa:
+        raise ValidationError("improvement iterates are single-valued only under gfa")
+    phi_out = _orbit(problem, rule, x0, rounds)[-1]
     outcomes = {}
     for protocol in protocols:
         game = GameSpec(problem=problem, rule=rule, horizon=rounds,

@@ -23,6 +23,13 @@ scaled integers `_ints`; only the uniform margin reads those directly.
 What is derived once per problem lives in its one `_memo`, through
 `_memoized`.
 
+The favorite-improvement table and the uniform margin are the two
+per-default scans.  Both go through `_setter_walk`, which meets the
+alternatives in setter order, best first, in blocks over the defaults
+still open; a default leaves as soon as its answer is settled, which on
+a large grid is mostly at the first alternative or the first few.
+Every block keeps n * rows * cols <= `_CHUNK_COMPARISONS`.
+
 A problem built from integer rows (`_scaled_problem`, used by every
 grid, distribution, spatial and realization builder) keeps those
 integers as its data: its `Fraction` utility fields are views, each
@@ -42,8 +49,9 @@ from .errors import UnsupportedCombinationError, ValidationError
 from .rationals import ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational
 
 # Largest number of voter-by-policy comparisons one block of `_wins`
-# materializes when a whole table is built chunk by chunk, which keeps
-# the transient arrays well under a megabyte at any problem size.
+# (or of the margin's gains) materializes when a table or a walk is built
+# block by block, which keeps the transient arrays well under a megabyte
+# at any problem size.
 _CHUNK_COMPARISONS = 2**16
 
 # ---------------------------------------------------------------------------
@@ -361,8 +369,9 @@ class MarginReport:
     eta_star maps each delta-suboptimal policy to the largest eta such
     that some alternative improves the setter and a full winning
     coalition by at least eta.  eta_delta is the minimum over that
-    region; t_bound the induced round bound, undefined (None) whenever
-    the margin is not strictly positive.
+    region, None when the region is empty.  t_bound is the induced round
+    bound: 0 when no policy is delta-suboptimal (gamma_set is empty), and
+    None when gamma_set is non-empty and the margin is at most 0.
     """
 
     delta: Fraction
@@ -393,30 +402,39 @@ def _coalition_holds(rule: VotingRule, prefer: np.ndarray) -> np.ndarray:
     """Reduce a voters-first boolean array over its first axis: does the
     set of voters marked True contain a winning coalition?"""
     if rule.quota is not None:
-        return np.count_nonzero(prefer, axis=0) >= rule.quota
+        return prefer.sum(axis=0) >= rule.quota
     out = np.zeros(prefer.shape[1:], dtype=bool)
     for members in rule.coalition_members:
-        out |= prefer[list(members)].all(axis=0)
+        out |= prefer.take(members, axis=0).all(axis=0)
     return out
 
 
-def _wins(problem: CollectiveChoiceProblem, rule: VotingRule, cols: slice,
-          weak: bool = False) -> np.ndarray:
-    """[y, x] for x in `cols`: some winning coalition strictly (weakly, if
-    `weak`) prefers y to x.  Callers check the rule (`_require_rule`).
+def _wins(problem: CollectiveChoiceProblem, rule: VotingRule, cols,
+          weak: bool = False, rows=slice(None)) -> np.ndarray:
+    """[y, x] for y in `rows` and x in `cols` (slices or index arrays): some
+    winning coalition strictly (weakly, if `weak`) prefers y to x.
+    Callers check the rule (`_require_rule`).
 
     A majority override *is* the relation; a tournament resolves every
     pair of distinct policies, so its diagonal is `weak`.  A block costs
-    n * m * |cols| transient bytes: wide reads go by `_column_chunks`,
-    and only `_wins_table` keeps a whole m x m table.
+    n * |rows| * |cols| transient bytes: wide reads go by `_column_chunks`
+    or `_setter_walk`, and only `_wins_table` keeps a whole m x m table.
     """
     if problem.majority_override is not None:
-        policies = np.arange(problem.num_policies)
-        return problem._beats[:, cols] | (weak & (policies[:, None] == policies[None, cols]))
+        beats = _columns(problem._beats[rows], cols)
+        if weak:
+            policies = np.arange(problem.num_policies)
+            return beats | (policies[rows][:, None] == policies[cols])
+        return beats.copy()             # a block the caller may write to
     voters = problem._ranks[:-1]
-    column = voters[:, None, cols]
-    return _coalition_holds(rule, voters[:, :, None] >= column if weak
-                            else voters[:, :, None] > column)
+    row, column = _columns(voters, rows)[:, :, None], _columns(voters, cols)[:, None]
+    return _coalition_holds(rule, row >= column if weak else row > column)
+
+
+def _columns(array: np.ndarray, index) -> np.ndarray:
+    """array[:, index] for a slice or an index array; `take` keeps the
+    gathered block C-ordered, which broadcast comparisons read faster."""
+    return array[:, index] if isinstance(index, slice) else array.take(index, axis=1)
 
 
 def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
@@ -424,6 +442,45 @@ def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
     m = problem.num_policies
     width = max(1, _CHUNK_COMPARISONS // (m * problem.n))
     return [slice(start, start + width) for start in range(0, m, width)]
+
+
+def _setter_walk(problem: CollectiveChoiceProblem, defaults: np.ndarray,
+                 settle: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+    """Walk the alternatives in setter order against the open defaults.
+
+    Alternatives go highest setter rank first, lowest index first among
+    equals, in blocks.  `settle(rows, cols)` gets one block's
+    alternatives, in walk order, and open defaults, both as index arrays
+    (`cols` must not be written to), and returns which of those defaults
+    it settled; a settled default leaves the walk.  A default also
+    leaves, unsettled, once the walk reaches the alternatives the setter
+    ranks at or below it.
+
+    The first block spans up to _CHUNK_COMPARISONS / 16 voter
+    comparisons and each later one twice its predecessor, up to
+    _CHUNK_COMPARISONS; its rows are that budget over n * (open
+    defaults), at least one, and its columns are split only when one
+    row of them exceeds the chunk.  So every block keeps
+    n * rows * cols <= _CHUNK_COMPARISONS (one comparison at least), and
+    transient memory is O(n * m * chunk), as in `_column_chunks`.  A
+    problem with n * m * m within a sixteenth of the chunk (any m <= 8)
+    is one block, as a whole-table scan was; a large grid starts with
+    one or two alternatives against every default, which settle most.
+    """
+    key = -problem._ranks[-1]
+    order = key.argsort(kind="stable")
+    m, n, size = problem.num_policies, problem.n, _CHUNK_COMPARISONS >> 4
+    start, pending = 0, defaults
+    while pending.size:
+        rows = order[start:start + max(1, size // (n * pending.size))]
+        start += rows.size
+        width = max(1, _CHUNK_COMPARISONS // (n * rows.size))
+        found = [settle(rows, pending[i:i + width]) for i in range(0, pending.size, width)]
+        if start == m:
+            return
+        # a default the setter ranks at or above the next alternative has no better one
+        pending = pending[(key[pending] > key[order[start]]) & ~np.concatenate(found)]
+        size = min(2 * size, _CHUNK_COMPARISONS)
 
 
 def _memoized(problem: CollectiveChoiceProblem, key: tuple, build: Callable[[], Any]):
@@ -455,22 +512,31 @@ def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int,
 
     Entry x is the lowest-index setter maximizer among the policies that
     a winning coalition and the setter both strictly prefer to x, or x
-    itself when there is none.  Columns (defaults) are processed in
-    `_column_chunks`, so the transient memory is O(n * m * chunk) and no
-    m x m table is ever built; only the m-entry result is kept.
+    itself when there is none.  `_setter_walk` meets the alternatives in
+    exactly that order of preference (setter rank down, index up), so the
+    first one that wins against x and that the setter prefers is entry x,
+    read from one `_wins` block; and x is its own entry once the walk
+    reaches the policies the setter ranks at or below it.  On a grid most
+    defaults settle at the first alternative or the first few; the
+    transient memory is O(n * m * chunk), and only the m-entry result is
+    kept.
     """
     _require_rule(problem, rule)
 
     def build():
         setter = problem._ranks[-1]
-        defaults = np.arange(problem.num_policies)
-        table = []
-        for cols in _column_chunks(problem):
-            better = _wins(problem, rule, cols) & (setter[:, None] > setter[None, cols])
-            # argmax keeps the first of equal maxima: the lowest index
-            best = np.where(better, setter[:, None], -1).argmax(axis=0)
-            table.extend(np.where(better.any(axis=0), best, defaults[cols]).tolist())
-        return tuple(table)
+        table = np.arange(problem.num_policies)
+
+        def settle(rows, cols):
+            wins = _wins(problem, rule, cols, rows=rows)
+            # the first winner; if the setter does not prefer it, no later row helps
+            first = rows[wins.argmax(axis=0)]
+            found = wins.any(axis=0) & (setter[first] > setter[cols])
+            table[cols] = np.where(found, first, cols)
+            return found
+
+        _setter_walk(problem, table.copy(), settle)
+        return tuple(table.tolist())
 
     return _memoized(problem, ("phi", rule), build)
 
@@ -552,13 +618,18 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     gain), where for a quota rule the coalition-min gain is the q-th
     largest voter gain and for explicit families it is maximized over
     the minimal winning coalitions.  y = x scores 0 and any y the setter
-    does not strictly prefer scores at most 0, so only the alternatives
-    the setter strictly prefers to x are scanned: sorted once by setter
-    value, they are one suffix, and eta_star(x) is the larger of 0 and
-    their best score.  That is O(n * k) for k such alternatives, at most
-    m * (m - 1) / 2 (y, x) pairs in all.  Everything runs on the
-    problem's scaled integers (an int64 array when they fit, Python ints
-    otherwise), and one `Fraction` is built per distinct reported value.
+    does not strictly prefer scores at most 0, so eta_star(x) is the
+    larger of 0 and the best score of the alternatives the setter
+    strictly prefers to x.  `_setter_walk` meets those from the setter's
+    best down, so each later y scores at most its own setter gain, which
+    falls: x's scan ends at the first block whose last alternative's
+    setter gain is no more than the best score so far.  Past the first y
+    whose coalition gain reaches its setter gain that always holds, and
+    on an offset grid it holds at the first alternative for almost every
+    x.  A block's gains take O(n * rows * cols) transient memory, within
+    `_CHUNK_COMPARISONS`.  Everything runs on the problem's scaled
+    integers (an int64 array when they fit, Python ints otherwise), and
+    one `Fraction` is built per distinct reported value.
     """
     delta = parse_rational(delta)
     if delta <= 0:
@@ -580,22 +651,27 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         return MarginReport(delta=delta, gamma_set=(), eta_star={},
                             eta_delta=None, t_bound=0)
 
-    voters, setter = ints.array[:-1], ints.array[-1]
-    order = np.argsort(setter, kind="stable")
-    ranked_setter, ranked_voters = setter[order], voters[:, order]
-    # x falls short of the top, so its suffix is never empty
-    starts = np.searchsorted(ranked_setter, setter[list(gamma)], side="right").tolist()
-    best: dict[int, int] = {}
-    for x, start in zip(gamma, starts):
-        gains = ranked_voters[:, start:] - voters[:, x:x + 1]
+    # one row per policy, one column per voter: each pair's gains are contiguous
+    voters, setter = np.ascontiguousarray(ints.array[:-1].T), ints.array[-1]
+    eta = np.zeros(problem.num_policies, dtype=ints.array.dtype)
+
+    def settle(rows, cols):
+        gains = voters[rows][:, None] - voters[cols]
         if rule.quota is not None:
             kth = rule.n - rule.quota             # the q-th largest gain
-            coalition_gain = np.partition(gains, kth, axis=0)[kth]
+            gains.partition(kth)
+            coalition_gain = gains[..., kth]
         else:
-            coalition_gain = np.array([gains[list(members)].min(axis=0)
+            coalition_gain = np.array([gains[..., list(members)].min(axis=-1)
                                        for members in rule.coalition_members]).max(axis=0)
-        value = np.minimum(ranked_setter[start:] - setter[x], coalition_gain)
-        best[x] = max(int(value.max()), 0)
+        setter_gain = setter[rows][:, None] - setter[cols]
+        best = np.maximum(eta[cols], np.minimum(setter_gain, coalition_gain).max(axis=0))
+        eta[cols] = best
+        # every later y scores at most its own setter gain, no more than the last row's
+        return setter_gain[-1] <= best
+
+    _setter_walk(problem, np.array(gamma), settle)
+    best = {x: int(eta[x]) for x in gamma}
 
     fractions = {v: Fraction(v, ints.scale) for v in set(best.values())}
     low = min(best.values())

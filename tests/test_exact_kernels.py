@@ -13,7 +13,9 @@ audit compares `Fraction` utilities pairwise, and every pairwise or
 improvement query scans voters and policies in Python loops.  Results
 must match exactly: points, utilities, attempt counts, genericity
 errors, violations in the same order, relations, policy sets,
-witnesses, certificates and margins.
+witnesses, certificates and margins.  The favorite-improvement table
+and the margin stop scanning a default once it is settled; 216-node
+grids and a setter tie check that early exit against the full scans.
 
 Problems built from integer rows, grid points and the coplanarity scan
 keep integers and make `Fraction`s only when read: the views must equal
@@ -67,6 +69,7 @@ from agendalab import (
     uniform_margin,
     unimprovable_set,
 )
+from agendalab import problems as problems_module
 from agendalab.distributions import AxiomViolation
 from agendalab.engine import _orbit, _phi_or_table
 from agendalab.grids import GridBuildResult
@@ -857,7 +860,7 @@ def choice_problems(draw, voters=st.integers(1, 5), override_voters=st.sampled_f
 @SETTINGS
 @given(choice_problems(), st.sampled_from((1, 5, 2**16)))
 def test_improvement_queries_match_fraction_reference(case, chunk):
-    # small chunks split the favorite-improvement table into many column blocks
+    # small chunks split the favorite-improvement and margin walks into many blocks
     problem, rule = case
     with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
         assert_queries_match_reference(problem, rule)
@@ -908,6 +911,66 @@ def test_improvement_queries_match_reference_around_64_policies(m):
                                        setter_utilities=strict.setter_utilities,
                                        majority_override=cycle)
     assert_queries_match_reference(override, VotingRule.simple_majority(5))
+
+
+_EARLY_EXIT_RULES = (VotingRule.simple_majority(5), VotingRule.quota_rule(5, 4),
+                     VotingRule.explicit(5, [[0, 1], [1, 2, 3], [4, 0, 2]]))
+
+
+@pytest.mark.parametrize("box, blocked", [(((F(9, 8), F(2)),) * 3, False),
+                                          (((F(1, 4), F(3, 4)),) * 3, True)],
+                         ids=["offset", "interior"])
+def test_setter_walk_matches_reference_on_grids(box, blocked, monkeypatch):
+    # 216 nodes, past one block of the default chunk: every default of the
+    # offset grid settles in the first block, and the interior grid's walks
+    # cross several; either way the early exit reads under m**2 / 3 pairs
+    problem = build_grid(BoxSpace.unit(3), F(1, 3), seed=2,
+                         profile=gen_spatial(3, 5, seed=1, box=box)).problem
+    m = problem.num_policies
+    assert m == 216
+    pairs = []                                  # (y, x) pairs read, one entry per block
+    walk = problems_module._setter_walk
+
+    def counted(problem, defaults, settle):
+        def spy(rows, cols):
+            pairs.append(rows.size * cols.size)
+            return settle(rows, cols)
+        return walk(problem, defaults, spy)
+
+    monkeypatch.setattr(problems_module, "_setter_walk", counted)
+    setter = problem.setter_utilities
+    spread = max(setter) - min(setter)
+    for rule in _EARLY_EXIT_RULES:
+        certificates = [ref_is_improvable(problem, rule, x) for x in range(m)]
+        pairs.clear()
+        assert problems_module._phi_table(problem, rule) == tuple(
+            x if c is None else c.witness for x, c in enumerate(certificates))
+        assert (len(pairs) > 1) == blocked and sum(pairs) < m * m // 3
+        assert [is_improvable(problem, rule, x) for x in range(m)] == certificates
+        assert unimprovable_set(problem, rule) == frozenset(
+            x for x, c in enumerate(certificates) if c is None)
+        for delta in (spread / 20, spread / 3):
+            pairs.clear()
+            assert uniform_margin(problem, rule, delta) == ref_uniform_margin(
+                problem, rule, delta)
+            assert (len(pairs) > 1) == blocked and sum(pairs) < m * m // 3
+
+
+@pytest.mark.parametrize("chunk", (1, 5, 2**16))
+def test_setter_walk_passes_a_lower_index_tie(chunk):
+    # policies 0 and 1 tie at the setter's top; from default 3 a majority
+    # prefers 1 but not 0, so the walk meets 0 first and settles at 1
+    problem = CollectiveChoiceProblem(
+        policies=("a", "b", "c", "d"),
+        voter_utilities=((F(0), F(5), F(1), F(2)), (F(0), F(5), F(1), F(2)),
+                         (F(9), F(0), F(1), F(2))),
+        setter_utilities=(F(3), F(3), F(1), F(0)))
+    rule = VotingRule.simple_majority(3)
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        assert problems_module._phi_table(problem, rule)[3] == 1
+        assert uniform_margin(problem, rule, F(3)).eta_star == {3: F(3)}
+        for quota in (1, 2, 3):
+            assert_queries_match_reference(problem, VotingRule.quota_rule(3, quota))
 
 
 def ref_phi_or_column(problem, rule, x):

@@ -327,6 +327,15 @@ def test_horizon_payoffs_cycle(cycle):
     assert rows_z.u_table[1] == rows_z.u_inf == Fraction(2)
 
 
+def test_horizon_payoffs_refuse_inexact_horizons(cycle):
+    # int(t) made [1.9, True] one horizon of one round; each is refused now
+    y = cycle.policy_index("y")
+    for bad in (1.9, True, 2.0, "3"):
+        with pytest.raises(ValidationError, match="whole number of rounds"):
+            horizon_payoffs(cycle, y, [1, bad])
+    assert set(horizon_payoffs(cycle, y, [2, 1, 2]).u_table) == {1, 2}
+
+
 def test_horizon_payoffs_read_at_most_m_iterates(cycle):
     # phi absorbs within m - 1 steps, so an astronomically long horizon
     # is read at t = m and builds no iterate list of its length

@@ -172,6 +172,25 @@ def test_protocol_equivalence_one_round_trivial(small_corpus):
         assert protocol_equivalence(problem, rule, 1, 0, protocols).all_agree
 
 
+def test_protocol_equivalence_checks_the_budget_before_any_iterate_list(cycle, rule3):
+    # the phi outcome comes from the orbit, which stops at its fixed point,
+    # so a billion rounds reach the oracle's budget check without a list
+    z = cycle.policy_index("z")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            protocol_equivalence(cycle, rule3, 10**9, z, ["amendment"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    tied = CollectiveChoiceProblem(policies=("a", "b"),
+                                   voter_utilities=((Fraction(1), Fraction(1)),) * 3,
+                                   setter_utilities=(Fraction(0), Fraction(1)))
+    with pytest.raises(ValidationError, match="single-valued only under gfa"):
+        protocol_equivalence(tied, rule3, 1, 0, ["amendment"])
+
+
 def test_presets_pass_richness(cycle, rule3):
     for protocol in ("amendment", "successive", "open_rule"):
         game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0,
