@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,14 +38,23 @@ from .problems import (
 # favorite improvement and its orbit
 
 
+def _rounds(count, what: str = "round count", least: int = 1) -> int:
+    """`count` as an int of at least `least`: a bool, float or text count
+    is refused, not truncated.  Every round or step count is read here."""
+    if type(count) is not int and (isinstance(count, bool) or not isinstance(count, Integral)):
+        raise ValidationError(
+            f"refusing {what} {count!r}: a {what} is a whole number of rounds")
+    if count < least:
+        raise ValidationError(f"{what} must be at least {least}, not {count}")
+    return int(count)
+
+
 def _orbit(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
            limit: int) -> list[int]:
     """[x, phi(x), ..., phi^k(x)] up to the first fixed point or k = `limit`.
     phi raises the setter's rank until it fixes a policy, so the entries
     are distinct.  No gfa gate: ties go to the lowest index (`_phi_table`)."""
-    problem.check_policy(x)
-    if limit < 0:
-        raise ValidationError(f"an orbit needs a step count >= 0, not {limit}")
+    x, limit = problem.check_policy(x), _rounds(limit, "step count", 0)
     table = _phi_table(problem, rule)
     orbit = [x]
     while len(orbit) <= limit and table[orbit[-1]] != orbit[-1]:
@@ -91,13 +101,12 @@ def equilibrium_outcome(problem: CollectiveChoiceProblem, rule: VotingRule,
     The steps are the orbit after x0, cut at phi^T.  Every later round
     repeats the fixed point, so the outcome is the last step, or x0.
     """
-    if rounds < 1:
-        raise ValidationError("need at least one round")
+    rounds = _rounds(rounds)
     if not problem.gfa:
         raise ValidationError("equilibrium outcomes are only unique under gfa")
     orbit = _orbit(problem, rule, x0, rounds + 1)     # one past T: is phi^T fixed?
     reached = len(orbit) - 1 if len(orbit) <= rounds + 1 else None
-    return Trajectory(start=x0, steps=tuple(orbit[1:rounds + 1]),
+    return Trajectory(start=orbit[0], steps=tuple(orbit[1:rounds + 1]),
                       fixed_point_reached_at=reached)
 
 
@@ -228,9 +237,7 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
     """
     if not problem.gfa:
         raise ValidationError("the simple equilibrium profile requires gfa")
-    if rounds < 1:
-        raise ValidationError("need at least one round")
-    return _markov_profile(_phi_table(problem, rule), problem._ranks[:-1], rounds,
+    return _markov_profile(_phi_table(problem, rule), problem._ranks[:-1], _rounds(rounds),
                            label="simple-equilibrium")
 
 
@@ -245,8 +252,7 @@ def phi_or(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> frozen
     best over the almost-strict acceptance set.  Nonempty; contains x
     exactly when x is unimprovable.  Reads `_phi_or_table`.
     """
-    problem.check_policy(x)
-    return _phi_or_table(problem, rule)[x]
+    return _phi_or_table(problem, rule)[problem.check_policy(x)]
 
 
 def _phi_or_table(problem: CollectiveChoiceProblem,
@@ -291,9 +297,7 @@ class OutcomeBounds:
 
 def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
                       x0: int, rounds: int, budget: int = 200_000) -> OutcomeBounds:
-    if rounds < 1:
-        raise ValidationError("need at least one round")
-    problem.check_policy(x0)
+    rounds, x0 = _rounds(rounds), problem.check_policy(x0)
     correspondence = [sorted(members) for members in _phi_or_table(problem, rule)]
     setter = problem._ranks[-1].tolist()
     ticks = count(1)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .engine import _orbit
+from .engine import _orbit, _rounds
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, _memoized, _phi_table
 
@@ -46,7 +45,7 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
     the setter can walk without commitment.
     Only "k_reachable" reads `k`; any other mode refuses one.
     """
-    problem.check_policy(x0)
+    x0 = problem.check_policy(x0)
     if k is not None and mode != "k_reachable":
         raise ValidationError(f"k is read only by mode 'k_reachable', not {mode!r}")
     if mode == "two_reachable":
@@ -199,14 +198,7 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
     """
     if not problem.gfa:
         raise ValidationError("horizon payoffs require gfa")
-    t_list = list(t_list)
-    for t in t_list:
-        if isinstance(t, bool) or not isinstance(t, Integral):
-            raise ValidationError(
-                f"refusing horizon {t!r}: a horizon is a whole number of rounds")
-    t_list = sorted({int(t) for t in t_list})
-    if t_list and t_list[0] < 1:
-        raise ValidationError("horizons start at one round")
+    t_list = sorted({_rounds(t, "horizon") for t in t_list})
     # every round past the orbit's end repeats its fixed point
     orbit = _orbit(problem, problem._majority_rule, x0, max(t_list, default=0))
     table = {t: problem.setter_utilities[orbit[min(t, len(orbit) - 1)]] for t in t_list}

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .engine import StrategyProfile, _orbit
+from .engine import StrategyProfile, _orbit, _rounds
 from .errors import (
     BudgetExceededError,
     RichnessError,
@@ -88,9 +88,9 @@ class GameSpec:
     protocol: Protocol = "amendment"
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("horizon must be at least one round")
-        self.problem.check_policy(self.initial_default)
+        object.__setattr__(self, "horizon", _rounds(self.horizon, "horizon"))
+        object.__setattr__(self, "initial_default",
+                           self.problem.check_policy(self.initial_default))
         if self.rule.n != self.problem.n:
             raise ValidationError(
                 f"rule is for {self.rule.n} voters, problem has {self.problem.n}")

@@ -19,7 +19,8 @@ blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
 come only from `_wins_table`, and the setter's optimum and
 certificate coalitions read rank columns.  The oracle never
 reads the favorite-improvement table.  The ranks are built from the
-scaled integers `_ints`; only the uniform margin reads those directly.
+scaled integers `_ints` by one kernel, `_dense_ranks`; only the uniform
+margin reads those integers directly.
 What is derived once per problem lives in its one `_memo`, through
 `_memoized`.
 
@@ -30,10 +31,12 @@ still open; a default leaves as soon as its answer is settled, which on
 a large grid is mostly at the first alternative or the first few.
 Every block keeps n * rows * cols <= `_CHUNK_COMPARISONS`.
 
-A problem built from integer rows (`_scaled_problem`, used by every
-grid, distribution, spatial and realization builder) keeps those
-integers as its data: its `Fraction` utility fields are views, each
-made on first read, and no kernel reads them.
+Each problem is compiled once, when it is made: both constructors end
+in `_compile`, which keeps `_ints`, `n` and `_ranks`.  A problem built
+from integer rows (`_scaled_problem`, used by every grid, distribution,
+spatial and realization builder) keeps those integers as its data: its
+`Fraction` utility fields are views, each made on first read, and no
+kernel reads them.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -196,10 +200,10 @@ class CollectiveChoiceProblem:
     `gfa` asserts the generic-finite-alternatives regime: odd voter
     count and no within-row utility ties for any player.
 
-    The constructor keeps the `Fraction` rows it is given and compiles
-    `_ints` from them when first needed.  A problem built from integer
-    rows (`_scaled_problem`) keeps those integers instead, and its two
-    utility fields are `Fraction` views of them, each made on first
+    Both constructors end in `_compile`, when the problem is made: the
+    public one compiles the `Fraction` rows it is given (a float or text
+    utility is refused), and `_scaled_problem` keeps its integer rows,
+    whose two utility fields are `Fraction` views, each made on first
     read; equality, hashing and repr read the fields, so the two kinds
     of problem are interchangeable.
     """
@@ -213,12 +217,14 @@ class CollectiveChoiceProblem:
     gfa: bool = False
 
     def __post_init__(self):
-        self._check_rows((*self.voter_utilities, self.setter_utilities))
+        self._compile(ScaledInts((*self.voter_utilities, self.setter_utilities)))
 
-    def _check_rows(self, rows) -> None:
-        """Shape and gfa checks on the utility rows, voters first, setter last
-        (either kind: `Fraction` fields or the integers of `_ints`)."""
-        m = len(self.policies)
+    def _compile(self, ints: ScaledInts) -> None:
+        """Check the shapes of the integer rows of `ints` (voters first,
+        the setter last), then keep them as `_ints`, with the voter count
+        `n` and the (n+1) x m dense ranks `_ranks` (`_dense_ranks`), and
+        run the gfa check on those ranks."""
+        rows, m = ints.vectors, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
         if len(set(self.policies)) != m:
@@ -234,13 +240,16 @@ class CollectiveChoiceProblem:
                     f"voter {i + 1} utility row has {len(row)} entries, expected {m}")
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
+        n, ranks = len(rows) - 1, _dense_ranks(ints.array)
+        for name, value in (("_ints", ints), ("n", n), ("_ranks", ranks)):
+            object.__setattr__(self, name, value)
         if self.gfa:
-            if self.n % 2 == 0:
+            if n % 2 == 0:
                 raise ValidationError("gfa requires an odd number of voters")
             # a row without ties reaches dense rank m - 1
-            for i, top in enumerate(self._ranks.max(axis=1).tolist()):
+            for i, top in enumerate(ranks.max(axis=1).tolist()):
                 if top != m - 1:
-                    name = f"voter {i + 1}" if i < self.n else "agenda setter"
+                    name = f"voter {i + 1}" if i < n else "agenda setter"
                     raise ValidationError(f"gfa requires strict preferences; {name} has ties")
 
     # -- basic views --------------------------------------------------------
@@ -249,11 +258,6 @@ class CollectiveChoiceProblem:
     def num_policies(self) -> int:
         return len(self.policies)
 
-    @cached_property
-    def n(self) -> int:
-        """The voter count; `_scaled_problem` seeds it from its integer rows."""
-        return len(self.voter_utilities)
-
     def policy_index(self, label: str) -> int:
         try:
             return self.policies.index(label)
@@ -261,9 +265,12 @@ class CollectiveChoiceProblem:
             raise ValidationError(f"unknown policy label {label!r}") from None
 
     def check_policy(self, x: int) -> int:
+        """x as an int policy index; a bool, float or text index is refused."""
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
+            raise ValidationError(f"refusing policy index {x!r}: an index is a whole number")
         if not 0 <= x < self.num_policies:
             raise ValidationError(f"policy index {x} out of range")
-        return x
+        return int(x)
 
     @cached_property
     def setter_max(self) -> Fraction:
@@ -276,28 +283,6 @@ class CollectiveChoiceProblem:
         return frozenset(np.flatnonzero(setter == setter.max()).tolist())
 
     # -- compiled forms ------------------------------------------------------
-
-    @cached_property
-    def _ints(self) -> ScaledInts:
-        """Voter rows, then the setter's, on one integer scale: compiled
-        from the `Fraction` fields of a constructed problem, and the
-        stored data itself of one built by `_scaled_problem`."""
-        rows = [list(r) for r in self.voter_utilities] + [list(self.setter_utilities)]
-        return ScaledInts(rows)
-
-    @cached_property
-    def _ranks(self) -> np.ndarray:
-        """(n+1) x m dense per-row ranks, voters first, then the setter.
-
-        Rank k is the row's k-th smallest distinct utility, so comparing
-        ranks within a row is comparing utilities, exactly.
-        """
-        out = np.empty((self.n + 1, self.num_policies), dtype=np.int64)
-        for i, row in enumerate(self._ints.vectors):
-            position = {v: k for k, v in enumerate(sorted(set(row)))}
-            out[i] = [position[v] for v in row]
-        out.flags.writeable = False
-        return out
 
     @cached_property
     def _beats(self) -> np.ndarray:
@@ -341,11 +326,28 @@ def _scaled_problem(policies, rows, denominator: int,
     integers as its `_ints` and builds no `Fraction`: its utility fields
     are views made on first read, and it equals the problem the public
     constructor makes from them."""
-    ints = ScaledInts.from_scaled(rows, denominator)
     problem = _assemble(CollectiveChoiceProblem, policies=tuple(policies),
-                        majority_override=None, gfa=gfa, _ints=ints, n=len(ints.vectors) - 1)
-    problem._check_rows(ints.vectors)
+                        majority_override=None, gfa=gfa)
+    problem._compile(ScaledInts.from_scaled(rows, denominator))
     return problem
+
+
+def _dense_ranks(array: np.ndarray) -> np.ndarray:
+    """Read-only dense per-row ranks of a 2-D integer array (int64, or
+    Python ints of object dtype, one path): rank k is the row's k-th
+    smallest distinct value, so comparing ranks within a row is comparing
+    values, exactly.  Each row is sorted once (stable `argsort`); a rank
+    steps up wherever adjacent sorted values differ, and the running
+    count goes back to the sorted positions."""
+    order = array.argsort(axis=1, kind="stable")
+    rows = np.arange(array.shape[0])[:, None]
+    ordered = array[rows, order]
+    steps = np.zeros(array.shape, dtype=np.int64)
+    steps[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ranks = np.empty_like(steps)
+    ranks[rows, order] = steps.cumsum(axis=1)
+    ranks.flags.writeable = False
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +552,7 @@ def acceptance_set(problem: CollectiveChoiceProblem, rule: VotingRule,
     mode "almost_strict": the strict set plus x itself; on finite spaces
     the closure operation degenerates to exactly this.
     """
-    problem.check_policy(x)
+    x = problem.check_policy(x)
     if mode not in ("strict", "weak", "almost_strict"):
         raise ValidationError(f"unknown acceptance mode {mode!r}")
     _require_rule(problem, rule)
@@ -568,7 +570,7 @@ def is_improvable(problem: CollectiveChoiceProblem, rule: VotingRule,
     broken by lowest policy index.  Relation-override problems get a
     certificate without a voter coalition (votes are relation-level).
     """
-    problem.check_policy(x)
+    x = problem.check_policy(x)
     best = _phi_table(problem, rule)[x]
     if best == x:
         return None

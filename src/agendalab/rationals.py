@@ -137,7 +137,8 @@ class _FractionView:
 
 def _assemble(cls, **fields):
     """An instance of `cls` holding `fields`, made without `__init__`: a builder
-    holding integers leaves the `_FractionView` fields unset, then runs the checks."""
+    holding integers leaves the `_FractionView` fields unset, then runs the checks
+    (a problem's or profile's `_compile`)."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)

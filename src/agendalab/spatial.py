@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Optional
@@ -36,9 +35,11 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """Ideal points for n voters (first) and the agenda setter (last).  A
-    profile drawn by `gen_spatial` keeps its integers as `_ints`, and its
-    `ideal_points` is a view of them, equal to what the constructor keeps."""
+    """Ideal points for n voters (first) and the agenda setter (last),
+    compiled when the profile is made (`_compile`), so a float or text
+    coordinate is refused then.  A profile drawn by `gen_spatial` keeps
+    its integers, and its `ideal_points` is a view of them, equal to what
+    the constructor keeps."""
 
     dim: int
     ideal_points: tuple[Point, ...] = _FractionView(
@@ -46,11 +47,13 @@ class SpatialProfile:
     box: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        self._check(self.ideal_points)
+        self._compile(ScaledInts(self.ideal_points))
 
-    def _check(self, points) -> None:
-        """Shape checks on the ideal points (`Fraction`s or `_ints` rows), and
-        the box, which is kept parsed (`parse_box`)."""
+    def _compile(self, ints: ScaledInts) -> None:
+        """Check the shapes of the ideal points' integer rows `ints` and of
+        the box, then keep `ints` as `_ints`, which every spatial kernel
+        reads, and the box parsed (`parse_box`)."""
+        points = ints.vectors
         if self.dim < 1:
             raise ValidationError("dimension must be at least 1")
         if len(points) < 2:
@@ -60,6 +63,7 @@ class SpatialProfile:
         if len(self.box) != self.dim:
             raise ValidationError("box bounds dimension mismatch")
         object.__setattr__(self, "box", parse_box(self.box))
+        object.__setattr__(self, "_ints", ints)
 
     @property
     def n_voters(self) -> int:
@@ -68,12 +72,6 @@ class SpatialProfile:
     @property
     def setter_ideal(self) -> Point:
         return self.ideal_points[-1]
-
-    @cached_property
-    def _ints(self) -> ScaledInts:
-        """The ideal points as integer numerators over one denominator, compiled
-        once unless drawn by `gen_spatial`: every spatial kernel reads these."""
-        return ScaledInts(self.ideal_points)
 
     def utility(self, player: int, point: Point) -> Fraction:
         """-1/2 squared distance from the player's ideal point: one `scaled_rows` entry."""
@@ -133,9 +131,8 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
         ranges.append((lo_k, hi_k + 1))
     rng = random.Random(seed)
     rows = [tuple(rng.randrange(*bounds) for bounds in ranges) for _ in range(n + 1)]
-    profile = _assemble(SpatialProfile, dim=d, box=box,
-                        _ints=ScaledInts.from_scaled(rows, COORD_DENOM))
-    profile._check(rows)
+    profile = _assemble(SpatialProfile, dim=d, box=box)
+    profile._compile(ScaledInts.from_scaled(rows, COORD_DENOM))
     return profile
 
 

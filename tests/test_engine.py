@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,38 @@ def test_phi_requires_gfa_or_acknowledged_ties():
 def test_phi_iterates_refuses_a_negative_count(cycle, rule3):
     with pytest.raises(ValidationError, match="step count"):
         phi_iterates(cycle, rule3, 0, -1)
+
+
+# each entry point that reads a policy index or a round count, given `bad`
+_INDEX_AND_COUNT_READERS = {
+    "is_improvable index": lambda p, r, bad: is_improvable(p, r, bad),
+    "GameSpec initial_default": lambda p, r, bad: GameSpec(
+        problem=p, rule=r, horizon=2, initial_default=bad),
+    "GameSpec horizon": lambda p, r, bad: GameSpec(
+        problem=p, rule=r, horizon=bad, initial_default=0),
+    "_orbit limit": lambda p, r, bad: _orbit(p, r, 0, bad),
+    "equilibrium_outcome rounds": lambda p, r, bad: equilibrium_outcome(p, r, 0, bad),
+    "phi_iterates count": lambda p, r, bad: phi_iterates(p, r, 0, bad),
+    "nc_outcome_bounds rounds": lambda p, r, bad: nc_outcome_bounds(p, r, 0, bad),
+    "simple_equilibrium_profile rounds": lambda p, r, bad: simple_equilibrium_profile(p, r, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "1"])
+@pytest.mark.parametrize("reader", sorted(_INDEX_AND_COUNT_READERS))
+def test_policy_indices_and_round_counts_must_be_whole_numbers(reader, bad, cycle, rule3):
+    # True ran as index or count 1, 2.5 raised a raw TypeError or walked the
+    # budget out, and a GameSpec kept either
+    with pytest.raises(ValidationError, match=rf"^refusing [a-z_ ]+ {re.escape(repr(bad))}: "):
+        _INDEX_AND_COUNT_READERS[reader](cycle, rule3, bad)
+
+
+def test_numpy_integers_are_read_as_ints(cycle, rule3):
+    trajectory = equilibrium_outcome(cycle, rule3, np.int64(2), np.int64(3))
+    assert trajectory == equilibrium_outcome(cycle, rule3, 2, 3)
+    assert type(trajectory.start) is int
+    game = GameSpec(problem=cycle, rule=rule3, horizon=np.int64(2), initial_default=np.int8(1))
+    assert (type(game.horizon), type(game.initial_default)) == (int, int)
 
 
 def test_phi_fixed_point_iff_unimprovable(small_corpus):

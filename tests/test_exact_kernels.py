@@ -32,6 +32,7 @@ from itertools import combinations
 from math import ceil, isqrt
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,16 @@ def _ref_problem(rows, n_voters):
     labels = tuple(f"n{i}" for i in range(len(rows[0])))
     return CollectiveChoiceProblem(policies=labels, voter_utilities=tuple(rows[:-1]),
                                    setter_utilities=rows[-1], gfa=n_voters % 2 == 1)
+
+
+def ref_dense_ranks(rows):
+    """Dense per-row ranks by a Python scan over each row's sorted distinct
+    values: the loop that `problems._dense_ranks` replaced."""
+    ranks = []
+    for row in rows:
+        position = {v: k for k, v in enumerate(sorted(set(row)))}
+        ranks.append([position[v] for v in row])
+    return ranks
 
 
 def _ref_spatial_rows(profile, points):
@@ -1038,6 +1049,44 @@ def test_scaled_problem_equals_the_constructed_problem(case, read_first):
     assert (got.voter_utilities, got.setter_utilities) == (tuple(voters), setter)
     assert dataclasses.replace(got, policies=tuple(reversed(labels))) == dataclasses.replace(
         want, policies=tuple(reversed(labels)))
+
+
+def _seeded_rows(low, high, m, seed):
+    """Six seeded integer rows of m values in [low, high]: five voters, then
+    the setter."""
+    rng = random.Random(f"{low}:{high}:{m}:{seed}")
+    return [[rng.randint(low, high) for _ in range(m)] for _ in range(6)]
+
+
+# (low, high): tie-heavy, negative, wide int64, and past 2**62 (object dtype)
+_RANK_RANGES = [(-2, 2), (-9, -5), (-10**12, 10**12), (2**62, 2**62 + 3), (-2**90, 2**90)]
+_RANK_IDS = ["ties", "negative", "wide", "ties-past-2^62", "past-int64"]
+
+
+@pytest.mark.parametrize("low, high", _RANK_RANGES, ids=_RANK_IDS)
+@pytest.mark.parametrize("m", [1, 2, 9, 40])
+def test_dense_ranks_match_the_python_scan(low, high, m):
+    for seed in range(3):
+        rows = _seeded_rows(low, high, m, seed)
+        array = ScaledInts.from_scaled(rows, 1).array
+        assert array.dtype == (np.int64 if max(-low, high) < 2**62 else object)
+        ranks = problems_module._dense_ranks(array)
+        assert ranks.dtype == np.int64 and not ranks.flags.writeable
+        assert ranks.tolist() == ref_dense_ranks(rows)
+
+
+@pytest.mark.parametrize("low, high", _RANK_RANGES, ids=_RANK_IDS)
+@pytest.mark.parametrize("denominator", [1, 6, 2**40])
+def test_both_constructors_compile_the_same_ranks(low, high, denominator):
+    rows = _seeded_rows(low, high, 7, denominator)
+    labels = tuple(f"x{i}" for i in range(7))
+    *voters, setter = fraction_rows(rows, denominator)
+    built = CollectiveChoiceProblem(policies=labels, voter_utilities=tuple(voters),
+                                    setter_utilities=setter)
+    scaled = _scaled_problem(labels, rows, denominator)
+    assert built.n == scaled.n == 5
+    assert built._ints.scale == scaled._ints.scale
+    assert built._ranks.tolist() == scaled._ranks.tolist() == ref_dense_ranks(rows)
 
 
 def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):

@@ -79,7 +79,6 @@ def _large_gfa_problem(m, n):
         voter_utilities=tuple(tuple(Fraction(v) for v in rng.sample(range(m), m))
                               for _ in range(n)),
         setter_utilities=tuple(Fraction(v) for v in rng.sample(range(m), m)), gfa=True)
-    problem._ranks                                # compiled before the measurement
     return problem
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from agendalab import (
     CollectiveChoiceProblem,
+    GameSpec,
     TournamentSpec,
     UnsupportedCombinationError,
     ValidationError,
@@ -18,15 +20,18 @@ from agendalab import (
     favorite_improvement,
     is_improvable,
     is_manipulable,
+    mcgarvey_realize,
     phi_iterates,
     phi_or,
     reachability,
+    simple_equilibrium_profile,
     uniform_margin,
     unimprovable_set,
+    verify_profile,
 )
 from agendalab.factories import gen_random_gfa
-from agendalab.fixtures import blocked_default_realized
-from agendalab.tournaments import derive_tournament
+from agendalab.fixtures import blocked_default_realized, blocked_tournament
+from agendalab.tournaments import derive_tournament, relabel
 
 from references import ref_margin, ref_support_mask
 
@@ -111,12 +116,11 @@ def test_problem_validation():
 
 
 def test_float_utilities_are_refused():
-    # 0.5 is exact, but a float utility is refused by name at the first kernel call
-    problem = CollectiveChoiceProblem(policies=("a", "b"),
-                                      voter_utilities=((Fraction(1), 0.5),),
-                                      setter_utilities=(Fraction(1), Fraction(2)))
+    # 0.5 is exact, but a float utility is refused by name when the problem is made
     with pytest.raises(ValidationError, match="0.5"):
-        is_manipulable(problem, VotingRule.simple_majority(1))
+        CollectiveChoiceProblem(policies=("a", "b"),
+                                voter_utilities=((Fraction(1), 0.5),),
+                                setter_utilities=(Fraction(1), Fraction(2)))
 
 
 BIG = Fraction(2**70, 3)
@@ -176,6 +180,36 @@ def test_queries_reject_a_rule_for_another_voter_count(query, rule):
     problem = gen_random_gfa(5, 3, seed=1)
     with pytest.raises(ValidationError, match="rule is for"):
         query(problem, rule)
+
+
+# per case: call(cycle, blocked, rule), the error it raises and that error's message
+_REFUSALS = {
+    "policy_index of an unknown label": (
+        lambda cycle, blocked, rule: cycle.policy_index("nope"),
+        ValidationError, "unknown policy label 'nope'"),
+    "acceptance_set in an unknown mode": (
+        lambda cycle, blocked, rule: acceptance_set(cycle, rule, 0, "loose"),
+        ValidationError, "unknown acceptance mode 'loose'"),
+    "verify_profile on an override problem": (
+        lambda cycle, blocked, rule: verify_profile(
+            GameSpec(problem=blocked, rule=rule, horizon=1, initial_default=0),
+            simple_equilibrium_profile(cycle, rule, 1)),
+        UnsupportedCombinationError,
+        "profiles are voted per voter; relation-override problems unsupported"),
+    "relabel with too few labels": (
+        lambda cycle, blocked, rule: relabel(cycle, ("a", "b", "c")),
+        ValidationError, "label count mismatch"),
+    "mcgarvey_realize with a short setter row": (
+        lambda cycle, blocked, rule: mcgarvey_realize(blocked_tournament(), [3, 2, 1]),
+        ValidationError, "setter utility vector length mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals_name_their_cause(case, cycle, blocked, rule3):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(cycle, blocked, rule3)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +377,6 @@ def test_improvement_queries_never_build_a_policy_by_policy_table():
     # only the cached strict majority relation may spend
     m = 3001
     problem = gen_random_gfa(m, 5, seed=3)
-    problem._ranks                              # compiled outside the trace
     tracemalloc.start()
     try:
         report = is_manipulable(problem, VotingRule.simple_majority(5))

@@ -9,6 +9,7 @@ import pytest
 
 from agendalab import ValidationError, VotingRule, simple_equilibrium_profile
 from agendalab.cli import main
+from agendalab.distributions import pork_barrel_problem
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_problem, majority_cycle_problem
 from agendalab.serialize import (
@@ -231,6 +232,38 @@ def test_cli_grid_and_dist(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["policies"] == 35 and payload["audit_passes"] is False
     assert payload["clean_policies"] == 4
+
+
+def test_cli_dist_pork_and_transfers(tmp_path, capsys):
+    pork_path = tmp_path / "pork.json"
+    assert main(["dist", "pork", "--projects", "1:1/2;1/2:0", "--voters", "1", "--m", "2",
+                 "--audit", "--out", str(pork_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["policies"] == 21 and payload["written_to"] == str(pork_path)
+    assert load_problem(pork_path) == pork_barrel_problem([(F(1), F(1, 2)), (F(1, 2), F(0))],
+                                                          2, 1)
+    assert main(["dist", "transfers", "--base", str(pork_path), "--m", "2", "--audit"]) == 0
+    assert json.loads(capsys.readouterr().out)["policies"] == 6
+
+
+def test_cli_dist_pork_refuses_a_project_without_a_colon(capsys):
+    assert main(["dist", "pork", "--projects", "x", "--m", "2"]) == 1
+    assert "project 'x' is not B:C" in capsys.readouterr().err
+
+
+def test_cli_spatial_check_reports_a_coplanar_quadruple(tmp_path, capsys):
+    # the setter's ideal point repeats voter 1's, so the four points are
+    # coplanar in every projection: exit 2 with the first violation
+    assert main(["spatial", "generate", "--dim", "3", "--voters", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["ideal_points"][3] = doc["ideal_points"][0]
+    path = tmp_path / "coplanar.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spatial", "check", "--profile", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"passes": False, "violation": {"dims": [0, 1, 2],
+                                                      "players": [0, 1, 2, 3],
+                                                      "determinant": "0"}}
 
 
 def test_cli_realize(tmp_path, capsys):

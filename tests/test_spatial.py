@@ -229,9 +229,8 @@ def test_points_must_be_exact_with_one_coordinate_per_axis():
 
 def test_float_ideal_and_coplanarity_points_are_refused():
     quad = ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-    profile = SpatialProfile(dim=3, ideal_points=quad, box=((F(0), F(1)),) * 3)
     with pytest.raises(ValidationError, match="0.5"):
-        check_noncoplanarity(profile)
+        SpatialProfile(dim=3, ideal_points=quad, box=((F(0), F(1)),) * 3)
     with pytest.raises(ValidationError, match="0.5"):
         coplanarity_form(*quad)
 

@@ -68,6 +68,13 @@ def test_small_suite_roundup():
         assert record.summary["failed"] == 0, (suite, record.rows)
 
 
+def test_thm8_case_a_row_passes():
+    # the pinned thm8 run has only case-b rows; seed 9 draws one case-a problem
+    record = run_suite("thm8", seed=9, samples=1)
+    assert [row["case"] for row in record.rows] == ["a"]
+    assert record.rows[0]["pass"] is True and record.summary["failed"] == 0
+
+
 def test_record_files_written(tmp_path):
     record = run_suite("fixtures", out_dir=str(tmp_path))
     assert record.summary["failed"] == 0
