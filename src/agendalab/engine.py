@@ -22,11 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import problems
 from .errors import BudgetExceededError, ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
-    _column_chunks,
     _memoized,
     _phi_table,
     _require_rule,
@@ -257,22 +257,30 @@ def phi_or(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> frozen
 
 def _phi_or_table(problem: CollectiveChoiceProblem,
                   rule: VotingRule) -> tuple[frozenset[int], ...]:
-    """`phi_or` at every default, built once per rule from the strict and
-    the weak `_wins` blocks of each of `_column_chunks`."""
+    """`phi_or` at every default, built once per rule.  The bar at x is the
+    setter rank of phi(x) (`_phi_table`), ties included, so x's members are
+    the weak winners in the prefix of the setter order down to that rank.
+    Defaults with equal prefixes share weak `_wins` blocks, each of the
+    prefix against at most `_CHUNK_COMPARISONS` / (n * prefix) defaults
+    (one at least); on a grid most prefixes are a few alternatives long."""
     _require_rule(problem, rule)
 
     def build():
         setter = problem._ranks[-1]
-        table: list[frozenset[int]] = []
-        for cols in _column_chunks(problem):
-            strict = _wins(problem, rule, cols)
-            bar = np.maximum(np.where(strict, setter[:, None], -1).max(axis=0), setter[cols])
-            members = _wins(problem, rule, cols, weak=True) & (setter[:, None] >= bar)
-            # the member rows of each column, column by column
-            rows = np.nonzero(members.T)[1].tolist()
-            ends = np.cumsum(np.count_nonzero(members, axis=0)).tolist()
-            table.extend(frozenset(rows[start:end])
-                         for start, end in zip([0] + ends, ends))
+        order = (-setter).argsort(kind="stable")
+        # how many alternatives the setter ranks at or above each bar
+        prefix = np.searchsorted(-setter[order], -setter[list(_phi_table(problem, rule))],
+                                 side="right")
+        table: list = [None] * problem.num_policies
+        by_prefix = prefix.argsort(kind="stable")
+        for group in np.split(by_prefix, np.flatnonzero(np.diff(prefix[by_prefix])) + 1):
+            rows = order[:prefix[group[0]]]
+            width = max(1, problems._CHUNK_COMPARISONS // (problem.n * rows.size))
+            for start in range(0, group.size, width):
+                cols = group[start:start + width]
+                members = _wins(problem, rule, cols, weak=True, rows=rows)
+                for x, column in zip(cols.tolist(), members.T):
+                    table[x] = frozenset(rows[column].tolist())
         return tuple(table)
 
     return _memoized(problem, ("phi_or", rule), build)

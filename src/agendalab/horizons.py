@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import _orbit, _rounds
 from .errors import InternalInvariantError, ValidationError
-from .problems import CollectiveChoiceProblem, _memoized, _phi_table
+from .problems import CollectiveChoiceProblem, _memoized, _phi_table, _wins, _wins_table
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,10 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         raise ValidationError(f"k is read only by mode 'k_reachable', not {mode!r}")
     if mode == "two_reachable":
         mode, k = "k_reachable", 2
-    if mode == "k_reachable" and (k is None or k < 0):
-        raise ValidationError("k_reachable needs k >= 0")
+    if mode == "k_reachable":
+        if k is None:
+            raise ValidationError("k_reachable needs k >= 0")
+        k = _rounds(k, "step count", 0)
     if mode in ("k_reachable", "reachable"):
         parent = _bfs(problem, x0, k if mode == "k_reachable" else None)
         best = min(parent, key=lambda y: (-problem._ranks[-1][y], y))
@@ -77,7 +79,7 @@ def _bfs(problem, x0, depth=None) -> dict:
     Returns each reached policy's parent (None for x0); the keys are the
     reachable set, and parents unwind to shortest chains.
     """
-    majority = problem._majority
+    majority = _wins_table(problem, problem._majority_rule)
     parent = {x0: None}
     layer, steps = [x0], 0
     while layer and (depth is None or steps < depth):
@@ -110,12 +112,6 @@ class StableSetReport:
     uniqueness_certified: bool
 
 
-def _dominance(problem):
-    """[y, x]: y dominates x, a strict setter gain and a strict majority win."""
-    setter = problem._ranks[-1]
-    return problem._majority & (setter[:, None] > setter[None, :])
-
-
 def stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
     """The unique internally and externally stable set under dominance.
 
@@ -123,7 +119,8 @@ def stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
     refines the setter's strict order and is acyclic; a finite acyclic
     relation has exactly one stable set (von Neumann & Morgenstern 1944;
     Richardson, Annals of Math. 58, 1953).  A greedy scan in decreasing
-    setter utility builds it, and two O(m^2) checks certify it at every m.
+    setter utility builds it from the dominance row of each member it
+    admits, and |S| x m checks on the member rows certify it at every m.
 
     Problems outside gfa are refused: their stable set is unique too, but
     ψ's lowest-index tie-break and the horizon identities that read it
@@ -138,41 +135,47 @@ def stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
 
 
 def _stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
-    setter = problem._ranks[-1]
-    dominates = _dominance(problem)
+    setter, rule = problem._ranks[-1], problem._majority_rule
+    dominated = np.zeros(problem.num_policies, dtype=bool)
     admitted: list[int] = []
     for x in np.argsort(-setter, kind="stable").tolist():
-        if not dominates[admitted, x].any():
+        if not dominated[x]:
             admitted.append(x)
-    _certify_stable(dominates, admitted)
-    members = frozenset(admitted)
+            dominated |= _wins(problem, rule, slice(None), rows=[x])[0] & (setter[x] > setter)
+    rows = np.array(sorted(admitted))
 
-    # psi(x): the setter's best member that is x or beats x, lowest index on
-    # ties; [k, x] below is "member k is x or beats x", true for some k
-    rows = np.array(sorted(members))
-    candidate = (problem._majority | np.eye(problem.num_policies, dtype=bool))[rows]
+    # psi(x): the setter's best member that is x or dominates x, lowest index
+    # on ties; [k, x] below is "member k is x or dominates x", true for some k
+    candidate = _certify_stable(problem, rows) | (rows[:, None] == np.arange(len(setter)))
     best = np.where(candidate, setter[rows, None], -1).argmax(axis=0)
     psi = dict(enumerate(rows[best].tolist()))
-    return StableSetReport(members=members, psi_table=psi, uniqueness_certified=True)
+    return StableSetReport(members=frozenset(admitted), psi_table=psi,
+                           uniqueness_certified=True)
 
 
-def _certify_stable(dominates: np.ndarray, members) -> None:
+def _certify_stable(problem: CollectiveChoiceProblem, members) -> np.ndarray:
     """Raise unless `members` is internally stable (no member dominates a
     member) and externally stable (a member dominates every non-member)
-    under the acyclic `dominates`, which then has no other stable set."""
-    inside = np.zeros(len(dominates), dtype=bool)
-    inside[list(members)] = True
-    dominated = dominates[inside].any(axis=0)
+    under the acyclic dominance relation, which then has no other stable
+    set.  Reads and returns only the members' rows: [k, x] is "the k-th
+    lowest member dominates x"."""
+    setter, rows = problem._ranks[-1], np.array(sorted(members), dtype=np.int64)
+    dominates = (_wins(problem, problem._majority_rule, slice(None), rows=rows)
+                 & (setter[rows, None] > setter))
+    inside = np.zeros(len(setter), dtype=bool)
+    inside[rows] = True
+    dominated = dominates.any(axis=0)
     if (dominated & inside).any():
         x = int(np.flatnonzero(dominated & inside)[0])
-        y = int(np.flatnonzero(dominates[:, x] & inside)[0])
+        y = int(rows[np.flatnonzero(dominates[:, x])[0]])
         raise InternalInvariantError(
-            f"stable set {sorted(members)} is not internally stable: {y} dominates {x}")
+            f"stable set {rows.tolist()} is not internally stable: {y} dominates {x}")
     if not (dominated | inside).all():
         x = int(np.flatnonzero(~(dominated | inside))[0])
         raise InternalInvariantError(
-            f"stable set {sorted(members)} is not externally stable: "
+            f"stable set {rows.tolist()} is not externally stable: "
             f"no member dominates {x}")
+    return dominates
 
 
 # ---------------------------------------------------------------------------

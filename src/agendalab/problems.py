@@ -14,11 +14,13 @@ many proposal rounds the setter needs.
 Every ordinal query reads dense per-row ranks, small integers at any
 utility magnitude.  `_wins` ("does a winning coalition prefer y to
 x?") alone turns ranks, or a majority override, into that relation;
-acceptance sets and the favorite-improvement table are read from its
-blocks, whole m x m tables (`_majority`, the oracle's weak vote table)
-come only from `_wins_table`, and the setter's optimum and
-certificate coalitions read rank columns.  The oracle never
-reads the favorite-improvement table.  The ranks are built from the
+acceptance sets, the favorite-improvement table, the one-round
+improvement correspondence and the stable set are read from its blocks
+or rows, and the setter's optimum and certificate coalitions read rank
+columns.  A whole m x m table comes only from `_wins_table`, for the
+kernels that read every pair: reachability and tournaments (the strict
+majority relation) and the oracle (its weak vote table).  The oracle
+never reads the favorite-improvement table.  The ranks are built from the
 scaled integers `_ints` by one kernel, `_dense_ranks`; only the uniform
 margin reads those integers directly.
 What is derived once per problem lives in its one `_memo`, through
@@ -300,8 +302,9 @@ class CollectiveChoiceProblem:
         """Results already derived from this problem, read only through
         `_memoized`: by ("phi", rule) the favorite-improvement table, by
         ("phi_or", rule) the one-round improvement correspondence at every
-        default, by ("wins", rule, weak) a whole `_wins` table, by ("rows",
-        rule, preset) the oracle's backward rows and by ("stable_set",) the
+        default, by ("wins", rule, weak) a whole `_wins` table (built only
+        by reachability, tournaments and the oracle), by ("rows", rule,
+        preset) the oracle's backward rows and by ("stable_set",) the
         stable-set report."""
         return {}
 
@@ -310,13 +313,6 @@ class CollectiveChoiceProblem:
         """Quota n//2 + 1: more than half of the voters, at any voter count
         (an override problem reads its tournament whatever the count)."""
         return VotingRule.quota_rule(self.n, self.n // 2 + 1)
-
-    @property
-    def _majority(self) -> np.ndarray:
-        """[y, x]: more than half of the voters strictly prefer y to x, or
-        the override says y beats x (at any voter count): the strict
-        `_wins_table` of `_majority_rule`."""
-        return _wins_table(self, self._majority_rule)
 
 
 def _scaled_problem(policies, rows, denominator: int,
@@ -419,8 +415,9 @@ def _wins(problem: CollectiveChoiceProblem, rule: VotingRule, cols,
 
     A majority override *is* the relation; a tournament resolves every
     pair of distinct policies, so its diagonal is `weak`.  A block costs
-    n * |rows| * |cols| transient bytes: wide reads go by `_column_chunks`
-    or `_setter_walk`, and only `_wins_table` keeps a whole m x m table.
+    n * |rows| * |cols| transient bytes: wide reads go by `_column_chunks`,
+    `_setter_walk` or a few rows at a time, and only `_wins_table` keeps a
+    whole m x m table.
     """
     if problem.majority_override is not None:
         beats = _columns(problem._beats[rows], cols)

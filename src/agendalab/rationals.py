@@ -77,7 +77,8 @@ class ScaledInts:
 
     def __init__(self, vectors):
         values = [f for row in vectors for f in row]
-        inexact = [f for f in values if not isinstance(f, (int, Fraction))]
+        inexact = [f for f in values
+                   if type(f) is bool or not isinstance(f, (int, Fraction))]
         if inexact:
             raise ValidationError(
                 f"refusing {inexact[0]!r}: exact values are ints or Fractions")

@@ -14,7 +14,7 @@ from math import lcm
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem
+from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem, _wins_table
 from .rationals import parse_rational, scaled_numerators
 
 REALIZE_LIMIT = 12   # voter count grows as 2*C(|X|,2)+1
@@ -26,7 +26,7 @@ def derive_tournament(problem: CollectiveChoiceProblem) -> TournamentSpec:
     Requires completeness: every pair must be strictly resolved, which
     holds under gfa (odd voters, strict preferences).
     """
-    majority = problem._majority
+    majority = _wins_table(problem, problem._majority_rule)
     # unresolved pairs x < y, in (x, y) order
     tied = np.argwhere(np.triu(~(majority | majority.T), 1))
     if tied.size:

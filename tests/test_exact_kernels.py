@@ -74,7 +74,7 @@ from agendalab import problems as problems_module
 from agendalab.distributions import AxiomViolation
 from agendalab.engine import _orbit, _phi_or_table
 from agendalab.grids import GridBuildResult
-from agendalab.problems import _column_chunks, _scaled_problem, _wins
+from agendalab.problems import _column_chunks, _scaled_problem, _wins, _wins_table
 from agendalab.rationals import ScaledInts, fraction_rows
 from agendalab.spatial import CoplanarityReport, ImprovementTrace
 
@@ -892,8 +892,8 @@ def test_pairwise_relation_matches_fraction_reference(case, chunk, data):
             assert _wins(problem, rule, cols, weak).tolist() == [
                 [ref_wins(problem, rule, y, x, weak) for x in range(m)[cols]]
                 for y in range(m)]
-        assert problem._majority.tolist() == [[ref_majority(problem, y, x) for x in range(m)]
-                                             for y in range(m)]
+        assert _wins_table(problem, problem._majority_rule).tolist() == [
+            [ref_majority(problem, y, x) for x in range(m)] for y in range(m)]
 
 
 def _scaled(problem, factor, offset):

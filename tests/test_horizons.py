@@ -4,6 +4,7 @@ import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +30,9 @@ from agendalab import (
 )
 from agendalab.factories import gen_random_gfa, gen_random_with_ties
 from agendalab.fixtures import blocked_default_problem
-from agendalab.horizons import _certify_stable, _dominance
+from agendalab.horizons import _certify_stable
 
-from references import enumerate_stable_subsets
+from references import enumerate_stable_subsets, ref_majority
 
 
 def test_reachability_cycle_examples(cycle):
@@ -52,7 +53,7 @@ def _ref_bfs_parents(problem, x0):
     while queue:
         x = queue.popleft()
         for y in range(problem.num_policies):
-            if y not in parent and problem._majority[y, x]:
+            if y not in parent and ref_majority(problem, y, x):
                 parent[y] = x
                 queue.append(y)
     return parent
@@ -71,7 +72,7 @@ def ref_reachability(problem, x0, k):
         frontier = {x0}
         for depth in range(1, k + 1):
             frontier = {y for x in frontier for y in range(problem.num_policies)
-                        if x == y or problem._majority[y, x]}
+                        if x == y or ref_majority(problem, y, x)}
             for y in frontier:
                 layers.setdefault(y, depth)
         members = frozenset(layers)
@@ -121,6 +122,12 @@ def test_reachability_credible_orbit(cycle):
 def test_reachability_validation(cycle):
     with pytest.raises(ValidationError):
         reachability(cycle, 0, "k_reachable", k=-1)
+    with pytest.raises(ValidationError, match="^k_reachable needs k >= 0$"):
+        reachability(cycle, 0, "k_reachable")
+    # a step count is a whole number: 1.5, True and "2" are refused, not read
+    for k in (1.5, True, "2"):
+        with pytest.raises(ValidationError, match=f"^refusing step count {k!r}: "):
+            reachability(cycle, 0, "k_reachable", k)
     with pytest.raises(ValidationError):
         reachability(cycle, 0, "sideways")
     # only k_reachable reads k
@@ -173,7 +180,7 @@ def test_chain_steps_are_majority_wins(small_corpus):
         for x0 in range(problem.num_policies):
             chain = reachability(problem, x0, "reachable").witness_chain
             for a, b in zip(chain, chain[1:]):
-                assert problem._majority[b, a]
+                assert ref_majority(problem, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +201,7 @@ def assert_stable(problem, members):
     setter = problem.setter_utilities
 
     def dominates(y, x):
-        return setter[y] > setter[x] and problem._majority[y, x]
+        return setter[y] > setter[x] and ref_majority(problem, y, x)
 
     for x in members:
         assert not any(dominates(y, x) for y in members)
@@ -255,15 +262,16 @@ def stable_set_problems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(stable_set_problems(), st.data())
-def test_stable_set_certificate_matches_enumeration(problem, data):
+@given(stable_set_problems(), st.sampled_from((1, 5, 2**16)), st.data())
+def test_stable_set_certificate_matches_enumeration(problem, chunk, data):
     found = enumerate_stable_subsets(problem)
-    report = stable_set(problem)
+    with mock.patch("agendalab.problems._CHUNK_COMPARISONS", chunk):
+        report = stable_set(problem)
     assert found == [report.members] and report.uniqueness_certified
     # the certificate accepts a subset exactly when the enumeration lists it
     subset = data.draw(st.frozensets(st.integers(0, problem.num_policies - 1)))
     try:
-        _certify_stable(_dominance(problem), subset)
+        _certify_stable(problem, subset)
         accepted = True
     except InternalInvariantError:
         accepted = False
@@ -272,13 +280,12 @@ def test_stable_set_certificate_matches_enumeration(problem, data):
 
 def test_certificate_refuses_a_set_that_is_not_stable(cycle):
     w, x, y = (cycle.policy_index(name) for name in "wxy")
-    dominates = _dominance(cycle)
-    _certify_stable(dominates, [w, y])
+    _certify_stable(cycle, [w, y])
     with pytest.raises(InternalInvariantError,
                        match=rf"not internally stable: {w} dominates {x}"):
-        _certify_stable(dominates, [w, x, y])
+        _certify_stable(cycle, [w, x, y])
     with pytest.raises(InternalInvariantError, match="not externally stable"):
-        _certify_stable(dominates, [w])
+        _certify_stable(cycle, [w])
 
 
 def test_stable_set_requires_gfa():

@@ -18,19 +18,23 @@ from agendalab import (
     VotingRule,
     acceptance_set,
     favorite_improvement,
+    horizon_classify,
     is_improvable,
     is_manipulable,
     mcgarvey_realize,
+    nc_outcome_bounds,
     phi_iterates,
     phi_or,
     reachability,
     simple_equilibrium_profile,
+    stable_set,
     uniform_margin,
     unimprovable_set,
     verify_profile,
 )
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_realized, blocked_tournament
+from agendalab.problems import _wins_table
 from agendalab.tournaments import derive_tournament, relabel
 
 from references import ref_margin, ref_support_mask
@@ -120,6 +124,11 @@ def test_float_utilities_are_refused():
     with pytest.raises(ValidationError, match="0.5"):
         CollectiveChoiceProblem(policies=("a", "b"),
                                 voter_utilities=((Fraction(1), 0.5),),
+                                setter_utilities=(Fraction(1), Fraction(2)))
+    # so is a bool, although it is an int
+    with pytest.raises(ValidationError,
+                       match="^refusing True: exact values are ints or Fractions$"):
+        CollectiveChoiceProblem(policies=("a", "b"), voter_utilities=((True, False),),
                                 setter_utilities=(Fraction(1), Fraction(2)))
 
 
@@ -218,15 +227,17 @@ def test_refusals_name_their_cause(case, cycle, blocked, rule3):
 
 def test_majority_relation_cycle_fixture(cycle):
     y, w, x = idx(cycle, "y"), idx(cycle, "w"), idx(cycle, "x")
-    assert cycle._majority[y, w] and not cycle._majority[w, y]
+    majority = _wins_table(cycle, cycle._majority_rule)
+    assert majority[y, w] and not majority[w, y]
     assert ref_margin(cycle, y, w) == 1      # policy y beats w, two voters to one
-    assert not cycle._majority[x, x]
+    assert not majority[x, x]
 
 
 def test_override_relation_wins_but_margin_counts_utilities(blocked):
     # the override says x beats w although the raw profile count disagrees
     x, w = idx(blocked, "x"), idx(blocked, "w")
-    assert blocked._majority[x, w] and not blocked._majority[w, x]
+    majority = _wins_table(blocked, blocked._majority_rule)
+    assert majority[x, w] and not majority[w, x]
     assert ref_margin(blocked, x, w) == -1
 
 
@@ -245,9 +256,9 @@ def test_even_voter_override_relation_is_the_tournament():
     # only rule-level queries insist on a simple-majority rule
     cycle = TournamentSpec.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     problem = _two_voter_problem(cycle)
-    assert problem._majority.tolist() == [[False, True, False],
-                                          [False, False, True],
-                                          [True, False, False]]
+    assert _wins_table(problem, problem._majority_rule).tolist() == [[False, True, False],
+                                                                     [False, False, True],
+                                                                     [True, False, False]]
     reports = [reachability(problem, x, "reachable") for x in range(3)]
     assert [(r.members, r.best_for_setter, r.witness_chain) for r in reports] == [
         ({0, 1, 2}, 2, (0, 2)), ({0, 1, 2}, 2, (1, 0, 2)), ({0, 1, 2}, 2, (2,))]
@@ -258,7 +269,7 @@ def test_even_voter_override_relation_is_the_tournament():
 
 def test_even_voter_split_resolves_no_pair():
     problem = _two_voter_problem()
-    assert not problem._majority.any()
+    assert not _wins_table(problem, problem._majority_rule).any()
     for x in range(3):
         assert reachability(problem, x, "reachable").members == {x}
     with pytest.raises(ValidationError) as err:
@@ -274,10 +285,9 @@ def test_derive_tournament_names_first_tied_pair():
         policies=("a", "b", "c", "d"),
         voter_utilities=tuple(tuple(Fraction(u) for u in row) for row in rows),
         setter_utilities=(Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
-    assert problem._majority.tolist() == [[False, True, True, False],
-                                          [False, False, False, False],
-                                          [False, False, False, False],
-                                          [False, True, True, False]]
+    assert _wins_table(problem, problem._majority_rule).tolist() == [
+        [False, True, True, False], [False, False, False, False],
+        [False, False, False, False], [False, True, True, False]]
     with pytest.raises(ValidationError) as err:
         derive_tournament(problem)
     assert str(err.value) == "majority ties on pair (a, d); no tournament"
@@ -383,13 +393,25 @@ def test_improvement_queries_never_build_a_policy_by_policy_table():
         assert not any(key[0] == "wins" for key in problem._memo)
         _, phi_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        problem._majority
+        _wins_table(problem, problem._majority_rule)
         _, majority_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.blocking                      # the whole table was scanned
     assert phi_peak < m * m // 8
     assert m * m <= majority_peak < m * m + m * m // 8
+
+
+def test_stable_set_and_tie_bounds_read_no_policy_by_policy_table():
+    # the stable set and psi read member rows, phi_or its setter prefixes;
+    # only reachability, tournaments and the oracle build a whole table
+    problem = gen_random_gfa(3001, 5, seed=3)
+    rule = VotingRule.simple_majority(5)
+    stable_set(problem)
+    horizon_classify(problem)
+    assert phi_or(problem, rule, 0)
+    nc_outcome_bounds(problem, rule, 0, 3)
+    assert not any(key[0] == "wins" for key in problem._memo)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +499,7 @@ def test_uniform_margin_explicit_rule_uses_coalition_minima():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gfa_relation_complete_and_antisymmetric(seed):
     problem = gen_random_gfa(5, 3, seed=seed)
+    majority = _wins_table(problem, problem._majority_rule)
     for x in range(5):
         for y in range(x + 1, 5):
-            forward = problem._majority[x, y]
-            backward = problem._majority[y, x]
-            assert forward != backward
+            assert majority[x, y] != majority[y, x]

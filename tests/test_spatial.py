@@ -233,6 +233,10 @@ def test_float_ideal_and_coplanarity_points_are_refused():
         SpatialProfile(dim=3, ideal_points=quad, box=((F(0), F(1)),) * 3)
     with pytest.raises(ValidationError, match="0.5"):
         coplanarity_form(*quad)
+    # a bool coordinate is refused too, although it is an int
+    with pytest.raises(ValidationError,
+                       match="^refusing True: exact values are ints or Fractions$"):
+        SpatialProfile(dim=1, ideal_points=((True,), (F(0),)), box=((0, 1),))
 
 
 def test_gen_spatial_reads_exact_box_bounds():

@@ -18,6 +18,7 @@ from agendalab import (
     unimprovable_set,
 )
 from agendalab.fixtures import blocked_tournament
+from agendalab.problems import _wins_table
 from agendalab.tournaments import REALIZE_LIMIT
 
 from references import ref_margin
@@ -47,15 +48,16 @@ def test_two_policy_tournament():
     problem = mcgarvey_realize(tournament, [F(1), F(2)])
     assert problem.n == 3
     assert ref_margin(problem, 1, 0) in (1, 3)
-    assert problem._majority[1, 0]
+    assert _wins_table(problem, problem._majority_rule)[1, 0]
 
 
 def test_transitive_tournament_keeps_condorcet_winner():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     problem = mcgarvey_realize(TournamentSpec.from_edges(4, edges),
                                [F(1), F(2), F(3), F(4)])
+    majority = _wins_table(problem, problem._majority_rule)
     for other in (1, 2, 3):
-        assert problem._majority[0, other]
+        assert majority[0, other]
 
 
 def test_size_guard():
