@@ -21,7 +21,7 @@ import numpy as np
 from .engine import StrategyProfile, _markov_profile
 from .errors import BudgetExceededError, ValidationError
 from .problems import CollectiveChoiceProblem, _column_chunks, _scaled_problem
-from .rationals import parse_rational
+from .rationals import parse_rational, parse_whole
 
 
 def _compositions(total: int, parts: int):
@@ -52,10 +52,8 @@ class Allocation:
     denom: int
 
     def __post_init__(self):
-        if self.denom < 1:
-            raise ValidationError("denominator must be positive")
-        if any(u < 0 for u in self.units):
-            raise ValidationError("shares must be nonnegative")
+        object.__setattr__(self, "denom", parse_whole(self.denom, "denominator", 1))
+        object.__setattr__(self, "units", tuple(parse_whole(u, "share") for u in self.units))
         if sum(self.units) != self.denom:
             raise ValidationError(
                 f"shares sum to {sum(self.units)}/{self.denom}, expected exactly 1")
@@ -80,8 +78,8 @@ class DivideDollarGrid:
     m: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError("need n >= 1 voters and denominator m >= 1")
+        object.__setattr__(self, "n", parse_whole(self.n, "voter count", 1))
+        object.__setattr__(self, "m", parse_whole(self.m, "denominator", 1))
 
     @cached_property
     def allocations(self) -> tuple[Allocation, ...]:
@@ -132,7 +130,7 @@ def dtd_beta(allocation: Allocation) -> Allocation:
 
 
 def dtd_beta_power(allocation: Allocation, k: int) -> Allocation:
-    for _ in range(k):
+    for _ in range(parse_whole(k, "step count")):
         allocation = dtd_beta(allocation)
     return allocation
 
@@ -149,13 +147,12 @@ def dtd_profile(n: int, m: int, rounds: int, flavor: str) -> StrategyProfile:
     """
     if flavor not in ("non_capricious", "capricious"):
         raise ValidationError(f"unknown flavor {flavor!r}")
-    if flavor == "capricious" and n != 3:
-        raise ValidationError("the capricious construction is specific to three voters")
-    if n % 2 == 0:
-        raise ValidationError("odd voter count required")
-    if rounds < 2:
-        raise ValidationError("need at least two rounds")
     grid = DivideDollarGrid(n=n, m=m)
+    if flavor == "capricious" and grid.n != 3:
+        raise ValidationError("the capricious construction is specific to three voters")
+    if grid.n % 2 == 0:
+        raise ValidationError("odd voter count required")
+    rounds = parse_whole(rounds, "round count", 2)
     grab = [grid.index(dtd_beta(a)) for a in grid.allocations]
     units = [a.units[:-1] for a in grid.allocations]     # voters' shares
     cap, ties_from = (2, rounds - 1) if flavor == "capricious" else (None, 1)
@@ -176,9 +173,8 @@ def pork_barrel_problem(projects, m: int, n: int,
     C_k among the n voters and the setter on the 1/m grid.  Utilities
     sum per-player benefit minus cost over implemented projects.
     """
-    if m < 1 or n < 1:
-        raise ValidationError("need m >= 1 and n >= 1")
-    parsed = []
+    m, n = parse_whole(m, "denominator", 1), parse_whole(n, "voter count", 1)
+    budget, parsed = parse_whole(budget, "budget"), []
     for b, c in projects:
         b, c = parse_rational(b), parse_rational(c)
         if b <= 0 or c < 0:
@@ -236,9 +232,7 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
     over nonnegative grid allocations; each player's utility is their
     own slice.  Slices of equal total coincide and are deduplicated.
     """
-    if m < 1:
-        raise ValidationError("need m >= 1")
-    players = base.n + 1
+    m, players = parse_whole(m, "denominator", 1), base.n + 1
     seen: dict[tuple[int, ...], None] = {}
     for x in range(base.num_policies):
         total = sum(row[x] for row in base.voter_utilities) + base.setter_utilities[x]

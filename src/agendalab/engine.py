@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,21 +31,11 @@ from .problems import (
     _require_rule,
     _wins,
 )
+from .rationals import parse_whole
 
 
 # ---------------------------------------------------------------------------
 # favorite improvement and its orbit
-
-
-def _rounds(count, what: str = "round count", least: int = 1) -> int:
-    """`count` as an int of at least `least`: a bool, float or text count
-    is refused, not truncated.  Every round or step count is read here."""
-    if type(count) is not int and (isinstance(count, bool) or not isinstance(count, Integral)):
-        raise ValidationError(
-            f"refusing {what} {count!r}: a {what} is a whole number of rounds")
-    if count < least:
-        raise ValidationError(f"{what} must be at least {least}, not {count}")
-    return int(count)
 
 
 def _orbit(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
@@ -54,7 +43,7 @@ def _orbit(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
     """[x, phi(x), ..., phi^k(x)] up to the first fixed point or k = `limit`.
     phi raises the setter's rank until it fixes a policy, so the entries
     are distinct.  No gfa gate: ties go to the lowest index (`_phi_table`)."""
-    x, limit = problem.check_policy(x), _rounds(limit, "step count", 0)
+    x, limit = problem.check_policy(x), parse_whole(limit, "step count")
     table = _phi_table(problem, rule)
     orbit = [x]
     while len(orbit) <= limit and table[orbit[-1]] != orbit[-1]:
@@ -101,7 +90,7 @@ def equilibrium_outcome(problem: CollectiveChoiceProblem, rule: VotingRule,
     The steps are the orbit after x0, cut at phi^T.  Every later round
     repeats the fixed point, so the outcome is the last step, or x0.
     """
-    rounds = _rounds(rounds)
+    rounds = parse_whole(rounds, "round count", 1)
     if not problem.gfa:
         raise ValidationError("equilibrium outcomes are only unique under gfa")
     orbit = _orbit(problem, rule, x0, rounds + 1)     # one past T: is phi^T fixed?
@@ -196,14 +185,11 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
     def at(t: int, depth: int) -> np.ndarray:
         """step^depth over every policy (the table ends at the cap or where
         it stops changing), once t is checked to be a round."""
-        if not 1 <= t <= rounds:
-            raise ValidationError(f"round {t} out of range 1..{rounds}")
+        parse_whole(t, "round", 1, rounds + 1)
         return powers[min(depth, len(powers) - 1)]
 
     def check(x: int) -> int:
-        if not 0 <= x < size:
-            raise ValidationError(f"policy index {x} out of range")
-        return x
+        return parse_whole(x, "policy index", 0, size)
 
     def propose(t, x):
         return (int(at(t, 1)[check(x)]), False)
@@ -237,7 +223,8 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
     """
     if not problem.gfa:
         raise ValidationError("the simple equilibrium profile requires gfa")
-    return _markov_profile(_phi_table(problem, rule), problem._ranks[:-1], _rounds(rounds),
+    rounds = parse_whole(rounds, "round count", 1)
+    return _markov_profile(_phi_table(problem, rule), problem._ranks[:-1], rounds,
                            label="simple-equilibrium")
 
 
@@ -305,7 +292,8 @@ class OutcomeBounds:
 
 def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
                       x0: int, rounds: int, budget: int = 200_000) -> OutcomeBounds:
-    rounds, x0 = _rounds(rounds), problem.check_policy(x0)
+    rounds, x0 = parse_whole(rounds, "round count", 1), problem.check_policy(x0)
+    budget = parse_whole(budget, "budget")
     correspondence = [sorted(members) for members in _phi_or_table(problem, rule)]
     setter = problem._ranks[-1].tolist()
     ticks = count(1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .problems import CollectiveChoiceProblem
+from .rationals import parse_whole
 
 # The voter counts a corpus problem draws from.
 CORPUS_VOTERS = (3, 5)
@@ -14,9 +15,8 @@ CORPUS_VOTERS = (3, 5)
 
 def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProblem:
     """Random problem with strict rows: shuffled rank utilities per player."""
-    if num_policies < 2:
-        raise ValidationError("need at least two policies")
-    if n % 2 == 0 or n < 1:
+    num_policies = parse_whole(num_policies, "policy count", 2)
+    if parse_whole(n, "voter count", 1) % 2 == 0:
         raise ValidationError("gfa needs an odd positive voter count")
     rng = random.Random(seed)
 
@@ -35,11 +35,10 @@ def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProb
 def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveChoiceProblem]:
     """Deterministic corpus of random gfa instances for the theorem suites,
     each with a voter count drawn from `CORPUS_VOTERS`."""
-    if max_policies < 2:
-        raise ValidationError(f"max_policies {max_policies} must be at least 2")
+    max_policies = parse_whole(max_policies, "max_policies", 2)
     rng = random.Random(seed)
     out = []
-    for k in range(count):
+    for k in range(parse_whole(count, "problem count")):
         m = rng.randrange(2, max_policies + 1)
         n = CORPUS_VOTERS[rng.randrange(len(CORPUS_VOTERS))]
         out.append(gen_random_gfa(m, n, seed=rng.randrange(2**31)))
@@ -49,8 +48,8 @@ def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveC
 def gen_random_with_ties(num_policies: int, n: int, seed: int,
                          levels: int = 3) -> CollectiveChoiceProblem:
     """Random problem where utilities draw from few levels, forcing indifference."""
-    if num_policies < 2 or n < 1:
-        raise ValidationError("need at least two policies and one voter")
+    num_policies = parse_whole(num_policies, "policy count", 2)
+    n, levels = parse_whole(n, "voter count", 1), parse_whole(levels, "level count", 1)
     rng = random.Random(seed)
 
     def row():

@@ -22,7 +22,8 @@ from typing import Optional
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import _assemble, _FractionView, parse_box, parse_rational, scaled_numerators
+from .rationals import (_assemble, _FractionView, parse_box, parse_rational, parse_whole,
+                        scaled_numerators)
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -53,8 +54,7 @@ class SimplexSpace:
     n_voters: int
 
     def __post_init__(self):
-        if self.n_voters < 1:
-            raise ValidationError("need at least one voter")
+        object.__setattr__(self, "n_voters", parse_whole(self.n_voters, "voter count", 1))
 
     @property
     def dim(self) -> int:
@@ -95,7 +95,7 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     Failing the audit after the allowed re-jitters raises a genericity
     error naming the tied pair and player.
     """
-    epsilon = parse_rational(epsilon)
+    epsilon, max_points = parse_rational(epsilon), parse_whole(max_points, "max_points")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     if isinstance(space, BoxSpace):
@@ -120,7 +120,7 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
         nodes[idx] = shift(rng, centers[idx])
         return utilities([nodes[idx]])[0]
 
-    attempts = _audit_and_rejitter(values, _MAX_ATTEMPTS, redraw)
+    attempts = _audit_and_rejitter(values, redraw)
     rows = list(zip(*values))
     # the players are the voters and the setter: an even count means odd voters
     problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator,
@@ -216,8 +216,9 @@ def _simplex_lattice(space, epsilon, max_points):
 # the tie audit
 
 
-def _audit_and_rejitter(values, max_attempts, redraw):
-    """Exact per-player tie audit; offenders are re-drawn in place.
+def _audit_and_rejitter(values, redraw):
+    """Exact per-player tie audit; offenders are re-drawn in place, up to
+    `_MAX_ATTEMPTS` audits in all.
 
     values[i] holds node i's integer utility keys, one per player, on one
     scale per player.  redraw(i) re-jitters node i and returns its new keys;
@@ -233,8 +234,8 @@ def _audit_and_rejitter(values, max_attempts, redraw):
         if offender is None:
             return attempt
         player, a, b = offender
-        if attempt >= max_attempts:
+        if attempt >= _MAX_ATTEMPTS:
             raise GridGenericityError(
                 f"nodes {a} and {b} still tie for player {player + 1} after "
-                f"{max_attempts} attempts", player=player, pair=(a, b))
+                f"{_MAX_ATTEMPTS} attempts", player=player, pair=(a, b))
         values[b] = redraw(b)

@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _orbit, _rounds
+from .engine import _orbit
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, _memoized, _phi_table, _wins, _wins_table
+from .rationals import parse_whole
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
     if mode == "k_reachable":
         if k is None:
             raise ValidationError("k_reachable needs k >= 0")
-        k = _rounds(k, "step count", 0)
+        k = parse_whole(k, "step count")
     if mode in ("k_reachable", "reachable"):
         parent = _bfs(problem, x0, k if mode == "k_reachable" else None)
         best = min(parent, key=lambda y: (-problem._ranks[-1][y], y))
@@ -201,7 +202,7 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
     """
     if not problem.gfa:
         raise ValidationError("horizon payoffs require gfa")
-    t_list = sorted({_rounds(t, "horizon") for t in t_list})
+    t_list = sorted({parse_whole(t, "horizon", 1) for t in t_list})
     # every round past the orbit's end repeats its fixed point
     orbit = _orbit(problem, problem._majority_rule, x0, max(t_list, default=0))
     table = {t: problem.setter_utilities[orbit[min(t, len(orbit) - 1)]] for t in t_list}

@@ -6,12 +6,13 @@ default) states of the full extensive form: at each state every
 feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
 result.  It does so for every default of a round at once, on arrays:
-one weak winning-coalition table (`_wins_table`, one per rule, shared
-by every protocol) settles every vote, and every protocol, preset or
-custom, is read as an action mask per round, one column chunk at a
-time.  The solver, the verifier and `play_out` never read the
-improvement operators; only `check_richness` on a custom table and
-`protocol_equivalence` compare against favorite-improvement iterates.
+the rule's strict winning-coalition table (`_wins_table`, one per rule,
+shared by every protocol) settles every vote, identical continuations
+getting a unanimous yes, and every protocol, preset or custom, is read
+as an action mask per round, one column chunk at a time.  The solver,
+the verifier and `play_out` never read the improvement operators; only
+`check_richness` on a custom table and `protocol_equivalence` compare
+against favorite-improvement iterates.
 
 A preset game is stationary: the setter cannot commit, so round t of a
 T-round game is the first round of the (T - t + 1)-round game.  So the
@@ -33,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from numbers import Integral
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .engine import StrategyProfile, _orbit, _rounds
+from .engine import StrategyProfile, _orbit
 from .errors import (
     BudgetExceededError,
     RichnessError,
@@ -54,6 +54,7 @@ from .problems import (
     _require_rule,
     _wins_table,
 )
+from .rationals import parse_whole
 
 PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
 
@@ -88,7 +89,7 @@ class GameSpec:
     protocol: Protocol = "amendment"
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", _rounds(self.horizon, "horizon"))
+        object.__setattr__(self, "horizon", parse_whole(self.horizon, "horizon", 1))
         object.__setattr__(self, "initial_default",
                            self.problem.check_policy(self.initial_default))
         if self.rule.n != self.problem.n:
@@ -100,16 +101,18 @@ class GameSpec:
             m = self.problem.num_policies
             offers = {}
             for (t, x), actions in self.protocol.table.items():
+                kept = []
                 for action in actions:
                     pair = isinstance(action, (tuple, list)) and len(action) == 2
-                    a, adjourn = action if pair else (None, None)
-                    if not (isinstance(a, Integral) and 0 <= a < m
-                            and isinstance(adjourn, bool)):
+                    a, adjourn = action if pair and isinstance(action[1], bool) else (None, None)
+                    try:
+                        kept.append((parse_whole(a, "policy", 0, m), adjourn))
+                    except ValidationError:
                         raise ValidationError(
                             f"custom protocol {self.protocol.label!r} offers {action!r} "
                             f"at (round {t}, default {x}); an action is a policy "
-                            f"in 0..{m - 1} and a bool adjournment flag")
-                offers[(t, x)] = tuple(dict.fromkeys((int(a), f) for a, f in actions))
+                            f"in 0..{m - 1} and a bool adjournment flag") from None
+                offers[(t, x)] = tuple(dict.fromkeys(kept))
             object.__setattr__(self, "_offers", offers)
 
     @property
@@ -207,7 +210,7 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
         yield lambda cols, mask=mask: mask[:, cols]
 
 
-def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: list,
+def _extend_rows(problem: CollectiveChoiceProblem, beats: np.ndarray, values: list,
                  choices: list, masks: Iterator) -> None:
     """Backward induction at every default, one round per action-mask
     reader in `masks`: append the round's continuation outcomes to
@@ -215,8 +218,9 @@ def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: l
     reading the next round's outcomes `val` = values[-1].
 
     Action 2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or
-    a (adjourn), so its result at default x is acc if passes[acc, val[x]]
-    else val[x], and the setter takes the best-ranked feasible result.
+    a (adjourn), so its result at default x is acc if beats[acc, val[x]]
+    else val[x] (the same policy when acc == val[x]: no unanimity check is
+    needed), and the setter takes the best-ranked feasible result.
     The argmax breaks ties to the lowest (policy, adjourn) pair, which
     cannot affect the outcome under gfa.  Defaults go by `_column_chunks`.
     """
@@ -232,7 +236,7 @@ def _extend_rows(problem: CollectiveChoiceProblem, passes: np.ndarray, values: l
         choice = np.empty(m, dtype=np.int64)
         for cols in chunks:
             reject = val[None, cols]
-            res = np.where(passes[acc[:, None], reject], acc[:, None], reject)
+            res = np.where(beats[acc[:, None], reject], acc[:, None], reject)
             best = np.where(mask_of(cols), setter[res], -1).argmax(axis=0)
             choice[cols] = best
             value[cols] = res[best, np.arange(res.shape[1])]
@@ -247,20 +251,21 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     unique and vote profiles are pinned down; problems with indifference
     belong to `verify_profile`.  Each voter backs the strictly preferred
     continuation; identical continuations get a unanimous yes.  So a
-    proposal passes exactly when `passes[accept, reject]`, the weak
-    `_wins` relation (under gfa it differs from the strict one only on
-    its diagonal).  Each round is one step of `_extend_rows`.
+    proposal passes exactly when `beats[accept, reject]`, the strict
+    `_wins` relation, holds or accept == reject.  Each round is one step
+    of `_extend_rows`.
 
-    `passes` is the rule's memoized weak `_wins_table`, shared by every
-    protocol.  A preset game is stationary, so round t of a T-round game
-    is step T + 1 - t of backward induction whatever T is: its rows (per
-    rule and preset) are memoized with the problem, extended when a
-    longer horizon is asked for and read as a prefix for a shorter one.
-    Table and rows cost m**2 bytes plus O(T * m) words.  A custom
-    protocol's rows are solved per call.  Either way each call checks its
-    budget, builds a fresh `value_table` and recomputes the approvers of
-    each step on the equilibrium path only; solving costs O(m * chunk)
-    transient memory per block.
+    `beats` is the rule's memoized `_wins_table`, shared by every protocol
+    and, under the majority rule, by reachability and tournaments.  A
+    preset game is stationary, so round t of a T-round game is step
+    T + 1 - t of backward induction whatever T is: its rows (per rule and
+    preset) are memoized with the problem, extended when a longer horizon
+    is asked for and read as a prefix for a shorter one.  Table and rows
+    cost m**2 bytes plus O(T * m) words.  A custom protocol's rows are
+    solved per call.  Either way each call checks its budget, builds a
+    fresh `value_table` and recomputes the approvers of each step on the
+    equilibrium path only; solving costs O(m * chunk) transient memory
+    per block.
     """
     problem = game.problem
     if problem.majority_override is not None:
@@ -272,11 +277,11 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
             "solve_spe requires gfa; use verify_profile for problems with indifference")
     m, horizon = problem.num_policies, game.horizon
     work = horizon * m * (m + 1)
-    if work > budget:
+    if work > parse_whole(budget, "budget"):
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
-    passes = _wins_table(problem, game.rule, weak=True)
+    beats = _wins_table(problem, game.rule)
     if isinstance(game.protocol, str):
         # values[k] is the k-round outcome from each default and choices[k - 1]
         # the action with k rounds left; a preset's mask is the same every
@@ -288,7 +293,7 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         values, choices = [np.arange(m)], []
         rounds = range(horizon, 0, -1)
     if rounds:
-        _extend_rows(problem, passes, values, choices, _action_masks(game, rounds))
+        _extend_rows(problem, beats, values, choices, _action_masks(game, rounds))
 
     # values[k] and choices[k - 1] belong to round T + 1 - k
     values = [row.tolist() for row in values[:horizon + 1]]
@@ -302,7 +307,7 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         later = values[horizon - t]
         accept_out, reject_out = a if adjourn else later[a], later[x]
         yes = np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out])
-        passed = bool(passes[accept_out, reject_out])
+        passed = bool(beats[accept_out, reject_out]) or accept_out == reject_out
         trace.append(TraceStep(
             round=t, default=x, proposal=a, adjourn=bool(adjourn),
             approvers=frozenset(yes.tolist()), passed=passed))
@@ -390,7 +395,7 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
 
     n, m = problem.n, problem.num_policies
     work = len(actions) * m * (n + 1)
-    if work > budget:
+    if work > parse_whole(budget, "budget"):
         raise BudgetExceededError("profile verification too large",
                                   required=work, budget=budget)
 

@@ -17,12 +17,13 @@ x?") alone turns ranks, or a majority override, into that relation;
 acceptance sets, the favorite-improvement table, the one-round
 improvement correspondence and the stable set are read from its blocks
 or rows, and the setter's optimum and certificate coalitions read rank
-columns.  A whole m x m table comes only from `_wins_table`, for the
-kernels that read every pair: reachability and tournaments (the strict
-majority relation) and the oracle (its weak vote table).  The oracle
-never reads the favorite-improvement table.  The ranks are built from the
-scaled integers `_ints` by one kernel, `_dense_ranks`; only the uniform
-margin reads those integers directly.
+columns.  A whole m x m table comes only from `_wins_table`, one strict
+table per rule, for the kernels that read every pair: reachability,
+tournaments and the oracle, which share it under the majority rule.
+The oracle never reads the favorite-improvement table.  The ranks are
+built from the scaled integers `_ints` by one kernel, `_dense_ranks`;
+only the uniform margin reads those integers directly.  Every count and
+index is read by `parse_whole`.
 What is derived once per problem lives in its one `_memo`, through
 `_memoized`.
 
@@ -46,13 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import UnsupportedCombinationError, ValidationError
-from .rationals import ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational
+from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational,
+                        parse_whole)
 
 # Largest number of voter-by-policy comparisons one block of `_wins`
 # (or of the margin's gains) materializes when a table or a walk is built
@@ -75,24 +76,28 @@ class TournamentSpec:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        size = parse_whole(self.size, "tournament size")
+        edges = frozenset((parse_whole(w, "tournament edge end", 0, size),
+                           parse_whole(l, "tournament edge end", 0, size))
+                          for w, l in self.edges)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "edges", edges)
         seen = set()
-        for winner, loser in self.edges:
-            if not (0 <= winner < self.size and 0 <= loser < self.size):
-                raise ValidationError(f"tournament edge ({winner},{loser}) out of range")
+        for winner, loser in edges:
             if winner == loser:
                 raise ValidationError("tournament relation must be irreflexive")
             key = (min(winner, loser), max(winner, loser))
             if key in seen:
                 raise ValidationError(f"both orientations given for pair {key}")
             seen.add(key)
-        expected = self.size * (self.size - 1) // 2
+        expected = size * (size - 1) // 2
         if len(seen) != expected:
             raise ValidationError(
                 f"tournament incomplete: {len(seen)} of {expected} pairs oriented")
 
     @staticmethod
     def from_edges(size: int, edges: Iterable[tuple[int, int]]) -> "TournamentSpec":
-        return TournamentSpec(size, frozenset((int(w), int(l)) for w, l in edges))
+        return TournamentSpec(size, frozenset(map(tuple, edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +119,16 @@ class VotingRule:
     min_coalitions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"voter count {self.n} must be positive")
+        object.__setattr__(self, "n", parse_whole(self.n, "voter count", 1))
         if self.quota is not None:
-            if not (1 <= self.quota <= self.n):
-                raise ValidationError(f"quota {self.quota} outside 1..{self.n}")
+            object.__setattr__(self, "quota", parse_whole(self.quota, "quota", 1, self.n + 1))
             if self.min_coalitions:
                 raise ValidationError("give either a quota or explicit coalitions, not both")
             return
         if not self.min_coalitions:
             raise ValidationError("explicit rule needs at least one winning coalition")
-        full = (1 << self.n) - 1
-        for mask in self.min_coalitions:
-            if mask == 0 or mask & ~full:
-                raise ValidationError(f"coalition mask {mask:#x} invalid for n={self.n}")
-        masks = sorted(set(self.min_coalitions))
+        masks = sorted({parse_whole(mask, "coalition mask", 1, 1 << self.n)
+                        for mask in self.min_coalitions})
         for i, a in enumerate(masks):
             for b in masks[i + 1:]:
                 if a & b == a or a & b == b:
@@ -141,7 +141,7 @@ class VotingRule:
 
     @staticmethod
     def simple_majority(n: int) -> "VotingRule":
-        if n % 2 == 0:
+        if parse_whole(n, "voter count", 1) % 2 == 0:
             raise ValidationError(
                 "simple majority is only defined here for an odd number of voters; "
                 "use an explicit coalition family for even n")
@@ -149,13 +149,11 @@ class VotingRule:
 
     @staticmethod
     def explicit(n: int, coalitions: Iterable[Iterable[int]]) -> "VotingRule":
-        masks = []
+        n, masks = parse_whole(n, "voter count", 1), []
         for coalition in coalitions:
             mask = 0
             for voter in coalition:
-                if not 0 <= voter < n:
-                    raise ValidationError(f"voter {voter} out of range for n={n}")
-                mask |= 1 << voter
+                mask |= 1 << parse_whole(voter, "voter", 0, n)
             masks.append(mask)
         # keep only minimal masks so the stored family is an antichain
         minimal = [m for m in masks
@@ -229,6 +227,9 @@ class CollectiveChoiceProblem:
         rows, m = ints.vectors, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
+        for label in self.policies:
+            if not isinstance(label, str):
+                raise ValidationError(f"policy label {label!r} is not a string")
         if len(set(self.policies)) != m:
             raise ValidationError("duplicate policy labels")
         if len(rows[-1]) != m:
@@ -267,12 +268,8 @@ class CollectiveChoiceProblem:
             raise ValidationError(f"unknown policy label {label!r}") from None
 
     def check_policy(self, x: int) -> int:
-        """x as an int policy index; a bool, float or text index is refused."""
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
-            raise ValidationError(f"refusing policy index {x!r}: an index is a whole number")
-        if not 0 <= x < self.num_policies:
-            raise ValidationError(f"policy index {x} out of range")
-        return int(x)
+        """x as an int policy index (`parse_whole`)."""
+        return parse_whole(x, "policy index", 0, len(self.policies))
 
     @cached_property
     def setter_max(self) -> Fraction:
@@ -302,7 +299,7 @@ class CollectiveChoiceProblem:
         """Results already derived from this problem, read only through
         `_memoized`: by ("phi", rule) the favorite-improvement table, by
         ("phi_or", rule) the one-round improvement correspondence at every
-        default, by ("wins", rule, weak) a whole `_wins` table (built only
+        default, by ("wins", rule) a whole strict `_wins` table (built only
         by reachability, tournaments and the oracle), by ("rows", rule,
         preset) the oracle's backward rows and by ("stable_set",) the
         stable-set report."""
@@ -490,20 +487,19 @@ def _memoized(problem: CollectiveChoiceProblem, key: tuple, build: Callable[[], 
     return memo[key]
 
 
-def _wins_table(problem: CollectiveChoiceProblem, rule: VotingRule,
-                weak: bool = False) -> np.ndarray:
-    """The whole read-only m x m `_wins` table, built once per (rule, weak)
+def _wins_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> np.ndarray:
+    """The whole read-only m x m strict `_wins` table, built once per rule
     in `_column_chunks`: O(n * m * chunk) transient memory, m**2 bytes
     kept.  Callers check the rule (`_require_rule`)."""
     def build():
         m = problem.num_policies
         out = np.empty((m, m), dtype=bool)
         for cols in _column_chunks(problem):
-            out[:, cols] = _wins(problem, rule, cols, weak)
+            out[:, cols] = _wins(problem, rule, cols)
         out.flags.writeable = False
         return out
 
-    return _memoized(problem, ("wins", rule, weak), build)
+    return _memoized(problem, ("wins", rule), build)
 
 
 def _phi_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> tuple[int, ...]:

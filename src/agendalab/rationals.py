@@ -7,7 +7,8 @@ integers makes its public `Fraction` fields only when they are first
 read (`_FractionView`), and kernels run on the integers themselves
 (numpy int64 arrays when the values fit, Python ints otherwise).
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
-strings such as "0.5" are accepted on input and normalized.
+strings such as "0.5" are accepted on input and normalized.  Every count,
+size, index, horizon and budget is read by one reader, `parse_whole`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Any, Callable
+from numbers import Integral
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -42,6 +44,20 @@ def parse_rational(text) -> Fraction:
         return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed rational {text!r}: {exc}") from None
+
+
+def parse_whole(value, what: str, least: int = 0, below: Optional[int] = None) -> int:
+    """`value` as a plain int of at least `least` (and below `below`): any
+    `Integral`, numpy's too; a bool, float or text value is refused."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"refusing {what} {value!r}: a {what} is a whole number")
+        value = int(value)
+    if below is not None and not least <= value < below:
+        raise ValidationError(f"{what} {value} out of range {least}..{below - 1}")
+    if value < least:
+        raise ValidationError(f"{what} must be at least {least}, not {value}")
+    return value
 
 
 def parse_box(bounds) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -26,7 +26,7 @@ from typing import Optional
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
 from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_box,
-                        parse_rational, scaled_numerators)
+                        parse_rational, parse_whole, scaled_numerators)
 
 COORD_DENOM = 2**20
 
@@ -54,8 +54,7 @@ class SpatialProfile:
         the box, then keep `ints` as `_ints`, which every spatial kernel
         reads, and the box parsed (`parse_box`)."""
         points = ints.vectors
-        if self.dim < 1:
-            raise ValidationError("dimension must be at least 1")
+        object.__setattr__(self, "dim", parse_whole(self.dim, "dimension", 1))
         if len(points) < 2:
             raise ValidationError("need at least one voter plus the setter")
         if any(len(p) != self.dim for p in points):
@@ -117,10 +116,9 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
     bit.  Generation does not enforce genericity; run the coplanarity
     check to audit a draw.
     """
-    if n % 2 == 0 or n < 1:
+    if parse_whole(n, "voter count", 1) % 2 == 0:
         raise ValidationError("voter count must be odd and positive")
-    if d < 1:
-        raise ValidationError("dimension must be at least 1")
+    d = parse_whole(d, "dimension", 1)
     box = parse_box(((0, 1),) * d if box is None else box)
     ranges = []
     for lo, hi in box:

@@ -39,7 +39,7 @@ from .problems import (
     uniform_margin,
     unimprovable_set,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_whole
 from .serialize import _writing, problem_to_dict
 from .spatial import SpatialProfile, check_noncoplanarity, gen_spatial, spatial_witness
 
@@ -420,12 +420,11 @@ SUITES = {
 
 
 def _check_params(params: dict) -> None:
-    """Range checks on the parameters a suite reads."""
-    if params.get("samples", 0) < 0:
-        raise ValidationError(f"samples {params['samples']} must be nonnegative")
-    for name, least in (("max_policies", 2), ("max_rounds", 1)):
-        if params.get(name, least) < least:
-            raise ValidationError(f"{name} {params[name]} must be at least {least}")
+    """Range checks on the parameters a suite reads; each whole number is
+    kept as the plain int `parse_whole` reads."""
+    for name, least in (("samples", 0), ("max_policies", 2), ("max_rounds", 1), ("m", 1), ("d", 1)):
+        if name in params:
+            params[name] = parse_whole(params[name], f"{name} value", least)
     for name in ("epsilon", "delta"):
         if name in params:
             try:

@@ -71,16 +71,17 @@ def test_budget_guard():
                    max_points=1000)
 
 
-def test_tie_audit_failure_without_jitter():
+def test_tie_audit_failure_without_jitter(monkeypatch):
     # a re-draw that never breaks the tie: the audit gives up after
-    # max_attempts, naming the first tied pair and player as the
+    # _MAX_ATTEMPTS, naming the first tied pair and player as the
     # `Fraction` reference does
     values = [(3, 1), (2, 1), (3, 0), (2, 5)]
 
     def redraw(idx):
         return values[idx]
 
-    got = outcome(grids._audit_and_rejitter, list(values), 3, redraw)
+    monkeypatch.setattr(grids, "_MAX_ATTEMPTS", 3)
+    got = outcome(grids._audit_and_rejitter, list(values), redraw)
     assert got == outcome(_ref_audit_and_rejitter, list(values), tuple, 3, redraw)
     assert got[1:] == ("nodes 1 and 3 still tie for player 1 after 3 attempts", 0, (1, 3))
 

@@ -338,7 +338,7 @@ def test_horizon_payoffs_refuse_inexact_horizons(cycle):
     # int(t) made [1.9, True] one horizon of one round; each is refused now
     y = cycle.policy_index("y")
     for bad in (1.9, True, 2.0, "3"):
-        with pytest.raises(ValidationError, match="whole number of rounds"):
+        with pytest.raises(ValidationError, match="a horizon is a whole number"):
             horizon_payoffs(cycle, y, [1, bad])
     assert set(horizon_payoffs(cycle, y, [2, 1, 2]).u_table) == {1, 2}
 

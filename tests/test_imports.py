@@ -1,10 +1,11 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
-per-problem memo, kernels do not call the public per-pair views, only
-the `Fraction` views build `Fraction` rows, only one helper makes
-an instance without `__init__`, every experiment option is read by
-some suite, and every library name the benchmark imports exists and
-takes the arguments the benchmark passes."""
+per-problem memo, only `parse_whole` decides what a whole number is,
+kernels do not call the public per-pair views, only the `Fraction`
+views build `Fraction` rows, only one helper makes an instance without
+`__init__`, every experiment option is read by some suite, and every
+library name the benchmark imports exists and takes the arguments the
+benchmark passes."""
 
 from __future__ import annotations
 
@@ -60,6 +61,20 @@ def test_memo_is_read_only_through_memoized():
              for node in ast.walk(ast.parse(path.read_text()))
              if (isinstance(node, ast.Attribute) and node.attr in ("_memo", "__dict__"))
              or (isinstance(node, ast.Name) and node.id == "__dict__")]
+    assert found == []
+
+
+def test_whole_numbers_have_one_reader():
+    # `rationals.parse_whole` alone decides what a whole number is: no other
+    # module names `numbers.Integral`, and none defines a `_rounds` reader
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (path.name != "rationals.py" and "Integral" in (
+                 getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None)))
+             or (isinstance(node, ast.FunctionDef) and node.name == "_rounds")
+             or (isinstance(node, ast.Name) and node.id == "_rounds"
+                 and isinstance(node.ctx, ast.Store))]
     assert found == []
 
 

@@ -516,13 +516,14 @@ def test_preset_store_answers_any_order_like_the_reference(block):
 
 
 def test_preset_solves_build_the_vote_table_once(monkeypatch):
-    weak_builds = []
+    # the oracle votes on the rule's strict whole table, built in column chunks
+    table_builds = []
     wins = problems_module._wins
 
-    def counted(problem, rule, cols, weak=False):
-        if weak and cols.start == 0:
-            weak_builds.append(rule)
-        return wins(problem, rule, cols, weak)
+    def counted(problem, rule, cols, weak=False, rows=slice(None)):
+        if not weak and isinstance(cols, slice) and cols.start == 0:
+            table_builds.append(rule)
+        return wins(problem, rule, cols, weak, rows)
 
     monkeypatch.setattr(problems_module, "_CHUNK_COMPARISONS", 40)
     monkeypatch.setattr(problems_module, "_wins", counted)
@@ -535,13 +536,13 @@ def test_preset_solves_build_the_vote_table_once(monkeypatch):
             for t in (3, 1, 4, 2):
                 solve_spe(GameSpec(problem=problem, rule=rule, horizon=t,
                                    initial_default=x, protocol=protocol))
-    assert weak_builds == [rule]
+    assert table_builds == [rule]
     # a custom protocol is solved per call, on the same table
     table = {(t, x): ((0, False), (x, True)) for t in (1, 2) for x in range(8)}
     custom = GameSpec(problem=problem, rule=rule, horizon=2, initial_default=0,
                       protocol=CustomProtocol(label="small", table=table))
     assert solve_spe(custom) == solve_spe(custom) == ref_solve_spe(custom)
-    assert weak_builds == [rule]
+    assert table_builds == [rule]
 
 
 def test_adjournment_trap_is_solved_per_call_after_a_warm_store():

@@ -94,7 +94,7 @@ def test_rule_voter_count_has_no_upper_cap():
     wide = VotingRule.explicit(100, [[0, 99], [50]])
     assert wide.coalition_members == ((50,), (0, 99))
     assert wide.wins(1 << 99 | 1) and not wide.wins(1 << 99)
-    with pytest.raises(ValidationError, match="positive"):
+    with pytest.raises(ValidationError, match="voter count must be at least 1, not 0"):
         VotingRule(n=0, quota=1)
 
 

@@ -38,7 +38,7 @@ def test_delta_share_one_runs():
 
 def test_degenerate_corpus_refused():
     # a corpus draws 2..max_policies policies per problem
-    with pytest.raises(ValidationError, match="max_policies 1"):
+    with pytest.raises(ValidationError, match="max_policies must be at least 2, not 1"):
         gfa_corpus(3, seed=1, max_policies=1)
 
 
