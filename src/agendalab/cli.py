@@ -107,7 +107,8 @@ def _cmd_oracle(args) -> int:
             "trace": [{
                 "round": s.round, "default": problem.policies[s.default],
                 "proposal": problem.policies[s.proposal], "adjourn": s.adjourn,
-                "approvers": sorted(i + 1 for i in s.approvers), "passed": s.passed,
+                "approvers": None if s.approvers is None else sorted(i + 1 for i in s.approvers),
+                "passed": s.passed,
             } for s in report.pivotal_trace],
         }
         _emit(payload, args.out)

@@ -132,6 +132,7 @@ class StrategyProfile:
     ballots: Optional[Callable[[int, int, Sequence[int], int], np.ndarray]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon", parse_whole(self.horizon, "horizon", 1))
         if self.ballots is None:
             vote = self.vote
 
@@ -169,8 +170,8 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
     once `step` fixes every entry (all later powers are equal).  A ballot
     block is then one rank comparison of two gathered column sets,
     `propose` reads the same table, and a vote is one entry of a
-    one-policy block.  Rounds outside 1..T and policy indices outside the
-    table raise `ValidationError`.
+    one-policy block.  A round outside 1..T, or a policy index that is
+    not a whole number in the table, raises `ValidationError`.
     """
     rows = np.asarray(rows, dtype=np.int64)
     step = np.asarray(step, dtype=np.int64)
@@ -198,9 +199,9 @@ def _markov_profile(step: Sequence[int], rows: np.ndarray, rounds: int, label: s
         power = at(t, rounds - t)
         if n != len(rows):
             raise ValidationError(f"profile {label!r} is for {len(rows)} voters, not {n}")
-        if len(policies) and not (0 <= min(policies) and max(policies) < size):
+        if not all(type(a) is int and 0 <= a < size for a in policies):
             for a in policies:
-                check(a)                          # raises at the first outside
+                check(a)                          # raises at the first not a policy
         accept = rows.take(power.take(policies), axis=1)
         reject = rows[:, power[check(x)], None]
         return accept >= reject if t >= ties_from else accept > reject

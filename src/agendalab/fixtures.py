@@ -5,8 +5,8 @@ w > x > y > z.  In the cycle fixture the majority relation cycles in a
 way the setter can ride all the way to w.  The blocked fixture flips
 three edges so that x is unimprovable: the setter stalls at x from any
 default below it, whatever the horizon.  The blocked relation is given
-directly as a tournament; a voter-profile realization of it is also
-provided for the extensive-form oracle.
+directly as a tournament; a voter-profile realization of it serves
+per-voter play and the McGarvey round trip.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def blocked_default_problem() -> CollectiveChoiceProblem:
 
 
 def blocked_default_realized() -> CollectiveChoiceProblem:
-    """13-voter realization of the blocked tournament, for per-voter play."""
+    """13-voter realization of the blocked tournament."""
     realized = mcgarvey_realize(blocked_tournament(), _ranks((4, 3, 2, 1)))
     return relabel(realized, LABELS)
 

@@ -122,9 +122,7 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
 
     attempts = _audit_and_rejitter(values, redraw)
     rows = list(zip(*values))
-    # the players are the voters and the setter: an even count means odd voters
-    problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator,
-                              gfa=len(rows) % 2 == 0)
+    problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator)
     return _assemble(GridBuildResult, problem=problem, epsilon=epsilon,
                      covering_sq_bound=bound, attempts=attempts, _nodes=tuple(nodes),
                      _scale=scale)

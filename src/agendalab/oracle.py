@@ -9,8 +9,9 @@ result.  It does so for every default of a round at once, on arrays:
 the rule's strict winning-coalition table (`_wins_table`, one per rule,
 shared by every protocol) settles every vote, identical continuations
 getting a unanimous yes, and every protocol, preset or custom, is read
-as an action mask per round, one column chunk at a time.  The solver,
-the verifier and `play_out` never read the improvement operators; only
+as an action mask per round, one column chunk at a time, so a
+relation-override problem is solved as it is.  The solver, the verifier
+and `play_out` never read the improvement operators; only
 `check_richness` on a custom table and `protocol_equivalence` compare
 against favorite-improvement iterates.
 
@@ -145,11 +146,14 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One round of the equilibrium path; `approvers` is None on an
+    override problem, whose voter rows are placeholders."""
+
     round: int
     default: int
     proposal: int
     adjourn: bool
-    approvers: frozenset[int]
+    approvers: Optional[frozenset[int]]
     passed: bool
 
 
@@ -253,7 +257,8 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     continuation; identical continuations get a unanimous yes.  So a
     proposal passes exactly when `beats[accept, reject]`, the strict
     `_wins` relation, holds or accept == reject.  Each round is one step
-    of `_extend_rows`.
+    of `_extend_rows`.  So an override problem is solved as it is, under
+    the simple-majority rule only (`_require_rule`).
 
     `beats` is the rule's memoized `_wins_table`, shared by every protocol
     and, under the majority rule, by reachability and tournaments.  A
@@ -268,10 +273,9 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     per block.
     """
     problem = game.problem
-    if problem.majority_override is not None:
-        raise UnsupportedCombinationError(
-            "the oracle votes per voter; realize the override as an explicit "
-            "profile (e.g. a tournament realization) first")
+    override = problem.majority_override is not None
+    if override:
+        _require_rule(problem, game.rule)
     if not problem.gfa:
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
@@ -306,11 +310,12 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         a, adjourn = divmod(int(choices[horizon - t][x]), 2)
         later = values[horizon - t]
         accept_out, reject_out = a if adjourn else later[a], later[x]
-        yes = np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out])
+        yes = None if override else frozenset(
+            np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out]).tolist())
         passed = bool(beats[accept_out, reject_out]) or accept_out == reject_out
         trace.append(TraceStep(
             round=t, default=x, proposal=a, adjourn=bool(adjourn),
-            approvers=frozenset(yes.tolist()), passed=passed))
+            approvers=yes, passed=passed))
         if passed and adjourn:
             return SolveReport(outcome=a, value_table=value_table,
                                pivotal_trace=tuple(trace))

@@ -197,8 +197,10 @@ class CollectiveChoiceProblem:
     strict majority relation; utility-level operations then refuse the
     problem, since the two descriptions need not be consistent.
 
-    `gfa` asserts the generic-finite-alternatives regime: odd voter
-    count and no within-row utility ties for any player.
+    `gfa`, the generic-finite-alternatives regime (odd voter count, no
+    within-row utility ties for any player), is read from the rows;
+    `gfa=True` requires it, naming the first tied row, and `False` opts
+    nothing out.
 
     Both constructors end in `_compile`, when the problem is made: the
     public one compiles the `Fraction` rows it is given (a float or text
@@ -223,7 +225,7 @@ class CollectiveChoiceProblem:
         """Check the shapes of the integer rows of `ints` (voters first,
         the setter last), then keep them as `_ints`, with the voter count
         `n` and the (n+1) x m dense ranks `_ranks` (`_dense_ranks`), and
-        run the gfa check on those ranks."""
+        `gfa` read from those ranks."""
         rows, m = ints.vectors, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
@@ -244,16 +246,16 @@ class CollectiveChoiceProblem:
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
         n, ranks = len(rows) - 1, _dense_ranks(ints.array)
-        for name, value in (("_ints", ints), ("n", n), ("_ranks", ranks)):
-            object.__setattr__(self, name, value)
-        if self.gfa:
+        # a row without ties reaches dense rank m - 1
+        tied = [i for i, top in enumerate(ranks.max(axis=1).tolist()) if top != m - 1]
+        gfa = n % 2 == 1 and not tied
+        if self.gfa and not gfa:
             if n % 2 == 0:
                 raise ValidationError("gfa requires an odd number of voters")
-            # a row without ties reaches dense rank m - 1
-            for i, top in enumerate(ranks.max(axis=1).tolist()):
-                if top != m - 1:
-                    name = f"voter {i + 1}" if i < n else "agenda setter"
-                    raise ValidationError(f"gfa requires strict preferences; {name} has ties")
+            name = f"voter {tied[0] + 1}" if tied[0] < n else "agenda setter"
+            raise ValidationError(f"gfa requires strict preferences; {name} has ties")
+        for name, value in (("_ints", ints), ("n", n), ("_ranks", ranks), ("gfa", gfa)):
+            object.__setattr__(self, name, value)
 
     # -- basic views --------------------------------------------------------
 
@@ -312,15 +314,14 @@ class CollectiveChoiceProblem:
         return VotingRule.quota_rule(self.n, self.n // 2 + 1)
 
 
-def _scaled_problem(policies, rows, denominator: int,
-                    gfa: bool = False) -> CollectiveChoiceProblem:
+def _scaled_problem(policies, rows, denominator: int) -> CollectiveChoiceProblem:
     """The problem whose player p values policy x at rows[p][x] / denominator
     (integer rows, voters first, the setter last).  It keeps those
     integers as its `_ints` and builds no `Fraction`: its utility fields
     are views made on first read, and it equals the problem the public
     constructor makes from them."""
     problem = _assemble(CollectiveChoiceProblem, policies=tuple(policies),
-                        majority_override=None, gfa=gfa)
+                        majority_override=None, gfa=False)
     problem._compile(ScaledInts.from_scaled(rows, denominator))
     return problem
 

@@ -6,7 +6,7 @@ The problem schema:
      "voters": [["4", "1/2", ...], ...],
      "agenda_setter": ["4", ...],
      "majority_override": [["winner", "loser"], ...],   # optional
-     "gfa": true}
+     "gfa": true}                                       # optional; true requires gfa
 
 Policy labels, here and in tournament documents, are JSON strings.
 Rationals serialize as reduced "p/q" or integer strings; decimal input

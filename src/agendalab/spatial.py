@@ -363,9 +363,8 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
         witness=tuple(Fraction(c, scale * wit_r) for c in witness))
 
 
-def spatial_problem(profile: SpatialProfile, points, labels=None,
-                    gfa: bool = False) -> CollectiveChoiceProblem:
+def spatial_problem(profile: SpatialProfile, points, labels=None) -> CollectiveChoiceProblem:
     """Collective choice problem induced by a finite set of policy points."""
     if labels is None:
         labels = tuple(f"p{i}" for i in range(len(points)))
-    return _scaled_problem(labels, *profile.scaled_rows(points), gfa=gfa)
+    return _scaled_problem(labels, *profile.scaled_rows(points))

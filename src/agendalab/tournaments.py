@@ -75,7 +75,7 @@ def mcgarvey_realize(tournament: TournamentSpec,
     rows.append(_ranking_row(list(range(m)), m, scale))
     rows.append(scaled_numerators(setter, scale))
 
-    problem = _scaled_problem([f"x{i}" for i in range(m)], rows, scale, gfa=True)
+    problem = _scaled_problem([f"x{i}" for i in range(m)], rows, scale)
     if derive_tournament(problem).edges != tournament.edges:
         raise InternalInvariantError("realized majority relation differs from input")
     return problem
@@ -89,4 +89,4 @@ def relabel(problem: CollectiveChoiceProblem, labels) -> CollectiveChoiceProblem
     return CollectiveChoiceProblem(
         policies=labels, voter_utilities=problem.voter_utilities,
         setter_utilities=problem.setter_utilities,
-        majority_override=problem.majority_override, gfa=problem.gfa)
+        majority_override=problem.majority_override)

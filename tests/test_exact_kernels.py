@@ -1030,16 +1030,20 @@ def validation_outcome(build):
 @SETTINGS
 @given(integer_rows(), st.booleans())
 def test_scaled_problem_equals_the_constructed_problem(case, read_first):
-    rows, denominator, gfa = case
+    rows, denominator, flag = case
     labels = [f"x{i}" for i in range(len(rows[0]))]
     *voters, setter = fraction_rows(rows, denominator)
-    want = validation_outcome(lambda: CollectiveChoiceProblem(
+    generic = len(voters) % 2 == 1 and all(len(set(row)) == len(row) for row in rows)
+    flagged = validation_outcome(lambda: CollectiveChoiceProblem(
         policies=tuple(labels), voter_utilities=tuple(voters), setter_utilities=setter,
-        gfa=gfa))
-    got = validation_outcome(lambda: _scaled_problem(labels, rows, denominator, gfa=gfa))
-    if isinstance(want, str):                   # the same refusal (gfa with ties)
-        assert got == want
-        return
+        gfa=flag))
+    # gfa=True refuses exactly the problems outside the regime; False opts nothing out
+    assert isinstance(flagged, str) == (flag and not generic)
+    want = CollectiveChoiceProblem(policies=tuple(labels), voter_utilities=tuple(voters),
+                                   setter_utilities=setter)
+    got = _scaled_problem(labels, rows, denominator)
+    assert got.gfa == want.gfa == generic
+    assert isinstance(flagged, str) or flagged == want
     assert got.n == want.n == len(voters)
     assert "voter_utilities" not in vars(got) and "setter_utilities" not in vars(got)
     if read_first:

@@ -1,6 +1,7 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, only `parse_whole` decides what a whole number is,
+no integer builder takes or is handed a `gfa` flag,
 kernels do not call the public per-pair views, only the `Fraction`
 views build `Fraction` rows, only one helper makes an instance without
 `__init__`, every experiment option is read by some suite, and every
@@ -75,6 +76,21 @@ def test_whole_numbers_have_one_reader():
              or (isinstance(node, ast.FunctionDef) and node.name == "_rounds")
              or (isinstance(node, ast.Name) and node.id == "_rounds"
                  and isinstance(node.ctx, ast.Store))]
+    assert found == []
+
+
+def test_gfa_is_read_from_the_rows_not_passed_on():
+    # a problem derives `gfa` in `_compile`: the integer builders take no flag
+    # and none is handed to them
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.FunctionDef)
+                 and node.name in ("_scaled_problem", "spatial_problem")
+                 and "gfa" in [a.arg for a in node.args.args + node.args.kwonlyargs])
+             or (isinstance(node, ast.Call)
+                 and "_scaled_problem" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))
+                 and any(k.arg == "gfa" for k in node.keywords))]
     assert found == []
 
 

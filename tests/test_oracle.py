@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import re
@@ -29,7 +30,7 @@ from agendalab import (
 )
 from agendalab.factories import gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol
-from agendalab.oracle import Violation
+from agendalab.oracle import PRESET_PROTOCOLS, Violation
 from agendalab.problems import _column_chunks
 
 
@@ -57,10 +58,32 @@ def test_solve_refuses_indifference():
         solve_spe(game)
 
 
-def test_solve_refuses_override(blocked, rule3):
+def test_override_solves_as_its_realization(blocked, blocked_realized, rule3):
+    """The votes read only the relation, so the override fixture solves
+    as its 13-voter realization does; its steps name no approvers."""
+    rule13 = VotingRule.simple_majority(13)
+    compared = 0
+    for protocol in PRESET_PROTOCOLS:
+        for horizon in range(1, 7):
+            for x in range(4):
+                got = solve_spe(GameSpec(problem=blocked, rule=rule3, horizon=horizon,
+                                         initial_default=x, protocol=protocol))
+                want = solve_spe(GameSpec(problem=blocked_realized, rule=rule13,
+                                          horizon=horizon, initial_default=x,
+                                          protocol=protocol))
+                assert (got.outcome, got.value_table) == (want.outcome, want.value_table)
+                assert got.pivotal_trace == tuple(
+                    dataclasses.replace(step, approvers=None) for step in want.pivotal_trace)
+                compared += 1
+    assert compared == 72
+    # the override still defines only the simple-majority relation, and
+    # per-voter ballots are still not audited against it
+    with pytest.raises(UnsupportedCombinationError):
+        solve_spe(GameSpec(problem=blocked, rule=VotingRule.quota_rule(3, 3), horizon=2,
+                           initial_default=0))
     game = GameSpec(problem=blocked, rule=rule3, horizon=2, initial_default=0)
     with pytest.raises(UnsupportedCombinationError):
-        solve_spe(game)
+        verify_profile(game, StrategyProfile.from_tables(2, {}, []))
 
 
 def test_solve_budget(cycle, rule3):

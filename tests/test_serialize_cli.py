@@ -200,6 +200,38 @@ def test_cli_reach_and_horizon(cycle_file, capsys):
     assert payload["payoff_infinite"] == "2"
 
 
+def test_cli_reads_gfa_from_the_rows(cycle_file, tmp_path, capsys):
+    # the cycle fixture's document without its "gfa" key runs as the flagged one
+    doc = problem_to_dict(majority_cycle_problem())
+    del doc["gfa"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    for argv in (["solve", "--default", "z", "--rounds", "3"],
+                 ["oracle", "solve", "--default", "z", "--rounds", "3"],
+                 ["horizon", "--default", "z"],
+                 ["reach", "--default", "z", "--mode", "credible"]):
+        at = 2 if argv[0] == "oracle" else 1
+        outs = []
+        for path in (cycle_file, str(bare)):
+            assert main([*argv[:at], "--problem", path, *argv[at:]]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_cli_oracle_solves_an_override_document(tmp_path, capsys):
+    path = tmp_path / "blocked.json"
+    save_problem(blocked_default_problem(), path)
+    assert main(["oracle", "solve", "--problem", str(path), "--default", "z",
+                 "--rounds", "3"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["outcome"] == "x"
+    assert out.count('"approvers": null') == len(payload["trace"])
+    assert main(["oracle", "equivalence", "--problem", str(path), "--default", "z",
+                 "--rounds", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_agree"]
+
+
 def test_cli_spatial_pipeline(tmp_path, capsys):
     profile_path = tmp_path / "profile.json"
     assert main(["spatial", "generate", "--dim", "3", "--voters", "5",

@@ -212,6 +212,15 @@ def test_spatial_problem_wraps_utilities():
     assert problem.setter_utilities[0] == profile.utility(3, pts[0])
 
 
+def test_spatial_problem_reads_gfa_from_its_rows():
+    profile = gen_spatial(3, 5, seed=8)
+    rng = random.Random(3)
+    pts = [point(*(F(rng.randrange(1, 97), 97) for _ in range(3))) for _ in range(12)]
+    assert spatial_problem(profile, pts).gfa
+    # a repeated point ties every row
+    assert not spatial_problem(profile, pts + [pts[0]]).gfa
+
+
 def test_points_must_be_exact_with_one_coordinate_per_axis():
     profile = gen_spatial(3, 3, seed=1)
     half = F(1, 2)

@@ -16,6 +16,7 @@ from agendalab import (
     GameSpec,
     SimplexSpace,
     SpatialProfile,
+    StrategyProfile,
     TournamentSpec,
     ValidationError,
     VotingRule,
@@ -95,6 +96,11 @@ ENTRY_POINTS = {
         lambda v: simple_equilibrium_profile(CYCLE, RULE, 2).propose(v, 3), 1, None),
     "markov profile index": (
         lambda v: simple_equilibrium_profile(CYCLE, RULE, 2).propose(1, v), 3, None),
+    "markov ballots policy": (
+        lambda v: simple_equilibrium_profile(CYCLE, RULE, 2).ballots(1, 0, [v], 3).tolist(),
+        3, None),
+    "StrategyProfile horizon": (lambda v: StrategyProfile.from_tables(v, {}, []).horizon, 2,
+                                None),
     "nc_outcome_bounds rounds": (lambda v: nc_outcome_bounds(CYCLE, RULE, 3, v), 2, None),
     "nc_outcome_bounds budget": (
         lambda v: nc_outcome_bounds(CYCLE, RULE, 3, 2, budget=v), 1000, None),
@@ -195,6 +201,15 @@ def test_parse_whole_reads_an_integral_and_refuses_the_rest():
 def test_inexact_whole_numbers_are_refused(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_markov_ballots_read_every_policy():
+    # the in-range fast path read [1, 2.0] as policies 1 and 2 (one policy
+    # at a time is in the table above)
+    profile = simple_equilibrium_profile(CYCLE, RULE, 2)
+    with pytest.raises(ValidationError, match=r"^refusing policy index 2\.0: "):
+        profile.ballots(1, 0, [1, 2.0], 3)
+    assert profile.ballots(1, 0, [], 3).shape == (3, 0)
 
 
 def test_coalition_masks_name_voters_of_the_rule():
