@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import StrategyProfile, _markov_profile
 from .errors import BudgetExceededError, ValidationError
-from .problems import CollectiveChoiceProblem, _column_chunks, _scaled_problem
+from .problems import CollectiveChoiceProblem, _column_chunks, _require_voter_rows, _scaled_problem
 from .rationals import parse_rational, parse_whole
 
 
@@ -229,9 +229,10 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
     """Quasi-linear transfer augmentation of a base problem, on the 1/m grid.
 
     For each base policy the players' total utility is redistributed
-    over nonnegative grid allocations; each player's utility is their
-    own slice.  Slices of equal total coincide and are deduplicated.
+    over nonnegative grid allocations, each kept once; each player's
+    utility is their own slice.  An override base's placeholder rows are refused.
     """
+    _require_voter_rows(base, "transfers redistribute voter utilities")
     m, players = parse_whole(m, "denominator", 1), base.n + 1
     seen: dict[tuple[int, ...], None] = {}
     for x in range(base.num_policies):
@@ -290,7 +291,9 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     Both axioms only compare utilities within one player's row, so the
     check runs on each row's dense ranks, for one block of policies x
     at a time (`_column_chunks`): O(players * m * chunk) transient memory.
+    An override problem's placeholder voter rows are refused.
     """
+    _require_voter_rows(problem, "the axioms are audited per voter")
     ranks = problem._ranks
     players = ranks.shape[0]
     above_min = ranks > 0

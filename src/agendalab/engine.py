@@ -29,6 +29,7 @@ from .problems import (
     _memoized,
     _phi_table,
     _require_rule,
+    _require_voter_rows,
     _wins,
 )
 from .rationals import parse_whole
@@ -53,11 +54,9 @@ def _orbit(problem: CollectiveChoiceProblem, rule: VotingRule, x: int,
 
 def favorite_improvement(problem: CollectiveChoiceProblem, rule: VotingRule, x: int) -> int:
     """Setter's best policy among {x} plus the strict acceptance set of x:
-    x itself exactly when x is unimprovable.  Refused without gfa, where
-    `is_improvable(...).witness` names the lowest-index maximizer."""
-    if not problem.gfa:
-        raise ValidationError("favorite improvement is single-valued only under gfa")
-    return _orbit(problem, rule, x, 1)[-1]
+    x itself exactly when x is unimprovable.  Refused without gfa (by
+    `phi_iterates`), where `is_improvable(...).witness` names the lowest-index maximizer."""
+    return phi_iterates(problem, rule, x, 1)[-1]
 
 
 def phi_iterates(problem: CollectiveChoiceProblem, rule: VotingRule,
@@ -219,9 +218,10 @@ def simple_equilibrium_profile(problem: CollectiveChoiceProblem, rule: VotingRul
 
     The setter always proposes the favorite improvement of the current
     default; voter i approves a proposal exactly when the continuation
-    outcome from acceptance is weakly preferred to the one from
-    rejection (so on-path ties go to the proposal).
+    from acceptance is weakly preferred to the one from rejection (ties
+    go to the proposal).  An override problem's placeholder rows are refused.
     """
+    _require_voter_rows(problem, "the simple equilibrium profile votes per voter")
     if not problem.gfa:
         raise ValidationError("the simple equilibrium profile requires gfa")
     rounds = parse_whole(rounds, "round count", 1)

@@ -16,11 +16,11 @@ class ValidationError(AgendaLabError):
 
 
 class UnsupportedCombinationError(ValidationError):
-    """Inputs are individually valid but cannot be combined.
-
-    The canonical case: a majority-override problem paired with an
-    operation that needs per-voter utilities or a non-simple-majority
-    rule.
+    """Inputs are individually valid but cannot be combined: a
+    majority-override problem met by a reader of per-voter rows
+    (`problems._require_voter_rows`) or paired with a rule other than
+    simple majority (`problems._require_rule`, which `GameSpec` calls).
+    Only `problems` raises it.
     """
 
 

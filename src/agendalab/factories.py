@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ValidationError
 from .problems import CollectiveChoiceProblem
 from .rationals import parse_whole
 
@@ -14,10 +13,9 @@ CORPUS_VOTERS = (3, 5)
 
 
 def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProblem:
-    """Random problem with strict rows: shuffled rank utilities per player."""
+    """Random gfa problem (`gfa=True` refuses an even n): shuffled rank rows."""
     num_policies = parse_whole(num_policies, "policy count", 2)
-    if parse_whole(n, "voter count", 1) % 2 == 0:
-        raise ValidationError("gfa needs an odd positive voter count")
+    n = parse_whole(n, "voter count", 1)
     rng = random.Random(seed)
 
     def ranks():

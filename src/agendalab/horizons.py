@@ -198,15 +198,13 @@ def horizon_payoffs(problem: CollectiveChoiceProblem, x0: int,
     (a bool, float or text horizon is refused, not truncated).  Finite
     payoffs read the orbit of x0; the infinite-horizon value is the
     utility of the favorite stable improvement — a characterization
-    import, not a simulated game.
+    import, not a simulated game.  It is read first: `stable_set` refuses non-gfa.
     """
-    if not problem.gfa:
-        raise ValidationError("horizon payoffs require gfa")
+    psi = stable_set(problem).psi_table
     t_list = sorted({parse_whole(t, "horizon", 1) for t in t_list})
     # every round past the orbit's end repeats its fixed point
     orbit = _orbit(problem, problem._majority_rule, x0, max(t_list, default=0))
     table = {t: problem.setter_utilities[orbit[min(t, len(orbit) - 1)]] for t in t_list}
-    psi = stable_set(problem).psi_table
     return HorizonRows(start=x0, u_table=table,
                        u_inf=problem.setter_utilities[psi[x0]])
 
@@ -227,10 +225,8 @@ def horizon_classify(problem: CollectiveChoiceProblem) -> HorizonReport:
     than one round, which in turn strictly beats no deadline at all.
     Case "b": the horizon never matters.  The at-most-once-improvable
     set is computed both from the improvement map and from the stable
-    set identity; disagreement is an internal error.
+    set identity (`stable_set` refuses non-gfa); disagreement is an internal error.
     """
-    if not problem.gfa:
-        raise ValidationError("horizon classification requires gfa")
     psi = stable_set(problem).psi_table
     m = problem.num_policies
     phi1 = _phi_table(problem, problem._majority_rule)

@@ -43,7 +43,6 @@ from .engine import StrategyProfile, _orbit
 from .errors import (
     BudgetExceededError,
     RichnessError,
-    UnsupportedCombinationError,
     ValidationError,
 )
 from .problems import (
@@ -53,6 +52,7 @@ from .problems import (
     _column_chunks,
     _memoized,
     _require_rule,
+    _require_voter_rows,
     _wins_table,
 )
 from .rationals import parse_whole
@@ -79,9 +79,9 @@ Protocol = Union[str, CustomProtocol]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A finite agenda game.  A custom protocol's table is validated once,
-    here, and each state's offers kept as distinct `(int, bool)` pairs,
-    first offer first; `feasible` reports a missing or empty set lazily."""
+    """A finite agenda game.  Its rule (`_require_rule`) and a custom table
+    are checked once, here, each state's offers kept as distinct `(int, bool)`
+    pairs, first offer first; `feasible` reports a missing or empty set lazily."""
 
     problem: CollectiveChoiceProblem
     rule: VotingRule
@@ -93,9 +93,7 @@ class GameSpec:
         object.__setattr__(self, "horizon", parse_whole(self.horizon, "horizon", 1))
         object.__setattr__(self, "initial_default",
                            self.problem.check_policy(self.initial_default))
-        if self.rule.n != self.problem.n:
-            raise ValidationError(
-                f"rule is for {self.rule.n} voters, problem has {self.problem.n}")
+        _require_rule(self.problem, self.rule)
         if isinstance(self.protocol, str) and self.protocol not in PRESET_PROTOCOLS:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if isinstance(self.protocol, CustomProtocol):
@@ -258,7 +256,7 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     proposal passes exactly when `beats[accept, reject]`, the strict
     `_wins` relation, holds or accept == reject.  Each round is one step
     of `_extend_rows`.  So an override problem is solved as it is, under
-    the simple-majority rule only (`_require_rule`).
+    the simple-majority rule only, which `GameSpec` has checked.
 
     `beats` is the rule's memoized `_wins_table`, shared by every protocol
     and, under the majority rule, by reachability and tournaments.  A
@@ -273,9 +271,6 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     per block.
     """
     problem = game.problem
-    override = problem.majority_override is not None
-    if override:
-        _require_rule(problem, game.rule)
     if not problem.gfa:
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
@@ -310,7 +305,7 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         a, adjourn = divmod(int(choices[horizon - t][x]), 2)
         later = values[horizon - t]
         accept_out, reject_out = a if adjourn else later[a], later[x]
-        yes = None if override else frozenset(
+        yes = None if problem.majority_override is not None else frozenset(
             np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out]).tolist())
         passed = bool(beats[accept_out, reject_out]) or accept_out == reject_out
         trace.append(TraceStep(
@@ -378,9 +373,7 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     them at every state) share the one vote, and both are audited.
     """
     problem = game.problem
-    if problem.majority_override is not None:
-        raise UnsupportedCombinationError(
-            "profiles are voted per voter; relation-override problems unsupported")
+    _require_voter_rows(problem, "profiles are voted per voter")
     if profile.horizon != game.horizon:
         raise ValidationError(
             f"profile horizon {profile.horizon} != game horizon {game.horizon}")
@@ -533,10 +526,10 @@ def check_richness(game: GameSpec) -> RichnessReport:
     while another is offered only with one, or if neither the one-step
     favorite improvement (without adjournment) nor the remaining-rounds
     improvement iterate (with adjournment) is available.  The named
-    presets are rich by construction and only check the rule: `amendment`
+    presets are rich by construction, with nothing to scan: `amendment`
     and `open_rule` offer every policy without adjournment, `successive`
     every policy with it, and none mixes amend-only and adjourn-only
-    policies.
+    policies.  `GameSpec` has checked the rule.
 
     Note: a literal "all actions share one adjournment flag" reading
     would wrongly reject the open-rule preset (it offers every policy
@@ -550,10 +543,9 @@ def check_richness(game: GameSpec) -> RichnessReport:
     precedence at a state.  Improvement iterates come from
     `engine._orbit`, one orbit per default, ties to the lowest index.
     """
-    problem, m = game.problem, game.problem.num_policies
     if isinstance(game.protocol, str):
-        _require_rule(problem, game.rule)
         return RichnessReport(rich=True)
+    problem, m = game.problem, game.problem.num_policies
     orbits = [_orbit(problem, game.rule, x, game.horizon) for x in range(m)]
     step = [orbit[:2][-1] for orbit in orbits]      # phi^k(x) is orbit[:k + 1][-1]
     defaults, rounds = np.arange(m), range(1, game.horizon + 1)

@@ -192,15 +192,15 @@ class VotingRule:
 class CollectiveChoiceProblem:
     """Finite policy set plus exact-rational preferences.
 
-    voter_utilities has one row per voter, one column per policy.  When
-    `majority_override` is present it replaces the profile-derived
-    strict majority relation; utility-level operations then refuse the
-    problem, since the two descriptions need not be consistent.
+    voter_utilities has one row per voter, one column per policy.  A
+    `majority_override` replaces the derived strict majority relation and
+    makes the voter rows placeholders, which every per-voter reader
+    refuses (`_require_voter_rows`): the two descriptions need not agree.
 
     `gfa`, the generic-finite-alternatives regime (odd voter count, no
-    within-row utility ties for any player), is read from the rows;
-    `gfa=True` requires it, naming the first tied row, and `False` opts
-    nothing out.
+    within-row utility ties for any player, or under an override for the
+    setter), is read from the rows; `gfa=True` requires it, naming the
+    first tied row, and `False` opts nothing out.
 
     Both constructors end in `_compile`, when the problem is made: the
     public one compiles the `Fraction` rows it is given (a float or text
@@ -224,8 +224,8 @@ class CollectiveChoiceProblem:
     def _compile(self, ints: ScaledInts) -> None:
         """Check the shapes of the integer rows of `ints` (voters first,
         the setter last), then keep them as `_ints`, with the voter count
-        `n` and the (n+1) x m dense ranks `_ranks` (`_dense_ranks`), and
-        `gfa` read from those ranks."""
+        `n`, the (n+1) x m dense ranks `_ranks` (`_dense_ranks`) and `gfa`
+        (under an override only the setter's ranks count)."""
         rows, m = ints.vectors, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
@@ -246,8 +246,9 @@ class CollectiveChoiceProblem:
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
         n, ranks = len(rows) - 1, _dense_ranks(ints.array)
-        # a row without ties reaches dense rank m - 1
-        tied = [i for i, top in enumerate(ranks.max(axis=1).tolist()) if top != m - 1]
+        # a row without ties reaches dense rank m - 1; override voter rows are placeholders
+        tied = [i for i, top in enumerate(ranks.max(axis=1).tolist())
+                if top != m - 1 and (i == n or self.majority_override is None)]
         gfa = n % 2 == 1 and not tied
         if self.gfa and not gfa:
             if n % 2 == 0:
@@ -383,6 +384,12 @@ class MarginReport:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _require_voter_rows(problem, why: str) -> None:
+    """Refuse an override problem in a reader of its placeholder voter rows."""
+    if problem.majority_override is not None:
+        raise UnsupportedCombinationError(f"{why}; relation-override problems unsupported")
 
 
 def _require_rule(problem, rule):
@@ -630,10 +637,7 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     delta = parse_rational(delta)
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    if problem.majority_override is not None:
-        raise UnsupportedCombinationError(
-            "uniform_margin needs utility-consistent majorities; "
-            "relation overrides carry no gain information")
+    _require_voter_rows(problem, "uniform_margin reads voter gains")
     _require_rule(problem, rule)
 
     ints = problem._ints

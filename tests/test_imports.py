@@ -1,7 +1,8 @@
 """Static checks of the package source: relative imports form no cycle,
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, only `parse_whole` decides what a whole number is,
-no integer builder takes or is handed a `gfa` flag,
+no integer builder takes or is handed a `gfa` flag, only `problems`
+raises `UnsupportedCombinationError`,
 kernels do not call the public per-pair views, only the `Fraction`
 views build `Fraction` rows, only one helper makes an instance without
 `__init__`, every experiment option is read by some suite, and every
@@ -91,6 +92,20 @@ def test_gfa_is_read_from_the_rows_not_passed_on():
                  and "_scaled_problem" in (getattr(node.func, "id", None),
                                            getattr(node.func, "attr", None))
                  and any(k.arg == "gfa" for k in node.keywords))]
+    assert found == []
+
+
+def test_only_problems_refuses_a_combination():
+    # which readers refuse an override problem, and which rules pair with
+    # one, is decided in `problems` (`_require_voter_rows`, `_require_rule`)
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "problems.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "UnsupportedCombinationError" in (
+                 getattr(node.exc, "id", None),
+                 getattr(getattr(node.exc, "func", None), "id", None),
+                 getattr(getattr(node.exc, "func", None), "attr", None))]
     assert found == []
 
 

@@ -32,6 +32,7 @@ from agendalab.factories import gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol
 from agendalab.oracle import PRESET_PROTOCOLS, Violation
 from agendalab.problems import _column_chunks
+from agendalab.serialize import load_problem, save_problem
 
 
 def test_solve_cycle_fixture(cycle, rule3):
@@ -84,6 +85,37 @@ def test_override_solves_as_its_realization(blocked, blocked_realized, rule3):
     game = GameSpec(problem=blocked, rule=rule3, horizon=2, initial_default=0)
     with pytest.raises(UnsupportedCombinationError):
         verify_profile(game, StrategyProfile.from_tables(2, {}, []))
+
+
+# ---------------------------------------------------------------------------
+# an override problem's voter rows are placeholders
+
+
+def test_tied_placeholder_rows_solve_as_the_realization(blocked, blocked_realized, rule3,
+                                                        tmp_path):
+    # gfa reads only the setter row and the voter count of an override problem
+    problem = CollectiveChoiceProblem(policies=blocked.policies,
+                                      voter_utilities=((0, 0, 0, 0),) * 3,
+                                      setter_utilities=(4, 3, 2, 1),
+                                      majority_override=blocked.majority_override)
+    assert problem.gfa
+    rule13 = VotingRule.simple_majority(13)
+    compared = 0
+    for protocol in PRESET_PROTOCOLS:
+        for horizon in range(1, 7):
+            for x in range(4):
+                got = solve_spe(GameSpec(problem=problem, rule=rule3, horizon=horizon,
+                                         initial_default=x, protocol=protocol))
+                want = solve_spe(GameSpec(problem=blocked_realized, rule=rule13,
+                                          horizon=horizon, initial_default=x,
+                                          protocol=protocol))
+                assert (got.outcome, got.value_table) == (want.outcome, want.value_table)
+                assert got.outcome == phi_iterates(problem, rule3, x, horizon)[-1]
+                compared += 1
+    assert compared == 72
+    path = tmp_path / "placeholder.json"
+    save_problem(problem, path)
+    assert load_problem(path) == problem
 
 
 def test_solve_budget(cycle, rule3):
@@ -426,12 +458,12 @@ def test_verify_refuses_other_doubly_flagged_policy(cycle, rule3):
 
 
 def test_preset_richness_still_refuses_an_unsupported_rule(blocked):
-    # an override defines only the simple-majority relation
+    # an override defines only the simple-majority relation; the game
+    # refuses the rule when it is made, before any richness check
     for protocol in ("amendment", "successive", "open_rule"):
-        game = GameSpec(problem=blocked, rule=VotingRule.quota_rule(3, 3), horizon=2,
-                        initial_default=0, protocol=protocol)
         with pytest.raises(UnsupportedCombinationError, match="override defines only"):
-            check_richness(game)
+            check_richness(GameSpec(problem=blocked, rule=VotingRule.quota_rule(3, 3),
+                                    horizon=2, initial_default=0, protocol=protocol))
 
 
 def test_oracle_answers_with_phi_unavailable(monkeypatch):

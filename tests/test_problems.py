@@ -17,6 +17,7 @@ from agendalab import (
     ValidationError,
     VotingRule,
     acceptance_set,
+    audit_dp_axioms,
     favorite_improvement,
     horizon_classify,
     is_improvable,
@@ -28,6 +29,7 @@ from agendalab import (
     reachability,
     simple_equilibrium_profile,
     stable_set,
+    transfers_problem,
     uniform_margin,
     unimprovable_set,
     verify_profile,
@@ -205,6 +207,40 @@ _REFUSALS = {
             simple_equilibrium_profile(cycle, rule, 1)),
         UnsupportedCombinationError,
         "profiles are voted per voter; relation-override problems unsupported"),
+    # the placeholder rows say nothing about the tournament: a profile voted
+    # from them would play the blocked fixture at T = 1 from z to z, where
+    # solve_spe and phi both give x
+    "simple_equilibrium_profile on an override problem": (
+        lambda cycle, blocked, rule: simple_equilibrium_profile(blocked, rule, 1),
+        UnsupportedCombinationError,
+        "the simple equilibrium profile votes per voter; relation-override problems unsupported"),
+    "transfers_problem on an override problem": (
+        lambda cycle, blocked, rule: transfers_problem(blocked, 1),
+        UnsupportedCombinationError,
+        "transfers redistribute voter utilities; relation-override problems unsupported"),
+    "audit_dp_axioms on an override problem": (
+        lambda cycle, blocked, rule: audit_dp_axioms(blocked),
+        UnsupportedCombinationError,
+        "the axioms are audited per voter; relation-override problems unsupported"),
+    "uniform_margin on an override problem": (
+        lambda cycle, blocked, rule: uniform_margin(blocked, rule, 1),
+        UnsupportedCombinationError,
+        "uniform_margin reads voter gains; relation-override problems unsupported"),
+    "GameSpec pairing an override with a quota rule": (
+        lambda cycle, blocked, rule: GameSpec(problem=blocked, rule=VotingRule.quota_rule(3, 3),
+                                              horizon=2, initial_default=0),
+        UnsupportedCombinationError,
+        "a majority override defines only the simple-majority relation; "
+        "pair explicit or non-majority rules with utility-level problems"),
+    "gfa=True on an override with a tied setter row": (
+        lambda cycle, blocked, rule: CollectiveChoiceProblem(
+            policies=blocked.policies, voter_utilities=((0, 0, 0, 0),) * 3,
+            setter_utilities=(1, 1, 2, 3), majority_override=blocked.majority_override,
+            gfa=True),
+        ValidationError, "gfa requires strict preferences; agenda setter has ties"),
+    "gen_random_gfa with an even voter count": (
+        lambda cycle, blocked, rule: gen_random_gfa(4, 2, 0),
+        ValidationError, "gfa requires an odd number of voters"),
     "relabel with too few labels": (
         lambda cycle, blocked, rule: relabel(cycle, ("a", "b", "c")),
         ValidationError, "label count mismatch"),

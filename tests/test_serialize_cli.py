@@ -232,6 +232,29 @@ def test_cli_oracle_solves_an_override_document(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["all_agree"]
 
 
+def test_cli_reads_an_override_gfa_from_the_setter_row(tmp_path, capsys):
+    # the blocked fixture's document with all-zero placeholder voter rows and
+    # no "gfa" key runs as the strict-row document does
+    strict = tmp_path / "strict.json"
+    save_problem(blocked_default_problem(), strict)
+    doc = problem_to_dict(blocked_default_problem())
+    doc["voters"] = [["0"] * 4 for _ in doc["voters"]]
+    del doc["gfa"]
+    placeholder = tmp_path / "placeholder.json"
+    placeholder.write_text(json.dumps(doc))
+    for argv in (["solve", "--default", "z", "--rounds", "3"],
+                 ["oracle", "solve", "--default", "z", "--rounds", "3"],
+                 ["oracle", "equivalence", "--default", "z", "--rounds", "3"],
+                 ["horizon", "--default", "z"],
+                 ["reach", "--default", "z", "--mode", "credible"]):
+        at = 2 if argv[0] == "oracle" else 1
+        outs = []
+        for path in (strict, placeholder):
+            assert main([*argv[:at], "--problem", str(path), *argv[at:]]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 def test_cli_spatial_pipeline(tmp_path, capsys):
     profile_path = tmp_path / "profile.json"
     assert main(["spatial", "generate", "--dim", "3", "--voters", "5",
