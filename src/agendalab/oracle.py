@@ -21,7 +21,9 @@ backward rows of every horizon solved so far are memoized with the
 problem per (rule, preset); a longer horizon extends them and a shorter
 one reads their prefix, so every default and horizon of a preset costs
 one backward step per round.  Custom tables are not stationary and are
-solved per call.
+solved per call.  Each call walks its own equilibrium path on plain
+ints; a step's approvers are made on first read, so a caller that reads
+only outcomes never pays for them.
 
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
@@ -55,7 +57,7 @@ from .problems import (
     _require_voter_rows,
     _wins_table,
 )
-from .rationals import parse_whole
+from .rationals import _assemble, _FractionView, parse_whole
 
 PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
 
@@ -142,16 +144,24 @@ class GameSpec:
         return offers
 
 
+def _approvers(step: "TraceStep") -> frozenset[int]:
+    """The voters weakly preferring the step's accept outcome to its reject
+    outcome, from the (voter ranks, accept, reject) it carries."""
+    voters, accept, reject = step._votes
+    return frozenset(np.flatnonzero(voters[:, accept] >= voters[:, reject]).tolist())
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One round of the equilibrium path; `approvers` is None on an
-    override problem, whose voter rows are placeholders."""
+    override problem, whose voter rows are placeholders.  `solve_spe`
+    leaves `approvers` to a view made on first read (`_approvers`)."""
 
     round: int
     default: int
     proposal: int
     adjourn: bool
-    approvers: Optional[frozenset[int]]
+    approvers: Optional[frozenset[int]] = _FractionView(_approvers)
     passed: bool
 
 
@@ -266,9 +276,10 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     is asked for and read as a prefix for a shorter one.  Table and rows
     cost m**2 bytes plus O(T * m) words.  A custom protocol's rows are
     solved per call.  Either way each call checks its budget, builds a
-    fresh `value_table` and recomputes the approvers of each step on the
-    equilibrium path only; solving costs O(m * chunk) transient memory
-    per block.
+    fresh `value_table` and walks the equilibrium path on plain ints; the
+    approvers of each step on it are made on first read, from two rank
+    columns (None under an override).  Solving costs O(m * chunk)
+    transient memory per block.
     """
     problem = game.problem
     if not problem.gfa:
@@ -298,19 +309,17 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     values = [row.tolist() for row in values[:horizon + 1]]
     value_table = {(horizon + 1 - k, x): out
                    for k, row in enumerate(values) for x, out in enumerate(row)}
-    voters = problem._ranks[:-1]
+    voters = None if problem.majority_override is not None else problem._ranks[:-1]
     trace = []
     t, x = 1, game.initial_default
     while t <= horizon:
-        a, adjourn = divmod(int(choices[horizon - t][x]), 2)
+        a, adjourn = divmod(choices[horizon - t].item(x), 2)
         later = values[horizon - t]
-        accept_out, reject_out = a if adjourn else later[a], later[x]
-        yes = None if problem.majority_override is not None else frozenset(
-            np.flatnonzero(voters[:, accept_out] >= voters[:, reject_out]).tolist())
-        passed = bool(beats[accept_out, reject_out]) or accept_out == reject_out
-        trace.append(TraceStep(
-            round=t, default=x, proposal=a, adjourn=bool(adjourn),
-            approvers=yes, passed=passed))
+        accept, reject = a if adjourn else later[a], later[x]
+        passed = accept == reject or beats.item(accept, reject)
+        votes = {"approvers": None} if voters is None else {"_votes": (voters, accept, reject)}
+        trace.append(_assemble(TraceStep, round=t, default=x, proposal=a,
+                               adjourn=bool(adjourn), passed=passed, **votes))
         if passed and adjourn:
             return SolveReport(outcome=a, value_table=value_table,
                                pivotal_trace=tuple(trace))
@@ -339,6 +348,15 @@ def _voted_policies(offers, t: int, x: int) -> list[int]:
                     "offered with a single adjournment flag; "
                     f"policy {a} at (round {t}, default {x}) has both")
     return policies
+
+
+def _require_profile_fits(game: GameSpec, profile: StrategyProfile) -> None:
+    """Refuse an override problem, whose voter rows are placeholders, and a
+    profile whose horizon is not the game's."""
+    _require_voter_rows(game.problem, "profiles are voted per voter")
+    if profile.horizon != game.horizon:
+        raise ValidationError(
+            f"profile horizon {profile.horizon} != game horizon {game.horizon}")
 
 
 def verify_profile(game: GameSpec, profile: StrategyProfile,
@@ -373,10 +391,7 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     them at every state) share the one vote, and both are audited.
     """
     problem = game.problem
-    _require_voter_rows(problem, "profiles are voted per voter")
-    if profile.horizon != game.horizon:
-        raise ValidationError(
-            f"profile horizon {profile.horizon} != game horizon {game.horizon}")
+    _require_profile_fits(game, profile)
 
     # feasible actions of every reachable (round, default) state, round by
     # round: a failed vote keeps the default, a passed non-adjourning
@@ -494,7 +509,10 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
 
 def play_out(game: GameSpec, profile: StrategyProfile) -> int:
     """Policy implemented when everyone follows the profile: each round
-    reads the proposal and its one-column `ballots` block."""
+    reads the proposal and its one-column `ballots` block.  Like
+    `verify_profile`, it refuses an override problem and a profile of
+    another horizon."""
+    _require_profile_fits(game, profile)
     t, x = 1, game.initial_default
     while t <= game.horizon:
         a, adjourn = profile.propose(t, x)

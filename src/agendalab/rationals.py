@@ -4,8 +4,9 @@ Every utility and coordinate in this package is an exact rational, held
 as integers over one common denominator (`ScaledInts`) and read as
 `fractions.Fraction` views: a problem, grid or profile built from
 integers makes its public `Fraction` fields only when they are first
-read (`_FractionView`), and kernels run on the integers themselves
-(numpy int64 arrays when the values fit, Python ints otherwise).
+read (`_FractionView`, which also names an oracle trace step's approvers
+on first read), and kernels run on the integers themselves (numpy int64
+arrays when the values fit, Python ints otherwise).
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
 strings such as "0.5" are accepted on input and normalized.  Every count,
 size, index, horizon and budget is read by one reader, `parse_whole`.
@@ -130,8 +131,9 @@ def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]
 
 
 class _FractionView:
-    """A frozen dataclass field that a builder holding integers leaves
-    unset: `make(instance)` reads it from those integers on first access
+    """A frozen dataclass field that a builder leaves unset: `make(instance)`
+    reads it, on first access, from what the builder kept (the integers of
+    a `Fraction` field; a trace step's two rank columns for its approvers)
     and the instance keeps it, as with a `cached_property`.  An instance
     made by the public constructor holds the field itself and never
     reaches the view.  Class access raises AttributeError, so the
@@ -154,8 +156,8 @@ class _FractionView:
 
 def _assemble(cls, **fields):
     """An instance of `cls` holding `fields`, made without `__init__`: a builder
-    holding integers leaves the `_FractionView` fields unset, then runs the checks
-    (a problem's or profile's `_compile`)."""
+    leaves the `_FractionView` fields unset, then runs the class's checks (a
+    problem's or profile's `_compile`; a trace step's fields are solver ints)."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)

@@ -30,9 +30,11 @@ from agendalab import (
 )
 from agendalab.factories import gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol
-from agendalab.oracle import PRESET_PROTOCOLS, Violation
+from agendalab.oracle import PRESET_PROTOCOLS, TraceStep, Violation
 from agendalab.problems import _column_chunks
 from agendalab.serialize import load_problem, save_problem
+
+from test_oracle_reference import ref_solve_spe
 
 
 def test_solve_cycle_fixture(cycle, rule3):
@@ -175,6 +177,50 @@ def test_presets_retain_one_vote_table_plus_their_rows():
     rows = 3 * (3 * m * 8)
     assert m * m + rows <= retained < m * m + rows + 2**14, (retained, m * m + rows)
     assert len(problem._memo) == 1 + 3
+
+
+def test_solving_every_default_retains_nothing_more():
+    # after the presets' rows are kept, a solve keeps nothing of its own:
+    # no vote cache and no per-pair entry outlives the call
+    m, n = 1000, 3
+    problem = _large_gfa_problem(m, n)
+    rule = VotingRule.simple_majority(n)
+    tracemalloc.start()
+    try:
+        for protocol in PRESET_PROTOCOLS:
+            solve_spe(GameSpec(problem=problem, rule=rule, horizon=1, initial_default=0,
+                               protocol=protocol))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for x in range(m):
+            solve_spe(GameSpec(problem=problem, rule=rule, horizon=1, initial_default=x))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**14, grown
+
+
+def test_trace_names_its_approvers_on_first_read(cycle, blocked, rule3):
+    # the path is walked on ints; each step's approvers are made when first
+    # read, and the step then equals what the public constructor keeps
+    for protocol in PRESET_PROTOCOLS:
+        for horizon in range(1, 5):
+            for x in range(cycle.num_policies):
+                game = GameSpec(problem=cycle, rule=rule3, horizon=horizon,
+                                initial_default=x, protocol=protocol)
+                trace = solve_spe(game).pivotal_trace
+                assert all("approvers" not in vars(step) for step in trace)
+                assert [step.approvers for step in trace] == [
+                    step.approvers for step in ref_solve_spe(game).pivotal_trace]
+                for step in trace:
+                    built = TraceStep(**{field.name: getattr(step, field.name)
+                                         for field in dataclasses.fields(step)})
+                    assert step == built and hash(step) == hash(built)
+                    assert repr(step) == repr(built)
+                override = dataclasses.replace(game, problem=blocked)
+                assert all(step.approvers is None
+                           for step in solve_spe(override).pivotal_trace)
 
 
 def test_value_monotone_in_remaining_rounds(small_corpus):
@@ -361,6 +407,27 @@ def test_play_out_matches_iterates(cycle, rule3):
     profile = simple_equilibrium_profile(cycle, rule3, 3)
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
     assert play_out(game, profile) == phi_iterates(cycle, rule3, z, 3)[-1]
+
+
+def test_play_out_refuses_an_override_problem(blocked, rule3):
+    # its voter rows are placeholders: a profile whose voters all vote no
+    # on x would play out to z, where the oracle gives x
+    z, x = blocked.policy_index("z"), blocked.policy_index("x")
+    game = GameSpec(problem=blocked, rule=rule3, horizon=1, initial_default=z)
+    profile = StrategyProfile.from_tables(1, {(1, z): (x, False)}, [{(1, z, x): False}] * 3)
+    assert solve_spe(game).outcome == x
+    with pytest.raises(UnsupportedCombinationError, match="per voter"):
+        play_out(game, profile)
+
+
+@pytest.mark.parametrize("rounds", [2, 4])
+def test_play_out_refuses_another_horizon(cycle, rule3, rounds):
+    # a shorter profile would run out of rounds, a longer one would play
+    # on with its own continuation depths
+    profile = simple_equilibrium_profile(cycle, rule3, rounds)
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0)
+    with pytest.raises(ValidationError, match=f"profile horizon {rounds} != game horizon 3"):
+        play_out(game, profile)
 
 
 def _stall_only_protocol(rounds, m):
