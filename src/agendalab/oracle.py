@@ -22,8 +22,9 @@ problem per (rule, preset); a longer horizon extends them and a shorter
 one reads their prefix, so every default and horizon of a preset costs
 one backward step per round.  Custom tables are not stationary and are
 solved per call.  Each call walks its own equilibrium path on plain
-ints; a step's approvers are made on first read, so a caller that reads
-only outcomes never pays for them.
+ints, read from those rows, to its outcome; the report's value table
+and trace, and each step's approvers, are made on first read, so a
+caller that reads only outcomes never pays for them.
 
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, product
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -154,8 +156,8 @@ def _approvers(step: "TraceStep") -> frozenset[int]:
 @dataclass(frozen=True)
 class TraceStep:
     """One round of the equilibrium path; `approvers` is None on an
-    override problem, whose voter rows are placeholders.  `solve_spe`
-    leaves `approvers` to a view made on first read (`_approvers`)."""
+    override problem, whose voter rows are placeholders.  A solve report's
+    trace leaves `approvers` to a view made on first read (`_approvers`)."""
 
     round: int
     default: int
@@ -165,11 +167,37 @@ class TraceStep:
     passed: bool
 
 
+def _value_table(report: "SolveReport") -> dict:
+    """(round, default) -> continuation outcome, later rounds first, from the
+    backward rows the report keeps: row k holds round T + 1 - k."""
+    rows, _, _ = report._solved
+    return dict(zip(product(range(len(rows), 0, -1), range(len(rows[0]))),
+                    chain.from_iterable(row.tolist() for row in rows)))
+
+
+def _pivotal_trace(report: "SolveReport") -> tuple[TraceStep, ...]:
+    """The steps of the int path the report keeps, each with the voter ranks
+    its approvers are read from (`approvers=None` under an override)."""
+    _, path, voters = report._solved
+    return tuple(
+        _assemble(TraceStep, round=t, default=x, proposal=a, adjourn=bool(adjourn),
+                  passed=passed, **({"approvers": None} if voters is None
+                                    else {"_votes": (voters, accept, reject)}))
+        for t, x, a, adjourn, passed, accept, reject in path)
+
+
 @dataclass(frozen=True)
 class SolveReport:
+    """The equilibrium outcome, the continuation outcome of every (round,
+    default) state and the equilibrium path.  `solve_spe` leaves
+    `value_table` and `pivotal_trace` to views made on first read
+    (`_value_table`, `_pivotal_trace`) from the read-only backward rows
+    and the int path it keeps as a private `_solved`; each read of a
+    fresh report builds a fresh dict and trace."""
+
     outcome: int
-    value_table: dict            # (round, default) -> continuation outcome
-    pivotal_trace: tuple[TraceStep, ...]
+    value_table: dict = _FractionView(_value_table)   # (round, default) -> outcome
+    pivotal_trace: tuple[TraceStep, ...] = _FractionView(_pivotal_trace)
 
 
 @dataclass(frozen=True)
@@ -235,6 +263,8 @@ def _extend_rows(problem: CollectiveChoiceProblem, beats: np.ndarray, values: li
     needed), and the setter takes the best-ranked feasible result.
     The argmax breaks ties to the lowest (policy, adjourn) pair, which
     cannot affect the outcome under gfa.  Defaults go by `_column_chunks`.
+    Each appended row is read-only: reports keep memoized rows until they
+    are first read.
     """
     m = problem.num_policies
     setter = problem._ranks[-1]
@@ -252,8 +282,17 @@ def _extend_rows(problem: CollectiveChoiceProblem, beats: np.ndarray, values: li
             best = np.where(mask_of(cols), setter[res], -1).argmax(axis=0)
             choice[cols] = best
             value[cols] = res[best, np.arange(res.shape[1])]
+        value.flags.writeable = choice.flags.writeable = False
         values.append(value)
         choices.append(choice)
+
+
+def _no_rows(m: int) -> tuple[list, list]:
+    """Backward rows before any step: values[0], each default's own 0-round
+    outcome (read-only, as `_extend_rows` leaves each row), and no choice."""
+    start = np.arange(m)
+    start.flags.writeable = False
+    return [start], []
 
 
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
@@ -275,11 +314,14 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     preset) are memoized with the problem, extended when a longer horizon
     is asked for and read as a prefix for a shorter one.  Table and rows
     cost m**2 bytes plus O(T * m) words.  A custom protocol's rows are
-    solved per call.  Either way each call checks its budget, builds a
-    fresh `value_table` and walks the equilibrium path on plain ints; the
-    approvers of each step on it are made on first read, from two rank
-    columns (None under an override).  Solving costs O(m * chunk)
-    transient memory per block.
+    solved per call.  Either way each call checks its budget and walks the
+    equilibrium path on plain ints, one choice and two outcomes per round
+    read from the rows, to its outcome.  The report keeps the rows and
+    that path, so its `value_table` (a fresh dict, later rounds first)
+    and `pivotal_trace` are built only when first read, and the approvers
+    of each step only when that is read, from two rank columns (None
+    under an override).  Solving costs O(m * chunk) transient memory per
+    block.
     """
     problem = game.problem
     if not problem.gfa:
@@ -297,35 +339,29 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         # the action with k rounds left; a preset's mask is the same every
         # round, so the steps still missing stand in for rounds
         values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
-                                    lambda: ([np.arange(m)], []))
+                                    lambda: _no_rows(m))
         rounds = range(len(choices), horizon)
     else:
-        values, choices = [np.arange(m)], []
+        values, choices = _no_rows(m)
         rounds = range(horizon, 0, -1)
     if rounds:
         _extend_rows(problem, beats, values, choices, _action_masks(game, rounds))
 
-    # values[k] and choices[k - 1] belong to round T + 1 - k
-    values = [row.tolist() for row in values[:horizon + 1]]
-    value_table = {(horizon + 1 - k, x): out
-                   for k, row in enumerate(values) for x, out in enumerate(row)}
-    voters = None if problem.majority_override is not None else problem._ranks[:-1]
-    trace = []
-    t, x = 1, game.initial_default
-    while t <= horizon:
+    # round t reads choices[T - t] and the (T - t)-round outcomes values[T - t]
+    path = []
+    x = game.initial_default
+    for t in range(1, horizon + 1):
         a, adjourn = divmod(choices[horizon - t].item(x), 2)
         later = values[horizon - t]
-        accept, reject = a if adjourn else later[a], later[x]
+        accept, reject = a if adjourn else later.item(a), later.item(x)
         passed = accept == reject or beats.item(accept, reject)
-        votes = {"approvers": None} if voters is None else {"_votes": (voters, accept, reject)}
-        trace.append(_assemble(TraceStep, round=t, default=x, proposal=a,
-                               adjourn=bool(adjourn), passed=passed, **votes))
-        if passed and adjourn:
-            return SolveReport(outcome=a, value_table=value_table,
-                               pivotal_trace=tuple(trace))
-        x = a if passed else x
-        t += 1
-    return SolveReport(outcome=x, value_table=value_table, pivotal_trace=tuple(trace))
+        path.append((t, x, a, adjourn, passed, accept, reject))
+        if passed:
+            x = a
+            if adjourn:
+                break
+    voters = None if problem.majority_override is not None else problem._ranks[:-1]
+    return _assemble(SolveReport, outcome=x, _solved=(values[:horizon + 1], path, voters))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,16 @@ class VotingRule:
                     raise ValidationError("minimal coalitions must form an antichain")
         object.__setattr__(self, "min_coalitions", tuple(masks))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The fields' hash, made once: rules key the per-problem memo, read
+        on every solve.  The tuple holds no None (its hash differs between
+        processes before Python 3.12), so a pickled rule keeps a valid hash."""
+        return hash((self.n, self.quota or 0, self.min_coalitions))
+
     @staticmethod
     def quota_rule(n: int, q: int) -> "VotingRule":
         return VotingRule(n=n, quota=q)
@@ -487,12 +497,17 @@ def _setter_walk(problem: CollectiveChoiceProblem, defaults: np.ndarray,
         size = min(2 * size, _CHUNK_COMPARISONS)
 
 
+_MISSING = object()
+
+
 def _memoized(problem: CollectiveChoiceProblem, key: tuple, build: Callable[[], Any]):
-    """`problem._memo[key]`, made by `build()` on first use."""
+    """`problem._memo[key]`, made by `build()` on first use: one probe of the
+    memo once it is there, whatever the value (a kept None too)."""
     memo = problem._memo
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build()
+    return value
 
 
 def _wins_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> np.ndarray:

@@ -4,9 +4,10 @@ Every utility and coordinate in this package is an exact rational, held
 as integers over one common denominator (`ScaledInts`) and read as
 `fractions.Fraction` views: a problem, grid or profile built from
 integers makes its public `Fraction` fields only when they are first
-read (`_FractionView`, which also names an oracle trace step's approvers
-on first read), and kernels run on the integers themselves (numpy int64
-arrays when the values fit, Python ints otherwise).
+read (`_FractionView`, which also makes an oracle report's value table
+and trace, and a trace step's approvers, on first read), and kernels run
+on the integers themselves (numpy int64 arrays when the values fit,
+Python ints otherwise).
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
 strings such as "0.5" are accepted on input and normalized.  Every count,
 size, index, horizon and budget is read by one reader, `parse_whole`.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from numbers import Integral
 from typing import Any, Callable, Optional
@@ -108,15 +110,17 @@ class ScaledInts:
         without a `Fraction`: equal, field for field, to `ScaledInts` of
         those rationals.  The lcm of their reduced denominators is
         denominator / g for g = gcd(denominator, every v), so one division
-        by g puts every integer on that scale."""
-        g = gcd(denominator, *(v for row in vectors for v in row))
+        by g puts every integer on that scale; when g is 1 they are on it
+        already."""
+        g = gcd(denominator, *chain.from_iterable(vectors))
         out = cls.__new__(cls)
-        out._fill(denominator // g, [tuple(v // g for v in row) for row in vectors])
+        out._fill(denominator // g, [tuple(v // g for v in row) for row in vectors]
+                  if g > 1 else [tuple(row) for row in vectors])
         return out
 
     def _fill(self, scale: int, vectors: list) -> None:
         self.scale, self.vectors = scale, vectors
-        peak = max((abs(v) for row in vectors for v in row), default=0)
+        peak = max(map(abs, chain.from_iterable(vectors)), default=0)
         self.as_numpy = peak < _INT64_SAFE
 
     @cached_property
@@ -133,10 +137,11 @@ def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]
 class _FractionView:
     """A frozen dataclass field that a builder leaves unset: `make(instance)`
     reads it, on first access, from what the builder kept (the integers of
-    a `Fraction` field; a trace step's two rank columns for its approvers)
-    and the instance keeps it, as with a `cached_property`.  An instance
-    made by the public constructor holds the field itself and never
-    reaches the view.  Class access raises AttributeError, so the
+    a `Fraction` field; a solve report's backward rows and int path for its
+    value table and trace; a trace step's two rank columns for its
+    approvers) and the instance keeps it, as with a `cached_property`.
+    An instance made by the public constructor holds the field itself and
+    never reaches the view.  Class access raises AttributeError, so the
     dataclass sees a field without a default and its signature, `==`,
     `hash` and `repr` are unchanged."""
 

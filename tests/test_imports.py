@@ -4,7 +4,8 @@ per-problem memo, only `parse_whole` decides what a whole number is,
 no integer builder takes or is handed a `gfa` flag, only `problems`
 raises `UnsupportedCombinationError`,
 kernels do not call the public per-pair views, only the `Fraction`
-views build `Fraction` rows, only one helper makes an instance without
+views build `Fraction` rows, every view field is required by its
+constructor, only one helper makes an instance without
 `__init__`, every experiment option is read by some suite, and every
 library name the benchmark imports exists and takes the arguments the
 benchmark passes."""
@@ -160,6 +161,34 @@ def test_instances_skip_init_only_through_assemble():
         found += [f"{path.name}:{node.lineno}"
                   for node in _calls_to(tree, "GridBuildResult")]
     assert found == []
+
+
+def test_view_fields_have_no_default():
+    # a `_FractionView` hides from its class, so the dataclass sees a field
+    # without a default: the public constructor still requires it
+    import dataclasses
+    import importlib
+    import inspect
+
+    from agendalab.rationals import _FractionView
+
+    viewed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"agendalab.{path.stem}")
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            for field in dataclasses.fields(cls):
+                if isinstance(vars(cls).get(field.name), _FractionView):
+                    viewed.append((cls.__name__, field.name, field.default is dataclasses.MISSING
+                                   and field.default_factory is dataclasses.MISSING,
+                                   inspect.signature(cls).parameters[field.name].default
+                                   is inspect.Parameter.empty))
+    assert {(cls, name) for cls, name, *_ in viewed} >= {
+        ("SolveReport", "value_table"), ("SolveReport", "pivotal_trace"),
+        ("TraceStep", "approvers")}
+    assert [entry for entry in viewed if not all(entry[2:])] == []
 
 
 def test_every_experiment_option_is_read_by_a_suite():

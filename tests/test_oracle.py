@@ -28,13 +28,13 @@ from agendalab import (
     solve_spe,
     verify_profile,
 )
-from agendalab.factories import gfa_corpus
+from agendalab.factories import gen_random_gfa, gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol
-from agendalab.oracle import PRESET_PROTOCOLS, TraceStep, Violation
+from agendalab.oracle import PRESET_PROTOCOLS, SolveReport, TraceStep, Violation
 from agendalab.problems import _column_chunks
 from agendalab.serialize import load_problem, save_problem
 
-from test_oracle_reference import ref_solve_spe
+from test_oracle_reference import _outcome, ref_solve_spe, ref_verify_profile
 
 
 def test_solve_cycle_fixture(cycle, rule3):
@@ -565,3 +565,101 @@ def test_oracle_answers_with_phi_unavailable(monkeypatch):
             assert check_richness(game).rich
     with pytest.raises(AssertionError, match="favorite-improvement"):
         check_richness(games[3])      # a custom table is scanned with phi
+
+
+# ---------------------------------------------------------------------------
+# a report's value table and trace are made on first read
+
+
+def _view_grid(problem, rule):
+    """Every default at T = 1-4 under the three presets and a custom table."""
+    for horizon in range(1, 5):
+        for protocol in (*PRESET_PROTOCOLS, adjournment_trap_protocol(horizon)):
+            for x in range(problem.num_policies):
+                yield GameSpec(problem=problem, rule=rule, horizon=horizon,
+                               initial_default=x, protocol=protocol)
+
+
+def test_report_fields_are_made_on_first_read(cycle, rule3):
+    for game in _view_grid(cycle, rule3):
+        report, reference = solve_spe(game), ref_solve_spe(game)
+        assert "value_table" not in vars(report) and "pivotal_trace" not in vars(report)
+        assert report.value_table == reference.value_table
+        assert list(report.value_table) == list(reference.value_table)
+        assert report.pivotal_trace == reference.pivotal_trace
+        assert report.outcome == reference.outcome
+        built = SolveReport(**{field.name: getattr(report, field.name)
+                               for field in dataclasses.fields(report)})
+        assert report == built and repr(report) == repr(built)
+        # a second fresh report reads the same table in the same key order
+        assert list(solve_spe(game).value_table.items()) == list(report.value_table.items())
+
+
+def test_report_views_read_only_what_their_field_needs(cycle, rule3):
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=2)
+    report = solve_spe(game)
+    report.pivotal_trace
+    assert "pivotal_trace" in vars(report) and "value_table" not in vars(report)
+    assert all("approvers" not in vars(step) for step in report.pivotal_trace)
+    report = solve_spe(game)
+    assert len(report.value_table) == 4 * cycle.num_policies
+    assert "value_table" in vars(report) and "pivotal_trace" not in vars(report)
+
+
+def test_adjourning_successive_path_stops_at_the_adjourned_policy(cycle, rule3):
+    stopped = 0
+    for game in _view_grid(cycle, rule3):
+        if game.protocol != "successive":
+            continue
+        report = solve_spe(game)
+        trace = report.pivotal_trace
+        ends = [k for k, step in enumerate(trace) if step.passed and step.adjourn]
+        if ends:
+            # the first passed adjourning proposal ends play, and is the outcome
+            assert ends == [len(trace) - 1] and trace[-1].proposal == report.outcome
+            stopped += len(trace) < game.horizon
+        else:
+            assert len(trace) == game.horizon and report.outcome == game.initial_default
+    assert stopped
+
+
+def test_override_trace_view_names_no_approvers(blocked, rule3):
+    for game in _view_grid(blocked, rule3):
+        report = solve_spe(game)
+        assert "pivotal_trace" not in vars(report)
+        assert report.pivotal_trace
+        assert all(step.approvers is None for step in report.pivotal_trace)
+
+
+def _tabulated(game, profile, drop=()):
+    """`profile` as tables over every state and policy, less the `drop` keys;
+    under `successive` each proposal adjourns, as that preset offers."""
+    m, n = game.problem.num_policies, game.problem.n
+    states = [(t, x) for t in range(1, game.horizon + 1) for x in range(m)]
+    proposer = {state: (profile.propose(*state)[0], game.protocol == "successive")
+                for state in states if state not in drop}
+    voters = [{(t, x, a): profile.vote(i, t, x, a) for t, x in states for a in range(m)
+               if (i, t, x, a) not in drop} for i in range(n)]
+    return StrategyProfile.from_tables(game.horizon, proposer, voters, label="tables")
+
+
+def test_preset_verify_at_eight_policies_matches_reference():
+    problem = gen_random_gfa(8, 5, 3)
+    rule = VotingRule.simple_majority(5)
+    simple = simple_equilibrium_profile(problem, rule, 3)
+    reports = []
+    for protocol in PRESET_PROTOCOLS:
+        for x0 in (0, 5):
+            game = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=x0,
+                            protocol=protocol)
+            for drop in ((), ((2, 3), (1, 2, 3, 6), (4, 3, 7, 7)),
+                         ((1, 1, x0, x0), (0, 1, x0, 1))):
+                profile = _tabulated(game, simple, drop)
+                got = _outcome(verify_profile, game, profile)
+                assert got == _outcome(ref_verify_profile, game, profile)
+                reports.append((protocol, got))
+    # under open_rule a full profile is audited and partial ones list what
+    # they miss; the simple profile never adjourns, which open_rule punishes
+    open_rule = [got for protocol, got in reports if protocol == "open_rule"]
+    assert any(isinstance(got, tuple) and "missing" in got[1] for got in open_rule)
+    assert any(not isinstance(got, tuple) and not got.profile_valid for got in open_rule)

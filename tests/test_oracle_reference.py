@@ -502,7 +502,7 @@ def test_preset_store_answers_any_order_like_the_reference(block):
                  for x in range(m) for t in range(1, 5)]
         rng.shuffle(order)
         order += rng.sample(order, 5)
-        references = {}
+        references, unread = {}, []
         for protocol, x, t in order:
             game = GameSpec(problem=problem, rule=rule, horizon=t, initial_default=x,
                             protocol=protocol)
@@ -513,6 +513,15 @@ def test_preset_store_answers_any_order_like_the_reference(block):
             assert report == reference
             assert list(report.value_table) == list(reference.value_table)
             assert check_richness(game) == ref_check_richness(_fresh(game))
+            # a second report of the same game is read only after later,
+            # longer horizons have extended the store its rows come from
+            unread.append((solve_spe(game), reference))
+        for report, reference in unread:
+            assert report == reference
+            assert list(report.value_table) == list(reference.value_table)
+        for protocol in PRESET_PROTOCOLS:
+            values, choices = problem._memo[("rows", rule, protocol)]
+            assert not any(row.flags.writeable for row in values + choices)
 
 
 def test_preset_solves_build_the_vote_table_once(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import re
 import tracemalloc
@@ -36,7 +37,7 @@ from agendalab import (
 )
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_realized, blocked_tournament
-from agendalab.problems import _wins_table
+from agendalab.problems import _memoized, _wins_table
 from agendalab.tournaments import derive_tournament, relabel
 
 from references import ref_margin, ref_support_mask
@@ -539,3 +540,39 @@ def test_gfa_relation_complete_and_antisymmetric(seed):
     for x in range(5):
         for y in range(x + 1, 5):
             assert majority[x, y] != majority[y, x]
+
+
+# ---------------------------------------------------------------------------
+# the per-problem memo
+
+
+def test_equal_rules_share_one_memo_entry():
+    problem = gen_random_gfa(5, 5, seed=3)
+    majority, quota = VotingRule.simple_majority(5), VotingRule.quota_rule(5, 3)
+    assert majority == quota and majority is not quota and hash(majority) == hash(quota)
+    builds = []
+    for rule in (majority, quota, majority):
+        _memoized(problem, ("probe", rule), lambda: builds.append(rule) or len(builds))
+    assert builds == [majority]
+    assert _wins_table(problem, majority) is _wins_table(problem, quota)
+    assert [key for key in problem._memo if key[0] == "wins"] == [("wins", majority)]
+
+
+def test_a_pickled_rule_hashes_and_keys_as_before():
+    problem = gen_random_gfa(4, 3, seed=5)
+    for rule in (VotingRule.simple_majority(3), VotingRule.quota_rule(3, 3),
+                 VotingRule.explicit(3, [[0, 1], [1, 2]])):
+        hash(rule)
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy == rule and hash(copy) == hash(rule)
+        assert _wins_table(problem, copy) is _wins_table(problem, rule)
+    # the two encodings of one family are still distinct rules
+    assert VotingRule.quota_rule(3, 2) != VotingRule.explicit(3, [[0, 1], [0, 2], [1, 2]])
+
+
+def test_a_memoized_none_is_built_once():
+    problem = gen_random_gfa(3, 3, seed=1)
+    builds = []
+    for _ in range(3):
+        assert _memoized(problem, ("none",), lambda: builds.append(1)) is None
+    assert builds == [1]
