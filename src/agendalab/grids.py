@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, pairwise
+from itertools import count, pairwise, product
 from math import isqrt, lcm
 from typing import Optional
 
@@ -165,13 +165,10 @@ def _box_lattice(space, epsilon, profile, max_points):
     lows = [lo for lo, _hi in space.bounds]
     scale = lcm(*(c.denominator for c in (*units, *lows)), profile._ints.scale)
     units, lows = scaled_numerators(units, scale), scaled_numerators(lows, scale)
-    centers = []
-    for index in range(total):
-        coords, rem = [], index
-        for low, k, unit in zip(lows, cells, units):
-            coords.append(low + (2 * (rem % k) + 1) * 10 * _JITTER_RANGE * unit)
-            rem //= k
-        centers.append(tuple(coords))
+    axes = [[low + (2 * j + 1) * 10 * _JITTER_RANGE * unit for j in range(k)]
+            for low, k, unit in zip(lows, cells, units)]
+    # node index i_0 + k_0 * (i_1 + k_1 * ...): the first axis varies fastest
+    centers = [center[::-1] for center in product(*reversed(axes))]
 
     def shift(rng, center):
         return tuple(c + 2 * rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE) * unit

@@ -646,8 +646,11 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     on an offset grid it holds at the first alternative for almost every
     x.  A block's gains take O(n * rows * cols) transient memory, within
     `_CHUNK_COMPARISONS`.  Everything runs on the problem's scaled
-    integers (an int64 array when they fit, Python ints otherwise), and
-    one `Fraction` is built per distinct reported value.
+    integers (an int64 array when they fit, Python ints otherwise): the
+    delta-suboptimal region is one array comparison of the setter's
+    shortfalls with the ceiling of delta times the scale, the report is
+    read from the margins at that region, and one `Fraction` is built per
+    distinct reported value.
     """
     delta = parse_rational(delta)
     if delta <= 0:
@@ -656,18 +659,18 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     _require_rule(problem, rule)
 
     ints = problem._ints
-    setter_row = ints.vectors[-1]
-    top = max(setter_row)
-    # top - s_x >= delta, on the scale of the integers
-    bar = delta.numerator * ints.scale
-    gamma = tuple(x for x, s in enumerate(setter_row)
-                  if (top - s) * delta.denominator >= bar)
-    if not gamma:
+    setter = ints.array[-1]
+    top, bottom = int(setter.max()), int(setter.min())
+    # top - s_x >= delta: the integer shortfall reaches ceil(delta * scale), clamped
+    # to one past the spread (which no shortfall reaches) so that it fits the dtype
+    bar = min(-(-delta.numerator * ints.scale // delta.denominator), top - bottom + 1)
+    region = np.flatnonzero(top - setter >= bar)
+    if not region.size:
         return MarginReport(delta=delta, gamma_set=(), eta_star={},
                             eta_delta=None, t_bound=0)
 
     # one row per policy, one column per voter: each pair's gains are contiguous
-    voters, setter = np.ascontiguousarray(ints.array[:-1].T), ints.array[-1]
+    voters = np.ascontiguousarray(ints.array[:-1].T)
     eta = np.zeros(problem.num_policies, dtype=ints.array.dtype)
 
     def settle(rows, cols):
@@ -685,14 +688,15 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         # every later y scores at most its own setter gain, no more than the last row's
         return setter_gain[-1] <= best
 
-    _setter_walk(problem, np.array(gamma), settle)
-    best = {x: int(eta[x]) for x in gamma}
+    _setter_walk(problem, region, settle)
+    values = eta[region].tolist()
 
-    fractions = {v: Fraction(v, ints.scale) for v in set(best.values())}
-    low = min(best.values())
+    fractions = {v: Fraction(v, ints.scale) for v in set(values)}
+    low = min(values)
     t_bound: Optional[int] = None
     if low > 0:
-        t_bound = max(1, -(-(top - min(setter_row)) // low))
+        t_bound = max(1, -(-(top - bottom) // low))
+    gamma = tuple(region.tolist())
     return MarginReport(delta=delta, gamma_set=gamma,
-                        eta_star={x: fractions[v] for x, v in best.items()},
+                        eta_star=dict(zip(gamma, map(fractions.__getitem__, values))),
                         eta_delta=fractions[low], t_bound=t_bound)

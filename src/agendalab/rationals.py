@@ -5,7 +5,8 @@ as integers over one common denominator (`ScaledInts`) and read as
 `fractions.Fraction` views: a problem, grid or profile built from
 integers makes its public `Fraction` fields only when they are first
 read (`_FractionView`, which also makes an oracle report's value table
-and trace, and a trace step's approvers, on first read), and kernels run
+and trace, a trace step's approvers, and a spatial witness trace's
+`Fraction` fields, on first read), and kernels run
 on the integers themselves (numpy int64 arrays when the values fit,
 Python ints otherwise).
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
@@ -137,9 +138,11 @@ def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]
 class _FractionView:
     """A frozen dataclass field that a builder leaves unset: `make(instance)`
     reads it, on first access, from what the builder kept (the integers of
-    a `Fraction` field; a solve report's backward rows and int path for its
-    value table and trace; a trace step's two rank columns for its
-    approvers) and the instance keeps it, as with a `cached_property`.
+    a `Fraction` field, as for a problem's utilities, a profile's ideal
+    points, a grid's points and a witness trace's geometry; a solve
+    report's backward rows and int path for its value table and trace; a
+    trace step's two rank columns for its approvers) and the instance
+    keeps it, as with a `cached_property`.
     An instance made by the public constructor holds the field itself and
     never reaches the view.  Class access raises AttributeError, so the
     dataclass sees a field without a default and its signature, `==`,

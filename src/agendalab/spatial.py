@@ -11,7 +11,9 @@ gradients, then perturbs off the plane along the setter's gradient.
 All geometry is exact: the witness is built on integer numerators over
 one common denominator, each step-size search runs on the exponent k of
 a dyadic step 2**-k without evaluating a utility, and the final
-inequalities are verified on the players' integer utilities.
+inequalities are verified on the players' integer utilities.  The
+returned trace keeps those integers, and each of its `Fraction` fields
+is made only when a caller first reads it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
@@ -197,23 +200,34 @@ def check_noncoplanarity(profile: SpatialProfile) -> CoplanarityReport:
 
 @dataclass(frozen=True)
 class ImprovementTrace:
-    """Full record of one constructive improvement at a base point."""
+    """Full record of one constructive improvement at a base point.
+
+    `spatial_witness` keeps the construction's integers, each rational
+    field as integer rows over one denominator (`_scaled`) and each step
+    as its exponent k of 2**-k (`_steps`), and leaves every field but
+    `base`, `dims` and `majority_coalition` to a view made on first read.
+    """
 
     base: Point
     dims: tuple[int, int, int]
-    plane_normal: Point                      # setter gradient at the base
-    projected_gradients: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    direction: tuple[Fraction, Fraction, Fraction]
-    epsilon: Fraction
-    epsilon_off_plane: Fraction
-    beta: Fraction
-    midpoint: Point                          # on the tangent plane, majority-preferred
-    witness: Point                           # strict gain for setter and coalition
+    plane_normal: Point = _FractionView(          # setter gradient at the base
+        lambda trace: fraction_rows(*trace._scaled["plane_normal"])[0])
+    projected_gradients: tuple[tuple[Fraction, Fraction, Fraction], ...] = _FractionView(
+        lambda trace: fraction_rows(*trace._scaled["projected_gradients"]))
+    direction: tuple[Fraction, Fraction, Fraction] = _FractionView(
+        lambda trace: fraction_rows(*trace._scaled["direction"])[0])
+    epsilon: Fraction = _FractionView(lambda trace: Fraction(1, 1 << trace._steps[0]))
+    epsilon_off_plane: Fraction = _FractionView(lambda trace: Fraction(1, 1 << trace._steps[1]))
+    beta: Fraction = _FractionView(lambda trace: Fraction(1, 1 << trace._steps[2]))
+    midpoint: Point = _FractionView(              # on the tangent plane, majority-preferred
+        lambda trace: fraction_rows(*trace._scaled["midpoint"])[0])
+    witness: Point = _FractionView(               # strict gain for setter and coalition
+        lambda trace: fraction_rows(*trace._scaled["witness"])[0])
     majority_coalition: frozenset[int]
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _cross(a, b):
@@ -351,16 +365,13 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")
 
-    common = scale * g_norm_sq
-    return ImprovementTrace(
-        base=x, dims=dims, plane_normal=tuple(Fraction(c, scale) for c in normal),
-        projected_gradients=tuple(tuple(Fraction(c, common) for c in p)
-                                  for p in projections),
-        direction=tuple(Fraction(c, d_denom) for c in d),
-        epsilon=Fraction(1, 1 << k_on), epsilon_off_plane=Fraction(1, 1 << k_off),
-        beta=Fraction(1, 1 << k_beta), majority_coalition=coalition,
-        midpoint=tuple(Fraction(c, scale * mid_r) for c in midpoint),
-        witness=tuple(Fraction(c, scale * wit_r) for c in witness))
+    return _assemble(
+        ImprovementTrace, base=x, dims=dims, majority_coalition=coalition,
+        _steps=(k_on, k_off, k_beta),
+        _scaled={"plane_normal": ([normal], scale),
+                 "projected_gradients": (projections, scale * g_norm_sq),
+                 "direction": ([d], d_denom), "midpoint": ([midpoint], scale * mid_r),
+                 "witness": ([witness], scale * wit_r)})
 
 
 def spatial_problem(profile: SpatialProfile, points, labels=None) -> CollectiveChoiceProblem:

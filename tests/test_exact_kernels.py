@@ -1093,6 +1093,29 @@ def test_both_constructors_compile_the_same_ranks(low, high, denominator):
     assert built._ranks.tolist() == scaled._ranks.tolist() == ref_dense_ranks(rows)
 
 
+@pytest.mark.parametrize("low, high", [(-10**12, 10**12), (-2**90, 2**90)],
+                         ids=["int64", "object"])
+def test_margin_region_holds_for_a_delta_denominator_past_int64(low, high):
+    # delta's denominator times the setter's integer spread is past 2**63, so
+    # the region must compare shortfalls with ceil(delta * scale), not multiply
+    rows = _seeded_rows(low, high, 9, 0)
+    problem = _scaled_problem(tuple(f"x{i}" for i in range(9)), rows, 6)
+    ints, rule = problem._ints, VotingRule.simple_majority(5)
+    assert ints.array.dtype == (np.int64 if high < 2**62 else object)
+    setter = problem.setter_utilities
+    tiny = F(1, 2**70)
+    spread = max(ints.vectors[-1]) - min(ints.vectors[-1])
+    for x in range(9):
+        shortfall = max(setter) - setter[x]
+        for delta in (shortfall - tiny, shortfall, shortfall + tiny):
+            if delta <= 0:
+                continue
+            assert delta == shortfall or spread * delta.denominator > 2**63
+            got = uniform_margin(problem, rule, delta)
+            assert got == ref_uniform_margin(problem, rule, delta)
+            assert (x in got.gamma_set) == (delta <= shortfall)
+
+
 def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):
     # the grid task of the benchmark: build, is_manipulable, uniform_margin,
     # then read the setter row; only that row becomes `Fraction`s

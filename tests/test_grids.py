@@ -14,7 +14,7 @@ from agendalab import (
     gen_spatial,
     grids,
 )
-from test_exact_kernels import _ref_audit_and_rejitter, outcome
+from test_exact_kernels import _ref_audit_and_rejitter, outcome, ref_build_box
 
 F = Fraction
 
@@ -95,6 +95,27 @@ def test_int_bounds_build_the_unit_grid():
     for inexact in (0.5, True):
         with pytest.raises(ValidationError):
             BoxSpace(((0, inexact),))
+
+
+def test_box_lattice_runs_the_first_axis_fastest_on_a_non_cube():
+    # axes of 2, 3, 5 and 9 cells: node i sits in cell (i mod k_0,
+    # (i // k_0) mod k_1, ...), and the grid equals the index-formula reference
+    space = BoxSpace(((0, F(1, 4)), (F(-1, 3), F(1, 6)), (0, 1), (F(1, 2), F(5, 2))))
+    profile = gen_spatial(4, 5, seed=7, box=space.bounds)
+    centers, scale, *_ = grids._box_lattice(space, F(1, 2), profile, 10_000)
+    cells = [2, 3, 5, 9]
+    assert [len(set(axis)) for axis in zip(*centers)] == cells
+    want = []
+    for index in range(2 * 3 * 5 * 9):
+        coords, rem = [], index
+        for (lo, hi), k in zip(space.bounds, cells):
+            coords.append(lo + (2 * (rem % k) + 1) * (hi - lo) / (2 * k))
+            rem //= k
+        want.append(tuple(coords))
+    assert [tuple(F(c, scale) for c in center) for center in centers] == want
+    for seed in (1, 2):
+        assert build_grid(space, F(1, 2), seed=seed, profile=profile) == ref_build_box(
+            space, F(1, 2), seed, profile)
 
 
 def test_grid_problem_round_trips_epsilon():

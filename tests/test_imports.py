@@ -133,7 +133,7 @@ def _view_arguments(tree: ast.AST) -> set[int]:
 
 def test_fraction_rows_are_built_only_by_the_views():
     # kernels read scaled integers; `Fraction` rows are made only by the
-    # `_FractionView` fields of a problem and of a spatial profile
+    # `_FractionView` fields of a problem, a spatial profile and a witness trace
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -187,7 +187,10 @@ def test_view_fields_have_no_default():
                                    is inspect.Parameter.empty))
     assert {(cls, name) for cls, name, *_ in viewed} >= {
         ("SolveReport", "value_table"), ("SolveReport", "pivotal_trace"),
-        ("TraceStep", "approvers")}
+        ("TraceStep", "approvers"),
+        *(("ImprovementTrace", name) for name in (
+            "plane_normal", "projected_gradients", "direction", "epsilon",
+            "epsilon_off_plane", "beta", "midpoint", "witness"))}
     assert [entry for entry in viewed if not all(entry[2:])] == []
 
 

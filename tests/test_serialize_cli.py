@@ -263,8 +263,33 @@ def test_cli_spatial_pipeline(tmp_path, capsys):
     capsys.readouterr()
     assert main(["spatial", "witness", "--profile", str(profile_path),
                  "--point", "1/3,1/4,1/5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["witness"]) == 3 and payload["coalition"]
+    assert capsys.readouterr().out == WITNESS_STDOUT
+
+
+WITNESS_STDOUT = """\
+{
+  "witness": [
+    "36821289208599339568312174927/110898569463394734080325058560",
+    "928964706534009060732341223/3696618982113157802677501952",
+    "22202988600746316683071506163/110898569463394734080325058560"
+  ],
+  "midpoint": [
+    "4475832519769815296803899727/13862321182924341760040632320",
+    "120333549746495134203300839/462077372764144725334687744",
+    "2794644313859332513517242099/13862321182924341760040632320"
+  ],
+  "coalition": [
+    1,
+    3,
+    5
+  ],
+  "dims": [
+    0,
+    1,
+    2
+  ]
+}
+"""
 
 
 def test_spatial_profile_round_trip(capsys):

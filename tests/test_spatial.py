@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agendalab import (
+    ImprovementTrace,
     SpatialDegeneracyError,
     SpatialProfile,
     ValidationError,
@@ -17,6 +21,7 @@ from agendalab import (
     spatial_problem,
     spatial_witness,
 )
+from test_exact_kernels import ref_spatial_witness
 
 F = Fraction
 
@@ -202,6 +207,35 @@ def test_witness_sampled_points_batch():
             if x == profile.setter_ideal:
                 continue
             _verify_trace(profile, x, spatial_witness(profile, x))
+
+
+_TRACE_VIEWS = {"plane_normal", "projected_gradients", "direction", "epsilon",
+                "epsilon_off_plane", "beta", "midpoint", "witness"}
+
+
+@pytest.mark.parametrize("dim, seed, x", [
+    (3, 4, ("1/3", "1/4", "1/5")),
+    (4, 21, ("1/3", "2/7", "3/5", "1/9")),
+])
+@pytest.mark.parametrize("carry", [lambda trace: trace, copy.copy,
+                                   lambda trace: pickle.loads(pickle.dumps(trace))],
+                         ids=["same", "copy", "pickle"])
+def test_witness_trace_fields_are_made_on_first_read(dim, seed, x, carry):
+    # the trace keeps the construction's integers; each `Fraction` field is
+    # made on first read, also on a copy or an unpickled trace, and equals
+    # the earlier `Fraction` construction's
+    profile, x = gen_spatial(dim, 5, seed=seed), point(*x)
+    trace = carry(spatial_witness(profile, x))
+    assert not _TRACE_VIEWS & set(vars(trace))
+    fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(ImprovementTrace)}
+    assert _TRACE_VIEWS <= set(vars(trace))
+    want = ref_spatial_witness(profile, x)
+    assert fields == {name: getattr(want, name) for name in fields}
+    built = ImprovementTrace(**fields)
+    # each of `==`, `hash` and `repr` reads the views of an unread trace
+    for same in (lambda trace: trace == built, lambda trace: hash(trace) == hash(built),
+                 lambda trace: repr(trace) == repr(built)):
+        assert same(carry(spatial_witness(profile, x)))
 
 
 def test_spatial_problem_wraps_utilities():
