@@ -13,6 +13,7 @@ restrict themselves to the clean region instead of silently failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -230,13 +231,14 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
 
     For each base policy the players' total utility is redistributed
     over nonnegative grid allocations, each kept once; each player's
-    utility is their own slice.  An override base's placeholder rows are refused.
+    utility is their own slice.  Each total is read from the base's scaled
+    integers.  An override base's placeholder rows are refused.
     """
     _require_voter_rows(base, "transfers redistribute voter utilities")
     m, players = parse_whole(m, "denominator", 1), base.n + 1
     seen: dict[tuple[int, ...], None] = {}
-    for x in range(base.num_policies):
-        total = sum(row[x] for row in base.voter_utilities) + base.setter_utilities[x]
+    for x, column in enumerate(zip(*base._ints.vectors)):
+        total = Fraction(sum(column), base._ints.scale)
         if total < 0:
             raise ValidationError(
                 f"policy {base.policies[x]!r} has negative total utility {total}")

@@ -4,8 +4,10 @@ A grid is generic when every player's preferences are strict across its
 nodes and every point of the continuum space lies within epsilon of
 some node.  Construction: a lattice fine enough that the covering bound
 holds with room for jitter, a seeded rational jitter on every node, and
-an exact pairwise tie audit that re-jitters offenders.  The audit is
-the certificate; the jitter scheme is reproducible from the seed.  Box
+an exact tie audit that re-jitters offenders, read from the dense ranks
+of the problem each build compiles (`problems._first_tie`, the reader
+that also decides `gfa`).  The audit is the certificate; the jitter
+scheme is reproducible from the seed.  Box
 and simplex grids share one pipeline on integer nodes over one scale
 (`build_grid`); each space supplies only its lattice.
 """
@@ -15,13 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, pairwise, product
+from itertools import product
 from math import isqrt, lcm
 from typing import Optional
 
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
-from .problems import CollectiveChoiceProblem, _scaled_problem
+from .problems import CollectiveChoiceProblem, _first_tie, _scaled_problem
 from .rationals import (_assemble, _FractionView, parse_box, parse_rational, parse_whole,
                         scaled_numerators)
 from .spatial import SpatialProfile
@@ -89,11 +91,15 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     Box grids take utilities from a spatial profile; simplex grids are
     divide-the-dollar style, each player's utility being their own
     share.  Each space supplies its integer centres over one scale, how
-    a centre is jittered, how nodes become utility numerators, the
-    denominator and the covering bound; one path then jitters every
-    centre in index order, runs the tie audit and builds the problem.
-    Failing the audit after the allowed re-jitters raises a genericity
-    error naming the tied pair and player.
+    a centre is jittered, how nodes become integer utility rows (one per
+    player), the denominator and the covering bound; one path then
+    jitters every centre in index order and builds the problem.  The
+    problem's dense ranks are the tie audit (`_first_tie`): of the first
+    tied pair of the first player with a tie, at that player's lowest
+    tied value, the later node is re-drawn, its utilities recomputed and
+    the problem built again, up to `_MAX_ATTEMPTS` builds in all.  A tie
+    in the last one raises a genericity error naming that pair and
+    player.
     """
     epsilon, max_points = parse_rational(epsilon), parse_whole(max_points, "max_points")
     if epsilon <= 0:
@@ -114,18 +120,22 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
 
     rng = random.Random(seed)
     nodes = [shift(rng, center) for center in centers]
-    values = utilities(nodes)
-
-    def redraw(idx):
-        nodes[idx] = shift(rng, centers[idx])
-        return utilities([nodes[idx]])[0]
-
-    attempts = _audit_and_rejitter(values, redraw)
-    rows = list(zip(*values))
-    problem = _scaled_problem([f"n{i}" for i in range(len(nodes))], rows, denominator)
-    return _assemble(GridBuildResult, problem=problem, epsilon=epsilon,
-                     covering_sq_bound=bound, attempts=attempts, _nodes=tuple(nodes),
-                     _scale=scale)
+    rows = utilities(nodes)
+    labels = [f"n{i}" for i in range(len(nodes))]
+    for attempts in range(1, _MAX_ATTEMPTS + 1):
+        problem = _scaled_problem(labels, rows, denominator)
+        tie = _first_tie(problem._ranks)
+        if tie is None:
+            return _assemble(GridBuildResult, problem=problem, epsilon=epsilon,
+                             covering_sq_bound=bound, attempts=attempts,
+                             _nodes=tuple(nodes), _scale=scale)
+        player, a, b = tie
+        nodes[b] = shift(rng, centers[b])
+        for row, (value,) in zip(rows, utilities([nodes[b]])):
+            row[b] = value
+    raise GridGenericityError(
+        f"nodes {a} and {b} still tie for player {player + 1} after "
+        f"{_MAX_ATTEMPTS} attempts", player=player, pair=(a, b))
 
 
 def _within_budget(kind: str, total: int, max_points: int) -> int:
@@ -202,35 +212,6 @@ def _simplex_lattice(space, epsilon, max_points):
         out[top] -= sum(out) - sum(node)
         return tuple(out) if out[top] > 0 else node   # the top share always stays positive
 
-    # a player's utility is their own share, so a node's numerators are its values
-    return (centers, scale, shift, list, scale,
+    # a player's utility is their own share: player p's row is every node's p-th share
+    return (centers, scale, shift, lambda nodes: list(map(list, zip(*nodes))), scale,
             Fraction(121 * n_players, (10 * m)**2))
-
-
-# ---------------------------------------------------------------------------
-# the tie audit
-
-
-def _audit_and_rejitter(values, redraw):
-    """Exact per-player tie audit; offenders are re-drawn in place, up to
-    `_MAX_ATTEMPTS` audits in all.
-
-    values[i] holds node i's integer utility keys, one per player, on one
-    scale per player.  redraw(i) re-jitters node i and returns its new keys;
-    of a tied pair, the later node in that player's sorted order is re-drawn.
-    """
-    for attempt in count(1):
-        # the first tie of the first player whose column has one, in sorted order
-        offender = next(((player, a, b) for player, column in enumerate(zip(*values))
-                         if len(set(column)) < len(column)
-                         for a, b in pairwise(sorted(range(len(column)),
-                                                     key=column.__getitem__))
-                         if column[a] == column[b]), None)
-        if offender is None:
-            return attempt
-        player, a, b = offender
-        if attempt >= _MAX_ATTEMPTS:
-            raise GridGenericityError(
-                f"nodes {a} and {b} still tie for player {player + 1} after "
-                f"{_MAX_ATTEMPTS} attempts", player=player, pair=(a, b))
-        values[b] = redraw(b)

@@ -7,8 +7,9 @@ feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
 result.  It does so for every default of a round at once, on arrays:
 the rule's strict winning-coalition table (`_wins_table`, one per rule,
-shared by every protocol) settles every vote, identical continuations
-getting a unanimous yes, and every protocol, preset or custom, is read
+shared by every protocol, read by the backward step `_extend_rows`
+alone) settles every vote, identical continuations getting a unanimous
+yes, and every protocol, preset or custom, is read
 as an action mask per round, one column chunk at a time, so a
 relation-override problem is solved as it is.  The solver, the verifier
 and `play_out` never read the improvement operators; only
@@ -22,8 +23,10 @@ problem per (rule, preset); a longer horizon extends them and a shorter
 one reads their prefix, so every default and horizon of a preset costs
 one backward step per round.  Custom tables are not stationary and are
 solved per call.  Each call walks its own equilibrium path on plain
-ints, read from those rows, to its outcome; the report's value table
-and trace, and each step's approvers, are made on first read, so a
+ints, read from those rows, to its outcome: a round's proposal passed
+exactly when the round's own backward outcome is the proposal's accept
+outcome, so the walk reads no vote.  The report's value table and
+trace, each step with its approvers, are made on first read, so a
 caller that reads only outcomes never pays for them.
 
 Generalized adjournment protocols are supported: a proposal may carry
@@ -146,24 +149,17 @@ class GameSpec:
         return offers
 
 
-def _approvers(step: "TraceStep") -> frozenset[int]:
-    """The voters weakly preferring the step's accept outcome to its reject
-    outcome, from the (voter ranks, accept, reject) it carries."""
-    voters, accept, reject = step._votes
-    return frozenset(np.flatnonzero(voters[:, accept] >= voters[:, reject]).tolist())
-
-
 @dataclass(frozen=True)
 class TraceStep:
-    """One round of the equilibrium path; `approvers` is None on an
-    override problem, whose voter rows are placeholders.  A solve report's
-    trace leaves `approvers` to a view made on first read (`_approvers`)."""
+    """One round of the equilibrium path: the voters weakly preferring the
+    accept outcome to the reject outcome approve (None on an override
+    problem, whose voter rows are placeholders)."""
 
     round: int
     default: int
     proposal: int
     adjourn: bool
-    approvers: Optional[frozenset[int]] = _FractionView(_approvers)
+    approvers: Optional[frozenset[int]]
     passed: bool
 
 
@@ -176,13 +172,14 @@ def _value_table(report: "SolveReport") -> dict:
 
 
 def _pivotal_trace(report: "SolveReport") -> tuple[TraceStep, ...]:
-    """The steps of the int path the report keeps, each with the voter ranks
-    its approvers are read from (`approvers=None` under an override)."""
+    """The steps of the int path the report keeps, each step's approvers
+    read from two columns of the voter ranks (None under an override)."""
     _, path, voters = report._solved
     return tuple(
-        _assemble(TraceStep, round=t, default=x, proposal=a, adjourn=bool(adjourn),
-                  passed=passed, **({"approvers": None} if voters is None
-                                    else {"_votes": (voters, accept, reject)}))
+        TraceStep(round=t, default=x, proposal=a, adjourn=bool(adjourn),
+                  approvers=None if voters is None else frozenset(
+                      np.flatnonzero(voters[:, accept] >= voters[:, reject]).tolist()),
+                  passed=passed)
         for t, x, a, adjourn, passed, accept, reject in path)
 
 
@@ -250,23 +247,25 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
         yield lambda cols, mask=mask: mask[:, cols]
 
 
-def _extend_rows(problem: CollectiveChoiceProblem, beats: np.ndarray, values: list,
+def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: list,
                  choices: list, masks: Iterator) -> None:
     """Backward induction at every default, one round per action-mask
     reader in `masks`: append the round's continuation outcomes to
     `values` and its chosen actions (2 * policy + adjourn) to `choices`,
     reading the next round's outcomes `val` = values[-1].
 
+    Every vote is read from `beats`, the rule's memoized `_wins_table`.
     Action 2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or
     a (adjourn), so its result at default x is acc if beats[acc, val[x]]
     else val[x] (the same policy when acc == val[x]: no unanimity check is
-    needed), and the setter takes the best-ranked feasible result.
+    needed), and the setter takes the best-ranked feasible result.  So
+    the chosen action passed exactly when the row's outcome is its `acc`.
     The argmax breaks ties to the lowest (policy, adjourn) pair, which
     cannot affect the outcome under gfa.  Defaults go by `_column_chunks`.
     Each appended row is read-only: reports keep memoized rows until they
     are first read.
     """
-    m = problem.num_policies
+    m, beats = problem.num_policies, _wins_table(problem, rule)
     setter = problem._ranks[-1]
     chunks = _column_chunks(problem)
     acc = np.empty(2 * m, dtype=np.int64)
@@ -302,26 +301,28 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     unique and vote profiles are pinned down; problems with indifference
     belong to `verify_profile`.  Each voter backs the strictly preferred
     continuation; identical continuations get a unanimous yes.  So a
-    proposal passes exactly when `beats[accept, reject]`, the strict
-    `_wins` relation, holds or accept == reject.  Each round is one step
-    of `_extend_rows`.  So an override problem is solved as it is, under
-    the simple-majority rule only, which `GameSpec` has checked.
+    proposal passes exactly when the strict `_wins` relation holds of
+    its accept outcome over its reject outcome, or the two are equal.
+    Each round is one step of `_extend_rows`, which reads those votes
+    from the rule's memoized strict table, shared by every protocol and,
+    under the majority rule, by reachability and tournaments.  So an
+    override problem is solved as it is, under the simple-majority rule
+    only, which `GameSpec` has checked.
 
-    `beats` is the rule's memoized `_wins_table`, shared by every protocol
-    and, under the majority rule, by reachability and tournaments.  A
-    preset game is stationary, so round t of a T-round game is step
+    A preset game is stationary, so round t of a T-round game is step
     T + 1 - t of backward induction whatever T is: its rows (per rule and
     preset) are memoized with the problem, extended when a longer horizon
     is asked for and read as a prefix for a shorter one.  Table and rows
     cost m**2 bytes plus O(T * m) words.  A custom protocol's rows are
     solved per call.  Either way each call checks its budget and walks the
-    equilibrium path on plain ints, one choice and two outcomes per round
-    read from the rows, to its outcome.  The report keeps the rows and
-    that path, so its `value_table` (a fresh dict, later rounds first)
-    and `pivotal_trace` are built only when first read, and the approvers
-    of each step only when that is read, from two rank columns (None
-    under an override).  Solving costs O(m * chunk) transient memory per
-    block.
+    equilibrium path on plain ints, read from the rows, to its outcome:
+    round t takes its choice and its two outcomes from the (T - t)-round
+    rows, and its proposal passed exactly when the (T - t + 1)-round
+    outcome is the accept outcome, so the walk reads no vote.  The report
+    keeps the rows and that path, so its `value_table` (a fresh dict,
+    later rounds first) and `pivotal_trace` are built only when first
+    read, each step's approvers from two rank columns (None under an
+    override).  Solving costs O(m * chunk) transient memory per block.
     """
     problem = game.problem
     if not problem.gfa:
@@ -333,7 +334,6 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         raise BudgetExceededError("state space too large for the oracle",
                                   required=work, budget=budget)
 
-    beats = _wins_table(problem, game.rule)
     if isinstance(game.protocol, str):
         # values[k] is the k-round outcome from each default and choices[k - 1]
         # the action with k rounds left; a preset's mask is the same every
@@ -345,16 +345,17 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
         values, choices = _no_rows(m)
         rounds = range(horizon, 0, -1)
     if rounds:
-        _extend_rows(problem, beats, values, choices, _action_masks(game, rounds))
+        _extend_rows(problem, game.rule, values, choices, _action_masks(game, rounds))
 
-    # round t reads choices[T - t] and the (T - t)-round outcomes values[T - t]
+    # round t reads choices[T - t], the (T - t)-round outcomes values[T - t]
+    # and its own outcome values[T - t + 1]
     path = []
     x = game.initial_default
     for t in range(1, horizon + 1):
         a, adjourn = divmod(choices[horizon - t].item(x), 2)
         later = values[horizon - t]
         accept, reject = a if adjourn else later.item(a), later.item(x)
-        passed = accept == reject or beats.item(accept, reject)
+        passed = values[horizon - t + 1].item(x) == accept
         path.append((t, x, a, adjourn, passed, accept, reject))
         if passed:
             x = a

@@ -234,8 +234,9 @@ class CollectiveChoiceProblem:
     def _compile(self, ints: ScaledInts) -> None:
         """Check the shapes of the integer rows of `ints` (voters first,
         the setter last), then keep them as `_ints`, with the voter count
-        `n`, the (n+1) x m dense ranks `_ranks` (`_dense_ranks`) and `gfa`
-        (under an override only the setter's ranks count)."""
+        `n`, the (n+1) x m dense ranks `_ranks` (`_dense_ranks`) and `gfa`,
+        read from `_first_tie` of those ranks (under an override, of the
+        setter's row only)."""
         rows, m = ints.vectors, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
@@ -256,14 +257,14 @@ class CollectiveChoiceProblem:
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
         n, ranks = len(rows) - 1, _dense_ranks(ints.array)
-        # a row without ties reaches dense rank m - 1; override voter rows are placeholders
-        tied = [i for i, top in enumerate(ranks.max(axis=1).tolist())
-                if top != m - 1 and (i == n or self.majority_override is None)]
-        gfa = n % 2 == 1 and not tied
+        first = 0 if self.majority_override is None else n   # override voter rows are placeholders
+        tie = _first_tie(ranks[first:])
+        gfa = n % 2 == 1 and tie is None
         if self.gfa and not gfa:
             if n % 2 == 0:
                 raise ValidationError("gfa requires an odd number of voters")
-            name = f"voter {tied[0] + 1}" if tied[0] < n else "agenda setter"
+            row = first + tie[0]
+            name = f"voter {row + 1}" if row < n else "agenda setter"
             raise ValidationError(f"gfa requires strict preferences; {name} has ties")
         for name, value in (("_ints", ints), ("n", n), ("_ranks", ranks), ("gfa", gfa)):
             object.__setattr__(self, name, value)
@@ -353,6 +354,19 @@ def _dense_ranks(array: np.ndarray) -> np.ndarray:
     ranks[rows, order] = steps.cumsum(axis=1)
     ranks.flags.writeable = False
     return ranks
+
+
+def _first_tie(ranks: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """(row, a, b) for the first row of the dense ranks `ranks` that holds a
+    tie: a < b are the two lowest columns of that row's lowest tied rank.
+    None when every row reaches rank m - 1, that is, holds no tie."""
+    last = ranks.shape[1] - 1
+    row = next((i for i, top in enumerate(ranks.max(axis=1).tolist()) if top < last), None)
+    if row is None:
+        return None
+    rank = int((np.bincount(ranks[row]) > 1).argmax())
+    a, b = np.flatnonzero(ranks[row] == rank)[:2].tolist()
+    return row, a, b
 
 
 # ---------------------------------------------------------------------------

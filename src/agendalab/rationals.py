@@ -5,10 +5,9 @@ as integers over one common denominator (`ScaledInts`) and read as
 `fractions.Fraction` views: a problem, grid or profile built from
 integers makes its public `Fraction` fields only when they are first
 read (`_FractionView`, which also makes an oracle report's value table
-and trace, a trace step's approvers, and a spatial witness trace's
-`Fraction` fields, on first read), and kernels run
-on the integers themselves (numpy int64 arrays when the values fit,
-Python ints otherwise).
+and trace, and a spatial witness trace's `Fraction` fields, on first
+read), and kernels run on the integers themselves (numpy int64 arrays
+when the values fit, Python ints otherwise).
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
 strings such as "0.5" are accepted on input and normalized.  Every count,
 size, index, horizon and budget is read by one reader, `parse_whole`.
@@ -140,9 +139,8 @@ class _FractionView:
     reads it, on first access, from what the builder kept (the integers of
     a `Fraction` field, as for a problem's utilities, a profile's ideal
     points, a grid's points and a witness trace's geometry; a solve
-    report's backward rows and int path for its value table and trace; a
-    trace step's two rank columns for its approvers) and the instance
-    keeps it, as with a `cached_property`.
+    report's backward rows and int path for its value table and trace)
+    and the instance keeps it, as with a `cached_property`.
     An instance made by the public constructor holds the field itself and
     never reaches the view.  Class access raises AttributeError, so the
     dataclass sees a field without a default and its signature, `==`,
@@ -165,7 +163,8 @@ class _FractionView:
 def _assemble(cls, **fields):
     """An instance of `cls` holding `fields`, made without `__init__`: a builder
     leaves the `_FractionView` fields unset, then runs the class's checks (a
-    problem's or profile's `_compile`; a trace step's fields are solver ints)."""
+    problem's or profile's `_compile`; a grid, a solve report or a witness
+    trace holds only what its builder computed)."""
     out = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(out, name, value)

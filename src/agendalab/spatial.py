@@ -80,7 +80,7 @@ class SpatialProfile:
         rows, denominator = self.scaled_rows([point])
         return Fraction(rows[player][0], denominator)
 
-    def scaled_rows(self, points) -> tuple[list[tuple[int, ...]], int]:
+    def scaled_rows(self, points) -> tuple[list[list[int]], int]:
         """Every player's utility at each point as integer rows over one
         denominator: (rows, D), one row per player, setter last.  Each point
         has `dim` coordinates, each an int, a `Fraction` or rational text."""
@@ -91,10 +91,12 @@ class SpatialProfile:
         points = [tuple(map(parse_rational, p)) for p in points]
         scale = lcm(self._ints.scale, *(c.denominator for p in points for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
-        return list(zip(*self.scaled_utilities(numerators, scale))), 2 * scale * scale
+        return self.scaled_utilities(numerators, scale), 2 * scale * scale
 
-    def scaled_utilities(self, numerators, scale: int) -> list[tuple[int, ...]]:
-        """Per point, every player's utility times 2 * scale**2, as exact integers.
+    def scaled_utilities(self, numerators, scale: int) -> list[list[int]]:
+        """Per player, setter last, the utility of every point times
+        2 * scale**2, as exact integers: one row per player, one column per
+        point.
 
         Points come as integer numerators over `scale`, which every ideal
         coordinate's denominator must divide.  The integers order each
@@ -109,7 +111,7 @@ class SpatialProfile:
                 c *= factor
                 row = [u - (a - c) ** 2 for u, a in zip(row, axis)]
             rows.append(row)
-        return list(zip(*rows))
+        return rows
 
 
 def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
@@ -357,10 +359,10 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     # exact final checks, independent of how the search got here
     if _dot([c - a for c, a in zip(midpoint, lift(0, 0, mid_r))], normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")
-    before, after = profile.scaled_utilities([lift(0, 0, wit_r), witness], scale * wit_r)
-    if not after[setter_idx] > before[setter_idx]:
+    rows = profile.scaled_utilities([lift(0, 0, wit_r), witness], scale * wit_r)
+    if not rows[setter_idx][1] > rows[setter_idx][0]:
         raise InternalInvariantError("witness does not improve the setter")
-    if not all(after[j] > before[j] for j in coalition):
+    if not all(rows[j][1] > rows[j][0] for j in coalition):
         raise InternalInvariantError("witness does not improve every coalition member")
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")

@@ -101,6 +101,21 @@ def test_transfers_validation():
         transfers_problem(base, m=2)
 
 
+def test_transfers_read_the_base_integers():
+    # an integer-built base gives the transfers of the same base built by the
+    # public constructor, and its `Fraction` utility views stay unmade
+    for n, grid, m in ((1, 2, 1), (3, 2, 2), (3, 3, 3), (5, 2, 2)):
+        base = divide_dollar_problem(n, grid)
+        got = transfers_problem(base, m)
+        assert "voter_utilities" not in vars(base) and "setter_utilities" not in vars(base)
+        public = CollectiveChoiceProblem(policies=base.policies,
+                                         voter_utilities=base.voter_utilities,
+                                         setter_utilities=base.setter_utilities)
+        want = transfers_problem(public, m)
+        assert got == want and repr(got) == repr(want)
+        assert got._ints.vectors == want._ints.vectors
+
+
 # ---------------------------------------------------------------------------
 # axiom audit
 

@@ -3,7 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, sqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agendalab import (
     BoxSpace,
@@ -14,6 +17,7 @@ from agendalab import (
     gen_spatial,
     grids,
 )
+from agendalab.problems import _dense_ranks, _first_tie
 from test_exact_kernels import _ref_audit_and_rejitter, outcome, ref_build_box
 
 F = Fraction
@@ -71,19 +75,26 @@ def test_budget_guard():
                    max_points=1000)
 
 
-def test_tie_audit_failure_without_jitter(monkeypatch):
-    # a re-draw that never breaks the tie: the audit gives up after
-    # _MAX_ATTEMPTS, naming the first tied pair and player as the
-    # `Fraction` reference does
+def test_tie_audit_failure_without_jitter():
+    # the audit reads the first tie of the first tied player from the dense
+    # ranks: at player 1's lowest tied value, nodes 1 and 3, as the
+    # `Fraction` reference names them when a re-draw never breaks the tie
     values = [(3, 1), (2, 1), (3, 0), (2, 5)]
-
-    def redraw(idx):
-        return values[idx]
-
-    monkeypatch.setattr(grids, "_MAX_ATTEMPTS", 3)
-    got = outcome(grids._audit_and_rejitter, list(values), redraw)
-    assert got == outcome(_ref_audit_and_rejitter, list(values), tuple, 3, redraw)
+    ranks = _dense_ranks(np.array(list(zip(*values))))
+    assert _first_tie(ranks) == (0, 1, 3)
+    got = outcome(_ref_audit_and_rejitter, list(values), tuple, 3, values.__getitem__)
     assert got[1:] == ("nodes 1 and 3 still tie for player 1 after 3 attempts", 0, (1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda players: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * players), min_size=1, max_size=8)))
+def test_first_tie_names_the_pair_the_reference_redraws_first(values):
+    # with one attempt the reference re-draws its first offender, then
+    # names it; a table without ties passes at once
+    ranks = _dense_ranks(np.array(list(zip(*values))))
+    got = outcome(_ref_audit_and_rejitter, list(values), tuple, 1, values.__getitem__)
+    assert _first_tie(ranks) == (None if got == 1 else (got[2], *got[3]))
 
 
 def test_int_bounds_build_the_unit_grid():

@@ -6,9 +6,10 @@ raises `UnsupportedCombinationError`,
 kernels do not call the public per-pair views, only the `Fraction`
 views build `Fraction` rows, every view field is required by its
 constructor, only one helper makes an instance without
-`__init__`, every experiment option is read by some suite, and every
-library name the benchmark imports exists and takes the arguments the
-benchmark passes."""
+`__init__`, the oracle never reads φ and only its backward step names
+the vote table (`test_the_oracle_never_reads_phi`), every experiment
+option is read by some suite, and every library name the benchmark
+imports exists and takes the arguments the benchmark passes."""
 
 from __future__ import annotations
 
@@ -187,11 +188,34 @@ def test_view_fields_have_no_default():
                                    is inspect.Parameter.empty))
     assert {(cls, name) for cls, name, *_ in viewed} >= {
         ("SolveReport", "value_table"), ("SolveReport", "pivotal_trace"),
-        ("TraceStep", "approvers"),
         *(("ImprovementTrace", name) for name in (
             "plane_normal", "projected_gradients", "direction", "epsilon",
             "epsilon_off_plane", "beta", "midpoint", "witness"))}
     assert [entry for entry in viewed if not all(entry[2:])] == []
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name and attribute name read or written inside `tree`."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_the_oracle_never_reads_phi():
+    # backward induction is the route independent of the favorite-improvement
+    # iterates: the solver, the verifier and the play-out name none of their
+    # readers, and the backward step alone names the rule's vote table
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    phi = {"_orbit", "_phi_table", "_phi_or_table", "_setter_walk", "phi_iterates",
+           "favorite_improvement"}
+    found = {name: sorted(_names(functions[name]) & phi)
+             for name in ("solve_spe", "_extend_rows", "_action_masks", "_value_table",
+                          "_pivotal_trace", "verify_profile", "play_out")}
+    assert {name: names for name, names in found.items() if names} == {}
+    inside = {id(node) for node in ast.walk(functions["_extend_rows"])}
+    table = {node.lineno: id(node) in inside for node in ast.walk(tree)
+             if "_wins_table" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert table and all(table.values()), table
 
 
 def test_every_experiment_option_is_read_by_a_suite():
