@@ -7,9 +7,12 @@ holds with room for jitter, a seeded rational jitter on every node, and
 an exact tie audit that re-jitters offenders, read from the dense ranks
 of the problem each build compiles (`problems._first_tie`, the reader
 that also decides `gfa`).  The audit is the certificate; the jitter
-scheme is reproducible from the seed.  Box
-and simplex grids share one pipeline on integer nodes over one scale
-(`build_grid`); each space supplies only its lattice.
+scheme is reproducible from the seed, every offset being one
+`randrange` draw.  Box and simplex grids share one pipeline on integer
+arrays over one scale (`build_grid`): a (nodes x coordinates) array of
+nodes, scored into one (players x nodes) utility array that the problem
+keeps; each space supplies only its lattice.  Box utilities come from
+`SpatialProfile.scaled_utilities`, the one spatial utility formula.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt, lcm
 from typing import Optional
+
+import numpy as np
 
 from .distributions import _compositions, _count_compositions
 from .errors import BudgetExceededError, GridGenericityError, ValidationError
 from .problems import CollectiveChoiceProblem, _first_tie, _scaled_problem
-from .rationals import (_assemble, _FractionView, parse_box, parse_rational, parse_whole,
-                        scaled_numerators)
+from .rationals import (_assemble, _FractionView, _int_dtype, parse_box, parse_rational,
+                        parse_whole, scaled_numerators)
 from .spatial import SpatialProfile
 
 _JITTER_BITS = 16
@@ -74,7 +78,7 @@ class GridBuildResult:
     problem: CollectiveChoiceProblem
     points: tuple[tuple[Fraction, ...], ...] = _FractionView(
         lambda result: tuple(tuple(Fraction(c, result._scale) for c in node)
-                             for node in result._nodes))
+                             for node in result._nodes.tolist()))
     epsilon: Fraction
     covering_sq_bound: Fraction      # certified: strictly below epsilon**2
     attempts: int
@@ -90,16 +94,17 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
 
     Box grids take utilities from a spatial profile; simplex grids are
     divide-the-dollar style, each player's utility being their own
-    share.  Each space supplies its integer centres over one scale, how
-    a centre is jittered, how nodes become integer utility rows (one per
-    player), the denominator and the covering bound; one path then
-    jitters every centre in index order and builds the problem.  The
-    problem's dense ranks are the tie audit (`_first_tie`): of the first
-    tied pair of the first player with a tie, at that player's lowest
-    tied value, the later node is re-drawn, its utilities recomputed and
-    the problem built again, up to `_MAX_ATTEMPTS` builds in all.  A tie
-    in the last one raises a genericity error naming that pair and
-    player.
+    share.  Each space supplies its centres as one (nodes x coordinates)
+    integer array over one scale, how rows of centres are jittered, how
+    nodes become one (players x nodes) integer utility array, the
+    denominator and the covering bound; one path then jitters every
+    centre, drawing node by node in index order, and builds the problem
+    from the utility array.  The problem's dense ranks are the tie audit
+    (`_first_tie`): of the first tied pair of the first player with a
+    tie, at that player's lowest tied value, the later node is re-drawn,
+    its utility column recomputed and the problem built again, up to
+    `_MAX_ATTEMPTS` builds in all.  A tie in the last one raises a
+    genericity error naming that pair and player.
     """
     epsilon, max_points = parse_rational(epsilon), parse_whole(max_points, "max_points")
     if epsilon <= 0:
@@ -119,20 +124,22 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     centers, scale, shift, utilities, denominator, bound = lattice
 
     rng = random.Random(seed)
-    nodes = [shift(rng, center) for center in centers]
+    nodes = shift(rng, centers)
     rows = utilities(nodes)
     labels = [f"n{i}" for i in range(len(nodes))]
     for attempts in range(1, _MAX_ATTEMPTS + 1):
         problem = _scaled_problem(labels, rows, denominator)
         tie = _first_tie(problem._ranks)
         if tie is None:
+            nodes.flags.writeable = False
             return _assemble(GridBuildResult, problem=problem, epsilon=epsilon,
                              covering_sq_bound=bound, attempts=attempts,
-                             _nodes=tuple(nodes), _scale=scale)
+                             _nodes=nodes, _scale=scale)
         player, a, b = tie
-        nodes[b] = shift(rng, centers[b])
-        for row, (value,) in zip(rows, utilities([nodes[b]])):
-            row[b] = value
+        nodes[b] = shift(rng, centers[b:b + 1])[0]
+        column = utilities(nodes[b:b + 1])[:, 0]
+        rows = rows.astype(np.result_type(rows, column), copy=False)   # object if either is
+        rows[:, b] = column
     raise GridGenericityError(
         f"nodes {a} and {b} still tie for player {player + 1} after "
         f"{_MAX_ATTEMPTS} attempts", player=player, pair=(a, b))
@@ -143,6 +150,11 @@ def _within_budget(kind: str, total: int, max_points: int) -> int:
         raise BudgetExceededError(f"{kind} grid would exceed the point budget",
                                   required=total, budget=max_points)
     return total
+
+
+def _draws(rng, count: int, start: int, stop: int) -> np.ndarray:
+    """`count` draws of `rng.randrange(start, stop)`, in order."""
+    return np.array([rng.randrange(start, stop) for _ in range(count)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +186,17 @@ def _box_lattice(space, epsilon, profile, max_points):
     units = [(hi - lo) / (20 * _JITTER_RANGE * k) for (lo, hi), k in zip(space.bounds, cells)]
     lows = [lo for lo, _hi in space.bounds]
     scale = lcm(*(c.denominator for c in (*units, *lows)), profile._ints.scale)
-    units, lows = scaled_numerators(units, scale), scaled_numerators(lows, scale)
-    axes = [[low + (2 * j + 1) * 10 * _JITTER_RANGE * unit for j in range(k)]
-            for low, k, unit in zip(lows, cells, units)]
+    dtype = _int_dtype(max(abs(c) * scale for bounds in space.bounds for c in bounds))
+    units = np.array(scaled_numerators(units, scale), dtype=dtype)
+    lows = np.array(scaled_numerators(lows, scale), dtype=dtype)
     # node index i_0 + k_0 * (i_1 + k_1 * ...): the first axis varies fastest
-    centers = [center[::-1] for center in product(*reversed(axes))]
+    strides = np.cumprod([1, *cells[:-1]])
+    cell = np.arange(total)[:, None] // strides % np.array(cells)
+    centers = lows + (2 * cell + 1) * (10 * _JITTER_RANGE) * units
 
-    def shift(rng, center):
-        return tuple(c + 2 * rng.randrange(-(_JITTER_RANGE - 1), _JITTER_RANGE) * unit
-                     for c, unit in zip(center, units))
+    def shift(rng, centers):
+        steps = _draws(rng, centers.size, -(_JITTER_RANGE - 1), _JITTER_RANGE)
+        return centers + 2 * steps.reshape(centers.shape) * units
 
     return (centers, scale, shift,
             lambda nodes: profile.scaled_utilities(nodes, scale), 2 * scale * scale, bound)
@@ -201,17 +215,19 @@ def _simplex_lattice(space, epsilon, max_points):
 
     # shares are numerators over `scale`; one jitter step is one unit
     scale = 10 * m * _JITTER_RANGE * n_players
-    centers = [tuple(u * (scale // m) for u in units)
-               for units in _compositions(m, n_players)]
+    centers = np.array(list(_compositions(m, n_players)), dtype=_int_dtype(scale)) * (scale // m)
 
-    def shift(rng, node):
-        # every share but the top one moves up; the top share pays for it all
-        top = min(range(n_players), key=lambda i: (-node[i], i))
-        out = [c if i == top else c + rng.randrange(1, _JITTER_RANGE)
-               for i, c in enumerate(node)]
-        out[top] -= sum(out) - sum(node)
-        return tuple(out) if out[top] > 0 else node   # the top share always stays positive
+    def shift(rng, centers):
+        # every share but the first largest moves up; the top share pays for it all
+        steps = _draws(rng, len(centers) * (n_players - 1), 1, _JITTER_RANGE)
+        at = np.arange(len(centers)), centers.argmax(axis=1)
+        moved = np.ones(centers.shape, dtype=bool)
+        moved[at] = False
+        out = centers.copy()
+        out[moved] += steps
+        out[at] -= steps.reshape(len(centers), -1).sum(axis=1)
+        return np.where((out[at] > 0)[:, None], out, centers)   # the top share stays positive
 
     # a player's utility is their own share: player p's row is every node's p-th share
-    return (centers, scale, shift, lambda nodes: list(map(list, zip(*nodes))), scale,
+    return (centers, scale, shift, lambda nodes: nodes.T.copy(), scale,
             Fraction(121 * n_players, (10 * m)**2))

@@ -237,7 +237,7 @@ class CollectiveChoiceProblem:
         `n`, the (n+1) x m dense ranks `_ranks` (`_dense_ranks`) and `gfa`,
         read from `_first_tie` of those ranks (under an override, of the
         setter's row only)."""
-        rows, m = ints.vectors, len(self.policies)
+        rows, m = ints.rows, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
         for label in self.policies:
@@ -328,7 +328,8 @@ class CollectiveChoiceProblem:
 
 def _scaled_problem(policies, rows, denominator: int) -> CollectiveChoiceProblem:
     """The problem whose player p values policy x at rows[p][x] / denominator
-    (integer rows, voters first, the setter last).  It keeps those
+    (integer rows, voters first, the setter last, as lists or one 2-D
+    array; see `ScaledInts.from_scaled`).  It keeps those
     integers as its `_ints` and builds no `Fraction`: its utility fields
     are views made on first read, and it equals the problem the public
     constructor makes from them."""
@@ -383,6 +384,15 @@ class ImprovementCertificate:
     setter_gain: Fraction
 
 
+def _eta_star(report: "MarginReport") -> dict[int, Fraction]:
+    """Each delta-suboptimal policy's margin, from the integer margins over
+    the problem's scale that `uniform_margin` keeps: one `Fraction` per
+    distinct value."""
+    margins, scale = report._margins
+    fractions = {v: Fraction(v, scale) for v in set(margins)}
+    return dict(zip(report.gamma_set, map(fractions.__getitem__, margins)))
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Uniform improvement margin over the delta-suboptimal region.
@@ -393,11 +403,14 @@ class MarginReport:
     region, None when the region is empty.  t_bound is the induced round
     bound: 0 when no policy is delta-suboptimal (gamma_set is empty), and
     None when gamma_set is non-empty and the margin is at most 0.
+    `uniform_margin` keeps the region's integer margins and their scale
+    as a private `_margins`, and `eta_star` is a view of them made on
+    first read (`_eta_star`), equal to what the constructor keeps.
     """
 
     delta: Fraction
     gamma_set: tuple[int, ...]
-    eta_star: dict[int, Fraction]
+    eta_star: dict[int, Fraction] = _FractionView(_eta_star)
     eta_delta: Optional[Fraction]
     t_bound: Optional[int]
 
@@ -662,9 +675,10 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
     `_CHUNK_COMPARISONS`.  Everything runs on the problem's scaled
     integers (an int64 array when they fit, Python ints otherwise): the
     delta-suboptimal region is one array comparison of the setter's
-    shortfalls with the ceiling of delta times the scale, the report is
-    read from the margins at that region, and one `Fraction` is built per
-    distinct reported value.
+    shortfalls with the ceiling of delta times the scale, and the report
+    keeps the integer margins at that region.  Only `eta_delta` is made a
+    `Fraction` here; `eta_star` is a view made on first read, one
+    `Fraction` per distinct value.
     """
     delta = parse_rational(delta)
     if delta <= 0:
@@ -703,14 +717,11 @@ def uniform_margin(problem: CollectiveChoiceProblem, rule: VotingRule,
         return setter_gain[-1] <= best
 
     _setter_walk(problem, region, settle)
-    values = eta[region].tolist()
-
-    fractions = {v: Fraction(v, ints.scale) for v in set(values)}
-    low = min(values)
+    margins = eta[region].tolist()
+    low = min(margins)
     t_bound: Optional[int] = None
     if low > 0:
         t_bound = max(1, -(-(top - bottom) // low))
-    gamma = tuple(region.tolist())
-    return MarginReport(delta=delta, gamma_set=gamma,
-                        eta_star=dict(zip(gamma, map(fractions.__getitem__, values))),
-                        eta_delta=fractions[low], t_bound=t_bound)
+    return _assemble(MarginReport, delta=delta, gamma_set=tuple(region.tolist()),
+                     eta_delta=Fraction(low, ints.scale), t_bound=t_bound,
+                     _margins=(margins, ints.scale))

@@ -21,15 +21,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalInvariantError, SpatialDegeneracyError, ValidationError
 from .problems import CollectiveChoiceProblem, _scaled_problem
-from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_box,
-                        parse_rational, parse_whole, scaled_numerators)
+from .rationals import (ScaledInts, _assemble, _FractionView, _int_dtype, fraction_rows,
+                        parse_box, parse_rational, parse_whole, scaled_numerators)
 
 COORD_DENOM = 2**20
 
@@ -78,12 +80,13 @@ class SpatialProfile:
     def utility(self, player: int, point: Point) -> Fraction:
         """-1/2 squared distance from the player's ideal point: one `scaled_rows` entry."""
         rows, denominator = self.scaled_rows([point])
-        return Fraction(rows[player][0], denominator)
+        return Fraction(int(rows[player, 0]), denominator)
 
-    def scaled_rows(self, points) -> tuple[list[list[int]], int]:
+    def scaled_rows(self, points) -> tuple[np.ndarray, int]:
         """Every player's utility at each point as integer rows over one
-        denominator: (rows, D), one row per player, setter last.  Each point
-        has `dim` coordinates, each an int, a `Fraction` or rational text."""
+        denominator: (rows, D), rows being the `scaled_utilities` array,
+        one row per player, setter last.  Each point has `dim`
+        coordinates, each an int, a `Fraction` or rational text."""
         for i, p in enumerate(points):
             if len(p) != self.dim:
                 raise ValidationError(
@@ -91,27 +94,30 @@ class SpatialProfile:
         points = [tuple(map(parse_rational, p)) for p in points]
         scale = lcm(self._ints.scale, *(c.denominator for p in points for c in p))
         numerators = [scaled_numerators(p, scale) for p in points]
-        return self.scaled_utilities(numerators, scale), 2 * scale * scale
+        nodes = np.array(numerators, dtype=object).reshape(len(points), self.dim)
+        return self.scaled_utilities(nodes, scale), 2 * scale * scale
 
-    def scaled_utilities(self, numerators, scale: int) -> list[list[int]]:
+    def scaled_utilities(self, nodes: np.ndarray, scale: int) -> np.ndarray:
         """Per player, setter last, the utility of every point times
-        2 * scale**2, as exact integers: one row per player, one column per
-        point.
+        2 * scale**2, as exact integers: a (players x points) array, one
+        column per point.
 
-        Points come as integer numerators over `scale`, which every ideal
+        Points come as an (points x dim) integer array (int64, or object
+        dtype of Python ints) of numerators over `scale`, which every ideal
         coordinate's denominator must divide.  The integers order each
-        player's preferences exactly as the utilities do.
+        player's preferences exactly as the utilities do.  No utility
+        exceeds dim * (node peak + ideal peak)**2 in magnitude, the peaks
+        being the largest absolute numerators, so the array is int64 when
+        that bound is below 2**62 and object dtype otherwise; both run the
+        same expression.
         """
-        axes = list(zip(*numerators))
         factor = scale // self._ints.scale
-        rows = []
-        for ideal in self._ints.vectors:
-            row = [0] * len(numerators)
-            for axis, c in zip(axes, ideal):
-                c *= factor
-                row = [u - (a - c) ** 2 for u, a in zip(row, axis)]
-            rows.append(row)
-        return rows
+        reach = max(int(nodes.max(initial=0)), -int(nodes.min(initial=0))) + factor * max(
+            abs(c) for c in chain.from_iterable(self._ints.vectors))
+        dtype = _int_dtype(self.dim * reach * reach)
+        ideals = np.array(self._ints.vectors, dtype=dtype) * factor
+        diffs = nodes.astype(dtype, copy=False)[None] - ideals[:, None]
+        return -(diffs * diffs).sum(axis=2)
 
 
 def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
@@ -359,10 +365,11 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     # exact final checks, independent of how the search got here
     if _dot([c - a for c, a in zip(midpoint, lift(0, 0, mid_r))], normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")
-    rows = profile.scaled_utilities([lift(0, 0, wit_r), witness], scale * wit_r)
-    if not rows[setter_idx][1] > rows[setter_idx][0]:
+    rows = profile.scaled_utilities(np.array([lift(0, 0, wit_r), witness], dtype=object),
+                                    scale * wit_r)
+    if not rows[setter_idx, 1] > rows[setter_idx, 0]:
         raise InternalInvariantError("witness does not improve the setter")
-    if not all(rows[j][1] > rows[j][0] for j in coalition):
+    if not all(rows[j, 1] > rows[j, 0] for j in coalition):
         raise InternalInvariantError("witness does not improve every coalition member")
     if 2 * len(coalition) < n + 1:
         raise InternalInvariantError("witness coalition is not a strict majority")

@@ -260,7 +260,7 @@ def thm4_witness_suite(seed=1, samples=20, d=3):
             except SpatialDegeneracyError:
                 failures += 1
                 continue
-            at_x, at_witness = zip(*profile.scaled_rows([x, trace.witness])[0])
+            at_x, at_witness = profile.scaled_rows([x, trace.witness])[0].T
             gains = all(at_witness[j] > at_x[j] for j in trace.majority_coalition)
             setter_gain = at_witness[-1] > at_x[-1]
             majority = 2 * len(trace.majority_coalition) >= profile.n_voters + 1

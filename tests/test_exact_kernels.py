@@ -25,7 +25,9 @@ must not build them.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -1126,7 +1128,8 @@ def test_grid_kernels_build_no_fraction_rows_or_points(monkeypatch):
     grid = build_grid(BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE)
     rule = VotingRule.simple_majority(5)
     is_manipulable(grid.problem, rule)
-    uniform_margin(grid.problem, rule, F(1, 100))
+    margin = uniform_margin(grid.problem, rule, F(1, 100))
+    assert "eta_star" not in vars(margin)
     assert made == []
     setter = grid.problem.setter_utilities
     assert made == [1]
@@ -1202,3 +1205,113 @@ def test_coplanarity_scan_reports_the_first_violation_in_order():
     report = check_noncoplanarity(profile)
     assert report == ref_check_noncoplanarity(profile)
     assert report.violating_tuple == ((1, 2, 3), (0, 1, 2, 4), 0)
+
+
+# ---------------------------------------------------------------------------
+# integer arrays: one compiled form from lists or arrays, int64 only where safe
+
+
+def _scaled_fields(ints):
+    return ints.scale, ints.vectors, ints.as_numpy, ints.array.dtype, ints.array.tolist()
+
+
+@pytest.mark.parametrize("low, high", _RANK_RANGES, ids=_RANK_IDS)
+@pytest.mark.parametrize("denominator", [1, 6, 2**40])
+@pytest.mark.parametrize("factor", [1, 6])
+def test_from_scaled_reads_lists_and_arrays_alike(low, high, denominator, factor):
+    # a common factor shared with the denominator is divided out, on every input
+    rows = [[v * factor for v in row] for row in _seeded_rows(low, high, 7, denominator)]
+    want = _scaled_fields(ScaledInts.from_scaled(rows, denominator))
+    inputs = [np.array(rows, dtype=object)]
+    if max(-low, high) * factor < 2**63:
+        inputs.append(np.array(rows, dtype=np.int64))
+    for array in inputs:
+        got = ScaledInts.from_scaled(array, denominator)
+        assert _scaled_fields(got) == want
+        assert all(type(v) is int for row in got.vectors for v in row)
+    assert want[3] == (np.int64 if max(-low, high) * factor // (
+        denominator // want[0]) < 2**62 else object)
+
+
+def test_from_scaled_widens_an_int64_array_past_the_safe_peak():
+    # int64 values in [2**62, 2**63) fit the input but not the kernels' safe
+    # range: the family holds Python ints, as it does from a list; a common
+    # factor that brings the peak back under 2**62 gives int64 again
+    for rows, denominator, dtype in (([[2**63 - 1, -5], [3, 2**62]], 1, object),
+                                     ([[2**62 + 2, -6], [4, 2**62]], 2, np.int64),
+                                     ([[-2**63, 1], [3, 2**62]], 7, object)):
+        want = ScaledInts.from_scaled(rows, denominator)
+        got = ScaledInts.from_scaled(np.array(rows, dtype=np.int64), denominator)
+        assert _scaled_fields(got) == _scaled_fields(want)
+        assert got.array.dtype == dtype and got.as_numpy == (dtype is np.int64)
+
+
+def _box_grid_near_the_int64_bound(excess):
+    """A 1-D box grid of 3 nodes whose setter ideal sits X grid units below
+    the box, with X odd and chosen so that the utility bound (node peak +
+    X)**2 is (2**31 + excess)**2: just below 2**62 for excess -1, just
+    above for +1.  Its utilities share no factor with the denominator, so
+    the problem's peak is that bound."""
+    space, epsilon, seed = BoxSpace(((F(0), F(1)),)), F(1, 2), 3
+    scale = 20 * JITTER_RANGE * 3           # three cells: one grid unit per jitter unit
+    probe = ref_build_box(space, epsilon, seed, SpatialProfile(
+        dim=1, ideal_points=((F(1, 2),), (F(0),)), box=space.bounds))
+    peak = max(c for p in probe.points for c in p) * scale
+    x = 2**31 + excess - peak
+    profile = SpatialProfile(dim=1, ideal_points=((F(1, 2),), (F(-x, scale),)),
+                             box=space.bounds)
+    return dict(space=space, epsilon=epsilon, seed=seed, profile=profile), probe, x
+
+
+@pytest.mark.parametrize("excess, dtype", [(-1, np.int64), (1, object)])
+def test_box_grid_utilities_switch_to_python_ints_past_the_bound(excess, dtype):
+    case, probe, x = _box_grid_near_the_int64_bound(excess)
+    assert x % 2 == 1
+    got, want = build_grid(**case), ref_build_box(**case)
+    assert got == want and got.points == probe.points
+    assert got.problem._ints.array.dtype == dtype
+    assert got.problem._ints.as_numpy == (dtype is np.int64)
+    assert max(map(abs, got.problem._ints.vectors[-1])) == (2**31 + excess)**2
+    assert_compiled_from_fractions(got.problem)
+
+
+def test_views_hold_python_ints():
+    # every `Fraction` a grid or a margin report makes holds Python ints,
+    # never numpy scalars, on the int64 and the object path alike
+    big, _probe, _x = _box_grid_near_the_int64_bound(1)
+    grids = [build_grid(BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE),
+             build_grid(SimplexSpace(2), F(1, 2), seed=4), build_grid(**big)]
+    for grid in grids:
+        problem = grid.problem
+        rule = VotingRule.quota_rule(problem.n, problem.n // 2 + 1)
+        setter = problem.setter_utilities
+        margin = uniform_margin(problem, rule, (max(setter) - min(setter)) / 3)
+        values = [c for p in grid.points for c in p] + [
+            v for row in (*problem.voter_utilities, setter) for v in row] + [
+            *margin.eta_star.values(), margin.eta_delta]
+        assert values and all(type(v.numerator) is int and type(v.denominator) is int
+                              for v in values)
+    rows, _denominator = _GRID_PROFILE.scaled_rows([(F(1, 3), 0, 1)])
+    assert type(_GRID_PROFILE.utility(0, (F(1, 3), 0, 1)).numerator) is int
+    assert rows.dtype == np.int64
+
+
+def test_margin_report_makes_eta_star_on_first_read():
+    # an unread report compares, prints, copies and pickles as the report the
+    # public constructor makes from its fields, and its eta_star is the reference's
+    grid = build_grid(BoxSpace.unit(3), F(1, 2), seed=4, profile=_GRID_PROFILE)
+    problem, rule = grid.problem, VotingRule.simple_majority(5)
+    setter = problem.setter_utilities
+    delta = (max(setter) - min(setter)) / 5
+    first = uniform_margin(problem, rule, delta)
+    built = MarginReport(**{f.name: getattr(first, f.name)
+                            for f in dataclasses.fields(MarginReport)})
+    assert built == ref_uniform_margin(problem, rule, delta)
+    assert repr(uniform_margin(problem, rule, delta)) == repr(built)
+    for read in (lambda r: r, copy.copy, lambda r: pickle.loads(pickle.dumps(r))):
+        got = read(uniform_margin(problem, rule, delta))
+        assert "eta_star" not in vars(got)
+        assert got == built and repr(got) == repr(built)
+    report = uniform_margin(problem, rule, delta)
+    assert report.eta_star == built.eta_star and report.eta_star is report.eta_star
+    assert len(report.eta_star) == len(report.gamma_set) > 0

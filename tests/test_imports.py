@@ -7,7 +7,8 @@ kernels do not call the public per-pair views, only the `Fraction`
 views build `Fraction` rows, every view field is required by its
 constructor, only one helper makes an instance without
 `__init__`, the oracle never reads φ and only its backward step names
-the vote table (`test_the_oracle_never_reads_phi`), every experiment
+the vote table (`test_the_oracle_never_reads_phi`), grids draw only
+through `randrange` and square no coordinate difference, every experiment
 option is read by some suite, and every library name the benchmark
 imports exists and takes the arguments the benchmark passes."""
 
@@ -188,6 +189,7 @@ def test_view_fields_have_no_default():
                                    is inspect.Parameter.empty))
     assert {(cls, name) for cls, name, *_ in viewed} >= {
         ("SolveReport", "value_table"), ("SolveReport", "pivotal_trace"),
+        ("MarginReport", "eta_star"),
         *(("ImprovementTrace", name) for name in (
             "plane_normal", "projected_gradients", "direction", "epsilon",
             "epsilon_off_plane", "beta", "midpoint", "witness"))}
@@ -216,6 +218,32 @@ def test_the_oracle_never_reads_phi():
     table = {node.lineno: id(node) in inside for node in ast.walk(tree)
              if "_wins_table" in (getattr(node, "id", None), getattr(node, "attr", None))}
     assert table and all(table.values()), table
+
+
+def test_grids_draw_only_through_randrange_and_score_through_the_profile():
+    # the reference tests force ties by overriding `randrange` (`CoarseRandom`),
+    # so every draw must go through it: no module reaches the generator's
+    # bits another way, or numpy's own generators.  And `grids` squares no
+    # coordinate difference: `SpatialProfile.scaled_utilities` is the one
+    # utility formula
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("getrandbits", "_randbelow") or (
+                    isinstance(node, ast.Attribute) and node.attr == "random"
+                    and getattr(node.value, "id", None) in ("np", "numpy")) or (
+                    isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                        "numpy.random" in (getattr(node, "module", None) or "", alias.name)
+                        for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    for node in ast.walk(ast.parse((PACKAGE / "grids.py").read_text())):
+        if isinstance(node, ast.BinOp) and (
+                (isinstance(node.op, ast.Pow) and isinstance(node.left, ast.BinOp)
+                 and isinstance(node.left.op, ast.Sub))
+                or (isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right))):
+            found.append(f"grids.py:{node.lineno}")
+    assert found == []
 
 
 def test_every_experiment_option_is_read_by_a_suite():

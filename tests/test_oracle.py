@@ -661,3 +661,31 @@ def test_preset_verify_at_eight_policies_matches_reference():
     open_rule = [got for protocol, got in reports if protocol == "open_rule"]
     assert any(isinstance(got, tuple) and "missing" in got[1] for got in open_rule)
     assert any(not isinstance(got, tuple) and not got.profile_valid for got in open_rule)
+
+
+@pytest.mark.parametrize("protocol", ["amendment", "successive", "open_rule"])
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("chunk", [1, 2**16])
+def test_preset_masks_equal_the_feasible_offers(protocol, m, chunk, monkeypatch):
+    # a preset's offer rule is spelled twice, as `GameSpec.feasible` and as
+    # `_action_masks`' mask reader: every round's reader, on whole columns and
+    # on each column chunk, must set exactly the feasible (policy, adjourn) pairs
+    from agendalab.oracle import _action_masks
+    rng = random.Random(m)
+    rows = tuple(tuple(Fraction(rng.randrange(10)) for _ in range(m)) for _ in range(4))
+    problem = CollectiveChoiceProblem(policies=tuple(f"x{i}" for i in range(m)),
+                                      voter_utilities=rows[:-1], setter_utilities=rows[-1])
+    game = GameSpec(problem=problem, rule=VotingRule.simple_majority(3), horizon=3,
+                    initial_default=0, protocol=protocol)
+    monkeypatch.setattr("agendalab.problems._CHUNK_COMPARISONS", chunk)
+    chunks = _column_chunks(problem)
+    assert len(chunks) == (m if chunk == 1 else 1)
+    rounds = range(1, game.horizon + 1)
+    for t, mask_of in zip(rounds, _action_masks(game, rounds)):
+        want = [[False] * m for _ in range(2 * m)]
+        for x in range(m):
+            for a, adjourn in game.feasible(t, x):
+                want[2 * a + adjourn][x] = True
+        assert mask_of(slice(None)).tolist() == want
+        for cols in chunks:
+            assert mask_of(cols).tolist() == [row[cols] for row in want]
