@@ -94,10 +94,13 @@ class DivideDollarGrid:
     def index(self, allocation: Allocation) -> int:
         if allocation.denom != self.m:
             raise ValidationError("allocation denominator does not match the grid")
+        if len(allocation.units) != self.n + 1:
+            raise ValidationError(f"allocation has {len(allocation.units)} shares, "
+                                  f"the grid's have {self.n + 1}")
         return self._index[allocation.units]
 
     def allocation(self, idx: int) -> Allocation:
-        return self.allocations[idx]
+        return self.allocations[parse_whole(idx, "allocation index", 0, len(self.allocations))]
 
     @cached_property
     def problem(self) -> CollectiveChoiceProblem:
@@ -237,7 +240,8 @@ def transfers_problem(base: CollectiveChoiceProblem, m: int) -> CollectiveChoice
     _require_voter_rows(base, "transfers redistribute voter utilities")
     m, players = parse_whole(m, "denominator", 1), base.n + 1
     seen: dict[tuple[int, ...], None] = {}
-    for x, column in enumerate(zip(*base._ints.vectors)):
+    # column sums of Python ints: an int64 sum of three values near -2**62 wraps
+    for x, column in enumerate(base._ints.array.T.tolist()):
         total = Fraction(sum(column), base._ints.scale)
         if total < 0:
             raise ValidationError(

@@ -21,9 +21,9 @@ columns.  A whole m x m table comes only from `_wins_table`, one strict
 table per rule, for the kernels that read every pair: reachability,
 tournaments and the oracle, which share it under the majority rule.
 The oracle never reads the favorite-improvement table.  The ranks are
-built from the scaled integers `_ints` by one kernel, `_dense_ranks`;
-only the uniform margin reads those integers directly.  Every count and
-index is read by `parse_whole`.
+built from the one integer array of `_ints` by one kernel,
+`_dense_ranks`; only the uniform margin reads that array directly.
+Every count and index is read by `parse_whole`.
 What is derived once per problem lives in its one `_memo`, through
 `_memoized`.
 
@@ -35,11 +35,12 @@ a large grid is mostly at the first alternative or the first few.
 Every block keeps n * rows * cols <= `_CHUNK_COMPARISONS`.
 
 Each problem is compiled once, when it is made: both constructors end
-in `_compile`, which keeps `_ints`, `n` and `_ranks`.  A problem built
-from integer rows (`_scaled_problem`, used by every grid, distribution,
-spatial and realization builder) keeps those integers as its data: its
-`Fraction` utility fields are views, each made on first read, and no
-kernel reads them.
+in `_compile`, which keeps `_ints`, `n` and `_ranks` (the public one
+measures its rows first, since rows of unequal lengths make no array).
+A problem built from integer rows (`_scaled_problem`, used by every
+grid, distribution, spatial and realization builder) keeps those
+integers, as one array, as its data: its `Fraction` utility fields are
+views, each made on first read, and no kernel reads them.
 """
 
 from __future__ import annotations
@@ -222,14 +223,20 @@ class CollectiveChoiceProblem:
 
     policies: tuple[str, ...]
     voter_utilities: tuple[tuple[Fraction, ...], ...] = _FractionView(
-        lambda problem: fraction_rows(problem._ints.vectors[:-1], problem._ints.scale))
+        lambda problem: fraction_rows(problem._ints.array[:-1].tolist(), problem._ints.scale))
     setter_utilities: tuple[Fraction, ...] = _FractionView(
-        lambda problem: fraction_rows(problem._ints.vectors[-1:], problem._ints.scale)[0])
+        lambda problem: fraction_rows(problem._ints.array[-1:].tolist(), problem._ints.scale)[0])
     majority_override: Optional[TournamentSpec] = None
     gfa: bool = False
 
     def __post_init__(self):
-        self._compile(ScaledInts((*self.voter_utilities, self.setter_utilities)))
+        # rows of unequal lengths make no one array: each is measured first
+        m, voters = len(self.policies), self.voter_utilities
+        for name, row in (("setter", self.setter_utilities),
+                          *((f"voter {i + 1}", row) for i, row in enumerate(voters))):
+            if len(row) != m:
+                raise ValidationError(f"{name} utility row has {len(row)} entries, expected {m}")
+        self._compile(ScaledInts((*voters, self.setter_utilities)))
 
     def _compile(self, ints: ScaledInts) -> None:
         """Check the shapes of the integer rows of `ints` (voters first,
@@ -237,7 +244,7 @@ class CollectiveChoiceProblem:
         `n`, the (n+1) x m dense ranks `_ranks` (`_dense_ranks`) and `gfa`,
         read from `_first_tie` of those ranks (under an override, of the
         setter's row only)."""
-        rows, m = ints.rows, len(self.policies)
+        (rows, width), m = ints.array.shape, len(self.policies)
         if m < 1:
             raise ValidationError("need at least one policy")
         for label in self.policies:
@@ -245,18 +252,13 @@ class CollectiveChoiceProblem:
                 raise ValidationError(f"policy label {label!r} is not a string")
         if len(set(self.policies)) != m:
             raise ValidationError("duplicate policy labels")
-        if len(rows[-1]) != m:
-            raise ValidationError(
-                f"setter utility row has {len(rows[-1])} entries, expected {m}")
-        if len(rows) < 2:
+        if width != m:
+            raise ValidationError(f"setter utility row has {width} entries, expected {m}")
+        if rows < 2:
             raise ValidationError("need at least one voter")
-        for i, row in enumerate(rows[:-1]):
-            if len(row) != m:
-                raise ValidationError(
-                    f"voter {i + 1} utility row has {len(row)} entries, expected {m}")
         if self.majority_override is not None and self.majority_override.size != m:
             raise ValidationError("override tournament size does not match policy count")
-        n, ranks = len(rows) - 1, _dense_ranks(ints.array)
+        n, ranks = rows - 1, _dense_ranks(ints.array)
         first = 0 if self.majority_override is None else n   # override voter rows are placeholders
         tie = _first_tie(ranks[first:])
         gfa = n % 2 == 1 and tie is None
@@ -329,10 +331,10 @@ class CollectiveChoiceProblem:
 def _scaled_problem(policies, rows, denominator: int) -> CollectiveChoiceProblem:
     """The problem whose player p values policy x at rows[p][x] / denominator
     (integer rows, voters first, the setter last, as lists or one 2-D
-    array; see `ScaledInts.from_scaled`).  It keeps those
-    integers as its `_ints` and builds no `Fraction`: its utility fields
-    are views made on first read, and it equals the problem the public
-    constructor makes from them."""
+    array).  It keeps them as its `_ints`, one array reduced by their
+    common factor (`ScaledInts.from_scaled`), and builds no `Fraction`:
+    its utility fields are views made on first read, and it equals the
+    problem the public constructor makes from them."""
     problem = _assemble(CollectiveChoiceProblem, policies=tuple(policies),
                         majority_override=None, gfa=False)
     problem._compile(ScaledInts.from_scaled(rows, denominator))

@@ -1,16 +1,16 @@
 """Parsing, formatting, and integer-scaling helpers for exact rationals.
 
 Every utility and coordinate in this package is an exact rational, held
-as integers over one common denominator (`ScaledInts`) and read as
-`fractions.Fraction` views: a problem, grid or profile built from
+in one 2-D integer array over one common denominator (`ScaledInts`) and
+read as `fractions.Fraction` views: a problem, grid or profile built from
 integers makes its public `Fraction` fields only when they are first
 read (`_FractionView`, which also makes an oracle report's value table
 and trace, a margin report's `eta_star` and a spatial witness trace's
-`Fraction` fields, on first read), and kernels run on the integers
-themselves (numpy int64 arrays when the values fit, object arrays of
-Python ints otherwise).  A family is built from rows of rationals, from
-integer rows over a denominator, or from a 2-D integer array that it
-keeps (`ScaledInts.from_scaled`); a view always holds Python ints.
+`Fraction` fields, on first read), and kernels run on that array (int64
+when the values fit, object dtype of Python ints otherwise).  A family
+is built from rows of rationals, or from integer rows or a 2-D integer
+array over a denominator (`ScaledInts.from_scaled`); a view always holds
+Python ints.
 Serialized form is "p/q" (reduced) or a plain integer string; decimal
 strings such as "0.5" are accepted on input and normalized.  Every count,
 size, index, horizon and budget is read by one reader, `parse_whole`.
@@ -19,7 +19,6 @@ size, index, horizon and budget is read by one reader, `parse_whole`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from numbers import Integral
 from typing import Any, Callable, Optional
@@ -97,80 +96,64 @@ def scaled_numerators(values, scale: int) -> tuple[int, ...]:
 class ScaledInts:
     """A family of rationals rescaled onto one common integer grid.
 
-    `scale` is the common denominator: each stored integer equals the
-    original value times `scale`, exactly.  `vectors` mirrors the input
-    nesting as tuples of ints, and `array` holds the same rows as one 2-D
-    array; whichever the family was not built from is made on first read.
-    `as_numpy` is set when all magnitudes fit comfortably in int64
-    (differences of two values still fit), and `array` is int64 exactly
-    then, object dtype of Python ints otherwise.
+    `scale` is the common denominator, and `array` holds the rows as one
+    2-D integer array, each entry the original value times `scale`,
+    exactly: int64 when every magnitude is below `_INT64_SAFE`
+    (differences of two values still fit), object dtype of Python ints
+    otherwise (`_int_dtype`).  Both constructors end in `_reduced`, one
+    gcd and peak path for lists and arrays alike.  Rows of unequal
+    lengths make no one array, so the caller refuses them first.
     """
 
-    def __init__(self, vectors):
-        values = [f for row in vectors for f in row]
+    def __init__(self, rows):
+        values = [f for row in rows for f in row]
         inexact = [f for f in values
                    if type(f) is bool or not isinstance(f, (int, Fraction))]
         if inexact:
             raise ValidationError(
                 f"refusing {inexact[0]!r}: exact values are ints or Fractions")
         scale = lcm(*(f.denominator for f in values)) if values else 1
-        self._fill(scale, [scaled_numerators(row, scale) for row in vectors])
+        self.scale, self.array = _reduced([scaled_numerators(row, scale) for row in rows], scale)
 
     @classmethod
-    def from_scaled(cls, vectors, denominator: int) -> "ScaledInts":
-        """The family `v / denominator` for the integers v of `vectors`,
-        without a `Fraction`: equal, field for field, to `ScaledInts` of
-        those rationals.  `vectors` is a list of integer rows or a 2-D
-        integer array (int64, or object dtype of Python ints), which is
-        kept as `array`.  The lcm of their reduced denominators is
-        denominator / g for g = gcd(denominator, every v), so one division
-        by g puts every integer on that scale; when g is 1 they are on it
-        already.  An array takes one `np.gcd.reduce` and one abs-max peak,
-        read as Python ints (in object dtype when the peak is past
-        `_INT64_SAFE`, so no int64 step can overflow)."""
+    def from_scaled(cls, rows, denominator: int) -> "ScaledInts":
+        """The family `v / denominator` for the integers v of `rows`, without
+        a `Fraction`: equal, field for field, to `ScaledInts` of those
+        rationals.  `rows` is a list of integer rows or a 2-D integer array
+        (int64, or object dtype of Python ints); an int64 array that needs
+        no reduction or widening is kept as `array` itself."""
         out = cls.__new__(cls)
-        if not isinstance(vectors, np.ndarray):
-            g = gcd(denominator, *chain.from_iterable(vectors))
-            out._fill(denominator // g, [tuple(v // g for v in row) for row in vectors]
-                      if g > 1 else [tuple(row) for row in vectors])
-            return out
-        peak = max(int(vectors.max(initial=0)), -int(vectors.min(initial=0)))
-        if peak >= _INT64_SAFE:
-            vectors = vectors.astype(object)
-        g = gcd(denominator, int(np.gcd.reduce(vectors, axis=None)))
-        out.scale, out.as_numpy, out._vectors = denominator // g, peak // g < _INT64_SAFE, None
-        out._array = (vectors // g).astype(_int_dtype(peak // g), copy=False)
+        out.scale, out.array = _reduced(rows, denominator)
         return out
 
-    def _fill(self, scale: int, vectors: list) -> None:
-        peak = max(map(abs, chain.from_iterable(vectors)), default=0)
-        self.scale, self.as_numpy = scale, peak < _INT64_SAFE
-        self._vectors, self._array = vectors, None
 
-    @property
-    def vectors(self) -> list:
-        """The rows as tuples of Python ints."""
-        if self._vectors is None:
-            self._vectors = list(map(tuple, self._array.tolist()))
-        return self._vectors
+def _reduced(rows, denominator: int) -> tuple[int, np.ndarray]:
+    """(scale, array) for the rationals `v / denominator`, v the integers of
+    `rows` (a 2-D array, or a list of rows, read as int64 when every value
+    fits and as Python ints otherwise).  The lcm of their reduced
+    denominators is denominator / g for g = gcd(denominator, every v), so
+    one division by g puts every integer on that scale, taken only when g
+    is above 1.  One `np.gcd.reduce` and one max/min peak read the array,
+    widened to Python ints when the peak is past `_INT64_SAFE`, so no
+    int64 step can overflow."""
+    if not isinstance(rows, np.ndarray):
+        try:
+            array = np.array(rows, dtype=np.int64)
+        except OverflowError:                 # a value past int64: Python ints
+            array = np.array(rows, dtype=object)
+        rows = array.reshape(len(rows), len(rows[0]) if len(rows) else 0)
+    peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    if peak >= _INT64_SAFE:
+        rows = rows.astype(object, copy=False)
+    g = gcd(denominator, int(np.gcd.reduce(rows, axis=None)))
+    if g > 1:
+        rows = rows // g
+    return denominator // g, rows.astype(_int_dtype(peak // g), copy=False)
 
-    @property
-    def array(self) -> np.ndarray:
-        """The rows as one 2-D array: int64 when `as_numpy`, else Python ints."""
-        if self._array is None:
-            self._array = np.array(self._vectors, dtype=np.int64 if self.as_numpy else object)
-        return self._array
 
-    @property
-    def rows(self):
-        """The rows as the family holds them, `vectors` or `array`, so that
-        their count and lengths are read without making the other form."""
-        return self._array if self._vectors is None else self._vectors
-
-
-def fraction_rows(vectors, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of rationals `v / denominator` for the integers v of `vectors`."""
-    return tuple(tuple(Fraction(v, denominator) for v in row) for row in vectors)
+def fraction_rows(rows, denominator: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of rationals `v / denominator` for the integers v of `rows`."""
+    return tuple(tuple(Fraction(v, denominator) for v in row) for row in rows)
 
 
 class _FractionView:

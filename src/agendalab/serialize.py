@@ -32,7 +32,8 @@ from .spatial import SpatialProfile
 def problem_to_dict(problem: CollectiveChoiceProblem) -> dict:
     # from the problem's integers, so an integer-built problem makes no `Fraction` view
     ints = problem._ints
-    rows = [[format_rational(Fraction(v, ints.scale)) for v in row] for row in ints.vectors]
+    rows = [[format_rational(Fraction(v, ints.scale)) for v in row]
+            for row in ints.array.tolist()]
     out = {"policies": list(problem.policies), "voters": rows[:-1], "agenda_setter": rows[-1]}
     if problem.majority_override is not None:
         out["majority_override"] = sorted(
@@ -170,7 +171,7 @@ def spatial_profile_to_dict(profile: SpatialProfile) -> dict:
     ints = profile._ints
     return {"dim": profile.dim,
             "ideal_points": [[format_rational(Fraction(c, ints.scale)) for c in p]
-                             for p in ints.vectors]}
+                             for p in ints.array.tolist()]}
 
 
 def spatial_profile_from_dict(data: dict) -> SpatialProfile:

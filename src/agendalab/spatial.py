@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Optional
@@ -48,21 +48,23 @@ class SpatialProfile:
 
     dim: int
     ideal_points: tuple[Point, ...] = _FractionView(
-        lambda profile: fraction_rows(profile._ints.vectors, profile._ints.scale))
+        lambda profile: fraction_rows(profile._ints.array.tolist(), profile._ints.scale))
     box: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
+        if len({len(p) for p in self.ideal_points}) > 1:   # no one array from these
+            raise ValidationError("ideal point dimension mismatch")
         self._compile(ScaledInts(self.ideal_points))
 
     def _compile(self, ints: ScaledInts) -> None:
         """Check the shapes of the ideal points' integer rows `ints` and of
         the box, then keep `ints` as `_ints`, which every spatial kernel
         reads, and the box parsed (`parse_box`)."""
-        points = ints.vectors
+        players, dim = ints.array.shape
         object.__setattr__(self, "dim", parse_whole(self.dim, "dimension", 1))
-        if len(points) < 2:
+        if players < 2:
             raise ValidationError("need at least one voter plus the setter")
-        if any(len(p) != self.dim for p in points):
+        if dim != self.dim:
             raise ValidationError("ideal point dimension mismatch")
         if len(self.box) != self.dim:
             raise ValidationError("box bounds dimension mismatch")
@@ -71,14 +73,16 @@ class SpatialProfile:
 
     @property
     def n_voters(self) -> int:
-        return len(self._ints.vectors) - 1
+        return len(self._ints.array) - 1
 
     @property
     def setter_ideal(self) -> Point:
         return self.ideal_points[-1]
 
     def utility(self, player: int, point: Point) -> Fraction:
-        """-1/2 squared distance from the player's ideal point: one `scaled_rows` entry."""
+        """-1/2 squared distance from the player's ideal point (voters 0..n-1,
+        the setter n): one `scaled_rows` entry."""
+        player = parse_whole(player, "player index", 0, self.n_voters + 1)
         rows, denominator = self.scaled_rows([point])
         return Fraction(int(rows[player, 0]), denominator)
 
@@ -107,15 +111,16 @@ class SpatialProfile:
         coordinate's denominator must divide.  The integers order each
         player's preferences exactly as the utilities do.  No utility
         exceeds dim * (node peak + ideal peak)**2 in magnitude, the peaks
-        being the largest absolute numerators, so the array is int64 when
-        that bound is below 2**62 and object dtype otherwise; both run the
-        same expression.
+        being the largest absolute numerators over `scale` (the ideal peak
+        at least the factor that rescales the ideals, so the factor fits
+        too), so the array is int64 when that bound is below 2**62 and
+        object dtype otherwise; both run the same expression.
         """
-        factor = scale // self._ints.scale
+        factor, ideals = scale // self._ints.scale, self._ints.array
         reach = max(int(nodes.max(initial=0)), -int(nodes.min(initial=0))) + factor * max(
-            abs(c) for c in chain.from_iterable(self._ints.vectors))
+            int(ideals.max()), -int(ideals.min()), 1)
         dtype = _int_dtype(self.dim * reach * reach)
-        ideals = np.array(self._ints.vectors, dtype=dtype) * factor
+        ideals = ideals.astype(dtype, copy=False) * factor
         diffs = nodes.astype(dtype, copy=False)[None] - ideals[:, None]
         return -(diffs * diffs).sum(axis=2)
 
@@ -167,7 +172,7 @@ def coplanarity_form(p1: Point, p2: Point, p3: Point, p4: Point) -> Fraction:
     if not len(p1) == len(p2) == len(p3) == len(p4) == 3:
         raise ValidationError("the coplanarity form takes points in R^3")
     ints = ScaledInts((p1, p2, p3, p4))
-    return Fraction(_volume(*ints.vectors), ints.scale**3)
+    return Fraction(_volume(*ints.array.tolist()), ints.scale**3)
 
 
 @dataclass(frozen=True)
@@ -190,9 +195,10 @@ def check_noncoplanarity(profile: SpatialProfile) -> CoplanarityReport:
     if profile.dim < 3:
         raise ValidationError("the non-coplanarity condition needs at least 3 dimensions")
     ints = profile._ints
-    players = range(len(ints.vectors))
+    points = ints.array.tolist()
+    players = range(len(points))
     for dims in combinations(range(profile.dim), 3):
-        projected = [tuple(p[k] for k in dims) for p in ints.vectors]
+        projected = [tuple(p[k] for k in dims) for p in points]
         for subset, quad in zip(combinations(players, 4), combinations(projected, 4)):
             volume = _volume(*quad)
             if volume == 0:
@@ -276,7 +282,7 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     ints = profile._ints
     scale = lcm(ints.scale, *(c.denominator for c in x))
     at_x = scaled_numerators(x, scale)
-    ideals = [tuple(c * (scale // ints.scale) for c in p) for p in ints.vectors]
+    ideals = [tuple(c * (scale // ints.scale) for c in p) for p in ints.array.tolist()]
     if at_x == ideals[-1]:
         raise ValidationError("the setter's ideal point admits no improvement")
     if profile.dim < 3:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from agendalab import (
@@ -101,6 +102,18 @@ def test_transfers_validation():
         transfers_problem(base, m=2)
 
 
+def test_transfers_sum_each_column_as_python_ints():
+    # three utilities of -(2**62 - 1)/2 fit an int64 array, whose own column
+    # sum wraps to +(2**62 + 3): read as a total, that is no multiple of 1/1
+    u = F(-(2**62 - 1), 2)
+    base = CollectiveChoiceProblem(policies=("a",), voter_utilities=((u,), (u,)),
+                                   setter_utilities=(u,))
+    assert base._ints.array.dtype == np.int64
+    assert base._ints.array.sum(axis=0).tolist() == [2**62 + 3]
+    with pytest.raises(ValidationError, match="^policy 'a' has negative total utility "):
+        transfers_problem(base, m=1)
+
+
 def test_transfers_read_the_base_integers():
     # an integer-built base gives the transfers of the same base built by the
     # public constructor, and its `Fraction` utility views stay unmade
@@ -113,7 +126,7 @@ def test_transfers_read_the_base_integers():
                                          setter_utilities=base.setter_utilities)
         want = transfers_problem(public, m)
         assert got == want and repr(got) == repr(want)
-        assert got._ints.vectors == want._ints.vectors
+        assert got._ints.array.tolist() == want._ints.array.tolist()
 
 
 # ---------------------------------------------------------------------------

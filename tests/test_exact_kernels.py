@@ -642,11 +642,10 @@ def assert_compiled_from_fractions(problem):
     seeded = problem._ints
     rebuilt = ScaledInts([list(r) for r in problem.voter_utilities]
                          + [list(problem.setter_utilities)])
-    assert (seeded.scale, seeded.vectors, seeded.as_numpy) == (
-        rebuilt.scale, rebuilt.vectors, rebuilt.as_numpy)
-    assert all(type(v) is int for row in seeded.vectors for v in row)
+    assert seeded.scale == rebuilt.scale
     assert seeded.array.dtype == rebuilt.array.dtype
     assert seeded.array.tolist() == rebuilt.array.tolist()
+    assert all(type(v) is int for row in seeded.array.tolist() for v in row)
 
 
 _GRID_PROFILE = gen_spatial(3, 5, seed=21)
@@ -685,7 +684,7 @@ def test_builders_compile_their_problems_from_their_integers(builder):
         assert problem.num_policies == 8   # two cells per axis, the fewest a box grid has
     if builder == "spatial-coarse-lattice":
         assert problem._ints.scale == 4
-    assert problem._ints.as_numpy == (builder != "spatial-past-int64")
+    assert problem._ints.array.dtype == (object if builder == "spatial-past-int64" else np.int64)
 
 
 @pytest.mark.parametrize("quota", (26, 50))
@@ -912,7 +911,7 @@ def test_improvement_queries_match_reference_around_64_policies(m):
     strict = gen_random_gfa(m, 5, seed=m)
     tied = gen_random_with_ties(m, 5, seed=m, levels=4)
     huge = _scaled(tied, F(2**70, 3), F(2**65 + 1, 7))
-    assert not huge._ints.as_numpy              # margins run on Python ints
+    assert huge._ints.array.dtype == object     # margins run on Python ints
     explicit = VotingRule.explicit(5, [[0, 1], [1, 2, 3], [4, 0, 2]])
     for problem in (strict, tied, huge):
         for rule in (VotingRule.simple_majority(5), VotingRule.quota_rule(5, 4), explicit):
@@ -1106,7 +1105,7 @@ def test_margin_region_holds_for_a_delta_denominator_past_int64(low, high):
     assert ints.array.dtype == (np.int64 if high < 2**62 else object)
     setter = problem.setter_utilities
     tiny = F(1, 2**70)
-    spread = max(ints.vectors[-1]) - min(ints.vectors[-1])
+    spread = max(ints.array[-1].tolist()) - min(ints.array[-1].tolist())
     for x in range(9):
         shortfall = max(setter) - setter[x]
         for delta in (shortfall - tiny, shortfall, shortfall + tiny):
@@ -1212,7 +1211,7 @@ def test_coplanarity_scan_reports_the_first_violation_in_order():
 
 
 def _scaled_fields(ints):
-    return ints.scale, ints.vectors, ints.as_numpy, ints.array.dtype, ints.array.tolist()
+    return ints.scale, ints.array.dtype, ints.array.tolist()
 
 
 @pytest.mark.parametrize("low, high", _RANK_RANGES, ids=_RANK_IDS)
@@ -1228,8 +1227,8 @@ def test_from_scaled_reads_lists_and_arrays_alike(low, high, denominator, factor
     for array in inputs:
         got = ScaledInts.from_scaled(array, denominator)
         assert _scaled_fields(got) == want
-        assert all(type(v) is int for row in got.vectors for v in row)
-    assert want[3] == (np.int64 if max(-low, high) * factor // (
+        assert all(type(v) is int for row in got.array.tolist() for v in row)
+    assert want[1] == (np.int64 if max(-low, high) * factor // (
         denominator // want[0]) < 2**62 else object)
 
 
@@ -1243,7 +1242,36 @@ def test_from_scaled_widens_an_int64_array_past_the_safe_peak():
         want = ScaledInts.from_scaled(rows, denominator)
         got = ScaledInts.from_scaled(np.array(rows, dtype=np.int64), denominator)
         assert _scaled_fields(got) == _scaled_fields(want)
-        assert got.array.dtype == dtype and got.as_numpy == (dtype is np.int64)
+        assert got.array.dtype == dtype
+
+
+def test_families_past_int64_hold_python_ints():
+    # numpy makes float64 of np.array([[1, 2**63]]) when it is given no dtype:
+    # a family read from a list, or from `Fraction` rows, holds Python ints
+    for ints, want in ((ScaledInts.from_scaled([[1, 2**63]], 1), [[1, 2**63]]),
+                       (ScaledInts([[F(2**63), F(1)]]), [[2**63, 1]])):
+        assert ints.scale == 1 and ints.array.dtype == object
+        assert ints.array.tolist() == want
+        assert all(type(v) is int for v in ints.array.ravel())
+
+
+def test_empty_and_ragged_families_keep_their_located_errors():
+    # rows of unequal lengths make no one array, and no rows make an array of
+    # no rows: each constructor refuses them in the words it always used
+    box = ((F(0), F(1)),) * 3
+    with pytest.raises(ValidationError, match="^need at least one voter plus the setter$"):
+        SpatialProfile(dim=3, ideal_points=(), box=box)
+    with pytest.raises(ValidationError, match="^ideal point dimension mismatch$"):
+        SpatialProfile(dim=3, ideal_points=((0, 0, 0), (1, 0), (0, 1, 0)), box=box)
+    with pytest.raises(ValidationError, match="^need at least one voter$"):
+        CollectiveChoiceProblem(policies=("a", "b"), voter_utilities=(),
+                                setter_utilities=(0, 1))
+    for voters, setter, found in ((((1, 0), (1,)), (0, 1), "voter 2 utility row has 1"),
+                                  (((1, 0),), (0, 1, 2), "setter utility row has 3"),
+                                  (((1, 0, 2),), (0, 1, 2), "setter utility row has 3")):
+        with pytest.raises(ValidationError, match=f"^{found} entries, expected 2$"):
+            CollectiveChoiceProblem(policies=("a", "b"), voter_utilities=voters,
+                                    setter_utilities=setter)
 
 
 def _box_grid_near_the_int64_bound(excess):
@@ -1270,8 +1298,7 @@ def test_box_grid_utilities_switch_to_python_ints_past_the_bound(excess, dtype):
     got, want = build_grid(**case), ref_build_box(**case)
     assert got == want and got.points == probe.points
     assert got.problem._ints.array.dtype == dtype
-    assert got.problem._ints.as_numpy == (dtype is np.int64)
-    assert max(map(abs, got.problem._ints.vectors[-1])) == (2**31 + excess)**2
+    assert max(map(abs, got.problem._ints.array[-1].tolist())) == (2**31 + excess)**2
     assert_compiled_from_fractions(got.problem)
 
 

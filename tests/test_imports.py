@@ -8,9 +8,11 @@ views build `Fraction` rows, every view field is required by its
 constructor, only one helper makes an instance without
 `__init__`, the oracle never reads φ and only its backward step names
 the vote table (`test_the_oracle_never_reads_phi`), grids draw only
-through `randrange` and square no coordinate difference, every experiment
-option is read by some suite, and every library name the benchmark
-imports exists and takes the arguments the benchmark passes."""
+through `randrange` and square no coordinate difference, every exact
+family (`ScaledInts`) holds only its `scale` and one 2-D `array` and no
+module names a second form of those integers, every experiment option is
+read by some suite, and every library name the benchmark imports exists
+and takes the arguments the benchmark passes."""
 
 from __future__ import annotations
 
@@ -243,6 +245,32 @@ def test_grids_draw_only_through_randrange_and_score_through_the_profile():
                  and isinstance(node.left.op, ast.Sub))
                 or (isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right))):
             found.append(f"grids.py:{node.lineno}")
+    assert found == []
+
+
+def test_exact_families_keep_one_array():
+    # a family is its common denominator and one integer array, however it
+    # was built; no module names the tuple rows, the dtype flag or the
+    # list builder that once stood beside that array
+    from fractions import Fraction
+
+    import numpy as np
+
+    from agendalab.rationals import ScaledInts
+
+    rows = [[2, -4, 2**70], [6, 8, 10]]
+    families = [ScaledInts([[Fraction(1, 2), Fraction(3)], [Fraction(2**70), Fraction(0)]]),
+                ScaledInts.from_scaled(rows, 6), ScaledInts.from_scaled(rows[1:], 6),
+                ScaledInts.from_scaled(np.array(rows[1:]), 6),
+                ScaledInts.from_scaled(np.array(rows, dtype=object), 6)]
+    assert [sorted(vars(ints)) for ints in families] == [["array", "scale"]] * 5
+    assert all(ints.array.ndim == 2 for ints in families)
+    gone = {"vectors", "as_numpy", "_fill"}
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in gone)
+             or (isinstance(node, ast.FunctionDef) and node.name in gone)
+             or (isinstance(node, ast.Name) and node.id in gone)]
     assert found == []
 
 

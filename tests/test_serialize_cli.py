@@ -476,6 +476,7 @@ def _bad_input_argv(case, cycle_file, tmp_path):
                                     {"policies": [1, 2], "edges": [[1, 2]]}),
         "spatial_points_not_list": (["spatial", "check", "--profile"],
                                     {"dim": 2, "ideal_points": 5}),
+        "spatial_no_points": (["spatial", "check", "--profile"], {"dim": 3, "ideal_points": []}),
         "rule_coalitions_not_list": (rule, {"coalitions": 5}),
         "rule_coalition_not_voters": (rule, {"coalitions": [["a"]]}),
         "gfa_not_bool": (analyze, {**two, "gfa": "no"}),
@@ -520,7 +521,8 @@ def _bad_input_argv(case, cycle_file, tmp_path):
     "voters_not_rows", "policies_not_list", "override_entry_not_pair",
     "unhashable_label", "unhashable_override_label", "tournament_unhashable_label",
     "number_labels", "mixed_labels", "horizon_mixed_labels", "number_override_label",
-    "tournament_number_label", "spatial_points_not_list", "rule_coalitions_not_list", "rule_coalition_not_voters",
+    "tournament_number_label", "spatial_points_not_list", "spatial_no_points",
+    "rule_coalitions_not_list", "rule_coalition_not_voters",
     "gfa_not_bool", "utility_bool", "spatial_coordinate_bool", "spatial_coordinate_abc",
     "grid_out_in_missing_dir", "profile_out_in_missing_dir", "experiment_out_is_a_file"])
 def test_cli_bad_input_files_exit_1(case, cycle_file, tmp_path, capsys):
@@ -534,6 +536,7 @@ _BAD_INPUT_LOCATIONS = {
     **dict.fromkeys(["number_labels", "mixed_labels", "horizon_mixed_labels",
                      "number_override_label", "tournament_number_label"],
                     "policy label 1 is not a string"),
+    "spatial_no_points": "need at least one voter plus the setter",
     "spatial_coordinate_bool": "ideal point 1, coordinate 1: refusing boolean True",
     "spatial_coordinate_abc": "ideal point 2, coordinate 3: malformed rational 'abc'",
 }

@@ -307,6 +307,15 @@ def test_utility_is_half_the_squared_distance():
             assert profile.utility(j, x) == -sum((a - b) ** 2 for a, b in zip(x, ideal)) / 2
 
 
+def test_utility_on_a_fine_point_when_every_ideal_is_the_origin():
+    # the ideals' integers are all 0 over scale 1, and the point's denominator
+    # 2**70 is the factor that rescales them: it raised a raw OverflowError
+    # where it met an int64 array
+    profile = SpatialProfile(dim=1, ideal_points=((0,), (0,)), box=((0, 1),))
+    assert profile.utility(0, (F(1, 2**70),)) == F(-1, 2**141)
+    assert profile.scaled_rows([(F(1, 2**70),), (1,)])[0].tolist() == [[-1, -2**140]] * 2
+
+
 def test_witness_certificates_read_scaled_rows_not_utility(monkeypatch):
     # `utility` is a view for callers; the exact rechecks read integer rows
     from agendalab.suites import run_suite

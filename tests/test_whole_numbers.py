@@ -47,6 +47,8 @@ from agendalab.tournaments import relabel
 
 CYCLE = majority_cycle_problem()
 RULE = VotingRule.simple_majority(3)
+PROFILE = gen_spatial(3, 5, 1)
+DOLLARS = DivideDollarGrid(n=2, m=2)          # six allocations
 
 
 def _game(horizon=2, x0=0, protocol="amendment"):
@@ -113,6 +115,7 @@ ENTRY_POINTS = {
     "DivideDollarGrid n": (lambda v: DivideDollarGrid(n=v, m=2).problem, 2, None),
     "DivideDollarGrid m": (lambda v: DivideDollarGrid(n=2, m=v).problem, 2, None),
     "divide_dollar_problem m": (lambda v: divide_dollar_problem(3, v), 2, None),
+    "DivideDollarGrid allocation": (DOLLARS.allocation, 5, None),
     "dtd_beta_power k": (
         lambda v: dtd_beta_power(Allocation(units=(1, 1, 1, 1), denom=4), v), 2, None),
     "dtd_profile rounds": (
@@ -134,6 +137,7 @@ ENTRY_POINTS = {
     # spatial
     "SpatialProfile dim": (
         lambda v: SpatialProfile(dim=v, ideal_points=((0,), (1,)), box=((0, 1),)), 1, None),
+    "SpatialProfile utility player": (lambda v: PROFILE.utility(v, (0, "1/2", 1)), 5, None),
     "gen_spatial d": (lambda v: gen_spatial(v, 3, 1), 2, None),
     "gen_spatial n": (lambda v: gen_spatial(2, v, 1), 3, None),
     # grids
@@ -217,6 +221,25 @@ def test_coalition_masks_name_voters_of_the_rule():
     for bad in (0, 8):
         with pytest.raises(ValidationError, match=f"^coalition mask {bad} out of range 1..7$"):
             VotingRule(n=3, min_coalitions=(bad,))
+
+
+def test_player_and_allocation_indices_are_in_range():
+    # `utility(-1, p)` read the setter's row and `utility(6, p)` raised a raw
+    # IndexError; `allocation(-1)` wrapped to the last allocation, and `index`
+    # of an allocation with the wrong number of shares raised a raw KeyError
+    for bad in (-1, 6):
+        with pytest.raises(ValidationError, match=f"^player index {bad} out of range 0..5$"):
+            PROFILE.utility(bad, (0, 0, 0))
+    setter = PROFILE.setter_ideal
+    assert PROFILE.utility(5, setter) == 0 != PROFILE.utility(4, setter)
+    for bad in (-1, 6, 99):
+        with pytest.raises(ValidationError, match=f"^allocation index {bad} out of range 0..5$"):
+            DOLLARS.allocation(bad)
+    for units in ((1, 1), (1, 1, 0, 0)):
+        with pytest.raises(ValidationError,
+                           match=f"^allocation has {len(units)} shares, the grid's have 3$"):
+            DOLLARS.index(Allocation(units=units, denom=2))
+    assert [DOLLARS.index(DOLLARS.allocation(i)) for i in range(6)] == list(range(6))
 
 
 def test_whole_numbers_are_kept_as_plain_ints():
