@@ -297,7 +297,9 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     Both axioms only compare utilities within one player's row, so the
     check runs on each row's dense ranks, for one block of policies x
     at a time (`_column_chunks`): O(players * m * chunk) transient memory.
-    An override problem's placeholder voter rows are refused.
+    Each axiom's violations are read from one list of (policy, player)
+    index pairs, so their fields are plain ints.  An override problem's
+    placeholder voter rows are refused.
     """
     _require_voter_rows(problem, "the axioms are audited per voter")
     ranks = problem._ranks
@@ -318,8 +320,8 @@ def audit_dp_axioms(problem: CollectiveChoiceProblem) -> AxiomAudit:
     transfer_gap = above_min & ~transferable
     return AxiomAudit(
         scarcity_violations=tuple(
-            AxiomViolation(policy=int(x), player=int(i), axiom="scarcity")
-            for x, i in np.argwhere(scarce.T)),
+            AxiomViolation(policy=x, player=i, axiom="scarcity")
+            for x, i in np.argwhere(scarce.T).tolist()),
         transferability_violations=tuple(
-            AxiomViolation(policy=int(x), player=int(i), axiom="transferability")
-            for x, i in np.argwhere(transfer_gap.T)))
+            AxiomViolation(policy=x, player=i, axiom="transferability")
+            for x, i in np.argwhere(transfer_gap.T).tolist()))

@@ -21,8 +21,11 @@ T-round game is the first round of the (T - t + 1)-round game.  So the
 backward rows of every horizon solved so far are memoized with the
 problem per (rule, preset); a longer horizon extends them and a shorter
 one reads their prefix, so every default and horizon of a preset costs
-one backward step per round.  Custom tables are not stationary and are
-solved per call.  Each call walks its own equilibrium path on plain
+one backward step per round up to the fixed point.  A preset step reads
+only the row after it, so once a round's outcome row repeats the one
+before it every later round repeats both rows: they are appended again,
+the same read-only arrays, not solved.  Custom tables are not stationary
+and are solved per call.  Each call walks its own equilibrium path on plain
 ints, read from those rows, to its outcome: a round's proposal passed
 exactly when the round's own backward outcome is the proposal's accept
 outcome, so the walk reads no vote.  The report's value table and
@@ -133,7 +136,11 @@ class GameSpec:
 
     def feasible(self, t: int, x: int) -> tuple[tuple[int, bool], ...]:
         """The distinct `(int, bool)` offers at (round t, default x), first
-        offer first; a custom table's missing or empty set raises here."""
+        offer first; a custom table's missing or empty set raises here.
+        Both indices are read by `parse_whole`: t a round 1..horizon, x a
+        policy of the problem."""
+        t = parse_whole(t, "round", 1, self.horizon + 1)
+        x = self.problem.check_policy(x)
         if self.protocol in ("amendment", "successive"):
             return self._every_policy
         if self.protocol == "open_rule":
@@ -294,6 +301,17 @@ def _no_rows(m: int) -> tuple[list, list]:
     return [start], []
 
 
+def _until_fixed_point(values: list, masks: Iterator) -> Iterator:
+    """The preset readers of `masks`, until the last backward row in
+    `values` repeats the one before it.  A preset step reads only the row
+    after it, so from that fixed point on every step would repeat both its
+    outcome row and its choice row."""
+    for mask_of in masks:
+        if len(values) > 1 and np.array_equal(values[-1], values[-2]):
+            return
+        yield mask_of
+
+
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     """Backward induction over (round, default) states, every default at once.
 
@@ -312,8 +330,12 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     A preset game is stationary, so round t of a T-round game is step
     T + 1 - t of backward induction whatever T is: its rows (per rule and
     preset) are memoized with the problem, extended when a longer horizon
-    is asked for and read as a prefix for a shorter one.  Table and rows
-    cost m**2 bytes plus O(T * m) words.  A custom protocol's rows are
+    is asked for and read as a prefix for a shorter one.  That costs one
+    backward step per round up to the fixed point: once a step's outcome
+    row equals its input row (`_until_fixed_point`), every later round's
+    rows are those same read-only arrays, appended without a step.  Table
+    and rows cost m**2 bytes plus O(m) words per distinct round and one
+    reference per repeated round.  A custom protocol's rows are
     solved per call.  Either way each call checks its budget and walks the
     equilibrium path on plain ints, read from the rows, to its outcome:
     round t takes its choice and its two outcomes from the (T - t)-round
@@ -337,15 +359,21 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     if isinstance(game.protocol, str):
         # values[k] is the k-round outcome from each default and choices[k - 1]
         # the action with k rounds left; a preset's mask is the same every
-        # round, so the steps still missing stand in for rounds
+        # round, so the steps still missing stand in for rounds, and past the
+        # fixed point each is the last row again
         values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
                                     lambda: _no_rows(m))
         rounds = range(len(choices), horizon)
+        if rounds:
+            _extend_rows(problem, game.rule, values, choices,
+                         _until_fixed_point(values, _action_masks(game, rounds)))
+            missing = horizon - len(choices)
+            values.extend([values[-1]] * missing)
+            choices.extend([choices[-1]] * missing)
     else:
         values, choices = _no_rows(m)
-        rounds = range(horizon, 0, -1)
-    if rounds:
-        _extend_rows(problem, game.rule, values, choices, _action_masks(game, rounds))
+        _extend_rows(problem, game.rule, values, choices,
+                     _action_masks(game, range(horizon, 0, -1)))
 
     # round t reads choices[T - t], the (T - t)-round outcomes values[T - t]
     # and its own outcome values[T - t + 1]

@@ -182,6 +182,10 @@ class VotingRule:
                      for mask in self.min_coalitions)
 
     def wins(self, mask: int) -> bool:
+        """Whether the voters of `mask` (bit i for voter i; 0 is the empty
+        coalition, which never wins) form a winning coalition.  A mask
+        naming a voter the rule does not have is refused (`parse_whole`)."""
+        mask = parse_whole(mask, "coalition mask", 0, 1 << self.n)
         if self.quota is not None:
             return mask.bit_count() >= self.quota
         return any(c & mask == c for c in self.min_coalitions)

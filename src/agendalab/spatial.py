@@ -9,8 +9,10 @@ constructively: it works in the tangent plane of the setter's
 indifference surface, tilts toward a majority of projected voter
 gradients, then perturbs off the plane along the setter's gradient.
 All geometry is exact: the witness is built on integer numerators over
-one common denominator, each step-size search runs on the exponent k of
-a dyadic step 2**-k without evaluating a utility, and the final
+one common denominator, in its coordinate triple on three named ints per
+vector, so each dot or cross product is one expression taken once; each
+step-size search runs on the exponent k of a dyadic step 2**-k without
+evaluating a utility, and the final
 inequalities are verified on the players' integer utilities.  The
 returned trace keeps those integers, and each of its `Fraction` fields
 is made only when a caller first reads it.
@@ -244,12 +246,6 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _halve_until(start: int, ok, cap: int = 128) -> int:
     """The first of `cap` exponents k from `start` with ok(k): a search over steps 2**-k."""
     for k in range(start, start + cap):
@@ -271,10 +267,13 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     The construction runs on integer numerators over S, the common
     denominator of x and the profile's compiled ideal points: gradients
     h_i = (ideal_i - x) * S, the setter's row h_n = g being the plane
-    normal.  A step search moves to x + (p * D + q * g) / r for integers
-    p, q, r, where D is the direction's numerator, and player j gains
-    there iff S * |p*D + q*g|**2 < 2 * r * h_j.(p*D + q*g), dot products
-    taken once per witness; a search runs on the exponent k of its step 2**-k.
+    normal.  Inside the triple each vector (a gradient, a projection,
+    the normal omega of the lead gradient and g, the direction D) is
+    three named ints, and each dot or cross product is one expression,
+    taken once per witness.  A step search moves to x + (p * D + q * g) / r
+    for integers p, q, r, and player j gains there iff
+    S * |p*D + q*g|**2 < 2 * r * h_j.(p*D + q*g), where D.g = 0; a search
+    runs on the exponent k of its step 2**-k.
     """
     if len(x) != profile.dim:
         raise ValidationError("query point dimension mismatch")
@@ -282,53 +281,64 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
     ints = profile._ints
     scale = lcm(ints.scale, *(c.denominator for c in x))
     at_x = scaled_numerators(x, scale)
-    ideals = [tuple(c * (scale // ints.scale) for c in p) for p in ints.array.tolist()]
-    if at_x == ideals[-1]:
+    ideals, factor = ints.array.tolist(), scale // ints.scale
+    if factor != 1:
+        ideals = [[c * factor for c in ideal] for ideal in ideals]
+    normal = [c - a for c, a in zip(ideals[-1], at_x)]
+    if not any(normal):
         raise ValidationError("the setter's ideal point admits no improvement")
     if profile.dim < 3:
         raise ValidationError("witness construction needs at least 3 dimensions")
 
     # x != ideal guarantees some differing coordinate, so a triple is found
     dims = next(cand for cand in combinations(range(profile.dim), 3)
-                if any(at_x[k] != ideals[-1][k] for k in cand))
+                if any(normal[k] for k in cand))
+    a0, a1, a2 = dims
+    x0, x1, x2 = at_x[a0], at_x[a1], at_x[a2]
     n = profile.n_voters
-    grads = [tuple(p[k] - at_x[k] for k in dims) for p in ideals]
-    g = grads[n]
-    g_norm_sq = _dot(g, g)
+    g0, g1, g2 = normal[a0], normal[a1], normal[a2]
+    gg = g0 * g0 + g1 * g1 + g2 * g2
 
-    # projected gradient i, times scale * g_norm_sq
-    projections = []
-    for h in grads[:n]:
-        along = _dot(h, g)
-        projections.append(tuple(g_norm_sq * a - along * b for a, b in zip(h, g)))
+    # voter i's gradient h, h.g and projected gradient, times scale * gg
+    grads, along, projections = [], [], []
+    for ideal in ideals[:n]:
+        h0, h1, h2 = ideal[a0] - x0, ideal[a1] - x1, ideal[a2] - x2
+        hg = h0 * g0 + h1 * g1 + h2 * g2
+        grads.append((h0, h1, h2))
+        along.append(hg)
+        projections.append((gg * h0 - hg * g0, gg * h1 - hg * g1, gg * h2 - hg * g2))
 
     lead = next((i for i in range(n) if any(projections[i])), None)
     if lead is None:
         raise SpatialDegeneracyError(
             "all projected voter gradients vanish at the base point",
             step="projected gradients")
-    p_lead = projections[lead]
-    collinear = {j for j in range(n) if j != lead
-                 and _cross(projections[j], p_lead) == (0, 0, 0)}
+    l0, l1, l2 = projections[lead]
+    w0, w1, w2 = g1 * l2 - g2 * l1, g2 * l0 - g0 * l2, g0 * l1 - g1 * l0   # g x p_lead
 
-    omega = _cross(g, p_lead)
-    plus = [j for j in range(n)
-            if j not in collinear and j != lead and _dot(projections[j], omega) > 0]
-    minus = [j for j in range(n)
-             if j not in collinear and j != lead and _dot(projections[j], omega) < 0]
+    # each side is projection . omega; every projection lies in the plane
+    # normal to g, which p_lead and omega span, so a side is 0 exactly when
+    # the projection is collinear with the lead's (the lead's own included)
+    plus, minus = [], []
+    for j, (q0, q1, q2) in enumerate(projections):
+        side = q0 * w0 + q1 * w1 + q2 * w2
+        if side:
+            (plus if side > 0 else minus).append((j, side))
     if len(minus) > len(plus):
-        omega = tuple(-c for c in omega)
-        plus, minus = minus, plus
-    coalition = frozenset(plus) | {lead}
+        w0, w1, w2 = -w0, -w1, -w2
+        plus = [(j, -side) for j, side in minus]
+    coalition = frozenset(j for j, _ in plus) | {lead}
     if 2 * len(coalition) < n + 1:
         raise SpatialDegeneracyError(
             "projected gradients split without a strict majority side",
             step="pigeonhole")
 
     # blend k is scale * p_lead + (k - 1) * omega, the direction times
-    # k * scale**2 * g_norm_sq
-    blends = [(scale * _dot(projections[j], p_lead), _dot(projections[j], omega))
-              for j in coalition]
+    # k * scale**2 * gg; the lead's side is 0
+    blends = [(scale * (l0 * l0 + l1 * l1 + l2 * l2), 0)]
+    for j, side in plus:
+        q0, q1, q2 = projections[j]
+        blends.append((scale * (q0 * l0 + q1 * l1 + q2 * l2), side))
     k = 1
     while not all(a + (k - 1) * b > 0 for a, b in blends):
         k *= 2
@@ -336,44 +346,48 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
             raise SpatialDegeneracyError(
                 "no blend of lead gradient and orthogonal direction works",
                 step="direction blend")
-    d = tuple(scale * pk + (k - 1) * wk for pk, wk in zip(p_lead, omega))
-    d_denom = k * scale * scale * g_norm_sq
+    d0, d1, d2 = (scale * l0 + (k - 1) * w0, scale * l1 + (k - 1) * w1,
+                  scale * l2 + (k - 1) * w2)
+    d_denom = k * scale * scale * gg
+    dd = d0 * d0 + d1 * d1 + d2 * d2
 
-    setter_idx = n
-    d_norm_sq, d_dot_g = _dot(d, d), _dot(d, g)
-    reach = {j: (_dot(grads[j], d), _dot(grads[j], g)) for j in (*coalition, setter_idx)}
+    # (h.D, h.g) per coalition member, then the setter's: g.D = 0
+    reach = []
+    for j in coalition:
+        h0, h1, h2 = grads[j]
+        reach.append((h0 * d0 + h1 * d1 + h2 * d2, along[j]))
+    everyone = (*reach, (0, gg))
 
-    def gains_hold(p: int, q: int, r: int, players) -> bool:
-        lhs = scale * (p * p * d_norm_sq + 2 * p * q * d_dot_g + q * q * g_norm_sq)
-        return all(lhs < 2 * r * (p * hd + q * hg) for hd, hg in map(reach.get, players))
+    def gains_hold(p: int, q: int, r: int, pairs) -> bool:
+        lhs = scale * (p * p * dd + q * q * gg)
+        return all(lhs < 2 * r * (p * hd + q * hg) for hd, hg in pairs)
 
     # x + 2**-k * direction
-    k_on = _halve_until(0, lambda k: gains_hold(1, 0, d_denom << k, coalition))
+    k_on = _halve_until(0, lambda k: gains_hold(1, 0, d_denom << k, reach))
     # x + 2**-k_on * direction + 2**-k * g / scale
     k_off = _halve_until(k_on, lambda k: gains_hold(
-        scale << k, d_denom << k_on, (d_denom * scale) << (k_on + k), coalition))
+        scale << k, d_denom << k_on, (d_denom * scale) << (k_on + k), reach))
     zeta_p, zeta_q = scale << k_off, d_denom << k_on
     zeta_r = (d_denom * scale) << (k_on + k_off)
     # x + 2**-k * (zeta - x)
-    k_beta = _halve_until(
-        1, lambda k: gains_hold(zeta_p, zeta_q, zeta_r << k, (*coalition, setter_idx)))
+    k_beta = _halve_until(1, lambda k: gains_hold(zeta_p, zeta_q, zeta_r << k, everyone))
 
     def lift(p: int, q: int, r: int) -> list[int]:
         # x + (p * D + q * g) / r, as numerators over scale * r
-        full = [a * r for a in at_x]
-        for axis, dk, gk in zip(dims, d, g):
-            full[axis] += scale * (p * dk + q * gk)
-        return full
+        point = [a * r for a in at_x]
+        point[a0] += scale * (p * d0 + q * g0)
+        point[a1] += scale * (p * d1 + q * g1)
+        point[a2] += scale * (p * d2 + q * g2)
+        return point
 
     mid_r, wit_r = d_denom << k_on, zeta_r << k_beta
     midpoint, witness = lift(1, 0, mid_r), lift(zeta_p, zeta_q, wit_r)
-    normal = [c - a for c, a in zip(ideals[-1], at_x)]
     # exact final checks, independent of how the search got here
     if _dot([c - a for c, a in zip(midpoint, lift(0, 0, mid_r))], normal) != 0:
         raise InternalInvariantError("witness midpoint left the setter's tangent plane")
     rows = profile.scaled_utilities(np.array([lift(0, 0, wit_r), witness], dtype=object),
                                     scale * wit_r)
-    if not rows[setter_idx, 1] > rows[setter_idx, 0]:
+    if not rows[n, 1] > rows[n, 0]:
         raise InternalInvariantError("witness does not improve the setter")
     if not all(rows[j, 1] > rows[j, 0] for j in coalition):
         raise InternalInvariantError("witness does not improve every coalition member")
@@ -384,8 +398,8 @@ def spatial_witness(profile: SpatialProfile, x: Point) -> ImprovementTrace:
         ImprovementTrace, base=x, dims=dims, majority_coalition=coalition,
         _steps=(k_on, k_off, k_beta),
         _scaled={"plane_normal": ([normal], scale),
-                 "projected_gradients": (projections, scale * g_norm_sq),
-                 "direction": ([d], d_denom), "midpoint": ([midpoint], scale * mid_r),
+                 "projected_gradients": (projections, scale * gg),
+                 "direction": ([(d0, d1, d2)], d_denom), "midpoint": ([midpoint], scale * mid_r),
                  "witness": ([witness], scale * wit_r)})
 
 

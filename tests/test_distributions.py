@@ -156,6 +156,16 @@ def test_audit_violations_thin_out_with_finer_grids():
     assert dirty_share[0] > dirty_share[1] > dirty_share[2]
 
 
+def test_audit_violations_hold_plain_ints():
+    # the (policy, player) pairs are read from one list, not as numpy ints
+    audit = audit_dp_axioms(divide_dollar_problem(3, 6))
+    violations = audit.scarcity_violations + audit.transferability_violations
+    assert len(violations) == 144
+    assert {type(v.policy) for v in violations} | {type(v.player) for v in violations} == {int}
+    assert {v.axiom for v in audit.scarcity_violations} <= {"scarcity"}
+    assert {v.axiom for v in audit.transferability_violations} == {"transferability"}
+
+
 def test_audit_single_policy_vacuous():
     lone = CollectiveChoiceProblem(
         policies=("all",), voter_utilities=((F(0),),),

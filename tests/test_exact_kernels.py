@@ -384,7 +384,7 @@ def witness_outcome(build, profile, x):
         return (type(exc).__name__, getattr(exc, "step", None), str(exc))
 
 
-WITNESS_KINDS = ("quarters", "grid", "near voter", "axis 3")
+WITNESS_KINDS = ("quarters", "grid", "near voter", "axis 3", "thirds")
 
 
 def witness_case(kind, seed):
@@ -396,7 +396,9 @@ def witness_case(kind, seed):
     `gen_spatial`; "near voter": within 2**-60..2**-200 of a voter's
     ideal point, where the step searches can run out of halvings;
     "axis 3": a 4-D point that differs from the setter's ideal only on
-    axis 3, so the construction runs in the triple (0, 1, 3).
+    axis 3, so the construction runs in the triple (0, 1, 3); "thirds":
+    the 2**-20 grid with a base point in thirds or fifths, so the ideals
+    are rescaled by a factor that is not a power of two.
     """
     rng = random.Random(seed)
     dim = 4 if kind == "axis 3" else rng.choice((3, 4, 5))
@@ -415,6 +417,9 @@ def witness_case(kind, seed):
         x = tuple((a + b) / 2 for a, b in zip(rng.choice(ideals[:n]), ideals[n]))
     elif kind == "axis 3":
         x = (*ideals[n][:3], F(rng.randint(0, denominator), denominator))
+    elif kind == "thirds":
+        q = rng.choice((3, 5))
+        x = tuple(F(rng.randint(1, q - 1), q) for _ in range(dim))
     else:
         x = coords()
     return SpatialProfile(dim=dim, ideal_points=tuple(ideals), box=((F(0), F(1)),) * dim), x

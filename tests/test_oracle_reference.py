@@ -12,8 +12,9 @@ profiles with flipped votes, setter deviations and missing entries,
 and require the library to give the same reports, or the same error
 class and message.  The last group solves the presets of one problem
 object in shuffled (default, horizon) order, so that its store of
-backward rows is extended and read as a prefix, and requires the
-reference's reports on a fresh copy of the problem.
+backward rows is extended and read as a prefix, and past the fixed point
+where a row first repeats, and requires the reference's reports on a
+fresh copy of the problem.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agendalab import (
     AgendaLabError,
@@ -31,11 +35,13 @@ from agendalab import (
     CustomProtocol,
     GameSpec,
     StrategyProfile,
+    TournamentSpec,
     ValidationError,
     VotingRule,
     check_richness,
     dtd_profile,
     favorite_improvement,
+    mcgarvey_realize,
     play_out,
     simple_equilibrium_profile,
     solve_spe,
@@ -43,6 +49,7 @@ from agendalab import (
 )
 from agendalab.errors import BudgetExceededError, UnsupportedCombinationError
 from agendalab.fixtures import adjournment_trap_protocol, majority_cycle_problem
+from agendalab import oracle as oracle_module
 from agendalab import problems as problems_module
 from agendalab.distributions import DivideDollarGrid
 from agendalab.oracle import (
@@ -522,6 +529,93 @@ def test_preset_store_answers_any_order_like_the_reference(block):
         for protocol in PRESET_PROTOCOLS:
             values, choices = problem._memo[("rows", rule, protocol)]
             assert not any(row.flags.writeable for row in values + choices)
+
+
+def _fixed_point(values) -> int:
+    """The first k whose outcome row repeats row k - 1."""
+    return next(k for k in range(1, len(values)) if np.array_equal(values[k], values[k - 1]))
+
+
+def _assert_rows_repeat_past_their_fixed_point(values, choices):
+    """Every row is read-only, and past the fixed point f the rows are
+    values[f] and choices[f - 1] again, not recomputed."""
+    assert not any(row.flags.writeable for row in values + choices)
+    f = _fixed_point(values)
+    assert all(row is values[f] for row in values[f:])
+    assert all(row is choices[f - 1] for row in choices[f - 1:])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32), st.sampled_from(("quota", "explicit", "override")),
+       st.sampled_from(PRESET_PROTOCOLS))
+def test_preset_rows_past_their_fixed_point_match_the_reference(seed, kind, protocol):
+    # every preset step can keep each default's outcome, so the setter's rank
+    # of each row entry never falls and the rows reach a fixed point within
+    # m * (m - 1) + 1 steps: the long horizon is past it
+    rng = random.Random(seed)
+    n, m = rng.choice((1, 3, 5, 7)), rng.randint(1, 5)
+    problem = _problem(rng, n, m, gfa=True)
+    if kind == "override":
+        # solved as the reference solves its realization, with no approvers
+        tournament = TournamentSpec.from_edges(
+            m, [(x, y) if rng.random() < 0.5 else (y, x)
+                for x in range(m) for y in range(x + 1, m)])
+        problem = dataclasses.replace(problem, majority_override=tournament)
+        rule = VotingRule.simple_majority(n)
+        realized = mcgarvey_realize(tournament, problem.setter_utilities)
+        ref_rule = VotingRule.simple_majority(realized.n)
+    else:
+        rule = (VotingRule.quota_rule(n, rng.randint(1, n)) if kind == "quota"
+                else _rule(rng, n))
+        realized, ref_rule = problem, rule
+    long = m * (m - 1) + 2
+    for horizon in (rng.randint(1, 3), long, rng.randint(1, long), long + 5):
+        x = rng.randrange(m)
+        got = solve_spe(GameSpec(problem=problem, rule=rule, horizon=horizon,
+                                 initial_default=x, protocol=protocol))
+        want = ref_solve_spe(GameSpec(problem=dataclasses.replace(realized), rule=ref_rule,
+                                      horizon=horizon, initial_default=x, protocol=protocol))
+        assert (got.outcome, got.value_table) == (want.outcome, want.value_table)
+        assert list(got.value_table) == list(want.value_table)
+        if kind == "override":
+            want = dataclasses.replace(want, pivotal_trace=tuple(
+                dataclasses.replace(step, approvers=None) for step in want.pivotal_trace))
+        assert got.pivotal_trace == want.pivotal_trace
+    _assert_rows_repeat_past_their_fixed_point(*problem._memo[("rows", rule, protocol)])
+
+
+def test_preset_rows_stop_at_their_fixed_point(monkeypatch):
+    computed = []
+    extend = oracle_module._extend_rows
+
+    def counted(problem, rule, values, choices, masks):
+        before = len(choices)
+        extend(problem, rule, values, choices, masks)
+        computed.append(len(choices) - before)
+
+    monkeypatch.setattr(oracle_module, "_extend_rows", counted)
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    for protocol in PRESET_PROTOCOLS:
+        computed.clear()
+        for horizon in (100, 200, 3):
+            game = GameSpec(problem=problem, rule=rule, horizon=horizon, initial_default=0,
+                            protocol=protocol)
+            report = solve_spe(game)
+            assert report == ref_solve_spe(_fresh(game))
+            assert len(report.value_table) == (horizon + 1) * 4
+        values, choices = problem._memo[("rows", rule, protocol)]
+        assert len(values) == 201 and len(choices) == 200
+        # the first solve steps up to the fixed point, the second reads it, the
+        # third a prefix
+        assert computed == [_fixed_point(values), 0] and computed[0] < 10
+        _assert_rows_repeat_past_their_fixed_point(values, choices)
+    # a custom table is solved round by round, every call
+    computed.clear()
+    game = GameSpec(problem=problem, rule=rule, horizon=100,
+                    initial_default=problem.policy_index("z"),
+                    protocol=adjournment_trap_protocol(100))
+    assert solve_spe(game) == solve_spe(game) == ref_solve_spe(game)
+    assert computed == [100, 100]
 
 
 def test_preset_solves_build_the_vote_table_once(monkeypatch):

@@ -76,6 +76,7 @@ ENTRY_POINTS = {
     "explicit n": (lambda v: VotingRule.explicit(v, [[0, 1]]), 3, None),
     "explicit voter": (lambda v: VotingRule.explicit(3, [[0, v]]), 2, None),
     "coalition mask": (lambda v: VotingRule(n=3, min_coalitions=(v,)), 3, None),
+    "VotingRule.wins mask": (RULE.wins, 3, None),
     "TournamentSpec size": (lambda v: TournamentSpec.from_edges(v, [(1, 0)]), 2, None),
     "tournament winner": (lambda v: TournamentSpec.from_edges(2, [(v, 0)]), 1, None),
     "tournament loser": (lambda v: TournamentSpec.from_edges(2, [(1, v)]), 0, None),
@@ -83,6 +84,8 @@ ENTRY_POINTS = {
     # oracle
     "GameSpec horizon": (lambda v: solve_spe(_game(horizon=v)), 3, None),
     "GameSpec default": (lambda v: solve_spe(_game(x0=v)), 3, None),
+    "feasible round": (lambda v: _game().feasible(v, 0), 2, None),
+    "feasible default": (lambda v: _game(protocol="open_rule").feasible(1, v), 3, None),
     "custom action policy": (lambda v: solve_spe(_game(1, 3, _offering(v))), 1,
                              "an action is a policy"),
     "solve_spe budget": (lambda v: solve_spe(_game(), budget=v), 10**6, None),
@@ -221,6 +224,25 @@ def test_coalition_masks_name_voters_of_the_rule():
     for bad in (0, 8):
         with pytest.raises(ValidationError, match=f"^coalition mask {bad} out of range 1..7$"):
             VotingRule(n=3, min_coalitions=(bad,))
+
+
+def test_rule_and_game_queries_read_indices_in_range():
+    # `wins(0b11000)` counted voters 3 and 4 of a 3-voter rule, and under
+    # `open_rule` `feasible(1, 99)` offered (99, True) and `feasible(7, -1)`
+    # answered a round past the horizon
+    for bad in (8, 0b11000, 2**10 - 1, -1):
+        with pytest.raises(ValidationError, match=f"^coalition mask {bad} out of range 0..7$"):
+            RULE.wins(bad)
+    assert [RULE.wins(mask) for mask in range(8)] == [
+        mask.bit_count() >= 2 for mask in range(8)]
+    game = _game(protocol="open_rule")
+    for t, x, found in ((1, 99, "policy index 99 out of range 0..3"),
+                        (1, -1, "policy index -1 out of range 0..3"),
+                        (7, 0, "round 7 out of range 1..2"),
+                        (0, 0, "round 0 out of range 1..2")):
+        with pytest.raises(ValidationError, match=f"^{found}$"):
+            game.feasible(t, x)
+    assert game.feasible(2, 3)[-1] == (3, True)
 
 
 def test_player_and_allocation_indices_are_in_range():
