@@ -20,8 +20,9 @@ from itertools import product
 import numpy as np
 
 from .engine import StrategyProfile, _markov_profile
-from .errors import BudgetExceededError, ValidationError
-from .problems import CollectiveChoiceProblem, _column_chunks, _require_voter_rows, _scaled_problem
+from .errors import ValidationError
+from .problems import (CollectiveChoiceProblem, _Meter, _column_chunks, _require_voter_rows,
+                       _scaled_problem)
 from .rationals import parse_rational, parse_whole
 
 
@@ -178,7 +179,7 @@ def pork_barrel_problem(projects, m: int, n: int,
     sum per-player benefit minus cost over implemented projects.
     """
     m, n = parse_whole(m, "denominator", 1), parse_whole(n, "voter count", 1)
-    budget, parsed = parse_whole(budget, "budget"), []
+    meter, parsed = _Meter("pork policy space exceeds the budget", budget), []
     for b, c in projects:
         b, c = parse_rational(b), parse_rational(c)
         if b <= 0 or c < 0:
@@ -189,17 +190,13 @@ def pork_barrel_problem(projects, m: int, n: int,
         parsed.append((int(b * m), int(c * m)))
 
     players = n + 1
-    total = 0
     for mask in range(1 << len(parsed)):
         size = 1
         for k, (b_units, c_units) in enumerate(parsed):
             if (mask >> k) & 1:
                 size *= _count_compositions(b_units, players)
                 size *= _count_compositions(c_units, players)
-        total += size
-        if total > budget:
-            raise BudgetExceededError("pork policy space exceeds the budget",
-                                      required=total, budget=budget)
+        meter.charge(size)
 
     labels, rows = [], []
     for mask in range(1 << len(parsed)):

@@ -16,16 +16,16 @@ profiles in `distributions` from a one-step map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import problems
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
+    _Meter,
     _memoized,
     _phi_table,
     _require_rule,
@@ -293,17 +293,21 @@ class OutcomeBounds:
 
 def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
                       x0: int, rounds: int, budget: int = 200_000) -> OutcomeBounds:
+    """The `OutcomeBounds` of the T-round game from x0, T = `rounds`:
+    `lower` holds the outcomes of composing one selection of the one-round
+    correspondence T times, `upper` those of T-fold composites of per-round
+    selections whose values at each default agree in setter utility.
+    Each is one depth-first walk; the budget is charged 1 per visit."""
     rounds, x0 = parse_whole(rounds, "round count", 1), problem.check_policy(x0)
-    budget = parse_whole(budget, "budget")
+    meter = _Meter("selection enumeration exceeded budget", budget)
     correspondence = [sorted(members) for members in _phi_or_table(problem, rule)]
     setter = problem._ranks[-1].tolist()
-    ticks = count(1)
 
     def walk(key) -> frozenset[int]:
         """Endpoints of `rounds` steps from x0 when each visited default
         fixes one class of its members, those alike under `key`, and
         steps to any member of that class.  Depth first on an explicit
-        stack, one tick per visit."""
+        stack, one charge per visit."""
         reached: set[int] = set()
         fixed: dict[int, list[int]] = {}
 
@@ -322,10 +326,7 @@ def nc_outcome_bounds(problem: CollectiveChoiceProblem, rule: VotingRule,
         stack: list = []
 
         def visit(state: int, depth: int):
-            spent = next(ticks)
-            if spent > budget:
-                raise BudgetExceededError(
-                    "selection enumeration exceeded budget", required=spent, budget=budget)
+            meter.charge(1)
             if depth == rounds:
                 reached.add(state)
             else:

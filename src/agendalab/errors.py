@@ -25,10 +25,12 @@ class UnsupportedCombinationError(ValidationError):
 
 
 class BudgetExceededError(AgendaLabError):
-    """An enumeration would exceed its configured budget.
+    """A call's work would exceed its configured budget.
 
-    The message ends with the numbers when they are known, e.g.
-    "(required 6,120,000, budget 5,000,000)".
+    Raised by the work meter (`problems._Meter`) at the first charge past
+    the budget, `required` being the work charged so far (a lower bound on
+    the call's), and by the grids' point bound.  The message ends with
+    the numbers, e.g. "(required 6,120,000, budget 5,000,000)".
     """
 
     def __init__(self, message: str, required: int | None = None, budget: int | None = None):

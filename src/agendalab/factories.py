@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .problems import CollectiveChoiceProblem
+from .errors import ValidationError
+from .problems import CollectiveChoiceProblem, _scaled_problem
 from .rationals import parse_whole
 
 # The voter counts a corpus problem draws from.
@@ -13,21 +13,21 @@ CORPUS_VOTERS = (3, 5)
 
 
 def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProblem:
-    """Random gfa problem (`gfa=True` refuses an even n): shuffled rank rows."""
+    """Random gfa problem (an even n is refused): shuffled rank rows, the
+    voters' first, built from those integers."""
     num_policies = parse_whole(num_policies, "policy count", 2)
     n = parse_whole(n, "voter count", 1)
+    if n % 2 == 0:
+        raise ValidationError("gfa requires an odd number of voters")
     rng = random.Random(seed)
 
     def ranks():
         values = list(range(1, num_policies + 1))
         rng.shuffle(values)
-        return tuple(Fraction(v) for v in values)
+        return values
 
-    voters = tuple(ranks() for _ in range(n))
-    setter = ranks()
-    labels = tuple(f"x{i}" for i in range(num_policies))
-    return CollectiveChoiceProblem(policies=labels, voter_utilities=voters,
-                                   setter_utilities=setter, gfa=True)
+    rows = [ranks() for _ in range(n + 1)]
+    return _scaled_problem([f"x{i}" for i in range(num_policies)], rows, 1)
 
 
 def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveChoiceProblem]:
@@ -45,16 +45,10 @@ def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveC
 
 def gen_random_with_ties(num_policies: int, n: int, seed: int,
                          levels: int = 3) -> CollectiveChoiceProblem:
-    """Random problem where utilities draw from few levels, forcing indifference."""
+    """Random problem where utilities draw from few levels, forcing
+    indifference: the voters' rows first, built from those integers."""
     num_policies = parse_whole(num_policies, "policy count", 2)
     n, levels = parse_whole(n, "voter count", 1), parse_whole(levels, "level count", 1)
     rng = random.Random(seed)
-
-    def row():
-        return tuple(Fraction(rng.randrange(levels)) for _ in range(num_policies))
-
-    labels = tuple(f"x{i}" for i in range(num_policies))
-    return CollectiveChoiceProblem(
-        policies=labels,
-        voter_utilities=tuple(row() for _ in range(n)),
-        setter_utilities=row())
+    rows = [[rng.randrange(levels) for _ in range(num_policies)] for _ in range(n + 1)]
+    return _scaled_problem([f"x{i}" for i in range(num_policies)], rows, 1)

@@ -50,14 +50,11 @@ from typing import Callable, Iterator, Optional, Union
 import numpy as np
 
 from .engine import StrategyProfile, _orbit
-from .errors import (
-    BudgetExceededError,
-    RichnessError,
-    ValidationError,
-)
+from .errors import RichnessError, ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
+    _Meter,
     _coalition_holds,
     _column_chunks,
     _memoized,
@@ -255,11 +252,13 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
 
 
 def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: list,
-                 choices: list, masks: Iterator) -> None:
+                 choices: list, masks: Iterator, meter: _Meter) -> None:
     """Backward induction at every default, one round per action-mask
     reader in `masks`: append the round's continuation outcomes to
     `values` and its chosen actions (2 * policy + adjourn) to `choices`,
-    reading the next round's outcomes `val` = values[-1].
+    reading the next round's outcomes `val` = values[-1].  Each step is
+    charged m * (m + 1) to `meter` before it runs, the first before the
+    vote table is built.
 
     Every vote is read from `beats`, the rule's memoized `_wins_table`.
     Action 2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or
@@ -272,13 +271,13 @@ def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: lis
     Each appended row is read-only: reports keep memoized rows until they
     are first read.
     """
-    m, beats = problem.num_policies, _wins_table(problem, rule)
-    setter = problem._ranks[-1]
+    m, setter = problem.num_policies, problem._ranks[-1]
     chunks = _column_chunks(problem)
     acc = np.empty(2 * m, dtype=np.int64)
     acc[1::2] = np.arange(m)
     for mask_of in masks:
-        val = values[-1]
+        meter.charge(m * (m + 1))
+        beats, val = _wins_table(problem, rule), values[-1]
         acc[0::2] = val
         value = np.empty(m, dtype=np.int64)
         choice = np.empty(m, dtype=np.int64)
@@ -312,6 +311,23 @@ def _until_fixed_point(values: list, masks: Iterator) -> Iterator:
         yield mask_of
 
 
+def _preset_rows(game: GameSpec, values: list, choices: list, meter: _Meter) -> tuple:
+    """A preset's rows (values[k] the k-round outcomes, choices[k - 1] the
+    actions with k rounds left), short of the horizon, extended in place to
+    it.  A preset's mask is the same every round, so the missing steps
+    stand in for rounds up to the fixed point; past it the last rows are
+    appended again, charged m per round."""
+    horizon = game.horizon
+    _extend_rows(game.problem, game.rule, values, choices,
+                 _until_fixed_point(values, _action_masks(game, range(len(choices), horizon))),
+                 meter)
+    missing = horizon - len(choices)
+    meter.charge(game.problem.num_policies * missing)
+    values.extend([values[-1]] * missing)
+    choices.extend([choices[-1]] * missing)
+    return values, choices
+
+
 def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     """Backward induction over (round, default) states, every default at once.
 
@@ -335,45 +351,37 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     row equals its input row (`_until_fixed_point`), every later round's
     rows are those same read-only arrays, appended without a step.  Table
     and rows cost m**2 bytes plus O(m) words per distinct round and one
-    reference per repeated round.  A custom protocol's rows are
-    solved per call.  Either way each call checks its budget and walks the
-    equilibrium path on plain ints, read from the rows, to its outcome:
-    round t takes its choice and its two outcomes from the (T - t)-round
-    rows, and its proposal passed exactly when the (T - t + 1)-round
-    outcome is the accept outcome, so the walk reads no vote.  The report
-    keeps the rows and that path, so its `value_table` (a fresh dict,
-    later rounds first) and `pivotal_trace` are built only when first
-    read, each step's approvers from two rank columns (None under an
-    override).  Solving costs O(m * chunk) transient memory per block.
+    reference per repeated round.  A custom protocol's rows are solved per
+    call.  The budget (`_Meter`) is charged m * (m + 1) per step a call
+    computes, before it runs, and m per round appended past the fixed
+    point: never more than T * m * (m + 1), and kept rows are free.  Each
+    call walks the equilibrium path on plain ints, read from the rows, to
+    its outcome: round t takes its choice and its two outcomes from the
+    (T - t)-round rows, and its proposal passed exactly when the
+    (T - t + 1)-round outcome is the accept outcome, so the walk reads no
+    vote.  The report keeps the rows and that path, so its `value_table`
+    (a fresh dict, later rounds first) and `pivotal_trace` are built only
+    when first read, each step's approvers from two rank columns (None
+    under an override).  Solving costs O(m * chunk) transient memory per
+    block.
     """
     problem = game.problem
     if not problem.gfa:
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
     m, horizon = problem.num_policies, game.horizon
-    work = horizon * m * (m + 1)
-    if work > parse_whole(budget, "budget"):
-        raise BudgetExceededError("state space too large for the oracle",
-                                  required=work, budget=budget)
-
+    meter = _Meter("state space too large for the oracle", budget)
     if isinstance(game.protocol, str):
-        # values[k] is the k-round outcome from each default and choices[k - 1]
-        # the action with k rounds left; a preset's mask is the same every
-        # round, so the steps still missing stand in for rounds, and past the
-        # fixed point each is the last row again
+        # a cold store is kept once it reaches the horizon, so a refused cold
+        # solve keeps nothing; a warm one is extended in place
         values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
-                                    lambda: _no_rows(m))
-        rounds = range(len(choices), horizon)
-        if rounds:
-            _extend_rows(problem, game.rule, values, choices,
-                         _until_fixed_point(values, _action_masks(game, rounds)))
-            missing = horizon - len(choices)
-            values.extend([values[-1]] * missing)
-            choices.extend([choices[-1]] * missing)
+                                    lambda: _preset_rows(game, *_no_rows(m), meter))
+        if len(choices) < horizon:
+            _preset_rows(game, values, choices, meter)
     else:
         values, choices = _no_rows(m)
         _extend_rows(problem, game.rule, values, choices,
-                     _action_masks(game, range(horizon, 0, -1)))
+                     _action_masks(game, range(horizon, 0, -1)), meter)
 
     # round t reads choices[T - t], the (T - t)-round outcomes values[T - t]
     # and its own outcome values[T - t + 1]
@@ -447,7 +455,8 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     preference between the two continuations must be voted.  Violations
     are reported by state, then offer, the setter before the voters
     ascending; `Fraction`s appear only in the reported gains.  Memory is
-    O(n) words per offer read.
+    O(n) words per offer read.  Before the profile is read, the budget is
+    charged (reachable states) * m * (n + 1), once.
 
     A vote names a policy, not an adjournment flag, so a policy offered
     with both flags at one state is refused, with one exception: the
@@ -472,10 +481,7 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
         reach = successors
 
     n, m = problem.n, problem.num_policies
-    work = len(actions) * m * (n + 1)
-    if work > parse_whole(budget, "budget"):
-        raise BudgetExceededError("profile verification too large",
-                                  required=work, budget=budget)
+    _Meter("profile verification too large", budget).charge(len(actions) * m * (n + 1))
 
     missing: list[tuple] = []
     offers: list[tuple[int, bool]] = []     # distinct offers of every state, in state order

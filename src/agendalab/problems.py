@@ -23,9 +23,9 @@ tournaments and the oracle, which share it under the majority rule.
 The oracle never reads the favorite-improvement table.  The ranks are
 built from the one integer array of `_ints` by one kernel,
 `_dense_ranks`; only the uniform margin reads that array directly.
-Every count and index is read by `parse_whole`.
-What is derived once per problem lives in its one `_memo`, through
-`_memoized`.
+Every count and index is read by `parse_whole`, and every work budget
+by one meter, `_Meter`.  What is derived once per problem lives in its
+one `_memo`, through `_memoized`.
 
 The favorite-improvement table and the uniform margin are the two
 per-default scans.  Both go through `_setter_walk`, which meets the
@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedCombinationError, ValidationError
+from .errors import BudgetExceededError, UnsupportedCombinationError, ValidationError
 from .rationals import (ScaledInts, _assemble, _FractionView, fraction_rows, parse_rational,
                         parse_whole)
 
@@ -541,6 +541,24 @@ def _memoized(problem: CollectiveChoiceProblem, key: tuple, build: Callable[[], 
     if value is _MISSING:
         value = memo[key] = build()
     return value
+
+
+class _Meter:
+    """The one work meter behind every budget but the grids' point bound:
+    `budget` is read once by `parse_whole`, so a bad one is refused by a
+    call that does no work.  `charge(work)` is made before the work it pays
+    for; the first charge past the budget raises `BudgetExceededError(what)`
+    with `required` the work charged so far, that charge included."""
+
+    __slots__ = ("what", "budget", "spent")
+
+    def __init__(self, what: str, budget) -> None:
+        self.what, self.budget, self.spent = what, parse_whole(budget, "budget"), 0
+
+    def charge(self, work: int) -> None:
+        self.spent += work
+        if self.spent > self.budget:
+            raise BudgetExceededError(self.what, required=self.spent, budget=self.budget)
 
 
 def _wins_table(problem: CollectiveChoiceProblem, rule: VotingRule) -> np.ndarray:

@@ -2,7 +2,8 @@
 certificates do not rest on `assert`, only `problems` touches the
 per-problem memo, only `parse_whole` decides what a whole number is,
 no integer builder takes or is handed a `gfa` flag, only `problems`
-raises `UnsupportedCombinationError`,
+raises `UnsupportedCombinationError`, only its work meter and the grids'
+point bound raise `BudgetExceededError`,
 kernels do not call the public per-pair views, only the `Fraction`
 views build `Fraction` rows, every view field is required by its
 constructor, only one helper makes an instance without
@@ -108,6 +109,21 @@ def test_only_problems_refuses_a_combination():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Raise) and node.exc is not None
              and "UnsupportedCombinationError" in (
+                 getattr(node.exc, "id", None),
+                 getattr(getattr(node.exc, "func", None), "id", None),
+                 getattr(getattr(node.exc, "func", None), "attr", None))]
+    assert found == []
+
+
+def test_only_the_meter_and_the_point_bound_refuse_a_budget():
+    # what a work budget means and how a refusal reads is decided by one
+    # meter, `problems._Meter`; `grids._within_budget` is a one-shot bound
+    # on a grid's size
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("problems.py", "grids.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "BudgetExceededError" in (
                  getattr(node.exc, "id", None),
                  getattr(getattr(node.exc, "func", None), "id", None),
                  getattr(getattr(node.exc, "func", None), "attr", None))]

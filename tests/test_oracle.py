@@ -21,18 +21,22 @@ from agendalab import (
     ValidationError,
     VotingRule,
     check_richness,
+    nc_outcome_bounds,
     phi_iterates,
     play_out,
+    pork_barrel_problem,
     protocol_equivalence,
     simple_equilibrium_profile,
     solve_spe,
     verify_profile,
 )
 from agendalab.factories import gen_random_gfa, gfa_corpus
-from agendalab.fixtures import adjournment_trap_protocol
+from agendalab.fixtures import adjournment_trap_protocol, majority_cycle_problem
+from agendalab.grids import BoxSpace, build_grid
 from agendalab.oracle import PRESET_PROTOCOLS, SolveReport, TraceStep, Violation
 from agendalab.problems import _column_chunks
 from agendalab.serialize import load_problem, save_problem
+from agendalab.spatial import gen_spatial
 
 from test_oracle_reference import _outcome, ref_solve_spe, ref_verify_profile
 
@@ -120,13 +124,84 @@ def test_tied_placeholder_rows_solve_as_the_realization(blocked, blocked_realize
     assert load_problem(path) == problem
 
 
-def test_solve_budget(cycle, rule3):
-    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0)
+def test_solve_budget(rule3):
+    # a fresh problem (the session's `cycle` keeps rows from earlier tests):
+    # its first backward step is charged m * (m + 1) = 20 before it runs
+    game = GameSpec(problem=majority_cycle_problem(), rule=rule3, horizon=3, initial_default=0)
     with pytest.raises(BudgetExceededError) as info:
         solve_spe(game, budget=10)
-    # T * m * (m + 1) = 3 * 4 * 5
-    assert (info.value.required, info.value.budget) == (60, 10)
-    assert str(info.value) == "state space too large for the oracle (required 60, budget 10)"
+    assert (info.value.required, info.value.budget) == (20, 10)
+    assert str(info.value) == "state space too large for the oracle (required 20, budget 10)"
+
+
+# one work meter: `solve_spe` is charged m * (m + 1) per backward step it
+# computes and m per round appended past a preset's fixed point; the other
+# kernels keep their counts
+
+
+def _cold_cycle_solve(budget, horizon=3):
+    return solve_spe(GameSpec(problem=majority_cycle_problem(), rule=VotingRule.simple_majority(3),
+                              horizon=horizon, initial_default=0), budget=budget)
+
+
+def _cycle_verification(budget):
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    return verify_profile(GameSpec(problem=problem, rule=rule, horizon=3, initial_default=0),
+                          simple_equilibrium_profile(problem, rule, 3), budget=budget)
+
+
+@pytest.mark.parametrize("call, counted", [
+    # three computed steps of 4 * 5: the cycle's rows reach no fixed point by T = 3
+    (_cold_cycle_solve, 60),
+    # step 4 repeats step 3's outcome row: 4 steps of 20, then 6 rounds of m = 4
+    (lambda budget: _cold_cycle_solve(budget, horizon=10), 4 * 20 + 6 * 4),
+    # 9 reachable states (1 in round 1, all 4 in rounds 2 and 3) * m * (n + 1)
+    (_cycle_verification, 9 * 4 * 4),
+    # w is a fixed point of the one-valued correspondence: each walk visits T + 1 states
+    (lambda budget: nc_outcome_bounds(majority_cycle_problem(), VotingRule.simple_majority(3),
+                                      0, 3, budget=budget), 2 * 4),
+    # the skip subset, then the 4 corner splits of the one project's benefit
+    (lambda budget: pork_barrel_problem([(1, 0)], m=1, n=3, budget=budget), 1 + 4),
+], ids=["solve_spe", "solve_spe past the fixed point", "verify_profile", "nc_outcome_bounds",
+        "pork_barrel_problem"])
+def test_each_metered_kernel_accepts_exactly_its_counted_work(call, counted):
+    call(counted)
+    with pytest.raises(BudgetExceededError) as info:
+        call(counted - 1)
+    assert (info.value.required, info.value.budget) == (counted, counted - 1)
+
+
+@pytest.mark.parametrize("protocol", [*PRESET_PROTOCOLS, adjournment_trap_protocol(3)],
+                         ids=[*PRESET_PROTOCOLS, "custom"])
+def test_a_cold_solve_refused_at_its_first_charge_keeps_nothing(protocol):
+    problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
+    game = GameSpec(problem=problem, rule=rule, horizon=3,
+                    initial_default=problem.policy_index("z"), protocol=protocol)
+    with pytest.raises(BudgetExceededError, match=r"\(required 20, budget 19\)$"):
+        solve_spe(game, budget=19)
+    # neither the vote table nor a store of rows was built before the charge
+    assert not [key for key in problem._memo if key[0] in ("wins", "rows")]
+    # a cold preset store is kept only once it reaches the horizon, so a
+    # refusal after some steps keeps none either, and repeats
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match=r"\(required 60, budget 59\)$"):
+            solve_spe(game, budget=59)
+        assert not [key for key in problem._memo if key[0] == "rows"]
+
+
+def test_preset_solves_on_the_interior_grid_fit_the_default_budget():
+    # the 343-node interior grid: T * m * (m + 1) = 11,799,200 is past the
+    # default budget, but each preset's rows stop at their fixed point, so
+    # the steps a solve computes are charged far less
+    profile = gen_spatial(3, 5, 1, box=((Fraction(1, 4), Fraction(3, 4)),) * 3)
+    problem = build_grid(BoxSpace.unit(3), Fraction(1, 4), seed=2, profile=profile).problem
+    rule = VotingRule.simple_majority(5)
+    assert problem.num_policies == 343 and problem.gfa
+    for protocol in PRESET_PROTOCOLS:
+        for x in (0, 171, 342):
+            game = GameSpec(problem=problem, rule=rule, horizon=100, initial_default=x,
+                            protocol=protocol)
+            assert solve_spe(game).outcome == phi_iterates(problem, rule, x, 100)[-1]
 
 
 def _large_gfa_problem(m, n):

@@ -70,7 +70,7 @@ def ref_vote_mask(problem, accept_out, reject_out):
     return ref_support_mask(problem, accept_out, reject_out)
 
 
-def ref_solve_spe(game, budget=5_000_000):
+def ref_solve_spe(game):
     problem = game.problem
     if problem.majority_override is not None:
         raise UnsupportedCombinationError(
@@ -80,11 +80,6 @@ def ref_solve_spe(game, budget=5_000_000):
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
     m = problem.num_policies
-    work = game.horizon * m * (m + 1)
-    if work > budget:
-        raise BudgetExceededError("state space too large for the oracle",
-                                  required=work, budget=budget)
-
     value, chosen = {}, {}
     for x in range(m):
         value[(game.horizon + 1, x)] = x
@@ -588,9 +583,9 @@ def test_preset_rows_stop_at_their_fixed_point(monkeypatch):
     computed = []
     extend = oracle_module._extend_rows
 
-    def counted(problem, rule, values, choices, masks):
+    def counted(problem, rule, values, choices, masks, meter):
         before = len(choices)
-        extend(problem, rule, values, choices, masks)
+        extend(problem, rule, values, choices, masks, meter)
         computed.append(len(choices) - before)
 
     monkeypatch.setattr(oracle_module, "_extend_rows", counted)
@@ -671,12 +666,33 @@ def test_warm_store_keeps_the_budget_check():
     problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
     warm = GameSpec(problem=problem, rule=rule, horizon=3, initial_default=0)
     solve_spe(warm)
-    for horizon in (3, 2, 5):
+    # rows already kept were charged when they were computed: reading them is free
+    for horizon in (3, 2):
         game = dataclasses.replace(warm, horizon=horizon)
-        with pytest.raises(BudgetExceededError) as info:
-            solve_spe(game, budget=10)
-        assert str(info.value) == str(_outcome(ref_solve_spe, game, budget=10)[1])
-        assert (info.value.required, info.value.budget) == (horizon * 4 * 5, 10)
+        assert solve_spe(game, budget=0) == ref_solve_spe(_fresh(game))
+    # horizon 5 computes step 4 first, charged m * (m + 1) = 20
+    with pytest.raises(BudgetExceededError) as info:
+        solve_spe(dataclasses.replace(warm, horizon=5), budget=10)
+    assert (info.value.required, info.value.budget) == (20, 10)
+    assert str(info.value) == "state space too large for the oracle (required 20, budget 10)"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32))
+def test_no_solve_within_the_old_forecast_is_refused(seed):
+    # a solve is charged for the steps it computes, never more than the
+    # forecast T * m * (m + 1) that bounded it before, on a cold or a warm
+    # problem and under a preset or a custom table
+    rng = random.Random(seed)
+    n, m = rng.choice((1, 3, 5, 7)), rng.randint(1, 6)
+    problem, rule = _problem(rng, n, m, gfa=True), _rule(rng, n)
+    for _ in range(4):
+        horizon = rng.randint(1, 3 * m)
+        game = GameSpec(problem=problem, rule=rule, horizon=horizon,
+                        initial_default=rng.randrange(m),
+                        protocol=_protocol(rng, horizon, m, gaps=0.002))
+        report = _outcome(solve_spe, game, budget=horizon * m * (m + 1))
+        assert report == _outcome(ref_solve_spe, _fresh(game))
 
 
 def test_mutating_a_report_leaves_the_next_one_unchanged():
