@@ -1,4 +1,5 @@
-"""Seeded random instance factories for the verification corpora."""
+"""Seeded random instance factories for the verification corpora; each
+seed is a whole number, read by `parse_whole`."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ def gen_random_gfa(num_policies: int, n: int, seed: int) -> CollectiveChoiceProb
     n = parse_whole(n, "voter count", 1)
     if n % 2 == 0:
         raise ValidationError("gfa requires an odd number of voters")
-    rng = random.Random(seed)
+    rng = random.Random(parse_whole(seed, "seed"))
 
     def ranks():
         values = list(range(1, num_policies + 1))
@@ -34,7 +35,7 @@ def gfa_corpus(count: int, seed: int, max_policies: int = 6) -> list[CollectiveC
     """Deterministic corpus of random gfa instances for the theorem suites,
     each with a voter count drawn from `CORPUS_VOTERS`."""
     max_policies = parse_whole(max_policies, "max_policies", 2)
-    rng = random.Random(seed)
+    rng = random.Random(parse_whole(seed, "seed"))
     out = []
     for k in range(parse_whole(count, "problem count")):
         m = rng.randrange(2, max_policies + 1)
@@ -49,6 +50,6 @@ def gen_random_with_ties(num_policies: int, n: int, seed: int,
     indifference: the voters' rows first, built from those integers."""
     num_policies = parse_whole(num_policies, "policy count", 2)
     n, levels = parse_whole(n, "voter count", 1), parse_whole(levels, "level count", 1)
-    rng = random.Random(seed)
+    rng = random.Random(parse_whole(seed, "seed"))
     rows = [[rng.randrange(levels) for _ in range(num_policies)] for _ in range(n + 1)]
     return _scaled_problem([f"x{i}" for i in range(num_policies)], rows, 1)

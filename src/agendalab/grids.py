@@ -7,8 +7,9 @@ holds with room for jitter, a seeded rational jitter on every node, and
 an exact tie audit that re-jitters offenders, read from the dense ranks
 of the problem each build compiles (`problems._first_tie`, the reader
 that also decides `gfa`).  The audit is the certificate; the jitter
-scheme is reproducible from the seed, every offset being one
-`randrange` draw.  Box and simplex grids share one pipeline on integer
+scheme is reproducible from the seed, the offsets being the values
+`randrange` would draw, read from one batch of generator words
+(`_draws`).  Box and simplex grids share one pipeline on integer
 arrays over one scale (`build_grid`): a (nodes x coordinates) array of
 nodes, scored into one (players x nodes) utility array that the problem
 keeps; each space supplies only its lattice.  Box utilities come from
@@ -48,7 +49,7 @@ class BoxSpace:
 
     @staticmethod
     def unit(d: int) -> "BoxSpace":
-        return BoxSpace(tuple((Fraction(0), Fraction(1)) for _ in range(d)))
+        return BoxSpace(((Fraction(0), Fraction(1)),) * parse_whole(d, "dimension", 1))
 
     @property
     def dim(self) -> int:
@@ -98,8 +99,10 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     integer array over one scale, how rows of centres are jittered, how
     nodes become one (players x nodes) integer utility array, the
     denominator and the covering bound; one path then jitters every
-    centre, drawing node by node in index order, and builds the problem
-    from the utility array.  The problem's dense ranks are the tie audit
+    centre, node by node in index order, with the offsets `randrange`
+    would draw from `random.Random(seed)`, `seed` a whole number, read as
+    one batch of generator words (`_draws`), and builds the problem from
+    the utility array.  The problem's dense ranks are the tie audit
     (`_first_tie`): of the first tied pair of the first player with a
     tie, at that player's lowest tied value, the later node is re-drawn,
     its utility column recomputed and the problem built again, up to
@@ -107,6 +110,7 @@ def build_grid(space, epsilon, seed: int, profile: Optional[SpatialProfile] = No
     genericity error naming that pair and player.
     """
     epsilon, max_points = parse_rational(epsilon), parse_whole(max_points, "max_points")
+    seed = parse_whole(seed, "seed")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     if isinstance(space, BoxSpace):
@@ -153,8 +157,28 @@ def _within_budget(kind: str, total: int, max_points: int) -> int:
 
 
 def _draws(rng, count: int, start: int, stop: int) -> np.ndarray:
-    """`count` draws of `rng.randrange(start, stop)`, in order."""
-    return np.array([rng.randrange(start, stop) for _ in range(count)], dtype=np.int64)
+    """The values of `count` calls `rng.randrange(start, stop)`, in order,
+    leaving `rng` in the state those calls leave it (stop - start < 2**32).
+
+    `randrange` reads one 32-bit word of the generator per try, keeps its
+    top `width.bit_length()` bits (width = stop - start) and tries again
+    while they are not below width.  So the draws are read from batches of
+    words: `getrandbits(32 * k)` holds the next k words, the first drawn
+    least significant, and each batch draws exactly as many words as
+    values are still missing, so no word past the last kept one is read.
+    """
+    width = stop - start
+    shift = 32 - width.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        missing = count - done
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"),
+                              dtype="<u4") >> shift
+        kept = words[words < width]
+        out[done:done + len(kept)] = kept
+        done += len(kept)
+    return out + start
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ rich by construction; only custom tables are scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterator, Optional, Union
@@ -227,8 +227,9 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
     adjournment (with it, under `successive`), and under `open_rule` also
     the standing default with adjournment.  Its one reader builds only the
     chunk asked for.  A custom table is read round by round, default by
-    default, into one dense mask, so the first missing or empty feasible
-    set in that order raises.
+    default, into one dense mask on the round's first `mask_of` call, so
+    a step is charged before its round is read, and the first missing or
+    empty feasible set in that order raises.
     """
     m = game.problem.num_policies
     if isinstance(game.protocol, str):
@@ -244,11 +245,15 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
             yield mask_of
         return
     for t in rounds:
-        mask = np.zeros((2 * m, m), dtype=bool)
-        for x in range(m):
-            for a, adjourn in game.feasible(t, x):
-                mask[2 * a + adjourn, x] = True
-        yield lambda cols, mask=mask: mask[:, cols]
+        @cache
+        def dense(t=t):
+            mask = np.zeros((2 * m, m), dtype=bool)
+            for x in range(m):
+                for a, adjourn in game.feasible(t, x):
+                    mask[2 * a + adjourn, x] = True
+            return mask
+
+        yield lambda cols, dense=dense: dense()[:, cols]
 
 
 def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: list,

@@ -130,9 +130,9 @@ class SpatialProfile:
 def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
     """Seeded ideal-point profile with coordinates on the 2**-20 grid.
 
-    Identical (d, n, seed, box) inputs reproduce the profile bit for
-    bit.  Generation does not enforce genericity; run the coplanarity
-    check to audit a draw.
+    Identical (d, n, seed, box) inputs, the seed a whole number, reproduce
+    the profile bit for bit.  Generation does not enforce genericity; run
+    the coplanarity check to audit a draw.
     """
     if parse_whole(n, "voter count", 1) % 2 == 0:
         raise ValidationError("voter count must be odd and positive")
@@ -145,7 +145,7 @@ def gen_spatial(d: int, n: int, seed: int, box=None) -> SpatialProfile:
         if hi_k < lo_k:
             raise ValidationError(f"degenerate box axis [{lo}, {hi}]")
         ranges.append((lo_k, hi_k + 1))
-    rng = random.Random(seed)
+    rng = random.Random(parse_whole(seed, "seed"))
     rows = [tuple(rng.randrange(*bounds) for bounds in ranges) for _ in range(n + 1)]
     profile = _assemble(SpatialProfile, dim=d, box=box)
     profile._compile(ScaledInts.from_scaled(rows, COORD_DENOM))

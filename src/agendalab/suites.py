@@ -417,7 +417,8 @@ SUITES = {
 def _check_params(params: dict) -> None:
     """Range checks on the parameters a suite reads; each whole number is
     kept as the plain int `parse_whole` reads."""
-    for name, least in (("samples", 0), ("max_policies", 2), ("max_rounds", 1), ("m", 1), ("d", 1)):
+    for name, least in (("seed", 0), ("samples", 0), ("max_policies", 2), ("max_rounds", 1),
+                        ("m", 1), ("d", 1)):
         if name in params:
             params[name] = parse_whole(params[name], f"{name} value", least)
     for name in ("epsilon", "delta"):

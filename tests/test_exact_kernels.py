@@ -29,6 +29,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, isqrt
@@ -72,10 +73,11 @@ from agendalab import (
     uniform_margin,
     unimprovable_set,
 )
+from agendalab import grids as grids_module
 from agendalab import problems as problems_module
 from agendalab.distributions import AxiomViolation
 from agendalab.engine import _orbit, _phi_or_table
-from agendalab.grids import GridBuildResult
+from agendalab.grids import GridBuildResult, _draws
 from agendalab.problems import _column_chunks, _scaled_problem, _wins, _wins_table
 from agendalab.rationals import ScaledInts, fraction_rows
 from agendalab.spatial import CoplanarityReport, ImprovementTrace
@@ -425,12 +427,34 @@ def witness_case(kind, seed):
     return SpatialProfile(dim=dim, ideal_points=tuple(ideals), box=((F(0), F(1)),) * dim), x
 
 
+def _fold(draws, start, stop):
+    """Draws of range(start, stop) folded onto eight values in its middle."""
+    return (start + stop) // 2 - 4 + (draws - start) % 8
+
+
 class CoarseRandom(random.Random):
-    """Same draws as `random.Random`, folded onto eight values in the middle
-    of each range, so jittered grids tie often and re-jitters run."""
+    """Same draws as `random.Random`, folded by `_fold`, so the references'
+    jittered grids tie often and re-jitters run."""
 
     def randrange(self, start, stop=None, step=1):
-        return (start + stop) // 2 - 4 + (super().randrange(start, stop, step) - start) % 8
+        return _fold(super().randrange(start, stop, step), start, stop)
+
+
+def _coarse_draws(rng, count, start, stop):
+    """The library's `grids._draws`, folded as `CoarseRandom` folds `randrange`."""
+    return _fold(_draws(rng, count, start, stop), start, stop)
+
+
+@contextmanager
+def coarsely(coarse=True):
+    """With `coarse`, fold the references' `randrange` (`CoarseRandom`) and
+    the library's `grids._draws` alike, so both tie at the same nodes."""
+    if not coarse:
+        yield
+        return
+    with mock.patch.object(random, "Random", CoarseRandom), \
+            mock.patch.object(grids_module, "_draws", _coarse_draws):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +540,7 @@ def test_spatial_problem_matches_fraction_reference():
 @SETTINGS
 @given(box_cases(), st.booleans())
 def test_box_grid_matches_fraction_reference(case, coarse):
-    with mock.patch.object(random, "Random", CoarseRandom if coarse else random.Random):
+    with coarsely(coarse):
         want = outcome(ref_build_box, **case)
         got = outcome(build_grid, **case)
     assert got == want
@@ -527,7 +551,7 @@ def test_box_grid_matches_fraction_reference(case, coarse):
 @SETTINGS
 @given(simplex_cases(), st.booleans())
 def test_simplex_grid_matches_fraction_reference(case, coarse):
-    with mock.patch.object(random, "Random", CoarseRandom if coarse else random.Random):
+    with coarsely(coarse):
         want = outcome(ref_build_simplex, **case)
         got = outcome(build_grid, **case)
     assert got == want
@@ -549,7 +573,7 @@ def test_grid_references_cover_rejitter_and_genericity_errors():
         (ref_build_simplex, dict(simplex, epsilon=F(1, 2)), "rejittered"),
     ]
     for reference, kwargs, ending in cases:
-        with mock.patch.object(random, "Random", CoarseRandom):
+        with coarsely():
             want = outcome(reference, **kwargs)
             got = outcome(build_grid, **kwargs)
         assert got == want

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import ceil, sqrt
 
@@ -84,6 +85,42 @@ def test_tie_audit_failure_without_jitter():
     assert _first_tie(ranks) == (0, 1, 3)
     got = outcome(_ref_audit_and_rejitter, list(values), tuple, 3, values.__getitem__)
     assert got[1:] == ("nodes 1 and 3 still tie for player 1 after 3 attempts", 0, (1, 3))
+
+
+class _CountingRandom(random.Random):
+    """`random.Random`, keeping the bit count of every `getrandbits` call."""
+
+    def __init__(self, seed):
+        self.asked = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return super().getrandbits(k)
+
+
+# the box and simplex jitter ranges, and one that rejects about half its words
+DRAW_RANGES = {"box": (-(2**16 - 1), 2**16), "simplex": (1, 2**16),
+               "half rejected": (0, 2**16 + 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64), st.sampled_from((0, 1, 3, 1029)),
+       st.sampled_from(sorted(DRAW_RANGES)))
+def test_draws_are_the_randrange_loop(seed, count, kind):
+    # the same values in order, and the generator left where the loop leaves
+    # it; the words come in one batch of `count` words, then batches of the
+    # values still missing, which the half-rejected range always needs
+    start, stop = DRAW_RANGES[kind]
+    batched, looped = _CountingRandom(seed), random.Random(seed)
+    got = grids._draws(batched, count, start, stop)
+    assert got.dtype == np.int64
+    assert got.tolist() == [looped.randrange(start, stop) for _ in range(count)]
+    assert batched.getstate() == looped.getstate()
+    assert batched.asked[:1] == ([32 * count] if count else [])
+    assert all(32 <= later <= earlier for earlier, later in zip(batched.asked, batched.asked[1:]))
+    if kind == "half rejected" and count == 1029:
+        assert len(batched.asked) > 1
 
 
 @settings(max_examples=200, deadline=None)

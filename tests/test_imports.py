@@ -9,7 +9,8 @@ views build `Fraction` rows, every view field is required by its
 constructor, only one helper makes an instance without
 `__init__`, the oracle never reads φ and only its backward step names
 the vote table (`test_the_oracle_never_reads_phi`), grids draw only
-through `randrange` and square no coordinate difference, every exact
+through `grids._draws`, which alone reads the generator's words, and
+square no coordinate difference, every exact
 family (`ScaledInts`) holds only its `scale` and one 2-D `array` and no
 module names a second form of those integers, every experiment option is
 read by some suite, and every library name the benchmark imports exists
@@ -238,24 +239,42 @@ def test_the_oracle_never_reads_phi():
     assert table and all(table.values()), table
 
 
-def test_grids_draw_only_through_randrange_and_score_through_the_profile():
-    # the reference tests force ties by overriding `randrange` (`CoarseRandom`),
-    # so every draw must go through it: no module reaches the generator's
-    # bits another way, or numpy's own generators.  And `grids` squares no
+def test_grids_draw_only_through_draws_and_score_through_the_profile():
+    # the reference tests force ties by folding the library's draws at
+    # `grids._draws` (`coarsely`), so every grid draw must go through it:
+    # both lattices call it, no other code of `grids` calls a generator
+    # method, only `_draws` reads the generator's words (`getrandbits`), and
+    # no module uses numpy's own generators.  And `grids` squares no
     # coordinate difference: `SpatialProfile.scaled_utilities` is the one
     # utility formula
+    methods = {"randrange", "randint", "random", "choice", "choices", "shuffle", "sample",
+               "uniform", "randbytes", "getrandbits", "_randbelow"}
+    grids = ast.parse((PACKAGE / "grids.py").read_text())
+    functions = {node.name: node for node in ast.walk(grids) if isinstance(node, ast.FunctionDef)}
+    for name in ("_box_lattice", "_simplex_lattice"):
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_draws"
+                   for node in ast.walk(functions[name])), name
+    read = {getattr(node, "attr", None) for node in ast.walk(functions["_draws"])}
+    assert "getrandbits" in read and "randrange" not in read
+    in_draws = {id(node) for node in ast.walk(functions["_draws"])}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = grids if path.name == "grids.py" else ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if id(node) in in_draws:
+                continue
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in ("getrandbits", "_randbelow") or (
+                    tree is grids and isinstance(node, ast.Attribute) and node.attr in methods) or (
+                    tree is grids and isinstance(node, ast.ImportFrom)
+                    and node.module == "random") or (
                     isinstance(node, ast.Attribute) and node.attr == "random"
                     and getattr(node.value, "id", None) in ("np", "numpy")) or (
                     isinstance(node, (ast.Import, ast.ImportFrom)) and any(
                         "numpy.random" in (getattr(node, "module", None) or "", alias.name)
                         for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
-    for node in ast.walk(ast.parse((PACKAGE / "grids.py").read_text())):
+    for node in ast.walk(grids):
         if isinstance(node, ast.BinOp) and (
                 (isinstance(node.op, ast.Pow) and isinstance(node.left, ast.BinOp)
                  and isinstance(node.left.op, ast.Sub))

@@ -414,6 +414,12 @@ def test_custom_protocol_missing_state(cycle, rule3):
                     protocol=protocol)
     with pytest.raises(ValidationError, match="no feasible set"):
         solve_spe(game)
+    # a round's table is read after its step is charged: below one step's
+    # 4 * 5 the budget refuses first, and from there on the missing state
+    with pytest.raises(BudgetExceededError, match=r"\(required 20, budget 19\)$"):
+        solve_spe(game, budget=19)
+    with pytest.raises(ValidationError, match=r"no feasible set at \(round 2, default 0\)"):
+        solve_spe(game, budget=20)
 
 
 # ---------------------------------------------------------------------------

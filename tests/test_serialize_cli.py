@@ -548,6 +548,10 @@ _BAD_INPUT_LOCATIONS = {
     ["experiment", "thm2_trend", "--epsilon", "abc"],
     ["experiment", "thm2_trend", "--delta", "1/0"],
     ["experiment", "lemma1", "--samples", "-1"],
+    # a seed is a whole number: -1 drew what seed 1 draws
+    ["experiment", "thm3_bounds", "--seed", "-1"],
+    ["spatial", "generate", "--seed", "-1"],
+    ["grid", "--space", "simplex", "--epsilon", "1/2", "--seed", "-1"],
     ["dist", "pork", "--m", "2"],                         # no --projects
     ["dist", "pork", "--m", "2", "--projects", "1:2:3"],
     ["dist", "transfers", "--m", "2"],                    # no --base

@@ -10,6 +10,7 @@ import pytest
 
 from agendalab import (
     Allocation,
+    BoxSpace,
     CollectiveChoiceProblem,
     CustomProtocol,
     DivideDollarGrid,
@@ -132,18 +133,24 @@ ENTRY_POINTS = {
     # factories
     "gen_random_gfa num_policies": (lambda v: gen_random_gfa(v, 3, 1), 3, None),
     "gen_random_gfa n": (lambda v: gen_random_gfa(3, v, 1), 3, None),
+    "gen_random_gfa seed": (lambda v: gen_random_gfa(4, 3, v), 7, None),
     "gfa_corpus count": (lambda v: gfa_corpus(v, 1), 2, None),
     "gfa_corpus max_policies": (lambda v: gfa_corpus(2, 1, max_policies=v), 3, None),
+    "gfa_corpus seed": (lambda v: gfa_corpus(2, v), 7, None),
     "ties num_policies": (lambda v: gen_random_with_ties(v, 3, 1), 3, None),
     "ties n": (lambda v: gen_random_with_ties(3, v, 1), 2, None),
     "ties levels": (lambda v: gen_random_with_ties(3, 3, 1, levels=v), 2, None),
+    "ties seed": (lambda v: gen_random_with_ties(3, 3, v), 7, None),
     # spatial
     "SpatialProfile dim": (
         lambda v: SpatialProfile(dim=v, ideal_points=((0,), (1,)), box=((0, 1),)), 1, None),
     "SpatialProfile utility player": (lambda v: PROFILE.utility(v, (0, "1/2", 1)), 5, None),
     "gen_spatial d": (lambda v: gen_spatial(v, 3, 1), 2, None),
     "gen_spatial n": (lambda v: gen_spatial(2, v, 1), 3, None),
+    "gen_spatial seed": (lambda v: gen_spatial(3, 5, v), 7, None),
     # grids
+    "BoxSpace.unit d": (BoxSpace.unit, 2, None),
+    "build_grid seed": (lambda v: build_grid(SimplexSpace(2), "1/2", seed=v).problem, 7, None),
     "SimplexSpace n_voters": (
         lambda v: build_grid(SimplexSpace(v), "1/2", seed=1).problem, 2, None),
     "build_grid max_points": (
@@ -155,6 +162,7 @@ ENTRY_POINTS = {
     "suite max_rounds": (lambda v: run_suite("lemma1", samples=2, max_rounds=v), 2, None),
     "suite m": (lambda v: run_suite("thm6_7_dtd", m=v), 3, None),
     "suite d": (lambda v: run_suite("thm4_mc", samples=1, d=v), 3, None),
+    "suite seed": (lambda v: run_suite("lemma1", seed=v, samples=2, max_policies=3), 7, None),
 }
 
 
@@ -203,11 +211,26 @@ def test_parse_whole_reads_an_integral_and_refuses_the_rest():
     lambda: VotingRule(n=3, min_coalitions=(1.5,)),
     lambda: run_suite("thm1", samples=1.5),
     lambda: solve_spe(_game(), budget="5"),
+    lambda: BoxSpace.unit(2.0),
+    lambda: BoxSpace.unit("3"),
     lambda: verify_profile(_game(), simple_equilibrium_profile(CYCLE, RULE, 2), budget=None),
 ])
 def test_inexact_whole_numbers_are_refused(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("name", [name for name in ENTRY_POINTS if name.endswith(" seed")])
+def test_seeds_are_whole_numbers(name):
+    # a seed of None drew a new instance on every call, and -7 and 7.0 the
+    # instance of 7
+    call = ENTRY_POINTS[name][0]
+    for bad, found in ((None, "refusing seed( value)? None: a seed( value)? is a whole number"),
+                       (7.0, r"refusing seed( value)? 7\.0: a seed( value)? is a whole number"),
+                       (-7, "seed( value)? must be at least 0, not -7")):
+        with pytest.raises(ValidationError, match=f"^{found}$"):
+            call(bad)
+    assert call(7) == call(7) != call(0)
 
 
 def test_markov_ballots_read_every_policy():
