@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -189,18 +190,12 @@ def pork_barrel_problem(projects, m: int, n: int,
                 f"benefit {b} and cost {c} must be multiples of 1/{m}")
         parsed.append((int(b * m), int(c * m)))
 
-    players = n + 1
-    for mask in range(1 << len(parsed)):
-        size = 1
-        for k, (b_units, c_units) in enumerate(parsed):
-            if (mask >> k) & 1:
-                size *= _count_compositions(b_units, players)
-                size *= _count_compositions(c_units, players)
-        meter.charge(size)
-
-    labels, rows = [], []
+    players, labels, rows = n + 1, [], []
     for mask in range(1 << len(parsed)):
         chosen = [k for k in range(len(parsed)) if (mask >> k) & 1]
+        # each subset's size is charged before its splits are built
+        meter.charge(prod(_count_compositions(units, players)
+                          for k in chosen for units in parsed[k]))
         split_lists = []
         for k in chosen:
             b_units, c_units = parsed[k]

@@ -20,11 +20,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import problems
 from .errors import ValidationError
 from .problems import (
     CollectiveChoiceProblem,
     VotingRule,
+    _block_width,
     _Meter,
     _memoized,
     _phi_table,
@@ -247,15 +247,14 @@ def _phi_or_table(problem: CollectiveChoiceProblem,
                   rule: VotingRule) -> tuple[frozenset[int], ...]:
     """`phi_or` at every default, built once per rule.  The bar at x is the
     setter rank of phi(x) (`_phi_table`), ties included, so x's members are
-    the weak winners in the prefix of the setter order down to that rank.
-    Defaults with equal prefixes share weak `_wins` blocks, each of the
-    prefix against at most `_CHUNK_COMPARISONS` / (n * prefix) defaults
-    (one at least); on a grid most prefixes are a few alternatives long."""
+    the weak winners in the prefix of the problem's `_setter_order` down to
+    that rank.  Defaults with equal prefixes share weak `_wins` blocks, each
+    of the prefix against `_block_width` defaults; on a grid most prefixes
+    are a few alternatives long."""
     _require_rule(problem, rule)
 
     def build():
-        setter = problem._ranks[-1]
-        order = (-setter).argsort(kind="stable")
+        setter, order = problem._ranks[-1], problem._setter_order
         # how many alternatives the setter ranks at or above each bar
         prefix = np.searchsorted(-setter[order], -setter[list(_phi_table(problem, rule))],
                                  side="right")
@@ -263,7 +262,7 @@ def _phi_or_table(problem: CollectiveChoiceProblem,
         by_prefix = prefix.argsort(kind="stable")
         for group in np.split(by_prefix, np.flatnonzero(np.diff(prefix[by_prefix])) + 1):
             rows = order[:prefix[group[0]]]
-            width = max(1, problems._CHUNK_COMPARISONS // (problem.n * rows.size))
+            width = _block_width(problem, rows.size)
             for start in range(0, group.size, width):
                 cols = group[start:start + width]
                 members = _wins(problem, rule, cols, weak=True, rows=rows)

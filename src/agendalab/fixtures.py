@@ -7,36 +7,31 @@ three edges so that x is unimprovable: the setter stalls at x from any
 default below it, whatever the horizon.  The blocked relation is given
 directly as a tournament; a voter-profile realization of it serves
 per-voter play and the McGarvey round trip.
+
+All three are built from one table of integer rows, `_ROWS`, through
+`_scaled_problem`: their `Fraction` utilities are made on first read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .oracle import CustomProtocol
-from .problems import CollectiveChoiceProblem, TournamentSpec
+from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem
 from .tournaments import mcgarvey_realize, relabel
 
 LABELS = ("w", "x", "y", "z")
 
-
-def _ranks(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+_ROWS = (
+    (3, 2, 1, 4),    # z > w > x > y
+    (1, 4, 3, 2),    # x > y > z > w
+    (2, 1, 4, 3),    # y > z > w > x
+    (4, 3, 2, 1),    # the setter: w > x > y > z
+)
 
 
 def majority_cycle_problem() -> CollectiveChoiceProblem:
     """Three voters whose majority relation cycles: y beats w beats x beats y,
     while z loses to y but beats both w and x."""
-    return CollectiveChoiceProblem(
-        policies=LABELS,
-        voter_utilities=(
-            _ranks((3, 2, 1, 4)),    # z > w > x > y
-            _ranks((1, 4, 3, 2)),    # x > y > z > w
-            _ranks((2, 1, 4, 3)),    # y > z > w > x
-        ),
-        setter_utilities=_ranks((4, 3, 2, 1)),
-        gfa=True,
-    )
+    return _scaled_problem(LABELS, _ROWS, 1)
 
 
 def blocked_tournament() -> TournamentSpec:
@@ -53,20 +48,12 @@ def blocked_default_problem() -> CollectiveChoiceProblem:
     Voter utilities are the cycle fixture's (the relation is what the
     fixture pins down); the override replaces the derived majorities.
     """
-    base = majority_cycle_problem()
-    return CollectiveChoiceProblem(
-        policies=base.policies,
-        voter_utilities=base.voter_utilities,
-        setter_utilities=base.setter_utilities,
-        majority_override=blocked_tournament(),
-        gfa=True,
-    )
+    return _scaled_problem(LABELS, _ROWS, 1, blocked_tournament())
 
 
 def blocked_default_realized() -> CollectiveChoiceProblem:
     """13-voter realization of the blocked tournament."""
-    realized = mcgarvey_realize(blocked_tournament(), _ranks((4, 3, 2, 1)))
-    return relabel(realized, LABELS)
+    return relabel(mcgarvey_realize(blocked_tournament(), _ROWS[-1]), LABELS)
 
 
 def adjournment_trap_protocol(rounds: int) -> CustomProtocol:

@@ -57,7 +57,7 @@ def reachability(problem: CollectiveChoiceProblem, x0: int, mode: str,
         k = parse_whole(k, "step count")
     if mode in ("k_reachable", "reachable"):
         parent = _bfs(problem, x0, k if mode == "k_reachable" else None)
-        best = min(parent, key=lambda y: (-problem._ranks[-1][y], y))
+        best = next(y for y in problem._setter_order.tolist() if y in parent)
         if mode == "k_reachable":
             mode = f"k_reachable({k})" if k != 2 else "two_reachable"
         return ReachabilityReport(mode=mode, start=x0, members=frozenset(parent),
@@ -136,10 +136,11 @@ def stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
 
 
 def _stable_set(problem: CollectiveChoiceProblem) -> StableSetReport:
+    """`stable_set`'s greedy scan over the problem's `_setter_order`, and ψ."""
     setter, rule = problem._ranks[-1], problem._majority_rule
     dominated = np.zeros(problem.num_policies, dtype=bool)
     admitted: list[int] = []
-    for x in np.argsort(-setter, kind="stable").tolist():
+    for x in problem._setter_order.tolist():
         if not dominated[x]:
             admitted.append(x)
             dominated |= _wins(problem, rule, slice(None), rows=[x])[0] & (setter[x] > setter)

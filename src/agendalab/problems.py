@@ -32,15 +32,18 @@ per-default scans.  Both go through `_setter_walk`, which meets the
 alternatives in setter order, best first, in blocks over the defaults
 still open; a default leaves as soon as its answer is settled, which on
 a large grid is mostly at the first alternative or the first few.
-Every block keeps n * rows * cols <= `_CHUNK_COMPARISONS`.
+The setter order is sorted once per problem (`_setter_order`), and
+`_block_width` alone sizes a block's columns, so every block keeps
+n * rows * cols <= `_CHUNK_COMPARISONS`.
 
 Each problem is compiled once, when it is made: both constructors end
 in `_compile`, which keeps `_ints`, `n` and `_ranks` (the public one
 measures its rows first, since rows of unequal lengths make no array).
 A problem built from integer rows (`_scaled_problem`, used by every
-grid, distribution, spatial and realization builder) keeps those
-integers, as one array, as its data: its `Fraction` utility fields are
-views, each made on first read, and no kernel reads them.
+generator, grid, distribution, spatial and realization builder, by
+`relabel` and by the fixtures) keeps those integers, as one array, as
+its data: its `Fraction` utility fields are views, each made on first
+read, and no kernel reads them.
 """
 
 from __future__ import annotations
@@ -304,6 +307,14 @@ class CollectiveChoiceProblem:
     # -- compiled forms ------------------------------------------------------
 
     @cached_property
+    def _setter_order(self) -> np.ndarray:
+        """Policies by setter rank down, lowest index first among equals (a
+        stable argsort), read-only: the one setter order every kernel reads."""
+        order = (-self._ranks[-1]).argsort(kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def _beats(self) -> np.ndarray:
         """[y, x]: y beats x in the majority override (all False without one)."""
         m = self.num_policies
@@ -332,15 +343,17 @@ class CollectiveChoiceProblem:
         return VotingRule.quota_rule(self.n, self.n // 2 + 1)
 
 
-def _scaled_problem(policies, rows, denominator: int) -> CollectiveChoiceProblem:
+def _scaled_problem(policies, rows, denominator: int,
+                    majority_override: Optional[TournamentSpec] = None) -> CollectiveChoiceProblem:
     """The problem whose player p values policy x at rows[p][x] / denominator
     (integer rows, voters first, the setter last, as lists or one 2-D
-    array).  It keeps them as its `_ints`, one array reduced by their
-    common factor (`ScaledInts.from_scaled`), and builds no `Fraction`:
-    its utility fields are views made on first read, and it equals the
-    problem the public constructor makes from them."""
+    array), under `majority_override` if given.  It keeps them as its
+    `_ints`, one array reduced by their common factor
+    (`ScaledInts.from_scaled`), and builds no `Fraction`: its utility
+    fields are views made on first read, and it equals the problem the
+    public constructor makes from them, which only documents still take."""
     problem = _assemble(CollectiveChoiceProblem, policies=tuple(policies),
-                        majority_override=None, gfa=False)
+                        majority_override=majority_override, gfa=False)
     problem._compile(ScaledInts.from_scaled(rows, denominator))
     return problem
 
@@ -484,10 +497,15 @@ def _columns(array: np.ndarray, index) -> np.ndarray:
     return array[:, index] if isinstance(index, slice) else array.take(index, axis=1)
 
 
+def _block_width(problem: CollectiveChoiceProblem, rows: int) -> int:
+    """Columns for a `_wins` block of `rows` rows: within `_CHUNK_COMPARISONS`, one at least."""
+    return max(1, _CHUNK_COMPARISONS // (problem.n * rows))
+
+
 def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
     """Column slices of at most `_CHUNK_COMPARISONS` voter comparisons each."""
     m = problem.num_policies
-    width = max(1, _CHUNK_COMPARISONS // (m * problem.n))
+    width = _block_width(problem, m)
     return [slice(start, start + width) for start in range(0, m, width)]
 
 
@@ -495,8 +513,8 @@ def _setter_walk(problem: CollectiveChoiceProblem, defaults: np.ndarray,
                  settle: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
     """Walk the alternatives in setter order against the open defaults.
 
-    Alternatives go highest setter rank first, lowest index first among
-    equals, in blocks.  `settle(rows, cols)` gets one block's
+    Alternatives go in `_setter_order` (setter rank down, lowest index
+    first among equals), in blocks.  `settle(rows, cols)` gets one block's
     alternatives, in walk order, and open defaults, both as index arrays
     (`cols` must not be written to), and returns which of those defaults
     it settled; a settled default leaves the walk.  A default also
@@ -506,27 +524,26 @@ def _setter_walk(problem: CollectiveChoiceProblem, defaults: np.ndarray,
     The first block spans up to _CHUNK_COMPARISONS / 16 voter
     comparisons and each later one twice its predecessor, up to
     _CHUNK_COMPARISONS; its rows are that budget over n * (open
-    defaults), at least one, and its columns are split only when one
-    row of them exceeds the chunk.  So every block keeps
+    defaults), at least one, and its columns are split (`_block_width`)
+    only when one row of them exceeds the chunk.  So every block keeps
     n * rows * cols <= _CHUNK_COMPARISONS (one comparison at least), and
     transient memory is O(n * m * chunk), as in `_column_chunks`.  A
     problem with n * m * m within a sixteenth of the chunk (any m <= 8)
     is one block, as a whole-table scan was; a large grid starts with
     one or two alternatives against every default, which settle most.
     """
-    key = -problem._ranks[-1]
-    order = key.argsort(kind="stable")
+    setter, order = problem._ranks[-1], problem._setter_order
     m, n, size = problem.num_policies, problem.n, _CHUNK_COMPARISONS >> 4
     start, pending = 0, defaults
     while pending.size:
         rows = order[start:start + max(1, size // (n * pending.size))]
         start += rows.size
-        width = max(1, _CHUNK_COMPARISONS // (n * rows.size))
+        width = _block_width(problem, rows.size)
         found = [settle(rows, pending[i:i + width]) for i in range(0, pending.size, width)]
         if start == m:
             return
         # a default the setter ranks at or above the next alternative has no better one
-        pending = pending[(key[pending] > key[order[start]]) & ~np.concatenate(found)]
+        pending = pending[(setter[pending] < setter[order[start]]) & ~np.concatenate(found)]
         size = min(2 * size, _CHUNK_COMPARISONS)
 
 

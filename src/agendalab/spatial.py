@@ -36,6 +36,7 @@ from .rationals import (ScaledInts, _assemble, _FractionView, _int_dtype, fracti
                         parse_box, parse_rational, parse_whole, scaled_numerators)
 
 COORD_DENOM = 2**20
+_HALVINGS = 128        # exponents a dyadic step search tries before it gives up
 
 Point = tuple[Fraction, ...]
 
@@ -246,9 +247,9 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _halve_until(start: int, ok, cap: int = 128) -> int:
-    """The first of `cap` exponents k from `start` with ok(k): a search over steps 2**-k."""
-    for k in range(start, start + cap):
+def _halve_until(start: int, ok) -> int:
+    """The first of `_HALVINGS` exponents k from `start` with ok(k): a search over steps 2**-k."""
+    for k in range(start, start + _HALVINGS):
         if ok(k):
             return k
     raise SpatialDegeneracyError(

@@ -82,11 +82,10 @@ def mcgarvey_realize(tournament: TournamentSpec,
 
 
 def relabel(problem: CollectiveChoiceProblem, labels) -> CollectiveChoiceProblem:
-    """Same problem with new policy labels."""
+    """Same problem with new policy labels, built from its own integers and
+    override (`_scaled_problem`): no `Fraction` is made."""
     labels = tuple(labels)
     if len(labels) != problem.num_policies:
         raise ValidationError("label count mismatch")
-    return CollectiveChoiceProblem(
-        policies=labels, voter_utilities=problem.voter_utilities,
-        setter_utilities=problem.setter_utilities,
-        majority_override=problem.majority_override)
+    ints = problem._ints
+    return _scaled_problem(labels, ints.array, ints.scale, problem.majority_override)

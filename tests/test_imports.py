@@ -13,13 +13,20 @@ through `grids._draws`, which alone reads the generator's words, and
 square no coordinate difference, every exact
 family (`ScaledInts`) holds only its `scale` and one 2-D `array` and no
 module names a second form of those integers, every experiment option is
-read by some suite, and every library name the benchmark imports exists
-and takes the arguments the benchmark passes."""
+read by some suite, every library name the benchmark imports exists
+and takes the arguments the benchmark passes, and only `problems` names
+`_CHUNK_COMPARISONS` and sorts the setter row, in `_setter_order`, whose
+order is the lexsort of (index, minus setter rank)
+(`test_only_problems_sizes_blocks_and_sorts_the_setter_row`)."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "agendalab"
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
@@ -373,3 +380,57 @@ def test_benchmark_imports_only_names_the_package_has():
             except TypeError as exc:
                 missing.append(f"{name}:{node.lineno} {fn.__name__}: {exc}")
     assert missing == []
+
+
+def _sorts_ranks(function: ast.AST) -> list[int]:
+    """Lines of `function` that sort, or take a keyed min or max of, an
+    expression naming `_ranks` or a name assigned from one."""
+    aliases = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple) else
+                         zip(target.elts, node.value.elts) if isinstance(node.value, ast.Tuple)
+                         else [])
+                aliases |= {name.id for name, value in pairs if isinstance(name, ast.Name)
+                            and "_ranks" in _names(value)}
+    found = []
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        keyed = name in ("min", "max") and any(k.arg == "key" for k in node.keywords)
+        if (name in ("argsort", "lexsort", "sort", "sorted") or keyed) and (
+                _names(node) & (aliases | {"_ranks"})):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_problems_sizes_blocks_and_sorts_the_setter_row():
+    # `problems._block_width` alone turns the comparison budget into a block's
+    # columns, and the setter order is sorted once per problem, in
+    # `CollectiveChoiceProblem._setter_order`, which every other reader takes
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "problems.py":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if "_CHUNK_COMPARISONS" in (getattr(node, "id", None),
+                                                  getattr(node, "attr", None))]
+        found += [f"{path.name}:{line}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name != "_setter_order"
+                  for line in _sorts_ranks(node)]
+    assert sorted(set(found)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12), st.integers(1, 2**70))
+def test_setter_order_is_rank_down_index_up(setter, scale):
+    # ties in the setter's row go to the lowest index, at any magnitude
+    from agendalab.problems import _scaled_problem
+
+    m = len(setter)
+    rows = [[0] * m, [value * scale for value in setter]]
+    order = _scaled_problem([f"x{i}" for i in range(m)], rows, 1)._setter_order
+    assert order.tolist() == np.lexsort((np.arange(m), -np.array(setter))).tolist()
+    assert not order.flags.writeable

@@ -11,15 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agendalab import (
+    Allocation,
+    BoxSpace,
     CollectiveChoiceProblem,
+    CustomProtocol,
+    DivideDollarGrid,
     GameSpec,
+    SimplexSpace,
+    SpatialProfile,
     TournamentSpec,
     UnsupportedCombinationError,
     ValidationError,
     VotingRule,
     acceptance_set,
     audit_dp_axioms,
+    build_grid,
+    coplanarity_form,
+    divide_dollar_problem,
+    dtd_profile,
     favorite_improvement,
+    gen_spatial,
     horizon_classify,
     is_improvable,
     is_manipulable,
@@ -27,8 +38,10 @@ from agendalab import (
     nc_outcome_bounds,
     phi_iterates,
     phi_or,
+    pork_barrel_problem,
     reachability,
     simple_equilibrium_profile,
+    spatial_witness,
     stable_set,
     transfers_problem,
     uniform_margin,
@@ -38,6 +51,8 @@ from agendalab import (
 from agendalab.factories import gen_random_gfa
 from agendalab.fixtures import blocked_default_realized, blocked_tournament
 from agendalab.problems import _memoized, _wins_table
+from agendalab.rationals import parse_rational
+from agendalab.serialize import parse_rule, protocol_from_dict
 from agendalab.tournaments import derive_tournament, relabel
 
 from references import ref_margin, ref_support_mask
@@ -248,6 +263,99 @@ _REFUSALS = {
     "mcgarvey_realize with a short setter row": (
         lambda cycle, blocked, rule: mcgarvey_realize(blocked_tournament(), [3, 2, 1]),
         ValidationError, "setter utility vector length mismatch"),
+    "VotingRule with both a quota and coalitions": (
+        lambda cycle, blocked, rule: VotingRule(n=3, quota=2, min_coalitions=(3,)),
+        ValidationError, "give either a quota or explicit coalitions, not both"),
+    "VotingRule with neither a quota nor coalitions": (
+        lambda cycle, blocked, rule: VotingRule(n=3),
+        ValidationError, "explicit rule needs at least one winning coalition"),
+    "VotingRule with nested coalitions": (
+        lambda cycle, blocked, rule: VotingRule(n=3, min_coalitions=(1, 3)),
+        ValidationError, "minimal coalitions must form an antichain"),
+    "a problem with no policy": (
+        lambda cycle, blocked, rule: CollectiveChoiceProblem(
+            policies=(), voter_utilities=((),), setter_utilities=()),
+        ValidationError, "need at least one policy"),
+    "an override of the wrong size": (
+        lambda cycle, blocked, rule: CollectiveChoiceProblem(
+            policies=("a", "b", "c"), voter_utilities=((1, 2, 3),) * 3,
+            setter_utilities=(1, 2, 3), majority_override=blocked.majority_override),
+        ValidationError, "override tournament size does not match policy count"),
+    "GameSpec with an unknown protocol": (
+        lambda cycle, blocked, rule: GameSpec(problem=cycle, rule=rule, horizon=1,
+                                              initial_default=0, protocol="nope"),
+        ValidationError, "unknown protocol 'nope'"),
+    "an empty custom feasible set": (
+        lambda cycle, blocked, rule: GameSpec(
+            problem=cycle, rule=rule, horizon=1, initial_default=0,
+            protocol=CustomProtocol(label="empty", table={(1, 0): ()})).feasible(1, 0),
+        ValidationError, "empty feasible set at (round 1, default 0)"),
+    "credible reachability without gfa": (
+        lambda cycle, blocked, rule: reachability(divide_dollar_problem(3, 2), 0, "credible"),
+        ValidationError,
+        "credible reachability needs the single-valued improvement map, i.e. gfa"),
+    "simple_equilibrium_profile without gfa": (
+        lambda cycle, blocked, rule: simple_equilibrium_profile(divide_dollar_problem(3, 2),
+                                                                rule, 1),
+        ValidationError, "the simple equilibrium profile requires gfa"),
+    "an Allocation with one share": (
+        lambda cycle, blocked, rule: Allocation(units=(1,), denom=1),
+        ValidationError, "need at least one voter plus the setter"),
+    "DivideDollarGrid.index on another denominator": (
+        lambda cycle, blocked, rule: DivideDollarGrid(3, 4).index(
+            Allocation(units=(1, 1, 1, 0), denom=3)),
+        ValidationError, "allocation denominator does not match the grid"),
+    "dtd_profile with an even voter count": (
+        lambda cycle, blocked, rule: dtd_profile(2, 4, 2, "non_capricious"),
+        ValidationError, "odd voter count required"),
+    "pork_barrel_problem with a project of no benefit": (
+        lambda cycle, blocked, rule: pork_barrel_problem([(0, 0)], 2, 3),
+        ValidationError, "projects need positive benefit and nonnegative cost"),
+    "transfers_problem with a total off the grid": (
+        lambda cycle, blocked, rule: transfers_problem(CollectiveChoiceProblem(
+            policies=("a",), voter_utilities=((Fraction(1, 2),),), setter_utilities=(0,)), 1),
+        ValidationError, "total utility 1/2 of 'a' is not a multiple of 1/1"),
+    "BoxSpace with no axis": (
+        lambda cycle, blocked, rule: BoxSpace(()),
+        ValidationError, "box needs at least one axis"),
+    "build_grid on a box of another dimension than the profile": (
+        lambda cycle, blocked, rule: build_grid(BoxSpace.unit(2), Fraction(1, 2), 0,
+                                                gen_spatial(3, 3, 0)),
+        ValidationError, "profile dimension does not match the box"),
+    "build_grid on a simplex given a profile": (
+        lambda cycle, blocked, rule: build_grid(SimplexSpace(3), Fraction(1, 2), 0,
+                                                gen_spatial(3, 3, 0)),
+        ValidationError, "simplex grids carry their own share utilities"),
+    "build_grid on an unknown space": (
+        lambda cycle, blocked, rule: build_grid(object(), Fraction(1, 2), 0),
+        ValidationError, "unknown space object"),
+    "SpatialProfile with a box of the wrong dimension": (
+        lambda cycle, blocked, rule: SpatialProfile(dim=2, ideal_points=((0, 0), (1, 1)),
+                                                    box=((0, 1),)),
+        ValidationError, "box bounds dimension mismatch"),
+    "gen_spatial on a box degenerate after rounding": (
+        lambda cycle, blocked, rule: gen_spatial(
+            1, 3, 0, box=((Fraction(1, 2**22), Fraction(1, 2**21)),)),
+        ValidationError, "degenerate box axis [1/4194304, 1/2097152]"),
+    "coplanarity_form in two dimensions": (
+        lambda cycle, blocked, rule: coplanarity_form((0, 0), (1, 0), (0, 1), (1, 1)),
+        ValidationError, "the coplanarity form takes points in R^3"),
+    "spatial_witness at a point of the wrong dimension": (
+        lambda cycle, blocked, rule: spatial_witness(gen_spatial(3, 3, 0), (0, 0)),
+        ValidationError, "query point dimension mismatch"),
+    "spatial_witness on a two-dimensional profile": (
+        lambda cycle, blocked, rule: spatial_witness(gen_spatial(2, 3, 0), (0, 0)),
+        ValidationError, "witness construction needs at least 3 dimensions"),
+    "parse_rational given a list": (
+        lambda cycle, blocked, rule: parse_rational([1]),
+        ValidationError, "cannot parse rational from list"),
+    "parse_rule with a quota descriptor without its voter count": (
+        lambda cycle, blocked, rule: parse_rule("quota:2", 3),
+        ValidationError, "malformed quota descriptor 'quota:2'"),
+    "protocol_from_dict with a row of two fields": (
+        lambda cycle, blocked, rule: protocol_from_dict({"table": [[1, "w"]]}, cycle),
+        ValidationError, "malformed protocol document: "
+        "ValueError('not enough values to unpack (expected 3, got 2)')"),
 }
 
 

@@ -418,6 +418,39 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert main(["analyze", "--problem", str(bad)]) == 1
 
 
+def test_cli_internal_invariant_exit_code(cycle_file, capsys, monkeypatch):
+    # a broken invariant is the library's fault, not the input's: exit 3
+    from agendalab import InternalInvariantError, cli
+
+    def broken(problem, rule):
+        raise InternalInvariantError("stable set is not internally stable")
+
+    monkeypatch.setattr(cli, "unimprovable_set", broken)
+    assert main(["analyze", "--problem", cycle_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["solve", "--default", "z", "--rounds", "3"],
+    ["oracle", "solve", "--default", "z", "--rounds", "3"],
+    ["oracle", "equivalence", "--default", "z", "--rounds", "3"],
+])
+def test_cli_rule_file_of_majority_coalitions_reads_as_majority(argv, cycle_file, tmp_path,
+                                                                capsys):
+    # the `--rule` coalition-file branch: the three pairs of three voters are
+    # simple majority, so every command prints what `--rule majority` prints
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"coalitions": [[0, 1], [1, 2], [0, 2]]}))
+    outputs = []
+    for descriptor in ("majority", str(rule)):
+        assert main(argv + ["--problem", cycle_file, "--rule", descriptor]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_cli_oracle_solve_custom_protocol_file(cycle_file, tmp_path, capsys):
     from agendalab.fixtures import adjournment_trap_protocol
     from agendalab.serialize import protocol_to_dict

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,9 +18,14 @@ from agendalab import (
     phi_iterates,
     unimprovable_set,
 )
-from agendalab.fixtures import blocked_tournament
+from agendalab.fixtures import (
+    blocked_default_problem,
+    blocked_default_realized,
+    blocked_tournament,
+    majority_cycle_problem,
+)
 from agendalab.problems import _wins_table
-from agendalab.tournaments import REALIZE_LIMIT
+from agendalab.tournaments import REALIZE_LIMIT, relabel
 
 from references import ref_margin
 
@@ -110,3 +116,26 @@ def test_large_realizations_pair_with_a_rule(m):
     for x in range(m):
         assert (phi_iterates(realized, rule, x, m)
                 == phi_iterates(twin, VotingRule.simple_majority(1), x, m))
+
+
+def test_relabel_and_the_fixtures_build_from_integers():
+    # neither makes a `Fraction` until a utility field is first read, and
+    # each equals the problem the public constructor makes from its values
+    rows = ((3, 2, 1, 4), (1, 4, 3, 2), (2, 1, 4, 3), (4, 3, 2, 1))
+    *voters, setter = (tuple(map(F, row)) for row in rows)
+    want = CollectiveChoiceProblem(policies=("w", "x", "y", "z"), voter_utilities=tuple(voters),
+                                   setter_utilities=setter, gfa=True)
+    blocked = blocked_default_problem()
+    made = [majority_cycle_problem(), blocked, blocked_default_realized(),
+            relabel(want, "abcd"), relabel(blocked, "abcd")]
+    for problem in made:
+        assert "voter_utilities" not in vars(problem) and "setter_utilities" not in vars(problem)
+        assert problem.gfa
+    cycle, _, realized, renamed, renamed_blocked = made
+    assert cycle == want
+    assert blocked == dataclasses.replace(want, majority_override=blocked_tournament())
+    assert renamed == dataclasses.replace(want, policies=tuple("abcd"))
+    assert renamed_blocked.majority_override == blocked_tournament()
+    assert renamed_blocked == dataclasses.replace(blocked, policies=tuple("abcd"))
+    assert realized.n == 13 and derive_tournament(realized) == blocked_tournament()
+    assert realized.setter_utilities == setter
