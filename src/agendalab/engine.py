@@ -144,11 +144,12 @@ class StrategyProfile:
     @staticmethod
     def from_tables(horizon: int, proposer_table: dict, voter_tables: list[dict],
                     label: str = "") -> "StrategyProfile":
+        """The profile of these tables; a voter past `voter_tables` has no entries."""
         def propose(t, x):
             return proposer_table[(t, x)]
 
         def vote(i, t, x, a):
-            return voter_tables[i][(t, x, a)]
+            return (voter_tables[i] if i < len(voter_tables) else {})[(t, x, a)]
 
         return StrategyProfile(horizon=horizon, propose=propose, vote=vote, label=label)
 

@@ -35,8 +35,9 @@ caller that reads only outcomes never pays for them.
 Generalized adjournment protocols are supported: a proposal may carry
 an adjournment provision whose passage ends deliberation immediately.
 The richness validator separates protocols for which all of this is
-outcome-equivalent from trap protocols that are not.  The presets are
-rich by construction; only custom tables are scanned.
+outcome-equivalent from trap protocols that are not.  The presets, each
+one row of `_PRESET_OFFERS` that `GameSpec` reads once, are rich by
+construction; only custom tables are scanned.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ from .problems import (
 )
 from .rationals import _assemble, _FractionView, parse_whole
 
-PRESET_PROTOCOLS = ("amendment", "successive", "open_rule")
+# the one statement of the preset offer rule: every preset offers every
+# policy, each with its row's first flag as the adjournment flag, and when
+# the row's second flag is set also the standing default with adjournment
+_PRESET_OFFERS = {"amendment": (False, False), "successive": (True, False),
+                  "open_rule": (False, True)}
+PRESET_PROTOCOLS = tuple(_PRESET_OFFERS)
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,11 @@ Protocol = Union[str, CustomProtocol]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A finite agenda game.  Its rule (`_require_rule`) and a custom table
-    are checked once, here, each state's offers kept as distinct `(int, bool)`
-    pairs, first offer first; `feasible` reports a missing or empty set lazily."""
+    """A finite agenda game.  Its rule (`_require_rule`) and protocol are read
+    once, here: a preset name as its `_PRESET_OFFERS` row, `_preset`; a custom
+    table (`_preset` None) as `_offers`, each (round, default) key's distinct
+    `(int, bool)` offers, first offer first; `feasible` reports a missing or
+    empty set lazily."""
 
     problem: CollectiveChoiceProblem
     rule: VotingRule
@@ -101,34 +109,44 @@ class GameSpec:
         object.__setattr__(self, "initial_default",
                            self.problem.check_policy(self.initial_default))
         _require_rule(self.problem, self.rule)
-        if isinstance(self.protocol, str) and self.protocol not in PRESET_PROTOCOLS:
+        object.__setattr__(self, "_preset", _PRESET_OFFERS.get(self.protocol)
+                           if isinstance(self.protocol, str) else None)
+        if self._preset is not None:
+            return
+        if not isinstance(self.protocol, CustomProtocol):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
-        if isinstance(self.protocol, CustomProtocol):
-            m = self.problem.num_policies
-            offers = {}
-            for (t, x), actions in self.protocol.table.items():
-                kept = []
-                for action in actions:
-                    pair = isinstance(action, (tuple, list)) and len(action) == 2
-                    a, adjourn = action if pair and isinstance(action[1], bool) else (None, None)
-                    try:
-                        kept.append((parse_whole(a, "policy", 0, m), adjourn))
-                    except ValidationError:
-                        raise ValidationError(
-                            f"custom protocol {self.protocol.label!r} offers {action!r} "
-                            f"at (round {t}, default {x}); an action is a policy "
-                            f"in 0..{m - 1} and a bool adjournment flag") from None
-                offers[(t, x)] = tuple(dict.fromkeys(kept))
-            object.__setattr__(self, "_offers", offers)
+        label, m, offers = self.protocol.label, self.problem.num_policies, {}
+        for key, actions in self.protocol.table.items():
+            try:
+                t, x = key
+                t, x = parse_whole(t, "round", 1), self.problem.check_policy(x)
+                actions = iter(actions)
+            except (TypeError, ValueError, ValidationError):
+                raise ValidationError(
+                    f"custom protocol {label!r} entry {key!r}: a key is a round of at "
+                    f"least 1 and a default in 0..{m - 1}, its actions iterable") from None
+            kept = []
+            for action in actions:
+                pair = isinstance(action, (tuple, list)) and len(action) == 2
+                a, adjourn = action if pair and isinstance(action[1], bool) else (None, None)
+                try:
+                    kept.append((parse_whole(a, "policy", 0, m), adjourn))
+                except ValidationError:
+                    raise ValidationError(
+                        f"custom protocol {label!r} offers {action!r} "
+                        f"at (round {t}, default {x}); an action is a policy "
+                        f"in 0..{m - 1} and a bool adjournment flag") from None
+            offers[(t, x)] = tuple(dict.fromkeys(kept))
+        object.__setattr__(self, "_offers", offers)
 
     @property
     def protocol_name(self) -> str:
-        return self.protocol if isinstance(self.protocol, str) else self.protocol.label
+        return self.protocol.label if self._preset is None else self.protocol
 
     @cached_property
     def _every_policy(self) -> tuple[tuple[int, bool], ...]:
-        """A preset's offer of every policy, with adjournment under `successive`."""
-        adjourn = self.protocol == "successive"
+        """A preset's offer of every policy, flagged by its row's first entry."""
+        adjourn = self._preset[0]
         return tuple((y, adjourn) for y in range(self.problem.num_policies))
 
     def feasible(self, t: int, x: int) -> tuple[tuple[int, bool], ...]:
@@ -138,10 +156,8 @@ class GameSpec:
         policy of the problem."""
         t = parse_whole(t, "round", 1, self.horizon + 1)
         x = self.problem.check_policy(x)
-        if self.protocol in ("amendment", "successive"):
-            return self._every_policy
-        if self.protocol == "open_rule":
-            return self._every_policy + ((x, True),)
+        if self._preset is not None:
+            return (self._every_policy + ((x, True),)) if self._preset[1] else self._every_policy
         offers = self._offers.get((t, x))
         if offers is None:
             raise ValidationError(
@@ -223,21 +239,22 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
     [2 * policy + adjourn, j] is True when the protocol offers (policy,
     adjourn) at default cols[j], so row order is (policy, adjourn) order.
 
-    A preset offers the same actions every round: every policy without
-    adjournment (with it, under `successive`), and under `open_rule` also
-    the standing default with adjournment.  Its one reader builds only the
-    chunk asked for.  A custom table is read round by round, default by
-    default, into one dense mask on the round's first `mask_of` call, so
-    a step is charged before its round is read, and the first missing or
-    empty feasible set in that order raises.
+    A preset offers the same actions every round, as its `_PRESET_OFFERS`
+    row says; its one reader builds only the chunk asked for.  A custom
+    table is read round by round, default by default, into one dense mask
+    on the round's first `mask_of` call, so a step is charged before its
+    round is read, and the first missing or empty feasible set in that
+    order raises.
     """
     m = game.problem.num_policies
-    if isinstance(game.protocol, str):
+    if game._preset is not None:
+        adjourn, standing = game._preset
+
         def mask_of(cols):
             defaults = np.arange(m)[cols]
             mask = np.zeros((2 * m, len(defaults)), dtype=bool)
-            mask[game.protocol == "successive"::2] = True
-            if game.protocol == "open_rule":
+            mask[adjourn::2] = True
+            if standing:
                 mask[2 * defaults + 1, np.arange(len(defaults))] = True
             return mask
 
@@ -376,7 +393,7 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
             "solve_spe requires gfa; use verify_profile for problems with indifference")
     m, horizon = problem.num_policies, game.horizon
     meter = _Meter("state space too large for the oracle", budget)
-    if isinstance(game.protocol, str):
+    if game._preset is not None:
         # a cold store is kept once it reaches the horizon, so a refused cold
         # solve keeps nothing; a warm one is extended in place
         values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
@@ -426,6 +443,18 @@ def _voted_policies(offers, t: int, x: int) -> list[int]:
                     "offered with a single adjournment flag; "
                     f"policy {a} at (round {t}, default {x}) has both")
     return policies
+
+
+def _offer_index(game: GameSpec, offered: tuple, t: int, x: int, a, adjourn) -> int:
+    """The index of the proposal (a, adjourn) among the offers `offered` at
+    (round t, default x); a proposal the protocol does not offer there (an
+    unoffered policy, or an offered one with the other flag) is refused."""
+    if (a, adjourn) not in offered:
+        raise ValidationError(
+            f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
+            f"at (round {t}, default {x}), which protocol "
+            f"{game.protocol_name!r} does not offer")
+    return offered.index((a, adjourn))
 
 
 def _require_profile_fits(game: GameSpec, profile: StrategyProfile) -> None:
@@ -498,16 +527,9 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
             a, adjourn = profile.propose(t, x)
         except KeyError:
             missing.append(("proposer", t, x))
-            a = adjourn = None
         else:
-            if (a, adjourn) not in offered:
-                raise ValidationError(
-                    f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
-                    f"at (round {t}, default {x}), which protocol "
-                    f"{game.protocol_name!r} does not offer")
+            on.append(len(offers) + _offer_index(game, offered, t, x, a, adjourn))
         policies = _voted_policies(offered, t, x)
-        if a is not None:
-            on.append(len(offers) + offered.index((a, adjourn)))
         offers.extend(offered)
         sizes.append(len(offered))
         try:
@@ -586,12 +608,13 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
 def play_out(game: GameSpec, profile: StrategyProfile) -> int:
     """Policy implemented when everyone follows the profile: each round
     reads the proposal and its one-column `ballots` block.  Like
-    `verify_profile`, it refuses an override problem and a profile of
-    another horizon."""
+    `verify_profile`, it refuses an override problem, a profile of another
+    horizon and a proposal its state does not offer (`_offer_index`)."""
     _require_profile_fits(game, profile)
     t, x = 1, game.initial_default
     while t <= game.horizon:
         a, adjourn = profile.propose(t, x)
+        _offer_index(game, game.feasible(t, x), t, x, a, adjourn)
         if _coalition_holds(game.rule, profile.ballots(t, x, [a], game.problem.n))[0]:
             if adjourn:
                 return a
@@ -620,10 +643,9 @@ def check_richness(game: GameSpec) -> RichnessReport:
     while another is offered only with one, or if neither the one-step
     favorite improvement (without adjournment) nor the remaining-rounds
     improvement iterate (with adjournment) is available.  The named
-    presets are rich by construction, with nothing to scan: `amendment`
-    and `open_rule` offer every policy without adjournment, `successive`
-    every policy with it, and none mixes amend-only and adjourn-only
-    policies.  `GameSpec` has checked the rule.
+    presets are rich by construction, with nothing to scan: each
+    `_PRESET_OFFERS` row offers every policy under one flag, so none mixes
+    amend-only and adjourn-only policies.  `GameSpec` has checked the rule.
 
     Note: a literal "all actions share one adjournment flag" reading
     would wrongly reject the open-rule preset (it offers every policy
@@ -637,7 +659,7 @@ def check_richness(game: GameSpec) -> RichnessReport:
     precedence at a state.  Improvement iterates come from
     `engine._orbit`, one orbit per default, ties to the lowest index.
     """
-    if isinstance(game.protocol, str):
+    if game._preset is not None:
         return RichnessReport(rich=True)
     problem, m = game.problem, game.problem.num_policies
     orbits = [_orbit(problem, game.rule, x, game.horizon) for x in range(m)]

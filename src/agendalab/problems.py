@@ -260,7 +260,7 @@ class CollectiveChoiceProblem:
         if len(set(self.policies)) != m:
             raise ValidationError("duplicate policy labels")
         if width != m:
-            raise ValidationError(f"setter utility row has {width} entries, expected {m}")
+            raise ValidationError(f"{m} policy labels for {width} utility columns")
         if rows < 2:
             raise ValidationError("need at least one voter")
         if self.majority_override is not None and self.majority_override.size != m:

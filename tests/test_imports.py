@@ -17,7 +17,11 @@ read by some suite, every library name the benchmark imports exists
 and takes the arguments the benchmark passes, and only `problems` names
 `_CHUNK_COMPARISONS` and sorts the setter row, in `_setter_order`, whose
 order is the lexsort of (index, minus setter rank)
-(`test_only_problems_sizes_blocks_and_sorts_the_setter_row`)."""
+(`test_only_problems_sizes_blocks_and_sorts_the_setter_row`), and only
+the preset offer table `oracle._PRESET_OFFERS`, read once by
+`GameSpec.__post_init__`, names a preset: no comparison names one and no
+other reader asks whether a protocol is a name
+(`test_only_the_offer_table_names_a_preset`)."""
 
 from __future__ import annotations
 
@@ -434,3 +438,52 @@ def test_setter_order_is_rank_down_index_up(setter, scale):
     order = _scaled_problem([f"x{i}" for i in range(m)], rows, 1)._setter_order
     assert order.tolist() == np.lexsort((np.arange(m), -np.array(setter))).tolist()
     assert not order.flags.writeable
+
+
+def _preset_sites(package: Path) -> list[str]:
+    """Where the modules of `package` spell the preset offer rule outside its
+    one table: a comparison with a preset name among its operands (alone or
+    in a tuple, list or set), a read of `_PRESET_OFFERS` other than the
+    `PRESET_PROTOCOLS` line and `GameSpec.__post_init__`, or an
+    `isinstance(…protocol…, str)` outside that `__post_init__`."""
+    from agendalab.oracle import PRESET_PROTOCOLS
+
+    def names_preset(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(e, ast.Constant) and e.value in PRESET_PROTOCOLS for e in elts)
+
+    def types_of(node):
+        return node.elts if isinstance(node, ast.Tuple) else [node]
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reader = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "GameSpec"
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                  for node in ast.walk(fn)}
+        listing = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                   and "PRESET_PROTOCOLS" in [getattr(t, "id", None) for t in top.targets]
+                   for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                spelled = any(names_preset(op) for op in (node.left, *node.comparators))
+            elif "_PRESET_OFFERS" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                spelled = isinstance(node.ctx, ast.Load) and id(node) not in reader | listing
+            else:
+                spelled = (isinstance(node, ast.Call) and id(node) not in reader
+                           and getattr(node.func, "id", None) == "isinstance"
+                           and len(node.args) == 2 and "protocol" in ast.unparse(node.args[0])
+                           and "str" in [getattr(t, "id", None) for t in types_of(node.args[1])])
+            if spelled:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_offer_table_names_a_preset():
+    # each preset is one row of `oracle._PRESET_OFFERS`, which
+    # `GameSpec.__post_init__` reads once into `_preset`: every other reader
+    # reads that row, none compares a protocol with a preset name or asks
+    # whether a protocol is a name
+    assert _preset_sites(PACKAGE) == []

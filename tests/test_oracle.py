@@ -422,6 +422,41 @@ def test_custom_protocol_missing_state(cycle, rule3):
         solve_spe(game, budget=20)
 
 
+@pytest.mark.parametrize("protocol", [None, 5, ["amendment"], "Amendment"])
+def test_game_refuses_an_unknown_protocol(cycle, rule3, protocol):
+    # a protocol is read when the game is made: a preset name or a table
+    with pytest.raises(ValidationError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
+        GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0, protocol=protocol)
+
+
+@pytest.mark.parametrize("key, actions", [
+    (1, ()), ((1, 0, 2), ()), ((1.0, 0), ()), ((True, 0), ()), (("1", 0), ()),
+    ((0, 0), ()), ((1, 9), ()), ((1, 0), 5)])
+def test_custom_protocol_refuses_bad_keys(cycle, rule3, key, actions):
+    # a key is a (round, default) pair read as every round and policy is,
+    # and its actions are iterable; the label and the key are named
+    with pytest.raises(ValidationError, match=(
+            rf"^custom protocol 'keys' entry {re.escape(repr(key))}: a key is a round "
+            r"of at least 1 and a default in 0\.\.3, its actions iterable$")):
+        GameSpec(problem=cycle, rule=rule3, horizon=1, initial_default=0,
+                 protocol=CustomProtocol(label="keys", table={key: actions}))
+
+
+def test_custom_protocol_keeps_rounds_past_the_horizon(cycle, rule3):
+    # rounds past the horizon are never read, so one table serves every
+    # horizon up to its own
+    z = cycle.policy_index("z")
+    trap = adjournment_trap_protocol(3)
+    for horizon in (1, 2, 3):
+        short = CustomProtocol(label=trap.label, table={
+            (t, x): actions for (t, x), actions in trap.table.items() if t <= horizon})
+        got, want = (solve_spe(GameSpec(problem=cycle, rule=rule3, horizon=horizon,
+                                        initial_default=z, protocol=protocol))
+                     for protocol in (trap, short))
+        assert (got.outcome, got.value_table, got.pivotal_trace) == (
+            want.outcome, want.value_table, want.pivotal_trace)
+
+
 # ---------------------------------------------------------------------------
 # profile verification
 
@@ -507,6 +542,40 @@ def test_play_out_refuses_another_horizon(cycle, rule3, rounds):
     profile = simple_equilibrium_profile(cycle, rule3, rounds)
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=0)
     with pytest.raises(ValidationError, match=f"profile horizon {rounds} != game horizon 3"):
+        play_out(game, profile)
+
+
+@pytest.mark.parametrize("proposal, shown", [
+    ((99, False), "policy 99"), ((1.5, False), "policy 1.5"),
+    ((1, True), "policy 1 with adjournment")])
+def test_play_out_refuses_an_unoffered_proposal(cycle, rule3, proposal, shown):
+    # play_out and verify_profile refuse a proposal its state does not offer
+    # in the same words
+    z = cycle.policy_index("z")
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
+    simple = simple_equilibrium_profile(cycle, rule3, 3)
+    profile = StrategyProfile(horizon=3, propose=lambda t, x: proposal, vote=simple.vote)
+    for call in (play_out, verify_profile):
+        with pytest.raises(ValidationError, match=(
+                rf"^profile proposes {shown} at \(round 1, default 3\), "
+                "which protocol 'amendment' does not offer$")):
+            call(game, profile)
+
+
+def test_from_tables_reads_a_voter_without_a_table_as_missing(cycle, rule3):
+    # a profile of one voter table on three voters: voters 2 and 3 have no
+    # entries, and their absent votes are missing like any other
+    z = cycle.policy_index("z")
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
+    simple = simple_equilibrium_profile(cycle, rule3, 3)
+    states = [(t, x) for t in (1, 2, 3) for x in range(4)]
+    profile = StrategyProfile.from_tables(
+        3, {(t, x): simple.propose(t, x) for t, x in states},
+        [{(t, x, a): simple.vote(0, t, x, a) for t, x in states for a in range(4)}])
+    with pytest.raises(ValidationError, match=re.escape(
+            "missing: [('voter 2', 1, 3, 0), ('voter 3', 1, 3, 0), ('voter 2', 1, 3, 1)")):
+        verify_profile(game, profile)
+    with pytest.raises(KeyError):
         play_out(game, profile)
 
 
@@ -748,9 +817,10 @@ def test_preset_verify_at_eight_policies_matches_reference():
 @pytest.mark.parametrize("m", [1, 2, 7])
 @pytest.mark.parametrize("chunk", [1, 2**16])
 def test_preset_masks_equal_the_feasible_offers(protocol, m, chunk, monkeypatch):
-    # a preset's offer rule is spelled twice, as `GameSpec.feasible` and as
-    # `_action_masks`' mask reader: every round's reader, on whole columns and
-    # on each column chunk, must set exactly the feasible (policy, adjourn) pairs
+    # a preset's offer rule is one `_PRESET_OFFERS` row, read twice, by
+    # `GameSpec.feasible` and by `_action_masks`' mask reader: every round's
+    # reader, on whole columns and on each column chunk, must set exactly the
+    # feasible (policy, adjourn) pairs
     from agendalab.oracle import _action_masks
     rng = random.Random(m)
     rows = tuple(tuple(Fraction(rng.randrange(10)) for _ in range(m)) for _ in range(4))

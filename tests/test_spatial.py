@@ -246,6 +246,13 @@ def test_spatial_problem_wraps_utilities():
     assert problem.setter_utilities[0] == profile.utility(3, pts[0])
 
 
+def test_spatial_problem_names_its_label_and_column_counts():
+    profile = gen_spatial(3, 3, seed=8)
+    pts = [point(0, 0, 0), point(1, 1, 1)]
+    with pytest.raises(ValidationError, match="^1 policy labels for 2 utility columns$"):
+        spatial_problem(profile, pts, ["a"])
+
+
 def test_spatial_problem_reads_gfa_from_its_rows():
     profile = gen_spatial(3, 5, seed=8)
     rng = random.Random(3)
