@@ -63,7 +63,7 @@ def main():
     oracle = solve_spe(GameSpec(problem=realized,
                                 rule=VotingRule.simple_majority(realized.n),
                                 horizon=6, initial_default=z))
-    print(f"a 13-voter realization of the same relation agrees: "
+    print(f"a {realized.n}-voter realization of the same relation agrees: "
           f"{realized.policies[oracle.outcome]}")
 
 

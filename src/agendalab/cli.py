@@ -39,7 +39,7 @@ from .serialize import (
     tournament_from_dict,
 )
 from .spatial import check_noncoplanarity, gen_spatial, spatial_witness
-from .suites import SUITES, run_suite
+from .suites import PARAMETERS, SUITES, run_suite
 from .tournaments import mcgarvey_realize, relabel
 
 
@@ -282,19 +282,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-# the experiment option of each suite parameter: (flag, type)
-EXPERIMENT_FLAGS = {
-    "seed": ("--seed", int),
-    "samples": ("--samples", int),
-    "max_policies": ("--max-policies", int),
-    "max_rounds": ("--rounds", int),
-    "m": ("--m", int),
-    "d": ("--dim", int),
-    "epsilon": ("--epsilon", str),
-    "delta": ("--delta", str),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="agendalab",
@@ -412,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
         # no abbreviations: `--m` must not stand for a suite's `--max-policies`
         q = suite_sub.add_parser(suite, allow_abbrev=False)
         for name, parameter in inspect.signature(fn).parameters.items():
-            flag, kind = EXPERIMENT_FLAGS[name]
-            q.add_argument(flag, type=kind, dest=name, default=parameter.default,
-                           help="default %(default)s")
+            flag, least = PARAMETERS[name]
+            q.add_argument(flag, type=str if least is None else int, dest=name,
+                           default=parameter.default, help="default %(default)s")
         q.add_argument("--out", default=None)
         q.set_defaults(fn=_cmd_experiment)
 

@@ -52,7 +52,7 @@ def blocked_default_problem() -> CollectiveChoiceProblem:
 
 
 def blocked_default_realized() -> CollectiveChoiceProblem:
-    """13-voter realization of the blocked tournament."""
+    """7-voter realization of the blocked tournament (`mcgarvey_realize`)."""
     return relabel(mcgarvey_realize(blocked_tournament(), _ROWS[-1]), LABELS)
 
 

@@ -489,8 +489,9 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     preference between the two continuations must be voted.  Violations
     are reported by state, then offer, the setter before the voters
     ascending; `Fraction`s appear only in the reported gains.  Memory is
-    O(n) words per offer read.  Before the profile is read, the budget is
-    charged (reachable states) * m * (n + 1), once.
+    O(n) words per offer read.  Before each round of reachable states is
+    walked, the budget is charged (its states) * m * (n + 1), so `required`
+    is the work charged so far.
 
     A vote names a policy, not an adjournment flag, so a policy offered
     with both flags at one state is refused, with one exception: the
@@ -505,17 +506,17 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     # round: a failed vote keeps the default, a passed non-adjourning
     # proposal installs it, a passed adjourning one ends play.  Only these
     # states are read: a custom table may omit the others.
+    n, m = problem.n, problem.num_policies
+    meter = _Meter("profile verification too large", budget)
     actions: dict[tuple[int, int], tuple] = {}
     reach = {game.initial_default}
     for t in range(1, game.horizon + 1):
+        meter.charge(len(reach) * m * (n + 1))
         successors = set(reach)
         for x in sorted(reach):
             actions[(t, x)] = game.feasible(t, x)
             successors.update(a for a, adjourn in actions[(t, x)] if not adjourn)
         reach = successors
-
-    n, m = problem.n, problem.num_policies
-    _Meter("profile verification too large", budget).charge(len(actions) * m * (n + 1))
 
     missing: list[tuple] = []
     offers: list[tuple[int, bool]] = []     # distinct offers of every state, in state order

@@ -181,8 +181,10 @@ def spatial_profile_from_dict(data: dict) -> SpatialProfile:
     rows = _list(_field(data, "ideal_points", "profile"), "profile ideal_points")
     points = tuple(_rationals(p, f"ideal point {k + 1}", "coordinate")
                    for k, p in enumerate(rows))
+    # as wide as the rows: a `dim` they lack is refused before a box of it is built
+    width = len(points[0]) if points else 0
     return SpatialProfile(dim=dim, ideal_points=points,
-                          box=tuple((Fraction(0), Fraction(1)) for _ in range(dim)))
+                          box=((Fraction(0), Fraction(1)),) * width)
 
 
 # ---------------------------------------------------------------------------

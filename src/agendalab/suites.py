@@ -414,22 +414,33 @@ SUITES = {
 }
 
 
+# each parameter a suite reads: its `experiment` flag and least value (None: rational)
+PARAMETERS = {
+    "seed": ("--seed", 0),
+    "samples": ("--samples", 0),
+    "max_policies": ("--max-policies", 2),
+    "max_rounds": ("--rounds", 1),
+    "m": ("--m", 1),
+    "d": ("--dim", 1),
+    "epsilon": ("--epsilon", None),
+    "delta": ("--delta", None),
+}
+
+
 def _check_params(params: dict) -> None:
-    """Range checks on the parameters a suite reads; each whole number is
-    kept as the plain int `parse_whole` reads."""
-    for name, least in (("seed", 0), ("samples", 0), ("max_policies", 2), ("max_rounds", 1),
-                        ("m", 1), ("d", 1)):
-        if name in params:
+    """Range checks on the parameters a suite reads, in `PARAMETERS` order;
+    each whole number is kept as the plain int `parse_whole` reads."""
+    for name, (_, least) in PARAMETERS.items():
+        if name in params and least is not None:
             params[name] = parse_whole(params[name], f"{name} value", least)
-    for name in ("epsilon", "delta"):
-        if name in params:
+        elif name in params:
             try:
-                parse_rational(params[name])
+                value = parse_rational(params[name])
             except ValidationError as exc:
                 raise ValidationError(f"{name}: {exc}") from None
-    # a share of the setter's spread: above 1, no policy falls that far
-    if "delta" in params and not 0 < parse_rational(params["delta"]) <= 1:
-        raise ValidationError(f"delta: share {params['delta']} outside (0, 1]")
+            # delta is a share of the setter's spread: above 1, no policy falls that far
+            if name == "delta" and not 0 < value <= 1:
+                raise ValidationError(f"delta: share {params['delta']} outside (0, 1]")
 
 
 def run_suite(suite: str, out_dir=None, **params) -> RunRecord:

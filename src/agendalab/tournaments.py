@@ -1,10 +1,9 @@
 """Tournament realization: voter profiles whose majority relation is given.
 
-The classical two-voters-per-edge construction: for each directed pair
-the two voters agree on it and exactly cancel everywhere else, and one
-extra lexicographic voter makes the count odd.  Realized margins are
-therefore +1 or +3 on every pair, and the derived strict majority
-relation reproduces the input tournament exactly.
+McGarvey's construction, one voter pair per round of a round robin
+(Stearns 1959), plus one lexicographic voter: realized margins are +1 or
++3 on every pair, so the strict majority relation reproduces the input
+tournament exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import numpy as np
 from .errors import InternalInvariantError, ValidationError
 from .problems import CollectiveChoiceProblem, TournamentSpec, _scaled_problem, _wins_table
 from .rationals import parse_rational, scaled_numerators
-
-REALIZE_LIMIT = 12   # voter count grows as 2*C(|X|,2)+1
 
 
 def derive_tournament(problem: CollectiveChoiceProblem) -> TournamentSpec:
@@ -47,19 +44,17 @@ def _ranking_row(ranking, m: int, unit: int) -> list[int]:
 
 def mcgarvey_realize(tournament: TournamentSpec,
                      setter_utilities) -> CollectiveChoiceProblem:
-    """Emit a 2E+1 voter problem realizing the tournament.
+    """Emit a 2r + 1 voter problem realizing the tournament: 2(m - 1) + 1
+    voters for even m, 2m + 1 for odd m >= 3, 1 for m = 1.
 
-    Per directed edge, one voter pair nets +2 on that pair and zero on
-    every other; the extra voter ranks policies by index.  Setter
-    utilities come from the caller and must be strict so the result is
-    a gfa problem.  The problem is built from integer rows over the
-    setter's common denominator.
+    The circle method splits the policy pairs into r rounds.  A round's two
+    voters rank its pairs as oriented, in opposite pair order, and the
+    policy that sits it out (odd m) first for one, last for the other: they
+    net +2 on the round's pairs and zero elsewhere.  The extra voter ranks
+    by index; the setter's strict utilities make a gfa problem, built from
+    integer rows over their common denominator.
     """
     m = tournament.size
-    if m > REALIZE_LIMIT:
-        raise ValidationError(
-            f"{m} policies would need {2 * m * (m - 1) // 2 + 1} voters; "
-            f"limit is {REALIZE_LIMIT} policies")
     setter = tuple(map(parse_rational, setter_utilities))
     if len(setter) != m:
         raise ValidationError("setter utility vector length mismatch")
@@ -67,11 +62,15 @@ def mcgarvey_realize(tournament: TournamentSpec,
         raise ValidationError("setter utilities must be strict for a gfa realization")
 
     scale = lcm(*(u.denominator for u in setter))
+    hub = m - 1 + m % 2             # policies 0..hub-1 turn round the hub (for odd m, a bye)
     rows = []
-    for winner, loser in sorted(tournament.edges):
-        others = [p for p in range(m) if p not in (winner, loser)]
-        rows.append(_ranking_row([winner, loser] + others, m, scale))
-        rows.append(_ranking_row(list(reversed(others)) + [winner, loser], m, scale))
+    for r in range(hub):
+        pairs = [(r, hub)] + [((r + k) % hub, (r - k) % hub) for k in range(1, (hub + 1) // 2)]
+        ranked = [p if p in tournament.edges else p[::-1] for p in pairs if m not in p]
+        out = [r] if hub == m else []       # paired with the bye
+        if ranked:
+            rows.append(_ranking_row(out + [*sum(ranked, ())], m, scale))
+            rows.append(_ranking_row([*sum(ranked[::-1], ())] + out, m, scale))
     rows.append(_ranking_row(list(range(m)), m, scale))
     rows.append(scaled_numerators(setter, scale))
 

@@ -17,8 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
+    # its last line prints the realization's voter count, `realized.n`
     "demo_agenda_power.py":
-        "ab895e88f8385a77860db11c84da534c05d7efd4d43787aa1cca4411c2379857",
+        "9e7912c49b17fe3b1b39a5894ae6d442225d93ef96e29e21f95f34b669c40a2c",
     "demo_divide_the_dollar.py":
         "dc5aa22378f8279e5740ce341407f7340fa5ec8d2f8f44ddac44e088e2ff5afd",
     "demo_grid_convergence.py":

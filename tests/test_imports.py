@@ -325,10 +325,9 @@ def test_every_experiment_option_is_read_by_a_suite():
     # flag no suite reads could never be given
     import inspect
 
-    from agendalab.cli import EXPERIMENT_FLAGS
-    from agendalab.suites import SUITES
+    from agendalab.suites import PARAMETERS, SUITES
     read = {name for fn in SUITES.values() for name in inspect.signature(fn).parameters}
-    assert sorted(EXPERIMENT_FLAGS) == sorted(read)
+    assert sorted(PARAMETERS) == sorted(read)
 
 
 def _package_callable(node: ast.expr, names: dict):

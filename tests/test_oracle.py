@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -67,15 +68,15 @@ def test_solve_refuses_indifference():
 
 def test_override_solves_as_its_realization(blocked, blocked_realized, rule3):
     """The votes read only the relation, so the override fixture solves
-    as its 13-voter realization does; its steps name no approvers."""
-    rule13 = VotingRule.simple_majority(13)
+    as its realization does; its steps name no approvers."""
+    realized_rule = VotingRule.simple_majority(blocked_realized.n)
     compared = 0
     for protocol in PRESET_PROTOCOLS:
         for horizon in range(1, 7):
             for x in range(4):
                 got = solve_spe(GameSpec(problem=blocked, rule=rule3, horizon=horizon,
                                          initial_default=x, protocol=protocol))
-                want = solve_spe(GameSpec(problem=blocked_realized, rule=rule13,
+                want = solve_spe(GameSpec(problem=blocked_realized, rule=realized_rule,
                                           horizon=horizon, initial_default=x,
                                           protocol=protocol))
                 assert (got.outcome, got.value_table) == (want.outcome, want.value_table)
@@ -105,14 +106,14 @@ def test_tied_placeholder_rows_solve_as_the_realization(blocked, blocked_realize
                                       setter_utilities=(4, 3, 2, 1),
                                       majority_override=blocked.majority_override)
     assert problem.gfa
-    rule13 = VotingRule.simple_majority(13)
+    realized_rule = VotingRule.simple_majority(blocked_realized.n)
     compared = 0
     for protocol in PRESET_PROTOCOLS:
         for horizon in range(1, 7):
             for x in range(4):
                 got = solve_spe(GameSpec(problem=problem, rule=rule3, horizon=horizon,
                                          initial_default=x, protocol=protocol))
-                want = solve_spe(GameSpec(problem=blocked_realized, rule=rule13,
+                want = solve_spe(GameSpec(problem=blocked_realized, rule=realized_rule,
                                           horizon=horizon, initial_default=x,
                                           protocol=protocol))
                 assert (got.outcome, got.value_table) == (want.outcome, want.value_table)
@@ -187,6 +188,20 @@ def test_a_cold_solve_refused_at_its_first_charge_keeps_nothing(protocol):
         with pytest.raises(BudgetExceededError, match=r"\(required 60, budget 59\)$"):
             solve_spe(game, budget=59)
         assert not [key for key in problem._memo if key[0] == "rows"]
+
+
+def test_verification_is_refused_before_the_round_it_cannot_afford():
+    # round 1 walks one state, and then all 2,000 policies are reachable:
+    # round 2's charge of 2,000 * 2,000 * 4 is refused before it is walked
+    problem, rule = gen_random_gfa(2000, 3, 1), VotingRule.simple_majority(3)
+    game = GameSpec(problem=problem, rule=rule, horizon=5, initial_default=0)
+    profile = simple_equilibrium_profile(problem, rule, 5)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"^profile verification too large \(required 16,008,000, "
+                             r"budget 5,000,000\)$"):
+        verify_profile(game, profile)
+    assert time.perf_counter() - started < 0.1
 
 
 def test_preset_solves_on_the_interior_grid_fit_the_default_budget():

@@ -163,9 +163,15 @@ def ref_verify_profile(game, profile, budget=5_000_000):
         raise ValidationError(
             f"profile horizon {profile.horizon} != game horizon {game.horizon}")
 
+    # each round is charged its states * m * (n + 1) before it is walked
     reach = [set() for _ in range(game.horizon + 2)]
     reach[1] = {game.initial_default}
+    work = 0
     for t in range(1, game.horizon + 1):
+        work += len(reach[t]) * problem.num_policies * (problem.n + 1)
+        if work > budget:
+            raise BudgetExceededError("profile verification too large",
+                                      required=work, budget=budget)
         nxt = set()
         for x in reach[t]:
             nxt.add(x)
@@ -173,12 +179,6 @@ def ref_verify_profile(game, profile, budget=5_000_000):
                 if not adjourn:
                     nxt.add(a)
         reach[t + 1] = nxt
-
-    work = sum(len(reach[t]) for t in range(1, game.horizon + 1)) \
-        * problem.num_policies * (problem.n + 1)
-    if work > budget:
-        raise BudgetExceededError("profile verification too large",
-                                  required=work, budget=budget)
 
     missing = []
     for t in range(1, game.horizon + 1):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -356,7 +357,7 @@ def test_cli_realize(tmp_path, capsys):
     assert main(["realize", "--tournament", str(tfile), "--setter", "4,3,2,1",
                  "--out", str(out)]) == 0
     problem = load_problem(out)
-    assert problem.n == 13 and problem.gfa
+    assert problem.n == 7 and problem.gfa
 
 
 def test_cli_experiment_deterministic(tmp_path, capsys):
@@ -878,6 +879,18 @@ def test_spatial_profile_dimension_must_be_an_int(dim):
         spatial_profile_from_dict(doc)
 
 
+@pytest.mark.parametrize("dim", [10**6, 10**30])
+def test_spatial_profile_dimension_is_refused_before_a_box_is_built(dim):
+    # the box is as wide as the rows, so refusing a far larger `dim` takes
+    # no time that grows with it
+    from agendalab.serialize import spatial_profile_from_dict
+    doc = {"dim": dim, "ideal_points": [[0, 0, 0], [1, 1, 1], ["1/2", 0, 1]]}
+    started = time.perf_counter()
+    with pytest.raises(ValidationError, match="^ideal point dimension mismatch$"):
+        spatial_profile_from_dict(doc)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_cli_summary_stdout_is_pinned(tmp_path, capsys):
     # grid, dist, realize and experiment print a summary of what they made
     tournament = tmp_path / "tournament.json"
@@ -892,4 +905,4 @@ def test_cli_summary_stdout_is_pinned(tmp_path, capsys):
         assert main(argv) == 0
         out.update(capsys.readouterr().out.encode())
     assert out.hexdigest() == (
-        "181e415f93e6727070c011831884d82b02abaf8a046166efc1830e1961fe1b6e")
+        "9c1d7682e68f5e016751b3d5570e5b550771aeb6189d128bcba09ed4ca165d9a")

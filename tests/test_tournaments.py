@@ -25,7 +25,7 @@ from agendalab.fixtures import (
     majority_cycle_problem,
 )
 from agendalab.problems import _wins_table
-from agendalab.tournaments import REALIZE_LIMIT, relabel
+from agendalab.tournaments import relabel
 
 from references import ref_margin
 
@@ -35,7 +35,7 @@ F = Fraction
 def test_blocked_tournament_realization_round_trip():
     tournament = blocked_tournament()
     problem = mcgarvey_realize(tournament, [F(4), F(3), F(2), F(1)])
-    assert problem.n == 13                     # 2 * C(4,2) + 1
+    assert problem.n == 7                      # two voters per round of 3, plus one
     assert problem.gfa
     assert derive_tournament(problem).edges == tournament.edges
     for winner, loser in tournament.edges:
@@ -45,7 +45,7 @@ def test_blocked_tournament_realization_round_trip():
 def test_realized_relation_yields_same_engine_results():
     tournament = blocked_tournament()
     problem = mcgarvey_realize(tournament, [F(4), F(3), F(2), F(1)])
-    rule = VotingRule.simple_majority(13)
+    rule = VotingRule.simple_majority(problem.n)
     assert unimprovable_set(problem, rule) == {0, 1}      # w and x
 
 
@@ -66,13 +66,6 @@ def test_transitive_tournament_keeps_condorcet_winner():
         assert majority[0, other]
 
 
-def test_size_guard():
-    edges = [(i, j) for i in range(13) for j in range(i + 1, 13)]
-    tournament = TournamentSpec.from_edges(13, edges)
-    with pytest.raises(ValidationError, match="limit"):
-        mcgarvey_realize(tournament, [F(k) for k in range(13)])
-
-
 def test_setter_utilities_must_be_strict():
     tournament = TournamentSpec.from_edges(2, [(0, 1)])
     with pytest.raises(ValidationError, match="strict"):
@@ -87,28 +80,37 @@ def test_setter_utilities_are_read_exactly():
             == (F(1, 10), F(1, 5), F(3, 10)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
-def test_realize_derive_identity(size, rng):
-    edges = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            edges.append((i, j) if rng.random() < 0.5 else (j, i))
-    tournament = TournamentSpec.from_edges(size, edges)
-    problem = mcgarvey_realize(tournament, [F(k + 1) for k in range(size)])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_realize_derive_identity(data):
+    # any m is realized, past the 12 policies the quadratic construction
+    # allowed, with 2r + 1 voters, r the rounds of a round robin that pair
+    # any two policies
+    m = data.draw(st.integers(min_value=1, max_value=16), label="m")
+    pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    flips = data.draw(st.integers(min_value=0, max_value=2**len(pairs) - 1), label="flips")
+    edges = [(y, x) if flips >> k & 1 else (x, y) for k, (x, y) in enumerate(pairs)]
+    tournament = TournamentSpec.from_edges(m, edges)
+    setter = data.draw(st.lists(st.fractions(max_denominator=12), min_size=m, max_size=m,
+                                unique=True), label="setter")
+    problem = mcgarvey_realize(tournament, setter)
     assert derive_tournament(problem).edges == tournament.edges
+    assert all(ref_margin(problem, winner, loser) in (1, 3)
+               for winner, loser in tournament.edges)
+    assert problem.gfa and problem.setter_utilities == tuple(setter)
+    assert problem.n == (1 if m == 1 else 2 * (m - 1) + 1 if m % 2 == 0 else 2 * m + 1)
 
 
-@pytest.mark.parametrize("m", [9, REALIZE_LIMIT])
+@pytest.mark.parametrize("m", [33, 40])
 def test_large_realizations_pair_with_a_rule(m):
-    # 2 * C(m, 2) + 1 voters: 73 at m = 9, 133 at m = 12
+    # 2r + 1 voters for r rounds of a round robin: 67 at m = 33, 79 at m = 40
     rng = random.Random(m)
     tournament = TournamentSpec.from_edges(
         m, [(x, y) if rng.random() < 0.5 else (y, x)
             for x in range(m) for y in range(x + 1, m)])
     setter = tuple(F(v) for v in rng.sample(range(1, m + 1), m))
     realized = mcgarvey_realize(tournament, setter)
-    assert realized.n == m * (m - 1) + 1 > 63
+    assert realized.n == 2 * (m - 1 + m % 2) + 1 > 63
     rule = VotingRule.simple_majority(realized.n)
     twin = CollectiveChoiceProblem(policies=realized.policies, voter_utilities=(setter,),
                                    setter_utilities=setter, majority_override=tournament,
@@ -137,5 +139,5 @@ def test_relabel_and_the_fixtures_build_from_integers():
     assert renamed == dataclasses.replace(want, policies=tuple("abcd"))
     assert renamed_blocked.majority_override == blocked_tournament()
     assert renamed_blocked == dataclasses.replace(blocked, policies=tuple("abcd"))
-    assert realized.n == 13 and derive_tournament(realized) == blocked_tournament()
+    assert realized.n == 7 and derive_tournament(realized) == blocked_tournament()
     assert realized.setter_utilities == setter
