@@ -7,14 +7,14 @@ feasible proposal is evaluated, every voter votes as if pivotal between
 the two continuation outcomes, and the setter picks her best passing
 result.  It does so for every default of a round at once, on arrays:
 the rule's strict winning-coalition table (`_wins_table`, one per rule,
-shared by every protocol, read by the backward step `_extend_rows`
-alone) settles every vote, identical continuations getting a unanimous
-yes, and every protocol, preset or custom, is read
-as an action mask per round, one column chunk at a time, so a
-relation-override problem is solved as it is.  The solver, the verifier
-and `play_out` never read the improvement operators; only
-`check_richness` on a custom table and `protocol_equivalence` compare
-against favorite-improvement iterates.
+shared by every protocol, read by the backward step `_step` alone)
+settles every vote, identical continuations getting a unanimous yes,
+and every protocol, preset or custom, is read as one round's action
+mask (`_offers`), one column chunk at a time, so a relation-override
+problem is solved as it is.  One loop, `_backward`, charges and takes
+every step.  The solver, the verifier and `play_out` never read the
+improvement operators; only `check_richness` on a custom table and
+`protocol_equivalence` compare against favorite-improvement iterates.
 
 A preset game is stationary: the setter cannot commit, so round t of a
 T-round game is the first round of the (T - t + 1)-round game.  So the
@@ -42,11 +42,12 @@ construction; only custom tables are scanned.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -57,8 +58,8 @@ from .problems import (
     VotingRule,
     _Meter,
     _coalition_holds,
-    _column_chunks,
     _memoized,
+    _offer_chunks,
     _require_rule,
     _require_voter_rows,
     _wins_table,
@@ -116,6 +117,10 @@ class GameSpec:
         if not isinstance(self.protocol, CustomProtocol):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         label, m, offers = self.protocol.label, self.problem.num_policies, {}
+        if not isinstance(self.protocol.table, Mapping):
+            raise ValidationError(
+                f"custom protocol {label!r}: a table maps (round, default) keys to "
+                f"actions, not a {type(self.protocol.table).__name__}")
         for key, actions in self.protocol.table.items():
             try:
                 t, x = key
@@ -233,18 +238,17 @@ class DeviationReport:
     violations: tuple[Violation, ...]
 
 
-def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], np.ndarray]]:
-    """The feasible actions of each round in `rounds`, in that order, as a
-    reader `mask_of(cols)` of the round's (2m x |cols|) boolean mask: entry
-    [2 * policy + adjourn, j] is True when the protocol offers (policy,
-    adjourn) at default cols[j], so row order is (policy, adjourn) order.
+def _offers(game: GameSpec, t: int) -> Callable[[slice], np.ndarray]:
+    """Round t's feasible actions as a reader `mask_of(cols)` of the
+    (2m x |cols|) boolean mask: entry [2 * policy + adjourn, j] is True
+    when the protocol offers (policy, adjourn) at default cols[j], so row
+    order is (policy, adjourn) order.
 
     A preset offers the same actions every round, as its `_PRESET_OFFERS`
-    row says; its one reader builds only the chunk asked for.  A custom
-    table is read round by round, default by default, into one dense mask
-    on the round's first `mask_of` call, so a step is charged before its
-    round is read, and the first missing or empty feasible set in that
-    order raises.
+    row says, and its reader builds only the chunk asked for.  A custom
+    table's round is read default by default into one dense mask on the
+    reader's first call, so a step is charged before its round is read,
+    and the first missing or empty feasible set in that order raises.
     """
     m = game.problem.num_policies
     if game._preset is not None:
@@ -258,29 +262,25 @@ def _action_masks(game: GameSpec, rounds: range) -> Iterator[Callable[[slice], n
                 mask[2 * defaults + 1, np.arange(len(defaults))] = True
             return mask
 
-        for _ in rounds:
-            yield mask_of
-        return
-    for t in rounds:
-        @cache
-        def dense(t=t):
-            mask = np.zeros((2 * m, m), dtype=bool)
-            for x in range(m):
-                for a, adjourn in game.feasible(t, x):
-                    mask[2 * a + adjourn, x] = True
-            return mask
+        return mask_of
 
-        yield lambda cols, dense=dense: dense()[:, cols]
+    @cache
+    def dense():
+        mask = np.zeros((2 * m, m), dtype=bool)
+        for x in range(m):
+            for a, adjourn in game.feasible(t, x):
+                mask[2 * a + adjourn, x] = True
+        return mask
+
+    return lambda cols: dense()[:, cols]
 
 
-def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: list,
-                 choices: list, masks: Iterator, meter: _Meter) -> None:
-    """Backward induction at every default, one round per action-mask
-    reader in `masks`: append the round's continuation outcomes to
-    `values` and its chosen actions (2 * policy + adjourn) to `choices`,
-    reading the next round's outcomes `val` = values[-1].  Each step is
-    charged m * (m + 1) to `meter` before it runs, the first before the
-    vote table is built.
+def _step(problem: CollectiveChoiceProblem, rule: VotingRule, val: np.ndarray,
+          mask_of: Callable[[slice], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One round of backward induction at every default: the round's
+    continuation outcomes and its chosen actions (2 * policy + adjourn),
+    read-only, from the next round's outcomes `val` and the round's
+    action-mask reader `mask_of` (`_offers`).
 
     Every vote is read from `beats`, the rule's memoized `_wins_table`.
     Action 2a + adjourn leads, once accepted, to `acc` = val[a] (amend) or
@@ -289,64 +289,50 @@ def _extend_rows(problem: CollectiveChoiceProblem, rule: VotingRule, values: lis
     needed), and the setter takes the best-ranked feasible result.  So
     the chosen action passed exactly when the row's outcome is its `acc`.
     The argmax breaks ties to the lowest (policy, adjourn) pair, which
-    cannot affect the outcome under gfa.  Defaults go by `_column_chunks`.
-    Each appended row is read-only: reports keep memoized rows until they
-    are first read.
+    cannot affect the outcome under gfa.  Defaults go by `_offer_chunks`.
     """
-    m, setter = problem.num_policies, problem._ranks[-1]
-    chunks = _column_chunks(problem)
+    m, setter, beats = problem.num_policies, problem._ranks[-1], _wins_table(problem, rule)
     acc = np.empty(2 * m, dtype=np.int64)
-    acc[1::2] = np.arange(m)
-    for mask_of in masks:
+    acc[0::2], acc[1::2] = val, np.arange(m)
+    value, choice = np.empty((2, m), dtype=np.int64)
+    for cols in _offer_chunks(problem):
+        reject = val[None, cols]
+        res = np.where(beats[acc[:, None], reject], acc[:, None], reject)
+        best = np.where(mask_of(cols), setter[res], -1).argmax(axis=0)
+        choice[cols] = best
+        value[cols] = res[best, np.arange(res.shape[1])]
+    value.flags.writeable = choice.flags.writeable = False
+    return value, choice
+
+
+def _backward(game: GameSpec, values: list, choices: list, meter: _Meter) -> tuple:
+    """The backward rows (values[k] the k-round outcomes, choices[k - 1] the
+    actions with k rounds left), extended in place to the horizon, one
+    `_step` per round, each charged m * (m + 1) to `meter` before it runs.
+    Empty rows (a cold solve) start from values[0], each default's own
+    0-round outcome, read-only as every row is.
+
+    A preset's step reads only the row after it, so once the last outcome
+    row repeats the one before it every later step would repeat both its
+    rows: the missing rounds get those same read-only arrays, charged m
+    per round in one charge, and no step.
+    """
+    problem, horizon, m = game.problem, game.horizon, game.problem.num_policies
+    if not values:
+        values.append(np.arange(m))
+        values[0].flags.writeable = False
+    while len(choices) < horizon:
+        if game._preset is not None and len(values) > 1 and np.array_equal(*values[-2:]):
+            missing = horizon - len(choices)
+            meter.charge(m * missing)
+            values.extend([values[-1]] * missing)
+            choices.extend([choices[-1]] * missing)
+            break
         meter.charge(m * (m + 1))
-        beats, val = _wins_table(problem, rule), values[-1]
-        acc[0::2] = val
-        value = np.empty(m, dtype=np.int64)
-        choice = np.empty(m, dtype=np.int64)
-        for cols in chunks:
-            reject = val[None, cols]
-            res = np.where(beats[acc[:, None], reject], acc[:, None], reject)
-            best = np.where(mask_of(cols), setter[res], -1).argmax(axis=0)
-            choice[cols] = best
-            value[cols] = res[best, np.arange(res.shape[1])]
-        value.flags.writeable = choice.flags.writeable = False
+        value, choice = _step(problem, game.rule, values[-1],
+                              _offers(game, horizon - len(choices)))
         values.append(value)
         choices.append(choice)
-
-
-def _no_rows(m: int) -> tuple[list, list]:
-    """Backward rows before any step: values[0], each default's own 0-round
-    outcome (read-only, as `_extend_rows` leaves each row), and no choice."""
-    start = np.arange(m)
-    start.flags.writeable = False
-    return [start], []
-
-
-def _until_fixed_point(values: list, masks: Iterator) -> Iterator:
-    """The preset readers of `masks`, until the last backward row in
-    `values` repeats the one before it.  A preset step reads only the row
-    after it, so from that fixed point on every step would repeat both its
-    outcome row and its choice row."""
-    for mask_of in masks:
-        if len(values) > 1 and np.array_equal(values[-1], values[-2]):
-            return
-        yield mask_of
-
-
-def _preset_rows(game: GameSpec, values: list, choices: list, meter: _Meter) -> tuple:
-    """A preset's rows (values[k] the k-round outcomes, choices[k - 1] the
-    actions with k rounds left), short of the horizon, extended in place to
-    it.  A preset's mask is the same every round, so the missing steps
-    stand in for rounds up to the fixed point; past it the last rows are
-    appended again, charged m per round."""
-    horizon = game.horizon
-    _extend_rows(game.problem, game.rule, values, choices,
-                 _until_fixed_point(values, _action_masks(game, range(len(choices), horizon))),
-                 meter)
-    missing = horizon - len(choices)
-    meter.charge(game.problem.num_policies * missing)
-    values.extend([values[-1]] * missing)
-    choices.extend([choices[-1]] * missing)
     return values, choices
 
 
@@ -359,9 +345,9 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     continuation; identical continuations get a unanimous yes.  So a
     proposal passes exactly when the strict `_wins` relation holds of
     its accept outcome over its reject outcome, or the two are equal.
-    Each round is one step of `_extend_rows`, which reads those votes
-    from the rule's memoized strict table, shared by every protocol and,
-    under the majority rule, by reachability and tournaments.  So an
+    Each round is one `_step` of the loop `_backward`, which reads those
+    votes from the rule's memoized strict table, shared by every protocol
+    and, under the majority rule, by reachability and tournaments.  So an
     override problem is solved as it is, under the simple-majority rule
     only, which `GameSpec` has checked.
 
@@ -370,15 +356,15 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     preset) are memoized with the problem, extended when a longer horizon
     is asked for and read as a prefix for a shorter one.  That costs one
     backward step per round up to the fixed point: once a step's outcome
-    row equals its input row (`_until_fixed_point`), every later round's
-    rows are those same read-only arrays, appended without a step.  Table
-    and rows cost m**2 bytes plus O(m) words per distinct round and one
-    reference per repeated round.  A custom protocol's rows are solved per
-    call.  The budget (`_Meter`) is charged m * (m + 1) per step a call
-    computes, before it runs, and m per round appended past the fixed
-    point: never more than T * m * (m + 1), and kept rows are free.  Each
-    call walks the equilibrium path on plain ints, read from the rows, to
-    its outcome: round t takes its choice and its two outcomes from the
+    row equals its input row, `_backward` appends those same read-only
+    arrays for every later round, without a step.  Table and rows cost
+    m**2 bytes plus O(m) words per distinct round and one reference per
+    repeated round.  A custom protocol's rows are solved per call.  The
+    budget (`_Meter`) is charged m * (m + 1) per step a call computes,
+    before it runs, and m per round appended past the fixed point: never
+    more than T * m * (m + 1), and kept rows are free.  Each call walks
+    the equilibrium path on plain ints, read from the rows, to its
+    outcome: round t takes its choice and its two outcomes from the
     (T - t)-round rows, and its proposal passed exactly when the
     (T - t + 1)-round outcome is the accept outcome, so the walk reads no
     vote.  The report keeps the rows and that path, so its `value_table`
@@ -387,23 +373,20 @@ def solve_spe(game: GameSpec, budget: int = 5_000_000) -> SolveReport:
     under an override).  Solving costs O(m * chunk) transient memory per
     block.
     """
-    problem = game.problem
+    problem, horizon = game.problem, game.horizon
     if not problem.gfa:
         raise ValidationError(
             "solve_spe requires gfa; use verify_profile for problems with indifference")
-    m, horizon = problem.num_policies, game.horizon
     meter = _Meter("state space too large for the oracle", budget)
-    if game._preset is not None:
-        # a cold store is kept once it reaches the horizon, so a refused cold
-        # solve keeps nothing; a warm one is extended in place
-        values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
-                                    lambda: _preset_rows(game, *_no_rows(m), meter))
-        if len(choices) < horizon:
-            _preset_rows(game, values, choices, meter)
+    if game._preset is None:
+        values, choices = _backward(game, [], [], meter)
     else:
-        values, choices = _no_rows(m)
-        _extend_rows(problem, game.rule, values, choices,
-                     _action_masks(game, range(horizon, 0, -1)), meter)
+        # a cold store is kept once it reaches the horizon, so a refused cold
+        # solve keeps nothing; a warm one is extended in place when short
+        values, choices = _memoized(problem, ("rows", game.rule, game.protocol),
+                                    lambda: _backward(game, [], [], meter))
+        if len(choices) < horizon:
+            _backward(game, values, choices, meter)
 
     # round t reads choices[T - t], the (T - t)-round outcomes values[T - t]
     # and its own outcome values[T - t + 1]
@@ -445,16 +428,25 @@ def _voted_policies(offers, t: int, x: int) -> list[int]:
     return policies
 
 
-def _offer_index(game: GameSpec, offered: tuple, t: int, x: int, a, adjourn) -> int:
-    """The index of the proposal (a, adjourn) among the offers `offered` at
-    (round t, default x); a proposal the protocol does not offer there (an
-    unoffered policy, or an offered one with the other flag) is refused."""
-    if (a, adjourn) not in offered:
+def _offer_index(game: GameSpec, offered: tuple, t: int, x: int, proposal) -> int:
+    """The index of a profile's raw `proposal` among the offers `offered` at
+    (round t, default x).  A proposal that is not a (policy, adjourn) pair
+    is refused, and so is one the protocol does not offer there: a policy
+    that is not a whole number (`parse_whole`), an unoffered policy, or an
+    offered one with the other flag."""
+    try:
+        a, adjourn = proposal
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"profile proposes {proposal!r} at (round {t}, default {x}), "
+            "which is not a (policy, adjourn) pair") from None
+    try:
+        return offered.index((parse_whole(a, "policy"), adjourn))
+    except (ValidationError, ValueError):
         raise ValidationError(
             f"profile proposes policy {a}{' with adjournment' if adjourn else ''} "
             f"at (round {t}, default {x}), which protocol "
-            f"{game.protocol_name!r} does not offer")
-    return offered.index((a, adjourn))
+            f"{game.protocol_name!r} does not offer") from None
 
 
 def _require_profile_fits(game: GameSpec, profile: StrategyProfile) -> None:
@@ -475,9 +467,10 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     block with every voter's vote on each distinct offered policy.  A
     block that raises KeyError is read again one vote at a time, so that
     partial profiles raise a validation error listing every missing
-    entry; so does a proposal the protocol does not offer at its state
-    (an unoffered policy, or an offered one with the other adjournment
-    flag).
+    entry; so does a proposal that is not a (policy, adjourn) pair or
+    that the protocol does not offer at its state (a policy that is not a
+    whole number, an unoffered policy, or an offered one with the other
+    adjournment flag).
 
     The rest runs on arrays.  Continuation outcomes under the profile are
     filled backward, one round of reachable defaults at a time: round t
@@ -525,11 +518,11 @@ def verify_profile(game: GameSpec, profile: StrategyProfile,
     blocks: list[np.ndarray] = []           # (n, offers) ballots of each state
     for (t, x), offered in actions.items():
         try:
-            a, adjourn = profile.propose(t, x)
+            proposal = profile.propose(t, x)
         except KeyError:
             missing.append(("proposer", t, x))
         else:
-            on.append(len(offers) + _offer_index(game, offered, t, x, a, adjourn))
+            on.append(len(offers) + _offer_index(game, offered, t, x, proposal))
         policies = _voted_policies(offered, t, x)
         offers.extend(offered)
         sizes.append(len(offered))
@@ -610,12 +603,13 @@ def play_out(game: GameSpec, profile: StrategyProfile) -> int:
     """Policy implemented when everyone follows the profile: each round
     reads the proposal and its one-column `ballots` block.  Like
     `verify_profile`, it refuses an override problem, a profile of another
-    horizon and a proposal its state does not offer (`_offer_index`)."""
+    horizon, a proposal that is not a pair and one its state does not
+    offer (`_offer_index`)."""
     _require_profile_fits(game, profile)
     t, x = 1, game.initial_default
     while t <= game.horizon:
-        a, adjourn = profile.propose(t, x)
-        _offer_index(game, game.feasible(t, x), t, x, a, adjourn)
+        proposal, offered = profile.propose(t, x), game.feasible(t, x)
+        a, adjourn = offered[_offer_index(game, offered, t, x, proposal)]
         if _coalition_holds(game.rule, profile.ballots(t, x, [a], game.problem.n))[0]:
             if adjourn:
                 return a
@@ -665,9 +659,9 @@ def check_richness(game: GameSpec) -> RichnessReport:
     problem, m = game.problem, game.problem.num_policies
     orbits = [_orbit(problem, game.rule, x, game.horizon) for x in range(m)]
     step = [orbit[:2][-1] for orbit in orbits]      # phi^k(x) is orbit[:k + 1][-1]
-    defaults, rounds = np.arange(m), range(1, game.horizon + 1)
-    for t, mask_of in zip(rounds, _action_masks(game, rounds)):
-        mask = mask_of(slice(None))
+    defaults = np.arange(m)
+    for t in range(1, game.horizon + 1):
+        mask = _offers(game, t)(slice(None))
         amend, adjourn = mask[0::2], mask[1::2]   # [policy, default]
         amend_only, adjourn_only = amend & ~adjourn, adjourn & ~amend
         mixed = amend_only.any(axis=0) & adjourn_only.any(axis=0)

@@ -33,8 +33,9 @@ alternatives in setter order, best first, in blocks over the defaults
 still open; a default leaves as soon as its answer is settled, which on
 a large grid is mostly at the first alternative or the first few.
 The setter order is sorted once per problem (`_setter_order`), and
-`_block_width` alone sizes a block's columns, so every block keeps
-n * rows * cols <= `_CHUNK_COMPARISONS`.
+`_block_width` alone sizes a `_wins` block's columns, so every block
+keeps n * rows * cols <= `_CHUNK_COMPARISONS`; `_offer_chunks` sizes the
+oracle step's (2m x cols) blocks, which have no voter axis.
 
 Each problem is compiled once, when it is made: both constructors end
 in `_compile`, which keeps `_ints`, `n` and `_ranks` (the public one
@@ -506,6 +507,14 @@ def _column_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
     """Column slices of at most `_CHUNK_COMPARISONS` voter comparisons each."""
     m = problem.num_policies
     width = _block_width(problem, m)
+    return [slice(start, start + width) for start in range(0, m, width)]
+
+
+def _offer_chunks(problem: CollectiveChoiceProblem) -> list[slice]:
+    """Column slices of the oracle step's (2m x cols) offer blocks, which
+    have no voter axis: at most `_CHUNK_COMPARISONS` entries each."""
+    m = problem.num_policies
+    width = max(1, _CHUNK_COMPARISONS // (2 * m))
     return [slice(start, start + width) for start in range(0, m, width)]
 
 

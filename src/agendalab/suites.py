@@ -71,26 +71,18 @@ def _summary(rows) -> dict:
 
 def fixtures_suite():
     rows = []
-    cycle = fixtures.majority_cycle_problem()
-    rule = _rule(cycle)
-    z = cycle.policy_index("z")
-    expected = {1: "y", 2: "x", 3: "w", 4: "w", 5: "w", 6: "w"}
-    for rounds, want in expected.items():
-        engine_out = cycle.policies[equilibrium_outcome(cycle, rule, z, rounds).outcome]
-        oracle_out = cycle.policies[solve_spe(
-            GameSpec(problem=cycle, rule=rule, horizon=rounds,
-                     initial_default=z)).outcome]
-        rows.append({"instance": "cycle", "default": "z", "rounds": rounds,
-                     "expected": want, "engine": engine_out, "oracle": oracle_out,
-                     "pass": engine_out == want == oracle_out})
-    blocked = fixtures.blocked_default_problem()
-    for rounds in range(1, 7):
-        engine_out = blocked.policies[equilibrium_outcome(blocked, rule, z, rounds).outcome]
-        oracle_out = blocked.policies[solve_spe(
-            GameSpec(problem=blocked, rule=rule, horizon=rounds, initial_default=z)).outcome]
-        rows.append({"instance": "blocked", "default": "z", "rounds": rounds,
-                     "expected": "x", "engine": engine_out, "oracle": oracle_out,
-                     "pass": engine_out == "x" == oracle_out})
+    for instance, problem, expected in (
+            ("cycle", fixtures.majority_cycle_problem(), ("y", "x", "w", "w", "w", "w")),
+            ("blocked", fixtures.blocked_default_problem(), ("x",) * 6)):
+        rule, z = _rule(problem), problem.policy_index("z")
+        for rounds, want in enumerate(expected, 1):
+            engine_out = problem.policies[equilibrium_outcome(problem, rule, z, rounds).outcome]
+            oracle_out = problem.policies[solve_spe(
+                GameSpec(problem=problem, rule=rule, horizon=rounds,
+                         initial_default=z)).outcome]
+            rows.append({"instance": instance, "default": "z", "rounds": rounds,
+                         "expected": want, "engine": engine_out, "oracle": oracle_out,
+                         "pass": engine_out == want == oracle_out})
     return rows, _summary(rows)
 
 

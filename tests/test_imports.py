@@ -235,19 +235,21 @@ def _names(tree: ast.AST) -> set[str]:
 def test_the_oracle_never_reads_phi():
     # backward induction is the route independent of the favorite-improvement
     # iterates: the solver, the verifier and the play-out name none of their
-    # readers, and the backward step alone names the rule's vote table
+    # readers, the backward step alone names the rule's vote table, and the
+    # backward loop alone calls the step
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     phi = {"_orbit", "_phi_table", "_phi_or_table", "_setter_walk", "phi_iterates",
            "favorite_improvement"}
     found = {name: sorted(_names(functions[name]) & phi)
-             for name in ("solve_spe", "_extend_rows", "_action_masks", "_value_table",
+             for name in ("solve_spe", "_backward", "_step", "_offers", "_value_table",
                           "_pivotal_trace", "verify_profile", "play_out")}
     assert {name: names for name, names in found.items() if names} == {}
-    inside = {id(node) for node in ast.walk(functions["_extend_rows"])}
-    table = {node.lineno: id(node) in inside for node in ast.walk(tree)
-             if "_wins_table" in (getattr(node, "id", None), getattr(node, "attr", None))}
-    assert table and all(table.values()), table
+    for reader, name in (("_step", "_wins_table"), ("_backward", "_step")):
+        inside = {id(node) for node in ast.walk(functions[reader])}
+        named = {node.lineno: id(node) in inside for node in ast.walk(tree)
+                 if name in (getattr(node, "id", None), getattr(node, "attr", None))}
+        assert named and all(named.values()), (name, named)
 
 
 def test_grids_draw_only_through_draws_and_score_through_the_profile():

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from agendalab import (
@@ -35,7 +36,7 @@ from agendalab.factories import gen_random_gfa, gfa_corpus
 from agendalab.fixtures import adjournment_trap_protocol, majority_cycle_problem
 from agendalab.grids import BoxSpace, build_grid
 from agendalab.oracle import PRESET_PROTOCOLS, SolveReport, TraceStep, Violation
-from agendalab.problems import _column_chunks
+from agendalab.problems import _column_chunks, _offer_chunks
 from agendalab.serialize import load_problem, save_problem
 from agendalab.spatial import gen_spatial
 
@@ -457,6 +458,18 @@ def test_custom_protocol_refuses_bad_keys(cycle, rule3, key, actions):
                  protocol=CustomProtocol(label="keys", table={key: actions}))
 
 
+@pytest.mark.parametrize("table, kind", [([((1, 0), ((0, False),))], "list"),
+                                         (None, "NoneType")])
+def test_custom_protocol_refuses_a_table_that_is_not_a_mapping(cycle, rule3, table, kind):
+    # the table is read as (round, default) keys, so anything else is
+    # refused by its protocol's label
+    with pytest.raises(ValidationError, match=(
+            rf"^custom protocol 'listed': a table maps \(round, default\) keys to "
+            rf"actions, not a {kind}$")):
+        GameSpec(problem=cycle, rule=rule3, horizon=1, initial_default=0,
+                 protocol=CustomProtocol(label="listed", table=table))
+
+
 def test_custom_protocol_keeps_rounds_past_the_horizon(cycle, rule3):
     # rounds past the horizon are never read, so one table serves every
     # horizon up to its own
@@ -562,19 +575,37 @@ def test_play_out_refuses_another_horizon(cycle, rule3, rounds):
 
 @pytest.mark.parametrize("proposal, shown", [
     ((99, False), "policy 99"), ((1.5, False), "policy 1.5"),
-    ((1, True), "policy 1 with adjournment")])
+    ((1, True), "policy 1 with adjournment"), ((1.0, False), "policy 1.0"),
+    ((True, False), "policy True"), ((np.int64(99), False), "policy 99"),
+    (1, "1"), ((1,), "(1,)"), ((1, False, 2), "(1, False, 2)")])
 def test_play_out_refuses_an_unoffered_proposal(cycle, rule3, proposal, shown):
     # play_out and verify_profile refuse a proposal its state does not offer
-    # in the same words
+    # in the same words: a policy that is not a whole number is not offered,
+    # even where it equals an offered one; a proposal that is not a pair is
+    # refused at its state
     z = cycle.policy_index("z")
     game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
     simple = simple_equilibrium_profile(cycle, rule3, 3)
     profile = StrategyProfile(horizon=3, propose=lambda t, x: proposal, vote=simple.vote)
+    why = ("which protocol 'amendment' does not offer" if shown.startswith("policy")
+           else "which is not a (policy, adjourn) pair")
     for call in (play_out, verify_profile):
         with pytest.raises(ValidationError, match=(
-                rf"^profile proposes {shown} at \(round 1, default 3\), "
-                "which protocol 'amendment' does not offer$")):
+                f"^{re.escape(f'profile proposes {shown} at (round 1, default 3), {why}')}$")):
             call(game, profile)
+
+
+def test_a_numpy_integer_proposal_is_read_as_its_int(cycle, rule3):
+    # a numpy integer policy is a whole number: it plays and is audited as
+    # the plain int it equals
+    z = cycle.policy_index("z")
+    game = GameSpec(problem=cycle, rule=rule3, horizon=3, initial_default=z)
+    simple = simple_equilibrium_profile(cycle, rule3, 3)
+    numpy = StrategyProfile(horizon=3, vote=simple.vote, propose=lambda t, x: (
+        np.int64(simple.propose(t, x)[0]), simple.propose(t, x)[1]))
+    assert play_out(game, numpy) == play_out(game, simple) == solve_spe(game).outcome
+    assert verify_profile(game, numpy) == verify_profile(game, simple)
+    assert type(play_out(game, numpy)) is int
 
 
 def test_from_tables_reads_a_voter_without_a_table_as_missing(cycle, rule3):
@@ -833,10 +864,10 @@ def test_preset_verify_at_eight_policies_matches_reference():
 @pytest.mark.parametrize("chunk", [1, 2**16])
 def test_preset_masks_equal_the_feasible_offers(protocol, m, chunk, monkeypatch):
     # a preset's offer rule is one `_PRESET_OFFERS` row, read twice, by
-    # `GameSpec.feasible` and by `_action_masks`' mask reader: every round's
-    # reader, on whole columns and on each column chunk, must set exactly the
-    # feasible (policy, adjourn) pairs
-    from agendalab.oracle import _action_masks
+    # `GameSpec.feasible` and by `_offers`' mask reader: every round's
+    # reader, on whole columns and on each column chunk of the step, must set
+    # exactly the feasible (policy, adjourn) pairs
+    from agendalab.oracle import _offers
     rng = random.Random(m)
     rows = tuple(tuple(Fraction(rng.randrange(10)) for _ in range(m)) for _ in range(4))
     problem = CollectiveChoiceProblem(policies=tuple(f"x{i}" for i in range(m)),
@@ -844,10 +875,10 @@ def test_preset_masks_equal_the_feasible_offers(protocol, m, chunk, monkeypatch)
     game = GameSpec(problem=problem, rule=VotingRule.simple_majority(3), horizon=3,
                     initial_default=0, protocol=protocol)
     monkeypatch.setattr("agendalab.problems._CHUNK_COMPARISONS", chunk)
-    chunks = _column_chunks(problem)
+    chunks = _offer_chunks(problem)
     assert len(chunks) == (m if chunk == 1 else 1)
-    rounds = range(1, game.horizon + 1)
-    for t, mask_of in zip(rounds, _action_masks(game, rounds)):
+    for t in range(1, game.horizon + 1):
+        mask_of = _offers(game, t)
         want = [[False] * m for _ in range(2 * m)]
         for x in range(m):
             for a, adjourn in game.feasible(t, x):

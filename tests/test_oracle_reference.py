@@ -580,37 +580,42 @@ def test_preset_rows_past_their_fixed_point_match_the_reference(seed, kind, prot
 
 
 def test_preset_rows_stop_at_their_fixed_point(monkeypatch):
-    computed = []
-    extend = oracle_module._extend_rows
+    steps = []
+    step = oracle_module._step
 
-    def counted(problem, rule, values, choices, masks, meter):
-        before = len(choices)
-        extend(problem, rule, values, choices, masks, meter)
-        computed.append(len(choices) - before)
+    def counted(problem, rule, val, mask_of):
+        steps.append(1)
+        return step(problem, rule, val, mask_of)
 
-    monkeypatch.setattr(oracle_module, "_extend_rows", counted)
+    def stepped(game):
+        # the report and the steps its solve took
+        before = len(steps)
+        return solve_spe(game), len(steps) - before
+
+    monkeypatch.setattr(oracle_module, "_step", counted)
     problem, rule = majority_cycle_problem(), VotingRule.simple_majority(3)
     for protocol in PRESET_PROTOCOLS:
-        computed.clear()
+        computed = []
         for horizon in (100, 200, 3):
             game = GameSpec(problem=problem, rule=rule, horizon=horizon, initial_default=0,
                             protocol=protocol)
-            report = solve_spe(game)
+            report, taken = stepped(game)
+            computed.append(taken)
             assert report == ref_solve_spe(_fresh(game))
             assert len(report.value_table) == (horizon + 1) * 4
         values, choices = problem._memo[("rows", rule, protocol)]
         assert len(values) == 201 and len(choices) == 200
         # the first solve steps up to the fixed point, the second reads it, the
         # third a prefix
-        assert computed == [_fixed_point(values), 0] and computed[0] < 10
+        assert computed == [_fixed_point(values), 0, 0] and computed[0] < 10
         _assert_rows_repeat_past_their_fixed_point(values, choices)
     # a custom table is solved round by round, every call
-    computed.clear()
     game = GameSpec(problem=problem, rule=rule, horizon=100,
                     initial_default=problem.policy_index("z"),
                     protocol=adjournment_trap_protocol(100))
-    assert solve_spe(game) == solve_spe(game) == ref_solve_spe(game)
-    assert computed == [100, 100]
+    (first, once), (second, twice) = stepped(game), stepped(game)
+    assert first == second == ref_solve_spe(game)
+    assert (once, twice) == (100, 100)
 
 
 def test_preset_solves_build_the_vote_table_once(monkeypatch):
